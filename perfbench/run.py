@@ -16,8 +16,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 WORKLOADS = ["clique_campaign", "clique_parallel", "multihop_grid", "plan_admit"]
+# Workloads that run on one domain. On a shared VM one vCPU can run much
+# slower than another for minutes, so a one-domain run would measure
+# whichever vCPU the scheduler kept it on. Moving it round the allowed
+# CPUs every ROTATE_S seconds makes every run sample all of them.
+ONE_DOMAIN = {"clique_campaign", "multihop_grid", "plan_admit"}
+ROTATE_S = 0.1
 BUILD_DIR = ".bench_build"
 EXE = os.path.join(BUILD_DIR, "default", "perfbench", "trialbench.exe")
 BUILD_TIMEOUT_S = 870
@@ -27,6 +34,30 @@ RUN_TIMEOUT_S = 170
 def fail(msg, code=1):
     print("run.py: " + msg, file=sys.stderr)
     return code
+
+
+def run(cmd, out, rotate):
+    """Runs cmd with stdout to out; returns its exit code, or None on timeout."""
+    cpus = sorted(os.sched_getaffinity(0)) if rotate and hasattr(os, "sched_getaffinity") else []
+    proc = subprocess.Popen(cmd, stdout=out)
+    deadline = time.monotonic() + RUN_TIMEOUT_S
+    turn = 0
+    try:
+        while proc.poll() is None:
+            if time.monotonic() > deadline:
+                return None
+            if len(cpus) > 1:
+                try:
+                    os.sched_setaffinity(proc.pid, {cpus[turn % len(cpus)]})
+                except OSError:
+                    pass
+                turn += 1
+            time.sleep(ROTATE_S)
+        return proc.returncode
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
 
 
 def main():
@@ -60,17 +91,19 @@ def main():
            "--seconds", str(args.seconds), "--trace", str(args.trace)]
     if args.trace == 1:
         cmd += ["--spans", os.path.join(BUILD_DIR, "spans-%s.jsonl" % args.workload)]
-    try:
-        run = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, timeout=RUN_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
+    out_path = os.path.join(BUILD_DIR, "out-%s.txt" % args.workload)
+    with open(out_path, "w") as out:
+        code = run(cmd, out, args.workload in ONE_DOMAIN)
+    if code is None:
         return fail("benchmark timed out after %ds" % RUN_TIMEOUT_S)
-    lines = run.stdout.rstrip("\n").split("\n")
-    sys.stdout.write(run.stdout)
+    with open(out_path) as f:
+        stdout = f.read()
+    sys.stdout.write(stdout)
     sys.stdout.flush()
-    if run.returncode != 0:
-        return fail("benchmark exited %d" % run.returncode, run.returncode)
+    if code != 0:
+        return fail("benchmark exited %d" % code, code)
     try:
-        result = json.loads(lines[-1])
+        result = json.loads(stdout.rstrip("\n").split("\n")[-1])
     except ValueError:
         return fail("last line is not JSON")
     if sorted(result) != ["attempted", "correct", "failed", "metrics"]:

@@ -3,10 +3,9 @@
    Three axes: raw schedule+drain throughput, steady-state throughput at
    increasing queue depths (periodic tasks re-arming themselves, the
    runtime's actual shape), and drain time under increasing cancelled
-   fractions. Runs against the process-default backend (see
-   --engine-backend); each row also reports the allocation diet — cells
-   allocated fresh vs served from the wheel's pool (zeros on the pheap
-   backend, which has no pool). Writes BENCH_engine.json with --json. *)
+   fractions. Each row also reports the allocation diet — cells
+   allocated fresh vs served from the wheel's pool. Writes
+   BENCH_engine.json with --json. *)
 
 open Btr_util
 module Engine = Btr_sim.Engine
@@ -63,8 +62,7 @@ let bench_depth ~depth ~total =
 
 (* Schedule [n] events, cancel [pct]% of them up front, drain. The
    wheel unlinks cancelled cells eagerly, so drain cost must scale
-   with the live events only; the pheap walks dead events until its
-   compaction threshold trips. *)
+   with the live events only. *)
 let bench_cancelled ~n ~pct =
   let e = Engine.create () in
   let live = ref 0 in
@@ -81,7 +79,6 @@ let bench_cancelled ~n ~pct =
   (expected, dt, alloc_stats e)
 
 let run ?json_file ?max_depth () =
-  let backend = Engine.backend_name (Engine.default_backend ()) in
   let drain_n = 200_000 in
   let depths =
     let all = [ 100; 1_000; 10_000; 100_000; 1_000_000 ] in
@@ -98,8 +95,7 @@ let run ?json_file ?max_depth () =
   let table =
     Table.create
       ~title:
-        (Printf.sprintf "EB  Engine throughput (%s backend, %d-event workloads)"
-           backend drain_n)
+        (Printf.sprintf "EB  Engine throughput (%d-event workloads)" drain_n)
       ~header:
         [ "workload"; "events"; "seconds"; "events/sec"; "cells"; "pooled" ]
   in
@@ -139,8 +135,8 @@ let run ?json_file ?max_depth () =
     let oc = open_out file in
     let drain_cells, drain_pooled = drain_alloc in
     Printf.fprintf oc
-      "{\"bench\":\"engine\",\"backend\":%S,\"drain_events\":%d,\"drain_millis\":%d,\"drain_events_per_sec\":%d,\"cells_allocated\":%d,\"cells_reused\":%d}\n"
-      backend drain_n
+      "{\"bench\":\"engine\",\"drain_events\":%d,\"drain_millis\":%d,\"drain_events_per_sec\":%d,\"cells_allocated\":%d,\"cells_reused\":%d}\n"
+      drain_n
       (int_of_float ((drain_dt *. 1000.0) +. 0.5))
       (events_per_sec drain_n drain_dt)
       drain_cells drain_pooled;

@@ -10,7 +10,6 @@
      dune exec bench/main.exe -- --campaign --json # + BENCH_campaign.json
      dune exec bench/main.exe -- --engine --json   # + BENCH_engine.json
      dune exec bench/main.exe -- --engine --engine-max-depth 100000  # CI smoke
-     dune exec bench/main.exe -- --engine --engine-backend pheap # old backend
      dune exec bench/main.exe -- --planner --json  # + BENCH_planner.json
      dune exec bench/main.exe -- --planner --planner-max 1000  # CI smoke
      dune exec bench/main.exe -- --trace t.jsonl --metrics m.json
@@ -69,13 +68,6 @@ let () =
       collect acc rest
     | "--engine-max-depth" :: n :: rest ->
       engine_max_depth := int_of_string_opt n;
-      collect acc rest
-    | "--engine-backend" :: b :: rest ->
-      (match Btr_sim.Engine.backend_of_string b with
-      | Some backend -> Btr_sim.Engine.set_default_backend backend
-      | None ->
-        Printf.eprintf "unknown engine backend %S (have: wheel, pheap)\n" b;
-        exit 2);
       collect acc rest
     | "--json" :: rest ->
       json := true;

@@ -17,7 +17,6 @@ module Planner = Btr_planner.Planner
 module Check = Btr_check.Check
 module Incr = Btr_check.Incr
 module Fault = Btr_fault.Fault
-module Engine = Btr_sim.Engine
 
 let workload_of_name name ~nodes ~seed =
   match name with
@@ -131,27 +130,6 @@ let f_arg = Arg.(value & opt int 1 & info [ "f" ] ~doc:"Fault bound.")
 let r_arg = Arg.(value & opt int 200 & info [ "r" ] ~doc:"Recovery bound R in ms.")
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed.")
 
-(* Event-queue backend for every engine this invocation creates
-   (scenario runs, campaign worker domains). Verdicts and artifacts are
-   identical for either choice; pheap is kept for differential runs. *)
-let backend_arg =
-  let parse s =
-    match Engine.backend_of_string s with
-    | Some b -> Ok b
-    | None ->
-      Error (`Msg (Printf.sprintf "unknown engine backend %S (wheel or pheap)" s))
-  in
-  let backend_conv =
-    Arg.conv (parse, fun ppf b -> Format.pp_print_string ppf (Engine.backend_name b))
-  in
-  Arg.(
-    value
-    & opt backend_conv (Engine.default_backend ())
-    & info [ "engine-backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Sim-engine event queue: wheel (timing wheel, default) or pheap (the \
-           pairing-heap baseline). Results are byte-identical either way.")
-
 let build_strategy workload topology nodes f r seed =
   match workload_of_name workload ~nodes ~seed with
   | Error m -> Error m
@@ -203,8 +181,7 @@ let plan_cmd =
 
 let run_cmd =
   let doc = "Deploy a strategy on the simulator and inject faults." in
-  let run backend workload topology nodes f r seed faults horizon_ms trace metrics =
-    Engine.set_default_backend backend;
+  let run workload topology nodes f r seed faults horizon_ms trace metrics =
     match build_strategy workload topology nodes f r seed with
     | Error m ->
       Printf.eprintf "error: %s\n" m;
@@ -234,8 +211,8 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ backend_arg $ workload_arg $ topology_arg $ nodes_arg $ f_arg
-      $ r_arg $ seed_arg $ faults $ horizon $ trace_arg $ metrics_arg)
+      const run $ workload_arg $ topology_arg $ nodes_arg $ f_arg $ r_arg
+      $ seed_arg $ faults $ horizon $ trace_arg $ metrics_arg)
 
 (* Replay an edit script against the incremental verifier: one edit per
    line in Incr.parse_edit syntax, blank lines and #-comments skipped.
@@ -518,9 +495,8 @@ let json_file_arg =
 
 let campaign_run_cmd =
   let doc = "Run a randomized fault-injection campaign over a parameter grid." in
-  let run backend grid_r trials seed jobs json_file no_shrink shrink_budget
+  let run grid_r trials seed jobs json_file no_shrink shrink_budget
       shard_s resume max_trials trace metrics =
-    Engine.set_default_backend backend;
     match grid_r with
     | Error m -> usage_error m
     | Ok grid -> (
@@ -635,7 +611,7 @@ let campaign_run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ backend_arg $ grid_args $ trials $ seed_arg $ jobs
+      const run $ grid_args $ trials $ seed_arg $ jobs
       $ json_file_arg $ no_shrink $ shrink_budget $ shard $ resume $ max_trials
       $ trace_arg $ metrics_arg)
 
@@ -714,9 +690,8 @@ let campaign_replay_cmd =
     "Replay one trial deterministically — from an artifact ($(b,--from) + \
      $(b,--trial)) or from an explicit $(b,--script)."
   in
-  let run backend from trial_idx script_s workload topology nodes f r_ms
+  let run from trial_idx script_s workload topology nodes f r_ms
       protect_s share_s campaign_seed runtime_seed =
-    Engine.set_default_backend backend;
     let replay (params : Campaign.params) runtime_seed script =
       let cache = Campaign.Cache.create ~seed:campaign_seed in
       print_outcome params runtime_seed script
@@ -740,19 +715,22 @@ let campaign_replay_cmd =
           share_of_name share_s )
       with
       | Error m, _, _ | _, Error m, _ | _, _, Error m -> usage_error m
-      | Ok script, Ok protect, Ok control_share ->
-        replay
-          {
-            Campaign.workload;
-            topology;
-            nodes;
-            f;
-            r = Time.ms r_ms;
-            bandwidth_bps = 10_000_000;
-            protect;
-            control_share;
-          }
-          runtime_seed script)
+      | Ok script, Ok protect, Ok control_share -> (
+        match Campaign.validate_script ~nodes script with
+        | Error m -> usage_error m
+        | Ok () ->
+          replay
+            {
+              Campaign.workload;
+              topology;
+              nodes;
+              f;
+              r = Time.ms r_ms;
+              bandwidth_bps = 10_000_000;
+              protect;
+              control_share;
+            }
+            runtime_seed script))
     | None, None -> usage_error "need --script, or --from FILE --trial N"
   in
   let from =
@@ -792,7 +770,7 @@ let campaign_replay_cmd =
   in
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(
-      const run $ backend_arg $ from $ trial_idx $ script_s $ workload_arg
+      const run $ from $ trial_idx $ script_s $ workload_arg
       $ topology_arg $ nodes_arg $ f_arg $ r_arg $ protect $ share
       $ campaign_seed $ seed_arg)
 
@@ -840,9 +818,8 @@ let campaign_frontier_cmd =
     "Locate the Def-3.1 admit/violate boundary along one axis by per-slice \
      bisection instead of an exhaustive grid."
   in
-  let run backend grid_r axis_s lo hi tol probes seed scan json_file trace
+  let run grid_r axis_s lo hi tol probes seed scan json_file trace
       metrics =
-    Engine.set_default_backend backend;
     match grid_r with
     | Error m -> usage_error m
     | Ok grid -> (
@@ -927,7 +904,7 @@ let campaign_frontier_cmd =
   in
   Cmd.v (Cmd.info "frontier" ~doc)
     Term.(
-      const run $ backend_arg $ grid_args $ axis $ lo $ hi $ tol $ probes
+      const run $ grid_args $ axis $ lo $ hi $ tol $ probes
       $ seed_arg $ scan $ json_file_arg $ trace_arg $ metrics_arg)
 
 let campaign_report_cmd =
@@ -976,8 +953,7 @@ let campaign_cmd =
 (* With no subcommand, run the demo deployment: handy for producing a
    full trace (`btr --trace t.jsonl`) without memorizing options. *)
 let demo_term =
-  let run backend seed trace metrics =
-    Engine.set_default_backend backend;
+  let run seed trace metrics =
     with_obs ~trace ~metrics (fun obs ->
         match Btr.Scenario.run (Btr.Scenario.avionics_demo ~seed ?obs ()) with
         | Error e ->
@@ -987,7 +963,7 @@ let demo_term =
           report rt ~r:200;
           0)
   in
-  Term.(const run $ backend_arg $ seed_arg $ trace_arg $ metrics_arg)
+  Term.(const run $ seed_arg $ trace_arg $ metrics_arg)
 
 let () =
   let doc = "bounded-time recovery for cyber-physical systems" in

@@ -895,6 +895,17 @@ let script_of_string s =
     in
     go [] (String.split_on_char ';' s)
 
+let validate_script ~nodes script =
+  let named (e : Fault.event) =
+    e.Fault.node :: (match e.Fault.behavior with Fault.Omit_to l -> l | _ -> [])
+  in
+  match
+    List.find_opt (fun n -> n < 0 || n >= nodes) (List.concat_map named script)
+  with
+  | None -> Ok ()
+  | Some n ->
+    Error (Printf.sprintf "script names node %d, outside 0..%d" n (nodes - 1))
+
 (* ------------------------------------------------------------------ *)
 (* JSON artifacts                                                      *)
 

@@ -259,6 +259,10 @@ val script_of_string : string -> (Fault.script, string) Stdlib.result
 (** Round-trips: [script_of_string (script_to_string s)] returns the
     canonically sorted [s]. *)
 
+val validate_script : nodes:int -> Fault.script -> (unit, string) Stdlib.result
+(** [Error] naming the first node outside [[0, nodes)] that an event
+    injects into or an [Omit_to] event targets. *)
+
 (** {1 Artifacts} *)
 
 val verdict_json : verdict -> string

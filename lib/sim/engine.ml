@@ -1,8 +1,6 @@
 open Btr_util
 module Obs = Btr_obs.Obs
 
-type backend = Wheel | Pheap
-
 (* A handle carries the shared per-engine [counters] record rather than
    the engine itself: [cancel] takes only a handle, and the static nil
    values below must stay constructible, so [counters.env] smuggles in
@@ -11,7 +9,6 @@ type backend = Wheel | Pheap
    constructor. *)
 type handle = {
   mutable alive : bool;
-  mutable queued : int;
   mutable fire : t -> unit;
       (* the user's callback, stored directly — no wrapper closure, so
          firing reads one fewer cache line and scheduling allocates
@@ -20,9 +17,8 @@ type handle = {
       (* -1 one-shot; else the engine re-arms every [period] µs. Native
          rather than closed over: the re-arm state rides the handle
          record the firing path has already loaded. *)
-  mutable next_at : Time.t; (* the armed deadline when period >= 0 *)
   mutable cell : handle Twheel.cell;
-      (* the armed wheel cell; [nil_cell] when unarmed or on pheap *)
+      (* the armed wheel cell; [nil_cell] when nothing is queued *)
   ctrs : counters;
 }
 
@@ -30,16 +26,11 @@ and counters = { mutable live : int; env : env }
 
 and env =
   | Nil_env
-  | Env of { wq : handle Twheel.t option; c_cancelled : Obs.Counter.t }
+  | Env of { wheel : handle Twheel.t; c_cancelled : Obs.Counter.t }
 
-(* [fire : t -> unit] closes a type cycle through the event queue, so
-   the pairing-heap backend hides its state behind closures ([pq],
-   built by [make_pq] below) rather than appearing in these types —
-   a functor application cannot join a recursive type group. *)
 and t = {
   mutable clock : Time.t;
-  q : queue;
-  mutable next_seq : int;
+  wheel : handle Twheel.t;
   mutable processed : int;
   ectrs : counters;
   rng : Rng.t;
@@ -48,15 +39,6 @@ and t = {
   c_fired : Obs.Counter.t;
   c_pool : Obs.Counter.t;
   c_cells : Obs.Counter.t;
-}
-
-and queue = Qw of handle Twheel.t | Qp of pq
-
-and pq = {
-  pq_insert : at:Time.t -> seq:int -> handle -> live:int -> unit;
-  pq_find_min : unit -> (Time.t * handle) option;
-  pq_delete_min : live:int -> unit;
-  pq_len : unit -> int;
 }
 
 let nop _ = ()
@@ -68,10 +50,8 @@ let nop _ = ()
 let rec nil_handle =
   {
     alive = false;
-    queued = 0;
     fire = nop;
     period = -1;
-    next_at = 0;
     cell = nil_cell;
     ctrs = { live = 0; env = Nil_env };
   }
@@ -79,103 +59,22 @@ let rec nil_handle =
 and nil_cell =
   {
     Twheel.c_at = 0;
-    c_seq = 0;
     c_payload = nil_handle;
     c_prev = nil_cell;
     c_next = nil_cell;
     c_lvl = -1;
   }
 
-type pevent = { pat : Time.t; pseq : int; ph : handle }
-
-module Eq = Pheap.Make (struct
-  type t = pevent
-
-  let compare a b =
-    match Time.compare a.pat b.pat with
-    | 0 -> Int.compare a.pseq b.pseq
-    | c -> c
-end)
-
-(* Pheap backend only: cancelled events stay in the heap until popped —
-   unless they come to dominate it, in which case the heap is rebuilt
-   from the live events. (at, seq) ordering is total, so a rebuild can
-   never change which event fires next. The wheel needs none of this:
-   cancel unlinks its cell eagerly, so no dead cell is ever queued. *)
-let dead_floor = 64
-
-let make_pq () =
-  let heap = ref Eq.empty in
-  (* events physically queued, cancelled included *)
-  let plen = ref 0 in
-  let compact live =
-    let dead = !plen - live in
-    if dead >= dead_floor && dead * 2 > !plen then begin
-      let keep =
-        Eq.fold (fun acc ev -> if ev.ph.alive then ev :: acc else acc) [] !heap
-      in
-      heap := Eq.of_list keep;
-      plen := live
-    end
-  in
-  {
-    pq_insert =
-      (fun ~at ~seq h ~live ->
-        heap := Eq.insert { pat = at; pseq = seq; ph = h } !heap;
-        incr plen;
-        compact live);
-    pq_find_min =
-      (fun () ->
-        match Eq.find_min !heap with
-        | None -> None
-        | Some ev -> Some (ev.pat, ev.ph));
-    pq_delete_min =
-      (fun ~live ->
-        (match Eq.delete_min !heap with
-        | Some (_, rest) -> heap := rest
-        | None -> ());
-        decr plen;
-        (* Checked on pop as well as push: a mass cancel followed by a
-           pure drain must still shed its dead weight. *)
-        compact live);
-    pq_len = (fun () -> !plen);
-  }
-
-(* The process-wide default, so `--engine-backend` reaches every engine
-   a campaign's worker domains create without threading a parameter
-   through Runtime/Scenario/Campaign configs (whose records feed
-   fingerprints). Set once at CLI parse time, before any domain spawns;
-   read-only afterwards. *)
-let default_backend_ref = ref Wheel
-let set_default_backend b = default_backend_ref := b
-let default_backend () = !default_backend_ref
-let backend_name = function Wheel -> "wheel" | Pheap -> "pheap"
-
-let backend_of_string = function
-  | "wheel" -> Some Wheel
-  | "pheap" -> Some Pheap
-  | _ -> None
-
-let create ?(seed = 1) ?backend ?obs () =
-  let backend =
-    match backend with Some b -> b | None -> !default_backend_ref
-  in
+let create ?(seed = 1) ?obs () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let counter name = Obs.Registry.counter (Obs.registry obs) Obs.Sim name in
   let c_cancelled = counter "engine.cancelled" in
-  let q, env =
-    match backend with
-    | Wheel ->
-      let w = Twheel.create ~nil:nil_cell () in
-      (Qw w, Env { wq = Some w; c_cancelled })
-    | Pheap -> (Qp (make_pq ()), Env { wq = None; c_cancelled })
-  in
+  let wheel = Twheel.create ~nil:nil_cell () in
   {
     clock = Time.zero;
-    q;
-    next_seq = 0;
+    wheel;
     processed = 0;
-    ectrs = { live = 0; env };
+    ectrs = { live = 0; env = Env { wheel; c_cancelled } };
     rng = Rng.create seed;
     obs;
     c_scheduled = counter "engine.scheduled";
@@ -184,7 +83,6 @@ let create ?(seed = 1) ?backend ?obs () =
     c_cells = counter "engine.cells";
   }
 
-let backend_of t = match t.q with Qw _ -> Wheel | Qp _ -> Pheap
 let now t = t.clock
 let rng t = t.rng
 let obs t = t.obs
@@ -192,37 +90,18 @@ let obs t = t.obs
 let new_handle t =
   {
     alive = true;
-    queued = 0;
     fire = nop;
     period = -1;
-    next_at = 0;
     cell = nil_cell;
     ctrs = t.ectrs;
   }
 
 let push t ~at h =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  (match t.q with
-   | Qw w ->
-     (* A dead handle's re-arm (periodic task cancelled from inside its
-        own callback) links nothing, but still consumed a sequence
-        number above, so both backends assign identical seqs to
-        identical op scripts — the differential harness depends on
-        this. *)
-     if h.alive then begin
-       if Twheel.pool_ready w then Obs.Counter.incr t.c_pool
-       else Obs.Counter.incr t.c_cells;
-       h.cell <- Twheel.add w ~at ~seq h;
-       h.queued <- h.queued + 1
-     end
-   | Qp p ->
-     p.pq_insert ~at ~seq h ~live:t.ectrs.live;
-     h.queued <- h.queued + 1);
-  if h.alive then begin
-    t.ectrs.live <- t.ectrs.live + 1;
-    Obs.Counter.incr t.c_scheduled
-  end
+  if Twheel.pool_ready t.wheel then Obs.Counter.incr t.c_pool
+  else Obs.Counter.incr t.c_cells;
+  h.cell <- Twheel.add t.wheel ~at h;
+  t.ectrs.live <- t.ectrs.live + 1;
+  Obs.Counter.incr t.c_scheduled
 
 let schedule t ~at f =
   if Time.compare at t.clock < 0 then
@@ -245,95 +124,57 @@ let every t ~period ?start f =
   in
   (* One handle guards every firing, so cancelling it also voids the
      firing already sitting in the queue. Re-arming is native (see
-     [rearm]): it allocates nothing — on the wheel the freshly recycled
-     cell is reused — and touches no state off the handle record. *)
+     [rearm]): it allocates nothing — the freshly recycled cell is
+     reused — and touches no state off the handle record. *)
   let h = new_handle t in
   h.fire <- f;
   h.period <- period;
-  h.next_at <- start;
   push t ~at:start h;
   h
 
 let cancel h =
   if h.alive then begin
     h.alive <- false;
-    h.ctrs.live <- h.ctrs.live - h.queued;
-    match h.ctrs.env with
-    | Nil_env -> ()
-    | Env e ->
-      if h.queued > 0 then Obs.Counter.add e.c_cancelled h.queued;
-      (match e.wq with
-       | Some w ->
-         if h.cell != nil_cell then begin
-           ignore (Twheel.unlink w h.cell : bool);
-           h.cell <- nil_cell;
-           h.queued <- 0
-         end
-       | None -> ())
+    if h.cell != nil_cell then
+      match h.ctrs.env with
+      | Nil_env -> ()
+      | Env e ->
+        h.ctrs.live <- h.ctrs.live - 1;
+        Obs.Counter.incr e.c_cancelled;
+        ignore (Twheel.unlink e.wheel h.cell : bool);
+        h.cell <- nil_cell
   end
 
-(* Periodic re-arm, after the callback returns (so events the callback
-   scheduled take earlier seqs, exactly as the closure-based re-arm
-   did). Unconditional on liveness: a handle cancelled from inside its
-   own callback still consumes a sequence number here, keeping seq
-   assignment identical across backends. *)
-let rearm t h =
-  if h.period >= 0 then begin
-    h.next_at <- Time.add h.next_at h.period;
-    push t ~at:h.next_at h
-  end
+(* Periodic re-arm one period after the firing at [at], once the
+   callback has returned, so events the callback scheduled for the same
+   instant fire first. A handle cancelled from inside its own callback
+   stays unarmed. *)
+let rearm t h at =
+  if h.period >= 0 && h.alive then push t ~at:(Time.add at h.period) h
 
-(* Cancel unlinks wheel cells eagerly, so a popped cell is always
-   live. Recycle before firing: a re-arm inside [h.fire] then reuses
-   this very cell. *)
-let fire_cell t w (c : handle Twheel.cell) =
+(* Cancel unlinks cells eagerly, so a popped cell is always live.
+   Recycle before firing: a re-arm inside [h.fire] then reuses this
+   very cell. *)
+let fire_cell t (c : handle Twheel.cell) =
   let h = c.Twheel.c_payload in
   let at = c.Twheel.c_at in
   h.cell <- nil_cell;
-  h.queued <- h.queued - 1;
-  Twheel.recycle w c;
+  Twheel.recycle t.wheel c;
   t.clock <- at;
   t.ectrs.live <- t.ectrs.live - 1;
   t.processed <- t.processed + 1;
   Obs.Counter.incr t.c_fired;
   h.fire t;
-  rearm t h
+  rearm t h at
 
-(* Fire the next live event at or before [horizon]. Dead pheap events
-   encountered on the way are dropped silently, without advancing the
-   clock — observable behavior (clock, counters, firing order) is
-   identical across backends; only physical queue occupancy differs. *)
+(* Fire the next event at or before [horizon]. *)
 let step_until t ~horizon =
-  match t.q with
-  | Qw w ->
-    let c = Twheel.pop_at_most w ~horizon in
-    if c == nil_cell then false
-    else begin
-      fire_cell t w c;
-      true
-    end
-  | Qp p ->
-    let rec pop () =
-      match p.pq_find_min () with
-      | None -> false
-      | Some (at, h) ->
-        if Time.compare at horizon > 0 then false
-        else begin
-          p.pq_delete_min ~live:t.ectrs.live;
-          h.queued <- h.queued - 1;
-          if h.alive then begin
-            t.clock <- at;
-            t.ectrs.live <- t.ectrs.live - 1;
-            t.processed <- t.processed + 1;
-            Obs.Counter.incr t.c_fired;
-            h.fire t;
-            rearm t h;
-            true
-          end
-          else pop ()
-        end
-    in
-    pop ()
+  let c = Twheel.pop_at_most t.wheel ~horizon in
+  if c == nil_cell then false
+  else begin
+    fire_cell t c;
+    true
+  end
 
 let step t = step_until t ~horizon:Time.infinity
 
@@ -348,6 +189,3 @@ let run ?(until = Time.infinity) t =
 
 let events_processed t = t.processed
 let pending t = t.ectrs.live
-
-let pending_cells t =
-  match t.q with Qw w -> Twheel.length w | Qp p -> p.pq_len ()

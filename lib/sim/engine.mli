@@ -6,6 +6,12 @@
     in (time, insertion sequence) order, and all randomness flows from
     the engine's seeded {!Btr_util.Rng.t}.
 
+    The event queue is a hierarchical timing wheel ({!Btr_util.Twheel}):
+    amortized O(1) insert and extract, O(1) cancel, pooled cells. Equal
+    deadlines pop in insertion order by the wheel's structure, not by a
+    stored sequence number; [test/test_wheel.ml] checks the engine
+    against a reference model that orders by an explicit counter.
+
     Telemetry flows through the engine's {!Btr_obs.Obs.t} context:
     every layer holding the engine reaches the event sinks and the
     metric registry via {!obs}, so one context covers the whole
@@ -20,34 +26,9 @@ type t
 type handle
 (** A scheduled event that can be cancelled before it fires. *)
 
-type backend =
-  | Wheel  (** hierarchical timing wheel ({!Btr_util.Twheel}) — default *)
-  | Pheap  (** pairing heap — reference backend for differential testing *)
-
-(** The two backends are observably equivalent: identical (time, seq)
-    firing order, clock trajectory, {!pending} counts and obs counters
-    for any op sequence — a property the differential harness in
-    [test/test_wheel.ml] holds over random op scripts. The wheel is the
-    production backend (O(1) amortized insert/extract, pooled cells,
-    O(1) cancel); the heap is retained as the independently-simple
-    oracle. *)
-
-val set_default_backend : backend -> unit
-(** Backend used by {!create} when [?backend] is omitted — process-wide,
-    so one CLI flag reaches the engines created inside campaign worker
-    domains. Set it before spawning work; initial value is {!Wheel}. *)
-
-val default_backend : unit -> backend
-val backend_of_string : string -> backend option
-val backend_name : backend -> string
-
-val backend_of : t -> backend
-(** The backend this engine was created with. *)
-
-val create : ?seed:int -> ?backend:backend -> ?obs:Obs.t -> unit -> t
+val create : ?seed:int -> ?obs:Obs.t -> unit -> t
 (** [create ~seed ()] makes an engine at time 0. Default seed is 1;
-    default [backend] is {!default_backend}; default [obs] is a fresh
-    null-sink context ({!Obs.create}). *)
+    default [obs] is a fresh null-sink context ({!Obs.create}). *)
 
 val now : t -> Time.t
 val rng : t -> Rng.t
@@ -71,12 +52,10 @@ val every : t -> period:Time.t -> ?start:Time.t -> (t -> unit) -> handle
     immediately). *)
 
 val cancel : handle -> unit
-(** Idempotent; a cancelled event is skipped when its time comes. *)
+(** Idempotent; the cancelled event leaves the queue at once. *)
 
 val step : t -> bool
-(** Fires the next live pending event. [false] if none remained.
-    Cancelled events are dropped silently without advancing the
-    clock, on both backends. *)
+(** Fires the next pending event. [false] if none remained. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Processes events until the queue drains or simulated time would
@@ -87,13 +66,4 @@ val events_processed : t -> int
 
 val pending : t -> int
 (** Queued events that are still live (cancelled ones excluded). O(1):
-    maintained as a counter on push/cancel/step, exact at all times,
-    identical across backends. *)
-
-val pending_cells : t -> int
-(** Physical queue occupancy, cancelled events included. On the wheel
-    backend this equals {!pending} at all times — cancellation unlinks
-    its cell in O(1), so drain cost scales with live events only. On
-    the pheap backend dead events linger until popped or compacted
-    (compaction triggers once they dominate; it cannot reorder firings
-    because the (time, sequence) order is total). *)
+    maintained as a counter on push/cancel/step, exact at all times. *)

@@ -14,7 +14,7 @@
    I3 (order): within a slot, cells appear in insertion order; every
       bulk move (cascade, overflow rescan, rewind) preserves relative
       order and completes before any later direct insert can target the
-      same window, so equal-deadline cells pop in seq order.
+      same window, so equal-deadline cells pop in insertion order.
    I4 (counts): counts.(l) is the number of cells linked at level l
       (overflow at index [levels]); total is their sum. The cursor may
       only skip a time range after proving, via these counts, that no
@@ -30,7 +30,6 @@
 
 type 'a cell = {
   mutable c_at : int;
-  mutable c_seq : int;
   mutable c_payload : 'a;
   mutable c_prev : 'a cell;
   mutable c_next : 'a cell;
@@ -64,15 +63,12 @@ type 'a t = {
   mutable total : int;
   mutable ov_min : int; (* I5; max_int when overflow is empty *)
   mutable free : 'a cell; (* pool: singly linked through c_next *)
-  mutable allocated : int;
-  mutable reused : int;
 }
 
 let sentinel nil =
   let s =
     {
       c_at = max_int;
-      c_seq = 0;
       c_payload = nil.c_payload;
       c_prev = nil;
       c_next = nil;
@@ -96,14 +92,9 @@ let create ~nil () =
     total = 0;
     ov_min = max_int;
     free = nil;
-    allocated = 0;
-    reused = 0;
   }
 
-let length t = t.total
 let pool_ready t = t.free != t.nil
-let cells_allocated t = t.allocated
-let cells_reused t = t.reused
 
 (* Append [c] before sentinel [s] (slot tail), preserving FIFO order. *)
 let append s c =
@@ -174,21 +165,17 @@ let unlink t c =
     true
   end
 
-let take t ~at ~seq payload =
+let take t ~at payload =
   if t.free != t.nil then begin
     let c = t.free in
     t.free <- c.c_next;
-    t.reused <- t.reused + 1;
     c.c_at <- at;
-    c.c_seq <- seq;
     c.c_payload <- payload;
     c
   end
   else begin
-    t.allocated <- t.allocated + 1;
     {
       c_at = at;
-      c_seq = seq;
       c_payload = payload;
       c_prev = t.nil;
       c_next = t.nil;
@@ -222,10 +209,10 @@ let rewind t at =
   t.cur <- at;
   List.iter (fun c -> link t c) !moved
 
-let add t ~at ~seq payload =
+let add t ~at payload =
   if at < 0 then invalid_arg "Twheel.add: negative deadline";
   if at < t.cur then rewind t at;
-  let c = take t ~at ~seq payload in
+  let c = take t ~at payload in
   link t c;
   c
 

@@ -1,9 +1,9 @@
 (** Hierarchical timing wheel keyed on logical microseconds.
 
-    The simulation engine's default event queue ({!Btr_sim.Engine}):
-    amortized O(1) insert and extract-min for the workloads a
-    discrete-event simulator actually produces, where the pairing heap's
-    O(log n) comparisons made throughput collapse with queue depth.
+    The simulation engine's event queue ({!Btr_sim.Engine}): amortized
+    O(1) insert and extract-min for the workloads a discrete-event
+    simulator actually produces, where a comparison heap's O(log n)
+    cost makes throughput collapse with queue depth.
 
     Geometry: {!levels} wheels of {!wsize} slots each, level [L] slots
     spanning [wsize^L] µs, so the wheels cover [wsize^levels] µs
@@ -19,9 +19,9 @@
     Order: level-0 slots span exactly 1 µs, and every placement path
     (direct insert, cascade, overflow rescan, cursor rewind) appends in
     FIFO order and runs before any later insert can target the same
-    window — so cells with equal [at] pop in insertion ([seq]) order,
-    and the engine's (at, seq) total order is preserved without the
-    wheel ever comparing sequence numbers.
+    window — so cells with equal [at] pop in insertion order, and the
+    engine's (time, insertion) total order holds without any stored
+    sequence number.
 
     Cells are intrusive doubly-linked records recycled through a free
     list: cancelling unlinks in O(1) (no dead cells are ever walked at
@@ -32,14 +32,13 @@
 
 type 'a cell = {
   mutable c_at : int;  (** deadline, logical µs *)
-  mutable c_seq : int;  (** caller's insertion sequence (carried, not used) *)
   mutable c_payload : 'a;
   mutable c_prev : 'a cell;
   mutable c_next : 'a cell;
   mutable c_lvl : int;
       (** internal: wheel level, [levels] for overflow, -1 when
-          unlinked. Treat every field except [c_at], [c_seq] and
-          [c_payload] as private to the wheel. *)
+          unlinked. Treat every field except [c_at] and [c_payload]
+          as private to the wheel. *)
 }
 (** Exposed concretely so callers can tie the knot: a recursive
     [let rec] between a nil cell and a nil payload needs the record
@@ -64,14 +63,11 @@ val create : nil:'a cell -> unit -> 'a t
     recycled cells. Never linked into the wheel; share one per payload
     type. *)
 
-val length : 'a t -> int
-(** Linked cells, overflow included. O(1). *)
-
 val pool_ready : 'a t -> bool
 (** [true] when the next {!add} will reuse a pooled cell rather than
     allocate. *)
 
-val add : 'a t -> at:int -> seq:int -> 'a -> 'a cell
+val add : 'a t -> at:int -> 'a -> 'a cell
 (** Links a cell for [at] (≥ 0). [at] may be behind the cursor (the
     cursor only ever advances through empty time, so this happens when
     a caller schedules into the gap left by a horizon-bounded pop);
@@ -84,18 +80,13 @@ val unlink : 'a t -> 'a cell -> bool
     cancellation path: dead cells never linger to be walked at drain. *)
 
 val pop_at_most : 'a t -> horizon:int -> 'a cell
-(** The minimum-(at, seq) cell with [c_at <= horizon], unlinked but
-    {e not} recycled — the caller reads its fields, then must hand it
-    to {!recycle}. Returns the [nil] cell when no such cell exists; the
-    cursor never advances past [horizon] (nor at all when the wheel is
-    empty), so later adds behind it stay cheap. *)
+(** The earliest cell with [c_at <= horizon] (first added among equal
+    deadlines), unlinked but {e not} recycled — the caller reads its
+    fields, then must hand it to {!recycle}. Returns the [nil] cell
+    when no such cell exists; the cursor never advances past [horizon]
+    (nor at all when the wheel is empty), so later adds behind it stay
+    cheap. *)
 
 val recycle : 'a t -> 'a cell -> unit
 (** Returns a cell obtained from {!pop_at_most} to the free list,
     blanking its payload so the wheel retains no reference to it. *)
-
-val cells_allocated : 'a t -> int
-(** Cells created fresh over the wheel's lifetime. *)
-
-val cells_reused : 'a t -> int
-(** Adds served from the free list — the allocation-diet measure. *)

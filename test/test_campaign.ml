@@ -173,6 +173,23 @@ let test_codec_rejects_garbage () =
     bad;
   check_bool "empty script ok" true (Campaign.script_of_string "" = Ok [])
 
+let test_script_nodes_in_range () =
+  let check s =
+    match Campaign.script_of_string s with
+    | Error m -> Alcotest.failf "parse failed: %s" m
+    | Ok script -> Campaign.validate_script ~nodes:6 script
+  in
+  check_bool "in-range script ok" true
+    (check "omitto.3.5@2@250000;crash@0@0" = Ok ());
+  List.iter
+    (fun s ->
+      match check s with
+      | Ok () -> Alcotest.failf "%S accepted with 6 nodes" s
+      | Error m -> check_bool (s ^ " names node 99") true (contains ~sub:"99" m))
+    [ "crash@99@5"; "omitto.99.5@2@250000" ];
+  check_bool "node = nodes is out of range" true
+    (Result.is_error (check "crash@6@0"))
+
 let prop_codec_roundtrip =
   (* generated trial scripts survive to_string/of_string unchanged *)
   QCheck.Test.make ~name:"codec roundtrips compiled scripts" ~count:30
@@ -587,6 +604,8 @@ let suite =
     Alcotest.test_case "scripts respect f and horizon" `Quick test_scripts_respect_f;
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip_known;
     Alcotest.test_case "codec rejects garbage" `Quick test_codec_rejects_garbage;
+    Alcotest.test_case "replay scripts name existing nodes" `Quick
+      test_script_nodes_in_range;
     QCheck_alcotest.to_alcotest prop_codec_roundtrip;
     QCheck_alcotest.to_alcotest prop_jobs_invariant;
     Alcotest.test_case "full artifact jobs-invariant" `Quick

@@ -141,34 +141,18 @@ let test_periodic_cancel_drops_pending () =
   Engine.run ~until:(Time.ms 15) e;
   check_int "armed firing no longer pending" 0 (Engine.pending e)
 
-(* pending is now a live-event counter, not an O(n) fold; it must stay
+(* pending is a live-event counter, not an O(n) fold; it must stay
    exact across cancel-heavy periodic workloads — every alive [every]
-   handle keeps exactly one armed firing queued, cancellation voids it
-   immediately, and the dead-event compaction the storm triggers must
-   not perturb the count. *)
-let test_backend_selection () =
+   handle keeps exactly one armed firing queued, and cancellation voids
+   it immediately. *)
+let test_pending_exact_under_cancel_storm () =
   let e = Engine.create () in
-  check_bool "wheel is the default backend" true
-    (Engine.backend_of e = Engine.Wheel);
-  let p = Engine.create ~backend:Engine.Pheap () in
-  check_bool "explicit pheap backend" true (Engine.backend_of p = Engine.Pheap);
-  check_bool "backend names round-trip" true
-    (Engine.backend_of_string (Engine.backend_name Engine.Wheel)
-     = Some Engine.Wheel
-    && Engine.backend_of_string (Engine.backend_name Engine.Pheap)
-       = Some Engine.Pheap
-    && Engine.backend_of_string "nope" = None)
-
-let test_pending_exact_under_cancel_storm_on backend () =
-  let e = Engine.create ~backend () in
   let n = 512 in
   let hs =
     Array.init n (fun i ->
         Engine.every e ~period:(Time.ms ((i mod 9) + 1)) (fun _ -> ()))
   in
   check_int "one armed firing per periodic" n (Engine.pending e);
-  (* kill 3/4 up front: enough dead mass to cross the compaction
-     threshold once the survivors start re-arming *)
   for i = 0 to n - 1 do
     if i mod 4 <> 0 then Engine.cancel hs.(i)
   done;
@@ -217,12 +201,8 @@ let suite =
     ("obs records run start/finish", `Quick, test_obs_run_events);
     ("obs disabled by default", `Quick, test_obs_default_disabled);
     ("periodic cancel drops armed firing", `Quick, test_periodic_cancel_drops_pending);
-    ("backend selection and naming", `Quick, test_backend_selection);
     ( "pending exact under cancel storm (wheel)",
       `Quick,
-      test_pending_exact_under_cancel_storm_on Engine.Wheel );
-    ( "pending exact under cancel storm (pheap)",
-      `Quick,
-      test_pending_exact_under_cancel_storm_on Engine.Pheap );
+      test_pending_exact_under_cancel_storm );
     QCheck_alcotest.to_alcotest prop_events_fire_in_order;
   ]

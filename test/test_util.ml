@@ -75,130 +75,6 @@ let test_rng_gaussian () =
   let sd = Stats.stddev xs in
   check_bool "sd near 2" true (Float.abs (sd -. 2.0) < 0.2)
 
-(* Pheap *)
-
-module Ih = Pheap.Make (Int)
-
-let test_pheap_basic () =
-  let h = Ih.of_list [ 5; 1; 4; 1; 3 ] in
-  check_int "size" 5 (Ih.size h);
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5 ] (Ih.to_sorted_list h)
-
-let test_pheap_empty () =
-  check_bool "empty" true (Ih.is_empty Ih.empty);
-  check_bool "find_min none" true (Ih.find_min Ih.empty = None);
-  check_bool "delete_min none" true (Ih.delete_min Ih.empty = None)
-
-let test_pheap_merge () =
-  let a = Ih.of_list [ 3; 9 ] and b = Ih.of_list [ 1; 7 ] in
-  Alcotest.(check (list int)) "merged" [ 1; 3; 7; 9 ] (Ih.to_sorted_list (Ih.merge a b))
-
-let test_pheap_persistent () =
-  let h = Ih.of_list [ 2; 1 ] in
-  match Ih.delete_min h with
-  | None -> Alcotest.fail "expected min"
-  | Some (m, _) ->
-    check_int "min" 1 m;
-    check_int "original untouched" 2 (Ih.size h)
-
-let prop_pheap_sorts =
-  QCheck.Test.make ~name:"pheap drains any list in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs -> Ih.to_sorted_list (Ih.of_list xs) = List.sort Int.compare xs)
-
-let test_pheap_fold () =
-  let h = Ih.of_list [ 4; 2; 7 ] in
-  check_int "fold sums every element" 13 (Ih.fold ( + ) 0 h);
-  check_int "fold on empty" 0 (Ih.fold ( + ) 0 Ih.empty)
-
-(* Drain a heap checking only order and count — no materialized list, so
-   the memory load at production scale stays flat. *)
-let drain_sorted h =
-  let count = ref 0 and last = ref min_int and sorted = ref true in
-  let rec go h =
-    match Ih.delete_min h with
-    | None -> ()
-    | Some (x, h') ->
-      if x < !last then sorted := false;
-      last := x;
-      incr count;
-      go h'
-  in
-  go h;
-  (!count, !sorted)
-
-(* merge_pairs used to recurse once per sibling pair, and ascending
-   inserts park every element in one root-level sibling list — so the
-   first delete_min at production-scale event counts overflowed the
-   stack. Descending inserts instead chain the heap n deep, which the
-   traversals (fold/size) must also survive. Both shapes at 1M. *)
-let test_pheap_million_drain () =
-  let n = 1_000_000 in
-  let asc = ref Ih.empty in
-  for i = 1 to n do
-    asc := Ih.insert i !asc
-  done;
-  let count, sorted = drain_sorted !asc in
-  check_int "ascending: all drained" n count;
-  check_bool "ascending: nondecreasing" true sorted;
-  let desc = ref Ih.empty in
-  for i = n downto 1 do
-    desc := Ih.insert i !desc
-  done;
-  check_int "descending: fold survives the chain" n (Ih.fold (fun a _ -> a + 1) 0 !desc);
-  check_int "descending: size agrees" n (Ih.size !desc);
-  let count, sorted = drain_sorted !desc in
-  check_int "descending: all drained" n count;
-  check_bool "descending: nondecreasing" true sorted
-
-let prop_pheap_order_at_depth =
-  (* Heap order holds at depth: successive delete-min values never
-     decrease over random insert streams well past toy sizes. *)
-  QCheck.Test.make ~name:"pheap delete-min is nondecreasing at depth" ~count:20
-    QCheck.(pair (int_range 1 5_000) small_int)
-    (fun (n, seed) ->
-      let rng = Rng.create (seed + 1) in
-      let h = ref Ih.empty in
-      for _ = 1 to n do
-        h := Ih.insert (Rng.int rng 1_000_000) !h
-      done;
-      let count, sorted = drain_sorted !h in
-      count = n && sorted)
-
-(* Random interleaving of inserts and delete-mins against a sorted-list
-   model: catches heap-shape bugs plain drain-after-build misses. *)
-let prop_pheap_interleaved =
-  QCheck.Test.make
-    ~name:"pheap interleaved insert/delete-min matches a sorted-list model"
-    ~count:200
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let ok = ref true in
-      let heap = ref Ih.empty and model = ref [] in
-      List.iter
-        (fun (is_delete, x) ->
-          if is_delete then
-            match Ih.delete_min !heap, !model with
-            | None, [] -> ()
-            | Some (m, h), y :: rest ->
-              if m <> y then ok := false;
-              heap := h;
-              model := rest
-            | Some _, [] | None, _ :: _ -> ok := false
-          else begin
-            heap := Ih.insert x !heap;
-            model := List.sort Int.compare (x :: !model)
-          end)
-        ops;
-      !ok && Ih.to_sorted_list !heap = !model)
-
-let prop_pheap_merge_is_union =
-  QCheck.Test.make ~name:"pheap merge drains the multiset union" ~count:200
-    QCheck.(pair (list small_int) (list small_int))
-    (fun (xs, ys) ->
-      Ih.to_sorted_list (Ih.merge (Ih.of_list xs) (Ih.of_list ys))
-      = List.sort Int.compare (xs @ ys))
-
 (* Stats *)
 
 let test_stats_summary () =
@@ -261,20 +137,10 @@ let suite =
     ("rng bounds", `Quick, test_rng_bounds);
     ("rng sample", `Quick, test_rng_sample);
     ("rng gaussian", `Slow, test_rng_gaussian);
-    ("pheap basic", `Quick, test_pheap_basic);
-    ("pheap empty", `Quick, test_pheap_empty);
-    ("pheap merge", `Quick, test_pheap_merge);
-    ("pheap persistent", `Quick, test_pheap_persistent);
-    ("pheap fold", `Quick, test_pheap_fold);
-    ("pheap 1M-element drain (no stack overflow)", `Slow, test_pheap_million_drain);
     ("stats summary", `Quick, test_stats_summary);
     ("stats percentile", `Quick, test_stats_percentile);
     ("stats histogram", `Quick, test_stats_histogram);
     ("stats acc", `Quick, test_stats_acc);
     ("table render", `Quick, test_table_render);
-    QCheck_alcotest.to_alcotest prop_pheap_sorts;
-    QCheck_alcotest.to_alcotest prop_pheap_interleaved;
-    QCheck_alcotest.to_alcotest prop_pheap_merge_is_union;
-    QCheck_alcotest.to_alcotest prop_pheap_order_at_depth;
     QCheck_alcotest.to_alcotest prop_percentile_within_range;
   ]

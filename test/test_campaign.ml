@@ -604,8 +604,6 @@ let suite =
     Alcotest.test_case "scripts respect f and horizon" `Quick test_scripts_respect_f;
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip_known;
     Alcotest.test_case "codec rejects garbage" `Quick test_codec_rejects_garbage;
-    Alcotest.test_case "replay scripts name existing nodes" `Quick
-      test_script_nodes_in_range;
     QCheck_alcotest.to_alcotest prop_codec_roundtrip;
     QCheck_alcotest.to_alcotest prop_jobs_invariant;
     Alcotest.test_case "full artifact jobs-invariant" `Quick
@@ -630,4 +628,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_flat_json_roundtrip;
     Alcotest.test_case "report renders" `Quick test_report_renders;
     Alcotest.test_case "report rejects garbage" `Quick test_report_rejects_garbage;
+    Alcotest.test_case "replay scripts name existing nodes" `Quick
+      test_script_nodes_in_range;
   ]

@@ -246,17 +246,19 @@ let refresh_route_avoid t =
 
 (* Flood a record to every other node over the reserved control class.
    Unicast-to-all plus hop-wise re-flooding at receivers implements the
-   validate-endorse-forward scheme of §4.3; [already_sent] bounds it. *)
+   validate-endorse-forward scheme of §4.3. Only records the node's
+   distributor admits as [Fresh] are flooded, which happens once per
+   record, so each node sends a record to each peer at most once. *)
 let flood_record t (n : node) r =
-  if n.running then
+  if n.running then begin
+    let size_bytes = Evidence.size_bytes r in
     List.iter
       (fun dst ->
-        if dst <> n.id && not (Evidence.Distributor.already_sent n.dist r ~dst)
-        then
+        if dst <> n.id then
           ignore
-            (Net.send t.net ~src:n.id ~dst ~cls:Net.Control
-               ~size_bytes:(Evidence.size_bytes r) (Ev r)))
+            (Net.send t.net ~src:n.id ~dst ~cls:Net.Control ~size_bytes (Ev r)))
       (Topology.nodes t.topo)
+  end
 
 (* Consult the strategy for the plan matching the node's fault set and
    stage a transition to it (§4.4). State for migrating tasks is
@@ -375,9 +377,7 @@ let emit_evidence t (n : node) (s : Evidence.statement) =
         (Obs.Evidence_emitted
            {
              accused = Evidence.accused_name s.Evidence.accused;
-             fault_class =
-               Format.asprintf "%a" Evidence.pp_fault_class
-                 s.Evidence.fault_class;
+             fault_class = Evidence.fault_class_name s.Evidence.fault_class;
              period = s.Evidence.period;
            });
     ignore
@@ -484,11 +484,13 @@ let gather_inputs (n : node) plan tid period =
 
 (* Send one data message; payload digests let checkers and consumers
    cross-validate without re-sending full values. *)
-let send_data t (n : node) ~flow ~period ~dst_node ~size ~to_checker value =
+let send_data t (n : node) ~flow ~period ~dst_node ~size ~to_checker value
+    ~digest =
   match byz_outgoing n ~to_checker ~dst:dst_node value with
   | None -> ()
   | Some (v, extra) ->
-    let digest = Behavior.value_digest v in
+    (* [digest] is [value]'s; only a Byzantine mutation needs a new one. *)
+    let digest = if v == value then digest else Behavior.value_digest v in
     Authlog.append n.authlog (Authlog.Sent { flow; period; digest });
     let send _ =
       ignore
@@ -584,9 +586,9 @@ let run_compute_task t (n : node) plan tid period =
   match output with
   | None -> send_nacks ()
   | Some value ->
+    let digest = Behavior.value_digest value in
     Authlog.append n.authlog
-      (Authlog.Executed
-         { task = tid; period; output_digest = Behavior.value_digest value });
+      (Authlog.Executed { task = tid; period; output_digest = digest });
     (* Physical sources define the reference inputs: record what was
        actually emitted (after any Byzantine mutation of this node). *)
     (if task.Task.kind = Task.Source then
@@ -604,7 +606,7 @@ let run_compute_task t (n : node) plan tid period =
             | Augment.Original | Augment.Replica _ | Augment.Guard _ -> false
           in
           send_data t n ~flow:fl.flow_id ~period ~dst_node ~size:fl.msg_size
-            ~to_checker value)
+            ~to_checker value ~digest)
       (Graph.consumers_of g tid)
 
 (* Checker (§4.2): replay each lane's output from the inputs that lane
@@ -986,12 +988,13 @@ let babble t (n : node) period =
           tag = Auth.forge_tag ();
         }
       in
+      let size_bytes = Evidence.size_bytes bogus in
       List.iter
         (fun dst ->
           if dst <> n.id then
             ignore
-              (Net.send t.net ~src:n.id ~dst ~cls:Net.Control
-                 ~size_bytes:(Evidence.size_bytes bogus) (Ev bogus)))
+              (Net.send t.net ~src:n.id ~dst ~cls:Net.Control ~size_bytes
+                 (Ev bogus)))
         (Topology.nodes t.topo)
     done
   | _ -> ()

@@ -3,13 +3,16 @@ open Btr_util
 let fnv_offset = 0xCBF29CE484222325L
 let fnv_prime = 0x100000001B3L
 
+(* A [for] loop rather than [String.iter]: a [ref] captured by a closure
+   is heap-allocated, and every step would then box two [Int64]s. *)
 let digest_into acc s =
   let h = ref acc in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv_prime
+  done;
   !h
 
 let digest s = digest_into fnv_offset s
@@ -61,6 +64,5 @@ module Chain = struct
   type link = int64
 
   let genesis = fnv_offset
-  let extend prev record = digest_into (Int64.add prev 1L) record
-  let of_records records = List.fold_left extend genesis records
+  let mix link x = Int64.mul (Int64.logxor link x) fnv_prime
 end

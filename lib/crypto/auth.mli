@@ -63,11 +63,17 @@ val digest : string -> int64
     output comparison. *)
 
 (** Tamper-evident logs: each record's digest covers its predecessor,
-    as in PeerReview-style evidence logs. *)
+    as in PeerReview-style evidence logs. A record is folded into the
+    chain one 64-bit word at a time. *)
 module Chain : sig
   type link = int64
 
   val genesis : link
-  val extend : link -> string -> link
-  val of_records : string list -> link
+
+  val mix : link -> int64 -> link
+  (** One FNV-style word step, [(link lxor x) * prime]. The prime is odd,
+      so for a fixed word the step is a bijection of the link, and for a
+      fixed link a bijection of the word: changing any one word of a
+      record changes the link after it, and every later step carries
+      the difference through to the head. *)
 end

@@ -8,7 +8,7 @@ let path_statement_admissible (s : Evidence.statement) =
   | Evidence.Node _ -> true
 
 module Watchdog = struct
-  type expectation = { from_node : int; deadline : Time.t; mutable met : bool }
+  type expectation = { from_node : int; deadline : Time.t }
   type late = { flow : int; period : int; from_node : int; lateness : Time.t }
 
   type miss = {
@@ -27,7 +27,12 @@ module Watchdog = struct
     late_count : Obs.Counter.t;
     missing_count : Obs.Counter.t;
     reset_count : Obs.Counter.t;
+    (* Every expectation ever registered, keyed by (flow, period); never
+       shrinks, so late and repeated arrivals still find theirs. *)
     table : (int * int, expectation) Hashtbl.t;
+    (* The part of [table] neither arrived nor reported yet: all that
+       [sweep] has to look at. *)
+    unmet : (int * int, expectation) Hashtbl.t;
     (* Per-sender strike account, shared across every watcher path from
        that sender to this node. Bumped at most once per sweep, reset on
        a timely arrival — so only a sustained per-sender outage (not
@@ -47,6 +52,7 @@ module Watchdog = struct
       missing_count = Obs.Registry.counter reg Obs.Detect "watchdog-missing";
       reset_count = Obs.Registry.counter reg Obs.Detect "strike-resets";
       table = Hashtbl.create 64;
+      unmet = Hashtbl.create 16;
       accounts = Hashtbl.create 16;
     }
 
@@ -54,14 +60,19 @@ module Watchdog = struct
     Option.value ~default:0 (Hashtbl.find_opt t.accounts from_node)
 
   let expect t ~flow ~period ~from_node ~deadline =
-    if not (Hashtbl.mem t.table (flow, period)) then
-      Hashtbl.replace t.table (flow, period) { from_node; deadline; met = false }
+    let k = (flow, period) in
+    if not (Hashtbl.mem t.table k) then begin
+      let e = { from_node; deadline } in
+      Hashtbl.replace t.table k e;
+      Hashtbl.replace t.unmet k e
+    end
 
   let note_arrival t ~flow ~period ~at =
-    match Hashtbl.find_opt t.table (flow, period) with
+    let k = (flow, period) in
+    match Hashtbl.find_opt t.table k with
     | None -> None
     | Some e ->
-      e.met <- true;
+      Hashtbl.remove t.unmet k;
       let limit = Time.add e.deadline t.margin in
       if Time.compare at limit > 0 then begin
         let lateness = Time.sub at limit in
@@ -91,9 +102,10 @@ module Watchdog = struct
     let due =
       List.filter
         (fun ((_ : int * int), (e : expectation)) ->
-          (not e.met) && Time.compare now (Time.add e.deadline t.margin) > 0)
-        (Table.sorted_bindings ~cmp:cmp_flow_period t.table)
+          Time.compare now (Time.add e.deadline t.margin) > 0)
+        (Table.sorted_bindings ~cmp:cmp_flow_period t.unmet)
     in
+    List.iter (fun (k, _) -> Hashtbl.remove t.unmet k) due;
     (* Bump each sender's account at most once per sweep, no matter how
        many of its flows are overdue: detection latency then depends on
        sustained periods of silence, not on watcher fan-in. *)
@@ -107,8 +119,7 @@ module Watchdog = struct
         end)
       due;
     List.map
-      (fun ((flow, period), e) ->
-        e.met <- true;
+      (fun ((flow, period), (e : expectation)) ->
         let n = account t ~from_node:e.from_node in
         let declared = n >= t.strikes in
         if declared then begin
@@ -133,10 +144,7 @@ module Watchdog = struct
         else None)
       (sweep t ~now)
 
-  let pending t =
-    Table.sorted_fold ~cmp:cmp_flow_period
-      (fun _ e acc -> if e.met then acc else acc + 1)
-      t.table 0
+  let pending t = Hashtbl.length t.unmet
 end
 
 module Attribution = struct

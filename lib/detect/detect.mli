@@ -94,6 +94,7 @@ module Watchdog : sig
   (** Current strike account for a sender (0 if never missed). *)
 
   val pending : t -> int
+  (** Expectations neither met by an arrival nor reported by a sweep. *)
 end
 
 module Attribution : sig

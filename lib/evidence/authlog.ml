@@ -5,12 +5,18 @@ type entry =
   | Received of { flow : int; period : int; digest : int64; from_node : int }
   | Executed of { task : int; period : int; output_digest : int64 }
 
-let encode_entry = function
-  | Sent { flow; period; digest } -> Printf.sprintf "S|%d|%d|%Lx" flow period digest
+let word link n = Auth.Chain.mix link (Int64.of_int n)
+
+(* The chain step for one entry: its constructor tag, then each field as
+   a 64-bit word, through {!Auth.Chain.mix}. *)
+let extend link e =
+  match e with
+  | Sent { flow; period; digest } ->
+    Auth.Chain.mix (word (word (word link 1) flow) period) digest
   | Received { flow; period; digest; from_node } ->
-    Printf.sprintf "R|%d|%d|%Lx|%d" flow period digest from_node
+    word (Auth.Chain.mix (word (word (word link 2) flow) period) digest) from_node
   | Executed { task; period; output_digest } ->
-    Printf.sprintf "E|%d|%d|%Lx" task period output_digest
+    Auth.Chain.mix (word (word (word link 3) task) period) output_digest
 
 type t = {
   log_owner : int;
@@ -26,7 +32,7 @@ let owner t = t.log_owner
 
 let append t e =
   t.rev_entries <- e :: t.rev_entries;
-  t.chain <- Auth.Chain.extend t.chain (encode_entry e);
+  t.chain <- extend t.chain e;
   t.count <- t.count + 1
 
 let length t = t.count
@@ -72,7 +78,7 @@ let audit cp presented =
         else Tampered { at_length = n }
       | [] -> Truncated
       | e :: rest ->
-        let chain' = Auth.Chain.extend chain (encode_entry e) in
+        let chain' = extend chain e in
         (* Early exit is impossible without per-entry commitments, so
            mismatches surface only at the committed head. *)
         walk chain' (n + 1) rest

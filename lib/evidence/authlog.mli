@@ -18,9 +18,6 @@ type entry =
   | Received of { flow : int; period : int; digest : int64; from_node : int }
   | Executed of { task : int; period : int; output_digest : int64 }
 
-val encode_entry : entry -> string
-(** Canonical, injective encoding (covered by the hash chain). *)
-
 type t
 
 val create : owner:int -> t
@@ -28,7 +25,10 @@ val owner : t -> int
 val append : t -> entry -> unit
 val length : t -> int
 val head : t -> Auth.Chain.link
-(** Hash-chain head covering all entries appended so far. *)
+(** Hash-chain head covering all entries appended so far. Each entry is
+    folded in with {!Auth.Chain.mix} as its constructor tag (1 [Sent],
+    2 [Received], 3 [Executed]) followed by its fields in declaration
+    order, so editing any one field of any one entry changes the head. *)
 
 val entries : t -> entry list
 (** Oldest first. *)

@@ -10,15 +10,15 @@ type fault_class =
   | Equivocation
   | Forged_evidence
 
-let pp_fault_class ppf c =
-  Format.pp_print_string ppf
-    (match c with
-    | Wrong_value -> "wrong-value"
-    | Omission -> "omission"
-    | Omission_suspected -> "omission-suspected"
-    | Timing -> "timing"
-    | Equivocation -> "equivocation"
-    | Forged_evidence -> "forged-evidence")
+let fault_class_name = function
+  | Wrong_value -> "wrong-value"
+  | Omission -> "omission"
+  | Omission_suspected -> "omission-suspected"
+  | Timing -> "timing"
+  | Equivocation -> "equivocation"
+  | Forged_evidence -> "forged-evidence"
+
+let pp_fault_class ppf c = Format.pp_print_string ppf (fault_class_name c)
 
 type accused = Node of int | Path of int * int
 
@@ -39,7 +39,7 @@ type statement = {
 
 let encode s =
   Printf.sprintf "%s|%s|det:%d|p:%d|t:%d|%s" (accused_name s.accused)
-    (Format.asprintf "%a" pp_fault_class s.fault_class)
+    (fault_class_name s.fault_class)
     s.detector s.period s.detected_at s.detail
 
 type record = { statement : statement; tag : Auth.tag }
@@ -80,7 +80,6 @@ module Distributor = struct
     invalid_count : Obs.Counter.t;
     seen_keys : (string, unit) Hashtbl.t;
     mutable rev_seen : record list;
-    sent : (string * int, unit) Hashtbl.t;
     invalid_by : (int, int) Hashtbl.t;
   }
 
@@ -94,7 +93,6 @@ module Distributor = struct
       invalid_count = Obs.Registry.counter reg Obs.Evidence "validation-failures";
       seen_keys = Hashtbl.create 32;
       rev_seen = [];
-      sent = Hashtbl.create 64;
       invalid_by = Hashtbl.create 8;
     }
 
@@ -134,14 +132,6 @@ module Distributor = struct
            })
     | _ -> ());
     verdict
-
-  let already_sent t r ~dst =
-    let k = (dedup_key r, dst) in
-    if Hashtbl.mem t.sent k then true
-    else begin
-      Hashtbl.replace t.sent k ();
-      false
-    end
 
   let seen t = List.rev t.rev_seen
 

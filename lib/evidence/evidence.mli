@@ -29,6 +29,10 @@ type fault_class =
   | Equivocation  (** different values for the same (flow, period) *)
   | Forged_evidence  (** signed an evidence record that fails validation *)
 
+val fault_class_name : fault_class -> string
+(** ["wrong-value"], ["omission"], ...: the name used in encodings and
+    telemetry. *)
+
 val pp_fault_class : Format.formatter -> fault_class -> unit
 
 type accused =
@@ -88,11 +92,8 @@ module Distributor : sig
 
   val admit : ?now:Time.t -> t -> Auth.t -> record -> verdict
   (** [now] timestamps the telemetry event; admission logic does not
-      depend on it. *)
-
-  val already_sent : t -> record -> dst:int -> bool
-  (** Whether this node already forwarded the record to [dst]; marks it
-      sent otherwise. Keeps flooding quadratic-bounded. *)
+      depend on it. A record is [Fresh] at most once per distributor, so
+      forwarding only fresh records floods each at most once per node. *)
 
   val seen : t -> record list
   (** All fresh records admitted so far, oldest first. *)

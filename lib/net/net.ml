@@ -37,6 +37,8 @@ type 'a t = {
   relay_policy : (node_id, src:node_id -> dst:node_id -> cls:cls -> bool) Hashtbl.t;
   relay_delay : (node_id, Time.t) Hashtbl.t;
   mutable route_avoid : node_id list;
+  (* (src, dst) -> route under [route_avoid]; flushed when it changes. *)
+  routes : (node_id * node_id, Topology.link list option) Hashtbl.t;
   loss_rng : Rng.t;
   (* Registry counters: always on, one field write per bump. *)
   sent : Obs.Counter.t;
@@ -83,6 +85,7 @@ let create eng topo ?shares ?(residual_loss = 0.0) () =
     relay_policy = Hashtbl.create 8;
     relay_delay = Hashtbl.create 8;
     route_avoid = [];
+    routes = Hashtbl.create 64;
     loss_rng = Rng.split (Engine.rng eng);
     sent = Obs.Registry.counter reg Obs.Net "msgs-sent";
     delivered = Obs.Registry.counter reg Obs.Net "msgs-delivered";
@@ -120,7 +123,13 @@ let bytes_sent_by t n cls =
   Option.value ~default:0 (Hashtbl.find_opt t.by_sender (n, cls))
 
 let route t ~src ~dst =
-  Topology.route_avoiding t.topo ~avoid:t.route_avoid ~src ~dst
+  let k = (src, dst) in
+  match Hashtbl.find_opt t.routes k with
+  | Some r -> r
+  | None ->
+    let r = Topology.route_avoiding t.topo ~avoid:t.route_avoid ~src ~dst in
+    Hashtbl.replace t.routes k r;
+    r
 
 (* One hop: [sender] pushes the message onto [link]; when serialization
    and propagation complete, [k] runs at the far end. *)
@@ -283,7 +292,11 @@ let plan_transfer_time topo ?shares ?(avoid = []) ~cls ~src ~dst ~size_bytes () 
 
 let set_relay_policy t n p = Hashtbl.replace t.relay_policy n p
 let set_relay_delay t n d = Hashtbl.replace t.relay_delay n d
-let set_route_avoid t ns = t.route_avoid <- ns
+let set_route_avoid t ns =
+  if ns <> t.route_avoid then begin
+    t.route_avoid <- ns;
+    Hashtbl.reset t.routes
+  end
 
 type stats = {
   messages_sent : int;

@@ -129,7 +129,9 @@ val set_relay_delay : 'a t -> node_id -> Time.t -> unit
 
 val set_route_avoid : 'a t -> node_id list -> unit
 (** Nodes that routing must no longer relay through (known-faulty set
-    after mode changes). Endpoints may still be faulty nodes. *)
+    after mode changes). Endpoints may still be faulty nodes. Routes are
+    cached per (src, dst); a list different from the current one flushes
+    the cache. *)
 
 (** {1 Statistics} *)
 

@@ -29,6 +29,11 @@ let test_append_and_head () =
   check_bool "head moves with appends" false
     (Int64.equal (Authlog.head log) (Authlog.head empty))
 
+let head_of entries =
+  let log = Authlog.create ~owner:0 in
+  List.iter (Authlog.append log) entries;
+  Authlog.head log
+
 let test_encode_injective () =
   let variants =
     [
@@ -39,9 +44,15 @@ let test_encode_injective () =
       Authlog.Executed { task = 1; period = 0; output_digest = 11L };
     ]
   in
-  check_int "distinct encodings" (List.length variants)
+  check_int "distinct heads" (List.length variants)
     (List.length
-       (List.sort_uniq String.compare (List.map Authlog.encode_entry variants)))
+       (List.sort_uniq Int64.compare (List.map (fun e -> head_of [ e ]) variants)))
+
+(* The chain encoding is part of every signed checkpoint: moving it must
+   be a deliberate change to this value. *)
+let test_head_pinned () =
+  Alcotest.(check string) "head of the sample log" "9f2191e21e6b237d"
+    (Printf.sprintf "%016Lx" (head_of sample_entries))
 
 let test_checkpoint_sign_verify () =
   let auth, key, log = mk_log () in
@@ -135,6 +146,65 @@ let prop_audit_roundtrip =
       Authlog.audit cp (Authlog.entries log) = Authlog.Consistent
       && Authlog.verify_checkpoint auth cp)
 
+let gen_entry =
+  QCheck.Gen.(
+    oneof
+      [
+        map3
+          (fun flow period digest -> Authlog.Sent { flow; period; digest })
+          small_nat small_nat ui64;
+        map4
+          (fun flow period digest from_node ->
+            Authlog.Received { flow; period; digest; from_node })
+          small_nat small_nat ui64 small_nat;
+        map3
+          (fun task period output_digest ->
+            Authlog.Executed { task; period; output_digest })
+          small_nat small_nat ui64;
+      ])
+
+(* Field [j] (mod the constructor's arity) of [e], moved by [d] > 0. *)
+let edit_field e j d =
+  let d64 = Int64.of_int d in
+  match e with
+  | Authlog.Sent r -> (
+    match j mod 3 with
+    | 0 -> Authlog.Sent { r with flow = r.flow + d }
+    | 1 -> Authlog.Sent { r with period = r.period + d }
+    | _ -> Authlog.Sent { r with digest = Int64.add r.digest d64 })
+  | Authlog.Received r -> (
+    match j mod 4 with
+    | 0 -> Authlog.Received { r with flow = r.flow + d }
+    | 1 -> Authlog.Received { r with period = r.period + d }
+    | 2 -> Authlog.Received { r with digest = Int64.add r.digest d64 }
+    | _ -> Authlog.Received { r with from_node = r.from_node + d })
+  | Authlog.Executed r -> (
+    match j mod 3 with
+    | 0 -> Authlog.Executed { r with task = r.task + d }
+    | 1 -> Authlog.Executed { r with period = r.period + d }
+    | _ -> Authlog.Executed { r with output_digest = Int64.add r.output_digest d64 })
+
+let prop_single_field_edit_tampered =
+  QCheck.Test.make ~name:"editing one field of one entry fails the audit"
+    ~count:300
+    QCheck.(
+      make
+        Gen.(
+          quad
+            (list_size (1 -- 30) gen_entry)
+            small_nat small_nat (1 -- 1_000_000)))
+    (fun (entries, i, j, d) ->
+      let auth = Auth.create () in
+      let key = Auth.gen_key auth ~owner:0 in
+      let log = Authlog.create ~owner:0 in
+      List.iter (Authlog.append log) entries;
+      let cp = Authlog.checkpoint log auth key in
+      let i = i mod List.length entries in
+      let edited = List.mapi (fun k e -> if k = i then edit_field e j d else e) entries in
+      match Authlog.audit cp edited with
+      | Authlog.Tampered _ -> true
+      | Authlog.Consistent | Authlog.Truncated -> false)
+
 let suite =
   [
     ("append and head", `Quick, test_append_and_head);
@@ -145,4 +215,6 @@ let suite =
     ("audit: truncation detected", `Quick, test_audit_detects_truncation);
     ("runtime: correct nodes' logs audit clean", `Quick, test_runtime_logs_audit_clean);
     QCheck_alcotest.to_alcotest prop_audit_roundtrip;
+    ("head of the sample log is pinned", `Quick, test_head_pinned);
+    QCheck_alcotest.to_alcotest prop_single_field_edit_tampered;
   ]

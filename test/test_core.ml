@@ -57,6 +57,13 @@ let test_value_digest () =
   check_bool "digest discriminates arity" false
     (Int64.equal (Behavior.value_digest [| 1.0 |]) (Behavior.value_digest [| 1.0; 1.0 |]))
 
+(* The digest of a value is the FNV-1a of its "%h;" rendering; replica
+   comparison, golden outputs and the baselines' quorum order all rest
+   on it, so it is pinned. *)
+let test_value_digest_pinned () =
+  Alcotest.(check string) "[|1.0|] digests \"0x1p+0;\"" "cee75448016fd014"
+    (Printf.sprintf "%016Lx" (Behavior.value_digest [| 1.0 |]))
+
 let test_equal_value () =
   check_bool "equal" true (Behavior.equal_value [| 1.0; 2.0 |] [| 1.0; 2.0 |]);
   check_bool "tolerant to 1e-12" true (Behavior.equal_value [| 1.0 |] [| 1.0 +. 1e-12 |]);
@@ -249,4 +256,5 @@ let suite =
     ("scenario: defaults", `Quick, test_scenario_defaults);
     ("scenario: plan only", `Quick, test_scenario_plan_only);
     ("scenario: tune applies", `Quick, test_scenario_tune_applies);
+    ("behaviour: value digest reference value", `Quick, test_value_digest_pinned);
   ]

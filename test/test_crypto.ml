@@ -55,13 +55,35 @@ let test_digest_stable () =
     (Int64.equal (Auth.digest "hello") (Auth.digest "hellp"))
 
 let test_chain () =
-  let c1 = Auth.Chain.of_records [ "a"; "b"; "c" ] in
-  let c2 = Auth.Chain.of_records [ "a"; "b"; "c" ] in
-  let c3 = Auth.Chain.of_records [ "a"; "c"; "b" ] in
+  let of_words = List.fold_left Auth.Chain.mix Auth.Chain.genesis in
+  let c1 = of_words [ 1L; 2L; 3L ] in
+  let c2 = of_words [ 1L; 2L; 3L ] in
+  let c3 = of_words [ 1L; 3L; 2L ] in
   check_bool "chains deterministic" true (Int64.equal c1 c2);
   check_bool "chains order-sensitive" false (Int64.equal c1 c3);
-  check_bool "extend changes link" false
-    (Int64.equal Auth.Chain.genesis (Auth.Chain.extend Auth.Chain.genesis "x"))
+  check_bool "mix changes link" false
+    (Int64.equal Auth.Chain.genesis (Auth.Chain.mix Auth.Chain.genesis 7L))
+
+(* FNV-1a 64 reference values: every MAC, output digest and campaign
+   fingerprint rests on these, so a rewrite of the loop must not move
+   them. *)
+let test_digest_pinned () =
+  let check_hex name want got =
+    Alcotest.(check string) name (Printf.sprintf "%016Lx" want)
+      (Printf.sprintf "%016Lx" got)
+  in
+  check_hex "empty string" 0xcbf29ce484222325L (Auth.digest "");
+  check_hex "hello" 0xa430d84680aabd0bL (Auth.digest "hello")
+
+let prop_mix_bijective =
+  QCheck.Test.make ~name:"a chain step is injective in the link and the word"
+    ~count:500
+    QCheck.(triple int64 int64 int64)
+    (fun (a, b, x) ->
+      Int64.equal a b
+      = Int64.equal (Auth.Chain.mix a x) (Auth.Chain.mix b x)
+      && Int64.equal a b
+         = Int64.equal (Auth.Chain.mix x a) (Auth.Chain.mix x b))
 
 let prop_sign_verify_roundtrip =
   QCheck.Test.make ~name:"every signed message verifies under its signer"
@@ -93,4 +115,6 @@ let suite =
     ("hash chains detect reordering", `Quick, test_chain);
     QCheck_alcotest.to_alcotest prop_sign_verify_roundtrip;
     QCheck_alcotest.to_alcotest prop_tampered_message_rejected;
+    ("digest reference values", `Quick, test_digest_pinned);
+    QCheck_alcotest.to_alcotest prop_mix_bijective;
   ]

@@ -288,6 +288,121 @@ let prop_attribution_needs_threshold_distinct =
       let distinct = List.length (List.sort_uniq Int.compare others) in
       Detect.Attribution.is_attributed a 100 = (distinct >= threshold))
 
+(* Reference model of the watchdog: the original full-table design,
+   which marks expectations met in place and filters the whole sorted
+   table on every sweep. The real watchdog only looks at unmet ones. *)
+module Watchdog_model = struct
+  type e = { from : int; deadline : Time.t; mutable met : bool }
+
+  type t = {
+    margin : Time.t;
+    strikes : int;
+    table : (int * int, e) Hashtbl.t;
+    accounts : (int, int) Hashtbl.t;
+  }
+
+  let create ~margin ~strikes =
+    { margin; strikes; table = Hashtbl.create 16; accounts = Hashtbl.create 4 }
+
+  let account t n = Option.value ~default:0 (Hashtbl.find_opt t.accounts n)
+
+  let expect t ~flow ~period ~from_node ~deadline =
+    if not (Hashtbl.mem t.table (flow, period)) then
+      Hashtbl.replace t.table (flow, period) { from = from_node; deadline; met = false }
+
+  let note_arrival t ~flow ~period ~at =
+    match Hashtbl.find_opt t.table (flow, period) with
+    | None -> None
+    | Some e ->
+      e.met <- true;
+      let limit = Time.add e.deadline t.margin in
+      if Time.compare at limit > 0 then Some (e.from, Time.sub at limit)
+      else (Hashtbl.replace t.accounts e.from 0; None)
+
+  let unmet t = List.filter (fun (_, e) -> not e.met) (Table.sorted_bindings ~cmp:compare t.table)
+
+  let sweep t ~now =
+    let due =
+      List.filter (fun (_, e) -> Time.compare now (Time.add e.deadline t.margin) > 0) (unmet t)
+    in
+    List.iter
+      (fun from -> Hashtbl.replace t.accounts from (account t from + 1))
+      (List.sort_uniq Int.compare (List.map (fun (_, e) -> e.from) due));
+    List.map
+      (fun ((flow, period), e) ->
+        e.met <- true;
+        let n = account t e.from in
+        (flow, period, e.from, n, n >= t.strikes))
+      due
+
+  let pending t = List.length (unmet t)
+end
+
+type wd_op =
+  | Expect of int * int * int * int  (** flow, period, sender, deadline - now *)
+  | Arrive of int * int * int  (** flow, period, at - now *)
+  | Sweep of int  (** advance the clock, then sweep *)
+
+let gen_wd_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map4 (fun f p s d -> Expect (f, p, s, d)) (0 -- 3) (0 -- 3) (0 -- 2) (0 -- 20));
+        (3, map3 (fun f p d -> Arrive (f, p, d)) (0 -- 3) (0 -- 3) (0 -- 30));
+        (2, map (fun d -> Sweep d) (0 -- 15));
+      ])
+
+let print_wd_op = function
+  | Expect (f, p, s, d) -> Printf.sprintf "expect %d.%d from %d +%d" f p s d
+  | Arrive (f, p, d) -> Printf.sprintf "arrive %d.%d +%d" f p d
+  | Sweep d -> Printf.sprintf "sweep +%d" d
+
+(* Sixteen keys and three senders, so random scripts keep re-expecting
+   existing keys, repeating arrivals and arriving after a declared miss. *)
+let prop_watchdog_matches_model =
+  QCheck.Test.make ~name:"watchdog agrees with the full-table model" ~count:300
+    QCheck.(
+      triple (int_range 1 3) (int_range 0 2)
+        (make ~print:(Print.list print_wd_op) Gen.(list_size (0 -- 60) gen_wd_op)))
+    (fun (strikes, margin, ops) ->
+      let margin = Time.ms margin in
+      let w = Detect.Watchdog.create ~node:0 ~margin ~strikes () in
+      let m = Watchdog_model.create ~margin ~strikes in
+      let now = ref Time.zero in
+      let ms d = Time.add !now (Time.ms d) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Expect (flow, period, from_node, d) ->
+            Detect.Watchdog.expect w ~flow ~period ~from_node ~deadline:(ms d);
+            Watchdog_model.expect m ~flow ~period ~from_node ~deadline:(ms d);
+            true
+          | Arrive (flow, period, d) ->
+            let late =
+              Option.map
+                (fun (l : Detect.Watchdog.late) ->
+                  (l.Detect.Watchdog.from_node, l.Detect.Watchdog.lateness))
+                (Detect.Watchdog.note_arrival w ~flow ~period ~at:(ms d))
+            in
+            late = Watchdog_model.note_arrival m ~flow ~period ~at:(ms d)
+          | Sweep d ->
+            now := ms d;
+            List.map
+              (fun (x : Detect.Watchdog.miss) ->
+                ( x.Detect.Watchdog.miss_flow,
+                  x.miss_period,
+                  x.miss_from,
+                  x.account,
+                  x.declared ))
+              (Detect.Watchdog.sweep w ~now:!now)
+            = Watchdog_model.sweep m ~now:!now)
+          && Detect.Watchdog.pending w = Watchdog_model.pending m
+          && List.for_all
+               (fun n ->
+                 Detect.Watchdog.account w ~from_node:n = Watchdog_model.account m n)
+               [ 0; 1; 2 ])
+        ops)
+
 let suite =
   [
     ("path admissibility", `Quick, test_path_admissibility);
@@ -312,4 +427,5 @@ let suite =
     ("attribution: deterministic order", `Quick, test_attribution_order_deterministic);
     ("attribution: counterparties first-seen", `Quick, test_attribution_counterparties_first_seen);
     QCheck_alcotest.to_alcotest prop_attribution_needs_threshold_distinct;
+    QCheck_alcotest.to_alcotest prop_watchdog_matches_model;
   ]

@@ -89,14 +89,30 @@ let test_distributor_invalid_counted () =
     (Evidence.Distributor.invalid_count_from d 0);
   check_int "not admitted" 0 (List.length (Evidence.Distributor.seen d))
 
+(* Flooding forwards only [Fresh] records, so forward-once rests on
+   admission: however often and in whatever order copies of a record
+   arrive, it is fresh exactly once. *)
 let test_already_sent () =
-  let auth, k0, _ = setup () in
-  let d = Evidence.Distributor.create ~node:0 () in
-  let r = Evidence.sign auth k0 (stmt ()) in
-  check_bool "first send allowed" false (Evidence.Distributor.already_sent d r ~dst:2);
-  check_bool "second send suppressed" true (Evidence.Distributor.already_sent d r ~dst:2);
-  check_bool "other destination allowed" false
-    (Evidence.Distributor.already_sent d r ~dst:3)
+  let auth, k0, k1 = setup () in
+  let d = Evidence.Distributor.create ~node:2 () in
+  let pool =
+    [|
+      Evidence.sign auth k0 (stmt ());
+      Evidence.sign auth k1 (stmt ~detector:1 ());
+      Evidence.sign auth k0 (stmt ~accused:(Evidence.path 0 3) ());
+    |]
+  in
+  let fresh = Array.make (Array.length pool) 0 in
+  List.iter
+    (fun i ->
+      if Evidence.Distributor.admit d auth pool.(i) = Evidence.Distributor.Fresh
+      then fresh.(i) <- fresh.(i) + 1)
+    [ 0; 1; 0; 2; 1; 1; 0; 2; 2; 0 ];
+  Alcotest.(check (array int)) "each record fresh exactly once" [| 1; 1; 1 |] fresh;
+  (* A re-signed copy of the same statement is the same record. *)
+  check_bool "re-signed copy is a duplicate" true
+    (Evidence.Distributor.admit d auth (Evidence.sign auth k0 (stmt ()))
+    = Evidence.Distributor.Duplicate)
 
 let test_size_positive () =
   let auth, k0, _ = setup () in

@@ -161,6 +161,25 @@ let test_route_avoid () =
   check_bool "no route left" false
     (Net.send net ~src:0 ~dst:2 ~cls:Net.Data ~size_bytes:100 ())
 
+(* Routes are cached per (src, dst): changing the avoid list must flush
+   them, both when a relay becomes avoided and when it is cleared. *)
+let test_route_cache_follows_avoid () =
+  let e = Engine.create () in
+  let topo = Topology.ring ~n:5 ~bandwidth_bps:1_000_000 ~latency:(Time.us 50) in
+  let net = Net.create e topo () in
+  let hops = ref 0 in
+  Net.set_handler net 2 (fun r -> hops := r.Net.hops);
+  let send () =
+    ignore (Net.send net ~src:0 ~dst:2 ~cls:Net.Data ~size_bytes:100 ());
+    Engine.run e;
+    !hops
+  in
+  check_int "short way while nothing is avoided" 2 (send ());
+  Net.set_route_avoid net [ 1 ];
+  check_int "long way round once 1 is avoided" 3 (send ());
+  Net.set_route_avoid net [];
+  check_int "short way again once cleared" 2 (send ())
+
 let test_transfer_time_matches_delivery () =
   let e, net = mk_net ~n:4 () in
   let predicted =
@@ -238,4 +257,5 @@ let suite =
     ("residual loss drops messages", `Quick, test_residual_loss);
     QCheck_alcotest.to_alcotest prop_clique_routes_exist;
     QCheck_alcotest.to_alcotest prop_ring_route_is_shortest;
+    ("route cache follows the avoid list", `Quick, test_route_cache_follows_avoid);
   ]

@@ -214,6 +214,17 @@ let run_cmd =
       const run $ workload_arg $ topology_arg $ nodes_arg $ f_arg $ r_arg
       $ seed_arg $ faults $ horizon $ trace_arg $ metrics_arg)
 
+(* Exit codes: 0 ok, 1 a failed check or rejected trial, 2 a usage
+   error or bad input (an unreadable or malformed file), 3 a Def-3.1
+   violation. *)
+let input_error m =
+  Printf.eprintf "error: %s\n" m;
+  2
+
+let read_lines file =
+  try Ok (In_channel.with_open_text file In_channel.input_lines)
+  with Sys_error m -> Error m
+
 (* Replay an edit script against the incremental verifier: one edit per
    line in Incr.parse_edit syntax, blank lines and #-comments skipped.
    Each applied edit reports the diagnostics that appeared/disappeared
@@ -231,9 +242,9 @@ let check_delta workload topology nodes f r seed json file =
       match Incr.init cfg g topo with
       | Error e -> fail "%s" (Format.asprintf "%a" Planner.pp_error e)
       | Ok st0 -> (
-        match In_channel.with_open_text file In_channel.input_lines with
-        | exception Sys_error m -> fail "%s" m
-        | lines ->
+        match read_lines file with
+        | Error m -> input_error m
+        | Ok lines ->
           let st = ref st0 and line_no = ref 0 and failed = ref None in
           List.iter
             (fun line ->
@@ -242,14 +253,18 @@ let check_delta workload topology nodes f r seed json file =
               if !failed = None && line <> "" && line.[0] <> '#' then
                 match Incr.parse_edit line with
                 | Error m ->
-                  failed := Some (Printf.sprintf "%s:%d: %s" file !line_no m)
+                  failed := Some (2, Printf.sprintf "%s:%d: %s" file !line_no m)
                 | Ok edit -> (
                   match Incr.apply !st edit with
                   | Error e ->
+                    (* an edit that does not apply is bad input; an
+                       edited system with no strategy is a failed check *)
+                    let code = match e with Incr.Invalid_edit _ -> 2 | Incr.Plan_failed _ -> 1 in
                     failed :=
                       Some
-                        (Format.asprintf "%s:%d: %a" file !line_no
-                           Incr.pp_apply_error e)
+                        ( code,
+                          Format.asprintf "%s:%d: %a" file !line_no
+                            Incr.pp_apply_error e )
                   | Ok (st', delta) ->
                     st := st';
                     if not json then begin
@@ -267,9 +282,9 @@ let check_delta workload topology nodes f r seed json file =
                     end))
             lines;
           (match !failed with
-          | Some m ->
+          | Some (code, m) ->
             Printf.eprintf "error: %s\n" m;
-            1
+            code
           | None ->
             let report = Incr.report !st in
             if json then print_endline (Check.report_to_json report)
@@ -361,21 +376,6 @@ let workloads_cmd =
 module Campaign = Btr_campaign.Campaign
 module Orchestrate = Btr_campaign.Orchestrate
 
-let criticality_of_name = function
-  | "best-effort" -> Ok Task.Best_effort
-  | "low" -> Ok Task.Low
-  | "medium" -> Ok Task.Medium
-  | "high" -> Ok Task.High
-  | "safety-critical" -> Ok Task.Safety_critical
-  | other -> Error (Printf.sprintf "unknown protect level %S" other)
-
-let share_of_name = function
-  | "default" -> Ok None
-  | s -> (
-    match float_of_string_opt s with
-    | Some c -> Ok (Some c)
-    | None -> Error (Printf.sprintf "bad control share %S (want a float or 'default')" s))
-
 (* Campaign CLI errors are usage errors: exit 2, like cmdliner's own. *)
 let usage_error m =
   Printf.eprintf "btr campaign: %s\n" m;
@@ -390,10 +390,10 @@ let rec map_result f = function
 
 let grid_of workloads topologies node_counts fault_bounds r_ms bandwidths protects
     shares classes =
-  match map_result criticality_of_name protects with
+  match map_result Campaign.criticality_of_name protects with
   | Error m -> Error m
   | Ok protect_levels -> (
-    match map_result share_of_name shares with
+    match map_result Campaign.share_of_name shares with
     | Error m -> Error m
     | Ok control_shares -> (
       let g =
@@ -475,16 +475,9 @@ let grid_args =
     const grid_of $ workloads $ topologies $ node_counts $ fault_bounds $ r_ms
     $ bandwidths $ protects $ shares $ classes)
 
-let read_lines file =
-  let ic = open_in file in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-      close_in ic;
-      List.rev acc
-  in
-  go []
+let load_artifact file =
+  Result.bind (read_lines file) (fun lines ->
+      Result.map_error (Printf.sprintf "%s: %s" file) (Orchestrate.parse_artifact lines))
 
 let json_file_arg =
   Arg.(
@@ -515,10 +508,7 @@ let campaign_run_cmd =
               Error "--resume needs --json FILE (the artifact to continue)"
             | true, Some file ->
               if not (Sys.file_exists file) then Ok None
-              else (
-                match Orchestrate.parse_artifact (read_lines file) with
-                | Ok a -> Ok (Some a)
-                | Error m -> Error (Printf.sprintf "%s: %s" file m))
+              else Result.map Option.some (load_artifact file)
           in
           match resume_art with
           | Error m -> usage_error m
@@ -551,7 +541,7 @@ let campaign_run_cmd =
                        --resume)\n"
                       (r.Orchestrate.skipped + r.Orchestrate.executed)
                       r.Orchestrate.total;
-                  (match Campaign.render_report r.Orchestrate.lines with
+                  (match Orchestrate.render_report r.Orchestrate.lines with
                   | Ok report -> print_string report
                   | Error m -> Printf.eprintf "internal report error: %s\n" m);
                   List.iter
@@ -615,55 +605,6 @@ let campaign_run_cmd =
       $ json_file_arg $ no_shrink $ shrink_budget $ shard $ resume $ max_trials
       $ trace_arg $ metrics_arg)
 
-(* Rebuild a trial from its artifact verdict line. *)
-let trial_from_artifact file index =
-  let open Campaign.Flat_json in
-  let int_of fields k = match List.assoc_opt k fields with Some (Int i) -> Some i | _ -> None in
-  let str_of fields k = match List.assoc_opt k fields with Some (Str s) -> Some s | _ -> None in
-  let lines = List.filter (fun l -> String.trim l <> "") (read_lines file) in
-  let rec find = function
-    | [] -> Error (Printf.sprintf "no trial %d in %s" index file)
-    | line :: rest -> (
-      match parse line with
-      | Error m -> Error (Printf.sprintf "%s: %s" file m)
-      | Ok fields ->
-        if int_of fields "trial" <> Some index then find rest
-        else
-          let req name v =
-            match v with
-            | Some v -> Ok v
-            | None -> Error (Printf.sprintf "trial %d line lacks %S" index name)
-          in
-          let ( let* ) r k = Result.bind r k in
-          let* workload = req "workload" (str_of fields "workload") in
-          let* topology = req "topology" (str_of fields "topology") in
-          let* nodes = req "nodes" (int_of fields "nodes") in
-          let* f = req "f" (int_of fields "f") in
-          let* r = req "r_us" (int_of fields "r_us") in
-          let* bandwidth_bps = req "bandwidth_bps" (int_of fields "bandwidth_bps") in
-          let* protect_s = req "protect" (str_of fields "protect") in
-          let* protect = criticality_of_name protect_s in
-          let* share_s = req "control_share" (str_of fields "control_share") in
-          let* control_share = share_of_name share_s in
-          let* runtime_seed = req "seed" (int_of fields "seed") in
-          let* script_s = req "script" (str_of fields "script") in
-          let* script = Campaign.script_of_string script_s in
-          Ok
-            ( {
-                Campaign.workload;
-                topology;
-                nodes;
-                f;
-                r;
-                bandwidth_bps;
-                protect;
-                control_share;
-              },
-              runtime_seed,
-              script ))
-  in
-  find lines
-
 let print_outcome params runtime_seed script (outcome : Campaign.outcome) =
   Format.printf "%a seed=%d@.script: %s@." Campaign.pp_params params runtime_seed
     (Campaign.script_to_string script);
@@ -692,34 +633,29 @@ let campaign_replay_cmd =
   in
   let run from trial_idx script_s workload topology nodes f r_ms
       protect_s share_s campaign_seed runtime_seed =
-    let replay (params : Campaign.params) runtime_seed script =
-      let cache = Campaign.Cache.create ~seed:campaign_seed in
-      print_outcome params runtime_seed script
-        (Campaign.run_script ~cache params ~runtime_seed script)
-    in
     match from, script_s with
     | Some _, Some _ -> usage_error "--from and --script are mutually exclusive"
     | Some file, None -> (
       match trial_idx with
       | None -> usage_error "--from needs --trial N"
       | Some idx -> (
-        match trial_from_artifact file idx with
-        | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          1
-        | Ok (params, runtime_seed, script) -> replay params runtime_seed script))
+        let replay a = Result.map_error (Printf.sprintf "%s: %s" file) (Orchestrate.replay a idx) in
+        match Result.bind (load_artifact file) replay with
+        | Error m -> input_error m
+        | Ok (t, outcome) ->
+          print_outcome t.Campaign.params t.Campaign.runtime_seed t.Campaign.script outcome))
     | None, Some s -> (
       match
         ( Campaign.script_of_string s,
-          criticality_of_name protect_s,
-          share_of_name share_s )
+          Campaign.criticality_of_name protect_s,
+          Campaign.share_of_name share_s )
       with
       | Error m, _, _ | _, Error m, _ | _, _, Error m -> usage_error m
       | Ok script, Ok protect, Ok control_share -> (
         match Campaign.validate_script ~nodes script with
         | Error m -> usage_error m
         | Ok () ->
-          replay
+          let params =
             {
               Campaign.workload;
               topology;
@@ -730,7 +666,10 @@ let campaign_replay_cmd =
               protect;
               control_share;
             }
-            runtime_seed script))
+          in
+          let cache = Campaign.Cache.create ~seed:campaign_seed in
+          print_outcome params runtime_seed script
+            (Campaign.run_script ~cache params ~runtime_seed script)))
     | None, None -> usage_error "need --script, or --from FILE --trial N"
   in
   let from =
@@ -766,7 +705,9 @@ let campaign_replay_cmd =
     Arg.(
       value & opt int 1
       & info [ "campaign-seed" ]
-          ~doc:"Campaign seed (fixes the random workload stream).")
+          ~doc:
+            "Campaign seed (fixes the random workload stream) for a $(b,--script) \
+             replay. A $(b,--from) replay takes the seed from the artifact header.")
   in
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(
@@ -782,12 +723,8 @@ let campaign_combine_cmd =
   let run files out =
     if files = [] then usage_error "need at least one shard artifact"
     else
-      match
-        try Ok (List.map read_lines files) with Sys_error m -> Error m
-      with
-      | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        1
+      match map_result read_lines files with
+      | Error m -> input_error m
       | Ok inputs -> (
         match Orchestrate.combine inputs with
         | Error m ->
@@ -912,23 +849,14 @@ let campaign_report_cmd =
     "Render the aggregate report from a campaign (or frontier) JSONL artifact."
   in
   let run file =
-    match read_lines file with
-    | exception Sys_error m ->
-      Printf.eprintf "error: %s\n" m;
-      1
-    | lines -> (
-      let rendered =
-        if Orchestrate.is_frontier_artifact lines then
-          Orchestrate.render_frontier lines
-        else Campaign.render_report lines
-      in
-      match rendered with
-      | Ok report ->
-        print_string report;
-        0
-      | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        1)
+    let render lines =
+      Result.map_error (Printf.sprintf "%s: %s" file) (Orchestrate.render_report lines)
+    in
+    match Result.bind (read_lines file) render with
+    | Ok report ->
+      print_string report;
+      0
+    | Error m -> input_error m
   in
   let file =
     Arg.(

@@ -34,14 +34,14 @@ let default_params =
     control_share = None;
   }
 
-let share_str = function
+let share_name = function
   | None -> "default"
   | Some c -> Printf.sprintf "%.6f" c
 
 let pp_params ppf p =
   Format.fprintf ppf "%s/%s n=%d f=%d R=%a bw=%d protect=%a share=%s"
     p.workload p.topology p.nodes p.f Time.pp p.r p.bandwidth_bps
-    Task.pp_criticality p.protect (share_str p.control_share)
+    Task.pp_criticality p.protect (share_name p.control_share)
 
 type grid = {
   workloads : string list;
@@ -907,98 +907,110 @@ let validate_script ~nodes script =
     Error (Printf.sprintf "script names node %d, outside 0..%d" n (nodes - 1))
 
 (* ------------------------------------------------------------------ *)
-(* JSON artifacts                                                      *)
+(* Artifact fields                                                     *)
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+module J = Flat_json
 
-let add_field b first key value =
-  if not !first then Buffer.add_char b ',';
-  first := false;
-  Buffer.add_char b '"';
-  json_escape b key;
-  Buffer.add_string b "\":";
-  Buffer.add_string b value
+let criticality_of_name = function
+  | "best-effort" -> Ok Task.Best_effort
+  | "low" -> Ok Task.Low
+  | "medium" -> Ok Task.Medium
+  | "high" -> Ok Task.High
+  | "safety-critical" -> Ok Task.Safety_critical
+  | other -> Error (Printf.sprintf "unknown protect level %S" other)
 
-let add_int b first key v = add_field b first key (string_of_int v)
+let share_of_name = function
+  | "default" -> Ok None
+  | s -> (
+    match float_of_string_opt s with
+    | Some c -> Ok (Some c)
+    | None -> Error (Printf.sprintf "bad control share %S (want a float or 'default')" s))
 
-let add_str b first key v =
-  let vb = Buffer.create (String.length v + 2) in
-  Buffer.add_char vb '"';
-  json_escape vb v;
-  Buffer.add_char vb '"';
-  add_field b first key (Buffer.contents vb)
+let params_fields (p : params) =
+  [
+    ("workload", J.Str p.workload);
+    ("topology", J.Str p.topology);
+    ("nodes", J.Int p.nodes);
+    ("f", J.Int p.f);
+    ("r_us", J.Int p.r);
+    ("bandwidth_bps", J.Int p.bandwidth_bps);
+    ("protect", J.Str (Format.asprintf "%a" Task.pp_criticality p.protect));
+    ("control_share", J.Str (share_name p.control_share));
+  ]
 
-let add_bool b first key v = add_field b first key (if v then "true" else "false")
+let ( let* ) = Result.bind
 
-let obj f =
-  let b = Buffer.create 256 in
-  let first = ref true in
-  Buffer.add_char b '{';
-  f b first;
-  Buffer.add_char b '}';
-  Buffer.contents b
+let field get fields name =
+  match get fields name with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "line lacks %S" name)
 
-let add_params b first (p : params) =
-  add_str b first "workload" p.workload;
-  add_str b first "topology" p.topology;
-  add_int b first "nodes" p.nodes;
-  add_int b first "f" p.f;
-  add_int b first "r_us" p.r;
-  add_int b first "bandwidth_bps" p.bandwidth_bps;
-  add_str b first "protect" (Format.asprintf "%a" Task.pp_criticality p.protect);
-  add_str b first "control_share" (share_str p.control_share)
+let params_of_fields fields =
+  let* workload = field J.str_of fields "workload" in
+  let* topology = field J.str_of fields "topology" in
+  let* nodes = field J.int_of fields "nodes" in
+  let* f = field J.int_of fields "f" in
+  let* r = field J.int_of fields "r_us" in
+  let* bandwidth_bps = field J.int_of fields "bandwidth_bps" in
+  let* protect = Result.bind (field J.str_of fields "protect") criticality_of_name in
+  let* control_share = Result.bind (field J.str_of fields "control_share") share_of_name in
+  Ok { workload; topology; nodes; f; r; bandwidth_bps; protect; control_share }
 
-let add_stats b first (st : run_stats) =
-  add_int b first "worst_recovery_us" st.worst_recovery;
-  add_int b first "recoveries" (List.length st.recoveries);
-  add_int b first "incorrect_us" st.incorrect;
-  add_int b first "deadline_miss_bp" st.deadline_miss_bp;
-  add_int b first "correct_bp" st.correct_bp;
-  add_int b first "bytes" st.bytes_sent;
-  add_int b first "control_bytes" st.control_bytes;
-  add_int b first "sim_events" st.sim_events;
-  add_int b first "mode_changes" st.mode_changes;
-  add_int b first "periods" st.periods
+let stats_fields st =
+  [
+    ("worst_recovery_us", J.Int st.worst_recovery);
+    ("recoveries", J.Int (List.length st.recoveries));
+    ("incorrect_us", J.Int st.incorrect);
+    ("deadline_miss_bp", J.Int st.deadline_miss_bp);
+    ("correct_bp", J.Int st.correct_bp);
+    ("bytes", J.Int st.bytes_sent);
+    ("control_bytes", J.Int st.control_bytes);
+    ("sim_events", J.Int st.sim_events);
+    ("mode_changes", J.Int st.mode_changes);
+    ("periods", J.Int st.periods);
+  ]
 
-let verdict_json v =
-  obj (fun b first ->
-      add_int b first "trial" v.trial.index;
-      add_params b first v.trial.params;
-      add_int b first "seed" v.trial.runtime_seed;
-      add_int b first "events" (List.length v.trial.script);
-      add_str b first "script" (script_to_string v.trial.script);
-      add_int b first "horizon_us" v.trial.horizon;
-      add_str b first "verdict" (outcome_name v.outcome);
-      match v.outcome with
-      | Pass st | Violation st -> add_stats b first st
-      | Rejected reason | Errored reason -> add_str b first "reason" reason)
+let verdict_fields v =
+  (("trial", J.Int v.trial.index) :: params_fields v.trial.params)
+  @ [
+      ("seed", J.Int v.trial.runtime_seed);
+      ("events", J.Int (List.length v.trial.script));
+      ("script", J.Str (script_to_string v.trial.script));
+      ("horizon_us", J.Int v.trial.horizon);
+      ("verdict", J.Str (outcome_name v.outcome));
+    ]
+  @
+  match v.outcome with
+  | Pass st | Violation st -> stats_fields st
+  | Rejected reason | Errored reason -> [ ("reason", J.Str reason) ]
+
+let verdict_json v = J.to_string (verdict_fields v)
+
+let trial_of_fields fields =
+  let* index = field J.int_of fields "trial" in
+  let* params = params_of_fields fields in
+  let* runtime_seed = field J.int_of fields "seed" in
+  let* script = Result.bind (field J.str_of fields "script") script_of_string in
+  let* () = validate_script ~nodes:params.nodes script in
+  let* horizon = field J.int_of fields "horizon_us" in
+  Ok { index; runtime_seed; params; script; horizon }
 
 let violation_json s =
-  obj (fun b first ->
-      add_int b first "violation" s.source.index;
-      add_str b first "script" (script_to_string s.script);
-      add_int b first "events" (List.length s.script);
-      add_int b first "events_before" (List.length s.source.script);
-      add_int b first "shrink_runs" s.shrink_runs;
-      add_int b first "r_us" s.source.params.r;
-      add_stats b first s.stats;
-      add_str b first "snippet" s.snippet)
+  J.to_string
+    ([
+       ("violation", J.Int s.source.index);
+       ("script", J.Str (script_to_string s.script));
+       ("events", J.Int (List.length s.script));
+       ("events_before", J.Int (List.length s.source.script));
+       ("shrink_runs", J.Int s.shrink_runs);
+       ("r_us", J.Int s.source.params.r);
+     ]
+    @ stats_fields s.stats
+    @ [ ("snippet", J.Str s.snippet) ])
 
 let fingerprint r = Fnv.to_hex (Fnv.hash64_lines (List.map verdict_json r.verdicts))
 
-let grid_axes_str g =
+let grid_axes g =
   let commas f l = String.concat "," (List.map f l) in
   Printf.sprintf "w=%s|t=%s|n=%s|f=%s|r_us=%s|bw=%s|protect=%s|share=%s"
     (commas Fun.id g.workloads) (commas Fun.id g.topologies)
@@ -1007,306 +1019,4 @@ let grid_axes_str g =
     (commas string_of_int g.recovery_bounds)
     (commas string_of_int g.bandwidths)
     (commas (Format.asprintf "%a" Task.pp_criticality) g.protect_levels)
-    (commas share_str g.control_shares)
-
-let result_json_lines r =
-  let header =
-    obj (fun b first ->
-        add_int b first "campaign" 1;
-        add_int b first "seed" r.spec.seed;
-        add_int b first "trials" r.spec.trials;
-        add_int b first "configs" r.configs;
-        add_bool b first "shrink" r.spec.shrink;
-        add_str b first "grid" (grid_axes_str r.spec.grid))
-  in
-  let tally pred = List.length (List.filter pred r.verdicts) in
-  let summary =
-    obj (fun b first ->
-        add_int b first "total" (List.length r.verdicts);
-        add_int b first "violations" (tally (fun v -> violates v.outcome));
-        add_int b first "rejected"
-          (tally (fun v -> match v.outcome with Rejected _ -> true | _ -> false));
-        add_int b first "errors"
-          (tally (fun v -> match v.outcome with Errored _ -> true | _ -> false));
-        add_int b first "cache_hits" r.cache_hits;
-        add_int b first "cache_misses" r.cache_misses;
-        add_int b first "configs" r.configs;
-        add_str b first "fingerprint" (fingerprint r))
-  in
-  (header :: List.map verdict_json r.verdicts)
-  @ List.map violation_json r.violations
-  @ [ summary ]
-
-(* ------------------------------------------------------------------ *)
-(* Flat JSON parsing (for `campaign report`)                           *)
-
-module Flat_json = struct
-  type value = Int of int | Float of float | Str of string | Bool of bool
-
-  (* Shortest decimal form that parses back to the same float: try the
-     15-digit form first, fall back to the always-exact 17 digits. Only
-     meaningful for finite floats — this module never emits non-finite
-     values. Integral floats keep a trailing '.' so the token stays
-     float-shaped: "1" would re-parse as Int and break round-tripping. *)
-  let float_repr f =
-    let s = Printf.sprintf "%.15g" f in
-    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
-    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s else s ^ "."
-
-  let to_string fields =
-    obj (fun b first ->
-        List.iter
-          (fun (k, v) ->
-            match v with
-            | Int i -> add_int b first k i
-            | Float f -> add_field b first k (float_repr f)
-            | Str s -> add_str b first k s
-            | Bool v -> add_bool b first k v)
-          fields)
-
-  exception Bad of string
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let expect c =
-      match peek () with
-      | Some x when x = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %C" c)
-    in
-    let skip_ws () =
-      while
-        match peek () with
-        | Some (' ' | '\t' | '\n' | '\r') -> true
-        | _ -> false
-      do
-        advance ()
-      done
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> Buffer.add_char b '"'; advance (); go ()
-          | Some '\\' -> Buffer.add_char b '\\'; advance (); go ()
-          | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
-          | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
-          | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
-          | Some '/' -> Buffer.add_char b '/'; advance (); go ()
-          | Some 'u' ->
-            advance ();
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
-            (match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
-            | Some _ -> Buffer.add_char b '?'
-            | None -> fail "bad \\u escape");
-            pos := !pos + 4;
-            go ()
-          | _ -> fail "bad escape")
-        | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let parse_scalar () =
-      match peek () with
-      | Some '"' -> Str (parse_string ())
-      | Some 't' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "true" then begin
-          pos := !pos + 4;
-          Bool true
-        end
-        else fail "bad literal"
-      | Some 'f' ->
-        if !pos + 5 <= n && String.sub s !pos 5 = "false" then begin
-          pos := !pos + 5;
-          Bool false
-        end
-        else fail "bad literal"
-      | Some ('-' | '0' .. '9') ->
-        let start = !pos in
-        let is_num c =
-          match c with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false
-        in
-        while (match peek () with Some c -> is_num c | None -> false) do
-          advance ()
-        done;
-        let tok = String.sub s start (!pos - start) in
-        (match int_of_string_opt tok with
-        | Some i -> Int i
-        | None -> (
-          match float_of_string_opt tok with
-          | Some f -> Float f
-          | None -> fail (Printf.sprintf "bad number %S" tok)))
-      | _ -> fail "expected a scalar value"
-    in
-    try
-      skip_ws ();
-      expect '{';
-      skip_ws ();
-      let fields = ref [] in
-      (match peek () with
-      | Some '}' -> advance ()
-      | _ ->
-        let rec members () =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          skip_ws ();
-          let v = parse_scalar () in
-          fields := (key, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ()
-          | Some '}' -> advance ()
-          | _ -> fail "expected ',' or '}'"
-        in
-        members ());
-      skip_ws ();
-      if !pos <> n then fail "trailing input";
-      Ok (List.rev !fields)
-    with Bad m -> Error m
-end
-
-let grid_axes = grid_axes_str
-
-let params_fields (p : params) =
-  [
-    ("workload", Flat_json.Str p.workload);
-    ("topology", Flat_json.Str p.topology);
-    ("nodes", Flat_json.Int p.nodes);
-    ("f", Flat_json.Int p.f);
-    ("r_us", Flat_json.Int p.r);
-    ("bandwidth_bps", Flat_json.Int p.bandwidth_bps);
-    ("protect", Flat_json.Str (Format.asprintf "%a" Task.pp_criticality p.protect));
-    ("control_share", Flat_json.Str (share_str p.control_share));
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Reports                                                             *)
-
-let render_report lines =
-  let open Flat_json in
-  let parse_all () =
-    List.filteri (fun _ l -> String.trim l <> "") lines
-    |> List.map (fun l ->
-           match parse l with
-           | Ok fields -> fields
-           | Error m -> raise (Bad (Printf.sprintf "%s in line %s" m l)))
-  in
-  match parse_all () with
-  | exception Bad m -> Error m
-  | objs ->
-    let get fields k = List.assoc_opt k fields in
-    let int_of fields k = match get fields k with Some (Int i) -> Some i | _ -> None in
-    let str_of fields k = match get fields k with Some (Str s) -> Some s | _ -> None in
-    let verdict_lines = List.filter (fun o -> int_of o "trial" <> None) objs in
-    let violation_lines = List.filter (fun o -> int_of o "violation" <> None) objs in
-    let summary = List.find_opt (fun o -> int_of o "total" <> None) objs in
-    let buf = Buffer.create 1024 in
-    let tally pred = List.length (List.filter pred verdict_lines) in
-    let verdict_is v o = str_of o "verdict" = Some v in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "campaign report: %d trials — %d pass, %d violations, %d rejected, %d errors\n"
-         (List.length verdict_lines)
-         (tally (verdict_is "pass"))
-         (tally (verdict_is "violation"))
-         (tally (verdict_is "rejected"))
-         (tally (verdict_is "error")));
-    (match summary with
-    | Some s ->
-      (match int_of s "cache_hits", int_of s "cache_misses" with
-      | Some h, Some m ->
-        Buffer.add_string buf
-          (Printf.sprintf "plan cache: %d hits / %d misses (%d configs planned once)\n" h m m)
-      | _ -> ());
-      (match str_of s "fingerprint" with
-      | Some fp -> Buffer.add_string buf (Printf.sprintf "fingerprint: %s\n" fp)
-      | None -> ())
-    | None -> ());
-    Buffer.add_char buf '\n';
-    (* Per-configuration aggregation, first-seen (= grid) order. *)
-    let key_of o =
-      Printf.sprintf "%s/%s n=%s f=%s R=%sus bw=%s %s share=%s"
-        (Option.value ~default:"?" (str_of o "workload"))
-        (Option.value ~default:"?" (str_of o "topology"))
-        (match int_of o "nodes" with Some i -> string_of_int i | None -> "?")
-        (match int_of o "f" with Some i -> string_of_int i | None -> "?")
-        (match int_of o "r_us" with Some i -> string_of_int i | None -> "?")
-        (match int_of o "bandwidth_bps" with Some i -> string_of_int i | None -> "?")
-        (Option.value ~default:"?" (str_of o "protect"))
-        (Option.value ~default:"?" (str_of o "control_share"))
-    in
-    let groups =
-      List.fold_left
-        (fun acc o ->
-          let k = key_of o in
-          if List.mem_assoc k acc then
-            List.map (fun (k', os) -> if k' = k then (k', o :: os) else (k', os)) acc
-          else acc @ [ (k, [ o ]) ])
-        [] verdict_lines
-    in
-    let table =
-      Table.create ~title:"per configuration"
-        ~header:[ "configuration"; "trials"; "viol"; "rej"; "worst recovery"; "max incorrect" ]
-    in
-    List.iter
-      (fun (k, os) ->
-        let os = List.rev os in
-        let n_tr = List.length os in
-        let viol = List.length (List.filter (verdict_is "violation") os) in
-        let rej = List.length (List.filter (verdict_is "rejected") os) in
-        let maxi key =
-          List.fold_left
-            (fun a o -> match int_of o key with Some v -> Stdlib.max a v | None -> a)
-            0 os
-        in
-        Table.add_row table
-          [
-            k;
-            string_of_int n_tr;
-            string_of_int viol;
-            string_of_int rej;
-            Time.to_string (maxi "worst_recovery_us");
-            Time.to_string (maxi "incorrect_us");
-          ])
-      groups;
-    Buffer.add_string buf (Table.render table);
-    Buffer.add_char buf '\n';
-    List.iter
-      (fun o ->
-        match int_of o "violation", str_of o "script" with
-        | Some idx, Some script ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "violation (trial %d): %s\n  events %s (from %s), shrink runs %s, worst recovery %s vs R %s\n"
-               idx script
-               (match int_of o "events" with Some i -> string_of_int i | None -> "?")
-               (match int_of o "events_before" with Some i -> string_of_int i | None -> "?")
-               (match int_of o "shrink_runs" with Some i -> string_of_int i | None -> "?")
-               (match int_of o "worst_recovery_us" with
-               | Some i -> Time.to_string i
-               | None -> "?")
-               (match int_of o "r_us" with Some i -> Time.to_string i | None -> "?"))
-        | _ -> ())
-      violation_lines;
-    Ok (Buffer.contents buf)
+    (commas share_name g.control_shares)

@@ -263,49 +263,54 @@ val validate_script : nodes:int -> Fault.script -> (unit, string) Stdlib.result
 (** [Error] naming the first node outside [[0, nodes)] that an event
     injects into or an [Omit_to] event targets. *)
 
-(** {1 Artifacts} *)
+(** {1 Artifact fields}
 
-val verdict_json : verdict -> string
-(** One flat JSON object per trial; byte-deterministic. *)
+    A campaign artifact is JSON lines of flat {!Btr_util.Flat_json}
+    objects. This module owns the fields of its verdict and violation
+    lines; the orchestrator owns the line layout (header, summary) and
+    the only reader. *)
 
-val violation_json : shrunk_violation -> string
-(** One flat JSON object per shrunk violation (the artifact's violation
-    lines); byte-deterministic. *)
+val criticality_of_name : string -> (Task.criticality, string) Stdlib.result
+(** ["best-effort"], ["low"], ["medium"], ["high"],
+    ["safety-critical"] — the names {!Task.pp_criticality} prints. *)
 
-val result_json_lines : result -> string list
-(** The campaign artifact: a header line, one line per verdict, one per
-    (shrunk) violation, and a summary line carrying the
-    {!fingerprint}. *)
+val share_name : float option -> string
+(** ["default"] for [None], ["%.6f"] otherwise. *)
 
-val fingerprint : result -> string
-(** FNV-1a 64 over the verdict lines, hex — equal iff the verdict lists
-    are byte-identical (the [--jobs] invariance check). *)
-
-val render_report : string list -> (string, string) Stdlib.result
-(** Parse artifact lines (as written by {!result_json_lines}) and render
-    the aggregate report: totals, a per-configuration table and the
-    violation schedules. [Error] on malformed input. *)
-
-(** Minimal flat-JSON parser for artifact lines (objects of string /
-    int / float / bool fields only — exactly what this module emits). *)
-module Flat_json : sig
-  type value = Int of int | Float of float | Str of string | Bool of bool
-
-  val parse : string -> ((string * value) list, string) Stdlib.result
-
-  val to_string : (string * value) list -> string
-  (** The canonical encoding {!parse} inverts:
-      [parse (to_string fields) = Ok fields] and re-encoding is
-      byte-identical, for any fields whose floats are finite. Field
-      order is preserved. *)
-end
-
-val grid_axes : grid -> string
-(** The grid-axes summary string artifact headers embed (the ["grid"]
-    field) — stable identity of the config cross product, axis values
-    comma-joined. *)
+val share_of_name : string -> (float option, string) Stdlib.result
+(** Inverse of {!share_name}. *)
 
 val params_fields : params -> (string * Flat_json.value) list
 (** The parameter fields exactly as {!verdict_json} embeds them
     ([workload] … [control_share], in order), for artifact writers that
     extend the schema — the orchestrator's frontier slice lines. *)
+
+val params_of_fields : (string * Flat_json.value) list -> (params, string) Stdlib.result
+(** Inverse of {!params_fields}; extra fields are ignored, so it reads
+    verdict and frontier slice lines alike. *)
+
+val verdict_fields : verdict -> (string * Flat_json.value) list
+(** One trial's line: its index, {!params_fields}, runtime seed, script
+    and horizon, the verdict name and either the run statistics or the
+    rejection reason. *)
+
+val verdict_json : verdict -> string
+(** [Flat_json.to_string (verdict_fields v)]; byte-deterministic. *)
+
+val trial_of_fields : (string * Flat_json.value) list -> (trial, string) Stdlib.result
+(** The trial a verdict line records — inverse of the trial part of
+    {!verdict_fields}. [Error] on a missing or ill-typed field or a
+    script naming a node outside the trial's node count. *)
+
+val violation_json : shrunk_violation -> string
+(** One flat JSON object per shrunk violation (the artifact's violation
+    lines); byte-deterministic. *)
+
+val fingerprint : result -> string
+(** FNV-1a 64 over the verdict lines, hex — equal iff the verdict lists
+    are byte-identical (the [--jobs] invariance check). *)
+
+val grid_axes : grid -> string
+(** The grid-axes summary string artifact headers embed (the ["grid"]
+    field) — stable identity of the config cross product, axis values
+    comma-joined. *)

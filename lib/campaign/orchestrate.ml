@@ -10,7 +10,10 @@
 
 open Btr_util
 module Obs = Btr_obs.Obs
-module J = Campaign.Flat_json
+module J = Flat_json
+module Task = Btr_workload.Task
+
+let ( let* ) = Result.bind
 
 (* ------------------------------------------------------------------ *)
 (* Sharding                                                            *)
@@ -74,50 +77,68 @@ let spec_fingerprint (spec : Campaign.spec) =
 (* ------------------------------------------------------------------ *)
 (* Artifact lines                                                      *)
 
-let int_of fields k = match List.assoc_opt k fields with Some (J.Int i) -> Some i | _ -> None
-let str_of fields k = match List.assoc_opt k fields with Some (J.Str s) -> Some s | _ -> None
+type entry = { raw : string; fields : (string * J.value) list }
 
-let bool_of fields k =
-  match List.assoc_opt k fields with Some (J.Bool b) -> Some b | _ -> None
+let has key e = J.int_of e.fields key <> None
+let by_index l = List.sort (fun (a, _) (b, _) -> Int.compare a b) l
 
-let header_line ~seed ~trials ~configs ~shrink ~grid ~spec_fp shard =
-  J.to_string
-    [
-      ("campaign", J.Int 2);
-      ("seed", J.Int seed);
-      ("trials", J.Int trials);
-      ("configs", J.Int configs);
-      ("shrink", J.Bool shrink);
-      ("grid", J.Str grid);
-      ("spec_fp", J.Str spec_fp);
-      ("shard_index", J.Int shard.index);
-      ("shard_count", J.Int shard.count);
-    ]
-
-let verdict_name_of_line line =
-  match J.parse line with Ok fields -> str_of fields "verdict" | Error _ -> None
-
-(* The summary's tallies are recomputed from the verdict lines so a
-   resumed or combined artifact summarizes the merged whole, not just
-   the freshly executed part. No cache_hits/cache_misses here: those
-   depend on how execution was partitioned, and the summary must be
-   byte-identical however the campaign was sliced. *)
-let summary_line ~verdict_lines ~configs ~complete shard =
-  let tally v =
-    List.length (List.filter (fun l -> verdict_name_of_line l = Some v) verdict_lines)
+(* Every nonblank line, parsed. A final line that does not parse is a
+   torn write (the writer was killed mid-line): it is dropped and
+   flagged. Any other malformed line is an error. *)
+let parse_lines lines =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc, false)
+    | l :: rest -> (
+      match J.parse l with
+      | Ok fields -> go ({ raw = l; fields } :: acc) rest
+      | Error _ when rest = [] -> Ok (List.rev acc, true)
+      | Error m -> Error (Printf.sprintf "malformed artifact line %S: %s" l m))
   in
-  J.to_string
-    [
-      ("total", J.Int (List.length verdict_lines));
-      ("violations", J.Int (tally "violation"));
-      ("rejected", J.Int (tally "rejected"));
-      ("errors", J.Int (tally "error"));
-      ("configs", J.Int configs);
-      ("complete", J.Bool complete);
-      ("shard_index", J.Int shard.index);
-      ("shard_count", J.Int shard.count);
-      ("fingerprint", J.Str (Fnv.to_hex (Fnv.hash64_lines verdict_lines)));
-    ]
+  go [] (List.filter (fun l -> String.trim l <> "") lines)
+
+let torn_error = Error "artifact is truncated: its last line is incomplete"
+
+(* The artifact of [verdicts] (index, entry) and [violation_lines],
+   both in trial order. The summary's tallies are recomputed from the
+   verdicts so a resumed or combined artifact summarizes the merged
+   whole, not just the freshly executed part. No cache_hits/cache_misses
+   here: those depend on how execution was partitioned, and the summary
+   must be byte-identical however the campaign was sliced. *)
+let assemble ~seed ~trials ~configs ~shrink ~grid ~spec_fp ~complete shard ~verdicts
+    ~violation_lines =
+  let verdict_lines = List.map (fun (_, e) -> e.raw) verdicts in
+  let tally v =
+    List.length (List.filter (fun (_, e) -> J.str_of e.fields "verdict" = Some v) verdicts)
+  in
+  let header =
+    J.to_string
+      [
+        ("campaign", J.Int 2);
+        ("seed", J.Int seed);
+        ("trials", J.Int trials);
+        ("configs", J.Int configs);
+        ("shrink", J.Bool shrink);
+        ("grid", J.Str grid);
+        ("spec_fp", J.Str spec_fp);
+        ("shard_index", J.Int shard.index);
+        ("shard_count", J.Int shard.count);
+      ]
+  in
+  let summary =
+    J.to_string
+      [
+        ("total", J.Int (List.length verdicts));
+        ("violations", J.Int (tally "violation"));
+        ("rejected", J.Int (tally "rejected"));
+        ("errors", J.Int (tally "error"));
+        ("configs", J.Int configs);
+        ("complete", J.Bool complete);
+        ("shard_index", J.Int shard.index);
+        ("shard_count", J.Int shard.count);
+        ("fingerprint", J.Str (Fnv.to_hex (Fnv.hash64_lines verdict_lines)));
+      ]
+  in
+  ((header :: verdict_lines) @ violation_lines @ [ summary ], tally "violation" > 0)
 
 type artifact = {
   a_seed : int;
@@ -128,38 +149,22 @@ type artifact = {
   a_spec_fp : string;
   a_shard : shard;
   a_complete : bool;
+  a_torn : bool;
   a_fingerprint : string;
-  a_verdicts : (int * string) list;
-  a_violations : (int * string) list;
+  a_verdicts : (int * entry) list;
+  a_violations : (int * entry) list;
 }
 
 let parse_artifact lines =
-  let nonblank = List.filter (fun l -> String.trim l <> "") lines in
-  (* Parse every line; a torn final line (the writer was killed
-     mid-write) is dropped, anything else malformed is an error. *)
-  let rec parse_all acc = function
-    | [] -> Ok (List.rev acc)
-    | [ last ] -> (
-      match J.parse last with
-      | Ok f -> Ok (List.rev ((last, f) :: acc))
-      | Error _ -> Ok (List.rev acc))
-    | l :: rest -> (
-      match J.parse l with
-      | Ok f -> parse_all ((l, f) :: acc) rest
-      | Error m -> Error (Printf.sprintf "malformed artifact line %S: %s" l m))
-  in
-  let ( let* ) r k = match r with Error _ as e -> e | Ok v -> k v in
-  let* objs = parse_all [] nonblank in
-  let headers = List.filter (fun (_, f) -> int_of f "campaign" <> None) objs in
-  let summaries = List.filter (fun (_, f) -> int_of f "total" <> None) objs in
-  let* _, header =
-    match headers with
-    | [ h ] -> Ok h
+  let* objs, a_torn = parse_lines lines in
+  let* header =
+    match List.filter (has "campaign") objs with
+    | [ h ] -> Ok h.fields
     | [] -> Error "artifact has no header line"
     | _ -> Error "artifact has multiple header lines (concatenated shards? use combine)"
   in
   let* () =
-    match int_of header "campaign" with
+    match J.int_of header "campaign" with
     | Some 2 -> Ok ()
     | Some v ->
       Error
@@ -168,49 +173,35 @@ let parse_artifact lines =
     | None -> Error "artifact header has no version"
   in
   let* summary =
-    match summaries with
+    match List.filter (has "total") objs with
     | [] -> Ok None
-    | [ (_, s) ] -> Ok (Some s)
+    | [ s ] -> Ok (Some s.fields)
     | _ -> Error "artifact has multiple summary lines"
   in
-  let req name =
-    match int_of header name with
+  let req get name =
+    match get header name with
     | Some v -> Ok v
     | None -> Error (Printf.sprintf "artifact header is missing %S" name)
   in
-  let* a_seed = req "seed" in
-  let* a_trials = req "trials" in
-  let* a_configs = req "configs" in
-  let* shard_index = req "shard_index" in
-  let* shard_count = req "shard_count" in
+  let* a_seed = req J.int_of "seed" in
+  let* a_trials = req J.int_of "trials" in
+  let* a_configs = req J.int_of "configs" in
+  let* shard_index = req J.int_of "shard_index" in
+  let* shard_count = req J.int_of "shard_count" in
   let a_shard = { index = shard_index; count = shard_count } in
   let* () =
     if valid_shard a_shard then Ok ()
     else Error (Printf.sprintf "artifact header has bad shard %s" (shard_to_string a_shard))
   in
-  let* a_shrink =
-    match bool_of header "shrink" with
-    | Some b -> Ok b
-    | None -> Error "artifact header is missing \"shrink\""
-  in
-  let* a_grid =
-    match str_of header "grid" with
-    | Some g -> Ok g
-    | None -> Error "artifact header is missing \"grid\""
-  in
-  let* a_spec_fp =
-    match str_of header "spec_fp" with
-    | Some fp -> Ok fp
-    | None -> Error "artifact header is missing \"spec_fp\""
-  in
+  let* a_shrink = req J.bool_of "shrink" in
+  let* a_grid = req J.str_of "grid" in
+  let* a_spec_fp = req J.str_of "spec_fp" in
   let keyed key =
-    List.filter_map
-      (fun (line, f) -> match int_of f key with Some i -> Some (i, line) | None -> None)
-      objs
+    by_index
+      (List.filter_map (fun e -> Option.map (fun i -> (i, e)) (J.int_of e.fields key)) objs)
   in
-  let sort l = List.sort (fun (a, _) (b, _) -> Int.compare a b) l in
-  let a_verdicts = sort (keyed "trial") in
-  let a_violations = sort (keyed "violation") in
+  let a_verdicts = keyed "trial" in
+  let a_violations = keyed "violation" in
   let* () =
     let rec dup = function
       | (a, _) :: ((b, _) :: _ as rest) ->
@@ -222,11 +213,11 @@ let parse_artifact lines =
     | None -> Ok ()
   in
   let a_complete =
-    match summary with Some s -> bool_of s "complete" = Some true | None -> false
+    match summary with Some s -> J.bool_of s "complete" = Some true | None -> false
   in
   let a_fingerprint =
     match summary with
-    | Some s -> Option.value ~default:"" (str_of s "fingerprint")
+    | Some s -> Option.value ~default:"" (J.str_of s "fingerprint")
     | None -> ""
   in
   Ok
@@ -239,6 +230,7 @@ let parse_artifact lines =
       a_spec_fp;
       a_shard;
       a_complete;
+      a_torn;
       a_fingerprint;
       a_verdicts;
       a_violations;
@@ -264,21 +256,7 @@ let rec take k = function
 let count_to reg name v =
   Obs.Counter.add (Obs.Registry.counter reg Obs.Campaign name) v
 
-let assemble ~(spec : Campaign.spec) ~configs ~spec_fp ~shard ~complete ~verdicts
-    ~violations =
-  let verdict_lines = List.map snd verdicts in
-  let header =
-    header_line ~seed:spec.seed ~trials:spec.trials ~configs ~shrink:spec.shrink
-      ~grid:(Campaign.grid_axes spec.grid) ~spec_fp shard
-  in
-  let summary = summary_line ~verdict_lines ~configs ~complete shard in
-  let has_violations =
-    List.exists (fun l -> verdict_name_of_line l = Some "violation") verdict_lines
-  in
-  ((header :: verdict_lines) @ List.map snd violations @ [ summary ], has_violations)
-
 let run ?obs ?jobs ?resume ?max_trials ~shard (spec : Campaign.spec) =
-  let ( let* ) r k = match r with Error _ as e -> e | Ok v -> k v in
   let* () =
     if valid_shard shard then Ok ()
     else Error (Printf.sprintf "bad shard %s" (shard_to_string shard))
@@ -332,7 +310,7 @@ let run ?obs ?jobs ?resume ?max_trials ~shard (spec : Campaign.spec) =
                i (shard_to_string shard))
         | None -> Ok ()
       in
-      Ok (a.a_verdicts, a.a_violations)
+      Ok (a.a_verdicts, List.map (fun (i, e) -> (i, e.raw)) a.a_violations)
   in
   let recorded i = List.mem_assoc i recorded_verdicts in
   let todo = List.filter (fun (t : Campaign.trial) -> not (recorded t.index)) mine in
@@ -346,7 +324,9 @@ let run ?obs ?jobs ?resume ?max_trials ~shard (spec : Campaign.spec) =
   let result = Campaign.run_trials ~obs ?jobs spec todo in
   let new_verdicts =
     List.map
-      (fun (v : Campaign.verdict) -> (v.trial.index, Campaign.verdict_json v))
+      (fun (v : Campaign.verdict) ->
+        let fields = Campaign.verdict_fields v in
+        (v.trial.index, { raw = J.to_string fields; fields }))
       result.verdicts
   in
   let new_violation_lines =
@@ -354,12 +334,12 @@ let run ?obs ?jobs ?resume ?max_trials ~shard (spec : Campaign.spec) =
       (fun (s : Campaign.shrunk_violation) -> (s.source.index, Campaign.violation_json s))
       result.violations
   in
-  let sort l = List.sort (fun (a, _) (b, _) -> Int.compare a b) l in
-  let verdicts = sort (recorded_verdicts @ new_verdicts) in
-  let violations = sort (recorded_violations @ new_violation_lines) in
   let complete = skipped + executed = total in
   let lines, has_violations =
-    assemble ~spec ~configs ~spec_fp ~shard ~complete ~verdicts ~violations
+    assemble ~seed:spec.seed ~trials:spec.trials ~configs ~shrink:spec.shrink
+      ~grid:(Campaign.grid_axes spec.grid) ~spec_fp ~complete shard
+      ~verdicts:(by_index (recorded_verdicts @ new_verdicts))
+      ~violation_lines:(List.map snd (by_index (recorded_violations @ new_violation_lines)))
   in
   Ok
     {
@@ -376,7 +356,6 @@ let run ?obs ?jobs ?resume ?max_trials ~shard (spec : Campaign.spec) =
 (* Combine                                                             *)
 
 let combine inputs =
-  let ( let* ) r k = match r with Error _ as e -> e | Ok v -> k v in
   let* () = if inputs = [] then Error "no artifacts to combine" else Ok () in
   let rec parse_each i = function
     | [] -> Ok []
@@ -452,9 +431,7 @@ let combine inputs =
     in
     check_art arts
   in
-  let verdicts =
-    List.sort (fun (a, _) (b, _) -> Int.compare a b) (List.concat_map (fun a -> a.a_verdicts) arts)
-  in
+  let verdicts = by_index (List.concat_map (fun a -> a.a_verdicts) arts) in
   let* () =
     if List.length verdicts = first.a_trials then Ok ()
     else
@@ -462,22 +439,12 @@ let combine inputs =
         (Printf.sprintf "combined shards record %d verdicts for %d trials"
            (List.length verdicts) first.a_trials)
   in
-  let violations =
-    List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      (List.concat_map (fun a -> a.a_violations) arts)
-  in
-  let verdict_lines = List.map snd verdicts in
-  let header =
-    header_line ~seed:first.a_seed ~trials:first.a_trials ~configs:first.a_configs
-      ~shrink:first.a_shrink ~grid:first.a_grid ~spec_fp:first.a_spec_fp unsharded
-  in
-  let summary =
-    summary_line ~verdict_lines ~configs:first.a_configs ~complete:true unsharded
-  in
-  let has_violations =
-    List.exists (fun l -> verdict_name_of_line l = Some "violation") verdict_lines
-  in
-  Ok ((header :: verdict_lines) @ List.map snd violations @ [ summary ], has_violations)
+  let violations = by_index (List.concat_map (fun a -> a.a_violations) arts) in
+  Ok
+    (assemble ~seed:first.a_seed ~trials:first.a_trials ~configs:first.a_configs
+       ~shrink:first.a_shrink ~grid:first.a_grid ~spec_fp:first.a_spec_fp ~complete:true
+       unsharded ~verdicts
+       ~violation_lines:(List.map (fun (_, e) -> e.raw) violations))
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive frontier search                                            *)
@@ -547,7 +514,6 @@ let slice_axes fs =
   | Axis_strikes -> g
 
 let validate_frontier fs =
-  let ( let* ) r k = match r with Error _ as e -> e | Ok () -> k () in
   let check ok msg = if ok then Ok () else Error msg in
   let* () = check (fs.tolerance >= 1) "tolerance must be >= 1" in
   let* () = check (fs.probes >= 1) "probes must be >= 1" in
@@ -731,79 +697,175 @@ let frontier_lines fr =
 let is_frontier_artifact lines =
   match List.find_opt (fun l -> String.trim l <> "") lines with
   | None -> false
-  | Some l -> ( match J.parse l with Ok f -> int_of f "frontier" <> None | Error _ -> false)
+  | Some l -> (
+    match J.parse l with Ok f -> J.int_of f "frontier" <> None | Error _ -> false)
+
+(* Each of [entries] with its decoded parameters; a line that does not
+   decode is named by its [key] field in the error. *)
+let decode_params key entries =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | e :: rest -> (
+      match Campaign.params_of_fields e.fields with
+      | Ok p -> go ((e, p) :: acc) rest
+      | Error m ->
+        Error
+          (Printf.sprintf "%s %s: %s" key
+             (Option.fold ~none:"?" ~some:string_of_int (J.int_of e.fields key))
+             m))
+  in
+  go [] entries
 
 let render_frontier lines =
-  let nonblank = List.filter (fun l -> String.trim l <> "") lines in
-  let rec parse_all acc = function
-    | [] -> Ok (List.rev acc)
-    | l :: rest -> (
-      match J.parse l with
-      | Ok f -> parse_all (f :: acc) rest
-      | Error m -> Error (Printf.sprintf "malformed frontier line %S: %s" l m))
+  let* objs, torn = parse_lines lines in
+  let* () = if torn then torn_error else Ok () in
+  match List.find_opt (has "frontier") objs with
+  | None -> Error "not a frontier artifact (no frontier header)"
+  | Some { fields = header; _ } ->
+    let* slices = decode_params "slice" (List.filter (has "slice") objs) in
+    let axis = Option.value ~default:"?" (J.str_of header "axis") in
+    let summary = List.find_opt (has "total_probes") objs in
+    let show v = if axis = "r" then Time.to_string v else string_of_int v in
+    let buf = Buffer.create 1024 in
+    Buffer.add_string buf
+      (Printf.sprintf
+         "frontier report: axis %s in [%s, %s] step %s, %s probes/point, %d slices%s\n"
+         axis
+         (match J.int_of header "lo" with Some v -> show v | None -> "?")
+         (match J.int_of header "hi" with Some v -> show v | None -> "?")
+         (match J.int_of header "tolerance" with Some v -> show v | None -> "?")
+         (match J.int_of header "probes_per_point" with
+         | Some v -> string_of_int v
+         | None -> "?")
+         (List.length slices)
+         (match Option.bind summary (fun s -> J.int_of s.fields "total_probes") with
+         | Some p -> Printf.sprintf ", %d probes total" p
+         | None -> ""));
+    Buffer.add_char buf '\n';
+    let table =
+      Table.create ~title:"admit/violate boundary"
+        ~header:[ "slice"; "configuration"; "boundary"; "evals"; "probes" ]
+    in
+    List.iter
+      (fun (e, (p : Campaign.params)) ->
+        let istr k = match J.int_of e.fields k with Some v -> string_of_int v | None -> "?" in
+        let marked name v = if axis = name then "*" else v in
+        let config =
+          Format.asprintf "%s/%s n=%d f=%s R=%s bw=%s %a share=%s" p.workload p.topology
+            p.nodes
+            (marked "f" (string_of_int p.f))
+            (marked "r" (Time.to_string p.r))
+            (marked "bandwidth" (string_of_int p.bandwidth_bps))
+            Task.pp_criticality p.protect
+            (Campaign.share_name p.control_share)
+        in
+        let boundary =
+          match J.int_of e.fields "admit_at", J.int_of e.fields "violate_at" with
+          | Some a, Some v ->
+            if a > v then Printf.sprintf "admit >= %s (violate <= %s)" (show a) (show v)
+            else Printf.sprintf "admit <= %s (violate >= %s)" (show a) (show v)
+          | _ -> (
+            match J.bool_of e.fields "lo_admit" with
+            | Some true -> "all admit"
+            | Some false -> "all violate"
+            | None -> "?")
+        in
+        Table.add_row table [ istr "slice"; config; boundary; istr "evals"; istr "probes" ])
+      slices;
+    Buffer.add_string buf (Table.render table);
+    Ok (Buffer.contents buf)
+
+(* ------------------------------------------------------------------ *)
+(* Reading campaign artifacts back                                     *)
+
+let render_campaign a =
+  let* () = if a.a_torn then torn_error else Ok () in
+  let* verdicts = decode_params "trial" (List.map snd a.a_verdicts) in
+  let verdict_is v (e, _) = J.str_of e.fields "verdict" = Some v in
+  let tally v l = List.length (List.filter (verdict_is v) l) in
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf
+    (Printf.sprintf
+       "campaign report: %d trials — %d pass, %d violations, %d rejected, %d errors\n"
+       (List.length verdicts) (tally "pass" verdicts) (tally "violation" verdicts)
+       (tally "rejected" verdicts) (tally "error" verdicts));
+  if a.a_fingerprint <> "" then
+    Buffer.add_string buf (Printf.sprintf "fingerprint: %s\n" a.a_fingerprint);
+  Buffer.add_char buf '\n';
+  (* Per-configuration aggregation, first-seen (= grid) order. *)
+  let key_of (p : Campaign.params) =
+    Format.asprintf "%s/%s n=%d f=%d R=%dus bw=%d %a share=%s" p.workload p.topology
+      p.nodes p.f p.r p.bandwidth_bps Task.pp_criticality p.protect
+      (Campaign.share_name p.control_share)
   in
-  match parse_all [] nonblank with
-  | Error _ as e -> e
-  | Ok objs -> (
-    match List.find_opt (fun f -> int_of f "frontier" <> None) objs with
-    | None -> Error "not a frontier artifact (no frontier header)"
-    | Some header ->
-      let axis = Option.value ~default:"?" (str_of header "axis") in
-      let slices = List.filter (fun f -> int_of f "slice" <> None) objs in
-      let summary = List.find_opt (fun f -> int_of f "total_probes" <> None) objs in
-      let show v = if axis = "r" then Time.to_string v else string_of_int v in
-      let buf = Buffer.create 1024 in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "frontier report: axis %s in [%s, %s] step %s, %s probes/point, %d slices%s\n"
-           axis
-           (match int_of header "lo" with Some v -> show v | None -> "?")
-           (match int_of header "hi" with Some v -> show v | None -> "?")
-           (match int_of header "tolerance" with Some v -> show v | None -> "?")
-           (match int_of header "probes_per_point" with
-           | Some v -> string_of_int v
-           | None -> "?")
-           (List.length slices)
-           (match summary with
-           | Some s -> (
-             match int_of s "total_probes" with
-             | Some p -> Printf.sprintf ", %d probes total" p
-             | None -> "")
-           | None -> ""));
-      Buffer.add_char buf '\n';
-      let table =
-        Table.create ~title:"admit/violate boundary"
-          ~header:[ "slice"; "configuration"; "boundary"; "evals"; "probes" ]
+  let groups =
+    List.fold_left
+      (fun acc ((_, p) as v) ->
+        let k = key_of p in
+        if List.mem_assoc k acc then
+          List.map (fun (k', vs) -> if k' = k then (k', v :: vs) else (k', vs)) acc
+        else acc @ [ (k, [ v ]) ])
+      [] verdicts
+  in
+  let table =
+    Table.create ~title:"per configuration"
+      ~header:[ "configuration"; "trials"; "viol"; "rej"; "worst recovery"; "max incorrect" ]
+  in
+  List.iter
+    (fun (k, vs) ->
+      let maxi key =
+        List.fold_left
+          (fun m (e, _) -> match J.int_of e.fields key with Some v -> max m v | None -> m)
+          0 vs
       in
-      List.iter
-        (fun o ->
-          let istr k = match int_of o k with Some v -> string_of_int v | None -> "?" in
-          let sstr k = Option.value ~default:"?" (str_of o k) in
-          let axis_marked k name =
-            if axis = name then "*" else istr k
-          in
-          let config =
-            Printf.sprintf "%s/%s n=%s f=%s R=%s bw=%s %s share=%s" (sstr "workload")
-              (sstr "topology") (istr "nodes") (axis_marked "f" "f")
-              (if axis = "r" then "*"
-               else
-                 match int_of o "r_us" with Some v -> Time.to_string v | None -> "?")
-              (axis_marked "bandwidth_bps" "bandwidth")
-              (sstr "protect") (sstr "control_share")
-          in
-          let boundary =
-            match int_of o "admit_at", int_of o "violate_at" with
-            | Some a, Some v ->
-              if a > v then Printf.sprintf "admit >= %s (violate <= %s)" (show a) (show v)
-              else Printf.sprintf "admit <= %s (violate >= %s)" (show a) (show v)
-            | _ -> (
-              match bool_of o "lo_admit" with
-              | Some true -> "all admit"
-              | Some false -> "all violate"
-              | None -> "?")
-          in
-          Table.add_row table
-            [ istr "slice"; config; boundary; istr "evals"; istr "probes" ])
-        slices;
-      Buffer.add_string buf (Table.render table);
-      Ok (Buffer.contents buf))
+      Table.add_row table
+        [
+          k;
+          string_of_int (List.length vs);
+          string_of_int (tally "violation" vs);
+          string_of_int (tally "rejected" vs);
+          Time.to_string (maxi "worst_recovery_us");
+          Time.to_string (maxi "incorrect_us");
+        ])
+    groups;
+  Buffer.add_string buf (Table.render table);
+  Buffer.add_char buf '\n';
+  let r_of idx =
+    match List.assoc_opt idx a.a_verdicts with
+    | Some e -> Result.to_option (Campaign.params_of_fields e.fields)
+    | None -> None
+  in
+  List.iter
+    (fun (idx, e) ->
+      let istr k = match J.int_of e.fields k with Some i -> string_of_int i | None -> "?" in
+      match J.str_of e.fields "script" with
+      | Some script ->
+        Buffer.add_string buf
+          (Printf.sprintf
+             "violation (trial %d): %s\n\
+             \  events %s (from %s), shrink runs %s, worst recovery %s vs R %s\n"
+             idx script (istr "events") (istr "events_before") (istr "shrink_runs")
+             (match J.int_of e.fields "worst_recovery_us" with
+             | Some i -> Time.to_string i
+             | None -> "?")
+             (match r_of idx with Some p -> Time.to_string p.r | None -> "?"))
+      | None -> ())
+    a.a_violations;
+  Ok (Buffer.contents buf)
+
+let render_report lines =
+  if is_frontier_artifact lines then render_frontier lines
+  else
+    let* a = parse_artifact lines in
+    render_campaign a
+
+let replay a index =
+  let* () = if a.a_torn then torn_error else Ok () in
+  match List.assoc_opt index a.a_verdicts with
+  | None -> Error (Printf.sprintf "artifact records no trial %d" index)
+  | Some e -> (
+    match Campaign.trial_of_fields e.fields with
+    | Error m -> Error (Printf.sprintf "trial %d: %s" index m)
+    | Ok t ->
+      let cache = Campaign.Cache.create ~seed:a.a_seed in
+      Ok (t, Campaign.run_script ~cache t.params ~runtime_seed:t.runtime_seed t.script))

@@ -62,11 +62,13 @@ val spec_fingerprint : Campaign.spec -> string
     header fields. Two specs agree iff they would execute the identical
     campaign, so this is the resume/combine compatibility check. *)
 
-(** A parsed artifact. Verdict and violation lines are kept as raw
-    strings (keyed by trial index) so resuming and combining reuse the
-    recorded bytes instead of re-deriving them. *)
+(** One artifact line: its bytes as read, which resume and combine
+    reuse verbatim, and its fields. *)
+type entry = { raw : string; fields : (string * Btr_util.Flat_json.value) list }
+
+(** A parsed artifact. *)
 type artifact = {
-  a_seed : int;
+  a_seed : int;  (** the campaign seed: fixes the [random] workload graph *)
   a_trials : int;  (** planned trials of the full (unsharded) spec *)
   a_configs : int;
   a_shrink : bool;
@@ -74,15 +76,30 @@ type artifact = {
   a_spec_fp : string;
   a_shard : shard;
   a_complete : bool;  (** summary line present and marked complete *)
+  a_torn : bool;  (** the last line was incomplete and has been dropped *)
   a_fingerprint : string;  (** from the summary line; [""] if absent *)
-  a_verdicts : (int * string) list;  (** ascending trial index *)
-  a_violations : (int * string) list;  (** ascending source trial index *)
+  a_verdicts : (int * entry) list;  (** ascending trial index *)
+  a_violations : (int * entry) list;  (** ascending source trial index *)
 }
 
 val parse_artifact : string list -> (artifact, string) result
 (** Parses the lines of an orchestrated artifact. A final torn line
-    (killed mid-write) is dropped; any other malformed line is an
-    error, as are duplicate trial indices or a missing header. *)
+    (killed mid-write) is dropped and flagged in [a_torn] — resume
+    continues from such an artifact, the readers below refuse it; any
+    other malformed line is an error, as are duplicate trial indices, a
+    missing header or a version-1 header. Total: [Error], never an
+    exception. *)
+
+val render_report : string list -> (string, string) result
+(** The aggregate report of a campaign artifact — totals, the summary
+    fingerprint, a per-configuration table and the violation schedules
+    — rendered from {!parse_artifact}; a frontier artifact is handed to
+    {!render_frontier}. [Error] on a malformed or torn artifact. *)
+
+val replay : artifact -> int -> (Campaign.trial * Campaign.outcome, string) result
+(** Re-run trial [index] exactly as recorded: the trial decoded from its
+    verdict line, planned under the header's campaign seed. [Error] when
+    the artifact is torn or does not record the trial. *)
 
 (** {1 Orchestrated runs} *)
 
@@ -205,4 +222,4 @@ val is_frontier_artifact : string list -> bool
 
 val render_frontier : string list -> (string, string) result
 (** Parse frontier artifact lines and render the per-slice boundary
-    table. *)
+    table. [Error] on a malformed or torn artifact. *)

@@ -187,25 +187,13 @@ let pp_report ppf r =
   List.iter (fun d -> Format.fprintf ppf "@,%a" pp_diagnostic d) r.diagnostics;
   Format.fprintf ppf "@]"
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let encode_diagnostic b d =
   Buffer.add_string b "{\"code\":\"";
   Buffer.add_string b (code_id d.code);
   Buffer.add_string b "\",\"severity\":\"";
   Buffer.add_string b (severity_name (severity_of d.code));
   Buffer.add_string b "\",\"message\":\"";
-  json_escape b d.message;
+  Flat_json.escape b d.message;
   Buffer.add_char b '"';
   Option.iter
     (fun fs ->

@@ -1,6 +1,7 @@
 open Btr_util
 module Campaign = Btr_campaign.Campaign
 module Shrink = Btr_campaign.Shrink
+module Orchestrate = Btr_campaign.Orchestrate
 module Task = Btr_workload.Task
 module Fault = Btr_fault.Fault
 module Obs = Btr_obs.Obs
@@ -206,12 +207,18 @@ let prop_codec_roundtrip =
 
 (* --- determinism across worker counts ------------------------------- *)
 
+let orchestrated ?obs ~jobs spec =
+  match Orchestrate.run ?obs ~jobs ~shard:Orchestrate.unsharded spec with
+  | Ok r -> r
+  | Error m -> Alcotest.failf "campaign run failed: %s" m
+
 let prop_jobs_invariant =
   (* The tentpole's regression guard: chunked index claiming and the
      sharded plan cache must preserve byte-identical artifacts (verdict
-     lines, counters, fingerprint) for every worker count. Trial counts
-     vary with the seed so the chunking edges (n < jobs, n = jobs,
-     chunk > 1 remainders) all get exercised. *)
+     lines, summary, fingerprint) and exact plan-cache counters for
+     every worker count. Trial counts vary with the seed so the chunking
+     edges (n < jobs, n = jobs, chunk > 1 remainders) all get
+     exercised. *)
   QCheck.Test.make ~name:"artifacts identical for jobs in {1,2,4,8}" ~count:50
     QCheck.(map (fun s -> abs s) small_int)
     (fun seed ->
@@ -220,11 +227,16 @@ let prop_jobs_invariant =
           ~trials:(4 + (seed mod 5))
           ~seed ~shrink:false ()
       in
-      let base = Campaign.run ~jobs:1 spec in
-      let lines = Campaign.result_json_lines base in
-      List.for_all
-        (fun jobs -> Campaign.result_json_lines (Campaign.run ~jobs spec) = lines)
-        [ 2; 4; 8 ])
+      let artifact_and_cache jobs =
+        let obs = Obs.create () in
+        let lines = (orchestrated ~obs ~jobs spec).Orchestrate.lines in
+        let counters = Obs.Registry.counters (Obs.registry obs) in
+        ( lines,
+          List.assoc_opt "campaign.plan_cache_hits" counters,
+          List.assoc_opt "campaign.plan_cache_misses" counters )
+      in
+      let base = artifact_and_cache 1 in
+      List.for_all (fun jobs -> artifact_and_cache jobs = base) [ 2; 4; 8 ])
 
 let test_full_artifact_jobs_invariant () =
   (* the whole artifact must not depend on the worker count. This seed
@@ -234,11 +246,10 @@ let test_full_artifact_jobs_invariant () =
      regression being pinned here (the conformance suite sweeps it
      exhaustively). *)
   let spec = Campaign.spec ~trials:10 ~seed:7 () in
-  let a = Campaign.run ~jobs:1 spec and b = Campaign.run ~jobs:3 spec in
-  check_bool "admitted grid runs clean" true (a.Campaign.violations = []);
-  check_bool "artifacts identical" true
-    (Campaign.result_json_lines a = Campaign.result_json_lines b);
-  check_int "jobs recorded" 3 b.Campaign.jobs
+  let a = orchestrated ~jobs:1 spec and b = orchestrated ~jobs:3 spec in
+  check_bool "admitted grid runs clean" true (not a.Orchestrate.has_violations);
+  check_bool "artifacts identical" true (a.Orchestrate.lines = b.Orchestrate.lines);
+  check_int "jobs recorded" 3 (Campaign.run_trials ~jobs:3 spec []).Campaign.jobs
 
 let test_shrunk_violations_replay () =
   (* Generated scripts respect f, and admitted configs now survive every
@@ -489,16 +500,16 @@ let test_flat_json_parses_verdicts () =
   let result = Campaign.run ~jobs:1 spec in
   List.iter
     (fun v ->
-      match Campaign.Flat_json.parse (Campaign.verdict_json v) with
+      match Flat_json.parse (Campaign.verdict_json v) with
       | Error m -> Alcotest.failf "verdict line unparseable: %s" m
       | Ok fields ->
         check_bool "has trial" true
           (match List.assoc_opt "trial" fields with
-          | Some (Campaign.Flat_json.Int _) -> true
+          | Some (Flat_json.Int _) -> true
           | _ -> false);
         check_bool "has verdict" true
           (match List.assoc_opt "verdict" fields with
-          | Some (Campaign.Flat_json.Str _) -> true
+          | Some (Flat_json.Str _) -> true
           | _ -> false))
     result.Campaign.verdicts
 
@@ -506,19 +517,19 @@ let test_flat_json_rejects_garbage () =
   List.iter
     (fun s ->
       check_bool (Printf.sprintf "reject %S" s) true
-        (Result.is_error (Campaign.Flat_json.parse s)))
+        (Result.is_error (Flat_json.parse s)))
     [ ""; "{"; "{\"a\":}"; "{\"a\":1,}"; "{\"a\":1}x"; "[1]"; "{\"a\":{}}" ]
 
 let test_flat_json_escapes () =
-  match Campaign.Flat_json.parse "{\"s\":\"a\\\"b\\n\\u0041\",\"n\":-3,\"b\":true}" with
+  match Flat_json.parse "{\"s\":\"a\\\"b\\n\\u0041\",\"n\":-3,\"b\":true}" with
   | Error m -> Alcotest.failf "parse: %s" m
   | Ok fields ->
     check_bool "string unescaped" true
-      (List.assoc_opt "s" fields = Some (Campaign.Flat_json.Str "a\"b\nA"));
+      (List.assoc_opt "s" fields = Some (Flat_json.Str "a\"b\nA"));
     check_bool "negative int" true
-      (List.assoc_opt "n" fields = Some (Campaign.Flat_json.Int (-3)));
+      (List.assoc_opt "n" fields = Some (Flat_json.Int (-3)));
     check_bool "bool" true
-      (List.assoc_opt "b" fields = Some (Campaign.Flat_json.Bool true))
+      (List.assoc_opt "b" fields = Some (Flat_json.Bool true))
 
 (* Satellite: encode -> parse -> re-encode is the identity on arbitrary
    field lists, byte for byte. Strings exercise the full escape table
@@ -526,7 +537,7 @@ let test_flat_json_escapes () =
    floats are kept finite and must survive exactly, including integral
    values, which float_repr keeps float-shaped with a trailing '.'. *)
 let prop_flat_json_roundtrip =
-  let module J = Campaign.Flat_json in
+  let module J = Flat_json in
   let gen =
     let open QCheck.Gen in
     let any_char = map Char.chr (int_bound 255) in
@@ -551,43 +562,44 @@ let prop_flat_json_roundtrip =
          (fun (k, v) ->
            Printf.sprintf "%S=%s" k
              (match v with
-             | Campaign.Flat_json.Str s -> Printf.sprintf "Str %S" s
-             | Campaign.Flat_json.Int i -> Printf.sprintf "Int %d" i
-             | Campaign.Flat_json.Bool b -> Printf.sprintf "Bool %b" b
-             | Campaign.Flat_json.Float f -> Printf.sprintf "Float %h" f))
+             | Flat_json.Str s -> Printf.sprintf "Str %S" s
+             | Flat_json.Int i -> Printf.sprintf "Int %d" i
+             | Flat_json.Bool b -> Printf.sprintf "Bool %b" b
+             | Flat_json.Float f -> Printf.sprintf "Float %h" f))
          fields)
   in
   QCheck.Test.make ~name:"flat json encode/parse round-trip" ~count:300
     (QCheck.make ~print gen) (fun fields ->
-      let line = Campaign.Flat_json.to_string fields in
-      match Campaign.Flat_json.parse line with
+      let line = Flat_json.to_string fields in
+      match Flat_json.parse line with
       | Error m -> QCheck.Test.fail_reportf "unparseable %S: %s" line m
       | Ok back ->
         if back <> fields then
           QCheck.Test.fail_reportf "fields changed: %s <> %s" (print back)
             (print fields)
-        else if Campaign.Flat_json.to_string back <> line then
+        else if Flat_json.to_string back <> line then
           QCheck.Test.fail_reportf "re-encode not byte-identical: %S <> %S"
-            (Campaign.Flat_json.to_string back) line
+            (Flat_json.to_string back) line
         else true)
 
 let test_report_renders () =
   let spec = Campaign.spec ~trials:10 ~seed:7 () in
-  let result = Campaign.run ~jobs:1 spec in
-  let lines = Campaign.result_json_lines result in
+  let r = orchestrated ~jobs:1 spec in
+  let lines = r.Orchestrate.lines in
   check_int "header + verdicts + violations + summary"
-    (1 + 10 + List.length result.Campaign.violations + 1)
+    (1 + 10 + List.length r.Orchestrate.new_violations + 1)
     (List.length lines);
-  match Campaign.render_report lines with
+  match Orchestrate.render_report lines with
   | Error m -> Alcotest.failf "render failed: %s" m
   | Ok report ->
+    let verdict_lines = List.filteri (fun i _ -> i >= 1 && i <= 10) lines in
     check_bool "mentions totals" true (contains ~sub:"10 trials" report);
     check_bool "mentions fingerprint" true
-      (contains ~sub:(Campaign.fingerprint result) report)
+      (contains ~sub:(Fnv.to_hex (Fnv.hash64_lines verdict_lines)) report)
 
 let test_report_rejects_garbage () =
   check_bool "malformed line" true
-    (Result.is_error (Campaign.render_report [ "{\"trial\":" ]))
+    (Result.is_error (Orchestrate.render_report [ "{\"trial\":" ]))
 
 let suite =
   [

@@ -286,7 +286,13 @@ let test_parse_artifact_rejects () =
   in
   check_bool "duplicate trial" true (Result.is_error (Orchestrate.parse_artifact dup));
   (* a v1 (pre-orchestration) artifact has no spec_fp/shard header *)
-  let v1 = Campaign.result_json_lines (Campaign.run ~jobs:1 spec) in
+  let v1 =
+    ("{\"campaign\":1,\"seed\":2,\"trials\":4,\"configs\":1,\"shrink\":false,\"grid\":\"w=avionics|t=clique|n=6|f=1|r_us=200000|bw=10000000|protect=medium|share=default\"}"
+    :: List.filteri (fun i _ -> i >= 1 && i <= 4) lines)
+    @ [
+        "{\"total\":4,\"violations\":0,\"rejected\":0,\"errors\":0,\"cache_hits\":3,\"cache_misses\":1,\"configs\":1,\"fingerprint\":\"0000000000000000\"}";
+      ]
+  in
   check_bool "v1 artifact rejected with guidance" true
     (match Orchestrate.parse_artifact v1 with
     | Error m -> contains ~sub:"version 1" m
@@ -484,6 +490,156 @@ let test_frontier_artifact_roundtrip () =
         | Ok fr' -> Orchestrate.frontier_lines fr' = lines
         | Error _ -> false))
 
+(* --- reading artifacts back ---------------------------------------- *)
+
+module J = Flat_json
+
+(* A random-workload campaign whose graph depends on the campaign seed:
+   at seed 5 trial 2 violates, while under seed 1 every trial's config
+   is rejected by the planner. *)
+let random_seed5 =
+  lazy
+    (unsharded_lines ~jobs:1
+       (Campaign.spec
+          ~grid:{ Campaign.default_grid with Campaign.workloads = [ "random" ] }
+          ~trials:6 ~seed:5 ()))
+
+let test_replay_uses_header_seed () =
+  let art =
+    match Orchestrate.parse_artifact (Lazy.force random_seed5) with
+    | Ok a -> a
+    | Error m -> Alcotest.failf "parse failed: %s" m
+  in
+  check_bool "records a violation" true
+    (List.exists
+       (fun (_, (e : Orchestrate.entry)) -> J.str_of e.fields "verdict" = Some "violation")
+       art.Orchestrate.a_verdicts);
+  List.iter
+    (fun (i, (e : Orchestrate.entry)) ->
+      match Orchestrate.replay art i with
+      | Error m -> Alcotest.failf "replay of trial %d failed: %s" i m
+      | Ok (t, outcome) ->
+        check_int "replayed trial" i t.Campaign.index;
+        check_string
+          (Printf.sprintf "trial %d outcome" i)
+          (Option.value ~default:"?" (J.str_of e.fields "verdict"))
+          (Campaign.outcome_name outcome);
+        Alcotest.(check (option int))
+          (Printf.sprintf "trial %d worst_recovery_us" i)
+          (J.int_of e.fields "worst_recovery_us")
+          (match outcome with
+          | Campaign.Pass st | Campaign.Violation st -> Some st.Campaign.worst_recovery
+          | Campaign.Rejected _ | Campaign.Errored _ -> None))
+    art.Orchestrate.a_verdicts;
+  check_bool "an unrecorded trial is an error" true
+    (Result.is_error (Orchestrate.replay art 6))
+
+let frontier_artifact =
+  lazy
+    (match Orchestrate.frontier r_frontier_spec with
+    | Ok fr -> Orchestrate.frontier_lines fr
+    | Error m -> Alcotest.failf "frontier failed: %s" m)
+
+let test_readers_refuse_torn () =
+  let torn lines = lines @ [ "{\"trial\":99,\"work" ] in
+  let lines = Lazy.force random_seed5 in
+  (match Orchestrate.parse_artifact lines, Orchestrate.parse_artifact (torn lines) with
+  | Ok whole, Ok cut ->
+    check_bool "whole artifact not flagged" false whole.Orchestrate.a_torn;
+    check_bool "torn artifact flagged" true cut.Orchestrate.a_torn;
+    check_bool "replay refuses it" true (Result.is_error (Orchestrate.replay cut 0))
+  | Error m, _ | _, Error m -> Alcotest.failf "parse failed: %s" m);
+  check_bool "report refuses it" true
+    (Result.is_error (Orchestrate.render_report (torn lines)));
+  check_bool "frontier report refuses it" true
+    (Result.is_error (Orchestrate.render_frontier (torn (Lazy.force frontier_artifact))))
+
+(* Mutation fuzzing of the artifact readers: truncate the text at a
+   byte, flip a byte, insert a JSON-significant fragment, drop or
+   duplicate a line, or splice in a line of the other artifact kind.
+   Each reader must answer Ok or Error. *)
+type mutation =
+  | Truncate of int
+  | Flip of int * int
+  | Insert of int * int
+  | Drop of int
+  | Dup of int
+  | Splice of int * int
+
+let fragments =
+  [| "\""; "\\"; "\\u"; "\\u00"; "\\uzzzz"; "{"; "}"; ","; ":"; "-"; "1e999";
+     "true"; "\n"; "\"trial\":"; "\"campaign\":1,"; "\"frontier\":1," |]
+
+let mutate ~other lines m =
+  let nth_mod l i = List.nth l (i mod List.length l) in
+  let text () = String.concat "\n" lines ^ "\n" in
+  match m with
+  | Truncate k ->
+    let t = text () in
+    String.split_on_char '\n' (String.sub t 0 (k mod (String.length t + 1)))
+  | Flip (k, x) ->
+    let t = Bytes.of_string (text ()) in
+    let k = k mod Bytes.length t in
+    Bytes.set t k (Char.chr (Char.code (Bytes.get t k) lxor (1 + (x mod 255))));
+    String.split_on_char '\n' (Bytes.to_string t)
+  | Insert (k, f) ->
+    let t = text () in
+    let k = k mod (String.length t + 1) in
+    String.split_on_char '\n'
+      (String.sub t 0 k ^ fragments.(f mod Array.length fragments)
+      ^ String.sub t k (String.length t - k))
+  | Drop _ | Dup _ when lines = [] -> lines
+  | Drop i ->
+    let i = i mod List.length lines in
+    List.filteri (fun j _ -> j <> i) lines
+  | Dup i ->
+    let i = i mod List.length lines in
+    List.concat (List.mapi (fun j l -> if j = i then [ l; l ] else [ l ]) lines)
+  | Splice (i, j) ->
+    let i = i mod (List.length lines + 1) in
+    List.filteri (fun k _ -> k < i) lines
+    @ (nth_mod other j :: List.filteri (fun k _ -> k >= i) lines)
+
+let prop_readers_total =
+  let gen =
+    let open QCheck.Gen in
+    let idx = int_bound 100_000 in
+    let mutation =
+      oneof
+        [
+          map (fun k -> Truncate k) idx;
+          map2 (fun k x -> Flip (k, x)) idx idx;
+          map2 (fun k f -> Insert (k, f)) idx idx;
+          map (fun i -> Drop i) idx;
+          map (fun i -> Dup i) idx;
+          map2 (fun i j -> Splice (i, j)) idx idx;
+        ]
+    in
+    pair bool (list_size (int_range 1 3) mutation)
+  in
+  let print (frontier, ms) =
+    Printf.sprintf "%s artifact, %d mutation(s)"
+      (if frontier then "frontier" else "campaign")
+      (List.length ms)
+  in
+  QCheck.Test.make ~name:"artifact readers are total under mutation" ~count:500
+    (QCheck.make ~print gen) (fun (frontier, ms) ->
+      let campaign = Lazy.force random_seed5 and fr = Lazy.force frontier_artifact in
+      let base, other = if frontier then (fr, campaign) else (campaign, fr) in
+      let lines = List.fold_left (mutate ~other) base ms in
+      let total name f =
+        match f () with
+        | Ok _ | Error _ -> ()
+        | exception e ->
+          QCheck.Test.fail_reportf "%s raised %s" name (Printexc.to_string e)
+      in
+      List.iter (fun l -> total "Flat_json.parse" (fun () -> J.parse l)) lines;
+      total "parse_artifact" (fun () -> Orchestrate.parse_artifact lines);
+      total "render_report" (fun () -> Orchestrate.render_report lines);
+      total "render_frontier" (fun () -> Orchestrate.render_frontier lines);
+      total "combine" (fun () -> Orchestrate.combine [ lines ]);
+      true)
+
 let suite =
   [
     Alcotest.test_case "shard_of_string" `Quick test_shard_of_string;
@@ -507,4 +663,8 @@ let suite =
     Alcotest.test_case "frontier validation" `Quick test_frontier_validation;
     Alcotest.test_case "frontier artifact roundtrip" `Quick
       test_frontier_artifact_roundtrip;
+    Alcotest.test_case "replay --from plans under the header seed" `Quick
+      test_replay_uses_header_seed;
+    Alcotest.test_case "readers refuse a torn artifact" `Quick test_readers_refuse_torn;
+    QCheck_alcotest.to_alcotest prop_readers_total;
   ]

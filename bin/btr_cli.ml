@@ -19,17 +19,22 @@ module Incr = Btr_check.Incr
 module Fault = Btr_fault.Fault
 
 let workload_of_name name ~nodes ~seed =
-  match name with
-  | "avionics" -> Ok (Generators.avionics ~n_nodes:nodes)
-  | "scada" -> Ok (Generators.scada ~n_nodes:nodes)
-  | "random" ->
-    Ok
-      (Generators.random_layered ~rng:(Rng.create seed) ~n_nodes:nodes ~layers:3
-         ~width:3 ())
-  | other -> Error (Printf.sprintf "unknown workload %S" other)
+  match Generators.check_nodes name ~n_nodes:nodes with
+  | Error _ as e -> e
+  | Ok () -> (
+    match name with
+    | "avionics" -> Ok (Generators.avionics ~n_nodes:nodes)
+    | "scada" -> Ok (Generators.scada ~n_nodes:nodes)
+    | "random" ->
+      Ok
+        (Generators.random_layered ~rng:(Rng.create seed) ~n_nodes:nodes ~layers:3
+           ~width:3 ())
+    | other -> Error (Printf.sprintf "unknown workload %S" other))
 
 let topology_of_name name ~nodes =
   match name with
+  | ("clique" | "ring" | "dual-bus") when nodes < 2 ->
+    Error (Printf.sprintf "topology %s needs >= 2 nodes, got %d" name nodes)
   | "clique" ->
     Ok (Topology.fully_connected ~n:nodes ~bandwidth_bps:10_000_000 ~latency:(Time.us 50))
   | "ring" -> Ok (Topology.ring ~n:nodes ~bandwidth_bps:10_000_000 ~latency:(Time.us 50))
@@ -130,25 +135,33 @@ let f_arg = Arg.(value & opt int 1 & info [ "f" ] ~doc:"Fault bound.")
 let r_arg = Arg.(value & opt int 200 & info [ "r" ] ~doc:"Recovery bound R in ms.")
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed.")
 
-let build_strategy workload topology nodes f r seed =
+(* The workload and topology named on the command line; an [Error] is
+   bad input (exit 2), not a failed check. *)
+let system_of_names workload topology ~nodes ~seed =
   match workload_of_name workload ~nodes ~seed with
   | Error m -> Error m
-  | Ok g -> (
-    match topology_of_name topology ~nodes with
-    | Error m -> Error m
-    | Ok topo -> (
-      let cfg = Planner.default_config ~f ~recovery_bound:(Time.ms r) in
-      match Planner.build cfg g topo with
-      | Ok s -> Ok (g, topo, s)
-      | Error e -> Error (Format.asprintf "%a" Planner.pp_error e)))
+  | Ok g -> Result.map (fun topo -> (g, topo)) (topology_of_name topology ~nodes)
+
+(* [Error (exit code, message)]: 2 for bad input, 1 when the planner
+   finds no strategy. *)
+let build_strategy workload topology nodes f r seed =
+  match system_of_names workload topology ~nodes ~seed with
+  | Error m -> Error (2, m)
+  | Ok (g, topo) -> (
+    let cfg = Planner.default_config ~f ~recovery_bound:(Time.ms r) in
+    match Planner.build cfg g topo with
+    | Ok s -> Ok (g, topo, s)
+    | Error e -> Error (1, Format.asprintf "%a" Planner.pp_error e))
+
+let print_error (code, m) =
+  Printf.eprintf "error: %s\n" m;
+  code
 
 let plan_cmd =
   let doc = "Compute and summarize an offline BTR strategy." in
   let run workload topology nodes f r seed verbose =
     match build_strategy workload topology nodes f r seed with
-    | Error m ->
-      Printf.eprintf "error: %s\n" m;
-      1
+    | Error e -> print_error e
     | Ok (_, _, s) ->
       let st = Planner.stats s in
       Printf.printf
@@ -183,9 +196,7 @@ let run_cmd =
   let doc = "Deploy a strategy on the simulator and inject faults." in
   let run workload topology nodes f r seed faults horizon_ms trace metrics =
     match build_strategy workload topology nodes f r seed with
-    | Error m ->
-      Printf.eprintf "error: %s\n" m;
-      1
+    | Error e -> print_error e
     | Ok (g, topo, _) ->
       with_obs ~trace ~metrics (fun obs ->
           let s =
@@ -217,9 +228,7 @@ let run_cmd =
 (* Exit codes: 0 ok, 1 a failed check or rejected trial, 2 a usage
    error or bad input (an unreadable or malformed file), 3 a Def-3.1
    violation. *)
-let input_error m =
-  Printf.eprintf "error: %s\n" m;
-  2
+let input_error m = print_error (2, m)
 
 let read_lines file =
   try Ok (In_channel.with_open_text file In_channel.input_lines)
@@ -231,78 +240,72 @@ let read_lines file =
    and how much plan reuse the delta engine achieved; the final report
    is identical to a from-scratch `btr check` of the edited system. *)
 let check_delta workload topology nodes f r seed json file =
-  let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "error: %s\n" m; 1) fmt in
-  match workload_of_name workload ~nodes ~seed with
-  | Error m -> fail "%s" m
-  | Ok g -> (
-    match topology_of_name topology ~nodes with
-    | Error m -> fail "%s" m
-    | Ok topo -> (
-      let cfg = Planner.default_config ~f ~recovery_bound:(Time.ms r) in
-      match Incr.init cfg g topo with
-      | Error e -> fail "%s" (Format.asprintf "%a" Planner.pp_error e)
-      | Ok st0 -> (
-        match read_lines file with
-        | Error m -> input_error m
-        | Ok lines ->
-          let st = ref st0 and line_no = ref 0 and failed = ref None in
-          List.iter
-            (fun line ->
-              incr line_no;
-              let line = String.trim line in
-              if !failed = None && line <> "" && line.[0] <> '#' then
-                match Incr.parse_edit line with
-                | Error m ->
-                  failed := Some (2, Printf.sprintf "%s:%d: %s" file !line_no m)
-                | Ok edit -> (
-                  match Incr.apply !st edit with
-                  | Error e ->
-                    (* an edit that does not apply is bad input; an
-                       edited system with no strategy is a failed check *)
-                    let code = match e with Incr.Invalid_edit _ -> 2 | Incr.Plan_failed _ -> 1 in
-                    failed :=
-                      Some
-                        ( code,
-                          Format.asprintf "%s:%d: %a" file !line_no
-                            Incr.pp_apply_error e )
-                  | Ok (st', delta) ->
-                    st := st';
-                    if not json then begin
-                      Format.printf "@[<v2>%d: %s@,%a" !line_no
-                        (Incr.edit_to_string edit) Incr.pp_report_delta delta;
-                      (match Incr.last_plan_delta st' with
-                      | Some d ->
-                        Format.printf
-                          "@,plan: %d/%d modes reused, %d tasks moved"
-                          d.Planner.reused_modes
-                          (d.Planner.reused_modes + d.Planner.replanned_modes)
-                          d.Planner.churn_moved_tasks
-                      | None -> ());
-                      Format.printf "@]@."
-                    end))
-            lines;
-          (match !failed with
-          | Some (code, m) ->
-            Printf.eprintf "error: %s\n" m;
-            code
-          | None ->
-            let report = Incr.report !st in
-            if json then print_endline (Check.report_to_json report)
-            else begin
-              let s = Incr.memo_stats !st in
-              let hits =
-                s.Incr.static_hits + s.Incr.reserve_hits + s.Incr.rta_hits
-                + s.Incr.sched_hits + s.Incr.routes_hits + s.Incr.evb_hits
-                + s.Incr.cuts_hits
-              and misses =
-                s.Incr.static_misses + s.Incr.reserve_misses + s.Incr.rta_misses
-                + s.Incr.sched_misses + s.Incr.routes_misses + s.Incr.evb_misses
-                + s.Incr.cuts_misses
-              in
-              Format.printf "memo: %d hits, %d misses over the script@.%a@."
-                hits misses Check.pp_report report
-            end;
-            if Check.passed report then 0 else 1))))
+  match system_of_names workload topology ~nodes ~seed with
+  | Error m -> input_error m
+  | Ok (g, topo) -> (
+    let cfg = Planner.default_config ~f ~recovery_bound:(Time.ms r) in
+    match Incr.init cfg g topo with
+    | Error e -> print_error (1, Format.asprintf "%a" Planner.pp_error e)
+    | Ok st0 -> (
+      match read_lines file with
+      | Error m -> input_error m
+      | Ok lines ->
+        let st = ref st0 and line_no = ref 0 and failed = ref None in
+        List.iter
+          (fun line ->
+            incr line_no;
+            let line = String.trim line in
+            if !failed = None && line <> "" && line.[0] <> '#' then
+              match Incr.parse_edit line with
+              | Error m ->
+                failed := Some (2, Printf.sprintf "%s:%d: %s" file !line_no m)
+              | Ok edit -> (
+                match Incr.apply !st edit with
+                | Error e ->
+                  (* an edit that does not apply is bad input; an
+                     edited system with no strategy is a failed check *)
+                  let code = match e with Incr.Invalid_edit _ -> 2 | Incr.Plan_failed _ -> 1 in
+                  failed :=
+                    Some
+                      ( code,
+                        Format.asprintf "%s:%d: %a" file !line_no
+                          Incr.pp_apply_error e )
+                | Ok (st', delta) ->
+                  st := st';
+                  if not json then begin
+                    Format.printf "@[<v2>%d: %s@,%a" !line_no
+                      (Incr.edit_to_string edit) Incr.pp_report_delta delta;
+                    (match Incr.last_plan_delta st' with
+                    | Some d ->
+                      Format.printf
+                        "@,plan: %d/%d modes reused, %d tasks moved"
+                        d.Planner.reused_modes
+                        (d.Planner.reused_modes + d.Planner.replanned_modes)
+                        d.Planner.churn_moved_tasks
+                    | None -> ());
+                    Format.printf "@]@."
+                  end))
+          lines;
+        (match !failed with
+        | Some e -> print_error e
+        | None ->
+          let report = Incr.report !st in
+          if json then print_endline (Check.report_to_json report)
+          else begin
+            let s = Incr.memo_stats !st in
+            let hits =
+              s.Incr.static_hits + s.Incr.reserve_hits + s.Incr.rta_hits
+              + s.Incr.sched_hits + s.Incr.routes_hits + s.Incr.evb_hits
+              + s.Incr.cuts_hits
+            and misses =
+              s.Incr.static_misses + s.Incr.reserve_misses + s.Incr.rta_misses
+              + s.Incr.sched_misses + s.Incr.routes_misses + s.Incr.evb_misses
+              + s.Incr.cuts_misses
+            in
+            Format.printf "memo: %d hits, %d misses over the script@.%a@."
+              hits misses Check.pp_report report
+          end;
+          if Check.passed report then 0 else 1)))
 
 let check_cmd =
   let doc =
@@ -323,9 +326,7 @@ let check_cmd =
       | Some file -> check_delta workload topology nodes f r seed json file
       | None -> (
       match build_strategy workload topology nodes f r seed with
-      | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        1
+      | Error e -> print_error e
       | Ok (_, _, s) ->
         with_obs ~trace ~metrics (fun obs ->
             let report = Check.verify ?obs s in
@@ -364,7 +365,7 @@ let workloads_cmd =
       (fun name ->
         match workload_of_name name ~nodes ~seed with
         | Ok g -> Format.printf "-- %s --@.%a@." name Graph.pp g
-        | Error _ -> ())
+        | Error m -> Format.printf "-- %s --@.(%s)@." name m)
       [ "avionics"; "scada"; "random" ];
     0
   in
@@ -652,21 +653,24 @@ let campaign_replay_cmd =
       with
       | Error m, _, _ | _, Error m, _ | _, _, Error m -> usage_error m
       | Ok script, Ok protect, Ok control_share -> (
-        match Campaign.validate_script ~nodes script with
+        let params =
+          {
+            Campaign.workload;
+            topology;
+            nodes;
+            f;
+            r = Time.ms r_ms;
+            bandwidth_bps = 10_000_000;
+            protect;
+            control_share;
+          }
+        in
+        match
+          Result.bind (Campaign.validate_grid (Campaign.point_grid params)) (fun () ->
+              Campaign.validate_script ~nodes script)
+        with
         | Error m -> usage_error m
         | Ok () ->
-          let params =
-            {
-              Campaign.workload;
-              topology;
-              nodes;
-              f;
-              r = Time.ms r_ms;
-              bandwidth_bps = 10_000_000;
-              protect;
-              control_share;
-            }
-          in
           let cache = Campaign.Cache.create ~seed:campaign_seed in
           print_outcome params runtime_seed script
             (Campaign.run_script ~cache params ~runtime_seed script)))

@@ -148,7 +148,26 @@ let validate_grid g =
           (fun s -> match s with Some c -> c <= 0.0 || c > 0.6 | None -> false)
           g.control_shares
       then err "control share outside (0, 0.6]"
-      else Ok ())
+      else
+        let smallest = List.fold_left Stdlib.min max_int g.node_counts in
+        List.fold_left
+          (fun acc w ->
+            let* () = acc in
+            Generators.check_nodes w ~n_nodes:smallest)
+          (Ok ()) g.workloads)
+
+let point_grid p =
+  {
+    default_grid with
+    workloads = [ p.workload ];
+    topologies = [ p.topology ];
+    node_counts = [ p.nodes ];
+    fault_bounds = [ p.f ];
+    recovery_bounds = [ p.r ];
+    bandwidths = [ p.bandwidth_bps ];
+    protect_levels = [ p.protect ];
+    control_shares = [ p.control_share ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Specs and trials                                                    *)
@@ -173,25 +192,31 @@ type trial = {
   horizon : Time.t;
 }
 
+let ( let* ) = Result.bind
+
 (* Workload generators are deterministic in (campaign seed, params), so
    every trial of a configuration sees the same graph — a requirement
    for the plan cache to be sound. *)
 let workload_seed seed = (seed * 7919) + 17
 
 let workload_of ~seed p =
-  match p.workload with
-  | "avionics" -> Ok (Generators.avionics ~n_nodes:p.nodes)
-  | "scada" -> Ok (Generators.scada ~n_nodes:p.nodes)
-  | "random" ->
-    Ok
-      (Generators.random_layered
-         ~rng:(Rng.create (workload_seed seed))
-         ~n_nodes:p.nodes ~layers:3 ~width:3 ())
-  | other -> Error (Printf.sprintf "unknown workload %S" other)
+  match Generators.check_nodes p.workload ~n_nodes:p.nodes with
+  | Error _ as e -> e
+  | Ok () -> (
+    match p.workload with
+    | "avionics" -> Ok (Generators.avionics ~n_nodes:p.nodes)
+    | "scada" -> Ok (Generators.scada ~n_nodes:p.nodes)
+    | "random" ->
+      Ok
+        (Generators.random_layered
+           ~rng:(Rng.create (workload_seed seed))
+           ~n_nodes:p.nodes ~layers:3 ~width:3 ())
+    | other -> Error (Printf.sprintf "unknown workload %S" other))
 
 let topology_of p =
   let latency = Time.us 50 in
   match p.topology with
+  | _ when p.nodes < 2 -> Error "nodes < 2"
   | "clique" ->
     Ok (Topology.fully_connected ~n:p.nodes ~bandwidth_bps:p.bandwidth_bps ~latency)
   | "ring" -> Ok (Topology.ring ~n:p.nodes ~bandwidth_bps:p.bandwidth_bps ~latency)
@@ -233,8 +258,7 @@ let plan_key ?strikes ~seed p =
 let base_plan_key ?strikes ~seed p =
   Printf.sprintf "%s|%s|n=%d|bw=%d|ws=%d|%s%s" p.workload p.topology p.nodes
     p.bandwidth_bps (workload_seed seed)
-    (Planner.config_key
-       { (resolved_config p) with Planner.recovery_bound = Time.zero })
+    (Planner.config_build_key (resolved_config p))
     (strikes_suffix strikes)
 
 let period_of ~seed p =
@@ -411,152 +435,82 @@ type result = {
   cache_misses : int;
 }
 
+(* A [strikes] override is the one runtime knob a campaign varies; the
+   frontier's strikes axis sweeps it through admission and deployment
+   alike. [None] keeps {!Btr.Runtime.default_config}. *)
+let strikes_config =
+  Option.map (fun k ->
+      { Btr.Runtime.default_config with Btr.Runtime.omission_strikes = k })
+
+let error_string e = Format.asprintf "%a" Planner.pp_error e
+
 module Cache = struct
-  (* Sharded by the FNV-1a hash of the plan key: lookups are O(1) in a
-     per-shard hash table (the old single-mutex assoc list re-scanned
-     every entry under one global lock, serializing all workers), and
-     contention is confined to workers racing on the same shard. The
-     hash is stable (never [Hashtbl.hash]) so the shard layout — and
-     with it the contention profile — is identical on every host. *)
-  let shard_bits = 4
-
-  let shard_count = 1 lsl shard_bits
-
-  type shard = {
-    table : (string, (Planner.t, string) Stdlib.result) Hashtbl.t;
-    mutable hits : int;
-    mutable misses : int;
-    lock : Mutex.t;
-  }
-
+  (* One domain owns a cache. [run_trials] resolves every trial's
+     strategy before its worker pool starts; shrinking, replay and the
+     frontier run on the calling domain. *)
   type t = {
     seed : int;
-    shards : shard array;
-    (* First fully-planned strategy per R-stripped config, for deriving
-       R-grid neighbors without replanning. Guarded by [base_lock];
-       lock order is always shard lock, then base lock. *)
+    table : (string, (Planner.t, string) Stdlib.result) Hashtbl.t;
+    (* First fully planned strategy per R-stripped config, for deriving
+       R-grid neighbours without replanning. *)
     by_base : (string, Planner.t) Hashtbl.t;
-    base_lock : Mutex.t;
-    mutable derived_strategies : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable derived : int;
   }
 
   let create ~seed =
     {
       seed;
-      shards =
-        Array.init shard_count (fun _ ->
-            { table = Hashtbl.create 16; hits = 0; misses = 0; lock = Mutex.create () });
+      table = Hashtbl.create 16;
       by_base = Hashtbl.create 16;
-      base_lock = Mutex.create ();
-      derived_strategies = 0;
+      hits = 0;
+      misses = 0;
+      derived = 0;
     }
 
-  let runtime_config ?strikes () =
-    match strikes with
-    | None -> Btr.Runtime.default_config
-    | Some k ->
-      { Btr.Runtime.default_config with Btr.Runtime.omission_strikes = k }
-
+  (* Scenario.plan includes the Btr_check static gate: a strategy the
+     verifier rejects is cached as an error, exactly once. *)
   let build ?strikes ~seed p =
-    match workload_of ~seed p with
-    | Error m -> Error m
-    | Ok workload -> (
-      match topology_of p with
-      | Error m -> Error m
-      | Ok topology -> (
-        let s =
-          Btr.Scenario.spec ~workload ~topology ~f:p.f ~recovery_bound:p.r
-            ~tune:(tune_of p) ()
-        in
-        (* Scenario.plan includes the Btr_check static gate: a strategy
-           the verifier rejects is cached as an error, exactly once. *)
-        match Btr.Scenario.plan ~config:(runtime_config ?strikes ()) s with
-        | Ok strategy -> Ok strategy
-        | Error e -> Error (Format.asprintf "%a" Planner.pp_error e)))
-
-  let shard_of t key = t.shards.(Fnv.hash key land (shard_count - 1))
-
-  (* Admission gate for a derived strategy, mirroring the one inside
-     [Scenario.plan] that [build] runs: the static verifier with the
-     requested (default unless overridden) runtime strike threshold,
-     errors formatted identically. *)
-  let admit ?strikes strategy =
-    let strikes =
-      (runtime_config ?strikes ()).Btr.Runtime.omission_strikes
+    let* workload = workload_of ~seed p in
+    let* topology = topology_of p in
+    let s =
+      Btr.Scenario.spec ~workload ~topology ~f:p.f ~recovery_bound:p.r
+        ~tune:(tune_of p) ()
     in
-    let report = Btr_check.Check.verify ~strikes strategy in
-    match Btr_check.Check.to_planner_error report with
-    | None -> Ok strategy
-    | Some e -> Error (Format.asprintf "%a" Planner.pp_error e)
+    Result.map_error error_string
+      (Btr.Scenario.plan ?config:(strikes_config strikes) s)
 
-  (* Planning happens while holding the shard lock: the planner is fast
-     (<100ms for every grid point we generate), building a config twice
-     would waste more than the lock hold costs, and only workers whose
-     keys collide on this shard wait — the other 15 shards stay free. *)
+  let produce ?strikes t p =
+    let bkey = base_plan_key ?strikes ~seed:t.seed p in
+    match Hashtbl.find_opt t.by_base bkey with
+    | Some b ->
+      (* An R-grid neighbour of an already planned config: reuse its
+         plans in O(1) and replay only the R-dependent admission. *)
+      t.derived <- t.derived + 1;
+      Result.map_error error_string
+        (Btr.Scenario.admit ?config:(strikes_config strikes)
+           (Planner.with_recovery_bound b p.r))
+    | None ->
+      let v = build ?strikes ~seed:t.seed p in
+      Result.iter (Hashtbl.replace t.by_base bkey) v;
+      v
+
   let strategy ?strikes t p =
     let key = plan_key ?strikes ~seed:t.seed p in
-    let s = shard_of t key in
-    Mutex.lock s.lock;
-    match Hashtbl.find_opt s.table key with
+    match Hashtbl.find_opt t.table key with
     | Some v ->
-      s.hits <- s.hits + 1;
-      Mutex.unlock s.lock;
+      t.hits <- t.hits + 1;
       v
-    | None -> (
-      let produce () =
-        let bkey = base_plan_key ?strikes ~seed:t.seed p in
-        Mutex.lock t.base_lock;
-        let base = Hashtbl.find_opt t.by_base bkey in
-        Mutex.unlock t.base_lock;
-        match base with
-        | Some b ->
-          (* An R-grid neighbor of an already-planned config: reuse its
-             plans in O(1) and replay only the R-dependent admission. *)
-          Mutex.lock t.base_lock;
-          t.derived_strategies <- t.derived_strategies + 1;
-          Mutex.unlock t.base_lock;
-          admit ?strikes (Planner.with_recovery_bound b p.r)
-        | None ->
-          let v = build ?strikes ~seed:t.seed p in
-          (match v with
-          | Ok strategy ->
-            Mutex.lock t.base_lock;
-            if not (Hashtbl.mem t.by_base bkey) then
-              Hashtbl.add t.by_base bkey strategy;
-            Mutex.unlock t.base_lock
-          | Error _ -> ());
-          v
-      in
-      match produce () with
-      | v ->
-        Hashtbl.replace s.table key v;
-        s.misses <- s.misses + 1;
-        Mutex.unlock s.lock;
-        v
-      | exception e ->
-        Mutex.unlock s.lock;
-        raise e)
+    | None ->
+      let v = produce ?strikes t p in
+      Hashtbl.replace t.table key v;
+      t.misses <- t.misses + 1;
+      v
 
-  (* Counter reads take each shard's lock in turn, so totals are exact
-     even while workers are still planning — reading the mutable fields
-     bare would race with the increments above. *)
-  let sum_locked f t =
-    Array.fold_left
-      (fun acc s ->
-        Mutex.lock s.lock;
-        let v = f s in
-        Mutex.unlock s.lock;
-        acc + v)
-      0 t.shards
-
-  let hits t = sum_locked (fun s -> s.hits) t
-  let misses t = sum_locked (fun s -> s.misses) t
-
-  let derived t =
-    Mutex.lock t.base_lock;
-    let v = t.derived_strategies in
-    Mutex.unlock t.base_lock;
-    v
+  let hits t = t.hits
+  let misses t = t.misses
+  let derived t = t.derived
 end
 
 let default_jobs () = Stdlib.max 1 (Domain.recommended_domain_count () - 1)
@@ -580,26 +534,30 @@ let stats_of rt =
     periods = Btr.Metrics.periods_finalized m;
   }
 
-let run_script ?strikes ~cache p ~runtime_seed script =
-  match Cache.strategy ?strikes cache p with
+(* Deploy, run and judge one trial on its resolved strategy: the step
+   the pool's workers execute, touching nothing shared but [strategy]
+   (immutable once built). *)
+let execute ?strikes p ~runtime_seed script = function
   | Error m -> Rejected m
   | Ok strategy -> (
     try
-      let period = Graph.period (Planner.workload strategy) in
-      let horizon = horizon_for ~period ~r:p.r script in
-      let config =
-        {
-          (Cache.runtime_config ?strikes ()) with
-          Btr.Runtime.seed = runtime_seed;
-        }
+      let workload = Planner.workload strategy in
+      let s =
+        Btr.Scenario.spec ~workload ~topology:(Planner.topology strategy) ~f:p.f
+          ~recovery_bound:p.r ~script
+          ~horizon:(horizon_for ~period:(Graph.period workload) ~r:p.r script)
+          ~seed:runtime_seed ()
       in
-      let rt = Btr.Runtime.create ~config ~script ~strategy () in
-      Btr.Runtime.run rt ~horizon;
+      let rt = Btr.Scenario.deploy ?config:(strikes_config strikes) s strategy in
+      Btr.Runtime.run rt ~horizon:s.Btr.Scenario.horizon;
       let st = stats_of rt in
       if List.exists (fun rec_t -> Time.compare rec_t p.r > 0) st.recoveries then
         Violation st
       else Pass st
     with e -> Errored (Printexc.to_string e))
+
+let run_script ?strikes ~cache p ~runtime_seed script =
+  execute ?strikes p ~runtime_seed script (Cache.strategy ?strikes cache p)
 
 (* --- reproducer snippets ------------------------------------------- *)
 
@@ -733,21 +691,28 @@ let run_trials ?obs ?jobs spec trial_list =
   let trials = Array.of_list trial_list in
   let n = Array.length trials in
   let configs = List.length (grid_params spec.grid) in
-  let verdict_of (t : trial) =
+  (* Plan before the workers start, as BTR plans offline before
+     deployment: one cache lookup per trial, in trial order, on this
+     domain. The pool then shares nothing mutable but the claim counter
+     and the slots each worker writes. *)
+  let resolved = Array.map (fun (t : trial) -> Cache.strategy cache t.params) trials in
+  let verdict_of i =
+    let t = trials.(i) in
     {
       trial = t;
-      outcome = run_script ~cache t.params ~runtime_seed:t.runtime_seed t.script;
+      outcome = execute t.params ~runtime_seed:t.runtime_seed t.script resolved.(i);
     }
   in
   let slots = Array.make n None in
   if jobs = 1 || n <= 1 then
-    Array.iteri (fun i t -> slots.(i) <- Some (verdict_of t)) trials
+    for i = 0 to n - 1 do
+      slots.(i) <- Some (verdict_of i)
+    done
   else begin
     (* Workers claim chunks of consecutive indices with one atomic
-       fetch-and-add each (the old design took a mutex per single index,
-       so every trial boundary was a cross-domain synchronization) and
-       write into distinct slots; per-trial determinism makes the slot
-       contents independent of the interleaving. Chunks are ~1/8 of an
+       fetch-and-add each and write into distinct slots; per-trial
+       determinism makes the slot contents independent of the
+       interleaving. Chunks are ~1/8 of an
        even split so stragglers still balance: a worker stuck on a slow
        trial forfeits at most its current chunk to the others. *)
     let workers = Stdlib.min jobs n in
@@ -759,7 +724,7 @@ let run_trials ?obs ?jobs spec trial_list =
         if start < n then begin
           let stop = Stdlib.min n (start + chunk) in
           for i = start to stop - 1 do
-            slots.(i) <- Some (verdict_of trials.(i))
+            slots.(i) <- Some (verdict_of i)
           done;
           loop ()
         end
@@ -938,8 +903,6 @@ let params_fields (p : params) =
     ("control_share", J.Str (share_name p.control_share));
   ]
 
-let ( let* ) = Result.bind
-
 let field get fields name =
   match get fields name with
   | Some v -> Ok v
@@ -990,6 +953,7 @@ let trial_of_fields fields =
   let* index = field J.int_of fields "trial" in
   let* params = params_of_fields fields in
   let* runtime_seed = field J.int_of fields "seed" in
+  let* () = validate_grid (point_grid params) in
   let* script = Result.bind (field J.str_of fields "script") script_of_string in
   let* () = validate_script ~nodes:params.nodes script in
   let* horizon = field J.int_of fields "horizon_us" in

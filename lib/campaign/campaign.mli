@@ -21,9 +21,12 @@
     across the trials that share a configuration, keyed on
     {!Btr_planner.Planner.config_key} of the resolved config (never on
     physical equality of specs — [Scenario.spec.tune] is an opaque
-    closure). Any trial that violates the bound — some measured recovery
-    exceeds R — is handed to {!Shrink} and reported as a minimal
-    schedule plus a self-contained OCaml reproducer snippet. *)
+    closure). As in BTR itself, planning happens before deployment:
+    every trial's strategy is resolved on the calling domain before the
+    pool starts, so the workers share nothing mutable. Any trial that
+    violates the bound — some measured recovery exceeds R — is handed
+    to {!Shrink} and reported as a minimal schedule plus a
+    self-contained OCaml reproducer snippet. *)
 
 open Btr_util
 module Task = Btr_workload.Task
@@ -86,8 +89,13 @@ val grid_params : grid -> params list
 
 val validate_grid : grid -> (unit, string) result
 (** Rejects empty axes, unknown workload/topology/fault-class names,
-    and non-positive counts/bounds, so usage errors surface before any
-    planning happens. *)
+    non-positive counts/bounds, and node counts below a workload's
+    {!Btr_workload.Generators.min_nodes} entry, so usage errors surface
+    before any planning happens. *)
+
+val point_grid : params -> grid
+(** The one-point grid holding [p], with every fault class; its
+    {!validate_grid} says whether [campaign run] accepts [p]. *)
 
 (** {1 Campaign specs and trials} *)
 
@@ -183,15 +191,12 @@ val plan_key : ?strikes:int -> seed:int -> params -> string
     part of the key); [None] keeps the historical key bytes. *)
 
 (** The strategy cache. Keyed on the workload/topology identity plus
-    {!Planner.config_key} of the resolved planner config; shared by the
-    worker domains, sharded by the {!Btr_util.Fnv} hash of the key into
-    16 independently locked hash-table buckets, so lookups are O(1) and
-    workers only contend when their keys collide on a shard. Hit/miss
-    counters live per shard, are bumped under the shard lock and are
-    summed under the locks on read — exact at any moment, even
-    mid-campaign. A cached [Error] (planner rejection) is a hit like
-    any other — hundreds of trials on an infeasible configuration plan
-    it exactly once. *)
+    {!Planner.config_key} of the resolved planner config; a plain hash
+    table owned by one domain. {!run_trials} does all of its lookups
+    before spawning workers, one per trial in trial order, so the
+    hit/miss counts are the same at every [jobs]. A cached [Error]
+    (planner rejection) is a hit like any other — hundreds of trials on
+    an infeasible configuration plan it exactly once. *)
 module Cache : sig
   type t
 
@@ -223,9 +228,11 @@ val run_script :
   ?strikes:int ->
   cache:Cache.t -> params -> runtime_seed:int -> Fault.script -> outcome
 (** Plan (via the cache), deploy, inject, run to the derived horizon and
-    judge. The single-trial path that {!run}, the shrinker's predicate
-    and [campaign replay] all share. [strikes] overrides the runtime
-    omission-strike threshold end to end (admission and deployment). *)
+    judge. The single-trial path that the shrinker's predicate,
+    [campaign replay] and the frontier share; {!run_trials} performs the
+    same two steps with the lookups hoisted ahead of its pool. [strikes]
+    overrides the runtime omission-strike threshold end to end
+    (admission and deployment). *)
 
 val shrink_violation :
   cache:Cache.t -> budget:int -> trial -> shrunk_violation option
@@ -233,8 +240,9 @@ val shrink_violation :
     [budget] 0 the original script is reported unshrunk. *)
 
 val run : ?obs:Btr_obs.Obs.t -> ?jobs:int -> spec -> result
-(** Compile, execute on [jobs] worker domains (default {!default_jobs};
-    1 runs inline with no spawn), then shrink violations. [obs] (default
+(** Compile, resolve every trial's strategy through a fresh {!Cache},
+    execute on [jobs] worker domains (default {!default_jobs}; 1 runs
+    inline with no spawn), then shrink violations. [obs] (default
     fresh) receives [Campaign_started] / [Trial_verdict] /
     [Violation_shrunk] events and the [campaign.*] counters — all
     emitted post-join from the calling domain, in trial order, so traces
@@ -299,8 +307,9 @@ val verdict_json : verdict -> string
 
 val trial_of_fields : (string * Flat_json.value) list -> (trial, string) Stdlib.result
 (** The trial a verdict line records — inverse of the trial part of
-    {!verdict_fields}. [Error] on a missing or ill-typed field or a
-    script naming a node outside the trial's node count. *)
+    {!verdict_fields}. [Error] on a missing or ill-typed field, a
+    configuration {!validate_grid} refuses, or a script naming a node
+    outside the trial's node count. *)
 
 val violation_json : shrunk_violation -> string
 (** One flat JSON object per shrunk violation (the artifact's violation

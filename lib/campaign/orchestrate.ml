@@ -539,18 +539,7 @@ let eval_point ~cache fs (base : Campaign.params) v =
   let strikes = match fs.axis with Axis_strikes -> Some v | _ -> None in
   let pspec =
     Campaign.spec
-      ~grid:
-        {
-          Campaign.workloads = [ p.Campaign.workload ];
-          topologies = [ p.Campaign.topology ];
-          node_counts = [ p.Campaign.nodes ];
-          fault_bounds = [ p.Campaign.f ];
-          recovery_bounds = [ p.Campaign.r ];
-          bandwidths = [ p.Campaign.bandwidth_bps ];
-          protect_levels = [ p.Campaign.protect ];
-          control_shares = [ p.Campaign.control_share ];
-          classes = fs.slice_grid.Campaign.classes;
-        }
+      ~grid:{ (Campaign.point_grid p) with Campaign.classes = fs.slice_grid.Campaign.classes }
       ~trials:fs.probes ~seed:fs.fseed ~shrink:false ()
   in
   let rec probe j used =

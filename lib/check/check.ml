@@ -272,17 +272,6 @@ let shares_of v =
   | Some s -> s
   | None -> Net.default_shares_for v.topology
 
-(* Every ≤ f sized subset, smallest first, deterministic order. *)
-let fault_patterns nodes f =
-  let rec subsets k = function
-    | _ when k = 0 -> [ [] ]
-    | [] -> []
-    | x :: rest -> List.map (fun s -> x :: s) (subsets (k - 1) rest) @ subsets k rest
-  in
-  List.concat_map
-    (fun k -> List.map (List.sort Int.compare) (subsets k nodes))
-    (List.init (Stdlib.max 0 f + 1) Fun.id)
-
 let alive_of v faulty =
   List.filter (fun n -> not (List.mem n faulty)) (Topology.nodes v.topology)
 
@@ -291,33 +280,6 @@ let xfer_oracle v ~faulty ~cls ~src ~dst ~size_bytes =
   else
     Net.plan_transfer_time v.topology ?shares:v.config.Planner.shares
       ~avoid:faulty ~cls ~src ~dst ~size_bytes ()
-
-(* Worst-case pairwise control-class latency among survivors — the same
-   decomposition the planner admits transitions against (§4.3). One
-   cost-accumulating BFS per source replaces the per-pair route+fold:
-   identical routes (see {!Topology.paths_from}), identical per-pair
-   sums, identical max — at O(n·memberships) per fault set instead of
-   O(n³). *)
-let evidence_bound v ~faulty =
-  let shares = shares_of v in
-  let alive = alive_of v faulty in
-  let usable n = not (List.mem n faulty) in
-  let link_cost =
-    Net.link_transfer_time shares ~cls:Net.Control
-      ~size_bytes:v.config.Planner.evidence_size
-  in
-  List.fold_left
-    (fun acc a ->
-      let costs = Topology.cost_from v.topology ~usable ~src:a ~link_cost in
-      List.fold_left
-        (fun acc b ->
-          if a = b then acc
-          else
-            match Hashtbl.find_opt costs b with
-            | Some d -> Time.max acc d
-            | None -> acc)
-        acc alive)
-    Time.zero alive
 
 (* Each verification unit returns its diagnostics as a list, in the
    order the old push-based checks emitted them. [verify_units]
@@ -566,7 +528,7 @@ let coverage_diags v ~evb push =
     Hashtbl.find_opt tr_idx (key from_faulty, new_fault)
   in
   let r = v.config.Planner.recovery_bound in
-  let patterns = fault_patterns (Topology.nodes v.topology) v.config.Planner.f in
+  let patterns = Planner.fault_patterns (Topology.nodes v.topology) v.config.Planner.f in
   List.iter
     (fun faulty ->
       match plan_for faulty with
@@ -870,7 +832,7 @@ let omission_cases v ~strikes ~evb ~cuts =
 
 let selective_omission_cases v ~strikes =
   omission_cases v ~strikes
-    ~evb:(fun faulty -> evidence_bound v ~faulty)
+    ~evb:(fun faulty -> Planner.evidence_bound v.config v.topology ~faulty)
     ~cuts:(fun p ~sender -> omission_cut_rows v p ~sender)
 
 let omission_diags v ~strikes cases =
@@ -1081,7 +1043,7 @@ let default_units =
     u_data_reserves = data_reserve_diags;
     u_node_rta = node_rta_diags;
     u_schedule_valid = schedule_valid_diags;
-    u_evb = (fun v faulty -> evidence_bound v ~faulty);
+    u_evb = (fun v faulty -> Planner.evidence_bound v.config v.topology ~faulty);
     u_omission_cuts = omission_cut_rows;
     u_evidence_routes = evidence_routes_diags;
   }

@@ -185,7 +185,9 @@ type units = {
       (** BTR-E203: independent re-validation of one mode's table. *)
   u_evb : view -> int list -> Btr_util.Time.t;
       (** Worst-case pairwise evidence-distribution bound for one
-          (sorted) fault set — the §4.3 term of every recovery bound. *)
+          (sorted) fault set — the §4.3 term of every recovery bound.
+          The default is {!Planner.evidence_bound}, the very function
+          the planner admits transitions with. *)
   u_omission_cuts :
     view -> Planner.plan -> sender:int -> (int * int list) option list;
       (** Per protected sink flow (in declaration order): the minimal
@@ -208,11 +210,6 @@ val verify_units :
     fixed historical emission order. Two [units] values whose
     functions are extensionally equal produce byte-identical
     reports. *)
-
-val evidence_bound : view -> faulty:int list -> Btr_util.Time.t
-(** The default [u_evb]: worst-case control-class transfer time between
-    any two survivors of [faulty], via one cost-accumulating BFS per
-    source. *)
 
 val verify_view : ?obs:Btr_obs.Obs.t -> ?strikes:int -> view -> report
 (** Runs every check. [strikes] (default 1) is the runtime watchdog's

@@ -17,8 +17,6 @@ module Obs = Btr_obs.Obs
 
 type config = {
   seed : int;
-  state_wait_boundaries : int;
-  forged_evidence_threshold : int;
   residual_loss : float;
       (* per-hop loss probability surviving FEC; the paper assumes ~0 *)
   omission_strikes : int;
@@ -28,11 +26,12 @@ type config = {
 let default_config =
   {
     seed = 1;
-    state_wait_boundaries = 3;
-    forged_evidence_threshold = 3;
     residual_loss = 0.0;
     omission_strikes = 1;
   }
+
+let state_wait_boundaries = 3
+let forged_evidence_threshold = 3
 
 type msg =
   | Data of { flow : int; period : int; value : float array; digest : int64 }
@@ -418,7 +417,7 @@ let receive_evidence t (n : node) ~src r =
     in
     Hashtbl.replace n.invalid_by_src src count;
     if
-      count >= t.config.forged_evidence_threshold
+      count >= forged_evidence_threshold
       && not (Hashtbl.mem n.accused_forgers src)
     then begin
       Hashtbl.replace n.accused_forgers src ();
@@ -953,7 +952,7 @@ let activate_pending t (n : node) =
   | Some next ->
     let ready =
       List.for_all (Hashtbl.mem n.state_received) n.awaiting_state
-      || n.pending_waited >= t.config.state_wait_boundaries
+      || n.pending_waited >= state_wait_boundaries
     in
     if ready then begin
       n.plan <- next;

@@ -33,11 +33,6 @@ module Topology = Btr_net.Topology
 
 type config = {
   seed : int;
-  state_wait_boundaries : int;
-      (** period boundaries to wait for migrating state before starting
-          the task fresh anyway *)
-  forged_evidence_threshold : int;
-      (** invalid records from one signer before accusing it *)
   residual_loss : float;
       (** per-hop message-loss probability surviving FEC; the paper's
           model assumes this is negligible (§2.1) *)
@@ -48,8 +43,15 @@ type config = {
 }
 
 val default_config : config
-(** seed 1, wait 3 boundaries, accuse forgers after 3 invalid records,
-    no residual loss, declare on the first missing message. *)
+(** seed 1, no residual loss, declare on the first missing message. *)
+
+val state_wait_boundaries : int
+(** 3: period boundaries a staged mode waits for migrating state before
+    starting the task fresh anyway. *)
+
+val forged_evidence_threshold : int
+(** 3: invalid evidence records from one signer before a node accuses
+    it of forgery. *)
 
 type t
 

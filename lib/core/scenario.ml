@@ -67,20 +67,22 @@ let runtime_config ?config s =
   | Some c -> { c with Runtime.seed = s.seed }
   | None -> { Runtime.default_config with seed = s.seed }
 
+(* Static verification gate (Def. 3.1): an infeasible strategy is
+   rejected with diagnostics instead of being silently simulated. The
+   verifier models the watchdog the runtime will actually deploy, so it
+   needs the configured strike threshold. *)
+let admit ?obs ?(config = Runtime.default_config) strategy =
+  let report =
+    Btr_check.Check.verify ?obs ~strikes:config.Runtime.omission_strikes strategy
+  in
+  match Btr_check.Check.to_planner_error report with
+  | None -> Ok strategy
+  | Some e -> Error e
+
 let plan ?config s =
-  let cfg = resolved_config s in
-  match Planner.build cfg s.workload s.topology with
+  match Planner.build (resolved_config s) s.workload s.topology with
   | Error _ as e -> e
-  | Ok strategy -> (
-    (* Static verification gate (Def. 3.1): an infeasible strategy is
-       rejected with diagnostics instead of being silently simulated.
-       The verifier models the watchdog the runtime will actually
-       deploy, so it needs the configured strike threshold. *)
-    let strikes = (runtime_config ?config s).Runtime.omission_strikes in
-    let report = Btr_check.Check.verify ?obs:s.obs ~strikes strategy in
-    match Btr_check.Check.to_planner_error report with
-    | None -> Ok strategy
-    | Some e -> Error e)
+  | Ok strategy -> admit ?obs:s.obs ?config strategy
 
 let deploy ?config s strategy =
   Runtime.create

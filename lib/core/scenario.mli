@@ -68,6 +68,24 @@ val plan : ?config:Runtime.config -> spec -> (Planner.t, Planner.error) result
     entry point taking [config], [spec.seed] overrides the config's
     seed: campaigns vary the seed per trial while reusing one config. *)
 
+val admit :
+  ?obs:Btr_obs.Obs.t ->
+  ?config:Runtime.config ->
+  Planner.t ->
+  (Planner.t, Planner.error) result
+(** The admission gate {!plan} applies to a freshly built strategy,
+    usable on its own for a strategy obtained some other way (the
+    campaign cache's R-derived neighbours,
+    {!Planner.with_recovery_bound}): {!Btr_check.Check.verify} under
+    [config]'s [omission_strikes] (default {!Runtime.default_config}'s),
+    [Error (Planner.Rejected _)] on any [Error]-severity diagnostic.
+    Diagnostics are emitted on [obs]. *)
+
+val deploy : ?config:Runtime.config -> spec -> Planner.t -> Runtime.t
+(** Just the online phase: deploy an admitted strategy under [config]
+    with the spec's seed, behaviours, fault script and [obs], ready to
+    {!Runtime.run} to [spec.horizon]. *)
+
 val prepare : ?config:Runtime.config -> spec -> (Runtime.t, Planner.error) result
 (** Plan and deploy, but do not run — callers can hook actuators
     ({!Runtime.on_actuate}) first. *)

@@ -54,11 +54,6 @@ let config_key c =
     (match c.reassignment with Minimal -> "minimal" | Naive -> "naive")
     shares
 
-(* FNV-1a rather than [Hashtbl.hash]: shard selectors derived from this
-   must agree across processes and OCaml versions, or a resharded cache
-   would silently change its contention profile between CI and hosts. *)
-let config_key_hash c = Fnv.hash (config_key c)
-
 (* The requested R is the one config field planning never reads: it
    gates [admitted] and the verifier's budget checks, but plans,
    schedules and transitions are computed without it. Keying plan reuse
@@ -216,7 +211,8 @@ let xfer_of cfg topo ~faulty ~cls ~src ~dst ~size_bytes =
     ~size_bytes ()
 
 (* Every ≤ f sized subset of nodes, smallest first so parents precede
-   children in Minimal mode. *)
+   children in Minimal mode. A negative [f] yields just the fault-free
+   pattern. *)
 let fault_patterns nodes f =
   let rec subsets k = function
     | _ when k = 0 -> [ [] ]
@@ -224,7 +220,7 @@ let fault_patterns nodes f =
     | x :: rest -> List.map (fun s -> x :: s) (subsets (k - 1) rest) @ subsets k rest
   in
   List.concat_map (fun k -> List.map (List.sort Int.compare) (subsets k nodes))
-    (List.init (f + 1) Fun.id)
+    (List.init (Stdlib.max 0 f + 1) Fun.id)
 
 (* Greedy placement of the augmented graph onto the alive nodes. *)
 let place_tasks cfg topo aug ~alive ~faulty ~parent =

@@ -65,10 +65,17 @@ val config_key : config -> string
     equality of configs or closures. Covers every field, including the
     bandwidth shares. *)
 
-val config_key_hash : config -> int
-(** {!Btr_util.Fnv.hash} of {!config_key}: a stable, non-negative
-    bucket selector for sharded strategy caches. Equal configs hash
-    equal on every host and OCaml version (unlike [Hashtbl.hash]). *)
+val config_build_key : config -> string
+(** {!config_key} with [recovery_bound] zeroed: R is the one config
+    field planning never reads, so configs with equal build keys get
+    identical plans and differ at most in their admission answer (see
+    {!with_recovery_bound}). *)
+
+val fault_patterns : int list -> int -> int list list
+(** [fault_patterns nodes f]: every subset of [nodes] of size at most
+    [f] (none for a negative [f] but the empty one), each sorted,
+    smallest first — the modes a strategy plans and the verifier
+    checks. *)
 
 type plan = {
   faulty : int list;  (** this mode's fault pattern, sorted *)
@@ -118,6 +125,13 @@ type error =
           {!Btr.Scenario} surfaces it in place of a deployable strategy. *)
 
 val pp_error : Format.formatter -> error -> unit
+
+val evidence_bound : config -> Topology.t -> faulty:int list -> Time.t
+(** Worst-case control-class transfer time of one evidence record
+    between any two survivors of [faulty] over the config's reserved
+    shares (the topology's defaults when [shares] is [None]) — the
+    evidence-distribution term of every transition's recovery bound,
+    and the verifier's check of it. *)
 
 val build :
   ?evidence_cache:(string, Time.t) Hashtbl.t ->

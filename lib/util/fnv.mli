@@ -1,8 +1,8 @@
 (** FNV-1a hashing, 64-bit.
 
     The one string hash everything deterministic keys on: campaign
-    artifact fingerprints, the sharded plan cache's shard selector and
-    {!Btr_planner.Planner.config_key_hash}. Stable across runs,
+    artifact fingerprints, the orchestrator's trial-to-shard rule and
+    the planner's dependency fingerprints. Stable across runs,
     processes and OCaml versions — unlike [Hashtbl.hash], which is
     explicitly unspecified — so hashes may appear in persisted artifacts
     and in CI assertions. *)

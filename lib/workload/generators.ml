@@ -35,8 +35,23 @@ module B = struct
     Graph.create ~period ~tasks:(List.rev b.tasks) ~flows:(List.rev b.flows)
 end
 
+(* Every generator pins tasks to fixed node ids (avionics and fleet up
+   to node 3, scada up to node 2) or divides by the node count (random). *)
+let min_nodes = [ ("avionics", 4); ("scada", 3); ("random", 1); ("fleet", 4) ]
+
+let check_nodes name ~n_nodes =
+  match List.assoc_opt name min_nodes with
+  | Some m when n_nodes < m ->
+    Error (Printf.sprintf "workload %s needs >= %d nodes, got %d" name m n_nodes)
+  | _ -> Ok ()
+
+let require_nodes name ~n_nodes =
+  match check_nodes name ~n_nodes with
+  | Ok () -> ()
+  | Error m -> invalid_arg (Printf.sprintf "Generators.%s: %s" name m)
+
 let avionics ~n_nodes =
-  if n_nodes < 4 then invalid_arg "Generators.avionics: need >= 4 nodes";
+  require_nodes "avionics" ~n_nodes;
   let b = B.create () in
   let ms = Time.ms and us = Time.us in
   (* Flight control: sensors on nodes 0 and 1, actuator on node 2. *)
@@ -115,7 +130,7 @@ let avionics ~n_nodes =
   B.finish b ~period:(ms 20)
 
 let scada ~n_nodes =
-  if n_nodes < 3 then invalid_arg "Generators.scada: need >= 3 nodes";
+  require_nodes "scada" ~n_nodes;
   let b = B.create () in
   let ms = Time.ms and us = Time.us in
   let pressure =
@@ -161,6 +176,7 @@ let scada ~n_nodes =
 
 let random_layered ~rng ~n_nodes ~layers ~width ?(period = Time.ms 20)
     ?utilization_target () =
+  require_nodes "random" ~n_nodes;
   if layers < 1 || width < 1 then
     invalid_arg "Generators.random_layered: layers and width must be >= 1";
   let target =
@@ -274,7 +290,7 @@ let random_layered ~rng ~n_nodes ~layers ~width ?(period = Time.ms 20)
   Graph.create ~period ~tasks:tasks' ~flows:(Graph.flows g)
 
 let fleet ~n_nodes =
-  if n_nodes < 4 then invalid_arg "Generators.fleet: need >= 4 nodes";
+  require_nodes "fleet" ~n_nodes;
   let b = B.create () in
   let ms = Time.ms and us = Time.us in
   (* Per vehicle: a pinned telemetry source feeding a pinned local

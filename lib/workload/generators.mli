@@ -7,6 +7,17 @@
 
 open Btr_util
 
+val min_nodes : (string * int) list
+(** The smallest [n_nodes] each generator accepts, by workload name:
+    [avionics] 4, [scada] 3, [random] 1, [fleet] 4. Every generator
+    raises [Invalid_argument] below its entry; callers taking a node
+    count from the user check it with {!check_nodes} first. *)
+
+val check_nodes : string -> n_nodes:int -> (unit, string) result
+(** [Error] naming the minimum when [n_nodes] is below the
+    {!min_nodes} entry of the named workload; [Ok ()] otherwise,
+    including for names the table does not list. *)
+
 val avionics : n_nodes:int -> Graph.t
 (** Mixed-criticality flight-deck workload on [n_nodes] >= 4 nodes:
     - safety-critical flight-control loop: two redundant sensors →

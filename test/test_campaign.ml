@@ -213,12 +213,12 @@ let orchestrated ?obs ~jobs spec =
   | Error m -> Alcotest.failf "campaign run failed: %s" m
 
 let prop_jobs_invariant =
-  (* The tentpole's regression guard: chunked index claiming and the
-     sharded plan cache must preserve byte-identical artifacts (verdict
-     lines, summary, fingerprint) and exact plan-cache counters for
-     every worker count. Trial counts vary with the seed so the chunking
-     edges (n < jobs, n = jobs, chunk > 1 remainders) all get
-     exercised. *)
+  (* The pool's regression guard: chunked index claiming over strategies
+     resolved before the workers start must preserve byte-identical
+     artifacts (verdict lines, summary, fingerprint) and the plan-cache
+     counters for every worker count. Trial counts vary with the seed so
+     the chunking edges (n < jobs, n = jobs, chunk > 1 remainders) all
+     get exercised. *)
   QCheck.Test.make ~name:"artifacts identical for jobs in {1,2,4,8}" ~count:50
     QCheck.(map (fun s -> abs s) small_int)
     (fun seed ->
@@ -290,10 +290,10 @@ let test_plan_cache_shared () =
   check_bool "hits cover the rest" true (result.Campaign.cache_hits >= 12)
 
 let test_cache_counters_exact () =
-  (* The per-shard hit/miss counters are bumped under the shard lock
-     and summed under the locks on read, so totals are exact, not
-     best-effort: with shrinking off and a violation-free fixture the
-     cache is consulted exactly once per trial, at any worker count. *)
+  (* The pool's strategies are looked up on the calling domain, once
+     per trial in trial order, so the totals do not depend on the
+     worker count: with shrinking off and a violation-free fixture the
+     cache is consulted exactly once per trial. *)
   List.iter
     (fun jobs ->
       let spec =
@@ -582,6 +582,97 @@ let prop_flat_json_roundtrip =
             (Flat_json.to_string back) line
         else true)
 
+(* --- small node counts ----------------------------------------------- *)
+
+let test_small_node_counts () =
+  let grid w n =
+    { Campaign.default_grid with Campaign.workloads = [ w ]; node_counts = [ n ] }
+  in
+  let err g = match Campaign.validate_grid g with Ok () -> "" | Error m -> m in
+  check_bool "avionics at 2 nodes" true
+    (contains ~sub:"avionics needs >= 4 nodes" (err (grid "avionics" 2)));
+  check_bool "scada at 2 nodes" true
+    (contains ~sub:"scada needs >= 3 nodes" (err (grid "scada" 2)));
+  check_string "scada at 3 nodes" "" (err (grid "scada" 3));
+  check_string "random at 2 nodes" "" (err (grid "random" 2));
+  check_bool "every workload must fit the smallest count" true
+    (err
+       {
+         Campaign.default_grid with
+         Campaign.workloads = [ "random"; "avionics" ];
+         node_counts = [ 6; 3 ];
+       }
+    <> "");
+  (* The library paths that never see validate_grid return, not raise. *)
+  let small = { Campaign.default_params with Campaign.nodes = 2 } in
+  let cache = Campaign.Cache.create ~seed:1 in
+  check_bool "Cache.strategy is an Error" true
+    (Result.is_error (Campaign.Cache.strategy cache small));
+  (match Campaign.run_script ~cache small ~runtime_seed:1 [] with
+  | Campaign.Rejected m -> check_bool "names the minimum" true (contains ~sub:">= 4" m)
+  | o -> Alcotest.failf "small config judged %s" (Campaign.outcome_name o));
+  let spec = Campaign.spec ~grid:(grid "avionics" 2) ~trials:3 () in
+  check_int "compile does not raise" 3 (List.length (Campaign.compile spec));
+  (* an artifact line edited down to 2 nodes is refused, not replayed *)
+  let v =
+    {
+      Campaign.trial = List.hd (Campaign.compile (Campaign.spec ~trials:1 ()));
+      outcome = Campaign.Rejected "-";
+    }
+  in
+  let edited =
+    List.map
+      (function "nodes", _ -> ("nodes", Flat_json.Int 2) | kv -> kv)
+      (Campaign.verdict_fields v)
+  in
+  check_bool "trial_of_fields refuses the edit" true
+    (Result.is_error (Campaign.trial_of_fields edited))
+
+(* --- R-derived strategies inside the pool --------------------------- *)
+
+let test_pool_r_derived_verdicts () =
+  (* Two R values per f: the pool's in-order resolution plans each f
+     once and derives its R-neighbour through with_recovery_bound and
+     the admission gate. Every verdict must equal run_script on a fresh
+     cache holding nothing but that trial's config, which plans it from
+     scratch. With R = 300 then 40 ms the derived neighbour is
+     statically rejected, so a derivation that skipped the gate would
+     deploy it instead. *)
+  List.iter
+    (fun rs ->
+      let grid =
+        {
+          Campaign.default_grid with
+          Campaign.fault_bounds = [ 1; 2 ];
+          recovery_bounds = List.map Time.ms rs;
+        }
+      in
+      let cache = Campaign.Cache.create ~seed:5 in
+      List.iter
+        (fun p -> ignore (Campaign.Cache.strategy cache p))
+        (Campaign.grid_params grid);
+      check_int "one R-neighbour derived per f" 2 (Campaign.Cache.derived cache);
+      let spec = Campaign.spec ~grid ~trials:8 ~seed:5 ~shrink:false () in
+      List.iter
+        (fun jobs ->
+          List.iter
+            (fun (v : Campaign.verdict) ->
+              let t = v.Campaign.trial in
+              let fresh = Campaign.Cache.create ~seed:5 in
+              let outcome =
+                Campaign.run_script ~cache:fresh t.Campaign.params
+                  ~runtime_seed:t.Campaign.runtime_seed t.Campaign.script
+              in
+              check_int "fresh cache planned from scratch" 0
+                (Campaign.Cache.derived fresh);
+              check_string
+                (Printf.sprintf "trial %d at jobs=%d" t.Campaign.index jobs)
+                (Campaign.verdict_json { v with Campaign.outcome })
+                (Campaign.verdict_json v))
+            (Campaign.run ~jobs spec).Campaign.verdicts)
+        [ 1; 4 ])
+    [ [ 150; 300 ]; [ 300; 40 ] ]
+
 let test_report_renders () =
   let spec = Campaign.spec ~trials:10 ~seed:7 () in
   let r = orchestrated ~jobs:1 spec in
@@ -642,4 +733,8 @@ let suite =
     Alcotest.test_case "report rejects garbage" `Quick test_report_rejects_garbage;
     Alcotest.test_case "replay scripts name existing nodes" `Quick
       test_script_nodes_in_range;
+    Alcotest.test_case "small node counts are errors, never exceptions" `Quick
+      test_small_node_counts;
+    Alcotest.test_case "pool verdicts on R-derived strategies" `Quick
+      test_pool_r_derived_verdicts;
   ]

@@ -181,6 +181,35 @@ let prop_random_layered_deterministic =
       let a = gen () and b = gen () in
       Graph.tasks a = Graph.tasks b && Graph.flows a = Graph.flows b)
 
+let test_min_nodes_table () =
+  (* Each generator accepts exactly the node counts its min_nodes entry
+     allows: it builds at the minimum and raises one below. *)
+  let gen name n =
+    match name with
+    | "avionics" -> ignore (Generators.avionics ~n_nodes:n)
+    | "scada" -> ignore (Generators.scada ~n_nodes:n)
+    | "fleet" -> ignore (Generators.fleet ~n_nodes:n)
+    | _ ->
+      ignore
+        (Generators.random_layered ~rng:(Rng.create 1) ~n_nodes:n ~layers:3
+           ~width:3 ())
+  in
+  List.iter
+    (fun (name, m) ->
+      gen name m;
+      check_bool
+        (name ^ " ok at its minimum") true
+        (Generators.check_nodes name ~n_nodes:m = Ok ());
+      check_bool
+        (name ^ " refused below it") true
+        (Result.is_error (Generators.check_nodes name ~n_nodes:(m - 1)));
+      match gen name (m - 1) with
+      | () -> Alcotest.failf "%s built with %d nodes" name (m - 1)
+      | exception Invalid_argument _ -> ())
+    Generators.min_nodes;
+  check_bool "unlisted names pass" true
+    (Generators.check_nodes "nosuch" ~n_nodes:0 = Ok ())
+
 let suite =
   [
     ("task validation", `Quick, test_task_validation);
@@ -198,4 +227,5 @@ let suite =
     ("scada workload structure", `Quick, test_scada_structure);
     QCheck_alcotest.to_alcotest prop_random_layered_valid;
     QCheck_alcotest.to_alcotest prop_random_layered_deterministic;
+    ("generators refuse node counts below min_nodes", `Quick, test_min_nodes_table);
   ]

@@ -136,16 +136,20 @@ let r_arg = Arg.(value & opt int 200 & info [ "r" ] ~doc:"Recovery bound R in ms
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed.")
 
 (* The workload and topology named on the command line; an [Error] is
-   bad input (exit 2), not a failed check. *)
-let system_of_names workload topology ~nodes ~seed =
+   bad input (exit 2), not a failed check. So is a system too large to
+   plan at fault bound [f]. *)
+let system_of_names workload topology ~nodes ~f ~seed =
   match workload_of_name workload ~nodes ~seed with
   | Error m -> Error m
-  | Ok g -> Result.map (fun topo -> (g, topo)) (topology_of_name topology ~nodes)
+  | Ok g -> (
+    match Planner.check_plan_size ~nodes ~f ~tasks:(Graph.task_count g) with
+    | Error m -> Error m
+    | Ok () -> Result.map (fun topo -> (g, topo)) (topology_of_name topology ~nodes))
 
 (* [Error (exit code, message)]: 2 for bad input, 1 when the planner
    finds no strategy. *)
 let build_strategy workload topology nodes f r seed =
-  match system_of_names workload topology ~nodes ~seed with
+  match system_of_names workload topology ~nodes ~f ~seed with
   | Error m -> Error (2, m)
   | Ok (g, topo) -> (
     let cfg = Planner.default_config ~f ~recovery_bound:(Time.ms r) in
@@ -240,7 +244,7 @@ let read_lines file =
    and how much plan reuse the delta engine achieved; the final report
    is identical to a from-scratch `btr check` of the edited system. *)
 let check_delta workload topology nodes f r seed json file =
-  match system_of_names workload topology ~nodes ~seed with
+  match system_of_names workload topology ~nodes ~f ~seed with
   | Error m -> input_error m
   | Ok (g, topo) -> (
     let cfg = Planner.default_config ~f ~recovery_bound:(Time.ms r) in

@@ -110,6 +110,27 @@ let grid_params g =
 let known_workloads = [ "avionics"; "scada"; "random" ]
 let known_topologies = [ "clique"; "ring"; "dual-bus" ]
 
+(* Workload generators are deterministic in (campaign seed, params), so
+   every trial of a configuration sees the same graph — a requirement
+   for the plan cache to be sound. *)
+let workload_seed seed = (seed * 7919) + 17
+
+let generate ~seed name ~n_nodes =
+  match Generators.check_nodes name ~n_nodes with
+  | Error _ as e -> e
+  | Ok () -> (
+    match name with
+    | "avionics" -> Ok (Generators.avionics ~n_nodes)
+    | "scada" -> Ok (Generators.scada ~n_nodes)
+    | "random" ->
+      Ok
+        (Generators.random_layered
+           ~rng:(Rng.create (workload_seed seed))
+           ~n_nodes ~layers:3 ~width:3 ())
+    | other -> Error (Printf.sprintf "unknown workload %S" other))
+
+let workload_of ~seed p = generate ~seed p.workload ~n_nodes:p.nodes
+
 let validate_grid g =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let nonempty name l = if l = [] then err "empty %s axis" name else Ok () in
@@ -150,11 +171,21 @@ let validate_grid g =
       then err "control share outside (0, 0.6]"
       else
         let smallest = List.fold_left Stdlib.min max_int g.node_counts in
-        List.fold_left
-          (fun acc w ->
-            let* () = acc in
-            Generators.check_nodes w ~n_nodes:smallest)
-          (Ok ()) g.workloads)
+        let each xs check =
+          List.fold_left (fun acc x -> let* () = acc in check x) (Ok ()) xs
+        in
+        let* () = each g.workloads (fun w -> Generators.check_nodes w ~n_nodes:smallest) in
+        (* Campaign workloads keep their size whatever the node count, and
+           the campaign seed moves the random one by a few tasks at most,
+           so one graph per point estimates every campaign's plans. *)
+        each g.workloads (fun w ->
+            each g.node_counts (fun n_nodes ->
+                match generate ~seed:0 w ~n_nodes with
+                | Error m -> Error m
+                | Ok graph ->
+                  let tasks = Graph.task_count graph in
+                  each g.fault_bounds (fun f ->
+                      Planner.check_plan_size ~nodes:n_nodes ~f ~tasks))))
 
 let point_grid p =
   {
@@ -194,24 +225,6 @@ type trial = {
 
 let ( let* ) = Result.bind
 
-(* Workload generators are deterministic in (campaign seed, params), so
-   every trial of a configuration sees the same graph — a requirement
-   for the plan cache to be sound. *)
-let workload_seed seed = (seed * 7919) + 17
-
-let workload_of ~seed p =
-  match Generators.check_nodes p.workload ~n_nodes:p.nodes with
-  | Error _ as e -> e
-  | Ok () -> (
-    match p.workload with
-    | "avionics" -> Ok (Generators.avionics ~n_nodes:p.nodes)
-    | "scada" -> Ok (Generators.scada ~n_nodes:p.nodes)
-    | "random" ->
-      Ok
-        (Generators.random_layered
-           ~rng:(Rng.create (workload_seed seed))
-           ~n_nodes:p.nodes ~layers:3 ~width:3 ())
-    | other -> Error (Printf.sprintf "unknown workload %S" other))
 
 let topology_of p =
   let latency = Time.us 50 in

@@ -89,9 +89,10 @@ val grid_params : grid -> params list
 
 val validate_grid : grid -> (unit, string) result
 (** Rejects empty axes, unknown workload/topology/fault-class names,
-    non-positive counts/bounds, and node counts below a workload's
-    {!Btr_workload.Generators.min_nodes} entry, so usage errors surface
-    before any planning happens. *)
+    non-positive counts/bounds, node counts below a workload's
+    {!Btr_workload.Generators.min_nodes} entry, and (workload, nodes, f)
+    points whose strategies {!Btr_planner.Planner.check_plan_size}
+    refuses, so usage errors surface before any planning happens. *)
 
 val point_grid : params -> grid
 (** The one-point grid holding [p], with every fault class; its

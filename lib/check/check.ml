@@ -317,16 +317,17 @@ let data_reserve_diags v (p : Planner.plan) =
   let period = Graph.period g in
   (* (sender, link_id) -> bytes per period, plus one witness flow *)
   let demand = Hashtbl.create 64 in
+  let route =
+    Topology.router v.topology ~usable:(fun n -> not (List.mem n p.Planner.faulty))
+  in
   List.iter
     (fun (fl : Graph.flow) ->
       match
-        ( List.assoc_opt fl.producer p.Planner.assignment,
-          List.assoc_opt fl.consumer p.Planner.assignment )
+        ( Planner.assignment_of p fl.producer,
+          Planner.assignment_of p fl.consumer )
       with
       | Some src, Some dst when src <> dst -> (
-        match
-          Topology.route_avoiding v.topology ~avoid:p.Planner.faulty ~src ~dst
-        with
+        match route ~src ~dst with
         | None -> ()
         | Some path ->
           let here = ref src in
@@ -427,7 +428,7 @@ let rta_inputs v (p : Planner.plan) =
       let prev = Option.value ~default:[] (Hashtbl.find_opt by_node n) in
       Hashtbl.replace by_node n
         ((tid, (Graph.task g tid).Task.wcet, deadline_of tid) :: prev))
-    p.Planner.assignment;
+    (Planner.assignments p);
   List.filter_map
     (fun node ->
       match Hashtbl.find_opt by_node node with
@@ -684,12 +685,7 @@ type omission_case = {
 let omission_cut_rows v (p : Planner.plan) ~sender =
   let aug = p.Planner.aug in
   let g = aug.Augment.graph in
-  let host_idx : (Task.id, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (tid, n) ->
-      if not (Hashtbl.mem host_idx tid) then Hashtbl.add host_idx tid n)
-    p.Planner.assignment;
-  let host tid = Hashtbl.find_opt host_idx tid in
+  let host tid = Planner.assignment_of p tid in
   (* Live lane chains per protected original sink flow: the delivery
      hop plus the transitive producer closure behind it, all assigned
      in this mode. *)

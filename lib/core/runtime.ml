@@ -1021,12 +1021,14 @@ let mark_uncarried_shed t period =
   match reference with
   | None -> ()
   | Some plan ->
+    let aug = plan.Planner.aug in
     let carried = Hashtbl.create 16 in
     List.iter
-      (fun (fid, (orig, _lane)) ->
-        ignore fid;
-        Hashtbl.replace carried orig ())
-      plan.Planner.aug.Augment.flow_origin;
+      (fun (fl : Graph.flow) ->
+        match Augment.orig_flow_of aug fl.flow_id with
+        | Some (orig, _lane) -> Hashtbl.replace carried orig ()
+        | None -> ())
+      (Graph.flows aug.Augment.graph);
     List.iter
       (fun (fl : Graph.flow) ->
         if not (Hashtbl.mem carried fl.flow_id) then

@@ -103,7 +103,10 @@ let scan_suppressions src =
     let fin = ref false in
     while not !fin && !i < n do
       (match src.[!i] with
-      | '\\' -> incr i
+      | '\\' ->
+        (* an escaped newline continues the literal on the next line *)
+        incr i;
+        if !i < n && src.[!i] = '\n' then incr line
       | '"' -> fin := true
       | '\n' -> incr line
       | _ -> ());

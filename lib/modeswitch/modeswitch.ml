@@ -152,7 +152,7 @@ let pp_action ppf = function
 
 let diff ~node ~from_plan ~to_plan =
   let open Planner in
-  let from_assign = from_plan.assignment and to_assign = to_plan.assignment in
+  let from_assign = assignments from_plan and to_assign = assignments to_plan in
   let state_size tid =
     match Graph.task to_plan.aug.Augment.graph tid with
     | x -> x.Task.state_size
@@ -168,7 +168,7 @@ let diff ~node ~from_plan ~to_plan =
   List.iter
     (fun (tid, old_node) ->
       if old_node = node then
-        match List.assoc_opt tid to_assign with
+        match assignment_of to_plan tid with
         | Some new_node when new_node = node -> ()
         | Some new_node ->
           emit (Stop tid);
@@ -181,7 +181,7 @@ let diff ~node ~from_plan ~to_plan =
   List.iter
     (fun (tid, new_node) ->
       if new_node = node then
-        match List.assoc_opt tid from_assign with
+        match assignment_of from_plan tid with
         | Some old_node when old_node = node -> ()
         | Some old_node ->
           let bytes = state_size tid in

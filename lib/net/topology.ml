@@ -7,11 +7,17 @@ type link = {
   latency : Btr_util.Time.t;
 }
 
+(* Sweeps run on a dense numbering: node [i] is [ids.(i)], in declared
+   order, and link [j] is [links_at.(j)], in ascending id. *)
 type t = {
   node_list : node_id list;
   link_list : link list;
   by_id : (int, link) Hashtbl.t;
-  by_node : (node_id, link list) Hashtbl.t;
+  pos : (node_id, int) Hashtbl.t;  (* node id -> node index *)
+  ids : node_id array;
+  links_at : link array;
+  members_at : int array array;  (* link index -> member indices, declared order *)
+  adj : int array array;  (* node index -> link indices, ascending id *)
 }
 
 (* Set-based duplicate detection: same verdict as the naive pairwise
@@ -52,22 +58,31 @@ let create ~nodes ~links =
   List.iter check_link links;
   let by_id = Hashtbl.create 16 in
   List.iter (fun l -> Hashtbl.replace by_id l.link_id l) links;
-  let by_node = Hashtbl.create 16 in
-  List.iter (fun n -> Hashtbl.replace by_node n []) nodes;
-  List.iter
-    (fun l ->
-      List.iter
-        (fun m -> Hashtbl.replace by_node m (l :: Hashtbl.find by_node m))
-        l.members)
-    links;
-  (* Keep per-node link lists in ascending link id for determinism. *)
-  List.iter
-    (fun n ->
-      let ls = Hashtbl.find by_node n in
-      Hashtbl.replace by_node n
-        (List.sort (fun a b -> Int.compare a.link_id b.link_id) ls))
-    nodes;
-  { node_list = nodes; link_list = links; by_id; by_node }
+  let ids = Array.of_list nodes in
+  let pos = Hashtbl.create 64 in
+  Array.iteri (fun i n -> Hashtbl.replace pos n i) ids;
+  let links_at =
+    Array.of_list (List.sort (fun a b -> Int.compare a.link_id b.link_id) links)
+  in
+  let members_at =
+    Array.map (fun l -> Array.of_list (List.map (Hashtbl.find pos) l.members)) links_at
+  in
+  (* Walking the links in descending id and consing leaves every node's
+     links in ascending id, which fixes the expansion order. *)
+  let adj = Array.make (Array.length ids) [] in
+  for j = Array.length links_at - 1 downto 0 do
+    Array.iter (fun i -> adj.(i) <- j :: adj.(i)) members_at.(j)
+  done;
+  {
+    node_list = nodes;
+    link_list = links;
+    by_id;
+    pos;
+    ids;
+    links_at;
+    members_at;
+    adj = Array.map Array.of_list adj;
+  }
 
 let nodes t = t.node_list
 let links t = t.link_list
@@ -79,7 +94,9 @@ let find_link t id =
   | None -> invalid_arg (Printf.sprintf "Topology.find_link: no link %d" id)
 
 let links_of_node t n =
-  match Hashtbl.find_opt t.by_node n with Some ls -> ls | None -> []
+  match Hashtbl.find_opt t.pos n with
+  | Some i -> Array.fold_right (fun j acc -> t.links_at.(j) :: acc) t.adj.(i) []
+  | None -> []
 
 let neighbors t n =
   let out =
@@ -89,55 +106,119 @@ let neighbors t n =
   in
   List.sort_uniq Int.compare out
 
-let share_link t a b =
-  let shared =
-    List.filter (fun l -> List.mem b l.members) (links_of_node t a)
-  in
-  match shared with
-  | [] -> None
-  | ls ->
-    Some
-      (List.fold_left
-         (fun best l -> if l.bandwidth_bps > best.bandwidth_bps then l else best)
-         (List.hd ls) (List.tl ls))
+(* {2 Breadth-first sweeps}
 
-(* BFS over nodes where an edge (a -> b) exists when a link contains both
-   and relaying through intermediate nodes is allowed by [usable]. *)
+   Every route query is one sweep from its source: links in ascending
+   id, members in declared order, first encounter wins. A sweep expands
+   each link at most once. The first expansion of a link reaches every
+   member that any later expansion could reach (all of them, except
+   unusable ones, which no expansion relays through), so later
+   expansions would find nothing new: skipping them leaves every
+   predecessor, cost and route unchanged, and makes a sweep
+   O(nodes + memberships) instead of O(n²) on a bus.
+
+   Each sweep marks nodes and links in byte maps and queues node
+   indices in one array, since every node is queued at most once.
+   [expand here j] is called once per link [j] expanded from node
+   [here], and the function it returns once per node [m] first reached
+   through that expansion: it records [m] and returns [false] to stop
+   the sweep. Unusable nodes are reached as endpoints but never relay. *)
+let sweep t ~usable ~src ~expand =
+  let n = Array.length t.ids in
+  let seen = Bytes.make n '\000' in
+  let spent = Bytes.make (Array.length t.links_at) '\000' in
+  let queue = Array.make n src in
+  let head = ref 0 and tail = ref 1 in
+  Bytes.set seen src '\001';
+  let go = ref true in
+  while !go && !head < !tail do
+    let here = queue.(!head) in
+    incr head;
+    Array.iter
+      (fun j ->
+        if !go && Bytes.get spent j = '\000' then begin
+          Bytes.set spent j '\001';
+          let reach = expand here j in
+          Array.iter
+            (fun m ->
+              if !go && Bytes.get seen m = '\000' then begin
+                Bytes.set seen m '\001';
+                if not (reach m) then go := false
+                else if usable t.ids.(m) then begin
+                  queue.(!tail) <- m;
+                  incr tail
+                end
+              end)
+            t.members_at.(j)
+        end)
+      t.adj.(here)
+  done
+
+(* One sweep from [src] yields, for every destination, the route a
+   sweep stopped at that destination would record: stopping early
+   cannot change predecessors already recorded. [prev.(i)] is the node
+   index [i] was reached from (-1 if unreached, and for the source) and
+   [via.(i)] the link index it was reached through. *)
+type paths = {
+  p_topo : t;
+  p_src : node_id;
+  prev : int array;
+  via : int array;
+}
+
+let reached p n =
+  n = p.p_src
+  ||
+  match Hashtbl.find_opt p.p_topo.pos n with
+  | Some i -> p.prev.(i) >= 0
+  | None -> false
+
+let path_to p ~dst =
+  if dst = p.p_src then Some []
+  else if not (reached p dst) then None
+  else begin
+    let rec rebuild acc i =
+      if p.prev.(i) < 0 then acc
+      else rebuild (p.p_topo.links_at.(p.via.(i)) :: acc) p.prev.(i)
+    in
+    Some (rebuild [] (Hashtbl.find p.p_topo.pos dst))
+  end
+
+(* A sweep recording predecessors, stopped once [stop_at] (a node
+   index, or -1 for never) is reached. *)
+let sweep_paths t ~usable ~src ~stop_at =
+  let n = Array.length t.ids in
+  let p = { p_topo = t; p_src = src; prev = Array.make n (-1); via = Array.make n (-1) } in
+  (match Hashtbl.find_opt t.pos src with
+  | None -> ()
+  | Some s ->
+    sweep t ~usable ~src:s ~expand:(fun here j m ->
+        p.prev.(m) <- here;
+        p.via.(m) <- j;
+        m <> stop_at));
+  p
+
+let paths_from t ~usable ~src = sweep_paths t ~usable ~src ~stop_at:(-1)
+
+let router t ~usable =
+  let sweeps = Hashtbl.create 16 in
+  fun ~src ~dst ->
+    let p =
+      match Hashtbl.find_opt sweeps src with
+      | Some p -> p
+      | None ->
+        let p = paths_from t ~usable ~src in
+        Hashtbl.replace sweeps src p;
+        p
+    in
+    path_to p ~dst
+
 let route_gen t ~usable ~src ~dst =
   if src = dst then Some []
-  else begin
-    let prev : (node_id, node_id * link) Hashtbl.t = Hashtbl.create 16 in
-    let visited = Hashtbl.create 16 in
-    Hashtbl.replace visited src ();
-    let q = Queue.create () in
-    Queue.push src q;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty q) do
-      let here = Queue.pop q in
-      let expand l =
-        List.iter
-          (fun m ->
-            if m <> here && not (Hashtbl.mem visited m) && (m = dst || usable m)
-            then begin
-              Hashtbl.replace visited m ();
-              Hashtbl.replace prev m (here, l);
-              if m = dst then found := true else Queue.push m q
-            end)
-          l.members
-      in
-      List.iter expand (links_of_node t here)
-    done;
-    if not !found then None
-    else begin
-      let rec rebuild acc n =
-        if n = src then acc
-        else
-          let p, l = Hashtbl.find prev n in
-          rebuild (l :: acc) p
-      in
-      Some (rebuild [] dst)
-    end
-  end
+  else
+    match Hashtbl.find_opt t.pos dst with
+    | None -> None
+    | Some d -> path_to (sweep_paths t ~usable ~src ~stop_at:d) ~dst
 
 let route t ~src ~dst = route_gen t ~usable:(fun _ -> true) ~src ~dst
 
@@ -160,85 +241,28 @@ let next_hop_node t ~here ~link ~dst =
     | c :: cs -> List.fold_left (fun best m -> if dist m < dist best then m else best) c cs
   end
 
-(* Single-source variant of [route_gen]: one BFS from [src] yields, for
-   every destination, exactly the path [route_gen t ~usable ~src ~dst]
-   would return. The expansion order is identical (links in ascending
-   id, members in declared order, first encounter wins), and the
-   queue's evolution before a given destination is first reached does
-   not depend on that destination: [route_gen] only special-cases [dst]
-   by (a) stopping early — which cannot change [prev] entries already
-   recorded — and (b) letting an unusable [dst] terminate a route. We
-   reproduce (b) by recording a predecessor for unusable nodes without
-   ever relaying through them. *)
-type paths = {
-  p_src : node_id;
-  p_prev : (node_id, node_id * link) Hashtbl.t;
-}
+(* The cost of a destination is [link_cost] summed along its route,
+   accumulated during the sweep rather than rebuilt per destination;
+   [min_int] marks unreached nodes. *)
+type costs = { c_topo : t; cost : Btr_util.Time.t array }
 
-let paths_from t ~usable ~src =
-  let prev : (node_id, node_id * link) Hashtbl.t = Hashtbl.create 64 in
-  let visited = Hashtbl.create 64 in
-  Hashtbl.replace visited src ();
-  let q = Queue.create () in
-  Queue.push src q;
-  while not (Queue.is_empty q) do
-    let here = Queue.pop q in
-    let expand l =
-      List.iter
-        (fun m ->
-          if m <> here && not (Hashtbl.mem visited m) then begin
-            Hashtbl.replace visited m ();
-            Hashtbl.replace prev m (here, l);
-            if usable m then Queue.push m q
-          end)
-        l.members
-    in
-    List.iter expand (links_of_node t here)
-  done;
-  { p_src = src; p_prev = prev }
-
-let reached p n = n = p.p_src || Hashtbl.mem p.p_prev n
-
-let path_to p ~dst =
-  if dst = p.p_src then Some []
-  else if not (Hashtbl.mem p.p_prev dst) then None
-  else begin
-    let rec rebuild acc n =
-      if n = p.p_src then acc
-      else
-        let pr, l = Hashtbl.find p.p_prev n in
-        rebuild (l :: acc) pr
-    in
-    Some (rebuild [] dst)
-  end
-
-(* Same traversal as [paths_from] but accumulates a per-destination cost
-   (sum of [link_cost] along the unique BFS path) during the sweep, so a
-   caller needing costs for all destinations pays O(nodes + memberships)
-   instead of rebuilding each path. [cost m] equals folding [link_cost]
-   over [path_to ~dst:m] because the path is exactly the prev-chain and
-   integer addition is associative. *)
 let cost_from t ~usable ~src ~link_cost =
-  let cost : (node_id, Btr_util.Time.t) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.replace cost src Btr_util.Time.zero;
-  let q = Queue.create () in
-  Queue.push src q;
-  while not (Queue.is_empty q) do
-    let here = Queue.pop q in
-    let here_cost = Hashtbl.find cost here in
-    let expand l =
-      let c = Btr_util.Time.add here_cost (link_cost l) in
-      List.iter
-        (fun m ->
-          if m <> here && not (Hashtbl.mem cost m) then begin
-            Hashtbl.replace cost m c;
-            if usable m then Queue.push m q
-          end)
-        l.members
-    in
-    List.iter expand (links_of_node t here)
-  done;
-  cost
+  let c = { c_topo = t; cost = Array.make (Array.length t.ids) min_int } in
+  (match Hashtbl.find_opt t.pos src with
+  | None -> ()
+  | Some s ->
+    c.cost.(s) <- Btr_util.Time.zero;
+    sweep t ~usable ~src:s ~expand:(fun here j ->
+        let via = Btr_util.Time.add c.cost.(here) (link_cost t.links_at.(j)) in
+        fun m ->
+          c.cost.(m) <- via;
+          true));
+  c
+
+let cost_to c n =
+  match Hashtbl.find_opt c.c_topo.pos n with
+  | Some i when c.cost.(i) <> min_int -> Some c.cost.(i)
+  | _ -> None
 
 let connected_without t broken =
   let broken_set = Hashtbl.create 8 in

@@ -29,9 +29,6 @@ val node_count : t -> int
 val find_link : t -> int -> link
 val links_of_node : t -> node_id -> link list
 val neighbors : t -> node_id -> node_id list
-val share_link : t -> node_id -> node_id -> link option
-(** Some link both nodes sit on (the highest-bandwidth one if several). *)
-
 val route : t -> src:node_id -> dst:node_id -> link list option
 (** Minimum-hop path as the list of links to traverse; [Some []] when
     [src = dst]; [None] when disconnected. Deterministic tie-breaking
@@ -53,10 +50,12 @@ val connected_without : t -> node_id list -> bool
 
     One BFS answers route queries from a fixed source to {e every}
     destination, with the exact routes {!route_avoiding} would return
-    pair-by-pair (same expansion order, same tie-breaking). These turn
-    the verifier's all-pairs evidence bounds from O(n³) per fault set
-    into O(n·memberships), which is what makes 10³–10⁴-node fleets
-    checkable. *)
+    pair-by-pair (same expansion order, same tie-breaking). Every sweep,
+    including the one behind each {!route} query, expands each link at
+    most once, so it costs O(nodes + memberships) even on a bus that
+    every node shares. These turn the verifier's all-pairs evidence
+    bounds from O(n³) per fault set into O(n·memberships), which is
+    what makes 10³–10⁴-node fleets checkable. *)
 
 type paths
 (** Shortest-path tree from one source under a [usable] predicate. *)
@@ -74,15 +73,26 @@ val path_to : paths -> dst:node_id -> link list option
     [route_gen src dst] under the same [usable] predicate for every
     destination. [Some []] when [dst] is the source. *)
 
+val router :
+  t -> usable:(node_id -> bool) -> src:node_id -> dst:node_id -> link list option
+(** [router t ~usable] answers [path_to] queries from any source,
+    sweeping each source once, on first use, and keeping the sweep for
+    later queries. *)
+
+type costs
+(** Route costs from one source. *)
+
 val cost_from :
   t ->
   usable:(node_id -> bool) ->
   src:node_id ->
   link_cost:(link -> Btr_util.Time.t) ->
-  (node_id, Btr_util.Time.t) Hashtbl.t
+  costs
 (** Same traversal as {!paths_from}, accumulating
-    [sum of link_cost over the route] per destination during the sweep.
-    Absent keys are unreachable; the source maps to {!Btr_util.Time.zero}. *)
+    [sum of link_cost over the route] per destination during the sweep. *)
+
+val cost_to : costs -> node_id -> Btr_util.Time.t option
+(** [None] when unreachable; {!Btr_util.Time.zero} for the source. *)
 
 val pp : Format.formatter -> t -> unit
 

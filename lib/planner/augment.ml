@@ -8,16 +8,21 @@ type role =
   | Checker of { orig : Task.id }
   | Guard of { node : int }
 
-type t = {
-  graph : Graph.t;
-  original : Graph.t;
-  degree : int;
-  roles : (Task.id * role) list;
-  flow_origin : (int * (int * int)) list;  (* aug flow -> (orig flow, lane) *)
+(* One id-indexed index, built once by [augment]: every accessor below
+   is an array read. *)
+type index = {
+  roles : role option Idtab.t;  (* augmented task id -> role *)
+  lanes : Task.id list Idtab.t;
+      (* original id -> lane ids in lane order; [] when unreplicated *)
+  checker : Task.id option Idtab.t;  (* original id -> its checker *)
+  flow_origin : (int * int) option Idtab.t;
+      (* augmented data flow id -> (original flow id, lane) *)
 }
 
+type t = { graph : Graph.t; original : Graph.t; degree : int; index : index }
+
 let role_of t id =
-  match List.assoc_opt id t.roles with
+  match Idtab.get t.index.roles id with
   | Some r -> r
   | None -> invalid_arg (Printf.sprintf "Augment.role_of: unknown task %d" id)
 
@@ -31,42 +36,30 @@ let lane_of t id =
   match role_of t id with Replica { lane; _ } -> lane | Original | Checker _ | Guard _ -> 0
 
 let replicas_of t orig =
-  let lanes =
-    List.filter_map
-      (fun (id, role) ->
-        match role with
-        | Replica { orig = o; lane } when o = orig -> Some (lane, id)
-        | Replica _ | Original | Checker _ | Guard _ -> None)
-      t.roles
-  in
-  match lanes with
-  | [] -> [ orig ]
-  | _ -> List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) lanes)
+  match Idtab.get t.index.lanes orig with [] -> [ orig ] | lanes -> lanes
 
-let checker_of t orig =
-  List.find_map
-    (fun (id, role) ->
-      match role with
-      | Checker { orig = o } when o = orig -> Some id
-      | Checker _ | Original | Replica _ | Guard _ -> None)
-    t.roles
+let checker_of t orig = Idtab.get t.index.checker orig
 
 let checkers t =
   List.filter_map
-    (fun (id, role) ->
-      match role with Checker _ -> Some id | Original | Replica _ | Guard _ -> None)
-    t.roles
+    (fun (x : Task.t) ->
+      match role_of t x.id with
+      | Checker _ -> Some x.id
+      | Original | Replica _ | Guard _ -> None)
+    (Graph.tasks t.graph)
 
 let guards t =
   List.filter_map
-    (fun (id, role) ->
-      match role with Guard { node } -> Some (id, node) | Original | Replica _ | Checker _ -> None)
-    t.roles
+    (fun (x : Task.t) ->
+      match role_of t x.id with
+      | Guard { node } -> Some (x.id, node)
+      | Original | Replica _ | Checker _ -> None)
+    (Graph.tasks t.graph)
 
 let is_protected t orig =
   match replicas_of t orig with [ single ] -> single <> orig | _ -> true
 
-let orig_flow_of t fid = List.assoc_opt fid t.flow_origin
+let orig_flow_of t fid = Idtab.get t.index.flow_origin fid
 
 let digest_flow_ids t =
   List.filter_map
@@ -76,14 +69,33 @@ let digest_flow_ids t =
       | Original | Replica _ | Guard _ -> None)
     (Graph.flows t.graph)
 
-let primary_sink_flows t =
-  List.filter_map
-    (fun (f : Graph.flow) ->
-      let consumer_is_sink =
-        (Graph.task t.graph f.consumer).Task.kind = Task.Sink
-      in
-      if consumer_is_sink && lane_of t f.producer = 0 then Some f.flow_id else None)
-    (Graph.flows t.graph)
+(* Shared by every unreplicated task's index entry. *)
+let some_original = Some Original
+
+let build_index ~tasks ~roles ~flows ~flow_origin =
+  let task_ids = List.map (fun (x : Task.t) -> x.Task.id) tasks in
+  let index =
+    {
+      roles = Idtab.of_ids task_ids None;
+      lanes = Idtab.of_ids task_ids [];
+      checker = Idtab.of_ids task_ids None;
+      flow_origin = Idtab.of_ids (List.map (fun (f : Graph.flow) -> f.flow_id) flows) None;
+    }
+  in
+  (* [roles] is newest first, so consing lanes yields lane order. *)
+  List.iter
+    (fun (id, role) ->
+      Idtab.set index.roles id
+        (match role with
+        | Original -> some_original
+        | Replica _ | Checker _ | Guard _ -> Some role);
+      match role with
+      | Replica { orig; _ } -> Idtab.set index.lanes orig (id :: Idtab.get index.lanes orig)
+      | Checker { orig } -> Idtab.set index.checker orig (Some id)
+      | Original | Guard _ -> ())
+    roles;
+  List.iter (fun (fid, origin) -> Idtab.set index.flow_origin fid (Some origin)) flow_origin;
+  index
 
 let augment g ~nodes ~degree ~protect_level ~checker_overhead ~guard_wcet
     ~digest_size =
@@ -190,8 +202,11 @@ let augment g ~nodes ~degree ~protect_level ~checker_overhead ~guard_wcet
            ~wcet:guard_wcet ~criticality:Task.Safety_critical ~pinned:node ())
         (Guard { node }))
     nodes;
-  let graph =
-    Graph.create_relaxed ~period:(Graph.period g) ~tasks:(List.rev !tasks)
-      ~flows:(List.rev !flows)
-  in
-  { graph; original = g; degree; roles = List.rev !roles; flow_origin = List.rev !flow_origin }
+  let tasks = List.rev !tasks and flows = List.rev !flows in
+  let graph = Graph.create_relaxed ~period:(Graph.period g) ~tasks ~flows in
+  {
+    graph;
+    original = g;
+    degree;
+    index = build_index ~tasks ~roles:!roles ~flows ~flow_origin:!flow_origin;
+  }

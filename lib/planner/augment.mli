@@ -32,16 +32,20 @@ type role =
   | Checker of { orig : Task.id }  (** compares the lanes of [orig] *)
   | Guard of { node : int }  (** per-node evidence-verification reserve *)
 
+type index
+(** Roles, lanes, checkers and flow origins, indexed by id: the
+    accessors below are O(1). *)
+
 type t = {
   graph : Graph.t;  (** the augmented dataflow graph *)
   original : Graph.t;
   degree : int;  (** number of lanes *)
-  roles : (Task.id * role) list;
-  flow_origin : (int * (int * int)) list;
-      (** augmented data flow id → (original flow id, lane) *)
+  index : index;
 }
 
 val role_of : t -> Task.id -> role
+(** Raises [Invalid_argument] for an id that is not a task of [graph]. *)
+
 val replicas_of : t -> Task.id -> Task.id list
 (** Augmented ids of the lanes of an original task, by lane order;
     [[orig]] itself for unreplicated tasks. *)
@@ -57,6 +61,8 @@ val lane_of : t -> Task.id -> int
 (** Lane index (0 for originals, checkers and guards). *)
 
 val checkers : t -> Task.id list
+(** In [graph]'s task order. *)
+
 val guards : t -> (Task.id * int) list
 (** Guard task ids with the node they are pinned to. *)
 
@@ -65,10 +71,6 @@ val digest_flow_ids : t -> int list
 
 val is_protected : t -> Task.id -> bool
 (** Whether the original task was replicated. *)
-
-val primary_sink_flows : t -> int list
-(** Augmented flow ids that deliver primary-lane outputs to sinks —
-    the system outputs whose correctness BTR is judged on. *)
 
 val orig_flow_of : t -> int -> (int * int) option
 (** [(original flow id, lane)] behind an augmented data flow id;

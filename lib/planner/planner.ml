@@ -130,16 +130,51 @@ let mode_fp ~base ~parent_fp ~mode_key =
       mode_key;
     ]
 
+let max_plan_size = 2_000_000
+
+let plan_size ~nodes ~f ~tasks =
+  let f = Stdlib.max 0 f in
+  (* modes = Σ_{k ≤ f} C(nodes, k), C(n, k) = C(n, k - 1) · (n - k + 1) / k *)
+  let modes = ref 1.0 and c = ref 1.0 in
+  for k = 1 to Stdlib.min f nodes do
+    c := !c *. float_of_int (nodes - k + 1) /. float_of_int k;
+    modes := !modes +. !c
+  done;
+  !modes *. float_of_int (nodes + ((f + 2) * tasks))
+
+let check_plan_size ~nodes ~f ~tasks =
+  let size = plan_size ~nodes ~f ~tasks in
+  if size <= float_of_int max_plan_size then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "%d nodes at f = %d would plan about %.3g task placements, past the limit of %d"
+         nodes f size max_plan_size)
+
+(* Task id -> node. Options are stored, so a lookup allocates nothing. *)
+type assignment = int option Idtab.t
+
 type plan = {
   faulty : int list;
   aug : Augment.t;
-  assignment : (Task.id * int) list;
+  assignment : assignment;
   schedule : Schedule.t;
   shed_below : Task.criticality option;
   lost_tasks : Task.id list;
 }
 
-let assignment_of plan tid = List.assoc_opt tid plan.assignment
+let assignment_of plan tid = Idtab.get plan.assignment tid
+
+let assignments plan =
+  List.filter_map
+    (fun (x : Task.t) ->
+      match assignment_of plan x.id with Some n -> Some (x.id, n) | None -> None)
+    (Graph.tasks plan.aug.Augment.graph)
+
+let assignment_of_list pairs =
+  let a = Idtab.of_ids (List.map fst pairs) None in
+  List.iter (fun (tid, n) -> Idtab.set a tid (Some n)) pairs;
+  a
 
 type transition = {
   from_faulty : int list;
@@ -222,82 +257,74 @@ let fault_patterns nodes f =
   List.concat_map (fun k -> List.map (List.sort Int.compare) (subsets k nodes))
     (List.init (Stdlib.max 0 f + 1) Fun.id)
 
-(* Greedy placement of the augmented graph onto the alive nodes. *)
-let place_tasks cfg topo aug ~alive ~faulty ~parent =
-  let g = aug.Augment.graph in
-  let assignment : (Task.id, int) Hashtbl.t = Hashtbl.create 64 in
-  let busy : (int, Time.t) Hashtbl.t = Hashtbl.create 16 in
-  let busy_of n = Option.value ~default:Time.zero (Hashtbl.find_opt busy n) in
-  let lanes_on_node orig n =
-    List.exists
-      (fun l -> Hashtbl.find_opt assignment l = Some n)
-      (Augment.replicas_of aug orig)
-  in
-  let parent_node tid =
-    match parent with
-    | Some p when cfg.reassignment = Minimal -> assignment_of p tid
-    | _ -> None
-  in
-  (* Locality costs probe transfer time from every already-placed
-     producer to every candidate node. One BFS sweep per producer host
-     (cached for the whole placement) answers all those probes with the
-     exact routes the pairwise [xfer_of] would have found. *)
+(* Data-class transfer times within one mode. Each source's routes come
+   from one sweep, kept for the whole mode: the exact routes the
+   pairwise [xfer_of] would find, without one BFS per probe. *)
+let data_xfer cfg topo ~faulty =
   let shares =
     match cfg.shares with Some s -> s | None -> Net.default_shares_for topo
   in
-  let usable n = not (List.mem n faulty) in
-  let sweeps : (int, Topology.paths) Hashtbl.t = Hashtbl.create 16 in
-  let xfer_data ~src ~dst ~size_bytes =
-    let p =
-      match Hashtbl.find_opt sweeps src with
-      | Some p -> p
-      | None ->
-        let p = Topology.paths_from topo ~usable ~src in
-        Hashtbl.replace sweeps src p;
-        p
-    in
-    match Topology.path_to p ~dst with
-    | None -> None
-    | Some path ->
-      Some (Net.path_transfer_time shares ~cls:Net.Data ~size_bytes path)
-  in
-  let locality_cost tid n =
+  let route = Topology.router topo ~usable:(fun n -> not (List.mem n faulty)) in
+  fun ~src ~dst ~size_bytes ->
+    Option.map (Net.path_transfer_time shares ~cls:Net.Data ~size_bytes) (route ~src ~dst)
+
+(* Greedy placement of the augmented graph onto the alive nodes, in
+   topological order: each task goes to the cheapest candidate. *)
+let place_tasks cfg aug ~alive ~parent ~xfer =
+  let g = aug.Augment.graph in
+  let assignment = Idtab.of_ids (List.map (fun (x : Task.t) -> x.id) (Graph.tasks g)) None in
+  let busy : (int, Time.t) Hashtbl.t = Hashtbl.create 16 in
+  let busy_of n = Option.value ~default:Time.zero (Hashtbl.find_opt busy n) in
+  let on_node n l = Idtab.get assignment l = Some n in
+  (* Locality cost: transfer time from every already-placed producer. *)
+  let locality_cost producers n =
     List.fold_left
       (fun acc (fl : Graph.flow) ->
-        match Hashtbl.find_opt assignment fl.producer with
+        match Idtab.get assignment fl.producer with
         | None -> acc
         | Some pn ->
           if pn = n then acc
           else
             acc
             + Option.value ~default:1_000_000
-                (xfer_data ~src:pn ~dst:n ~size_bytes:fl.msg_size))
-      0 (Graph.producers_of g tid)
+                (xfer ~src:pn ~dst:n ~size_bytes:fl.msg_size))
+      0 producers
   in
-  let cost tid n =
-    let task = Graph.task g tid in
-    let sep_penalty =
+  (* Everything about a task that does not depend on the candidate node:
+     its lane group and separation rule, its parent-mode node, and its
+     producers. *)
+  let cost_for tid =
+    let separation =
       match Augment.role_of aug tid with
       | Augment.Replica { orig; _ } ->
         (* Hard: two lanes of one task must not share a node. *)
-        if lanes_on_node orig n then Some `Forbidden else None
+        Some (`Forbidden, Augment.replicas_of aug orig)
       | Augment.Checker { orig } ->
         (* Soft but heavy: the checker should not sit with a lane it
            checks, or a faulty node could silence its own accuser. *)
-        if lanes_on_node orig n then Some `Heavy else None
+        Some (`Heavy, Augment.replicas_of aug orig)
       | Augment.Original | Augment.Guard _ -> None
     in
-    match sep_penalty with
-    | Some `Forbidden -> None
-    | pen ->
-      let base =
-        locality_cost tid n
-        + (busy_of n / 2)
-        + (if parent_node tid = Some n then -50_000 else 0)
-        + (match pen with Some `Heavy -> 500_000 | _ -> 0)
+    let parent_node =
+      match parent with
+      | Some p when cfg.reassignment = Minimal -> assignment_of p tid
+      | _ -> None
+    in
+    let producers = Graph.producers_of g tid in
+    fun n ->
+      let pen =
+        match separation with
+        | Some (kind, lanes) when List.exists (on_node n) lanes -> Some kind
+        | _ -> None
       in
-      ignore task;
-      Some base
+      match pen with
+      | Some `Forbidden -> None
+      | pen ->
+        Some
+          (locality_cost producers n
+          + (busy_of n / 2)
+          + (if parent_node = Some n then -50_000 else 0)
+          + (match pen with Some `Heavy -> 500_000 | _ -> 0))
   in
   let exception Stuck of Task.id in
   try
@@ -308,10 +335,11 @@ let place_tasks cfg topo aug ~alive ~faulty ~parent =
           match task.Task.pinned with
           | Some n -> if List.mem n alive then n else raise (Stuck tid)
           | None ->
+            let cost = cost_for tid in
             let best =
               List.fold_left
                 (fun best n ->
-                  match cost tid n with
+                  match cost n with
                   | None -> best
                   | Some c -> (
                     match best with
@@ -321,13 +349,10 @@ let place_tasks cfg topo aug ~alive ~faulty ~parent =
             in
             (match best with Some (n, _) -> n | None -> raise (Stuck tid))
         in
-        Hashtbl.replace assignment tid node;
+        Idtab.set assignment tid (Some node);
         Hashtbl.replace busy node (Time.add (busy_of node) task.Task.wcet))
       (Graph.topo_order g);
-    Ok
-      (List.map
-         (fun (x : Task.t) -> (x.id, Hashtbl.find assignment x.id))
-         (Graph.tasks g))
+    Ok assignment
   with Stuck tid -> Error (Printf.sprintf "no feasible node for task %d" tid)
 
 (* One mode: shed criticality levels from the bottom until schedulable. *)
@@ -343,6 +368,7 @@ let plan_mode cfg workload topo ~faulty ~parent =
         | _ -> None)
       (Graph.tasks workload)
   in
+  let data = data_xfer cfg topo ~faulty in
   let attempt floor =
     let keep (x : Task.t) =
       Task.compare_criticality x.criticality floor >= 0
@@ -354,13 +380,12 @@ let plan_mode cfg workload topo ~faulty ~parent =
         ~protect_level:cfg.protect_level ~checker_overhead:cfg.checker_overhead
         ~guard_wcet:cfg.guard_wcet ~digest_size:cfg.digest_size
     in
-    match place_tasks cfg topo aug ~alive ~faulty ~parent with
+    match place_tasks cfg aug ~alive ~parent ~xfer:data with
     | Error reason -> Error reason
     | Ok assignment ->
-      let place tid = List.assoc tid assignment in
+      let place tid = Option.get (Idtab.get assignment tid) in
       let xfer ~src ~dst ~size_bytes =
-        if src = dst then Some Time.zero
-        else xfer_of cfg topo ~faulty ~cls:Net.Data ~src ~dst ~size_bytes
+        if src = dst then Some Time.zero else data ~src ~dst ~size_bytes
       in
       (match Schedule.list_schedule aug.Augment.graph ~place ~xfer with
       | Ok schedule ->
@@ -411,7 +436,7 @@ let evidence_bound cfg topo ~faulty =
         (fun acc b ->
           if a = b then acc
           else
-            match Hashtbl.find_opt costs b with
+            match Topology.cost_to costs b with
             | Some d -> Time.max acc d
             | None -> acc)
         acc alive)
@@ -419,26 +444,24 @@ let evidence_bound cfg topo ~faulty =
 
 let make_transition ?evb cfg topo ~from_plan ~to_plan ~new_fault =
   let faulty = to_plan.faulty in
-  let assigned p = p.assignment in
-  let from_assign = assigned from_plan and to_assign = assigned to_plan in
+  let to_assign = assignments to_plan in
   let moved =
     List.filter_map
       (fun (tid, to_node) ->
-        match List.assoc_opt tid from_assign with
+        match assignment_of from_plan tid with
         | Some from_node when from_node <> to_node -> Some (tid, from_node, to_node)
         | _ -> None)
       to_assign
   in
   let started =
     List.filter_map
-      (fun (tid, _) ->
-        if List.mem_assoc tid from_assign then None else Some tid)
+      (fun (tid, _) -> if assignment_of from_plan tid = None then Some tid else None)
       to_assign
   in
   let stopped =
     List.filter_map
-      (fun (tid, _) -> if List.mem_assoc tid to_assign then None else Some tid)
-      from_assign
+      (fun (tid, _) -> if assignment_of to_plan tid = None then Some tid else None)
+      (assignments from_plan)
   in
   let g = to_plan.aug.Augment.graph in
   let state_of tid =
@@ -594,9 +617,8 @@ let build_with ?previous ?evidence_cache cfg workload topo =
                     !churn
                     + List.length
                         (List.filter
-                           (fun (tid, node) ->
-                             List.assoc_opt tid old.assignment <> Some node)
-                           plan.assignment)
+                           (fun (tid, node) -> assignment_of old tid <> Some node)
+                           (assignments plan))
                 | None -> ());
                 plan
             end

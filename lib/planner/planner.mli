@@ -77,10 +77,30 @@ val fault_patterns : int list -> int -> int list list
     smallest first — the modes a strategy plans and the verifier
     checks. *)
 
+val max_plan_size : int
+(** The largest {!plan_size} that {!check_plan_size} admits: 2,000,000
+    task placements. Planning and verification hold about 0.5 KB per
+    placement (100 nodes at f = 1 peak near 40 MB), so the limit keeps a
+    strategy near 1 GB; every size the benchmarks plan is far below it. *)
+
+val plan_size : nodes:int -> f:int -> tasks:int -> float
+(** Estimated task placements of a strategy for a [tasks]-task workload
+    on [nodes] nodes at fault bound [f]: Σ_{k ≤ f} C(nodes, k) modes,
+    each placing up to [f + 1] lanes and a checker per task plus one
+    guard per node. In floats, so huge inputs cannot overflow. *)
+
+val check_plan_size : nodes:int -> f:int -> tasks:int -> (unit, string) result
+(** [Error] with a message naming the estimate when it exceeds
+    {!max_plan_size}: such inputs are refused up front instead of
+    exhausting memory mid-plan. *)
+
+type assignment
+(** Augmented task → node, indexed by task id. *)
+
 type plan = {
   faulty : int list;  (** this mode's fault pattern, sorted *)
   aug : Augment.t;  (** augmented workload actually running *)
-  assignment : (Task.id * int) list;
+  assignment : assignment;
   schedule : Schedule.t;
   shed_below : Task.criticality option;
       (** tasks strictly below this level were shed; [None] = nothing *)
@@ -89,6 +109,14 @@ type plan = {
 }
 
 val assignment_of : plan -> Task.id -> int option
+(** The node a task runs on in this mode, in O(1); [None] when the task
+    is not placed. *)
+
+val assignments : plan -> (Task.id * int) list
+(** Every placed task with its node, in the augmented graph's task
+    order. *)
+
+val assignment_of_list : (Task.id * int) list -> assignment
 
 type transition = {
   from_faulty : int list;

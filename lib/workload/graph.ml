@@ -170,9 +170,12 @@ let tasks_at_least t level =
 
 let restrict t ~keep =
   let kept = List.filter keep t.task_list in
-  let ids = List.map (fun (x : Task.t) -> x.id) kept in
+  let ids = Hashtbl.create 64 in
+  List.iter (fun (x : Task.t) -> Hashtbl.replace ids x.id ()) kept;
   let kept_flows =
-    List.filter (fun f -> List.mem f.producer ids && List.mem f.consumer ids) t.flow_list
+    List.filter
+      (fun f -> Hashtbl.mem ids f.producer && Hashtbl.mem ids f.consumer)
+      t.flow_list
   in
   build ~relaxed:true ~period:t.period ~tasks:kept ~flows:kept_flows
 

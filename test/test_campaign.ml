@@ -628,6 +628,46 @@ let test_small_node_counts () =
   check_bool "trial_of_fields refuses the edit" true
     (Result.is_error (Campaign.trial_of_fields edited))
 
+(* --- oversized planning inputs --------------------------------------- *)
+
+let test_oversized_inputs_refused () =
+  let module Planner = Btr_planner.Planner in
+  let module Generators = Btr_workload.Generators in
+  let module Graph = Btr_workload.Graph in
+  (* 101 modes, each placing 3 x 212 lane/checker slots and 100 guards *)
+  check_bool "plan_size at 100 nodes, f = 1" true
+    (Planner.plan_size ~nodes:100 ~f:1 ~tasks:212 = 101. *. 736.);
+  (* Every size the planner bench and perfbench's plan_admit plan. *)
+  List.iter
+    (fun (nodes, f) ->
+      let tasks = Graph.task_count (Generators.fleet ~n_nodes:nodes) in
+      check_bool (Printf.sprintf "fleet %d nodes f=%d admitted" nodes f) true
+        (Result.is_ok (Planner.check_plan_size ~nodes ~f ~tasks)))
+    [ (10, 1); (100, 1); (1000, 0); (10000, 0); (40, 1); (16, 2) ];
+  let grid n f =
+    { Campaign.default_grid with Campaign.node_counts = [ n ]; fault_bounds = [ f ] }
+  in
+  let err g = match Campaign.validate_grid g with Ok () -> "" | Error m -> m in
+  check_string "multihop-sized grid" "" (err { (grid 12 2) with workloads = [ "scada"; "random" ] });
+  check_bool "99999 nodes at f = 1" true
+    (contains ~sub:"99999 nodes at f = 1 would plan about 1e+10 task placements"
+       (err (grid 99999 1)));
+  check_bool "300 nodes at f = 2" true (contains ~sub:"past the limit" (err (grid 300 2)));
+  (* an artifact line edited up to 99999 nodes is refused, not planned *)
+  let v =
+    {
+      Campaign.trial = List.hd (Campaign.compile (Campaign.spec ~trials:1 ()));
+      outcome = Campaign.Rejected "-";
+    }
+  in
+  let edited =
+    List.map
+      (function "nodes", _ -> ("nodes", Flat_json.Int 99999) | kv -> kv)
+      (Campaign.verdict_fields v)
+  in
+  check_bool "trial_of_fields refuses the edit" true
+    (Result.is_error (Campaign.trial_of_fields edited))
+
 (* --- R-derived strategies inside the pool --------------------------- *)
 
 let test_pool_r_derived_verdicts () =
@@ -737,4 +777,6 @@ let suite =
       test_small_node_counts;
     Alcotest.test_case "pool verdicts on R-derived strategies" `Quick
       test_pool_r_derived_verdicts;
+    Alcotest.test_case "oversized planning inputs are refused" `Quick
+      test_oversized_inputs_refused;
   ]

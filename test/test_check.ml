@@ -86,7 +86,9 @@ let e201 =
               if p.faulty = [] then
                 {
                   p with
-                  assignment = List.map (fun (t, _) -> (t, 0)) p.assignment;
+                  assignment =
+                    Planner.assignment_of_list
+                      (List.map (fun (t, _) -> (t, 0)) (Planner.assignments p));
                 }
               else p)
             v.Check.plans;
@@ -127,7 +129,11 @@ let w202 =
           List.map
             (fun (p : Planner.plan) ->
               if p.faulty = [] then
-                { p with aug; assignment = [ (0, 0); (1, 0); (2, 0) ] }
+                {
+                  p with
+                  aug;
+                  assignment = Planner.assignment_of_list [ (0, 0); (1, 0); (2, 0) ];
+                }
               else p)
             v.Check.plans;
       })

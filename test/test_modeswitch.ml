@@ -77,7 +77,7 @@ let test_diff_covers_the_moved_tasks () =
   let tasks_on_4 =
     List.filter_map
       (fun (tid, n) -> if n = 4 then Some tid else None)
-      from_plan.Planner.assignment
+      (Planner.assignments from_plan)
   in
   check_bool "node 4 hosted something" true (tasks_on_4 <> []);
   List.iter

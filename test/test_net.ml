@@ -239,6 +239,120 @@ let prop_ring_route_is_shortest =
       | Some path -> List.length path = expect
       | None -> false)
 
+(* Reference model for the sweeps: the breadth-first search every route
+   query used before sweeps expanded each link at most once. Each
+   dequeued node re-reads every member of each of its links, which is
+   O(n²) on a bus, and a node other than [dst] is entered only if it
+   may relay. *)
+let ref_route topo ~usable ~src ~dst =
+  if src = dst then Some []
+  else begin
+    let prev = Hashtbl.create 16 and visited = Hashtbl.create 16 in
+    Hashtbl.replace visited src ();
+    let q = Queue.create () in
+    Queue.push src q;
+    let found = ref false in
+    while (not !found) && not (Queue.is_empty q) do
+      let here = Queue.pop q in
+      List.iter
+        (fun (l : Topology.link) ->
+          List.iter
+            (fun m ->
+              if m <> here && (not (Hashtbl.mem visited m)) && (m = dst || usable m)
+              then begin
+                Hashtbl.replace visited m ();
+                Hashtbl.replace prev m (here, l);
+                if m = dst then found := true else Queue.push m q
+              end)
+            l.members)
+        (Topology.links_of_node topo here)
+    done;
+    let rec rebuild acc n =
+      if n = src then acc
+      else
+        let p, l = Hashtbl.find prev n in
+        rebuild (l :: acc) p
+    in
+    if !found then Some (rebuild [] dst) else None
+  end
+
+(* Random topologies over 2-9 nodes: generators, plus overlapping
+   multi-member links with shuffled members and shuffled link ids, so
+   one node sits on several buses and member order matters. *)
+let gen_topology =
+  let open QCheck.Gen in
+  let bw = 1000 and latency = Time.us 1 in
+  let shuffled xs =
+    map
+      (fun keys ->
+        List.map snd
+          (List.sort (fun (a, _) (b, _) -> Int.compare a b) (List.combine keys xs)))
+      (list_repeat (List.length xs) nat)
+  in
+  let random_links n =
+    int_range 1 (2 * n) >>= fun count ->
+    list_repeat count
+      (int_range 2 n >>= fun size ->
+       map (fun ns -> List.filteri (fun i _ -> i < size) ns) (shuffled (List.init n Fun.id)))
+    >>= fun memberships ->
+    map
+      (fun ids ->
+        Topology.create ~nodes:(List.init n Fun.id)
+          ~links:
+            (List.map2
+               (fun link_id members -> { Topology.link_id; members; bandwidth_bps = bw; latency })
+               ids memberships))
+      (shuffled (List.init count Fun.id))
+  in
+  int_range 2 9 >>= fun n ->
+  frequency
+    [
+      (1, return (Topology.ring ~n ~bandwidth_bps:bw ~latency));
+      (1, map (fun hub -> Topology.star ~n ~hub ~bandwidth_bps:bw ~latency) (int_bound (n - 1)));
+      (1, return (Topology.dual_bus ~n ~bandwidth_bps:bw ~latency));
+      (1, return (Topology.fully_connected ~n ~bandwidth_bps:bw ~latency));
+      (4, random_links n);
+    ]
+  >>= fun topo ->
+  map
+    (fun avoid -> (topo, List.sort_uniq Int.compare avoid))
+    (list_size (int_bound 3) (int_bound (n - 1)))
+
+let arb_topology =
+  QCheck.make gen_topology ~print:(fun (topo, avoid) ->
+      Format.asprintf "%a@.avoid=[%s]" Topology.pp topo
+        (String.concat "," (List.map string_of_int avoid)))
+
+let prop_sweeps_match_reference =
+  QCheck.Test.make ~name:"link-once sweeps match the reference BFS" ~count:300
+    arb_topology (fun (topo, avoid) ->
+      let nodes = Topology.nodes topo in
+      let usable n = not (List.mem n avoid) in
+      let link_cost (l : Topology.link) = (7 * l.link_id) + List.length l.members in
+      let cost_of path = List.fold_left (fun acc l -> acc + link_cost l) 0 path in
+      let ref_connected =
+        match List.filter usable nodes with
+        | [] -> true
+        | first :: rest ->
+          List.for_all (fun n -> ref_route topo ~usable ~src:first ~dst:n <> None) rest
+      in
+      Topology.connected_without topo avoid = ref_connected
+      && List.for_all
+           (fun src ->
+             let paths = Topology.paths_from topo ~usable ~src in
+             let costs = Topology.cost_from topo ~usable ~src ~link_cost in
+             List.for_all
+               (fun dst ->
+                 let expect = ref_route topo ~usable ~src ~dst in
+                 Topology.route_avoiding topo ~avoid ~src ~dst = expect
+                 && Topology.route topo ~src ~dst
+                    = ref_route topo ~usable:(fun _ -> true) ~src ~dst
+                 && Topology.path_to paths ~dst = expect
+                 && Topology.reached paths dst = (expect <> None)
+                 && Topology.cost_to costs dst = Option.map cost_of expect)
+               nodes)
+           nodes)
+
 let suite =
   [
     ("topology validation", `Quick, test_topology_validation);
@@ -258,4 +372,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_clique_routes_exist;
     QCheck_alcotest.to_alcotest prop_ring_route_is_shortest;
     ("route cache follows the avoid list", `Quick, test_route_cache_follows_avoid);
+    QCheck_alcotest.to_alcotest prop_sweeps_match_reference;
   ]

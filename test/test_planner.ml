@@ -140,7 +140,7 @@ let test_no_tasks_on_faulty_nodes () =
         (fun (_, node) ->
           check_bool "assignment avoids faulty nodes" false
             (List.mem node p.Planner.faulty))
-        p.Planner.assignment)
+        (Planner.assignments p))
     (Planner.all_plans s)
 
 let test_schedules_validate () =
@@ -413,6 +413,158 @@ let test_with_recovery_bound () =
   check_bool "admission matches a scratch build at the new R" true
     (Planner.admitted s' = Planner.admitted fresh)
 
+(* Index agreement. The reference re-derives the association lists the
+   augmentation used to carry, from its contract rather than from the
+   index: tasks in graph order are each original's lanes (or the
+   original itself), then one checker per protected task, then one guard
+   per node; data flows are each original flow wired lane by lane, with
+   duplicate endpoint pairs collapsed, then the digest flows. The
+   accessors' list-scan definitions run over those lists, and every
+   indexed accessor must agree with them on every id in the graph and on
+   ids outside it. *)
+let ref_roles aug ~protect_level ~nodes =
+  let orig = aug.Augment.original and d = aug.Augment.degree in
+  let protected (x : Task.t) =
+    x.kind = Task.Compute && Task.compare_criticality x.criticality protect_level >= 0
+  in
+  let expected =
+    List.concat_map
+      (fun (x : Task.t) ->
+        if protected x then List.init d (fun lane -> Augment.Replica { orig = x.id; lane })
+        else [ Augment.Original ])
+      (Graph.tasks orig)
+    @ List.filter_map
+        (fun (x : Task.t) -> if protected x then Some (Augment.Checker { orig = x.id }) else None)
+        (Graph.tasks orig)
+    @ List.map (fun node -> Augment.Guard { node }) nodes
+  in
+  List.map2 (fun (x : Task.t) role -> (x.id, role)) (Graph.tasks aug.Augment.graph) expected
+
+let scan_replicas roles orig =
+  let lanes =
+    List.filter_map
+      (function
+        | id, Augment.Replica { orig = o; lane } when o = orig -> Some (lane, id)
+        | _ -> None)
+      roles
+  in
+  match lanes with
+  | [] -> [ orig ]
+  | _ -> List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) lanes)
+
+let scan_checker roles orig =
+  List.find_map
+    (function id, Augment.Checker { orig = o } when o = orig -> Some id | _ -> None)
+    roles
+
+let ref_flow_origin aug roles =
+  let lane_task orig lane =
+    match scan_replicas roles orig with [ x ] -> x | lanes -> List.nth lanes lane
+  in
+  let seen = Hashtbl.create 16 in
+  let wired =
+    List.concat_map
+      (fun (f : Graph.flow) ->
+        List.filter_map
+          (fun lane ->
+            let p = lane_task f.producer lane and c = lane_task f.consumer lane in
+            if Hashtbl.mem seen (p, c, f.flow_id) then None
+            else begin
+              Hashtbl.replace seen (p, c, f.flow_id) ();
+              Some (p, c, (f.flow_id, lane))
+            end)
+          (List.init aug.Augment.degree Fun.id))
+      (Graph.flows aug.Augment.original)
+  in
+  let data =
+    List.filter
+      (fun (fl : Graph.flow) ->
+        match List.assoc fl.consumer roles with Augment.Checker _ -> false | _ -> true)
+      (Graph.flows aug.Augment.graph)
+  in
+  List.map2
+    (fun (fl : Graph.flow) (p, c, origin) ->
+      check_bool "data flow wired as the contract says" true
+        (fl.producer = p && fl.consumer = c);
+      (fl.flow_id, origin))
+    data wired
+
+let check_index_agreement ~protect_level ~nodes aug =
+  let roles = ref_roles aug ~protect_level ~nodes in
+  let ids = List.map fst roles in
+  let outside = [ -1; 1 + List.fold_left max 0 ids; 1_000_000 ] in
+  let result f x = match f x with v -> Ok v | exception Invalid_argument m -> Error m in
+  List.iter
+    (fun id ->
+      let scan_role = List.assoc_opt id roles in
+      check_bool "role_of" true
+        (result (Augment.role_of aug) id
+        = match scan_role with
+          | Some r -> Ok r
+          | None -> Error (Printf.sprintf "Augment.role_of: unknown task %d" id));
+      (match scan_role with
+      | None -> ()
+      | Some r ->
+        check_int "orig_of" (match r with Augment.Replica { orig; _ } | Augment.Checker { orig } -> orig | _ -> id)
+          (Augment.orig_of aug id);
+        check_int "lane_of" (match r with Augment.Replica { lane; _ } -> lane | _ -> 0)
+          (Augment.lane_of aug id));
+      check_bool "replicas_of" true (Augment.replicas_of aug id = scan_replicas roles id);
+      check_bool "checker_of" true (Augment.checker_of aug id = scan_checker roles id))
+    (ids @ outside);
+  let origins = ref_flow_origin aug roles in
+  let fids = List.map (fun (fl : Graph.flow) -> fl.flow_id) (Graph.flows aug.Augment.graph) in
+  List.iter
+    (fun fid ->
+      check_bool "orig_flow_of" true (Augment.orig_flow_of aug fid = List.assoc_opt fid origins))
+    (fids @ [ -1; 1 + List.fold_left max 0 fids ])
+
+let test_index_agreement () =
+  let workloads =
+    [
+      ("avionics", Generators.avionics ~n_nodes:6);
+      ("scada", Generators.scada ~n_nodes:6);
+      ( "random",
+        Generators.random_layered ~rng:(Rng.create 3) ~n_nodes:6 ~layers:3 ~width:3 () );
+      ("fleet", Generators.fleet ~n_nodes:6);
+    ]
+  in
+  List.iter
+    (fun (name, g) ->
+      let built = ref 0 in
+      List.iter
+        (fun degree ->
+          let nodes = [ 0; 1; 2; 3; 4; 5 ] in
+          check_index_agreement ~protect_level:Task.Medium ~nodes
+            (Augment.augment g ~nodes ~degree ~protect_level:Task.Medium
+               ~checker_overhead:(Time.us 100) ~guard_wcet:(Time.us 200) ~digest_size:32);
+          let topo = Topology.dual_bus ~n:6 ~bandwidth_bps:10_000_000 ~latency:(Time.us 50) in
+          match build ~tune:(fun c -> { c with Planner.degree }) g topo with
+          | Error _ -> ()
+          | Ok s ->
+            incr built;
+            List.iter
+              (fun (p : Planner.plan) ->
+                let alive = List.filter (fun n -> not (List.mem n p.faulty)) nodes in
+                check_index_agreement ~protect_level:Task.Medium ~nodes:alive p.aug;
+                (* The schedule records where list scheduling put each task. *)
+                let placed =
+                  List.filter_map
+                    (fun (x : Task.t) ->
+                      Option.map (fun n -> (x.id, n)) (Schedule.node_of p.schedule x.id))
+                    (Graph.tasks p.aug.Augment.graph)
+                in
+                check_bool "assignments" true (Planner.assignments p = placed);
+                List.iter
+                  (fun tid ->
+                    check_bool "assignment_of" true
+                      (Planner.assignment_of p tid = List.assoc_opt tid placed))
+                  (List.map fst placed @ [ -1; 1_000_000 ]))
+              (Planner.all_plans s))
+        [ 1; 2; 3 ];
+      check_bool (name ^ ": some degree plans") true (!built > 0))
+    workloads
+
 let suite =
   [
     ("augment: task counts", `Quick, test_augment_counts);
@@ -437,4 +589,5 @@ let suite =
     ("config_key is total and injective on fields", `Quick, test_config_key_total);
     ("scenario resolved_config applies tune", `Quick, test_resolved_config_applies_tune);
     QCheck_alcotest.to_alcotest prop_random_workloads_plan_and_validate;
+    ("indexed accessors agree with list scans", `Quick, test_index_agreement);
   ]

@@ -110,26 +110,17 @@ let grid_params g =
 let known_workloads = [ "avionics"; "scada"; "random" ]
 let known_topologies = [ "clique"; "ring"; "dual-bus" ]
 
-(* Workload generators are deterministic in (campaign seed, params), so
-   every trial of a configuration sees the same graph — a requirement
-   for the plan cache to be sound. *)
-let workload_seed seed = (seed * 7919) + 17
+let random_layers = 3
+let random_width = 3
 
-let generate ~seed name ~n_nodes =
-  match Generators.check_nodes name ~n_nodes with
-  | Error _ as e -> e
-  | Ok () -> (
-    match name with
-    | "avionics" -> Ok (Generators.avionics ~n_nodes)
-    | "scada" -> Ok (Generators.scada ~n_nodes)
-    | "random" ->
-      Ok
-        (Generators.random_layered
-           ~rng:(Rng.create (workload_seed seed))
-           ~n_nodes ~layers:3 ~width:3 ())
-    | other -> Error (Printf.sprintf "unknown workload %S" other))
-
-let workload_of ~seed p = generate ~seed p.workload ~n_nodes:p.nodes
+(* The most tasks a campaign's workload can have on [n_nodes] nodes,
+   whatever the campaign seed: the fixed workloads' own count, the
+   random one's bound. A grid is admitted or refused for every seed. *)
+let max_tasks name ~n_nodes =
+  match name with
+  | "random" -> Generators.random_layered_max_tasks ~layers:random_layers ~width:random_width
+  | "scada" -> Graph.task_count (Generators.scada ~n_nodes)
+  | _ -> Graph.task_count (Generators.avionics ~n_nodes)
 
 let validate_grid g =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -175,17 +166,10 @@ let validate_grid g =
           List.fold_left (fun acc x -> let* () = acc in check x) (Ok ()) xs
         in
         let* () = each g.workloads (fun w -> Generators.check_nodes w ~n_nodes:smallest) in
-        (* Campaign workloads keep their size whatever the node count, and
-           the campaign seed moves the random one by a few tasks at most,
-           so one graph per point estimates every campaign's plans. *)
         each g.workloads (fun w ->
             each g.node_counts (fun n_nodes ->
-                match generate ~seed:0 w ~n_nodes with
-                | Error m -> Error m
-                | Ok graph ->
-                  let tasks = Graph.task_count graph in
-                  each g.fault_bounds (fun f ->
-                      Planner.check_plan_size ~nodes:n_nodes ~f ~tasks))))
+                let tasks = max_tasks w ~n_nodes in
+                each g.fault_bounds (fun f -> Planner.check_plan_size ~nodes:n_nodes ~f ~tasks))))
 
 let point_grid p =
   {
@@ -225,6 +209,24 @@ type trial = {
 
 let ( let* ) = Result.bind
 
+(* Workload generators are deterministic in (campaign seed, params), so
+   every trial of a configuration sees the same graph — a requirement
+   for the plan cache to be sound. *)
+let workload_seed seed = (seed * 7919) + 17
+
+let workload_of ~seed p =
+  match Generators.check_nodes p.workload ~n_nodes:p.nodes with
+  | Error _ as e -> e
+  | Ok () -> (
+    match p.workload with
+    | "avionics" -> Ok (Generators.avionics ~n_nodes:p.nodes)
+    | "scada" -> Ok (Generators.scada ~n_nodes:p.nodes)
+    | "random" ->
+      Ok
+        (Generators.random_layered
+           ~rng:(Rng.create (workload_seed seed))
+           ~n_nodes:p.nodes ~layers:random_layers ~width:random_width ())
+    | other -> Error (Printf.sprintf "unknown workload %S" other))
 
 let topology_of p =
   let latency = Time.us 50 in
@@ -580,8 +582,8 @@ let workload_expr ~wl_seed p =
   | "random" ->
     Printf.sprintf
       "Btr_workload.Generators.random_layered ~rng:(Rng.create %d) ~n_nodes:%d \
-       ~layers:3 ~width:3 ()"
-      wl_seed p.nodes
+       ~layers:%d ~width:%d ()"
+      wl_seed p.nodes random_layers random_width
   | _ -> Printf.sprintf "Btr_workload.Generators.avionics ~n_nodes:%d" p.nodes
 
 let topology_expr p =

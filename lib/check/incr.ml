@@ -301,6 +301,14 @@ let init ?(strikes = 1) config workload topology =
 
 let edited_workload st = function
   | Add_flow fl ->
+    (* Flow ids stay dense (the planner's indexes span the id range), so
+       a new flow takes a free id no larger than one past the largest. *)
+    let top =
+      List.fold_left (fun m (f : Graph.flow) -> Stdlib.max m f.flow_id) (-1)
+        (Graph.flows st.workload)
+    in
+    if fl.flow_id < 0 || fl.flow_id > top + 1 then
+      invalid_arg (Printf.sprintf "flow id %d outside 0..%d" fl.flow_id (top + 1));
     Some
       (Graph.create_relaxed ~period:(Graph.period st.workload)
          ~tasks:(Graph.tasks st.workload)

@@ -37,6 +37,8 @@ type edit =
       latency : Btr_util.Time.t option;
     }
   | Add_flow of Graph.flow
+      (** The flow's id must be free and at most one past the largest
+          flow id: ids stay dense. *)
   | Remove_flow of int
   | Retune_flow of {
       flow : int;

@@ -103,10 +103,7 @@ let scan_suppressions src =
     let fin = ref false in
     while not !fin && !i < n do
       (match src.[!i] with
-      | '\\' ->
-        (* an escaped newline continues the literal on the next line *)
-        incr i;
-        if !i < n && src.[!i] = '\n' then incr line
+      | '\\' -> incr i
       | '"' -> fin := true
       | '\n' -> incr line
       | _ -> ());

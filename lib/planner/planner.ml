@@ -134,13 +134,16 @@ let max_plan_size = 2_000_000
 
 let plan_size ~nodes ~f ~tasks =
   let f = Stdlib.max 0 f in
-  (* modes = Σ_{k ≤ f} C(nodes, k), C(n, k) = C(n, k - 1) · (n - k + 1) / k *)
-  let modes = ref 1.0 and c = ref 1.0 in
-  for k = 1 to Stdlib.min f nodes do
-    c := !c *. float_of_int (nodes - k + 1) /. float_of_int k;
-    modes := !modes +. !c
+  (* modes = Σ_{k ≤ f} C(nodes, k), C(n, k) = C(n, k - 1) · (n - k + 1) / k;
+     the sum reaches infinity within about a thousand terms, so huge [f]
+     stops early. *)
+  let modes = ref 1.0 and c = ref 1.0 and k = ref 1 in
+  while !k <= Stdlib.min f nodes && Float.is_finite !modes do
+    c := !c *. float_of_int (nodes - !k + 1) /. float_of_int !k;
+    modes := !modes +. !c;
+    incr k
   done;
-  !modes *. float_of_int (nodes + ((f + 2) * tasks))
+  !modes *. (float_of_int nodes +. ((float_of_int f +. 2.0) *. float_of_int tasks))
 
 let check_plan_size ~nodes ~f ~tasks =
   let size = plan_size ~nodes ~f ~tasks in

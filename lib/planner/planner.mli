@@ -77,22 +77,17 @@ val fault_patterns : int list -> int -> int list list
     smallest first — the modes a strategy plans and the verifier
     checks. *)
 
-val max_plan_size : int
-(** The largest {!plan_size} that {!check_plan_size} admits: 2,000,000
-    task placements. Planning and verification hold about 0.5 KB per
-    placement (100 nodes at f = 1 peak near 40 MB), so the limit keeps a
-    strategy near 1 GB; every size the benchmarks plan is far below it. *)
-
-val plan_size : nodes:int -> f:int -> tasks:int -> float
-(** Estimated task placements of a strategy for a [tasks]-task workload
-    on [nodes] nodes at fault bound [f]: Σ_{k ≤ f} C(nodes, k) modes,
-    each placing up to [f + 1] lanes and a checker per task plus one
-    guard per node. In floats, so huge inputs cannot overflow. *)
-
 val check_plan_size : nodes:int -> f:int -> tasks:int -> (unit, string) result
-(** [Error] with a message naming the estimate when it exceeds
-    {!max_plan_size}: such inputs are refused up front instead of
-    exhausting memory mid-plan. *)
+(** Refuses a strategy too large to plan: [Error] with a message naming
+    the estimate when a [tasks]-task workload on [nodes] nodes at fault
+    bound [f] would place more than 2,000,000 tasks. The estimate is
+    Σ_{k ≤ f} C(nodes, k) modes, each placing up to [f + 1] lanes and a
+    checker per task plus one guard per node, computed in floats so huge
+    inputs cannot overflow. Planning and verification hold about 0.5 KB
+    per placement (100 nodes at f = 1 peak near 40 MB), so the limit
+    keeps a strategy near 1 GB; every size the benchmarks plan is far
+    below it. Such inputs are refused up front instead of exhausting
+    memory mid-plan. *)
 
 type assignment
 (** Augmented task → node, indexed by task id. *)

@@ -289,6 +289,8 @@ let random_layered ~rng ~n_nodes ~layers ~width ?(period = Time.ms 20)
   in
   Graph.create ~period ~tasks:tasks' ~flows:(Graph.flows g)
 
+let random_layered_max_tasks ~layers ~width = 2 + (layers * width) + 2
+
 let fleet ~n_nodes =
   require_nodes "fleet" ~n_nodes;
   let b = B.create () in

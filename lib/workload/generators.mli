@@ -51,6 +51,10 @@ val random_layered :
     roughly [utilization_target] (default 0.5 per node at n_nodes).
     Criticalities are drawn uniformly. Deterministic in [rng]. *)
 
+val random_layered_max_tasks : layers:int -> width:int -> int
+(** The most tasks {!random_layered} returns for any [rng]: up to two
+    sources, [layers × width] compute tasks and two sinks. *)
+
 val fleet : n_nodes:int -> Graph.t
 (** Fleet-scale workload for the planner/verifier scaling bench (E7):
     one pinned telemetry→aggregator pair per vehicle (Low criticality,

@@ -634,15 +634,21 @@ let test_oversized_inputs_refused () =
   let module Planner = Btr_planner.Planner in
   let module Generators = Btr_workload.Generators in
   let module Graph = Btr_workload.Graph in
-  (* 101 modes, each placing 3 x 212 lane/checker slots and 100 guards *)
-  check_bool "plan_size at 100 nodes, f = 1" true
-    (Planner.plan_size ~nodes:100 ~f:1 ~tasks:212 = 101. *. 736.);
+  (* At the limit: one mode placing 2 x 999_999 lane/checker slots and
+     2 guards; at f = 1, 101 modes of 3 x 6567 slots and 100 guards. *)
+  let admits ~nodes ~f ~tasks = Result.is_ok (Planner.check_plan_size ~nodes ~f ~tasks) in
+  check_bool "f = 0 at the limit" true (admits ~nodes:2 ~f:0 ~tasks:999_999);
+  check_bool "f = 0 past the limit" false (admits ~nodes:2 ~f:0 ~tasks:1_000_000);
+  check_bool "f = 1 under the limit" true (admits ~nodes:100 ~f:1 ~tasks:6567);
+  check_bool "f = 1 past the limit" false (admits ~nodes:100 ~f:1 ~tasks:6568);
+  check_bool "max_int nodes do not overflow" false (admits ~nodes:max_int ~f:3 ~tasks:1);
+  check_bool "max_int f stops early" false (admits ~nodes:max_int ~f:max_int ~tasks:1);
   (* Every size the planner bench and perfbench's plan_admit plan. *)
   List.iter
     (fun (nodes, f) ->
       let tasks = Graph.task_count (Generators.fleet ~n_nodes:nodes) in
       check_bool (Printf.sprintf "fleet %d nodes f=%d admitted" nodes f) true
-        (Result.is_ok (Planner.check_plan_size ~nodes ~f ~tasks)))
+        (admits ~nodes ~f ~tasks))
     [ (10, 1); (100, 1); (1000, 0); (10000, 0); (40, 1); (16, 2) ];
   let grid n f =
     { Campaign.default_grid with Campaign.node_counts = [ n ]; fault_bounds = [ f ] }

@@ -112,11 +112,22 @@ let test_invalid_edit_keeps_state () =
   let cfg = Planner.default_config ~f:1 ~recovery_bound:(Time.ms 200) in
   let st = init_exn cfg w (clique 6) in
   let before = Check.report_to_json (Incr.report st) in
-  (match Incr.apply st (Incr.Remove_flow 99_999) with
-  | Error (Incr.Invalid_edit _) -> ()
-  | Error e -> Alcotest.failf "wrong error: %a" Incr.pp_apply_error e
-  | Ok _ -> Alcotest.fail "expected Invalid_edit");
-  check_string "state unchanged" before (Check.report_to_json (Incr.report st))
+  (* Added flow ids stay dense: one far past the largest would make
+     every augmentation index span the gap. *)
+  let fl = List.hd (Graph.flows w) in
+  let add id = Incr.Add_flow { fl with Graph.flow_id = id } in
+  List.iter
+    (fun edit ->
+      match Incr.apply st edit with
+      | Error (Incr.Invalid_edit _) -> ()
+      | Error e -> Alcotest.failf "wrong error: %a" Incr.pp_apply_error e
+      | Ok _ -> Alcotest.failf "expected Invalid_edit: %s" (Incr.edit_to_string edit))
+    [ Incr.Remove_flow 99_999; add 1_000_000_000; add max_int; add (-1); add min_int ];
+  check_string "state unchanged" before (Check.report_to_json (Incr.report st));
+  let next =
+    1 + List.fold_left (fun m (f : Graph.flow) -> Stdlib.max m f.flow_id) 0 (Graph.flows w)
+  in
+  check_bool "one past the largest flow id applies" true (Result.is_ok (Incr.apply st (add next)))
 
 let test_parse_round_trip () =
   let edits =

@@ -76,16 +76,6 @@ let test_suppression_preceding_comment () =
   in
   check_bool "multi-line comment covers next line" true (rules src = [])
 
-(* A string continued across lines with a backslash-newline must not
-   shift the lines that later directives cover. *)
-let test_suppression_after_continued_string () =
-  let src =
-    "let s = \"a \\\n b\"\n\
-     (* btr-lint: allow wall-clock *)\n\
-     let t () = Sys.time ()\n"
-  in
-  check_bool "directive still covers the next line" true (rules src = [])
-
 let test_suppression_wrong_rule () =
   let src = "(* btr-lint: allow wall-clock *)\nlet f h g = Hashtbl.iter g h\n" in
   check_bool "other rules still fire" true (rules src = [ Lint.Hashtbl_order ])
@@ -185,5 +175,4 @@ let suite =
     ("L005 suppression is independent of L001", `Quick, test_fingerprint_order_suppression);
     ("parse errors are reported", `Quick, test_parse_error_reported);
     ("rule ids are stable", `Quick, test_rule_ids_stable);
-    ("suppression after a continued string", `Quick, test_suppression_after_continued_string);
   ]

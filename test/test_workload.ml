@@ -165,6 +165,7 @@ let prop_random_layered_valid =
       (* create already validates; check derived invariants. *)
       let order = Graph.topo_order g in
       List.length order = Graph.task_count g
+      && Graph.task_count g <= Generators.random_layered_max_tasks ~layers ~width
       && Graph.utilization g > 0.0
       && List.for_all
            (fun (f : Graph.flow) -> f.deadline <> None)

@@ -240,9 +240,9 @@ let read_lines file =
 
 (* Replay an edit script against the incremental verifier: one edit per
    line in Incr.parse_edit syntax, blank lines and #-comments skipped.
-   Each applied edit reports the diagnostics that appeared/disappeared
-   and how much plan reuse the delta engine achieved; the final report
-   is identical to a from-scratch `btr check` of the edited system. *)
+   Each applied edit reports the diagnostics that appeared/disappeared;
+   the final report is identical to a from-scratch `btr check` of the
+   edited system. *)
 let check_delta workload topology nodes f r seed json file =
   match system_of_names workload topology ~nodes ~f ~seed with
   | Error m -> input_error m
@@ -276,19 +276,9 @@ let check_delta workload topology nodes f r seed json file =
                           Incr.pp_apply_error e )
                 | Ok (st', delta) ->
                   st := st';
-                  if not json then begin
-                    Format.printf "@[<v2>%d: %s@,%a" !line_no
-                      (Incr.edit_to_string edit) Incr.pp_report_delta delta;
-                    (match Incr.last_plan_delta st' with
-                    | Some d ->
-                      Format.printf
-                        "@,plan: %d/%d modes reused, %d tasks moved"
-                        d.Planner.reused_modes
-                        (d.Planner.reused_modes + d.Planner.replanned_modes)
-                        d.Planner.churn_moved_tasks
-                    | None -> ());
-                    Format.printf "@]@."
-                  end))
+                  if not json then
+                    Format.printf "@[<v2>%d: %s@,%a@]@." !line_no
+                      (Incr.edit_to_string edit) Incr.pp_report_delta delta))
           lines;
         (match !failed with
         | Some e -> print_error e

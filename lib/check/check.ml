@@ -150,7 +150,6 @@ let passed r =
   List.for_all (fun d -> severity_of d.code <> Error) r.diagnostics
 
 let errors r = List.filter (fun d -> severity_of d.code = Error) r.diagnostics
-let warnings r = List.filter (fun d -> severity_of d.code = Warning) r.diagnostics
 
 type view = {
   config : Planner.config;
@@ -680,8 +679,9 @@ type omission_case = {
    mode [p], or [None] when the flow is shed in this mode, some lane
    has no direct hop from the sender, or no hitting set exists. This is
    a pure function of the mode's structure — R, strikes and evidence
-   bounds do not enter — so the memo layer keys it on the mode
-   fingerprint alone and replays the cheap R-dependent selection. *)
+   bounds do not enter — so the memo layer keys it on the strategy
+   digest and fault pattern alone and replays the cheap R-dependent
+   selection. *)
 let omission_cut_rows v (p : Planner.plan) ~sender =
   let aug = p.Planner.aug in
   let g = aug.Augment.graph in

@@ -121,7 +121,6 @@ val passed : report -> bool
 (** No [Error]-severity diagnostics. *)
 
 val errors : report -> diagnostic list
-val warnings : report -> diagnostic list
 
 (** A raw, correctable image of a strategy. {!verify} works on views so
     that tests can corrupt one field at a time and exercise every

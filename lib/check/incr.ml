@@ -113,15 +113,80 @@ let memo_find tbl ctr k compute =
    reads, so a hit is sound by construction:
 
    - mode-keyed units (data reserves, table validation, survivor
-     routes, omission cuts) read nothing outside (workload, topology,
-     R-stripped config, fault pattern, parent chain), which is
-     precisely what {!Planner.mode_fingerprint} hashes — and equal
-     fingerprints imply equal plans;
+     routes, omission cuts) read nothing outside the strategy's plan for
+     one fault pattern, and planning is deterministic in (workload,
+     topology, R-stripped config): they key on {!strategy_digest} plus
+     the fault pattern;
    - the RTA key hashes the (task, wcet, deadline) triples and period
      the analysis actually consumes, plus the locus fields it prints;
    - network-keyed entries (static link checks, evidence bounds) hash
      the topology fingerprint, shares and evidence size — workload
-     edits leave them untouched. *)
+     edits leave them untouched.
+
+   Keys are content digests, never edit counters, so undoing an edit
+   hits the entries the original inputs filled. *)
+
+(* FNV-1a over a total serialization of everything planning reads. *)
+let fp_buf_int b n =
+  Buffer.add_string b (string_of_int n);
+  Buffer.add_char b ';'
+
+let fp_buf_str b s =
+  Buffer.add_string b s;
+  Buffer.add_char b ';'
+
+let workload_fingerprint (g : Graph.t) =
+  let b = Buffer.create 1024 in
+  fp_buf_int b (Graph.period g);
+  List.iter
+    (fun (x : Task.t) ->
+      fp_buf_int b x.id;
+      fp_buf_str b x.name;
+      fp_buf_str b
+        (match x.kind with
+        | Task.Source -> "src"
+        | Task.Compute -> "comp"
+        | Task.Sink -> "sink");
+      fp_buf_int b x.wcet;
+      fp_buf_int b (Task.criticality_rank x.criticality);
+      fp_buf_int b x.state_size;
+      fp_buf_int b (match x.pinned with None -> -1 | Some n -> n))
+    (Graph.tasks g);
+  Buffer.add_char b '|';
+  List.iter
+    (fun (fl : Graph.flow) ->
+      fp_buf_int b fl.flow_id;
+      fp_buf_int b fl.producer;
+      fp_buf_int b fl.consumer;
+      fp_buf_int b fl.msg_size;
+      fp_buf_int b (match fl.deadline with None -> -1 | Some d -> d))
+    (Graph.flows g);
+  Fnv.hash64 (Buffer.contents b)
+
+let topology_fingerprint topo =
+  let b = Buffer.create 1024 in
+  List.iter (fp_buf_int b) (Topology.nodes topo);
+  Buffer.add_char b '|';
+  List.iter
+    (fun (l : Topology.link) ->
+      fp_buf_int b l.link_id;
+      List.iter (fp_buf_int b) l.members;
+      Buffer.add_char b ':';
+      fp_buf_int b l.bandwidth_bps;
+      fp_buf_int b l.latency)
+    (Topology.links topo);
+  Fnv.hash64 (Buffer.contents b)
+
+(* Everything a strategy's plans depend on: strategies with equal
+   digests have equal plans for every fault pattern. *)
+let strategy_digest s =
+  Fnv.to_hex
+    (Fnv.hash64_lines
+       [
+         Fnv.to_hex (workload_fingerprint (Planner.workload s));
+         Fnv.to_hex (topology_fingerprint (Planner.topology s));
+         Planner.config_build_key (Planner.config s);
+       ])
 
 let shares_sig (c : Planner.config) =
   match c.Planner.shares with
@@ -130,7 +195,7 @@ let shares_sig (c : Planner.config) =
 
 let net_sig (v : Check.view) =
   Printf.sprintf "%s|%s|%d"
-    (Fnv.to_hex (Planner.topology_fingerprint v.Check.topology))
+    (Fnv.to_hex (topology_fingerprint v.Check.topology))
     (shares_sig v.Check.config)
     v.Check.config.Planner.evidence_size
 
@@ -149,11 +214,10 @@ let rta_key (p : Planner.plan) ~period ~node ~tasks =
 (* Memo-wrapping the default units: on a hit the stored diagnostics are
    returned; on a miss the {e default} implementation runs, so the
    incremental path can never diverge from {!Check.verify_view} — at
-   worst it recomputes. A plan whose mode fingerprint is unavailable
-   (never the case for plans of the strategy that produced the view)
-   bypasses its memo entirely. *)
+   worst it recomputes. *)
 let units_of (m : memo) (strategy : Planner.t) : Check.units =
   let d = Check.default_units in
+  let digest = strategy_digest strategy in
   let mode_keyed :
       'a.
       string ->
@@ -164,9 +228,8 @@ let units_of (m : memo) (strategy : Planner.t) : Check.units =
       suffix:string ->
       'a =
    fun prefix tbl ctr compute p ~suffix ->
-    match Planner.mode_fingerprint strategy ~faulty:p.Planner.faulty with
-    | None -> compute ()
-    | Some fp -> memo_find tbl ctr (prefix ^ Fnv.to_hex fp ^ suffix) compute
+    let faulty = String.concat "," (List.map string_of_int p.Planner.faulty) in
+    memo_find tbl ctr (prefix ^ digest ^ "|" ^ faulty ^ suffix) compute
   in
   {
     Check.u_link_capacity =
@@ -229,7 +292,6 @@ type state = {
   st_report : Check.report;
   strikes : int;
   memo : memo;
-  last_delta : Planner.delta option;
 }
 
 type report_delta = {
@@ -240,7 +302,6 @@ type report_delta = {
 let report st = st.st_report
 let strategy st = st.strategy
 let view st = st.view
-let last_plan_delta st = st.last_delta
 
 let memo_stats st =
   let m = st.memo in
@@ -293,7 +354,6 @@ let init ?(strikes = 1) config workload topology =
         st_report;
         strikes;
         memo;
-        last_delta = None;
       }
 
 (* ------------------------------------------------------------------ *)
@@ -476,40 +536,21 @@ let apply st edit =
       | Set_recovery_bound r ->
         (* R is the one input planning never reads: reuse the whole
            strategy in O(1) instead of walking every fault pattern. *)
-        let s = Planner.with_recovery_bound st.strategy r in
-        Ok
-          ( s,
-            {
-              Planner.reused_modes = List.length (Planner.all_plans s);
-              replanned_modes = 0;
-              reused_transitions = List.length (Planner.all_transitions s);
-              rebuilt_transitions = 0;
-              churn_moved_tasks = 0;
-            } )
+        Ok (Planner.with_recovery_bound st.strategy r)
       | _ ->
-        Planner.replan_delta ~evidence_cache:st.memo.evb_planner st.strategy
-          config workload topology
+        Planner.build ~evidence_cache:st.memo.evb_planner config workload
+          topology
     in
     match planned with
     | Error e -> Error (Plan_failed e)
-    | Ok (strategy, delta) ->
+    | Ok strategy ->
       let view = Check.view_of_strategy strategy in
       let st_report =
         Check.verify_units ~strikes:st.strikes (units_of st.memo strategy) view
       in
       let rd = report_delta_of st.st_report st_report in
       Ok
-        ( {
-            st with
-            config;
-            workload;
-            topology;
-            strategy;
-            view;
-            st_report;
-            last_delta = Some delta;
-          },
-          rd ))
+        ({ st with config; workload; topology; strategy; view; st_report }, rd))
 
 (* ------------------------------------------------------------------ *)
 (* Edit scripts: a line-oriented textual form for [btr check --delta]. *)

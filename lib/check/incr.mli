@@ -8,9 +8,8 @@
     validations, per-fault-set evidence bounds, per-(mode, sender)
     selective-omission cuts — keyed by FNV-1a fingerprints of exactly
     the inputs each unit reads. Applying an {!edit} replans through
-    {!Planner.replan_delta} (which reuses plans whose dependency
-    fingerprints are unchanged) and re-verifies through
-    {!Check.verify_units} with memoizing wrappers around
+    {!Planner.build} (an R-only edit keeps the strategy) and re-verifies
+    through {!Check.verify_units} with memoizing wrappers around
     {!Check.default_units}: only the dependency cone of the edit is
     recomputed, and on every memo miss the {e default} unit runs, so
 
@@ -85,10 +84,10 @@ val init :
     (default 1) as in {!Check.verify_view}. *)
 
 val apply : state -> edit -> (state * report_delta, apply_error) result
-(** Apply one edit: rebuild the edited input, replan reusing every mode
-    whose dependency fingerprint is unchanged, re-verify reusing every
-    memoized analysis whose inputs are unchanged. On [Error] the state
-    is unchanged (memo tables may have warmed). *)
+(** Apply one edit: rebuild the edited input, replan (keeping the
+    strategy when only R changed), re-verify reusing every memoized
+    analysis whose inputs are unchanged. On [Error] the state is
+    unchanged (memo tables may have warmed). *)
 
 val report : state -> Check.report
 (** The current report — byte-identical (including JSON rendering and
@@ -97,10 +96,6 @@ val report : state -> Check.report
 
 val strategy : state -> Planner.t
 val view : state -> Check.view
-
-val last_plan_delta : state -> Planner.delta option
-(** Plan-level reuse measured by the most recent {!apply}; [None]
-    before the first. *)
 
 (** Cumulative memo hit/miss counters per analysis family, for cone
     tests and the planner bench. *)

@@ -36,8 +36,6 @@ let default_compute tid ~period ~inputs =
 let counter_source tid ~period ~inputs:_ =
   Some [| float_of_int tid; float_of_int period |]
 
-let constant_source v ~period:_ ~inputs:_ = Some (Array.copy v)
-
 let value_digest v =
   let buf = Buffer.create 32 in
   Array.iter (fun x -> Buffer.add_string buf (Printf.sprintf "%h;" x)) v;

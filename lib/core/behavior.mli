@@ -29,8 +29,6 @@ val counter_source : Task.id -> fn
 (** Source producing [[| task; period |]] — recognizably unique per
     period, so corruption and staleness are observable. *)
 
-val constant_source : float array -> fn
-
 val value_digest : float array -> int64
 (** Canonical digest of an output value (exact, hex-rendered floats);
     what replicas send to their checker. *)

@@ -56,8 +56,6 @@ let verify t ~signer msg tag =
 let sign_cost t = t.costs.sign_cost
 let verify_cost t = t.costs.verify_cost
 
-let tag_to_string tag = Printf.sprintf "%d:%016Lx" tag.signer tag.value
-let equal_tag a b = a.signer = b.signer && Int64.equal a.value b.value
 let forge_tag () = { signer = -1; value = 0xDEADBEEFL }
 
 module Chain = struct

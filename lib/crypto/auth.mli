@@ -49,9 +49,6 @@ val verify : t -> signer:int -> string -> tag -> bool
 val sign_cost : t -> Time.t
 val verify_cost : t -> Time.t
 
-val tag_to_string : tag -> string
-val equal_tag : tag -> tag -> bool
-
 val forge_tag : unit -> tag
 (** A structurally valid but unauthenticated tag. Used only by fault
     injection to model a Byzantine node fabricating evidence; [verify]

@@ -103,7 +103,10 @@ let scan_suppressions src =
     let fin = ref false in
     while not !fin && !i < n do
       (match src.[!i] with
-      | '\\' -> incr i
+      | '\\' ->
+        (* A backslash-newline continues the literal on the next line. *)
+        if !i + 1 < n && src.[!i + 1] = '\n' then incr line;
+        incr i
       | '"' -> fin := true
       | '\n' -> incr line
       | _ -> ());

@@ -141,15 +141,6 @@ type action =
   | Start_after_state of { task : Task.id; from_node : int; bytes : int }
   | Send_state of { task : Task.id; to_node : int; bytes : int }
 
-let pp_action ppf = function
-  | Stop t -> Format.fprintf ppf "stop task %d" t
-  | Start_fresh t -> Format.fprintf ppf "start task %d (fresh)" t
-  | Start_after_state { task; from_node; bytes } ->
-    Format.fprintf ppf "start task %d after %dB of state from node %d" task bytes
-      from_node
-  | Send_state { task; to_node; bytes } ->
-    Format.fprintf ppf "send %dB of task %d state to node %d" bytes task to_node
-
 let diff ~node ~from_plan ~to_plan =
   let open Planner in
   let from_assign = assignments from_plan and to_assign = assignments to_plan in

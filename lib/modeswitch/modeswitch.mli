@@ -62,8 +62,6 @@ type action =
       (** begin running once the previous host ships the state *)
   | Send_state of { task : Task.id; to_node : int; bytes : int }
 
-val pp_action : Format.formatter -> action -> unit
-
 val diff :
   node:int -> from_plan:Planner.plan -> to_plan:Planner.plan -> action list
 (** Local action list for [node]. Tasks are matched by augmented id

@@ -6,7 +6,6 @@ type node_id = Topology.node_id
 type cls = Data | Control
 
 let cls_name = function Data -> "data" | Control -> "control"
-let pp_cls ppf c = Format.pp_print_string ppf (cls_name c)
 
 type shares = { data_frac : float; control_frac : float }
 

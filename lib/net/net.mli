@@ -29,8 +29,6 @@ type cls = Data | Control
 val cls_name : cls -> string
 (** ["data"] / ["control"]; used in telemetry events. *)
 
-val pp_cls : Format.formatter -> cls -> unit
-
 type shares = { data_frac : float; control_frac : float }
 (** Fraction of a link's raw bandwidth reserved to {e each member} per
     class. Must satisfy [members * (data + control) <= 1] for every

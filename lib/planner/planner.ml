@@ -56,79 +56,10 @@ let config_key c =
 
 (* The requested R is the one config field planning never reads: it
    gates [admitted] and the verifier's budget checks, but plans,
-   schedules and transitions are computed without it. Keying plan reuse
-   on the R-stripped serialization is what lets an R-only edit (or a
-   campaign R-grid neighbor) reuse every plan. *)
+   schedules and transitions are computed without it. Keying strategy
+   caches on the R-stripped serialization is what lets an R-only edit
+   (or a campaign R-grid neighbor) reuse the whole strategy. *)
 let config_build_key c = config_key { c with recovery_bound = Time.zero }
-
-(* {2 Dependency fingerprints}
-
-   FNV-1a over a total serialization of exactly what planning reads.
-   Equal fingerprints mean equal inputs, and planning is deterministic,
-   so equal fingerprints imply equal outputs — the soundness basis for
-   [replan_delta]'s plan reuse and for [Btr_check.Incr]'s memo keys. *)
-
-let fp_buf_int b n =
-  Buffer.add_string b (string_of_int n);
-  Buffer.add_char b ';'
-
-let fp_buf_str b s =
-  Buffer.add_string b s;
-  Buffer.add_char b ';'
-
-let workload_fingerprint (g : Graph.t) =
-  let b = Buffer.create 1024 in
-  fp_buf_int b (Graph.period g);
-  List.iter
-    (fun (x : Task.t) ->
-      fp_buf_int b x.id;
-      fp_buf_str b x.name;
-      fp_buf_str b
-        (match x.kind with
-        | Task.Source -> "src"
-        | Task.Compute -> "comp"
-        | Task.Sink -> "sink");
-      fp_buf_int b x.wcet;
-      fp_buf_int b (Task.criticality_rank x.criticality);
-      fp_buf_int b x.state_size;
-      fp_buf_int b (match x.pinned with None -> -1 | Some n -> n))
-    (Graph.tasks g);
-  Buffer.add_char b '|';
-  List.iter
-    (fun (fl : Graph.flow) ->
-      fp_buf_int b fl.flow_id;
-      fp_buf_int b fl.producer;
-      fp_buf_int b fl.consumer;
-      fp_buf_int b fl.msg_size;
-      fp_buf_int b (match fl.deadline with None -> -1 | Some d -> d))
-    (Graph.flows g);
-  Fnv.hash64 (Buffer.contents b)
-
-let topology_fingerprint topo =
-  let b = Buffer.create 1024 in
-  List.iter (fp_buf_int b) (Topology.nodes topo);
-  Buffer.add_char b '|';
-  List.iter
-    (fun (l : Topology.link) ->
-      fp_buf_int b l.link_id;
-      List.iter (fp_buf_int b) l.members;
-      Buffer.add_char b ':';
-      fp_buf_int b l.bandwidth_bps;
-      fp_buf_int b l.latency)
-    (Topology.links topo);
-  Fnv.hash64 (Buffer.contents b)
-
-(* Per-mode fingerprint, chained through the parent mode: a mode's plan
-   depends on the workload, topology, R-stripped config, its own fault
-   pattern, and (under Minimal reassignment) the parent mode's plan —
-   which the parent's fingerprint already covers inductively. *)
-let mode_fp ~base ~parent_fp ~mode_key =
-  Fnv.hash64_lines
-    [
-      Fnv.to_hex base;
-      (match parent_fp with None -> "-" | Some h -> Fnv.to_hex h);
-      mode_key;
-    ]
 
 let max_plan_size = 2_000_000
 
@@ -205,17 +136,7 @@ type t = {
   topology : Topology.t;
   plans : (string, plan) Hashtbl.t;
   transitions : (string * int, transition) Hashtbl.t;
-  mode_fps : (string, int64) Hashtbl.t;
-      (* per-mode dependency fingerprint, keyed like [plans] *)
   stats : stats;
-}
-
-type delta = {
-  reused_modes : int;
-  replanned_modes : int;
-  reused_transitions : int;
-  rebuilt_transitions : int;
-  churn_moved_tasks : int;
 }
 
 type error =
@@ -523,19 +444,7 @@ let make_transition ?evb cfg topo ~from_plan ~to_plan ~new_fault =
     recovery_bound;
   }
 
-(* Shared core of [build] and [replan_delta]. When [previous] is given,
-   a mode whose dependency fingerprint is unchanged reuses the previous
-   plan verbatim (skipping the connectivity check too: equal
-   fingerprints mean the topology and fault pattern are the ones the
-   previous — connected — build saw). A transition is reused when its
-   destination mode is reused: the destination fingerprint chains
-   through the source mode's, so both endpoint plans are unchanged and
-   [make_transition] is deterministic in them. [evidence_cache]
-   (keyed by [key faulty]) persists evidence bounds across calls; the
-   caller must flush it whenever topology, shares or evidence size
-   change — fingerprint reuse is unaffected either way, the cache only
-   short-circuits recomputation for rebuilt transitions. *)
-let build_with ?previous ?evidence_cache cfg workload topo =
+let build ?evidence_cache cfg workload topo =
   let n = Topology.node_count topo in
   if cfg.f < 0 then Error (Bad_config "f < 0")
   else if cfg.degree < 1 then Error (Bad_config "degree < 1")
@@ -550,15 +459,6 @@ let build_with ?previous ?evidence_cache cfg workload topo =
     let started_at = Sys.time () in
     let plans = Hashtbl.create 64 in
     let transitions = Hashtbl.create 64 in
-    let mode_fps = Hashtbl.create 64 in
-    let base =
-      Fnv.hash64_lines
-        [
-          Fnv.to_hex (workload_fingerprint workload);
-          Fnv.to_hex (topology_fingerprint topo);
-          config_build_key cfg;
-        ]
-    in
     let evb_cache =
       match evidence_cache with Some h -> h | None -> Hashtbl.create 16
     in
@@ -571,80 +471,33 @@ let build_with ?previous ?evidence_cache cfg workload topo =
         Hashtbl.replace evb_cache k v;
         v
     in
-    let prev_plan k = Option.bind previous (fun p -> Hashtbl.find_opt p.plans k) in
-    let prev_fp k = Option.bind previous (fun p -> Hashtbl.find_opt p.mode_fps k) in
-    let prev_transition tk =
-      Option.bind previous (fun p -> Hashtbl.find_opt p.transitions tk)
-    in
-    let reused = ref 0 and replanned = ref 0 in
-    let reused_tr = ref 0 and rebuilt_tr = ref 0 and churn = ref 0 in
     let exception Failed of error in
     try
       List.iter
         (fun faulty ->
-          let k = key faulty in
-          let parent_key =
+          if not (Topology.connected_without topo faulty) then
+            raise (Failed (Disconnected { faulty }));
+          let parent =
             match List.rev faulty with
             | [] -> None
-            | _ :: rest_rev -> Some (key (List.rev rest_rev))
-          in
-          let parent_fp =
-            Option.bind parent_key (fun pk -> Hashtbl.find_opt mode_fps pk)
-          in
-          let fp = mode_fp ~base ~parent_fp ~mode_key:k in
-          Hashtbl.replace mode_fps k fp;
-          let mode_reused =
-            match (prev_fp k, prev_plan k) with
-            | Some old_fp, Some old_plan when Int64.equal old_fp fp ->
-              incr reused;
-              Hashtbl.replace plans k old_plan;
-              true
-            | _ -> false
+            | _ :: rest_rev -> Hashtbl.find_opt plans (key (List.rev rest_rev))
           in
           let plan =
-            if mode_reused then Hashtbl.find plans k
-            else begin
-              incr replanned;
-              if not (Topology.connected_without topo faulty) then
-                raise (Failed (Disconnected { faulty }));
-              let parent =
-                Option.bind parent_key (fun pk -> Hashtbl.find_opt plans pk)
-              in
-              match plan_mode cfg workload topo ~faulty ~parent with
-              | Error e -> raise (Failed e)
-              | Ok plan ->
-                Hashtbl.replace plans k plan;
-                (match prev_plan k with
-                | Some old ->
-                  churn :=
-                    !churn
-                    + List.length
-                        (List.filter
-                           (fun (tid, node) -> assignment_of old tid <> Some node)
-                           (assignments plan))
-                | None -> ());
-                plan
-            end
+            match plan_mode cfg workload topo ~faulty ~parent with
+            | Error e -> raise (Failed e)
+            | Ok plan -> plan
           in
+          Hashtbl.replace plans (key faulty) plan;
           (* A transition into this mode exists from every parent. *)
           List.iter
             (fun y ->
               let from_faulty = List.filter (fun x -> x <> y) faulty in
               match Hashtbl.find_opt plans (key from_faulty) with
               | None -> ()
-              | Some from_plan -> (
-                let tk = (key from_faulty, y) in
-                match (if mode_reused then prev_transition tk else None) with
-                | Some tr ->
-                  incr reused_tr;
-                  Hashtbl.replace transitions tk tr
-                | None ->
-                  incr rebuilt_tr;
-                  let tr =
-                    make_transition ~evb cfg topo ~from_plan ~to_plan:plan
-                      ~new_fault:y
-                  in
-                  Hashtbl.replace transitions tk tr))
+              | Some from_plan ->
+                Hashtbl.replace transitions (key from_faulty, y)
+                  (make_transition ~evb cfg topo ~from_plan ~to_plan:plan
+                     ~new_fault:y))
             faulty)
         (fault_patterns (Topology.nodes topo) cfg.f);
       let worst_recovery =
@@ -658,43 +511,27 @@ let build_with ?previous ?evidence_cache cfg workload topo =
           transitions 0
       in
       Ok
-        ( {
-            config = cfg;
-            workload;
-            topology = topo;
-            plans;
-            transitions;
-            mode_fps;
-            stats =
-              {
-                modes = Hashtbl.length plans;
-                transitions = Hashtbl.length transitions;
-                (* btr-lint: allow wall-clock — planner self-telemetry *)
-                planning_seconds = Sys.time () -. started_at;
-                worst_recovery;
-                total_moved_state;
-              };
-          },
-          {
-            reused_modes = !reused;
-            replanned_modes = !replanned;
-            reused_transitions = !reused_tr;
-            rebuilt_transitions = !rebuilt_tr;
-            churn_moved_tasks = !churn;
-          } )
+        {
+          config = cfg;
+          workload;
+          topology = topo;
+          plans;
+          transitions;
+          stats =
+            {
+              modes = Hashtbl.length plans;
+              transitions = Hashtbl.length transitions;
+              (* btr-lint: allow wall-clock — planner self-telemetry *)
+              planning_seconds = Sys.time () -. started_at;
+              worst_recovery;
+              total_moved_state;
+            };
+        }
     with Failed e -> Error e
   end
 
-let build ?evidence_cache cfg workload topo =
-  Result.map fst (build_with ?evidence_cache cfg workload topo)
-
-let replan_delta ?evidence_cache t cfg workload topo =
-  build_with ~previous:t ?evidence_cache cfg workload topo
-
 let with_recovery_bound t r =
   { t with config = { t.config with recovery_bound = r } }
-
-let mode_fingerprint t ~faulty = Hashtbl.find_opt t.mode_fps (key faulty)
 
 let config t = t.config
 let workload t = t.workload

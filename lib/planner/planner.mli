@@ -162,41 +162,10 @@ val build :
   Graph.t ->
   Topology.t ->
   (t, error) result
-(** [evidence_cache] (keyed by the sorted fault pattern, as
-    {!mode_fingerprint}'s [faulty]) memoizes evidence-distribution
-    bounds across calls. Callers passing one must flush it whenever the
-    topology, shares or evidence size change; results are identical
-    either way. *)
-
-(** {1 Incremental replanning}
-
-    Dependency fingerprints let a rebuilt strategy reuse plans from a
-    previous one when their inputs are unchanged — the planner half of
-    the incremental verification story ({!Btr_check.Incr}). *)
-
-type delta = {
-  reused_modes : int;  (** plans taken verbatim from the previous strategy *)
-  replanned_modes : int;
-  reused_transitions : int;
-  rebuilt_transitions : int;
-  churn_moved_tasks : int;
-      (** across replanned modes, assignments that differ from the
-          previous strategy's plan for the same mode — the
-          minimal-reassignment churn measure (E7) *)
-}
-
-val replan_delta :
-  ?evidence_cache:(string, Time.t) Hashtbl.t ->
-  t ->
-  config ->
-  Graph.t ->
-  Topology.t ->
-  (t * delta, error) result
-(** Rebuild against edited inputs, reusing every plan whose dependency
-    fingerprint (workload, topology, R-stripped config, fault pattern,
-    chained through the parent mode) is unchanged. Reuse is sound
-    because planning is deterministic in exactly those inputs: the
-    result is the strategy {!build} would produce from scratch. *)
+(** [evidence_cache] (keyed by the sorted, comma-separated fault
+    pattern) memoizes evidence-distribution bounds across calls.
+    Callers passing one must flush it whenever the topology, shares or
+    evidence size change; results are identical either way. *)
 
 val with_recovery_bound : t -> Time.t -> t
 (** The same strategy re-admitted against a different requested R.
@@ -204,20 +173,6 @@ val with_recovery_bound : t -> Time.t -> t
     plans, schedules and transition bounds are all R-independent. The
     campaign plan cache uses this to derive R-grid neighbors without
     replanning. *)
-
-val workload_fingerprint : Graph.t -> int64
-(** FNV-1a over a total serialization of everything planning reads from
-    the workload (period; task ids, names, kinds, WCETs, criticalities,
-    state sizes, pins; flow endpoints, sizes, deadlines). *)
-
-val topology_fingerprint : Topology.t -> int64
-(** Likewise for the topology (nodes; link ids, members, bandwidths,
-    latencies). *)
-
-val mode_fingerprint : t -> faulty:int list -> int64 option
-(** The dependency fingerprint of the mode's plan: equal fingerprints
-    (across strategies) imply equal plans. {!Btr_check.Incr} keys its
-    per-mode memo tables on this. [None] for unknown fault patterns. *)
 
 val config : t -> config
 val workload : t -> Graph.t

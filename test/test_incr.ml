@@ -41,6 +41,15 @@ let test_init_matches_scratch () =
   check_string "init report = scratch report" (scratch_json st)
     (Check.report_to_json (Incr.report st))
 
+let check_no_misses (s : Incr.memo_stats) =
+  check_int "static misses" 0 s.Incr.static_misses;
+  check_int "reserve misses" 0 s.Incr.reserve_misses;
+  check_int "rta misses" 0 s.Incr.rta_misses;
+  check_int "sched misses" 0 s.Incr.sched_misses;
+  check_int "routes misses" 0 s.Incr.routes_misses;
+  check_int "evb misses" 0 s.Incr.evb_misses;
+  check_int "cuts misses" 0 s.Incr.cuts_misses
+
 let test_set_r_cone () =
   let w = Generators.fleet ~n_nodes:8 in
   let cfg = Planner.default_config ~f:1 ~recovery_bound:(Time.ms 100) in
@@ -49,19 +58,8 @@ let test_set_r_cone () =
   let st, _ = Result.get_ok (Incr.apply st (Incr.Set_recovery_bound (Time.ms 80))) in
   let s = Incr.memo_stats st in
   (* R touches no analysis input: every family must hit. *)
-  check_int "rta misses" 0 s.Incr.rta_misses;
-  check_int "reserve misses" 0 s.Incr.reserve_misses;
-  check_int "sched misses" 0 s.Incr.sched_misses;
-  check_int "routes misses" 0 s.Incr.routes_misses;
-  check_int "evb misses" 0 s.Incr.evb_misses;
-  check_int "cuts misses" 0 s.Incr.cuts_misses;
-  check_int "static misses" 0 s.Incr.static_misses;
+  check_no_misses s;
   check_bool "some hits happened" true (s.Incr.rta_hits > 0);
-  (match Incr.last_plan_delta st with
-  | Some d ->
-    check_int "no mode replanned" 0 d.Planner.replanned_modes;
-    check_bool "all modes reused" true (d.Planner.reused_modes > 0)
-  | None -> Alcotest.fail "expected a plan delta");
   check_string "still = scratch" (scratch_json st)
     (Check.report_to_json (Incr.report st))
 
@@ -104,6 +102,42 @@ let test_link_retune_cone () =
   (* Bandwidth enters evidence bounds and ledgers, not RTA triples. *)
   check_int "rta misses" 0 s.Incr.rta_misses;
   check_bool "evb recomputed" true (s.Incr.evb_misses > 0);
+  check_string "still = scratch" (scratch_json st)
+    (Check.report_to_json (Incr.report st))
+
+(* Memo keys are content digests of the inputs, not edit counters: an
+   edit that restores earlier inputs, or changes nothing, hits in every
+   family. *)
+let test_undone_edit_hits () =
+  let w = Generators.fleet ~n_nodes:8 in
+  let cfg = Planner.default_config ~f:1 ~recovery_bound:(Time.ms 100) in
+  let st = init_exn cfg w (fleet_topo 8) in
+  let fl = List.hd (Graph.flows w) in
+  let fresh =
+    1 + List.fold_left (fun m (f : Graph.flow) -> Stdlib.max m f.flow_id) 0 (Graph.flows w)
+  in
+  let st, _ =
+    Result.get_ok (Incr.apply st (Incr.Add_flow { fl with Graph.flow_id = fresh }))
+  in
+  Incr.reset_memo_stats st;
+  let st, _ = Result.get_ok (Incr.apply st (Incr.Remove_flow fresh)) in
+  check_no_misses (Incr.memo_stats st);
+  check_string "still = scratch" (scratch_json st)
+    (Check.report_to_json (Incr.report st))
+
+let test_no_op_retune_hits () =
+  let w = Generators.fleet ~n_nodes:8 in
+  let cfg = Planner.default_config ~f:1 ~recovery_bound:(Time.ms 100) in
+  let st = init_exn cfg w (fleet_topo 8) in
+  let fl = List.hd (Graph.flows w) in
+  Incr.reset_memo_stats st;
+  let st, _ =
+    Result.get_ok
+      (Incr.apply st
+         (Incr.Retune_flow
+            { flow = fl.Graph.flow_id; msg_size = Some fl.Graph.msg_size; deadline = None }))
+  in
+  check_no_misses (Incr.memo_stats st);
   check_string "still = scratch" (scratch_json st)
     (Check.report_to_json (Incr.report st))
 
@@ -287,6 +321,10 @@ let suite =
       test_flow_retune_cone;
     Alcotest.test_case "link retune leaves RTA memo warm" `Quick
       test_link_retune_cone;
+    Alcotest.test_case "undoing an edit misses in no memo family" `Quick
+      test_undone_edit_hits;
+    Alcotest.test_case "retune to the current size misses nowhere" `Quick
+      test_no_op_retune_hits;
     Alcotest.test_case "invalid edit leaves state unchanged" `Quick
       test_invalid_edit_keeps_state;
     Alcotest.test_case "edit scripts round-trip through text" `Quick

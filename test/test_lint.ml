@@ -99,6 +99,17 @@ let test_directive_in_string_is_inert () =
   check_bool "quoted string is not a comment" true
     (rules src = [ Lint.Hashtbl_order ])
 
+let test_suppression_after_continued_string () =
+  (* The literal spans lines 1-2 through a backslash-newline, so the
+     directive on line 3 must cover line 4. *)
+  let src =
+    "let s = \"one \\\n\
+    \         two\"\n\
+     (* btr-lint: allow hashtbl-order *)\n\
+     let f h g = Hashtbl.iter g h\n"
+  in
+  check_bool "directive after a continued literal" true (rules src = [])
+
 let test_fingerprint_order_hit () =
   (* Hashing a Hashtbl fold: both the order hazard (L001) and the
      memo-key hazard (L005) fire at the same location. *)
@@ -170,6 +181,8 @@ let suite =
     ("suppression is rule-specific", `Quick, test_suppression_wrong_rule);
     ("suppression does not leak down the file", `Quick, test_suppression_does_not_leak);
     ("directives inside strings are inert", `Quick, test_directive_in_string_is_inert);
+    ("backslash-newline in a string counts as a line", `Quick,
+      test_suppression_after_continued_string);
     ("Hashtbl iterator inside Fnv call is L005", `Quick, test_fingerprint_order_hit);
     ("L005 stays quiet off the fingerprint path", `Quick, test_fingerprint_order_quiet);
     ("L005 suppression is independent of L001", `Quick, test_fingerprint_order_suppression);

@@ -570,7 +570,7 @@ let fragments =
   [| "\""; "\\"; "\\u"; "\\u00"; "\\uzzzz"; "{"; "}"; ","; ":"; "-"; "1e999";
      "true"; "\n"; "\"trial\":"; "\"campaign\":1,"; "\"frontier\":1," |]
 
-let mutate ~other lines m =
+let mutate ?(fragments = fragments) ~other lines m =
   let nth_mod l i = List.nth l (i mod List.length l) in
   let text () = String.concat "\n" lines ^ "\n" in
   match m with
@@ -600,30 +600,31 @@ let mutate ~other lines m =
     List.filteri (fun k _ -> k < i) lines
     @ (nth_mod other j :: List.filteri (fun k _ -> k >= i) lines)
 
-let prop_readers_total =
-  let gen =
-    let open QCheck.Gen in
-    let idx = int_bound 100_000 in
-    let mutation =
-      oneof
-        [
-          map (fun k -> Truncate k) idx;
-          map2 (fun k x -> Flip (k, x)) idx idx;
-          map2 (fun k f -> Insert (k, f)) idx idx;
-          map (fun i -> Drop i) idx;
-          map (fun i -> Dup i) idx;
-          map2 (fun i j -> Splice (i, j)) idx idx;
-        ]
-    in
-    pair bool (list_size (int_range 1 3) mutation)
+(* A flag choosing the base text, and one to three mutations. *)
+let gen_mutations =
+  let open QCheck.Gen in
+  let idx = int_bound 100_000 in
+  let mutation =
+    oneof
+      [
+        map (fun k -> Truncate k) idx;
+        map2 (fun k x -> Flip (k, x)) idx idx;
+        map2 (fun k f -> Insert (k, f)) idx idx;
+        map (fun i -> Drop i) idx;
+        map (fun i -> Dup i) idx;
+        map2 (fun i j -> Splice (i, j)) idx idx;
+      ]
   in
+  pair bool (list_size (int_range 1 3) mutation)
+
+let prop_readers_total =
   let print (frontier, ms) =
     Printf.sprintf "%s artifact, %d mutation(s)"
       (if frontier then "frontier" else "campaign")
       (List.length ms)
   in
   QCheck.Test.make ~name:"artifact readers are total under mutation" ~count:500
-    (QCheck.make ~print gen) (fun (frontier, ms) ->
+    (QCheck.make ~print gen_mutations) (fun (frontier, ms) ->
       let campaign = Lazy.force random_seed5 and fr = Lazy.force frontier_artifact in
       let base, other = if frontier then (fr, campaign) else (campaign, fr) in
       let lines = List.fold_left (mutate ~other) base ms in
@@ -638,6 +639,61 @@ let prop_readers_total =
       total "render_report" (fun () -> Orchestrate.render_report lines);
       total "render_frontier" (fun () -> Orchestrate.render_frontier lines);
       total "combine" (fun () -> Orchestrate.combine [ lines ]);
+      true)
+
+(* The same mutations over the line-oriented text readers: [check
+   --delta] edit lines and [campaign replay --script] fault scripts,
+   each spliced with lines of the other kind. *)
+let edit_lines =
+  [
+    "add-node 7";
+    "remove-node 3";
+    "add-link id=9 members=0,1,4 bw=1000000 lat-us=50";
+    "retune-link 2 bw=5000000 lat-us=10";
+    "add-flow id=42 producer=1 consumer=2 size=64 deadline-us=15000";
+    "remove-flow 42";
+    "retune-flow 3 size=128 deadline=none";
+    "retune-flow 3 deadline-us=15000";
+    "set-f 2";
+    "set-recovery-bound-us 300000";
+  ]
+
+let script_lines =
+  [
+    "corrupt@3@250000;babble.8@5@0;omitto.1.2@4@40000";
+    "crash@2@250000";
+    "omit@1@0;delay.500@2@1000;equivocate@0@20000";
+  ]
+
+let text_fragments =
+  [| "="; "@"; ";"; "."; ","; "-"; " "; "\n"; "99999999999999999999"; "0x1";
+     "size="; "deadline="; "omitto."; "@@" |]
+
+let prop_text_readers_total =
+  let print (scripts, ms) =
+    Printf.sprintf "%s, %d mutation(s)"
+      (if scripts then "fault scripts" else "edit script")
+      (List.length ms)
+  in
+  QCheck.Test.make ~name:"edit and fault-script readers are total under mutation"
+    ~count:500 (QCheck.make ~print gen_mutations) (fun (scripts, ms) ->
+      let base, other =
+        if scripts then (script_lines, edit_lines) else (edit_lines, script_lines)
+      in
+      let lines =
+        List.fold_left (mutate ~fragments:text_fragments ~other) base ms
+      in
+      let total name f l =
+        match f l with
+        | Ok _ | Error _ -> ()
+        | exception e ->
+          QCheck.Test.fail_reportf "%s %S raised %s" name l (Printexc.to_string e)
+      in
+      List.iter
+        (fun l ->
+          total "Incr.parse_edit" Btr_check.Incr.parse_edit l;
+          total "Campaign.script_of_string" Campaign.script_of_string l)
+        lines;
       true)
 
 let suite =
@@ -667,4 +723,5 @@ let suite =
       test_replay_uses_header_seed;
     Alcotest.test_case "readers refuse a torn artifact" `Quick test_readers_refuse_torn;
     QCheck_alcotest.to_alcotest prop_readers_total;
+    QCheck_alcotest.to_alcotest prop_text_readers_total;
   ]

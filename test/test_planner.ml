@@ -363,42 +363,6 @@ let test_resolved_config_applies_tune () =
        })
     (Planner.config_key cfg)
 
-(* Incremental replanning *)
-
-let test_replan_delta_reuse () =
-  let g = Generators.avionics ~n_nodes:6 in
-  let s = must_build g (topo6 ()) in
-  let modes = List.length (Planner.all_plans s)
-  and transitions = List.length (Planner.all_transitions s) in
-  (* Unchanged inputs: every plan and transition is taken verbatim. *)
-  (match Planner.replan_delta s (Planner.config s) g (topo6 ()) with
-  | Error e -> Alcotest.failf "replan failed: %a" Planner.pp_error e
-  | Ok (s', d) ->
-    check_int "all modes reused" modes d.Planner.reused_modes;
-    check_int "none replanned" 0 d.Planner.replanned_modes;
-    check_int "all transitions reused" transitions d.Planner.reused_transitions;
-    check_int "none rebuilt" 0 d.Planner.rebuilt_transitions;
-    check_int "no churn" 0 d.Planner.churn_moved_tasks;
-    check_bool "plans shared, not copied" true
-      (List.for_all2 ( == ) (Planner.all_plans s) (Planner.all_plans s')));
-  (* A topology change invalidates every mode fingerprint; the rebuilt
-     strategy must be the one build would produce from scratch. *)
-  let topo' =
-    Topology.fully_connected ~n:6 ~bandwidth_bps:20_000_000 ~latency:(Time.us 50)
-  in
-  match Planner.replan_delta s (Planner.config s) g topo' with
-  | Error e -> Alcotest.failf "replan failed: %a" Planner.pp_error e
-  | Ok (s', d) ->
-    check_int "nothing reused" 0 d.Planner.reused_modes;
-    check_int "all replanned" modes d.Planner.replanned_modes;
-    let scratch = must_build g topo' in
-    List.iter
-      (fun (p : Planner.plan) ->
-        check_bool "fingerprints match scratch build" true
-          (Planner.mode_fingerprint s' ~faulty:p.Planner.faulty
-          = Planner.mode_fingerprint scratch ~faulty:p.Planner.faulty))
-      (Planner.all_plans scratch)
-
 let test_with_recovery_bound () =
   let g = Generators.avionics ~n_nodes:6 in
   let s = must_build g (topo6 ()) in
@@ -584,7 +548,6 @@ let suite =
     ("bad configs rejected", `Quick, test_bad_configs_rejected);
     ("disconnection detected", `Quick, test_disconnection_detected);
     ("unschedulable workloads detected", `Quick, test_unschedulable_detected);
-    ("replan_delta reuses unchanged modes", `Quick, test_replan_delta_reuse);
     ("with_recovery_bound is O(1) and re-admits", `Quick, test_with_recovery_bound);
     ("config_key is total and injective on fields", `Quick, test_config_key_total);
     ("scenario resolved_config applies tune", `Quick, test_resolved_config_applies_tune);

@@ -151,9 +151,6 @@ val combine : string list list -> (string list * bool, string) result
 
 type axis = Axis_r | Axis_f | Axis_bandwidth | Axis_strikes
 
-val axis_name : axis -> string
-(** ["r"], ["f"], ["bandwidth"], ["strikes"]. *)
-
 val axis_of_string : string -> (axis, string) result
 
 type frontier_spec = {

@@ -106,8 +106,6 @@ type locus = {
   new_fault : int option;  (** transition: the arriving fault *)
 }
 
-val no_locus : locus
-
 type diagnostic = { code : code; message : string; locus : locus }
 
 type report = {

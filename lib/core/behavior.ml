@@ -33,6 +33,8 @@ let default_compute tid ~period ~inputs =
     (* Keep the magnitude tame so examples can still plot the values. *)
     Some [| Int64.to_float (Int64.rem acc 1_000_000L) /. 1_000.0 |]
 
+(* [[| task; period |]]: recognizably unique per period, so corruption
+   and staleness are observable. *)
 let counter_source tid ~period ~inputs:_ =
   Some [| float_of_int tid; float_of_int period |]
 

@@ -25,10 +25,6 @@ val default_compute : Task.id -> fn
     and all input values into a single float. Produces [None] when the
     task has inputs registered as a consumer but received none. *)
 
-val counter_source : Task.id -> fn
-(** Source producing [[| task; period |]] — recognizably unique per
-    period, so corruption and staleness are observable. *)
-
 val value_digest : float array -> int64
 (** Canonical digest of an output value (exact, hex-rendered floats);
     what replicas send to their checker. *)

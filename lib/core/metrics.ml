@@ -11,6 +11,7 @@ let status_char = function
   | Late -> 'L'
   | Shed -> 'S'
 
+(* Lowercase stable names: telemetry carries them. *)
 let status_name = function
   | Correct -> "correct"
   | Wrong -> "wrong"

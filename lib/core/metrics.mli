@@ -13,12 +13,6 @@ module Graph = Btr_workload.Graph
 
 type status = Correct | Wrong | Missing | Late | Shed
 
-val status_char : status -> char
-(** [C W M L S] — compact timelines in logs and tests. *)
-
-val status_name : status -> string
-(** Lowercase stable name ([correct], [wrong], …) used in telemetry. *)
-
 type t
 
 val create : ?obs:Btr_obs.Obs.t -> ?protected_flows:int list -> Graph.t -> t

@@ -30,7 +30,12 @@ let default_config =
     omission_strikes = 1;
   }
 
+(* Period boundaries a staged mode waits for migrating state before
+   starting the task fresh anyway. *)
 let state_wait_boundaries = 3
+
+(* Invalid evidence records from one signer before a node accuses it of
+   forgery. *)
 let forged_evidence_threshold = 3
 
 type msg =
@@ -89,6 +94,9 @@ type t = {
   golden : Golden.t;
   metrics : Metrics.t;
   nodes : (int, node) Hashtbl.t;
+  by_id : node array;
+      (* the same nodes in ascending id order, the order of every
+         traversal (trace-visible) *)
   script : Fault.script;
   actuators :
     (int, period:int -> value:float array -> at:Time.t -> unit) Hashtbl.t;
@@ -186,6 +194,9 @@ let create ?(config = default_config) ?(behaviors = []) ?(script = []) ?obs
           grace_until = Time.zero;
         })
     (Topology.nodes topo);
+  let by_id =
+    Array.of_list (List.map snd (Table.sorted_bindings ~cmp:Int.compare nodes))
+  in
   {
     config;
     eng;
@@ -210,6 +221,7 @@ let create ?(config = default_config) ?(behaviors = []) ?(script = []) ?obs
        in
        Metrics.create ~obs ~protected_flows workload);
     nodes;
+    by_id;
     script;
     actuators = Hashtbl.create 8;
     rev_mode_changes = [];
@@ -231,13 +243,13 @@ let flow_in_plan (plan : Planner.plan) fid =
    them once evidence has spread (§4.4: the new plan avoids them). *)
 let refresh_route_avoid t =
   let avoid = Hashtbl.create 8 in
-  Table.sorted_iter ~cmp:Int.compare
-    (fun _ n ->
+  Array.iter
+    (fun n ->
       if n.byz = None then
         List.iter
           (fun x -> Hashtbl.replace avoid x ())
           (Modeswitch.Fault_set.nodes n.fault_set))
-    t.nodes;
+    t.by_id;
   Net.set_route_avoid t.net (Table.sorted_keys ~cmp:Int.compare avoid)
 
 (* ------------------------------------------------------------------ *)
@@ -1003,11 +1015,11 @@ let babble t (n : node) period =
    judged Shed, even when the sink itself is gone and cannot say so.
    The reference is the most-advanced plan among correct nodes. *)
 let mark_uncarried_shed t period =
-  (* Sorted traversal: ties between equally-advanced plans must break
-     the same way every run. *)
+  (* Id order: ties between equally-advanced plans must break the same
+     way every run. *)
   let reference =
-    Table.sorted_fold ~cmp:Int.compare
-      (fun _ n best ->
+    Array.fold_left
+      (fun best n ->
         if not n.running then best
         else
           match best with
@@ -1016,7 +1028,7 @@ let mark_uncarried_shed t period =
                  >= List.length n.plan.Planner.faulty ->
             best
           | _ -> Some n.plan)
-      t.nodes None
+      None t.by_id
   in
   match reference with
   | None -> ()
@@ -1038,21 +1050,17 @@ let mark_uncarried_shed t period =
 let boundary t period =
   (* Node order here fixes the order of watchdog sweeps, plan
      activations and checkpoint signing — all trace-visible. *)
-  Table.sorted_iter ~cmp:Int.compare
-    (fun _ n -> if n.running then sweep_watchdog t n)
-    t.nodes;
+  Array.iter (fun n -> if n.running then sweep_watchdog t n) t.by_id;
   (* Judge the finished period under the plans that actually governed
      it, before anyone activates a pending plan for the next one. *)
   if period > 0 then begin
     mark_uncarried_shed t (period - 1);
     Metrics.finalize_period t.metrics ~golden:t.golden ~period:(period - 1)
   end;
-  Table.sorted_iter ~cmp:Int.compare
-    (fun _ n -> if n.running then activate_pending t n)
-    t.nodes;
+  Array.iter (fun n -> if n.running then activate_pending t n) t.by_id;
   if period < t.total_periods then
-    Table.sorted_iter ~cmp:Int.compare
-      (fun _ n ->
+    Array.iter
+      (fun n ->
         if n.running then begin
           (* Commit the log before entering the new period: the guard
              task's CPU reservation covers checkpoint signing (§4.1). *)
@@ -1061,7 +1069,7 @@ let boundary t period =
           install_slots t n period;
           babble t n period
         end)
-      t.nodes
+      t.by_id
 
 (* ------------------------------------------------------------------ *)
 (* Fault script and run loop                                            *)
@@ -1087,9 +1095,7 @@ let run t ~horizon =
   if t.started then invalid_arg "Runtime.run: already ran";
   t.started <- true;
   t.total_periods <- horizon / t.period_len;
-  Table.sorted_iter ~cmp:Int.compare
-    (fun id n -> Net.set_handler t.net id (on_receive t n))
-    t.nodes;
+  Array.iter (fun n -> Net.set_handler t.net n.id (on_receive t n)) t.by_id;
   List.iter
     (fun (ev : Fault.event) ->
       ignore (Engine.schedule t.eng ~at:ev.Fault.at (fun _ -> apply_script_event t ev)))

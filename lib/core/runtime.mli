@@ -45,14 +45,6 @@ type config = {
 val default_config : config
 (** seed 1, no residual loss, declare on the first missing message. *)
 
-val state_wait_boundaries : int
-(** 3: period boundaries a staged mode waits for migrating state before
-    starting the task fresh anyway. *)
-
-val forged_evidence_threshold : int
-(** 3: invalid evidence records from one signer before a node accuses
-    it of forgery. *)
-
 type t
 
 val create :

@@ -93,17 +93,14 @@ val prepare : ?config:Runtime.config -> spec -> (Runtime.t, Planner.error) resul
 val run : ?config:Runtime.config -> spec -> (Runtime.t, Planner.error) result
 (** Plan, deploy, inject, run to the horizon. *)
 
-val prepare_unchecked :
-  ?config:Runtime.config -> spec -> (Runtime.t, Planner.error) result
-(** {!prepare} without the static verification gate: builds the plan
-    and deploys it even when {!Btr_check.Check} would reject it. For
-    adversarial conformance testing — forcing a statically rejected
-    configuration into the simulator to confirm the rejection was
-    genuine (a witness schedule really violates R) — and for baseline
-    experiments that deliberately study under-provisioned strategies.
-    Never use it on the happy path: acceptance is only meaningful
-    because deployment implies the gate passed. *)
-
 val run_unchecked :
   ?config:Runtime.config -> spec -> (Runtime.t, Planner.error) result
-(** {!prepare_unchecked}, then inject and run to the horizon. *)
+(** {!run} without the static verification gate: builds the plan and
+    deploys it even when {!Btr_check.Check} would reject it, then
+    injects and runs to the horizon. For adversarial conformance testing
+    — forcing a statically rejected configuration into the simulator to
+    confirm the rejection was genuine (a witness schedule really
+    violates R) — and for baseline experiments that deliberately study
+    under-provisioned strategies. Never use it on the happy path:
+    acceptance is only meaningful because deployment implies the gate
+    passed. *)

@@ -30,10 +30,9 @@ type tag
 
 type cost_model = { sign_cost : Time.t; verify_cost : Time.t }
 
-val default_costs : cost_model
-(** 50µs sign, 20µs verify — commodity-MCU ballpark for short MACs. *)
-
 val create : ?costs:cost_model -> unit -> t
+(** [costs] defaults to 50µs sign, 20µs verify — commodity-MCU ballpark
+    for short MACs. *)
 
 val gen_key : t -> owner:int -> secret
 (** Registers and returns the signing key for principal [owner].

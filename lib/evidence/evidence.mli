@@ -33,8 +33,6 @@ val fault_class_name : fault_class -> string
 (** ["wrong-value"], ["omission"], ...: the name used in encodings and
     telemetry. *)
 
-val pp_fault_class : Format.formatter -> fault_class -> unit
-
 type accused =
   | Node of int
   | Path of int * int  (** unordered; constructors normalize order *)
@@ -79,8 +77,6 @@ module Distributor : sig
     | Fresh  (** valid and not seen before: apply and forward *)
     | Duplicate
     | Invalid  (** failed validation: drop, count against the signer *)
-
-  val verdict_name : verdict -> string
 
   val create : node:int -> ?obs:Btr_obs.Obs.t -> unit -> t
   (** [obs] (default null) receives an [Evidence_admitted] event per

@@ -37,14 +37,3 @@ let sequential_attack ~nodes ~start ~gap behavior =
   List.mapi
     (fun i node -> { at = Time.add start (Time.mul gap i); node; behavior })
     nodes
-
-let all_behaviors =
-  [
-    Crash;
-    Omit_outputs;
-    Omit_to [ 0 ];
-    Delay_outputs (Time.ms 5);
-    Corrupt_outputs;
-    Equivocate;
-    Babble { bogus_per_period = 4 };
-  ]

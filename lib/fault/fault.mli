@@ -35,6 +35,3 @@ val sequential_attack :
   nodes:int list -> start:Time.t -> gap:Time.t -> behavior -> script
 (** The §3 worst case: the adversary triggers a fresh fault every [gap]
     (set [gap = R] to force up to [k·R] of incorrect output). *)
-
-val all_behaviors : behavior list
-(** One representative of each class, for coverage sweeps. *)

@@ -33,7 +33,6 @@ module Fault_set : sig
   (** Sorted; this is the strategy lookup key. *)
 
   val paths : t -> (int * int) list
-  val suspects_of : t -> int * int -> int list
   val mem_node : t -> int -> bool
   val mem_path : t -> int * int -> bool
 

@@ -9,6 +9,7 @@ let cls_name = function Data -> "data" | Control -> "control"
 
 type shares = { data_frac : float; control_frac : float }
 
+(* Splits 100% of a link evenly among [n_members], 80/20 data/control. *)
 let default_shares ~n_members =
   let per = 1.0 /. float_of_int n_members in
   { data_frac = 0.8 *. per; control_frac = 0.2 *. per }

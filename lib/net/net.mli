@@ -26,22 +26,17 @@ type node_id = Topology.node_id
 
 type cls = Data | Control
 
-val cls_name : cls -> string
-(** ["data"] / ["control"]; used in telemetry events. *)
-
 type shares = { data_frac : float; control_frac : float }
 (** Fraction of a link's raw bandwidth reserved to {e each member} per
     class. Must satisfy [members * (data + control) <= 1] for every
     link; {!create} checks this. *)
 
-val default_shares : n_members:int -> shares
-(** Splits 100% of the link evenly among members, 80/20 data/control. *)
-
 val default_shares_for : Topology.t -> shares
 (** The shares {!create} (and {!plan_transfer_time}) fall back to when
-    none are given: {!default_shares} sized for the most-populated link
-    of the topology. Exposed so offline analyses ({!Btr_check}) reason
-    about exactly the reservations the runtime will enforce. *)
+    none are given: 100% of a link split evenly among the members of the
+    topology's most-populated link, 80/20 data/control. Exposed so
+    offline analyses ({!Btr_check}) reason about exactly the
+    reservations the runtime will enforce. *)
 
 val reservation_rate : shares -> Topology.link -> cls -> int
 (** Bytes/second one member's static reservation provides on [link] for

@@ -47,6 +47,8 @@ let create ~nodes ~links =
       invalid_arg (Printf.sprintf "Topology.create: link %d repeats a member" l.link_id);
     if l.bandwidth_bps <= 0 then
       invalid_arg (Printf.sprintf "Topology.create: link %d bandwidth <= 0" l.link_id);
+    if l.latency < 0 then
+      invalid_arg (Printf.sprintf "Topology.create: link %d latency < 0" l.link_id);
     List.iter
       (fun m ->
         if not (Hashtbl.mem node_set m) then

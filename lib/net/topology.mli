@@ -20,8 +20,8 @@ type t
 
 val create : nodes:node_id list -> links:link list -> t
 (** Validates: node ids distinct, link ids distinct, every link member
-    is a declared node, every link has ≥ 2 members and positive
-    bandwidth. Raises [Invalid_argument] otherwise. *)
+    is a declared node, every link has ≥ 2 members, positive bandwidth
+    and non-negative latency. Raises [Invalid_argument] otherwise. *)
 
 val nodes : t -> node_id list
 val links : t -> link list

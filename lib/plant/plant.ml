@@ -138,9 +138,11 @@ module Controller = struct
   let pid ~kp ~ki ~kd ~setpoint =
     { kind = Pid { kp; ki; kd; setpoint }; integral = 0.0; prev_error = None }
 
+  (* u = −gains · state *)
   let state_feedback ~gains =
     { kind = State_feedback gains; integral = 0.0; prev_error = None }
 
+  (* [high] when the measurement exceeds [threshold], else [low]. *)
   let bang_bang ~threshold ~low ~high =
     { kind = Bang_bang { threshold; low; high }; integral = 0.0; prev_error = None }
 

@@ -81,14 +81,6 @@ val cruise_control : ?v_set:float -> unit -> model
 module Controller : sig
   type ctl
 
-  val pid : kp:float -> ki:float -> kd:float -> setpoint:float -> ctl
-  val state_feedback : gains:float array -> ctl
-  (** [u = −gains · state]. *)
-
-  val bang_bang : threshold:float -> low:float -> high:float -> ctl
-  (** [high] when measurement exceeds [threshold], else [low]; for the
-      relief valve. *)
-
   val compute : ctl -> dt_s:float -> measurement:float array -> float
   (** One control-period update. [measurement] is the full state for
       state feedback, or [[|y|]] for pid/bang-bang. *)

@@ -15,42 +15,6 @@ let utilization ts =
     (fun acc t -> acc +. (Time.to_sec_f t.wcet /. Time.to_sec_f t.period))
     0.0 ts
 
-let edf_schedulable_implicit ts = utilization ts <= 1.0 +. 1e-12
-
-let demand_bound ts ~horizon =
-  List.fold_left
-    (fun acc t ->
-      if horizon < t.deadline then acc
-      else
-        let jobs = ((horizon - t.deadline) / t.period) + 1 in
-        Time.add acc (Time.mul t.wcet jobs))
-    Time.zero ts
-
-let hyperperiod ts = List.fold_left (fun acc t -> Time.lcm acc t.period) 1 ts
-
-(* Test points: every absolute deadline d = k*T_i + D_i within the
-   hyperperiod. For synchronous release this set is sufficient. *)
-let deadline_points ts ~upto =
-  let points = Hashtbl.create 64 in
-  List.iter
-    (fun t ->
-      let d = ref t.deadline in
-      while !d <= upto do
-        Hashtbl.replace points !d ();
-        d := Time.add !d t.period
-      done)
-    ts;
-  Table.sorted_keys ~cmp:Time.compare points
-
-let edf_schedulable ts =
-  match ts with
-  | [] -> true
-  | _ ->
-    utilization ts <= 1.0 +. 1e-12
-    && List.for_all
-         (fun d -> Time.compare (demand_bound ts ~horizon:d) d <= 0)
-         (deadline_points ts ~upto:(hyperperiod ts))
-
 let response_times ts =
   (* Deadline-monotonic priority order; remember original positions. *)
   let indexed = List.mapi (fun i t -> (i, t)) ts in
@@ -83,85 +47,3 @@ let fp_schedulable ts =
   List.for_all2
     (fun t r -> match r with Some x -> Time.compare x t.deadline <= 0 | None -> false)
     ts (response_times ts)
-
-type dual = {
-  lo_wcet : Time.t;
-  hi_wcet : Time.t;
-  dual_period : Time.t;
-  hi_criticality : bool;
-}
-
-let vestal_schedulable ds =
-  let u select =
-    List.fold_left
-      (fun acc d ->
-        match select d with
-        | Some c -> acc +. (Time.to_sec_f c /. Time.to_sec_f d.dual_period)
-        | None -> acc)
-      0.0 ds
-  in
-  let lo_mode = u (fun d -> Some d.lo_wcet) in
-  let hi_mode = u (fun d -> if d.hi_criticality then Some d.hi_wcet else None) in
-  lo_mode <= 1.0 +. 1e-12 && hi_mode <= 1.0 +. 1e-12
-
-module Edf_sim = struct
-  type job = { abs_deadline : Time.t; mutable remaining : Time.t }
-
-  let deadline_misses ts ~horizon =
-    (* Event-driven preemptive EDF with synchronous release. *)
-    let jobs : job list ref = ref [] in
-    let misses = ref 0 in
-    let release now =
-      List.iter
-        (fun t ->
-          if now mod t.period = 0 then
-            jobs := { abs_deadline = Time.add now t.deadline; remaining = t.wcet } :: !jobs)
-        ts
-    in
-    let next_release now =
-      List.fold_left
-        (fun acc t ->
-          let next = Time.mul t.period ((now / t.period) + 1) in
-          Time.min acc next)
-        Time.infinity ts
-    in
-    let rec run now =
-      if Time.compare now horizon >= 0 then ()
-      else begin
-        release now;
-        let upto = Time.min horizon (next_release now) in
-        (* Run EDF within [now, upto): repeatedly pick the earliest
-           deadline job and execute it (no releases occur inside). *)
-        let rec work t =
-          if Time.compare t upto >= 0 then ()
-          else begin
-            jobs := List.filter (fun j -> j.remaining > 0) !jobs;
-            match
-              List.sort (fun a b -> Time.compare a.abs_deadline b.abs_deadline) !jobs
-            with
-            | [] -> ()
-            | j :: _ ->
-              let slice = Time.min j.remaining (Time.sub upto t) in
-              j.remaining <- Time.sub j.remaining slice;
-              let t' = Time.add t slice in
-              if j.remaining = 0 && Time.compare t' j.abs_deadline > 0 then incr misses;
-              work t'
-          end
-        in
-        work now;
-        (* Jobs whose deadline passed while still unfinished miss. *)
-        jobs :=
-          List.filter
-            (fun j ->
-              if Time.compare j.abs_deadline upto <= 0 && j.remaining > 0 then begin
-                incr misses;
-                false
-              end
-              else true)
-            !jobs;
-        run upto
-      end
-    in
-    run Time.zero;
-    !misses
-end

@@ -3,9 +3,8 @@
     The planner's static tables are built constructively, but admission
     reasoning about per-node task sets uses the standard real-time
     results (the paper situates BTR against this literature, §4.1 and
-    [12]): EDF utilization and processor-demand tests, fixed-priority
-    response-time analysis, and a Vestal-style dual-criticality test of
-    the kind mixed-criticality CPS certify against.
+    [12]): fixed-priority response-time analysis with deadline-monotonic
+    priorities, exact for synchronous release with deadline <= period.
 
     All functions are pure; times are {!Btr_util.Time.t}. *)
 
@@ -23,17 +22,6 @@ val task : wcet:Time.t -> period:Time.t -> ?deadline:Time.t -> unit -> periodic
 
 val utilization : periodic list -> float
 
-val edf_schedulable_implicit : periodic list -> bool
-(** Exact for implicit deadlines: U <= 1 (Liu & Layland). *)
-
-val demand_bound : periodic list -> horizon:Time.t -> Time.t
-(** Processor demand h(t) = sum_i max(0, floor((t - D_i)/T_i) + 1) * C_i. *)
-
-val edf_schedulable : periodic list -> bool
-(** Exact for constrained deadlines: U <= 1 and h(t) <= t at every
-    absolute deadline up to the hyperperiod (sufficient test points for
-    synchronous release). *)
-
 val response_times : periodic list -> Time.t option list
 (** Fixed-priority response-time analysis with deadline-monotonic
     priorities (list order is reordered internally; results match the
@@ -42,26 +30,3 @@ val response_times : periodic list -> Time.t option list
 
 val fp_schedulable : periodic list -> bool
 (** All response times exist and meet their deadlines. *)
-
-(** Vestal-style dual-criticality task: a LO and a HI execution budget.
-    HI tasks may overrun their LO budget, at which point LO tasks are
-    dropped (the mode switch the planner's shedding mirrors). *)
-type dual = {
-  lo_wcet : Time.t;
-  hi_wcet : Time.t;  (** >= lo_wcet; = lo_wcet for LO-criticality tasks *)
-  dual_period : Time.t;
-  hi_criticality : bool;
-}
-
-val vestal_schedulable : dual list -> bool
-(** Sufficient utilization-based AMC test: LO mode fits with every task
-    at its LO budget, and HI mode fits with only HI tasks at their HI
-    budgets. *)
-
-(** A concrete preemptive EDF simulator, for validating the analysis
-    (and the analysis validates it back, property-tested). *)
-module Edf_sim : sig
-  val deadline_misses : periodic list -> horizon:Time.t -> int
-  (** Simulates synchronous release over [horizon]; counts jobs that
-      miss their absolute deadline. *)
-end

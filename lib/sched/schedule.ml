@@ -109,22 +109,12 @@ let window t tid =
 
 let node_of t tid = Option.map fst (Hashtbl.find_opt t.by_task tid)
 
-let makespan t =
-  Table.sorted_fold ~cmp:Int.compare
-    (fun _ slots acc ->
-      List.fold_left (fun acc s -> Time.max acc s.finish) acc slots)
-    t.by_node Time.zero
-
 let node_utilization t n =
   let busy =
     List.fold_left (fun acc s -> Time.add acc (Time.sub s.finish s.start)) Time.zero
       (slots_on t n)
   in
   Time.to_sec_f busy /. Time.to_sec_f t.period
-
-let sink_completion t g flow_id =
-  let f = Graph.flow g flow_id in
-  Option.map (fun (_, s) -> s.finish) (Hashtbl.find_opt t.by_task f.consumer)
 
 let validate t g ~xfer =
   let problems = ref [] in

@@ -44,14 +44,8 @@ val window : t -> Task.id -> (Time.t * Time.t) option
 (** [Some (start, finish)] of the task's slot; [None] if not scheduled. *)
 
 val node_of : t -> Task.id -> int option
-val makespan : t -> Time.t
-(** Latest finish across all nodes. *)
-
 val node_utilization : t -> int -> float
 (** Busy time on the node divided by the period. *)
-
-val sink_completion : t -> Graph.t -> int -> Time.t option
-(** Completion time of the sink task consuming the given flow. *)
 
 val validate : t -> Graph.t -> xfer:xfer -> (unit, string) result
 (** Independent checker used by tests and the planner: slots within

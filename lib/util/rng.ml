@@ -29,15 +29,6 @@ let float t x =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let gaussian t ~mean ~stddev =
-  let rec draw () =
-    let u1 = float t 1.0 in
-    if u1 <= 1e-12 then draw () else u1
-  in
-  let u1 = draw () and u2 = float t 1.0 in
-  let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
-  mean +. (stddev *. z)
-
 let pick t a =
   assert (Array.length a > 0);
   a.(int t (Array.length a))

@@ -29,9 +29,6 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val gaussian : t -> mean:float -> stddev:float -> float
-(** Box–Muller normal deviate. *)
-
 val pick : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array. *)
 

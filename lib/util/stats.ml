@@ -58,25 +58,6 @@ let summarize xs =
 
 let summarize_opt = function [] -> None | xs -> Some (summarize xs)
 
-let histogram ~buckets xs =
-  match xs with
-  | [] -> []
-  | _ ->
-    let lo = List.fold_left Stdlib.min Float.infinity xs in
-    let hi = List.fold_left Stdlib.max Float.neg_infinity xs in
-    let width =
-      if hi > lo then (hi -. lo) /. float_of_int buckets else 1.0
-    in
-    let counts = Array.make buckets 0 in
-    let place x =
-      let i = int_of_float ((x -. lo) /. width) in
-      let i = Stdlib.max 0 (Stdlib.min (buckets - 1) i) in
-      counts.(i) <- counts.(i) + 1
-    in
-    List.iter place xs;
-    List.init buckets (fun i ->
-        (lo +. (float_of_int i *. width), lo +. (float_of_int (i + 1) *. width), counts.(i)))
-
 let pp_summary ppf s =
   Format.fprintf ppf
     "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f"

@@ -17,15 +17,10 @@ val summarize : float list -> summary
 val summarize_opt : float list -> summary option
 
 val mean : float list -> float
-val stddev : float list -> float
 
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [0,100], linear interpolation between
     order statistics. Raises [Invalid_argument] on []. *)
-
-val histogram : buckets:int -> float list -> (float * float * int) list
-(** [(lo, hi, count)] rows covering [min, max] of the data in equal-width
-    buckets. Empty input gives []. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 

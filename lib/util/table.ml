@@ -14,8 +14,6 @@ let add_row t row =
   in
   t.rev_rows <- padded :: t.rev_rows
 
-let row_count t = List.length t.rev_rows
-
 let render t =
   let rows = List.rev t.rev_rows in
   let all = t.header :: rows in

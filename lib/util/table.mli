@@ -9,8 +9,6 @@ val create : title:string -> header:string list -> t
 val add_row : t -> string list -> unit
 (** Rows shorter than the header are right-padded with empty cells. *)
 
-val row_count : t -> int
-
 val render : t -> string
 val print : t -> unit
 (** Renders to stdout followed by a blank line. *)

@@ -20,7 +20,6 @@ val of_sec_f : float -> t
 (** [of_sec_f s] rounds [s] seconds to the nearest microsecond. *)
 
 val to_sec_f : t -> float
-val to_ms_f : t -> float
 
 val add : t -> t -> t
 val sub : t -> t -> t

@@ -49,13 +49,6 @@ type 'a t
 val levels : int
 (** 3 — wheel levels below the overflow list. *)
 
-val wsize : int
-(** 8192 — slots per level; level [L] granularity is [8192^L] µs. Wide
-    levels keep millisecond-scale re-arms inside the level-0 window, so
-    the common cell is linked once and popped once with no cascade in
-    between; slot sentinels are allocated lazily so unused width is one
-    array entry, not a live record. *)
-
 val create : nil:'a cell -> unit -> 'a t
 (** A wheel with its cursor at time 0. [nil] is the caller's detached
     sentinel cell: it terminates the free list, is returned by

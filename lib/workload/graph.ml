@@ -163,11 +163,6 @@ let utilization t =
     (fun acc (x : Task.t) -> acc +. (Time.to_sec_f x.wcet /. Time.to_sec_f t.period))
     0.0 t.task_list
 
-let tasks_at_least t level =
-  List.filter
-    (fun (x : Task.t) -> Task.compare_criticality x.criticality level >= 0)
-    t.task_list
-
 let restrict t ~keep =
   let kept = List.filter keep t.task_list in
   let ids = Hashtbl.create 64 in

@@ -57,9 +57,6 @@ val sink_flows : t -> flow list
 val utilization : t -> float
 (** Sum over tasks of wcet/period — demand on a single-node system. *)
 
-val tasks_at_least : t -> Task.criticality -> Task.t list
-(** Tasks with criticality >= the given level. *)
-
 val restrict : t -> keep:(Task.t -> bool) -> t
 (** Sub-workload containing the kept tasks and the flows among them.
     Used by the planner when shedding low-criticality tasks. Keeps the

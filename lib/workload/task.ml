@@ -55,8 +55,6 @@ let make ~id ~name ?(kind = Compute) ~wcet ?(criticality = Medium)
   | _ -> ());
   { id; name; kind; wcet; criticality; state_size; pinned }
 
-let is_placeable t = t.kind = Compute && t.pinned = None
-
 let pp ppf t =
   Format.fprintf ppf "task %d (%s) %s wcet=%a crit=%a%s" t.id t.name
     (match t.kind with Source -> "source" | Compute -> "compute" | Sink -> "sink")

@@ -48,7 +48,4 @@ val make :
     Raises [Invalid_argument] when a source/sink lacks [pinned], or
     [wcet <= 0]. *)
 
-val is_placeable : t -> bool
-(** Compute tasks without a pin — everything the planner may move. *)
-
 val pp : Format.formatter -> t -> unit

@@ -17,28 +17,6 @@ let test_utilization () =
   Alcotest.(check (float 1e-9)) "sum of C/T" 0.75
     (A.utilization [ t ~c:1 ~p:4 (); t ~c:5 ~p:10 () ])
 
-let test_edf_implicit_boundary () =
-  check_bool "U = 1 schedulable" true
-    (A.edf_schedulable_implicit [ t ~c:2 ~p:4 (); t ~c:5 ~p:10 () ]);
-  check_bool "U > 1 not" false
-    (A.edf_schedulable_implicit [ t ~c:3 ~p:4 (); t ~c:5 ~p:10 () ])
-
-let test_demand_bound () =
-  let ts = [ t ~c:1 ~p:4 (); t ~c:2 ~p:6 () ] in
-  (* At t=12ms: floor((12-4)/4)+1 = 3 jobs of task 1, floor((12-6)/6)+1 = 2
-     jobs of task 2 -> 3*1 + 2*2 = 7ms. *)
-  check_int "h(12ms)" (Time.ms 7) (A.demand_bound ts ~horizon:(Time.ms 12));
-  check_int "h before first deadline" 0 (A.demand_bound ts ~horizon:(Time.ms 3))
-
-let test_edf_constrained () =
-  (* Constrained deadlines can be infeasible even with U < 1. *)
-  let tight =
-    [ t ~c:2 ~p:10 ~deadline:(Time.ms 2) (); t ~c:2 ~p:10 ~deadline:(Time.ms 2) () ]
-  in
-  check_bool "two 2ms jobs due at 2ms cannot both fit" false (A.edf_schedulable tight);
-  let ok = [ t ~c:2 ~p:10 ~deadline:(Time.ms 4) (); t ~c:2 ~p:10 ~deadline:(Time.ms 4) () ] in
-  check_bool "4ms deadlines fit" true (A.edf_schedulable ok)
-
 let test_response_times () =
   (* Classic example: C=(1,2,3), T=D=(4,6,12). RTA: R1=1, R2=3, R3=10. *)
   let ts = [ t ~c:1 ~p:4 (); t ~c:2 ~p:6 (); t ~c:3 ~p:12 () ] in
@@ -50,47 +28,6 @@ let test_response_times () =
   | _ -> Alcotest.fail "expected three response times");
   check_bool "fp schedulable" true (A.fp_schedulable ts)
 
-let test_fp_vs_edf_gap () =
-  (* U = 1 with harmonic mismatch: EDF fits, fixed priorities do not.
-     C=(3,3), T=D=(6,9): U = 0.5 + 0.333... < 1 -> EDF ok.
-     RTA for the 9ms task: R = 3 + ceil(R/6)*3 -> 6, fits. Use the
-     classical U=1 pair C=(2,4), T=(4,8): EDF ok; RTA task2: R = 4 +
-     ceil(R/4)*2 -> 4+2=6, 4+4=8 fits... use C=(3,3) T=(6,8):
-     U = 0.875. RTA low prio: R = 3 + ceil(R/6)*3: 6 -> 3+3=6 fits.
-     Harder: C=(4,4), T=(8,10): U = 0.9. RTA: R = 4 + ceil(R/8)*4:
-     8 -> 4+4=8 fits <= 10. FP is good up to ~0.69 only in the limit;
-     small sets often fit. Just assert EDF dominates FP. *)
-  let ts = [ t ~c:4 ~p:8 (); t ~c:4 ~p:10 () ] in
-  check_bool "edf at least as good as fp" true
-    ((not (A.fp_schedulable ts)) || A.edf_schedulable ts)
-
-let test_vestal () =
-  let hi ~lo_c ~hi_c ~p =
-    { A.lo_wcet = Time.ms lo_c; hi_wcet = Time.ms hi_c; dual_period = Time.ms p;
-      hi_criticality = true }
-  in
-  let lo ~c ~p =
-    { A.lo_wcet = Time.ms c; hi_wcet = Time.ms c; dual_period = Time.ms p;
-      hi_criticality = false }
-  in
-  check_bool "fits in both modes" true
-    (A.vestal_schedulable [ hi ~lo_c:2 ~hi_c:5 ~p:10; lo ~c:6 ~p:10 ]);
-  check_bool "HI overrun budget too large" false
-    (A.vestal_schedulable [ hi ~lo_c:2 ~hi_c:11 ~p:10; lo ~c:6 ~p:10 ]);
-  check_bool "LO mode overloaded" false
-    (A.vestal_schedulable [ hi ~lo_c:5 ~hi_c:5 ~p:10; lo ~c:6 ~p:10 ])
-
-let test_edf_sim_basic () =
-  check_int "feasible set never misses" 0
-    (A.Edf_sim.deadline_misses
-       [ t ~c:2 ~p:4 (); t ~c:4 ~p:8 () ]
-       ~horizon:(Time.ms 80));
-  check_bool "overloaded set misses" true
-    (A.Edf_sim.deadline_misses
-       [ t ~c:3 ~p:4 (); t ~c:4 ~p:8 () ]
-       ~horizon:(Time.ms 80)
-    > 0)
-
 let gen_taskset =
   QCheck.Gen.(
     let* n = 1 -- 4 in
@@ -100,44 +37,62 @@ let gen_taskset =
        let* d_ms = c_ms -- p_ms in
        return (A.task ~wcet:(Time.ms c_ms) ~period:(Time.ms p_ms) ~deadline:(Time.ms d_ms) ())))
 
-let prop_edf_analysis_sound =
-  QCheck.Test.make
-    ~name:"edf_schedulable task sets never miss a deadline in simulation"
-    ~count:150
-    (QCheck.make gen_taskset)
-    (fun ts ->
-      QCheck.assume (A.edf_schedulable ts);
-      let horizon =
-        Time.min (Time.ms 2000)
-          (Time.mul (List.fold_left (fun acc t -> Time.lcm acc t.A.period) 1 ts) 2)
-      in
-      A.Edf_sim.deadline_misses ts ~horizon = 0)
+(* Reference model: preemptive fixed priorities, deadline-monotonic
+   with ties broken by list position (the order [response_times]
+   assumes), synchronous release at 0. A job misses when it finishes
+   after its deadline or is still unfinished at its task's next release
+   (deadline <= period, so that release is at or past the deadline). *)
+let fp_deadline_misses ts =
+  let tasks = Array.of_list ts in
+  let n = Array.length tasks in
+  let by_prio =
+    List.stable_sort
+      (fun i j -> Time.compare tasks.(i).A.deadline tasks.(j).A.deadline)
+      (List.init n Fun.id)
+  in
+  let hyperperiod = Array.fold_left (fun acc t -> Time.lcm acc t.A.period) 1 tasks in
+  let remaining = Array.make n 0 and due = Array.make n 0 in
+  let misses = ref 0 in
+  let now = ref 0 in
+  while !now < hyperperiod do
+    Array.iteri
+      (fun i t ->
+        if !now mod t.A.period = 0 then begin
+          if remaining.(i) > 0 then incr misses;
+          remaining.(i) <- t.A.wcet;
+          due.(i) <- !now + t.A.deadline
+        end)
+      tasks;
+    let next =
+      Array.fold_left (fun acc t -> Time.min acc ((!now / t.A.period + 1) * t.A.period))
+        Time.infinity tasks
+    in
+    let rec work () =
+      match List.find_opt (fun i -> remaining.(i) > 0) by_prio with
+      | Some i when !now < next ->
+        let slice = Time.min remaining.(i) (next - !now) in
+        remaining.(i) <- remaining.(i) - slice;
+        now := !now + slice;
+        if remaining.(i) = 0 && !now > due.(i) then incr misses;
+        work ()
+      | _ -> now := next
+    in
+    work ()
+  done;
+  Array.iter (fun r -> if r > 0 then incr misses) remaining;
+  !misses
 
-let prop_fp_implies_edf =
+let prop_fp_matches_simulation =
   QCheck.Test.make
-    ~name:"fixed-priority schedulability implies EDF schedulability" ~count:150
+    ~name:"fp_schedulable iff no deadline miss in fixed-priority simulation"
+    ~count:300
     (QCheck.make gen_taskset)
-    (fun ts -> (not (A.fp_schedulable ts)) || A.edf_schedulable ts)
-
-let prop_overload_unschedulable =
-  QCheck.Test.make ~name:"U > 1 is never EDF schedulable" ~count:100
-    (QCheck.make gen_taskset)
-    (fun ts ->
-      QCheck.assume (A.utilization ts > 1.0 +. 1e-9);
-      not (A.edf_schedulable ts))
+    (fun ts -> A.fp_schedulable ts = (fp_deadline_misses ts = 0))
 
 let suite =
   [
     ("task validation", `Quick, test_task_validation);
     ("utilization", `Quick, test_utilization);
-    ("EDF implicit-deadline boundary", `Quick, test_edf_implicit_boundary);
-    ("demand bound function", `Quick, test_demand_bound);
-    ("EDF with constrained deadlines", `Quick, test_edf_constrained);
     ("response-time analysis (classic example)", `Quick, test_response_times);
-    ("EDF dominates fixed priorities", `Quick, test_fp_vs_edf_gap);
-    ("Vestal dual-criticality test", `Quick, test_vestal);
-    ("EDF simulator basics", `Quick, test_edf_sim_basic);
-    QCheck_alcotest.to_alcotest prop_edf_analysis_sound;
-    QCheck_alcotest.to_alcotest prop_fp_implies_edf;
-    QCheck_alcotest.to_alcotest prop_overload_unschedulable;
+    QCheck_alcotest.to_alcotest prop_fp_matches_simulation;
   ]

@@ -147,16 +147,25 @@ let test_invalid_edit_keeps_state () =
   let st = init_exn cfg w (clique 6) in
   let before = Check.report_to_json (Incr.report st) in
   (* Added flow ids stay dense: one far past the largest would make
-     every augmentation index span the gap. *)
+     every augmentation index span the gap. Link latencies are never
+     negative. *)
   let fl = List.hd (Graph.flows w) in
   let add id = Incr.Add_flow { fl with Graph.flow_id = id } in
+  let negative_latency =
+    [
+      Incr.Add_link
+        { Topology.link_id = 99; members = [ 0; 1 ]; bandwidth_bps = 1000; latency = -5 };
+      Incr.Retune_link { link = 0; bandwidth_bps = None; latency = Some (-100) };
+    ]
+  in
   List.iter
     (fun edit ->
       match Incr.apply st edit with
       | Error (Incr.Invalid_edit _) -> ()
       | Error e -> Alcotest.failf "wrong error: %a" Incr.pp_apply_error e
       | Ok _ -> Alcotest.failf "expected Invalid_edit: %s" (Incr.edit_to_string edit))
-    [ Incr.Remove_flow 99_999; add 1_000_000_000; add max_int; add (-1); add min_int ];
+    ([ Incr.Remove_flow 99_999; add 1_000_000_000; add max_int; add (-1); add min_int ]
+    @ negative_latency);
   check_string "state unchanged" before (Check.report_to_json (Incr.report st));
   let next =
     1 + List.fold_left (fun m (f : Graph.flow) -> Stdlib.max m f.flow_id) 0 (Graph.flows w)

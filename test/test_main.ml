@@ -25,4 +25,5 @@ let () =
       ("runtime", Test_runtime.suite);
       ("conformance", Test_conformance.suite);
       ("baselines", Test_baselines.suite);
+      ("exports", Test_exports.suite);
     ]

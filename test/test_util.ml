@@ -67,14 +67,6 @@ let test_rng_sample () =
   check_int "distinct" 3 (List.length (List.sort_uniq Int.compare s));
   check_int "sample oversized" 2 (List.length (Rng.sample r 10 [ 1; 2 ]))
 
-let test_rng_gaussian () =
-  let r = Rng.create 13 in
-  let xs = List.init 5000 (fun _ -> Rng.gaussian r ~mean:10.0 ~stddev:2.0) in
-  let m = Stats.mean xs in
-  check_bool "mean near 10" true (Float.abs (m -. 10.0) < 0.2);
-  let sd = Stats.stddev xs in
-  check_bool "sd near 2" true (Float.abs (sd -. 2.0) < 0.2)
-
 (* Stats *)
 
 let test_stats_summary () =
@@ -89,13 +81,6 @@ let test_stats_percentile () =
   Alcotest.(check (float 1e-9)) "p0" 1.0 (Stats.percentile [ 3.0; 1.0; 2.0 ] 0.0);
   Alcotest.(check (float 1e-9)) "p100" 3.0 (Stats.percentile [ 3.0; 1.0; 2.0 ] 100.0);
   Alcotest.(check (float 1e-9)) "singleton" 5.0 (Stats.percentile [ 5.0 ] 90.0)
-
-let test_stats_histogram () =
-  let h = Stats.histogram ~buckets:2 [ 0.0; 1.0; 2.0; 3.0 ] in
-  check_int "buckets" 2 (List.length h);
-  let total = List.fold_left (fun acc (_, _, c) -> acc + c) 0 h in
-  check_int "all counted" 4 total;
-  check_int "empty data" 0 (List.length (Stats.histogram ~buckets:3 []))
 
 let test_stats_acc () =
   let acc = Stats.Acc.create () in
@@ -119,7 +104,6 @@ let test_table_render () =
   let t = Table.create ~title:"demo" ~header:[ "a"; "bb" ] in
   Table.add_row t [ "1"; "2" ];
   Table.add_row t [ "333" ];
-  check_int "rows" 2 (Table.row_count t);
   let s = Table.render t in
   check_bool "has title" true
     (String.length s > 0 && String.sub s 0 7 = "== demo");
@@ -136,10 +120,8 @@ let suite =
     ("rng split independent", `Quick, test_rng_split_independent);
     ("rng bounds", `Quick, test_rng_bounds);
     ("rng sample", `Quick, test_rng_sample);
-    ("rng gaussian", `Slow, test_rng_gaussian);
     ("stats summary", `Quick, test_stats_summary);
     ("stats percentile", `Quick, test_stats_percentile);
-    ("stats histogram", `Quick, test_stats_histogram);
     ("stats acc", `Quick, test_stats_acc);
     ("table render", `Quick, test_table_render);
     QCheck_alcotest.to_alcotest prop_percentile_within_range;

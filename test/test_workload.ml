@@ -42,14 +42,6 @@ let test_criticality_order () =
         (Task.criticality_of_rank (Task.criticality_rank c) = c))
     Task.all_criticalities
 
-let test_is_placeable () =
-  let c = Task.make ~id:0 ~name:"c" ~wcet:1 () in
-  check_bool "compute placeable" true (Task.is_placeable c);
-  let pinned = Task.make ~id:1 ~name:"p" ~wcet:1 ~pinned:3 () in
-  check_bool "pinned compute not placeable" false (Task.is_placeable pinned);
-  let src = Task.make ~id:2 ~name:"s" ~kind:Task.Source ~wcet:1 ~pinned:0 () in
-  check_bool "source not placeable" false (Task.is_placeable src)
-
 (* Graph *)
 
 let test_graph_accessors () =
@@ -118,13 +110,6 @@ let test_restrict () =
         (List.exists (fun (t : Task.t) -> t.id = f.producer) (Graph.tasks critical_only)
         && List.exists (fun (t : Task.t) -> t.id = f.consumer) (Graph.tasks critical_only)))
     (Graph.flows critical_only)
-
-let test_tasks_at_least () =
-  let g = Generators.avionics ~n_nodes:4 in
-  let safety = Graph.tasks_at_least g Task.Safety_critical in
-  check_int "safety-critical count" 5 (List.length safety);
-  check_int "everything at best-effort" (Graph.task_count g)
-    (List.length (Graph.tasks_at_least g Task.Best_effort))
 
 (* Generators *)
 
@@ -215,7 +200,6 @@ let suite =
   [
     ("task validation", `Quick, test_task_validation);
     ("criticality ordering", `Quick, test_criticality_order);
-    ("placeability", `Quick, test_is_placeable);
     ("graph accessors", `Quick, test_graph_accessors);
     ("topological order", `Quick, test_topo_order);
     ("cycles rejected", `Quick, test_cycle_rejected);
@@ -223,7 +207,6 @@ let suite =
     ("dangling compute rejected", `Quick, test_dangling_compute_rejected);
     ("utilization", `Quick, test_utilization);
     ("restrict keeps graph consistent", `Quick, test_restrict);
-    ("tasks_at_least filters by level", `Quick, test_tasks_at_least);
     ("avionics workload structure", `Quick, test_avionics_structure);
     ("scada workload structure", `Quick, test_scada_structure);
     QCheck_alcotest.to_alcotest prop_random_layered_valid;

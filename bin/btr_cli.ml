@@ -1,10 +1,14 @@
 (* btr — command-line front end for the BTR library.
 
+   `plan` prints ADMITTED or REJECTED from the static verifier, the
+   same verdict `check` reports. `run --script` takes fault scripts in
+   the campaign codec (see `campaign replay --script`).
+
    Examples:
      btr plan  --workload avionics --nodes 6 -f 1 -r 200
      btr check --workload avionics --nodes 6 -f 1 -r 200 --json
      btr run   --workload scada --nodes 5 -f 1 -r 300 \
-               --fault corrupt:3:250 --horizon 2000
+               --script 'corrupt@3@250000' --horizon 2000
      btr workloads *)
 
 open Btr_util
@@ -16,7 +20,8 @@ module Topology = Btr_net.Topology
 module Planner = Btr_planner.Planner
 module Check = Btr_check.Check
 module Incr = Btr_check.Incr
-module Fault = Btr_fault.Fault
+module Campaign = Btr_campaign.Campaign
+module Orchestrate = Btr_campaign.Orchestrate
 
 let workload_of_name name ~nodes ~seed =
   match Generators.check_nodes name ~n_nodes:nodes with
@@ -41,30 +46,6 @@ let topology_of_name name ~nodes =
   | "dual-bus" ->
     Ok (Topology.dual_bus ~n:nodes ~bandwidth_bps:10_000_000 ~latency:(Time.us 50))
   | other -> Error (Printf.sprintf "unknown topology %S" other)
-
-(* faults are written class:node:at_ms, e.g. corrupt:3:250 *)
-let parse_fault s =
-  match String.split_on_char ':' s with
-  | [ cls; node; at ] -> (
-    let node = int_of_string_opt node and at = int_of_string_opt at in
-    let behavior =
-      match cls with
-      | "crash" -> Some Fault.Crash
-      | "omit" -> Some Fault.Omit_outputs
-      | "corrupt" -> Some Fault.Corrupt_outputs
-      | "equivocate" -> Some Fault.Equivocate
-      | "delay" -> Some (Fault.Delay_outputs (Time.ms 8))
-      | "babble" -> Some (Fault.Babble { bogus_per_period = 4 })
-      | _ -> None
-    in
-    match behavior, node, at with
-    | Some b, Some node, Some at_ms ->
-      Ok { Fault.at = Time.ms at_ms; node; behavior = b }
-    | _ -> Error (`Msg (Printf.sprintf "bad fault spec %S" s)))
-  | _ ->
-    Error (`Msg (Printf.sprintf "bad fault spec %S (want class:node:at_ms)" s))
-
-let fault_conv = Arg.conv (parse_fault, fun ppf _ -> Format.fprintf ppf "<fault>")
 
 (* Observability plumbing shared by `run` and the default demo. *)
 let trace_arg =
@@ -175,7 +156,7 @@ let plan_cmd =
         (st.Planner.planning_seconds *. 1e3)
         (Time.to_string st.Planner.worst_recovery)
         r
-        (if Planner.admitted s then "ADMITTED" else "REJECTED");
+        (if Check.passed (Check.verify s) then "ADMITTED" else "REJECTED");
       if verbose then
         List.iter
           (fun (p : Planner.plan) ->
@@ -198,28 +179,37 @@ let plan_cmd =
 
 let run_cmd =
   let doc = "Deploy a strategy on the simulator and inject faults." in
-  let run workload topology nodes f r seed faults horizon_ms trace metrics =
-    match build_strategy workload topology nodes f r seed with
-    | Error e -> print_error e
-    | Ok (g, topo, _) ->
-      with_obs ~trace ~metrics (fun obs ->
-          let s =
-            Btr.Scenario.spec ~workload:g ~topology:topo ~f
-              ~recovery_bound:(Time.ms r) ~script:faults
-              ~horizon:(Time.ms horizon_ms) ~seed ?obs ()
-          in
-          match Btr.Scenario.run s with
-          | Error e ->
-            Format.eprintf "error: %a@." Planner.pp_error e;
-            1
-          | Ok rt ->
-            report rt ~r;
-            0)
+  let run workload topology nodes f r seed script horizon_ms trace metrics =
+    match
+      Result.bind (Campaign.script_of_string script) (fun faults ->
+          Result.map (fun () -> faults) (Campaign.validate_script ~nodes faults))
+    with
+    | Error m -> print_error (2, m)
+    | Ok faults -> (
+      match build_strategy workload topology nodes f r seed with
+      | Error e -> print_error e
+      | Ok (g, topo, _) ->
+        with_obs ~trace ~metrics (fun obs ->
+            let s =
+              Btr.Scenario.spec ~workload:g ~topology:topo ~f
+                ~recovery_bound:(Time.ms r) ~script:faults
+                ~horizon:(Time.ms horizon_ms) ~seed ?obs ()
+            in
+            match Btr.Scenario.run s with
+            | Error e ->
+              Format.eprintf "error: %a@." Planner.pp_error e;
+              1
+            | Ok rt ->
+              report rt ~r;
+              0))
   in
-  let faults =
+  let script =
     Arg.(
-      value & opt_all fault_conv []
-      & info [ "fault" ] ~doc:"Fault to inject, as class:node:at_ms (repeatable).")
+      value & opt string ""
+      & info [ "script" ] ~docv:"SCRIPT"
+          ~doc:
+            "Faults to inject, in the campaign codec: class[.param]@node@at_us \
+             joined with ';', e.g. 'corrupt@3@250000;delay.8000@1@400000'.")
   in
   let horizon =
     Arg.(value & opt int 1000 & info [ "horizon" ] ~doc:"Simulated run length in ms.")
@@ -227,7 +217,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ workload_arg $ topology_arg $ nodes_arg $ f_arg $ r_arg
-      $ seed_arg $ faults $ horizon $ trace_arg $ metrics_arg)
+      $ seed_arg $ script $ horizon $ trace_arg $ metrics_arg)
 
 (* Exit codes: 0 ok, 1 a failed check or rejected trial, 2 a usage
    error or bad input (an unreadable or malformed file), 3 a Def-3.1
@@ -367,9 +357,6 @@ let workloads_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* campaign run | replay | report                                      *)
-
-module Campaign = Btr_campaign.Campaign
-module Orchestrate = Btr_campaign.Orchestrate
 
 (* Campaign CLI errors are usage errors: exit 2, like cmdliner's own. *)
 let usage_error m =
@@ -688,8 +675,8 @@ let campaign_replay_cmd =
       & opt (some string) None
       & info [ "script" ] ~docv:"SCRIPT"
           ~doc:
-            "Fault schedule as class[.param]\\@node\\@at_us joined with ';', e.g. \
-             'corrupt\\@3\\@250000;babble.8\\@5\\@0'.")
+            "Fault schedule as class[.param]@node@at_us joined with ';', e.g. \
+             'corrupt@3@250000;babble.8@5@0'.")
   in
   let protect =
     Arg.(value & opt string "medium" & info [ "protect" ] ~doc:"Protect level.")

@@ -266,10 +266,7 @@ let report_to_json r =
 
 let key faulty = List.sort_uniq Int.compare faulty
 
-let shares_of v =
-  match v.config.Planner.shares with
-  | Some s -> s
-  | None -> Net.default_shares_for v.topology
+let shares_of v = Net.shares_for v.topology v.config.Planner.shares
 
 let alive_of v faulty =
   List.filter (fun n -> not (List.mem n faulty)) (Topology.nodes v.topology)
@@ -379,7 +376,7 @@ let control_reserve_diags v =
     (fun (l : Topology.link) ->
       let rate = Net.reservation_rate s l Net.Control in
       let serialize =
-        Stdlib.max 1 (v.config.Planner.evidence_size * 1_000_000 / rate)
+        Stdlib.max 1 (Planner.evidence_size * 1_000_000 / rate)
       in
       if Time.compare serialize period > 0 then
         Some
@@ -388,7 +385,7 @@ let control_reserve_diags v =
             message =
               Printf.sprintf
                 "link %d: serializing one %dB evidence record takes %s > period %s"
-                l.link_id v.config.Planner.evidence_size (Time.to_string serialize)
+                l.link_id Planner.evidence_size (Time.to_string serialize)
                 (Time.to_string period);
             locus = { no_locus with link = Some l.link_id };
           }
@@ -581,7 +578,7 @@ let coverage_diags v ~evb push =
                 let floor_bound =
                   Time.add
                     (Time.add
-                       (Time.add period v.config.Planner.detection_margin)
+                       (Time.add period Planner.detection_margin)
                        (evb faulty))
                     (Time.add tr.Planner.migration_bound period)
                 in
@@ -654,14 +651,6 @@ let min_hitting_set sets =
   in
   try_k 1
 
-let protected_sink_flows v =
-  let level = v.config.Planner.protect_level in
-  List.filter
-    (fun (fl : Graph.flow) ->
-      let producer = Graph.task v.workload fl.producer in
-      Task.compare_criticality producer.Task.criticality level >= 0)
-    (Graph.sink_flows v.workload)
-
 (* Per (plan, sender) worst flow the sender can starve by selective
    omission, with its minimal watcher cut and both detection bounds. *)
 type omission_case = {
@@ -674,7 +663,7 @@ type omission_case = {
   oc_fatal : bool;  (* no path fits inside R *)
 }
 
-(* Per protected sink flow (in [protected_sink_flows] order): the
+(* Per protected sink flow (in [Planner.protected_sink_flows] order): the
    minimal watcher cut [sender] must omit toward to starve that flow in
    mode [p], or [None] when the flow is shed in this mode, some lane
    has no direct hop from the sender, or no hitting set exists. This is
@@ -747,7 +736,7 @@ let omission_cut_rows v (p : Planner.plan) ~sender =
           | None -> None
           | Some targets -> Some (orig_fl.Graph.flow_id, targets)
         else None)
-    (protected_sink_flows v)
+    (Planner.protected_sink_flows v.config v.workload)
 
 (* Replays the worst-flow selection over precomputed cut rows. The old
    in-line code short-circuited once a fatal flow was found; under the
@@ -770,11 +759,7 @@ let omission_cases v ~strikes ~evb ~cuts =
             | None -> () (* E302 owns the missing transition *)
             | Some tr ->
               let period = Graph.period g in
-              (* Mirror the runtime watchdog margin: configured margin
-                 plus a tenth of a period of queueing slack. *)
-              let margin =
-                Time.add v.config.Planner.detection_margin (Time.div period 10)
-              in
+              let margin = Planner.watchdog_margin ~period in
               let faulty' = key (sender :: p.Planner.faulty) in
               let base =
                 Time.add
@@ -991,7 +976,7 @@ let evidence_routes_diags v (p : Planner.plan) =
             if a < b then
               match
                 xfer_oracle v ~faulty ~cls:Net.Control ~src:a ~dst:b
-                  ~size_bytes:v.config.Planner.evidence_size
+                  ~size_bytes:Planner.evidence_size
               with
               | Some _ -> ()
               | None ->

@@ -67,7 +67,7 @@ type memo = {
   cuts_tbl : (string, (int * int list) option list) Hashtbl.t;
   (* Shared with the planner's evidence-bound computations; unlike the
      tables above its keys do not embed the network signature, so it is
-     flushed whenever topology, shares or evidence size change. *)
+     flushed whenever topology or shares change. *)
   evb_planner : (string, Time.t) Hashtbl.t;
   c_static : counter;
   c_reserve : counter;
@@ -120,7 +120,7 @@ let memo_find tbl ctr k compute =
    - the RTA key hashes the (task, wcet, deadline) triples and period
      the analysis actually consumes, plus the locus fields it prints;
    - network-keyed entries (static link checks, evidence bounds) hash
-     the topology fingerprint, shares and evidence size — workload
+     the topology fingerprint and shares — workload
      edits leave them untouched.
 
    Keys are content digests, never edit counters, so undoing an edit
@@ -194,10 +194,9 @@ let shares_sig (c : Planner.config) =
   | Some s -> Printf.sprintf "%h:%h" s.Net.data_frac s.Net.control_frac
 
 let net_sig (v : Check.view) =
-  Printf.sprintf "%s|%s|%d"
+  Printf.sprintf "%s|%s"
     (Fnv.to_hex (topology_fingerprint v.Check.topology))
     (shares_sig v.Check.config)
-    v.Check.config.Planner.evidence_size
 
 let rta_key (p : Planner.plan) ~period ~node ~tasks =
   let b = Buffer.create 128 in

@@ -151,15 +151,7 @@ let create ?(config = default_config) ?(behaviors = []) ?(script = []) ?obs
   let table = Behavior.table workload ~overrides:behaviors in
   let initial = Planner.initial_plan strategy in
   let f = (Planner.config strategy).Planner.f in
-  (* A tenth of a period on top of the configured margin absorbs
-     per-link queueing that the schedule's queueing-free transfer
-     estimates do not model, so correct-but-contended messages are
-     never declared late. *)
-  let margin =
-    Time.add
-      (Planner.config strategy).Planner.detection_margin
-      (Time.div (Graph.period (Planner.workload strategy)) 10)
-  in
+  let margin = Planner.watchdog_margin ~period:(Graph.period workload) in
   let nodes = Hashtbl.create 16 in
   List.iter
     (fun id ->
@@ -209,15 +201,10 @@ let create ?(config = default_config) ?(behaviors = []) ?(script = []) ?obs
     behaviors = table;
     golden = Golden.create workload table;
     metrics =
-      (let level = (Planner.config strategy).Planner.protect_level in
-       let protected_flows =
-         List.filter_map
-           (fun (fl : Graph.flow) ->
-             let producer = Graph.task workload fl.producer in
-             if Task.compare_criticality producer.Task.criticality level >= 0
-             then Some fl.flow_id
-             else None)
-           (Graph.sink_flows workload)
+      (let protected_flows =
+         List.map
+           (fun (fl : Graph.flow) -> fl.flow_id)
+           (Planner.protected_sink_flows (Planner.config strategy) workload)
        in
        Metrics.create ~obs ~protected_flows workload);
     nodes;

@@ -9,10 +9,40 @@ let cls_name = function Data -> "data" | Control -> "control"
 
 type shares = { data_frac : float; control_frac : float }
 
-(* Splits 100% of a link evenly among [n_members], 80/20 data/control. *)
-let default_shares ~n_members =
-  let per = 1.0 /. float_of_int n_members in
-  { data_frac = 0.8 *. per; control_frac = 0.2 *. per }
+(* Without explicit shares: 100% of a link split evenly among the
+   members of the most-populated link, 80/20 data/control. *)
+let shares_for topo = function
+  | Some s -> s
+  | None ->
+    let worst =
+      List.fold_left
+        (fun acc (l : Topology.link) -> Stdlib.max acc (List.length l.members))
+        2 (Topology.links topo)
+    in
+    let per = 1.0 /. float_of_int worst in
+    { data_frac = 0.8 *. per; control_frac = 0.2 *. per }
+
+let reservation_rate shares (link : Topology.link) cls =
+  let f = match cls with Data -> shares.data_frac | Control -> shares.control_frac in
+  Stdlib.max 1 (int_of_float (float_of_int link.bandwidth_bps *. f))
+
+(* Serialization time of [size] bytes at [rate] bytes/s, in µs, >= 1. *)
+let serialize_time ~size ~rate =
+  Stdlib.max 1 (size * 1_000_000 / rate)
+
+let link_transfer_time shares ~cls ~size_bytes (link : Topology.link) =
+  let rate = reservation_rate shares link cls in
+  Time.add (serialize_time ~size:size_bytes ~rate) link.latency
+
+let path_transfer_time shares ~cls ~size_bytes path =
+  List.fold_left
+    (fun acc link -> Time.add acc (link_transfer_time shares ~cls ~size_bytes link))
+    Time.zero path
+
+let plan_transfer_time topo ?shares ?(avoid = []) ~cls ~src ~dst ~size_bytes () =
+  Option.map
+    (path_transfer_time (shares_for topo shares) ~cls ~size_bytes)
+    (Topology.route_avoiding topo ~avoid ~src ~dst)
 
 type 'a recv = {
   src : node_id;
@@ -53,17 +83,7 @@ type 'a t = {
 }
 
 let create eng topo ?shares ?(residual_loss = 0.0) () =
-  let shares =
-    match shares with
-    | Some s -> s
-    | None ->
-      let worst =
-        List.fold_left
-          (fun acc (l : Topology.link) -> Stdlib.max acc (List.length l.members))
-          2 (Topology.links topo)
-      in
-      default_shares ~n_members:worst
-  in
+  let shares = shares_for topo shares in
   List.iter
     (fun (l : Topology.link) ->
       let n = float_of_int (List.length l.members) in
@@ -102,14 +122,7 @@ let engine t = t.eng
 let topology t = t.topo
 let set_handler t n f = Hashtbl.replace t.handlers n f
 
-let frac t = function Data -> t.shares.data_frac | Control -> t.shares.control_frac
-
-let reserved_rate t _node (link : Topology.link) cls =
-  Stdlib.max 1 (int_of_float (float_of_int link.bandwidth_bps *. frac t cls))
-
-(* Serialization time of [size] bytes at [rate] bytes/s, in µs, >= 1. *)
-let serialize_time ~size ~rate =
-  Stdlib.max 1 (size * 1_000_000 / rate)
+let reserved_rate t link cls = reservation_rate t.shares link cls
 
 let charge_bytes t sender cls size =
   Obs.Counter.add
@@ -134,7 +147,7 @@ let route t ~src ~dst =
 (* One hop: [sender] pushes the message onto [link]; when serialization
    and propagation complete, [k] runs at the far end. *)
 let hop t ~sender ~(link : Topology.link) ~cls ~size k =
-  let rate = reserved_rate t sender link cls in
+  let rate = reserved_rate t link cls in
   let key = (sender, link.link_id, cls) in
   let free = Option.value ~default:Time.zero (Hashtbl.find_opt t.busy_until key) in
   let start = Time.max (Engine.now t.eng) free in
@@ -251,44 +264,7 @@ let send t ~src ~dst ~cls ~size_bytes payload =
     end
 
 let transfer_time t ~src ~dst ~cls ~size_bytes =
-  match route t ~src ~dst with
-  | None -> None
-  | Some path ->
-    let total =
-      List.fold_left
-        (fun acc (link : Topology.link) ->
-          let rate = reserved_rate t src link cls in
-          Time.add acc (Time.add (serialize_time ~size:size_bytes ~rate) link.latency))
-        Time.zero path
-    in
-    Some total
-
-let default_shares_for topo =
-  let worst =
-    List.fold_left
-      (fun acc (l : Topology.link) -> Stdlib.max acc (List.length l.members))
-      2 (Topology.links topo)
-  in
-  default_shares ~n_members:worst
-
-let reservation_rate shares (link : Topology.link) cls =
-  let f = match cls with Data -> shares.data_frac | Control -> shares.control_frac in
-  Stdlib.max 1 (int_of_float (float_of_int link.bandwidth_bps *. f))
-
-let link_transfer_time shares ~cls ~size_bytes (link : Topology.link) =
-  let rate = reservation_rate shares link cls in
-  Time.add (serialize_time ~size:size_bytes ~rate) link.latency
-
-let path_transfer_time shares ~cls ~size_bytes path =
-  List.fold_left
-    (fun acc link -> Time.add acc (link_transfer_time shares ~cls ~size_bytes link))
-    Time.zero path
-
-let plan_transfer_time topo ?shares ?(avoid = []) ~cls ~src ~dst ~size_bytes () =
-  let shares = match shares with Some s -> s | None -> default_shares_for topo in
-  match Topology.route_avoiding topo ~avoid ~src ~dst with
-  | None -> None
-  | Some path -> Some (path_transfer_time shares ~cls ~size_bytes path)
+  Option.map (path_transfer_time t.shares ~cls ~size_bytes) (route t ~src ~dst)
 
 let set_relay_policy t n p = Hashtbl.replace t.relay_policy n p
 let set_relay_delay t n d = Hashtbl.replace t.relay_delay n d

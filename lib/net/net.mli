@@ -10,7 +10,7 @@
     regardless of data load.
 
     Transmission of a [b]-byte message on a link takes
-    [b / reserved_rate(sender, link, class)] of queueing-free time;
+    [b / reserved_rate(link, class)] of queueing-free time;
     back-to-back sends queue behind one another (per sender, link and
     class), then the link's propagation latency applies. Multi-hop
     messages are store-and-forward relayed by intermediate nodes, each
@@ -31,12 +31,10 @@ type shares = { data_frac : float; control_frac : float }
     class. Must satisfy [members * (data + control) <= 1] for every
     link; {!create} checks this. *)
 
-val default_shares_for : Topology.t -> shares
-(** The shares {!create} (and {!plan_transfer_time}) fall back to when
-    none are given: 100% of a link split evenly among the members of the
-    topology's most-populated link, 80/20 data/control. Exposed so
-    offline analyses ({!Btr_check}) reason about exactly the
-    reservations the runtime will enforce. *)
+val shares_for : Topology.t -> shares option -> shares
+(** The given shares, or the default every component falls back to:
+    100% of a link split evenly among the members of the topology's
+    most-populated link, 80/20 data/control. *)
 
 val reservation_rate : shares -> Topology.link -> cls -> int
 (** Bytes/second one member's static reservation provides on [link] for
@@ -75,14 +73,14 @@ val send :
     {!set_route_avoid}) or when src = dst handler is absent. Delivery is
     asynchronous via the destination handler. *)
 
-val reserved_rate : 'a t -> node_id -> Topology.link -> cls -> int
-(** Bytes/second the sender owns on that link for that class. *)
+val reserved_rate : 'a t -> Topology.link -> cls -> int
+(** Bytes/second each member owns on that link for that class:
+    {!reservation_rate} at the network's shares. *)
 
 val transfer_time :
   'a t -> src:node_id -> dst:node_id -> cls:cls -> size_bytes:int -> Time.t option
 (** Queueing-free end-to-end time for a message along the current route:
-    sum of per-hop serialization + propagation. The planner uses this to
-    bound state-migration and evidence-distribution times. *)
+    {!path_transfer_time} at the network's shares. *)
 
 val plan_transfer_time :
   Topology.t ->

@@ -97,8 +97,15 @@ let build_index ~tasks ~roles ~flows ~flow_origin =
   List.iter (fun (fid, origin) -> Idtab.set index.flow_origin fid (Some origin)) flow_origin;
   index
 
-let augment g ~nodes ~degree ~protect_level ~checker_overhead ~guard_wcet
-    ~digest_size =
+(* Fixed costs of the added tasks: a checker's WCET is one replay of
+   the checked task plus [checker_overhead], a guard reserves
+   [guard_wcet] per node, and each lane sends its checker a
+   [digest_size]-byte digest. *)
+let checker_overhead = Time.us 100
+let guard_wcet = Time.us 200
+let digest_size = 32
+
+let augment g ~nodes ~degree ~protect_level =
   if degree < 1 then invalid_arg "Augment.augment: degree < 1";
   let next_task = ref (1 + List.fold_left (fun m (x : Task.t) -> Stdlib.max m x.id) 0 (Graph.tasks g)) in
   let next_flow =

@@ -22,7 +22,6 @@
     Sources and sinks are physical (sensors/actuators) and cannot be
     replicated in software; they stay pinned and unreplicated. *)
 
-open Btr_util
 module Task = Btr_workload.Task
 module Graph = Btr_workload.Graph
 
@@ -81,12 +80,10 @@ val augment :
   nodes:int list ->
   degree:int ->
   protect_level:Task.criticality ->
-  checker_overhead:Time.t ->
-  guard_wcet:Time.t ->
-  digest_size:int ->
   t
 (** Builds the augmented workload. [degree] >= 1 lanes for compute
     tasks with criticality >= [protect_level]; one checker per
-    protected task (WCET = task WCET + [checker_overhead], modelling
-    replay-based diagnosis); one guard per node in [nodes] with WCET
-    [guard_wcet]. Raises [Invalid_argument] for degree < 1. *)
+    protected task (WCET = task WCET + 100µs, modelling replay-based
+    diagnosis), fed a 32-byte digest by every lane; one guard per node
+    in [nodes] with WCET 200µs. Raises [Invalid_argument] for
+    degree < 1. *)

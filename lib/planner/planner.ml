@@ -12,11 +12,6 @@ type config = {
   recovery_bound : Time.t;
   protect_level : Task.criticality;
   degree : int;
-  checker_overhead : Time.t;
-  guard_wcet : Time.t;
-  digest_size : int;
-  evidence_size : int;
-  detection_margin : Time.t;
   reassignment : reassignment;
   shares : Net.shares option;
 }
@@ -27,14 +22,24 @@ let default_config ~f ~recovery_bound =
     recovery_bound;
     protect_level = Task.Medium;
     degree = f + 1;
-    checker_overhead = Time.us 100;
-    guard_wcet = Time.us 200;
-    digest_size = 32;
-    evidence_size = 160;
-    detection_margin = Time.ms 1;
     reassignment = Minimal;
     shares = None;
   }
+
+let evidence_size = 160
+let detection_margin = Time.ms 1
+
+(* A tenth of a period on top of [detection_margin] absorbs per-link
+   queueing that the schedule's queueing-free transfer estimates do not
+   model, so correct-but-contended messages are never declared late. *)
+let watchdog_margin ~period = Time.add detection_margin (Time.div period 10)
+
+let protected_sink_flows cfg workload =
+  List.filter
+    (fun (fl : Graph.flow) ->
+      let producer = Graph.task workload fl.producer in
+      Task.compare_criticality producer.Task.criticality cfg.protect_level >= 0)
+    (Graph.sink_flows workload)
 
 (* A total, deterministic serialization of a *resolved* config. Two
    configs with equal fields get equal keys even when they were produced
@@ -47,16 +52,14 @@ let config_key c =
     | None -> "default"
     | Some s -> Printf.sprintf "%.6f/%.6f" s.Net.data_frac s.Net.control_frac
   in
-  Printf.sprintf
-    "f=%d;R=%d;protect=%s;degree=%d;checker=%d;guard=%d;digest=%d;evidence=%d;margin=%d;reassign=%s;shares=%s"
-    c.f c.recovery_bound (crit c.protect_level) c.degree c.checker_overhead
-    c.guard_wcet c.digest_size c.evidence_size c.detection_margin
+  Printf.sprintf "f=%d;R=%d;protect=%s;degree=%d;reassign=%s;shares=%s" c.f
+    c.recovery_bound (crit c.protect_level) c.degree
     (match c.reassignment with Minimal -> "minimal" | Naive -> "naive")
     shares
 
-(* The requested R is the one config field planning never reads: it
-   gates [admitted] and the verifier's budget checks, but plans,
-   schedules and transitions are computed without it. Keying strategy
+(* The requested R is the one config field planning never reads: only
+   the verifier's budget checks use it, while plans, schedules and
+   transitions are computed without it. Keying strategy
    caches on the R-stripped serialization is what lets an R-only edit
    (or a campaign R-grid neighbor) reuse the whole strategy. *)
 let config_build_key c = config_key { c with recovery_bound = Time.zero }
@@ -185,9 +188,7 @@ let fault_patterns nodes f =
    from one sweep, kept for the whole mode: the exact routes the
    pairwise [xfer_of] would find, without one BFS per probe. *)
 let data_xfer cfg topo ~faulty =
-  let shares =
-    match cfg.shares with Some s -> s | None -> Net.default_shares_for topo
-  in
+  let shares = Net.shares_for topo cfg.shares in
   let route = Topology.router topo ~usable:(fun n -> not (List.mem n faulty)) in
   fun ~src ~dst ~size_bytes ->
     Option.map (Net.path_transfer_time shares ~cls:Net.Data ~size_bytes) (route ~src ~dst)
@@ -301,8 +302,7 @@ let plan_mode cfg workload topo ~faulty ~parent =
     let kept = Graph.restrict workload ~keep in
     let aug =
       Augment.augment kept ~nodes:alive ~degree:cfg.degree
-        ~protect_level:cfg.protect_level ~checker_overhead:cfg.checker_overhead
-        ~guard_wcet:cfg.guard_wcet ~digest_size:cfg.digest_size
+        ~protect_level:cfg.protect_level
     in
     match place_tasks cfg aug ~alive ~parent ~xfer:data with
     | Error reason -> Error reason
@@ -343,15 +343,13 @@ let plan_mode cfg workload topo ~faulty ~parent =
    same routes, same per-pair sums, same max — taking the bound from
    O(n³) to O(n·memberships) per fault set. *)
 let evidence_bound cfg topo ~faulty =
-  let shares =
-    match cfg.shares with Some s -> s | None -> Net.default_shares_for topo
-  in
+  let shares = Net.shares_for topo cfg.shares in
   let alive =
     List.filter (fun n -> not (List.mem n faulty)) (Topology.nodes topo)
   in
   let usable n = not (List.mem n faulty) in
   let link_cost =
-    Net.link_transfer_time shares ~cls:Net.Control ~size_bytes:cfg.evidence_size
+    Net.link_transfer_time shares ~cls:Net.Control ~size_bytes:evidence_size
   in
   List.fold_left
     (fun acc a ->
@@ -429,7 +427,7 @@ let make_transition ?evb cfg topo ~from_plan ~to_plan ~new_fault =
   in
   let recovery_bound =
     Time.add
-      (Time.add (Time.add period cfg.detection_margin) evidence)
+      (Time.add (Time.add period detection_margin) evidence)
       (Time.add migration_bound period)
   in
   {
@@ -556,6 +554,3 @@ let all_transitions t =
   List.rev
     (Table.sorted_fold ~cmp:cmp_transition_key (fun _ tr acc -> tr :: acc)
        t.transitions [])
-
-let admitted t =
-  Time.compare t.stats.worst_recovery t.config.recovery_bound <= 0

@@ -21,8 +21,9 @@
       criticality level present and retries (mixed-criticality
       degradation, §1);
     + costs every transition into the mode (state to migrate, bounded
-      transfer time) and derives a recovery-time bound, which is
-      admitted against the requested R.
+      transfer time) and derives a recovery-time bound; the static
+      verifier ({!Btr_check.Check}) admits the strategy against the
+      requested R.
 
     The recovery bound for a transition decomposes exactly as the
     paper's architecture does: detection (≤ one period + margin, the
@@ -44,18 +45,27 @@ type config = {
   recovery_bound : Time.t;  (** requested R *)
   protect_level : Task.criticality;  (** replicate at or above this *)
   degree : int;  (** replica lanes per protected task; use [f + 1] *)
-  checker_overhead : Time.t;
-  guard_wcet : Time.t;
-  digest_size : int;
-  evidence_size : int;
-  detection_margin : Time.t;  (** watchdog slack beyond the schedule *)
   reassignment : reassignment;
   shares : Net.shares option;  (** must match the runtime network *)
 }
 
 val default_config : f:int -> recovery_bound:Time.t -> config
-(** degree = f+1, protect Medium and above, 100µs checker overhead,
-    200µs guards, 32B digests, 160B evidence, 1ms margin, Minimal. *)
+(** degree = f+1, protect Medium and above, Minimal, default shares. *)
+
+val evidence_size : int
+(** Bytes of one evidence record (160), in every evidence bound. *)
+
+val detection_margin : Time.t
+(** Detection slack beyond one period in every recovery bound (1ms). *)
+
+val watchdog_margin : period:Time.t -> Time.t
+(** The runtime watchdog's lateness allowance, which the verifier's
+    omission analysis also assumes: {!detection_margin} plus a tenth of
+    [period] of queueing slack. *)
+
+val protected_sink_flows : config -> Graph.t -> Graph.flow list
+(** Sink flows produced at or above [protect_level], in declaration
+    order: the outputs Definition 3.1 guarantees. *)
 
 val config_key : config -> string
 (** A total, deterministic serialization of a config: equal fields give
@@ -164,8 +174,8 @@ val build :
   (t, error) result
 (** [evidence_cache] (keyed by the sorted, comma-separated fault
     pattern) memoizes evidence-distribution bounds across calls.
-    Callers passing one must flush it whenever the topology, shares or
-    evidence size change; results are identical either way. *)
+    Callers passing one must flush it whenever the topology or shares
+    change; results are identical either way. *)
 
 val with_recovery_bound : t -> Time.t -> t
 (** The same strategy re-admitted against a different requested R.
@@ -190,6 +200,3 @@ val transition_for : t -> from_faulty:int list -> new_fault:int -> transition op
 
 val all_plans : t -> plan list
 val all_transitions : t -> transition list
-
-val admitted : t -> bool
-(** Whether every transition's recovery bound is within [recovery_bound]. *)

@@ -120,8 +120,7 @@ let w202 =
       in
       let aug =
         Augment.augment g ~nodes:[ 0; 1; 2; 3; 4; 5 ] ~degree:1
-          ~protect_level:Task.Safety_critical ~checker_overhead:(Time.us 100)
-          ~guard_wcet:(Time.us 200) ~digest_size:32
+          ~protect_level:Task.Safety_critical
       in
       {
         v with
@@ -250,13 +249,11 @@ let e403 =
             ~latency:(Time.us 50);
       })
 
-(* BTR-W404: 10MB evidence records dwarf the 200ms budget. *)
+(* BTR-W404: a control reserve of 100 B/s takes 1.6s per evidence
+   record hop, dwarfing the 200ms budget. *)
 let w404 =
   fires Check.Evidence_budget_dominant (fun v ->
-      {
-        v with
-        Check.config = { v.Check.config with Planner.evidence_size = 10_000_000 };
-      })
+      with_shares v { Net.data_frac = 0.4; control_frac = 0.00001 })
 
 let test_code_id_round_trip () =
   (* code_of_id is a total inverse of code_id over all_codes — stable

@@ -218,7 +218,9 @@ let test_scenario_plan_only () =
       ~f:1 ~recovery_bound:(Time.ms 300) ()
   in
   match Btr.Scenario.plan s with
-  | Ok strategy -> check_bool "scada admits" true (Btr_planner.Planner.admitted strategy)
+  | Ok strategy ->
+    check_bool "scada admits" true
+      (Btr_check.Check.passed (Btr_check.Check.verify strategy))
   | Error e -> Alcotest.failf "plan: %a" Btr_planner.Planner.pp_error e
 
 let test_scenario_tune_applies () =

@@ -319,7 +319,10 @@ module Watchdog_model = struct
       if Time.compare at limit > 0 then Some (e.from, Time.sub at limit)
       else (Hashtbl.replace t.accounts e.from 0; None)
 
-  let unmet t = List.filter (fun (_, e) -> not e.met) (Table.sorted_bindings ~cmp:compare t.table)
+  let cmp_key (f1, p1) (f2, p2) =
+    match Int.compare f1 f2 with 0 -> Int.compare p1 p2 | c -> c
+
+  let unmet t = List.filter (fun (_, e) -> not e.met) (Table.sorted_bindings ~cmp:cmp_key t.table)
 
   let sweep t ~now =
     let due =

@@ -87,7 +87,7 @@ let test_latency_model () =
   | Some r ->
     let expect =
       Time.add
-        (Time.us (4000 * 1_000_000 / Net.reserved_rate net 0
+        (Time.us (4000 * 1_000_000 / Net.reserved_rate net
                     (List.hd (Topology.links_of_node (Net.topology net) 0))
                     Net.Data))
         (Time.us 100)

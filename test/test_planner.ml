@@ -2,6 +2,7 @@ open Btr_util
 open Btr_workload
 module Augment = Btr_planner.Augment
 module Planner = Btr_planner.Planner
+module Check = Btr_check.Check
 module Topology = Btr_net.Topology
 module Schedule = Btr_sched.Schedule
 
@@ -26,7 +27,6 @@ let aug_avionics degree =
   Augment.augment
     (Generators.avionics ~n_nodes:6)
     ~nodes:[ 0; 1; 2; 3; 4; 5 ] ~degree ~protect_level:Task.Medium
-    ~checker_overhead:(Time.us 100) ~guard_wcet:(Time.us 200) ~digest_size:32
 
 let test_augment_counts () =
   let g = Generators.avionics ~n_nodes:6 in
@@ -114,7 +114,7 @@ let test_build_avionics () =
   let st = Planner.stats s in
   check_int "modes = 1 + n" 7 st.Planner.modes;
   check_int "transitions = n" 6 st.Planner.transitions;
-  check_bool "admitted within 200ms" true (Planner.admitted s)
+  check_bool "admitted within 200ms" true (Check.passed (Check.verify s))
 
 let test_replica_separation () =
   let s = must_build ~f:2 (Generators.avionics ~n_nodes:6) (topo6 ()) in
@@ -372,10 +372,12 @@ let test_with_recovery_bound () =
     (List.for_all2 ( == ) (Planner.all_plans s) (Planner.all_plans s'));
   check_bool "transitions shared" true
     (List.for_all2 ( == ) (Planner.all_transitions s) (Planner.all_transitions s'));
-  (* admission is re-judged against the new R *)
+  (* admission is re-judged against the new R: the verifier's whole
+     report, not just its verdict, equals a scratch build's *)
   let fresh = must_build ~r:(Time.ms 150) g (topo6 ()) in
-  check_bool "admission matches a scratch build at the new R" true
-    (Planner.admitted s' = Planner.admitted fresh)
+  Alcotest.(check string) "admission matches a scratch build at the new R"
+    (Check.report_to_json (Check.verify fresh))
+    (Check.report_to_json (Check.verify s'))
 
 (* Index agreement. The reference re-derives the association lists the
    augmentation used to carry, from its contract rather than from the
@@ -500,8 +502,7 @@ let test_index_agreement () =
         (fun degree ->
           let nodes = [ 0; 1; 2; 3; 4; 5 ] in
           check_index_agreement ~protect_level:Task.Medium ~nodes
-            (Augment.augment g ~nodes ~degree ~protect_level:Task.Medium
-               ~checker_overhead:(Time.us 100) ~guard_wcet:(Time.us 200) ~digest_size:32);
+            (Augment.augment g ~nodes ~degree ~protect_level:Task.Medium);
           let topo = Topology.dual_bus ~n:6 ~bandwidth_bps:10_000_000 ~latency:(Time.us 50) in
           match build ~tune:(fun c -> { c with Planner.degree }) g topo with
           | Error _ -> ()

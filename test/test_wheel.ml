@@ -68,7 +68,8 @@ module Model : ENGINE = struct
   module Q = Map.Make (struct
     type t = int * int (* at, seq *)
 
-    let compare = compare
+    let compare (a1, s1) (a2, s2) =
+      match Int.compare a1 a2 with 0 -> Int.compare s1 s2 | c -> c
   end)
 
   type t = {

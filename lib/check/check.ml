@@ -271,11 +271,10 @@ let shares_of v = Net.shares_for v.topology v.config.Planner.shares
 let alive_of v faulty =
   List.filter (fun n -> not (List.mem n faulty)) (Topology.nodes v.topology)
 
-let xfer_oracle v ~faulty ~cls ~src ~dst ~size_bytes =
-  if src = dst then Some Time.zero
-  else
-    Net.plan_transfer_time v.topology ?shares:v.config.Planner.shares
-      ~avoid:faulty ~cls ~src ~dst ~size_bytes ()
+(* The verifier's own route table for a mode: it never reads the
+   planner's. *)
+let mode_routes v faulty =
+  Topology.router v.topology ~usable:(fun n -> not (List.mem n faulty))
 
 (* Each verification unit returns its diagnostics as a list, in the
    order the old push-based checks emitted them. [verify_units]
@@ -313,9 +312,7 @@ let data_reserve_diags v (p : Planner.plan) =
   let period = Graph.period g in
   (* (sender, link_id) -> bytes per period, plus one witness flow *)
   let demand = Hashtbl.create 64 in
-  let route =
-    Topology.router v.topology ~usable:(fun n -> not (List.mem n p.Planner.faulty))
-  in
+  let routes = mode_routes v p.Planner.faulty in
   List.iter
     (fun (fl : Graph.flow) ->
       match
@@ -323,7 +320,7 @@ let data_reserve_diags v (p : Planner.plan) =
           Planner.assignment_of p fl.consumer )
       with
       | Some src, Some dst when src <> dst -> (
-        match route ~src ~dst with
+        match Topology.path routes ~src ~dst with
         | None -> ()
         | Some path ->
           let here = ref src in
@@ -416,18 +413,15 @@ let rta_inputs v (p : Planner.plan) =
   (* Group the assignment by node in one pass, preserving assignment
      order within each node — the same per-node lists the old
      per-node filter produced, without the nodes × tasks scan. *)
-  let by_node : (int, (Task.id * Time.t * Time.t) list) Hashtbl.t =
-    Hashtbl.create 32
-  in
+  let by_node = Inttbl.create 32 in
   List.iter
     (fun (tid, n) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt by_node n) in
-      Hashtbl.replace by_node n
-        ((tid, (Graph.task g tid).Task.wcet, deadline_of tid) :: prev))
+      let prev = Option.value ~default:[] (Inttbl.find_opt by_node n) in
+      Inttbl.replace by_node n ((tid, (Graph.task g tid).Task.wcet, deadline_of tid) :: prev))
     (Planner.assignments p);
   List.filter_map
     (fun node ->
-      match Hashtbl.find_opt by_node node with
+      match Inttbl.find_opt by_node node with
       | None | Some [] -> None
       | Some rev -> Some (node, List.rev rev))
     alive
@@ -465,9 +459,7 @@ let node_rta_diags _v (p : Planner.plan) ~node ~tasks =
 (* (b') Independent re-validation of the mode's static table. *)
 let schedule_valid_diags v (p : Planner.plan) =
   let g = p.Planner.aug.Augment.graph in
-  let xfer ~src ~dst ~size_bytes =
-    xfer_oracle v ~faulty:p.Planner.faulty ~cls:Net.Data ~src ~dst ~size_bytes
-  in
+  let xfer = Net.route_transfer_time (mode_routes v p.Planner.faulty) (shares_of v) ~cls:Net.Data in
   match Schedule.validate p.Planner.schedule g ~xfer with
   | exception Invalid_argument msg ->
     (* A table referencing tasks the mode's graph does not declare
@@ -968,16 +960,14 @@ let evidence_routes_diags v (p : Planner.plan) =
   in
   if all_connected then []
   else begin
+    let routes = mode_routes v faulty in
     let out = ref [] in
     List.iter
       (fun a ->
         List.iter
           (fun b ->
             if a < b then
-              match
-                xfer_oracle v ~faulty ~cls:Net.Control ~src:a ~dst:b
-                  ~size_bytes:Planner.evidence_size
-              with
+              match Topology.path routes ~src:a ~dst:b with
               | Some _ -> ()
               | None ->
                 out :=

@@ -44,6 +44,9 @@ let plan_transfer_time topo ?shares ?(avoid = []) ~cls ~src ~dst ~size_bytes () 
     (path_transfer_time (shares_for topo shares) ~cls ~size_bytes)
     (Topology.route_avoiding topo ~avoid ~src ~dst)
 
+let route_transfer_time routes shares ~cls ~src ~dst ~size_bytes =
+  Topology.path_cost routes ~link_cost:(link_transfer_time shares ~cls ~size_bytes) ~src ~dst
+
 type 'a recv = {
   src : node_id;
   dst : node_id;

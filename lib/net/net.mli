@@ -80,7 +80,7 @@ val reserved_rate : 'a t -> Topology.link -> cls -> int
 val transfer_time :
   'a t -> src:node_id -> dst:node_id -> cls:cls -> size_bytes:int -> Time.t option
 (** Queueing-free end-to-end time for a message along the current route:
-    {!path_transfer_time} at the network's shares. *)
+    {!link_transfer_time} at the network's shares, summed over its links. *)
 
 val plan_transfer_time :
   Topology.t ->
@@ -100,13 +100,20 @@ val plan_transfer_time :
 val link_transfer_time :
   shares -> cls:cls -> size_bytes:int -> Topology.link -> Time.t
 (** One hop of {!plan_transfer_time}: serialization at the reserved rate
-    plus the link's propagation latency. Feed to {!Topology.cost_from}
-    for all-destinations bounds in one sweep. *)
+    plus the link's propagation latency. {!plan_transfer_time} is its
+    sum over the route. Feed it to {!Topology.cost_from} for
+    all-destinations bounds in one sweep. *)
 
-val path_transfer_time :
-  shares -> cls:cls -> size_bytes:int -> Topology.link list -> Time.t
-(** Sum of {!link_transfer_time} over a path, i.e. what
-    {!plan_transfer_time} returns for the route it found. *)
+val route_transfer_time :
+  Topology.router ->
+  shares ->
+  cls:cls ->
+  src:node_id ->
+  dst:node_id ->
+  size_bytes:int ->
+  Time.t option
+(** What {!plan_transfer_time} returns for the route the table holds,
+    summed by {!Topology.path_cost} without building the route. *)
 
 (** {1 Fault-injection hooks} *)
 

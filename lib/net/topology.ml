@@ -1,3 +1,5 @@
+module Inttbl = Btr_util.Inttbl
+
 type node_id = int
 
 type link = {
@@ -8,12 +10,14 @@ type link = {
 }
 
 (* Sweeps run on a dense numbering: node [i] is [ids.(i)], in declared
-   order, and link [j] is [links_at.(j)], in ascending id. *)
+   order, and link [j] is [links_at.(j)], in ascending id. Node ids are
+   not dense (an edit may add any id), so ids map to indices through an
+   int-keyed hash table rather than an array offset by the smallest. *)
 type t = {
   node_list : node_id list;
   link_list : link list;
-  by_id : (int, link) Hashtbl.t;
-  pos : (node_id, int) Hashtbl.t;  (* node id -> node index *)
+  by_id : link Inttbl.t;
+  pos : int Inttbl.t;  (* node id -> node index *)
   ids : node_id array;
   links_at : link array;
   members_at : int array array;  (* link index -> member indices, declared order *)
@@ -24,12 +28,12 @@ type t = {
    scan, linear instead of quadratic so fleet-scale (10^4-node)
    topologies construct in milliseconds. *)
 let distinct xs =
-  let seen = Hashtbl.create 64 in
+  let seen = Inttbl.create 64 in
   List.for_all
     (fun x ->
-      if Hashtbl.mem seen x then false
+      if Inttbl.mem seen x then false
       else begin
-        Hashtbl.replace seen x ();
+        Inttbl.replace seen x ();
         true
       end)
     xs
@@ -38,8 +42,9 @@ let create ~nodes ~links =
   if not (distinct nodes) then invalid_arg "Topology.create: duplicate node ids";
   if not (distinct (List.map (fun l -> l.link_id) links)) then
     invalid_arg "Topology.create: duplicate link ids";
-  let node_set = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace node_set n ()) nodes;
+  let ids = Array.of_list nodes in
+  let pos = Inttbl.create 64 in
+  Array.iteri (fun i n -> Inttbl.replace pos n i) ids;
   let check_link l =
     if List.length l.members < 2 then
       invalid_arg (Printf.sprintf "Topology.create: link %d has < 2 members" l.link_id);
@@ -51,23 +56,20 @@ let create ~nodes ~links =
       invalid_arg (Printf.sprintf "Topology.create: link %d latency < 0" l.link_id);
     List.iter
       (fun m ->
-        if not (Hashtbl.mem node_set m) then
+        if not (Inttbl.mem pos m) then
           invalid_arg
             (Printf.sprintf "Topology.create: link %d member %d is not a node"
                l.link_id m))
       l.members
   in
   List.iter check_link links;
-  let by_id = Hashtbl.create 16 in
-  List.iter (fun l -> Hashtbl.replace by_id l.link_id l) links;
-  let ids = Array.of_list nodes in
-  let pos = Hashtbl.create 64 in
-  Array.iteri (fun i n -> Hashtbl.replace pos n i) ids;
+  let by_id = Inttbl.create 16 in
+  List.iter (fun l -> Inttbl.replace by_id l.link_id l) links;
   let links_at =
     Array.of_list (List.sort (fun a b -> Int.compare a.link_id b.link_id) links)
   in
   let members_at =
-    Array.map (fun l -> Array.of_list (List.map (Hashtbl.find pos) l.members)) links_at
+    Array.map (fun l -> Array.of_list (List.map (Inttbl.find pos) l.members)) links_at
   in
   (* Walking the links in descending id and consing leaves every node's
      links in ascending id, which fixes the expansion order. *)
@@ -91,12 +93,12 @@ let links t = t.link_list
 let node_count t = List.length t.node_list
 
 let find_link t id =
-  match Hashtbl.find_opt t.by_id id with
+  match Inttbl.find_opt t.by_id id with
   | Some l -> l
   | None -> invalid_arg (Printf.sprintf "Topology.find_link: no link %d" id)
 
 let links_of_node t n =
-  match Hashtbl.find_opt t.pos n with
+  match Inttbl.find_opt t.pos n with
   | Some i -> Array.fold_right (fun j acc -> t.links_at.(j) :: acc) t.adj.(i) []
   | None -> []
 
@@ -121,11 +123,11 @@ let neighbors t n =
 
    Each sweep marks nodes and links in byte maps and queues node
    indices in one array, since every node is queued at most once.
-   [expand here j] is called once per link [j] expanded from node
-   [here], and the function it returns once per node [m] first reached
-   through that expansion: it records [m] and returns [false] to stop
-   the sweep. Unusable nodes are reached as endpoints but never relay. *)
-let sweep t ~usable ~src ~expand =
+   [reach here j m] is called once per node [m] first reached, through
+   link [j] expanded from node [here]: it records [m] and returns
+   [false] to stop the sweep. Unusable nodes are reached as endpoints
+   but never relay. *)
+let sweep t ~usable ~src ~reach =
   let n = Array.length t.ids in
   let seen = Bytes.make n '\000' in
   let spent = Bytes.make (Array.length t.links_at) '\000' in
@@ -136,24 +138,25 @@ let sweep t ~usable ~src ~expand =
   while !go && !head < !tail do
     let here = queue.(!head) in
     incr head;
-    Array.iter
-      (fun j ->
-        if !go && Bytes.get spent j = '\000' then begin
-          Bytes.set spent j '\001';
-          let reach = expand here j in
-          Array.iter
-            (fun m ->
-              if !go && Bytes.get seen m = '\000' then begin
-                Bytes.set seen m '\001';
-                if not (reach m) then go := false
-                else if usable t.ids.(m) then begin
-                  queue.(!tail) <- m;
-                  incr tail
-                end
-              end)
-            t.members_at.(j)
-        end)
-      t.adj.(here)
+    let links = t.adj.(here) in
+    for k = 0 to Array.length links - 1 do
+      let j = links.(k) in
+      if !go && Bytes.get spent j = '\000' then begin
+        Bytes.set spent j '\001';
+        let members = t.members_at.(j) in
+        for i = 0 to Array.length members - 1 do
+          let m = members.(i) in
+          if !go && Bytes.get seen m = '\000' then begin
+            Bytes.set seen m '\001';
+            if not (reach here j m) then go := false
+            else if usable t.ids.(m) then begin
+              queue.(!tail) <- m;
+              incr tail
+            end
+          end
+        done
+      end
+    done
   done
 
 (* One sweep from [src] yields, for every destination, the route a
@@ -171,7 +174,7 @@ type paths = {
 let reached p n =
   n = p.p_src
   ||
-  match Hashtbl.find_opt p.p_topo.pos n with
+  match Inttbl.find_opt p.p_topo.pos n with
   | Some i -> p.prev.(i) >= 0
   | None -> false
 
@@ -183,7 +186,7 @@ let path_to p ~dst =
       if p.prev.(i) < 0 then acc
       else rebuild (p.p_topo.links_at.(p.via.(i)) :: acc) p.prev.(i)
     in
-    Some (rebuild [] (Hashtbl.find p.p_topo.pos dst))
+    Some (rebuild [] (Inttbl.find p.p_topo.pos dst))
   end
 
 (* A sweep recording predecessors, stopped once [stop_at] (a node
@@ -191,10 +194,10 @@ let path_to p ~dst =
 let sweep_paths t ~usable ~src ~stop_at =
   let n = Array.length t.ids in
   let p = { p_topo = t; p_src = src; prev = Array.make n (-1); via = Array.make n (-1) } in
-  (match Hashtbl.find_opt t.pos src with
+  (match Inttbl.find_opt t.pos src with
   | None -> ()
   | Some s ->
-    sweep t ~usable ~src:s ~expand:(fun here j m ->
+    sweep t ~usable ~src:s ~reach:(fun here j m ->
         p.prev.(m) <- here;
         p.via.(m) <- j;
         m <> stop_at));
@@ -202,23 +205,50 @@ let sweep_paths t ~usable ~src ~stop_at =
 
 let paths_from t ~usable ~src = sweep_paths t ~usable ~src ~stop_at:(-1)
 
+(* The route table: one sweep per source node index, run on the
+   source's first query and kept. *)
+type router = { r_topo : t; r_usable : node_id -> bool; sweeps : paths option array }
+
 let router t ~usable =
-  let sweeps = Hashtbl.create 16 in
-  fun ~src ~dst ->
-    let p =
-      match Hashtbl.find_opt sweeps src with
-      | Some p -> p
-      | None ->
-        let p = paths_from t ~usable ~src in
-        Hashtbl.replace sweeps src p;
-        p
-    in
-    path_to p ~dst
+  { r_topo = t; r_usable = usable; sweeps = Array.make (Array.length t.ids) None }
+
+(* The sweep from [src], or [None] when [src] is not a node. *)
+let sweep_of r src =
+  match Inttbl.find_opt r.r_topo.pos src with
+  | None -> None
+  | Some s -> (
+    match r.sweeps.(s) with
+    | Some _ as p -> p
+    | None ->
+      let p = Some (paths_from r.r_topo ~usable:r.r_usable ~src) in
+      r.sweeps.(s) <- p;
+      p)
+
+let path r ~src ~dst =
+  if src = dst then Some []
+  else match sweep_of r src with Some p -> path_to p ~dst | None -> None
+
+(* Sums [link_cost] back along the predecessors, so no path list is
+   built. *)
+let path_cost r ~link_cost ~src ~dst =
+  if src = dst then Some Btr_util.Time.zero
+  else
+    match sweep_of r src with
+    | None -> None
+    | Some p -> (
+      match Inttbl.find_opt r.r_topo.pos dst with
+      | Some d when p.prev.(d) >= 0 ->
+        let rec sum acc i =
+          if p.prev.(i) < 0 then acc
+          else sum (Btr_util.Time.add acc (link_cost r.r_topo.links_at.(p.via.(i)))) p.prev.(i)
+        in
+        Some (sum Btr_util.Time.zero d)
+      | _ -> None)
 
 let route_gen t ~usable ~src ~dst =
   if src = dst then Some []
   else
-    match Hashtbl.find_opt t.pos dst with
+    match Inttbl.find_opt t.pos dst with
     | None -> None
     | Some d -> path_to (sweep_paths t ~usable ~src ~stop_at:d) ~dst
 
@@ -250,27 +280,25 @@ type costs = { c_topo : t; cost : Btr_util.Time.t array }
 
 let cost_from t ~usable ~src ~link_cost =
   let c = { c_topo = t; cost = Array.make (Array.length t.ids) min_int } in
-  (match Hashtbl.find_opt t.pos src with
+  (match Inttbl.find_opt t.pos src with
   | None -> ()
   | Some s ->
     c.cost.(s) <- Btr_util.Time.zero;
-    sweep t ~usable ~src:s ~expand:(fun here j ->
-        let via = Btr_util.Time.add c.cost.(here) (link_cost t.links_at.(j)) in
-        fun m ->
-          c.cost.(m) <- via;
-          true));
+    sweep t ~usable ~src:s ~reach:(fun here j m ->
+        c.cost.(m) <- Btr_util.Time.add c.cost.(here) (link_cost t.links_at.(j));
+        true));
   c
 
 let cost_to c n =
-  match Hashtbl.find_opt c.c_topo.pos n with
+  match Inttbl.find_opt c.c_topo.pos n with
   | Some i when c.cost.(i) <> min_int -> Some c.cost.(i)
   | _ -> None
 
 let connected_without t broken =
-  let broken_set = Hashtbl.create 8 in
-  List.iter (fun n -> Hashtbl.replace broken_set n ()) broken;
+  let broken_set = Inttbl.create 8 in
+  List.iter (fun n -> Inttbl.replace broken_set n ()) broken;
   let alive =
-    List.filter (fun n -> not (Hashtbl.mem broken_set n)) t.node_list
+    List.filter (fun n -> not (Inttbl.mem broken_set n)) t.node_list
   in
   match alive with
   | [] -> true
@@ -280,7 +308,7 @@ let connected_without t broken =
        so "reachable as an endpoint" and "reachable as a relay"
        coincide for the nodes we query. *)
     let p =
-      paths_from t ~usable:(fun m -> not (Hashtbl.mem broken_set m)) ~src:first
+      paths_from t ~usable:(fun m -> not (Inttbl.mem broken_set m)) ~src:first
     in
     List.for_all (fun n -> reached p n) rest
 

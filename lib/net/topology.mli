@@ -73,11 +73,27 @@ val path_to : paths -> dst:node_id -> link list option
     [route_gen src dst] under the same [usable] predicate for every
     destination. [Some []] when [dst] is the source. *)
 
-val router :
-  t -> usable:(node_id -> bool) -> src:node_id -> dst:node_id -> link list option
-(** [router t ~usable] answers [path_to] queries from any source,
-    sweeping each source once, on first use, and keeping the sweep for
-    later queries. *)
+type router
+(** A route table under one [usable] predicate: the routes of
+    {!paths_from} from every source, each source swept once, on its
+    first query, and kept. The planner builds one per mode. *)
+
+val router : t -> usable:(node_id -> bool) -> router
+
+val path : router -> src:node_id -> dst:node_id -> link list option
+(** [path_to (paths_from t ~usable ~src) ~dst], from the table. *)
+
+val path_cost :
+  router ->
+  link_cost:(link -> Btr_util.Time.t) ->
+  src:node_id ->
+  dst:node_id ->
+  Btr_util.Time.t option
+(** [link_cost] summed over {!path}, folded back along the recorded
+    predecessors without building the path: [Some Time.zero] when
+    [src = dst], [None] when {!path} is. The sum is taken from the
+    destination back, which {!Btr_util.Time.add} does not distinguish
+    from the forward sum. *)
 
 type costs
 (** Route costs from one source. *)

@@ -73,12 +73,12 @@ let digest_flow_ids t =
 let some_original = Some Original
 
 let build_index ~tasks ~roles ~flows ~flow_origin =
-  let task_ids = List.map (fun (x : Task.t) -> x.Task.id) tasks in
+  let roles_tbl = Idtab.of_ids (List.map (fun (x : Task.t) -> x.Task.id) tasks) None in
   let index =
     {
-      roles = Idtab.of_ids task_ids None;
-      lanes = Idtab.of_ids task_ids [];
-      checker = Idtab.of_ids task_ids None;
+      roles = roles_tbl;
+      lanes = Idtab.like roles_tbl [];
+      checker = Idtab.like roles_tbl None;
       flow_origin = Idtab.of_ids (List.map (fun (f : Graph.flow) -> f.flow_id) flows) None;
     }
   in
@@ -125,8 +125,9 @@ let augment g ~nodes ~degree ~protect_level =
     x.kind = Task.Compute
     && Task.compare_criticality x.criticality protect_level >= 0
   in
-  (* lane_ids.(orig) = augmented id per lane; unprotected map to self. *)
-  let lane_id : (Task.id * int, Task.id) Hashtbl.t = Hashtbl.create 64 in
+  (* Original id -> augmented id per lane; unprotected tasks map every
+     lane to themselves. *)
+  let lane_id = Idtab.of_ids (List.map (fun (x : Task.t) -> x.id) (Graph.tasks g)) [||] in
   let roles = ref [] in
   let tasks = ref [] in
   let add_task x role =
@@ -135,18 +136,19 @@ let augment g ~nodes ~degree ~protect_level =
   in
   List.iter
     (fun (x : Task.t) ->
-      if protect x then
+      if protect x then begin
+        let ids = Array.make degree x.id in
         for lane = 0 to degree - 1 do
           let id = if lane = 0 then x.id else fresh_task () in
           let name = Printf.sprintf "%s#%d" x.name lane in
           add_task { x with Task.id; name } (Replica { orig = x.id; lane });
-          Hashtbl.replace lane_id (x.id, lane) id
-        done
+          ids.(lane) <- id
+        done;
+        Idtab.set lane_id x.id ids
+      end
       else begin
         add_task x Original;
-        for lane = 0 to degree - 1 do
-          Hashtbl.replace lane_id (x.id, lane) x.id
-        done
+        Idtab.set lane_id x.id (Array.make degree x.id)
       end)
     (Graph.tasks g);
   (* Flows: lane-wise wiring. A flow between two tasks becomes one flow
@@ -154,25 +156,28 @@ let augment g ~nodes ~degree ~protect_level =
      endpoint is unreplicated all lanes share it, and duplicate edges
      (unreplicated -> unreplicated) collapse back to one flow. Sinks
      thus receive every lane's copy and can fall back to a backup lane
-     within the same period. *)
+     within the same period. Duplicates only arise within one flow, so
+     each flow keeps its own list of the (at most [degree]) endpoint
+     pairs it has wired. *)
   let flows = ref [] in
   let flow_origin = ref [] in
-  let seen_pairs = Hashtbl.create 64 in
   List.iter
     (fun (f : Graph.flow) ->
-      List.iter
-        (fun lane ->
-          let p = Hashtbl.find lane_id (f.producer, lane) in
-          (* Sinks are unreplicated, so every lane's copy converges on
-             the one sink task; other consumers stay lane-local. *)
-          let c = Hashtbl.find lane_id (f.consumer, lane) in
-          if not (Hashtbl.mem seen_pairs (p, c, f.flow_id)) then begin
-            Hashtbl.replace seen_pairs (p, c, f.flow_id) ();
-            let flow_id = if lane = 0 then f.flow_id else fresh_flow () in
-            flows := { f with Graph.flow_id; producer = p; consumer = c } :: !flows;
-            flow_origin := (flow_id, (f.flow_id, lane)) :: !flow_origin
-          end)
-        (List.init degree Fun.id))
+      let producers = Idtab.get lane_id f.producer
+      and consumers = Idtab.get lane_id f.consumer in
+      let seen_pairs = ref [] in
+      for lane = 0 to degree - 1 do
+        let p = producers.(lane) in
+        (* Sinks are unreplicated, so every lane's copy converges on
+           the one sink task; other consumers stay lane-local. *)
+        let c = consumers.(lane) in
+        if not (List.exists (fun (p', c') -> p' = p && c' = c) !seen_pairs) then begin
+          seen_pairs := (p, c) :: !seen_pairs;
+          let flow_id = if lane = 0 then f.flow_id else fresh_flow () in
+          flows := { f with Graph.flow_id; producer = p; consumer = c } :: !flows;
+          flow_origin := (flow_id, (f.flow_id, lane)) :: !flow_origin
+        end
+      done)
     (Graph.flows g);
   (* Checkers: one per protected task, fed a digest from every lane. *)
   List.iter
@@ -185,8 +190,9 @@ let augment g ~nodes ~degree ~protect_level =
              ~wcet:(Time.add x.wcet checker_overhead) ~criticality:x.criticality
              ())
           (Checker { orig = x.id });
+        let lanes = Idtab.get lane_id x.id in
         for lane = 0 to degree - 1 do
-          let p = Hashtbl.find lane_id (x.id, lane) in
+          let p = lanes.(lane) in
           flows :=
             {
               Graph.flow_id = fresh_flow ();

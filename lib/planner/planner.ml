@@ -168,10 +168,6 @@ let key faulty = String.concat "," (List.map string_of_int (List.sort_uniq Int.c
 let cmp_transition_key (k1, y1) (k2, y2) =
   match String.compare k1 k2 with 0 -> Int.compare y1 y2 | c -> c
 
-let xfer_of cfg topo ~faulty ~cls ~src ~dst ~size_bytes =
-  Net.plan_transfer_time topo ?shares:cfg.shares ~avoid:faulty ~cls ~src ~dst
-    ~size_bytes ()
-
 (* Every ≤ f sized subset of nodes, smallest first so parents precede
    children in Minimal mode. A negative [f] yields just the fault-free
    pattern. *)
@@ -184,23 +180,15 @@ let fault_patterns nodes f =
   List.concat_map (fun k -> List.map (List.sort Int.compare) (subsets k nodes))
     (List.init (Stdlib.max 0 f + 1) Fun.id)
 
-(* Data-class transfer times within one mode. Each source's routes come
-   from one sweep, kept for the whole mode: the exact routes the
-   pairwise [xfer_of] would find, without one BFS per probe. *)
-let data_xfer cfg topo ~faulty =
-  let shares = Net.shares_for topo cfg.shares in
-  let route = Topology.router topo ~usable:(fun n -> not (List.mem n faulty)) in
-  fun ~src ~dst ~size_bytes ->
-    Option.map (Net.path_transfer_time shares ~cls:Net.Data ~size_bytes) (route ~src ~dst)
-
 (* Greedy placement of the augmented graph onto the alive nodes, in
    topological order: each task goes to the cheapest candidate. *)
 let place_tasks cfg aug ~alive ~parent ~xfer =
   let g = aug.Augment.graph in
   let assignment = Idtab.of_ids (List.map (fun (x : Task.t) -> x.id) (Graph.tasks g)) None in
-  let busy : (int, Time.t) Hashtbl.t = Hashtbl.create 16 in
-  let busy_of n = Option.value ~default:Time.zero (Hashtbl.find_opt busy n) in
-  let on_node n l = Idtab.get assignment l = Some n in
+  (* Every candidate and every admissible pin is alive. *)
+  let busy = Inttbl.create 16 in
+  List.iter (fun n -> Inttbl.replace busy n Time.zero) alive;
+  let on_node n l = match Idtab.get assignment l with Some m -> m = n | None -> false in
   (* Locality cost: transfer time from every already-placed producer. *)
   let locality_cost producers n =
     List.fold_left
@@ -247,8 +235,8 @@ let place_tasks cfg aug ~alive ~parent ~xfer =
       | pen ->
         Some
           (locality_cost producers n
-          + (busy_of n / 2)
-          + (if parent_node = Some n then -50_000 else 0)
+          + (Inttbl.find busy n / 2)
+          + (match parent_node with Some p when p = n -> -50_000 | _ -> 0)
           + (match pen with Some `Heavy -> 500_000 | _ -> 0))
   in
   let exception Stuck of Task.id in
@@ -275,13 +263,14 @@ let place_tasks cfg aug ~alive ~parent ~xfer =
             (match best with Some (n, _) -> n | None -> raise (Stuck tid))
         in
         Idtab.set assignment tid (Some node);
-        Hashtbl.replace busy node (Time.add (busy_of node) task.Task.wcet))
+        Inttbl.replace busy node (Time.add (Inttbl.find busy node) task.Task.wcet))
       (Graph.topo_order g);
     Ok assignment
   with Stuck tid -> Error (Printf.sprintf "no feasible node for task %d" tid)
 
-(* One mode: shed criticality levels from the bottom until schedulable. *)
-let plan_mode cfg workload topo ~faulty ~parent =
+(* One mode: shed criticality levels from the bottom until schedulable.
+   [data] is the mode's data-class transfer time. *)
+let plan_mode cfg workload topo ~faulty ~parent ~data =
   let alive =
     List.filter (fun n -> not (List.mem n faulty)) (Topology.nodes topo)
   in
@@ -293,7 +282,6 @@ let plan_mode cfg workload topo ~faulty ~parent =
         | _ -> None)
       (Graph.tasks workload)
   in
-  let data = data_xfer cfg topo ~faulty in
   let attempt floor =
     let keep (x : Task.t) =
       Task.compare_criticality x.criticality floor >= 0
@@ -308,10 +296,7 @@ let plan_mode cfg workload topo ~faulty ~parent =
     | Error reason -> Error reason
     | Ok assignment ->
       let place tid = Option.get (Idtab.get assignment tid) in
-      let xfer ~src ~dst ~size_bytes =
-        if src = dst then Some Time.zero else data ~src ~dst ~size_bytes
-      in
-      (match Schedule.list_schedule aug.Augment.graph ~place ~xfer with
+      (match Schedule.list_schedule aug.Augment.graph ~place ~xfer:data with
       | Ok schedule ->
         Ok
           {
@@ -364,7 +349,8 @@ let evidence_bound cfg topo ~faulty =
         acc alive)
     Time.zero alive
 
-let make_transition ?evb cfg topo ~from_plan ~to_plan ~new_fault =
+(* [control] is the control-class transfer time in the new mode. *)
+let make_transition ~evb ~control ~from_plan ~to_plan ~new_fault =
   let faulty = to_plan.faulty in
   let to_assign = assignments to_plan in
   let moved =
@@ -409,8 +395,8 @@ let make_transition ?evb cfg topo ~from_plan ~to_plan ~new_fault =
               if from_node <> sender then acc
               else
                 match
-                  xfer_of cfg topo ~faulty ~cls:Net.Control ~src:from_node
-                    ~dst:to_node ~size_bytes:(Stdlib.max 1 (state_of tid))
+                  control ~src:from_node ~dst:to_node
+                    ~size_bytes:(Stdlib.max 1 (state_of tid))
                 with
                 | Some d -> Time.add acc d
                 | None -> acc)
@@ -420,14 +406,9 @@ let make_transition ?evb cfg topo ~from_plan ~to_plan ~new_fault =
       Time.zero senders
   in
   let period = Graph.period g in
-  let evidence =
-    match evb with
-    | Some f -> f faulty
-    | None -> evidence_bound cfg topo ~faulty
-  in
   let recovery_bound =
     Time.add
-      (Time.add (Time.add period detection_margin) evidence)
+      (Time.add (Time.add period detection_margin) (evb faulty))
       (Time.add migration_bound period)
   in
   {
@@ -469,19 +450,26 @@ let build ?evidence_cache cfg workload topo =
         Hashtbl.replace evb_cache k v;
         v
     in
+    let shares = Net.shares_for topo cfg.shares in
     let exception Failed of error in
     try
       List.iter
         (fun faulty ->
           if not (Topology.connected_without topo faulty) then
             raise (Failed (Disconnected { faulty }));
+          (* The mode's route table: placement, list scheduling and the
+             migration bounds read every route from it. *)
+          let routes = Topology.router topo ~usable:(fun n -> not (List.mem n faulty)) in
           let parent =
             match List.rev faulty with
             | [] -> None
             | _ :: rest_rev -> Hashtbl.find_opt plans (key (List.rev rest_rev))
           in
           let plan =
-            match plan_mode cfg workload topo ~faulty ~parent with
+            match
+              plan_mode cfg workload topo ~faulty ~parent
+                ~data:(Net.route_transfer_time routes shares ~cls:Net.Data)
+            with
             | Error e -> raise (Failed e)
             | Ok plan -> plan
           in
@@ -494,8 +482,9 @@ let build ?evidence_cache cfg workload topo =
               | None -> ()
               | Some from_plan ->
                 Hashtbl.replace transitions (key from_faulty, y)
-                  (make_transition ~evb cfg topo ~from_plan ~to_plan:plan
-                     ~new_fault:y))
+                  (make_transition ~evb
+                     ~control:(Net.route_transfer_time routes shares ~cls:Net.Control)
+                     ~from_plan ~to_plan:plan ~new_fault:y))
             faulty)
         (fault_patterns (Topology.nodes topo) cfg.f);
       let worst_recovery =

@@ -7,7 +7,7 @@ type slot = { task : Task.id; start : Time.t; finish : Time.t }
 type t = {
   period : Time.t;
   by_node : (int, slot list) Hashtbl.t;  (* ascending start *)
-  by_task : (Task.id, int * slot) Hashtbl.t;
+  by_task : (int * slot) option Idtab.t;  (* task id -> node, slot *)
 }
 
 type failure =
@@ -31,11 +31,11 @@ let list_schedule g ~place ~xfer =
   let exception Fail of failure in
   try
     let by_node = Hashtbl.create 8 in
-    let by_task = Hashtbl.create 32 in
-    let node_free = Hashtbl.create 8 in
-    let free n = Option.value ~default:Time.zero (Hashtbl.find_opt node_free n) in
+    let by_task = Idtab.of_ids (List.map (fun (x : Task.t) -> x.id) (Graph.tasks g)) None in
+    let node_free = Inttbl.create 8 in
+    let free n = Option.value ~default:Time.zero (Inttbl.find_opt node_free n) in
     let finish_of tid =
-      match Hashtbl.find_opt by_task tid with
+      match Idtab.get by_task tid with
       | Some (_, s) -> s.finish
       | None -> assert false (* topo order guarantees producers done *)
     in
@@ -70,10 +70,10 @@ let list_schedule g ~place ~xfer =
           raise (Fail (Overload { node; demand; period = Graph.period g }))
         end;
         let slot = { task = tid; start; finish } in
-        Hashtbl.replace by_task tid (node, slot);
+        Idtab.set by_task tid (Some (node, slot));
         Hashtbl.replace by_node node
           (slot :: Option.value ~default:[] (Hashtbl.find_opt by_node node));
-        Hashtbl.replace node_free node finish)
+        Inttbl.replace node_free node finish)
       (Graph.topo_order g);
     Table.sorted_iter ~cmp:Int.compare
       (fun n slots ->
@@ -88,7 +88,7 @@ let list_schedule g ~place ~xfer =
         match f.deadline with
         | None -> ()
         | Some d ->
-          let _, sink_slot = Hashtbl.find by_task f.consumer in
+          let _, sink_slot = Option.get (Idtab.get by_task f.consumer) in
           if Time.compare sink_slot.finish d > 0 then
             raise
               (Fail
@@ -105,9 +105,9 @@ let nodes t = Table.sorted_keys ~cmp:Int.compare t.by_node
 let slots_on t n = Option.value ~default:[] (Hashtbl.find_opt t.by_node n)
 
 let window t tid =
-  Option.map (fun (_, s) -> (s.start, s.finish)) (Hashtbl.find_opt t.by_task tid)
+  Option.map (fun (_, s) -> (s.start, s.finish)) (Idtab.get t.by_task tid)
 
-let node_of t tid = Option.map fst (Hashtbl.find_opt t.by_task tid)
+let node_of t tid = Option.map fst (Idtab.get t.by_task tid)
 
 let node_utilization t n =
   let busy =
@@ -143,7 +143,7 @@ let validate t g ~xfer =
   (* Precedence edges. *)
   List.iter
     (fun (f : Graph.flow) ->
-      match Hashtbl.find_opt t.by_task f.producer, Hashtbl.find_opt t.by_task f.consumer
+      match Idtab.get t.by_task f.producer, Idtab.get t.by_task f.consumer
       with
       | Some (pn, ps), Some (cn, cs) ->
         let arrival =
@@ -162,7 +162,7 @@ let validate t g ~xfer =
   (* Deadlines. *)
   List.iter
     (fun (f : Graph.flow) ->
-      match f.deadline, Hashtbl.find_opt t.by_task f.consumer with
+      match f.deadline, Idtab.get t.by_task f.consumer with
       | Some d, Some (_, s) when Time.compare s.finish d > 0 ->
         err "flow %d: deadline missed" f.flow_id
       | _ -> ())

@@ -7,6 +7,8 @@ let of_ids ids absent =
     let lo = List.fold_left Stdlib.min id rest and hi = List.fold_left Stdlib.max id rest in
     { lo; slots = Array.make (hi - lo + 1) absent; absent }
 
+let like t absent = { lo = t.lo; slots = Array.make (Array.length t.slots) absent; absent }
+
 let get t id =
   let i = id - t.lo in
   if i >= 0 && i < Array.length t.slots then t.slots.(i) else t.absent
@@ -15,3 +17,5 @@ let set t id v =
   let i = id - t.lo in
   if i < 0 || i >= Array.length t.slots then invalid_arg "Idtab.set: id out of range";
   t.slots.(i) <- v
+
+let fold_right f t init = Array.fold_right f t.slots init

@@ -3,8 +3,10 @@
 
     Task and flow ids are dense — generators number them from 0 and
     augmentation allocates fresh ids just above the largest — so the
-    range is about the number of ids. Tables are filled once, while the
-    structure they index is built, and only read afterwards. *)
+    range is about the number of ids. Tables are filled while the
+    structure they index is built, and only read afterwards. Node ids
+    are not dense (an edit may add any id), so node-keyed tables are
+    {!Inttbl}s instead. *)
 
 type 'a t
 
@@ -12,9 +14,16 @@ val of_ids : int list -> 'a -> 'a t
 (** A table whose range spans the given ids, every id mapped to the
     given default. *)
 
+val like : 'a t -> 'b -> 'b t
+(** A table over the same range, every id mapped to the given default. *)
+
 val get : 'a t -> int -> 'a
 (** The value bound to an id; the default for ids never set, including
     every id outside the range. *)
 
 val set : 'a t -> int -> 'a -> unit
 (** Raises [Invalid_argument] for an id outside the range. *)
+
+val fold_right : ('a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+(** Folds over every slot of the range, defaults included, from the
+    largest id down. *)

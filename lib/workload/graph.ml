@@ -8,51 +8,43 @@ type flow = {
   deadline : Time.t option;
 }
 
+(* Every id-keyed part lives in an [Idtab]: tasks and their flow lists
+   offset by the smallest task id, flows by the smallest flow id. Ids
+   are dense (see [Idtab]), so each table is about one word per id. *)
 type t = {
   period : Time.t;
   task_list : Task.t list;
   flow_list : flow list;
-  by_id : (Task.id, Task.t) Hashtbl.t;
-  flow_by_id : (int, flow) Hashtbl.t;
-  incoming : (Task.id, flow list) Hashtbl.t;
-  outgoing : (Task.id, flow list) Hashtbl.t;
+  by_id : Task.t option Idtab.t;
+  flow_by_id : flow option Idtab.t;
+  incoming : flow list Idtab.t;  (* ascending flow id *)
+  outgoing : flow list Idtab.t;  (* ascending flow id *)
   order : Task.id list;
 }
 
-(* Same verdict as the naive pairwise scan, linear so fleet-scale
-   graphs (10^4 tasks) validate in milliseconds. *)
-let distinct xs =
-  let seen = Hashtbl.create 64 in
-  List.for_all
-    (fun x ->
-      if Hashtbl.mem seen x then false
-      else begin
-        Hashtbl.replace seen x ();
-        true
-      end)
-    xs
-
 let build ~relaxed ~period ~tasks ~flows =
   if period <= 0 then invalid_arg "Graph.create: period <= 0";
-  if not (distinct (List.map (fun (t : Task.t) -> t.id) tasks)) then
-    invalid_arg "Graph.create: duplicate task ids";
-  if not (distinct (List.map (fun f -> f.flow_id) flows)) then
-    invalid_arg "Graph.create: duplicate flow ids";
-  let by_id = Hashtbl.create 32 in
-  List.iter (fun (t : Task.t) -> Hashtbl.replace by_id t.id t) tasks;
-  let flow_by_id = Hashtbl.create 32 in
-  List.iter (fun f -> Hashtbl.replace flow_by_id f.flow_id f) flows;
+  (* A table spans every id it is filled with, so [set] cannot fail and
+     a duplicate finds its slot already taken. *)
+  let by_id = Idtab.of_ids (List.map (fun (t : Task.t) -> t.id) tasks) None in
+  List.iter
+    (fun (t : Task.t) ->
+      if Option.is_some (Idtab.get by_id t.id) then
+        invalid_arg "Graph.create: duplicate task ids";
+      Idtab.set by_id t.id (Some t))
+    tasks;
+  let flow_by_id = Idtab.of_ids (List.map (fun f -> f.flow_id) flows) None in
+  List.iter
+    (fun f ->
+      if Option.is_some (Idtab.get flow_by_id f.flow_id) then
+        invalid_arg "Graph.create: duplicate flow ids";
+      Idtab.set flow_by_id f.flow_id (Some f))
+    flows;
   let find id =
-    match Hashtbl.find_opt by_id id with
+    match Idtab.get by_id id with
     | Some t -> t
     | None -> invalid_arg (Printf.sprintf "Graph.create: flow references unknown task %d" id)
   in
-  let incoming = Hashtbl.create 32 and outgoing = Hashtbl.create 32 in
-  List.iter
-    (fun (t : Task.t) ->
-      Hashtbl.replace incoming t.id [];
-      Hashtbl.replace outgoing t.id [])
-    tasks;
   List.iter
     (fun f ->
       let p = find f.producer and c = find f.consumer in
@@ -66,57 +58,53 @@ let build ~relaxed ~period ~tasks ~flows =
         invalid_arg (Printf.sprintf "Graph.create: sink %d produces flow %d" p.id f.flow_id);
       if c.kind = Task.Source then
         invalid_arg
-          (Printf.sprintf "Graph.create: source %d consumes flow %d" c.id f.flow_id);
-      Hashtbl.replace outgoing p.id (f :: Hashtbl.find outgoing p.id);
-      Hashtbl.replace incoming c.id (f :: Hashtbl.find incoming c.id))
+          (Printf.sprintf "Graph.create: source %d consumes flow %d" c.id f.flow_id))
     flows;
-  let sorted_flows tbl id =
-    List.sort (fun a b -> Int.compare a.flow_id b.flow_id) (Hashtbl.find tbl id)
-  in
-  List.iter
-    (fun (t : Task.t) ->
-      Hashtbl.replace incoming t.id (sorted_flows incoming t.id);
-      Hashtbl.replace outgoing t.id (sorted_flows outgoing t.id))
-    tasks;
+  (* Consing flows from the largest id down leaves every list in
+     ascending flow id. *)
+  let incoming = Idtab.like by_id [] and outgoing = Idtab.like by_id [] in
+  Idtab.fold_right
+    (fun slot () ->
+      match slot with
+      | None -> ()
+      | Some f ->
+        Idtab.set outgoing f.producer (f :: Idtab.get outgoing f.producer);
+        Idtab.set incoming f.consumer (f :: Idtab.get incoming f.consumer))
+    flow_by_id ();
   if not relaxed then
     List.iter
       (fun (t : Task.t) ->
         match t.kind with
         | Task.Sink ->
-          if Hashtbl.find incoming t.id = [] then
+          if Idtab.get incoming t.id = [] then
             invalid_arg (Printf.sprintf "Graph.create: sink %d has no inputs" t.id)
         | Task.Source | Task.Compute ->
-          if Hashtbl.find outgoing t.id = [] then
+          if Idtab.get outgoing t.id = [] then
             invalid_arg
               (Printf.sprintf "Graph.create: non-sink task %d has no outputs" t.id))
       tasks;
   (* Cycle check via Kahn's algorithm; also yields the topo order. *)
-  let indeg = Hashtbl.create 32 in
+  let indeg = Idtab.like by_id 0 in
   List.iter
-    (fun (t : Task.t) -> Hashtbl.replace indeg t.id (List.length (Hashtbl.find incoming t.id)))
+    (fun (t : Task.t) -> Idtab.set indeg t.id (List.length (Idtab.get incoming t.id)))
     tasks;
-  let ready =
-    List.filter_map
-      (fun (t : Task.t) -> if Hashtbl.find indeg t.id = 0 then Some t.id else None)
-      tasks
-  in
   (* FIFO over newly-ready tasks — a Queue gives the exact order the
      old list-append formulation produced, without its O(n²) appends. *)
   let q = Queue.create () in
-  List.iter (fun id -> Queue.push id q) ready;
-  let acc = ref [] in
+  List.iter (fun (t : Task.t) -> if Idtab.get indeg t.id = 0 then Queue.push t.id q) tasks;
+  let acc = ref [] and sorted = ref 0 in
   while not (Queue.is_empty q) do
     let id = Queue.pop q in
     acc := id :: !acc;
+    incr sorted;
     List.iter
       (fun f ->
-        let d = Hashtbl.find indeg f.consumer - 1 in
-        Hashtbl.replace indeg f.consumer d;
+        let d = Idtab.get indeg f.consumer - 1 in
+        Idtab.set indeg f.consumer d;
         if d = 0 then Queue.push f.consumer q)
-      (Hashtbl.find outgoing id)
+      (Idtab.get outgoing id)
   done;
-  let order = List.rev !acc in
-  if List.length order <> List.length tasks then
+  if !sorted <> List.length tasks then
     invalid_arg "Graph.create: dataflow graph has a cycle";
   {
     period;
@@ -126,7 +114,7 @@ let build ~relaxed ~period ~tasks ~flows =
     flow_by_id;
     incoming;
     outgoing;
-    order;
+    order = List.rev !acc;
   }
 
 let create ~period ~tasks ~flows = build ~relaxed:false ~period ~tasks ~flows
@@ -137,18 +125,18 @@ let tasks t = t.task_list
 let flows t = t.flow_list
 
 let task t id =
-  match Hashtbl.find_opt t.by_id id with
+  match Idtab.get t.by_id id with
   | Some x -> x
   | None -> invalid_arg (Printf.sprintf "Graph.task: unknown task %d" id)
 
 let flow t id =
-  match Hashtbl.find_opt t.flow_by_id id with
+  match Idtab.get t.flow_by_id id with
   | Some x -> x
   | None -> invalid_arg (Printf.sprintf "Graph.flow: unknown flow %d" id)
 
 let task_count t = List.length t.task_list
-let producers_of t id = match Hashtbl.find_opt t.incoming id with Some l -> l | None -> []
-let consumers_of t id = match Hashtbl.find_opt t.outgoing id with Some l -> l | None -> []
+let producers_of t id = Idtab.get t.incoming id
+let consumers_of t id = Idtab.get t.outgoing id
 let sources t = List.filter (fun (x : Task.t) -> x.kind = Task.Source) t.task_list
 let sinks t = List.filter (fun (x : Task.t) -> x.kind = Task.Sink) t.task_list
 let compute_tasks t = List.filter (fun (x : Task.t) -> x.kind = Task.Compute) t.task_list
@@ -165,12 +153,10 @@ let utilization t =
 
 let restrict t ~keep =
   let kept = List.filter keep t.task_list in
-  let ids = Hashtbl.create 64 in
-  List.iter (fun (x : Task.t) -> Hashtbl.replace ids x.id ()) kept;
+  let marked = Idtab.like t.by_id false in
+  List.iter (fun (x : Task.t) -> Idtab.set marked x.id true) kept;
   let kept_flows =
-    List.filter
-      (fun f -> Hashtbl.mem ids f.producer && Hashtbl.mem ids f.consumer)
-      t.flow_list
+    List.filter (fun f -> Idtab.get marked f.producer && Idtab.get marked f.consumer) t.flow_list
   in
   build ~relaxed:true ~period:t.period ~tasks:kept ~flows:kept_flows
 

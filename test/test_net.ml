@@ -323,6 +323,33 @@ let arb_topology =
       Format.asprintf "%a@.avoid=[%s]" Topology.pp topo
         (String.concat "," (List.map string_of_int avoid)))
 
+(* A route table's [path] and [path_cost] against the reference route
+   and the forward sum of [Net.link_transfer_time] over it, for both
+   classes: every pair of nodes, a node with itself, and ids that are
+   not nodes. *)
+let table_matches_reference topo avoid =
+  let usable n = not (List.mem n avoid) in
+  let table = Topology.router topo ~usable in
+  let shares = Net.shares_for topo None in
+  let nodes = Topology.nodes topo in
+  let ids = -1 :: 99 :: nodes in
+  List.for_all
+    (fun src ->
+      List.for_all
+        (fun dst ->
+          let expect = ref_route topo ~usable ~src ~dst in
+          Topology.path table ~src ~dst = expect
+          && List.for_all
+               (fun cls ->
+                 let link_cost = Net.link_transfer_time shares ~cls ~size_bytes:96 in
+                 Topology.path_cost table ~link_cost ~src ~dst
+                 = Option.map
+                     (List.fold_left (fun acc l -> Time.add acc (link_cost l)) Time.zero)
+                     expect)
+               [ Net.Data; Net.Control ])
+        ids)
+    ids
+
 let prop_sweeps_match_reference =
   QCheck.Test.make ~name:"link-once sweeps match the reference BFS" ~count:300
     arb_topology (fun (topo, avoid) ->
@@ -351,7 +378,8 @@ let prop_sweeps_match_reference =
                  && Topology.reached paths dst = (expect <> None)
                  && Topology.cost_to costs dst = Option.map cost_of expect)
                nodes)
-           nodes)
+           nodes
+      && List.for_all (table_matches_reference topo) [ []; avoid ])
 
 let suite =
   [

@@ -167,6 +167,221 @@ let prop_random_layered_deterministic =
       let a = gen () and b = gen () in
       Graph.tasks a = Graph.tasks b && Graph.flows a = Graph.flows b)
 
+(* Reference model for [Graph]: the same checks, in the same order and
+   with the same messages, by list scans. [Ok] carries the task list,
+   the flow list and the topological order. *)
+let ref_graph ~relaxed ~period ~(tasks : Task.t list) ~(flows : Graph.flow list) =
+  let fail fmt = Printf.ksprintf (fun m -> Some ("Graph.create: " ^ m)) fmt in
+  let rec dup = function [] -> false | x :: rest -> List.mem x rest || dup rest in
+  let find id = List.find_opt (fun (x : Task.t) -> x.id = id) tasks in
+  let sorted = List.sort (fun (a : Graph.flow) b -> Int.compare a.flow_id b.flow_id) in
+  let ins id = sorted (List.filter (fun (f : Graph.flow) -> f.consumer = id) flows) in
+  let outs id = sorted (List.filter (fun (f : Graph.flow) -> f.producer = id) flows) in
+  let flow_error (f : Graph.flow) =
+    match (find f.producer, find f.consumer) with
+    | None, _ -> fail "flow references unknown task %d" f.producer
+    | _, None -> fail "flow references unknown task %d" f.consumer
+    | Some p, Some c ->
+      if f.msg_size <= 0 then fail "flow %d msg_size <= 0" f.flow_id
+      else if Option.fold ~none:false ~some:(fun d -> d <= 0) f.deadline then
+        fail "flow %d deadline <= 0" f.flow_id
+      else if p.kind = Task.Sink then fail "sink %d produces flow %d" p.id f.flow_id
+      else if c.kind = Task.Source then fail "source %d consumes flow %d" c.id f.flow_id
+      else None
+  in
+  let task_error (x : Task.t) =
+    match x.kind with
+    | _ when relaxed -> None
+    | Task.Sink when ins x.id = [] -> fail "sink %d has no inputs" x.id
+    | (Task.Source | Task.Compute) when outs x.id = [] ->
+      fail "non-sink task %d has no outputs" x.id
+    | _ -> None
+  in
+  (* Kahn's algorithm, FIFO, consumers in ascending flow id. *)
+  let rec kahn order indeg = function
+    | [] -> List.rev order
+    | id :: queue ->
+      let indeg, ready =
+        List.fold_left
+          (fun (indeg, ready) (f : Graph.flow) ->
+            let d = List.assoc f.consumer indeg - 1 in
+            ((f.consumer, d) :: indeg, if d = 0 then ready @ [ f.consumer ] else ready))
+          (indeg, []) (outs id)
+      in
+      kahn (id :: order) indeg (queue @ ready)
+  in
+  let first_error =
+    if period <= 0 then fail "period <= 0"
+    else if dup (List.map (fun (x : Task.t) -> x.id) tasks) then fail "duplicate task ids"
+    else if dup (List.map (fun (f : Graph.flow) -> f.flow_id) flows) then
+      fail "duplicate flow ids"
+    else
+      match List.find_map flow_error flows with
+      | Some _ as e -> e
+      | None -> List.find_map task_error tasks
+  in
+  match first_error with
+  | Some msg -> Error msg
+  | None ->
+    let indeg = List.map (fun (x : Task.t) -> (x.id, List.length (ins x.id))) tasks in
+    let ready = List.filter_map (fun (id, d) -> if d = 0 then Some id else None) indeg in
+    let order = kahn [] indeg ready in
+    if List.length order <> List.length tasks then Error "Graph.create: dataflow graph has a cycle"
+    else Ok (tasks, flows, order)
+
+let graph_result ~relaxed ~period ~tasks ~flows =
+  match (if relaxed then Graph.create_relaxed else Graph.create) ~period ~tasks ~flows with
+  | g -> Ok g
+  | exception Invalid_argument msg -> Error msg
+
+(* Every accessor agrees with the model on every id and its neighbours,
+   so on ids outside the range too, and so does [restrict] (one level). *)
+let rec graph_agrees ~restrict_too ~period g (tasks, flows, order) =
+  let ids =
+    List.map (fun (x : Task.t) -> x.id) tasks @ List.map (fun (f : Graph.flow) -> f.flow_id) flows
+  in
+  let probe = 0 :: List.concat_map (fun id -> [ id - 2; id - 1; id; id + 1; id + 2 ]) ids in
+  let lookup f id msg =
+    match f id with x -> Some x | exception Invalid_argument m when m = msg -> None
+  in
+  let by_id l = List.sort (fun (a : Graph.flow) b -> Int.compare a.flow_id b.flow_id) l in
+  let kind_of id = (List.find (fun (x : Task.t) -> x.id = id) tasks).kind in
+  let keep (x : Task.t) = x.id mod 3 <> 0 in
+  Graph.period g = period
+  && Graph.tasks g = tasks
+  && Graph.flows g = flows
+  && Graph.topo_order g = order
+  && Graph.sink_flows g = List.filter (fun (f : Graph.flow) -> kind_of f.consumer = Task.Sink) flows
+  && List.for_all
+       (fun id ->
+         lookup (Graph.task g) id (Printf.sprintf "Graph.task: unknown task %d" id)
+         = List.find_opt (fun (x : Task.t) -> x.id = id) tasks
+         && lookup (Graph.flow g) id (Printf.sprintf "Graph.flow: unknown flow %d" id)
+            = List.find_opt (fun (f : Graph.flow) -> f.flow_id = id) flows
+         && Graph.producers_of g id = by_id (List.filter (fun (f : Graph.flow) -> f.consumer = id) flows)
+         && Graph.consumers_of g id = by_id (List.filter (fun (f : Graph.flow) -> f.producer = id) flows))
+       probe
+  && ((not restrict_too)
+     ||
+     let kept = List.filter keep tasks in
+     let kept_id id = List.exists (fun (x : Task.t) -> x.id = id) kept in
+     let kept_flows =
+       List.filter (fun (f : Graph.flow) -> kept_id f.producer && kept_id f.consumer) flows
+     in
+     match
+       ( graph_result ~relaxed:true ~period ~tasks:kept ~flows:kept_flows,
+         ref_graph ~relaxed:true ~period ~tasks:kept ~flows:kept_flows )
+     with
+     | Ok _, Ok model -> graph_agrees ~restrict_too:false ~period (Graph.restrict g ~keep) model
+     | _ -> false)
+
+(* Random graphs over tasks at topological positions 0..n-1 (position 0
+   a source, n-1 a sink), flows from lower to higher positions, task
+   and flow ids dense from a base of 0, 1000 or a negative number and
+   shuffled against the list order; then at most one defect. *)
+let gen_graph_input =
+  let open QCheck.Gen in
+  let shuffled xs =
+    map
+      (fun keys ->
+        List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) (List.combine keys xs)))
+      (list_repeat (List.length xs) nat)
+  in
+  let base = oneofl [ 0; 1000; -37 ] in
+  int_range 1 8 >>= fun n ->
+  base >>= fun task_base ->
+  base >>= fun flow_base ->
+  shuffled (List.init n (fun i -> task_base + i)) >>= fun ids ->
+  list_repeat n (int_bound 4) >>= fun kinds ->
+  let id_at = List.nth ids in
+  let task_at i =
+    let kind =
+      if i = 0 then Task.Source
+      else if i = n - 1 then Task.Sink
+      else match List.nth kinds i with 0 -> Task.Source | 1 -> Task.Sink | _ -> Task.Compute
+    in
+    let pinned = if kind = Task.Compute then None else Some 0 in
+    Task.make ~id:(id_at i) ~name:(Printf.sprintf "t%d" i) ~kind ~wcet:1 ?pinned ()
+  in
+  let tasks_by_pos = List.init n task_at in
+  shuffled tasks_by_pos >>= fun tasks ->
+  let pairs = List.concat (List.init n (fun a -> List.init (n - a - 1) (fun d -> (a, a + d + 1)))) in
+  (if pairs = [] then return [] else list_size (int_bound 12) (oneofl pairs)) >>= fun edges ->
+  shuffled (List.init (List.length edges) (fun i -> flow_base + i)) >>= fun flow_ids ->
+  list_repeat (List.length edges) (pair (int_range 1 100) (oneofl [ None; Some 500; Some 0 ]))
+  >>= fun attrs ->
+  let flows =
+    List.map2
+      (fun ((a, b), flow_id) (msg_size, deadline) ->
+        mk_flow ?deadline flow_id (id_at a) (id_at b) msg_size)
+      (List.combine edges flow_ids) attrs
+  in
+  let next_flow = flow_base + List.length flows in
+  let of_kind k = List.filter (fun (x : Task.t) -> x.kind = k) tasks_by_pos in
+  let add_flow p c = flows @ [ mk_flow next_flow p c 8 ] in
+  frequency
+    [
+      (4, return (tasks, flows));
+      ( 1,
+        match tasks with
+        | a :: b :: rest -> return (a :: { b with Task.id = a.id } :: rest, flows)
+        | _ -> return (tasks, flows) );
+      ( 1,
+        match flows with
+        | a :: b :: rest -> return (tasks, a :: { b with Graph.flow_id = a.flow_id } :: rest)
+        | _ -> return (tasks, flows) );
+      ( 1,
+        match flows with
+        | f :: rest ->
+          oneofl
+            [
+              (tasks, { f with Graph.producer = task_base + n + 2 } :: rest);
+              (tasks, { f with Graph.consumer = task_base - 1 } :: rest);
+            ]
+        | [] -> return (tasks, flows) );
+      ( 1,
+        match of_kind Task.Sink with
+        | [] -> return (tasks, flows)
+        | sinks ->
+          pair (oneofl sinks) (oneofl tasks_by_pos) >>= fun ((s : Task.t), (c : Task.t)) ->
+          return (tasks, add_flow s.id c.id) );
+      ( 1,
+        pair (oneofl (of_kind Task.Source)) (oneofl tasks_by_pos)
+        >>= fun ((s : Task.t), (p : Task.t)) -> return (tasks, add_flow p.id s.id) );
+      ( 1,
+        match of_kind Task.Compute with
+        | [] -> return (tasks, flows)
+        | computes ->
+          (* Back to an earlier compute task or to itself: a cycle
+             whenever the forward path exists, a self-loop always. *)
+          pair (oneofl computes) (oneofl computes) >>= fun ((a : Task.t), (b : Task.t)) ->
+          return (tasks, add_flow (Stdlib.max a.id b.id) (Stdlib.min a.id b.id)) );
+    ]
+  >>= fun (tasks, flows) -> map (fun period -> (period, tasks, flows)) (oneofl [ 1000; 1000; 0 ])
+
+let prop_graph_matches_reference =
+  QCheck.Test.make ~name:"Graph agrees with the list-scan reference model" ~count:500
+    (QCheck.make gen_graph_input ~print:(fun (period, tasks, flows) ->
+         Format.asprintf "period=%d@.tasks=%s@.flows=%s" period
+           (String.concat "; " (List.map (fun (x : Task.t) -> Format.asprintf "%a" Task.pp x) tasks))
+           (String.concat "; "
+              (List.map
+                 (fun (f : Graph.flow) ->
+                   Printf.sprintf "%d:%d->%d %dB %s" f.flow_id f.producer f.consumer f.msg_size
+                     (match f.deadline with Some d -> string_of_int d | None -> "-"))
+                 flows))))
+    (fun (period, tasks, flows) ->
+      List.for_all
+        (fun relaxed ->
+          match
+            (graph_result ~relaxed ~period ~tasks ~flows, ref_graph ~relaxed ~period ~tasks ~flows)
+          with
+          | Error a, Error b -> String.equal a b
+          | Ok g, Ok model -> graph_agrees ~restrict_too:true ~period g model
+          | Ok _, Error e -> QCheck.Test.fail_reportf "model refused (%s), Graph accepted" e
+          | Error e, Ok _ -> QCheck.Test.fail_reportf "Graph refused (%s), model accepted" e)
+        [ true; false ])
+
 let test_min_nodes_table () =
   (* Each generator accepts exactly the node counts its min_nodes entry
      allows: it builds at the minimum and raises one below. *)
@@ -211,5 +426,6 @@ let suite =
     ("scada workload structure", `Quick, test_scada_structure);
     QCheck_alcotest.to_alcotest prop_random_layered_valid;
     QCheck_alcotest.to_alcotest prop_random_layered_deterministic;
+    QCheck_alcotest.to_alcotest prop_graph_matches_reference;
     ("generators refuse node counts below min_nodes", `Quick, test_min_nodes_table);
   ]

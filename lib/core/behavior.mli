@@ -18,7 +18,9 @@ type input = { orig_flow : int; value : float array }
 type fn = period:int -> inputs:input list -> float array option
 (** [None] means the task produces no output this period (e.g. its
     triggering inputs are absent). Implementations must be
-    deterministic in (period, inputs). *)
+    deterministic in (period, inputs). The runtime and the golden
+    executor pass at most one input per original flow, in ascending
+    [orig_flow]. *)
 
 val default_compute : Task.id -> fn
 (** A deterministic synthetic computation: mixes the task id, period
@@ -26,8 +28,10 @@ val default_compute : Task.id -> fn
     task has inputs registered as a consumer but received none. *)
 
 val value_digest : float array -> int64
-(** Canonical digest of an output value (exact, hex-rendered floats);
-    what replicas send to their checker. *)
+(** Canonical digest of an output value: FNV-1a over the bytes of
+    [Printf.sprintf "%h;"] of every element (exact, hex-rendered
+    floats), computed without building the string. What replicas send
+    to their checker. *)
 
 val equal_value : float array -> float array -> bool
 

@@ -51,6 +51,16 @@ type msg =
 
 type entry = { value : float array; digest : int64; arrived : Time.t; from : int }
 
+(* The inbox and the ack table key on one packed int, so a lookup
+   hashes a machine word and allocates no tuple. Both halves stay below
+   2^31: periods, flow ids, and task ids times the lane count. *)
+let pack hi lo = (hi lsl 31) lor lo
+let inbox_key ~flow ~period = pack flow period
+
+(* A flow the node consumes from another node: the watchdog expects it
+   every period by [start], the consumer's window start. *)
+type expectation = { flow : int; from_node : int; start : Time.t }
+
 type node = {
   id : int;
   secret : Auth.secret;
@@ -59,8 +69,9 @@ type node = {
   mutable pending_waited : int;
   mutable awaiting_state : Task.id list;
   state_received : (Task.id, unit) Hashtbl.t;
-  inbox : (int * int, entry) Hashtbl.t;
-  acks : (Task.id * int * int, int64 list ref) Hashtbl.t;
+  inbox : entry Inttbl.t;  (* by [inbox_key] *)
+  acks : int64 list ref Inttbl.t;  (* by [ack_key] *)
+  mutable expectations : expectation array;  (* of [plan], in flow order *)
   watchdog : Detect.Watchdog.t;
   attribution : Detect.Attribution.t;
   fault_set : Modeswitch.Fault_set.t;
@@ -136,8 +147,25 @@ let control_bytes t =
 
 let on_actuate t ~orig_flow fn = Hashtbl.replace t.actuators orig_flow fn
 
+let ack_key t ~orig ~lane ~period =
+  pack ((orig * (Planner.config t.strategy).Planner.degree) + lane) period
+
 (* ------------------------------------------------------------------ *)
 (* Creation                                                             *)
+
+let expectations_of (plan : Planner.plan) node =
+  Array.of_list
+    (List.filter_map
+       (fun (fl : Graph.flow) ->
+         match
+           (Planner.assignment_of plan fl.consumer, Planner.assignment_of plan fl.producer)
+         with
+         | Some cn, Some pn when cn = node && pn <> node ->
+           Option.map
+             (fun (start, _) -> { flow = fl.flow_id; from_node = pn; start })
+             (Schedule.window plan.Planner.schedule fl.consumer)
+         | _ -> None)
+       (Graph.flows plan.Planner.aug.Augment.graph))
 
 let create ?(config = default_config) ?(behaviors = []) ?(script = []) ?obs
     ~strategy () =
@@ -164,8 +192,9 @@ let create ?(config = default_config) ?(behaviors = []) ?(script = []) ?obs
           pending_waited = 0;
           awaiting_state = [];
           state_received = Hashtbl.create 8;
-          inbox = Hashtbl.create 256;
-          acks = Hashtbl.create 64;
+          inbox = Inttbl.create 256;
+          acks = Inttbl.create 64;
+          expectations = expectations_of initial id;
           watchdog =
             Detect.Watchdog.create ~node:id ~margin
               ~strikes:config.omission_strikes ~obs ();
@@ -450,35 +479,46 @@ let byz_outgoing (n : node) ~to_checker ~dst value =
     else Some (mutate_value value, Time.zero)
   | Some (Fault.Babble _) -> Some (value, Time.zero)
 
-(* Collect this task's inputs for the period. An unreplicated consumer
-   of a replicated producer receives one copy per lane; semantically
-   those are the same original flow, so keep only the lowest live lane
-   (same fallback rule the sinks use) — a behaviour must see exactly one
-   input per original flow, like the golden executor does. *)
-let gather_inputs (n : node) plan tid period =
-  let aug = plan.Planner.aug in
-  let present =
-    List.filter_map
-      (fun (fl : Graph.flow) ->
-        match Hashtbl.find_opt n.inbox (fl.flow_id, period) with
-        | None -> None
-        | Some e -> (
-          match Augment.orig_flow_of aug fl.flow_id with
-          | Some (orig_flow, lane) -> Some (lane, orig_flow, fl, e)
-          | None -> None))
-      (Graph.producers_of aug.Augment.graph tid)
-  in
-  let best = Hashtbl.create 8 in
-  List.iter
-    (fun (lane, orig_flow, fl, e) ->
-      match Hashtbl.find_opt best orig_flow with
-      | Some (l, _, _) when l <= lane -> ()
-      | _ -> Hashtbl.replace best orig_flow (lane, fl, e))
-    present;
-  Table.sorted_fold ~cmp:Int.compare
-    (fun orig_flow (_, fl, e) acc ->
-      (fl, e, { Behavior.orig_flow; value = e.value }) :: acc)
-    best []
+(* The lowest lane of an input group whose message for the period is in
+   [inbox], or -1: a behaviour sees exactly one input per original flow,
+   like the golden executor, and the sinks fall back the same way. *)
+let live_lane inbox (g : Augment.input_group) period =
+  let lanes = g.Augment.lane_flows in
+  let i = ref 0 in
+  while
+    !i < Array.length lanes
+    && not (Inttbl.mem inbox (inbox_key ~flow:lanes.(!i).Graph.flow_id ~period))
+  do
+    incr i
+  done;
+  if !i < Array.length lanes then !i else -1
+
+(* A task's inputs for the period from [inbox], one per input group
+   with a live lane, ascending by original flow. [on_input] sees each
+   chosen flow and entry, from the highest original flow down. *)
+let gather_inputs inbox groups period ~on_input =
+  let inputs = ref [] in
+  for k = Array.length groups - 1 downto 0 do
+    let g = groups.(k) in
+    let i = live_lane inbox g period in
+    if i >= 0 then begin
+      let fl = g.Augment.lane_flows.(i) in
+      let e = Inttbl.find inbox (inbox_key ~flow:fl.flow_id ~period) in
+      on_input fl e;
+      inputs := { Behavior.orig_flow = g.Augment.orig_flow; value = e.value } :: !inputs
+    end
+  done;
+  !inputs
+
+(* A compute task missing any of its input groups abstains rather than
+   computing from partial inputs: a partial result would be *wrong* yet
+   match the checker's replay of the same partial inbox, poisoning the
+   lane undetectably. Abstention sends Nacks, so downstream watchdogs
+   stay quiet and suspicion stays pinned at the first hop; the sink
+   falls back to an intact sibling lane. Every producer is placed (the
+   planner places every augmented task), so every group is required. *)
+let abstains (task : Task.t) groups inputs =
+  task.Task.kind = Task.Compute && List.compare_length_with inputs (Array.length groups) < 0
 
 (* Send one data message; payload digests let checkers and consumers
    cross-validate without re-sending full values. *)
@@ -526,47 +566,16 @@ let run_compute_task t (n : node) plan tid period =
   let aug = plan.Planner.aug in
   let g = aug.Augment.graph in
   let task = Graph.task g tid in
-  let gathered = gather_inputs n plan tid period in
-  let inputs = List.map (fun (_, _, i) -> i) gathered in
+  let groups = Augment.inputs_of aug tid in
   (* Cross-report received inputs to the producers' checkers. *)
-  List.iter
-    (fun ((fl : Graph.flow), e, _) ->
-      send_ack t n plan ~producer_aug:fl.producer ~period e)
-    gathered;
+  let inputs =
+    gather_inputs n.inbox groups period ~on_input:(fun (fl : Graph.flow) e ->
+        send_ack t n plan ~producer_aug:fl.producer ~period e)
+  in
   let orig = Augment.orig_of aug tid in
   let behavior = Behavior.find t.behaviors orig in
-  (* A lane missing any of its expected original input flows abstains
-     rather than computing from partial inputs: a partial result would
-     be *wrong* yet match the checker's replay of the same partial
-     inbox, poisoning the lane undetectably. Abstention sends Nacks, so
-     downstream watchdogs stay quiet and suspicion stays pinned at the
-     first hop; the sink falls back to an intact sibling lane. *)
-  let missing_required =
-    task.Task.kind = Task.Compute
-    &&
-    let required =
-      List.sort_uniq Int.compare
-        (List.filter_map
-           (fun (fl : Graph.flow) ->
-             match assignment_node plan fl.producer with
-             | Some _ -> Option.map fst (Augment.orig_flow_of aug fl.flow_id)
-             | None -> None)
-           (Graph.producers_of g tid))
-    in
-    let got =
-      List.sort_uniq Int.compare
-        (List.filter_map
-           (fun ((fl : Graph.flow), _, _) ->
-             Option.map fst (Augment.orig_flow_of aug fl.flow_id))
-           gathered)
-    in
-    List.length got < List.length required
-  in
   let output =
-    if task.Task.kind = Task.Source then behavior ~period ~inputs
-    else if inputs = [] && Graph.producers_of g tid <> [] then None
-    else if missing_required then None
-    else behavior ~period ~inputs
+    if abstains task groups inputs then None else behavior ~period ~inputs
   in
   let send_nacks () =
     if byz_outgoing n ~to_checker:false ~dst:(-1) [||] <> None then
@@ -633,55 +642,23 @@ let run_checker t (n : node) plan tid period =
         match digest_flow with
         | None -> ()
         | Some fl -> (
-          (match Hashtbl.find_opt n.inbox (fl.flow_id, period) with
+          (match Inttbl.find_opt n.inbox (inbox_key ~flow:fl.flow_id ~period) with
           | None -> () (* the watchdog reports the omission *)
           | Some claimed -> (
             match Hashtbl.find_opt t.nodes lane_node with
             | None -> ()
             | Some lane_host ->
-              let lane_entries =
-                List.filter_map
-                  (fun (lf : Graph.flow) ->
-                    match Hashtbl.find_opt lane_host.inbox (lf.flow_id, period) with
-                    | Some e -> (
-                      match Augment.orig_flow_of aug lf.flow_id with
-                      | Some (orig_flow, _) -> Some (orig_flow, e.value)
-                      | None -> None)
-                    | None -> None)
-                  (Graph.producers_of g lane_tid)
-              in
+              let lane_groups = Augment.inputs_of aug lane_tid in
               let lane_inputs =
-                List.map
-                  (fun (orig_flow, value) -> { Behavior.orig_flow; value })
-                  lane_entries
+                gather_inputs lane_host.inbox lane_groups period ~on_input:(fun _ _ -> ())
               in
               (* Mirror of the lane's abstention rule: replay must
                  predict silence exactly when the lane was entitled to
                  abstain, so a lane that *computed* from partial inputs
                  is caught (expected = None, it sent anyway) and an
                  abstaining lane is not accused. *)
-              let lane_missing_required =
-                let lane_required =
-                  List.sort_uniq Int.compare
-                    (List.filter_map
-                       (fun (lf : Graph.flow) ->
-                         match assignment_node plan lf.producer with
-                         | Some _ ->
-                           Option.map fst (Augment.orig_flow_of aug lf.flow_id)
-                         | None -> None)
-                       (Graph.producers_of g lane_tid))
-                in
-                let lane_got =
-                  List.sort_uniq Int.compare (List.map fst lane_entries)
-                in
-                List.length lane_got < List.length lane_required
-              in
               let expected =
-                if
-                  (Graph.task g lane_tid).Task.kind = Task.Compute
-                  && ((lane_inputs = [] && Graph.producers_of g lane_tid <> [])
-                     || lane_missing_required)
-                then None
+                if abstains (Graph.task g lane_tid) lane_groups lane_inputs then None
                 else behavior ~period ~inputs:lane_inputs
               in
               let ok =
@@ -704,10 +681,10 @@ let run_checker t (n : node) plan tid period =
              flow id means the same thing it meant then. *)
           if period > 0 && period - 1 >= n.plan_since then
             let prev = period - 1 in
-            match Hashtbl.find_opt n.inbox (fl.flow_id, prev) with
+            match Inttbl.find_opt n.inbox (inbox_key ~flow:fl.flow_id ~period:prev) with
             | None -> ()
             | Some claimed -> (
-              match Hashtbl.find_opt n.acks (orig, lane, prev) with
+              match Inttbl.find_opt n.acks (ack_key t ~orig ~lane ~period:prev) with
               | None -> ()
               | Some digests ->
                 if List.exists (fun d -> not (Int64.equal d claimed.digest)) !digests
@@ -723,54 +700,30 @@ let run_checker t (n : node) plan tid period =
    lane (§1: use some replicas without waiting for the others). *)
 let run_sink t (n : node) plan tid period =
   let aug = plan.Planner.aug in
-  let g = aug.Augment.graph in
-  (* Group this sink's incoming flows by original flow. *)
-  let groups = Hashtbl.create 8 in
-  List.iter
-    (fun (fl : Graph.flow) ->
-      match Augment.orig_flow_of aug fl.flow_id with
-      | Some (orig_flow, lane) ->
-        let l =
-          match Hashtbl.find_opt groups orig_flow with
-          | Some l -> l
-          | None ->
-            let l = ref [] in
-            Hashtbl.replace groups orig_flow l;
-            l
-        in
-        l := (lane, fl) :: !l
-      | None -> ())
-    (Graph.producers_of g tid);
+  let groups = Augment.inputs_of aug tid in
   (* Every original sink flow of the full workload that this sink owns
      but the current mode does not carry has been shed (or lost). *)
   List.iter
     (fun (fl : Graph.flow) ->
-      if fl.consumer = Augment.orig_of aug tid && not (Hashtbl.mem groups fl.flow_id)
+      if
+        fl.consumer = Augment.orig_of aug tid
+        && not (Array.exists (fun (g : Augment.input_group) -> g.orig_flow = fl.flow_id) groups)
       then Metrics.record_shed t.metrics ~orig_flow:fl.flow_id ~period)
     (Graph.sink_flows (Planner.workload t.strategy));
-  Table.sorted_iter ~cmp:Int.compare
-    (fun orig_flow lanes ->
-      let candidates =
-        List.sort (fun (a, _) (b, _) -> Int.compare a b) !lanes
-      in
-      let chosen =
-        List.find_map
-          (fun (lane, (fl : Graph.flow)) ->
-            match Hashtbl.find_opt n.inbox (fl.flow_id, period) with
-            | Some e ->
-              send_ack t n plan ~producer_aug:fl.producer ~period e;
-              Some (lane, e)
-            | None -> None)
-          candidates
-      in
-      match chosen with
-      | None -> ()
-      | Some (lane, e) ->
-        Metrics.record_delivery t.metrics ~orig_flow ~period ~value:e.value
+  Array.iter
+    (fun (g : Augment.input_group) ->
+      let i = live_lane n.inbox g period in
+      if i >= 0 then begin
+        let fl = g.lane_flows.(i) in
+        let e = Inttbl.find n.inbox (inbox_key ~flow:fl.flow_id ~period) in
+        let lane = match Augment.orig_flow_of aug fl.flow_id with Some (_, l) -> l | None -> 0 in
+        send_ack t n plan ~producer_aug:fl.producer ~period e;
+        Metrics.record_delivery t.metrics ~orig_flow:g.orig_flow ~period ~value:e.value
           ~arrived:e.arrived ~lane;
-        (match Hashtbl.find_opt t.actuators orig_flow with
+        match Hashtbl.find_opt t.actuators g.orig_flow with
         | Some act -> act ~period ~value:e.value ~at:(Engine.now t.eng)
-        | None -> ()))
+        | None -> ()
+      end)
     groups
 
 let role_name = function
@@ -818,8 +771,9 @@ let on_receive t (n : node) (r : msg Net.recv) =
     match r.Net.payload with
     | Data { flow; period; value; digest } ->
       if data_admissible n ~src:r.Net.src ~flow then begin
-        if not (Hashtbl.mem n.inbox (flow, period)) then begin
-          Hashtbl.replace n.inbox (flow, period)
+        let key = inbox_key ~flow ~period in
+        if not (Inttbl.mem n.inbox key) then begin
+          Inttbl.replace n.inbox key
             { value; digest; arrived = r.Net.delivered_at; from = r.Net.src };
           Authlog.append n.authlog
             (Authlog.Received { flow; period; digest; from_node = r.Net.src })
@@ -851,13 +805,13 @@ let on_receive t (n : node) (r : msg Net.recv) =
         (Detect.Watchdog.note_arrival n.watchdog ~flow ~period
            ~at:r.Net.delivered_at)
     | Ack { orig_task; lane; period; digest } ->
-      let key = (orig_task, lane, period) in
+      let key = ack_key t ~orig:orig_task ~lane ~period in
       let l =
-        match Hashtbl.find_opt n.acks key with
+        match Inttbl.find_opt n.acks key with
         | Some l -> l
         | None ->
           let l = ref [] in
-          Hashtbl.replace n.acks key l;
+          Inttbl.replace n.acks key l;
           l
       in
       l := digest :: !l
@@ -873,20 +827,12 @@ let on_receive t (n : node) (r : msg Net.recv) =
 (* Period boundaries                                                    *)
 
 let install_expectations t (n : node) period =
-  let plan = n.plan in
-  let aug = plan.Planner.aug in
   let base = Time.mul t.period_len period in
-  List.iter
-    (fun (fl : Graph.flow) ->
-      match assignment_node plan fl.consumer, assignment_node plan fl.producer with
-      | Some cn, Some pn when cn = n.id && pn <> n.id -> (
-        match Schedule.window plan.Planner.schedule fl.consumer with
-        | Some (start, _) ->
-          Detect.Watchdog.expect n.watchdog ~flow:fl.flow_id ~period
-            ~from_node:pn ~deadline:(Time.add base start)
-        | None -> ())
-      | _ -> ())
-    (Graph.flows aug.Augment.graph)
+  Array.iter
+    (fun x ->
+      Detect.Watchdog.expect n.watchdog ~flow:x.flow ~period ~from_node:x.from_node
+        ~deadline:(Time.add base x.start))
+    n.expectations
 
 let install_slots t (n : node) period =
   let plan = n.plan in
@@ -955,6 +901,7 @@ let activate_pending t (n : node) =
     in
     if ready then begin
       n.plan <- next;
+      n.expectations <- expectations_of next n.id;
       n.pending <- None;
       n.pending_waited <- 0;
       n.awaiting_state <- [];

@@ -98,9 +98,12 @@ module Distributor = struct
 
   let node t = t.node
 
+  (* The statement is encoded once: the signature covers the encoding,
+     and it is also the dedup key. *)
   let admit ?now t auth r =
+    let encoded = encode r.statement in
     let verdict =
-      if not (validate auth r) then begin
+      if not (Auth.verify auth ~signer:r.statement.detector encoded r.tag) then begin
         let signer = r.statement.detector in
         let prev = Option.value ~default:0 (Hashtbl.find_opt t.invalid_by signer) in
         Hashtbl.replace t.invalid_by signer (prev + 1);
@@ -108,13 +111,12 @@ module Distributor = struct
         Invalid
       end
       else begin
-        let k = dedup_key r in
-        if Hashtbl.mem t.seen_keys k then begin
+        if Hashtbl.mem t.seen_keys encoded then begin
           Obs.Counter.incr t.dedup_count;
           Duplicate
         end
         else begin
-          Hashtbl.replace t.seen_keys k ();
+          Hashtbl.replace t.seen_keys encoded ();
           t.rev_seen <- r :: t.rev_seen;
           Obs.Counter.incr t.fresh_count;
           Fresh

@@ -8,6 +8,8 @@ type role =
   | Checker of { orig : Task.id }
   | Guard of { node : int }
 
+type input_group = { orig_flow : int; lane_flows : Graph.flow array }
+
 (* One id-indexed index, built once by [augment]: every accessor below
    is an array read. *)
 type index = {
@@ -17,6 +19,8 @@ type index = {
   checker : Task.id option Idtab.t;  (* original id -> its checker *)
   flow_origin : (int * int) option Idtab.t;
       (* augmented data flow id -> (original flow id, lane) *)
+  inputs : input_group array Idtab.t;
+      (* augmented task id -> its data inputs, grouped by original flow *)
 }
 
 type t = { graph : Graph.t; original : Graph.t; degree : int; index : index }
@@ -60,6 +64,7 @@ let is_protected t orig =
   match replicas_of t orig with [ single ] -> single <> orig | _ -> true
 
 let orig_flow_of t fid = Idtab.get t.index.flow_origin fid
+let inputs_of t id = Idtab.get t.index.inputs id
 
 let digest_flow_ids t =
   List.filter_map
@@ -72,7 +77,7 @@ let digest_flow_ids t =
 (* Shared by every unreplicated task's index entry. *)
 let some_original = Some Original
 
-let build_index ~tasks ~roles ~flows ~flow_origin =
+let build_index ~tasks ~roles ~flows ~flow_origin ~inputs =
   let roles_tbl = Idtab.of_ids (List.map (fun (x : Task.t) -> x.Task.id) tasks) None in
   let index =
     {
@@ -80,6 +85,7 @@ let build_index ~tasks ~roles ~flows ~flow_origin =
       lanes = Idtab.like roles_tbl [];
       checker = Idtab.like roles_tbl None;
       flow_origin = Idtab.of_ids (List.map (fun (f : Graph.flow) -> f.flow_id) flows) None;
+      inputs;
     }
   in
   (* [roles] is newest first, so consing lanes yields lane order. *)
@@ -161,11 +167,19 @@ let augment g ~nodes ~degree ~protect_level =
      pairs it has wired. *)
   let flows = ref [] in
   let flow_origin = ref [] in
+  (* Each consumer's input groups, newest first: the lane flows of one
+     original flow into it. An unreplicated consumer (every lane maps
+     to it) gets every lane's flow in one group, a lane its own. *)
+  let groups = Idtab.of_ids (List.map (fun (x : Task.t) -> x.id) !tasks) [] in
+  let add_group c lane_flows =
+    Idtab.set groups c (lane_flows :: Idtab.get groups c)
+  in
   List.iter
     (fun (f : Graph.flow) ->
       let producers = Idtab.get lane_id f.producer
       and consumers = Idtab.get lane_id f.consumer in
       let seen_pairs = ref [] in
+      let made = ref [] in
       for lane = 0 to degree - 1 do
         let p = producers.(lane) in
         (* Sinks are unreplicated, so every lane's copy converges on
@@ -174,11 +188,31 @@ let augment g ~nodes ~degree ~protect_level =
         if not (List.exists (fun (p', c') -> p' = p && c' = c) !seen_pairs) then begin
           seen_pairs := (p, c) :: !seen_pairs;
           let flow_id = if lane = 0 then f.flow_id else fresh_flow () in
-          flows := { f with Graph.flow_id; producer = p; consumer = c } :: !flows;
+          let fl = { f with Graph.flow_id; producer = p; consumer = c } in
+          flows := fl :: !flows;
+          made := fl :: !made;
           flow_origin := (flow_id, (f.flow_id, lane)) :: !flow_origin
         end
-      done)
+      done;
+      if consumers.(0) = consumers.(degree - 1) then
+        add_group consumers.(0)
+          { orig_flow = f.flow_id; lane_flows = Array.of_list (List.rev !made) }
+      else
+        List.iter
+          (fun (fl : Graph.flow) ->
+            add_group fl.consumer { orig_flow = f.flow_id; lane_flows = [| fl |] })
+          !made)
     (Graph.flows g);
+  let inputs = Idtab.like groups [||] in
+  List.iter
+    (fun (x : Task.t) ->
+      match Idtab.get groups x.id with
+      | [] -> ()
+      | l ->
+        let sorted = Array.of_list l in
+        Array.sort (fun g g' -> Int.compare g.orig_flow g'.orig_flow) sorted;
+        Idtab.set inputs x.id sorted)
+    !tasks;
   (* Checkers: one per protected task, fed a digest from every lane. *)
   List.iter
     (fun (x : Task.t) ->
@@ -221,5 +255,5 @@ let augment g ~nodes ~degree ~protect_level =
     graph;
     original = g;
     degree;
-    index = build_index ~tasks ~roles:!roles ~flows ~flow_origin:!flow_origin;
+    index = build_index ~tasks ~roles:!roles ~flows ~flow_origin:!flow_origin ~inputs;
   }

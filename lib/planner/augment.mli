@@ -31,9 +31,18 @@ type role =
   | Checker of { orig : Task.id }  (** compares the lanes of [orig] *)
   | Guard of { node : int }  (** per-node evidence-verification reserve *)
 
+type input_group = {
+  orig_flow : int;
+  lane_flows : Graph.flow array;
+      (** ascending lane; {!orig_flow_of} gives each one's lane *)
+}
+(** The augmented flows that carry one original flow into a task: one
+    per lane for an unreplicated consumer of a replicated producer,
+    otherwise one. *)
+
 type index
-(** Roles, lanes, checkers and flow origins, indexed by id: the
-    accessors below are O(1). *)
+(** Roles, lanes, checkers, flow origins and input groups, indexed by
+    id: the accessors below are O(1). *)
 
 type t = {
   graph : Graph.t;  (** the augmented dataflow graph *)
@@ -74,6 +83,12 @@ val is_protected : t -> Task.id -> bool
 val orig_flow_of : t -> int -> (int * int) option
 (** [(original flow id, lane)] behind an augmented data flow id;
     [None] for replica→checker digest flows. *)
+
+val inputs_of : t -> Task.id -> input_group array
+(** The data inputs of an augmented task, one group per original flow
+    in ascending order; [[||]] for a task with none. Digest flows are
+    not data inputs, so a checker has none. Built once by {!augment},
+    so the runtime reads a task's inputs without re-deriving them. *)
 
 val augment :
   Graph.t ->

@@ -64,6 +64,79 @@ let test_value_digest_pinned () =
   Alcotest.(check string) "[|1.0|] digests \"0x1p+0;\"" "cee75448016fd014"
     (Printf.sprintf "%016Lx" (Behavior.value_digest [| 1.0 |]))
 
+(* The reference the streamed digest must equal, byte for byte: FNV-1a
+   over the "%h;" rendering of every element. *)
+let reference_digest v =
+  Fnv.hash64 (String.concat "" (Array.to_list (Array.map (Printf.sprintf "%h;") v)))
+
+let special_floats =
+  List.map Int64.float_of_bits
+    [
+      0L;
+      Int64.min_int (* -0 *);
+      1L (* smallest subnormal *);
+      0x000F_FFFF_FFFF_FFFFL (* largest subnormal *);
+      0x8000_0000_0000_0001L;
+      0x8008_0000_0000_0000L;
+      0x0010_0000_0000_0000L (* min_float *);
+      0x7FEF_FFFF_FFFF_FFFFL (* max_float *);
+      0xFFEF_FFFF_FFFF_FFFFL;
+      0x7FF0_0000_0000_0000L (* infinity *);
+      0xFFF0_0000_0000_0000L;
+      0x7FF0_0000_0000_0001L (* NaN payloads, both signs *);
+      0x7FF8_0000_0000_0000L;
+      0x7FFF_FFFF_FFFF_FFFFL;
+      0xFFF0_0000_0000_0001L;
+      0xFFF8_0000_0000_0000L;
+      0xFFFF_FFFF_FFFF_FFFFL;
+    ]
+  @ [ 1.0; -1.0; 0.5; 3.0; 1000.0; 1e-300; nan; Float.pi ]
+
+let gen_float =
+  let open QCheck.Gen in
+  let bits hi lo = Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo) in
+  let word = int_bound 0xFFFF_FFFF in
+  frequency
+    [
+      (* any bit pattern: every exponent, NaN payloads and subnormals *)
+      (4, map2 (fun hi lo -> Int64.float_of_bits (bits hi lo)) word word);
+      (* fractions with trailing zero nibbles, subnormal and extreme
+         exponents included *)
+      ( 3,
+        map3
+          (fun sign exp (nibbles, top) ->
+            let frac = (top land ((1 lsl (4 * nibbles)) - 1)) lsl (4 * (13 - nibbles)) in
+            Int64.float_of_bits
+              (Int64.logor
+                 (Int64.shift_left (Int64.of_int ((sign lsl 11) lor exp)) 52)
+                 (Int64.of_int frac)))
+          (int_bound 1)
+          (oneof [ int_bound 0x7FF; oneofl [ 0; 1; 0x7FE; 0x7FF; 1023 ] ])
+          (pair (int_bound 13) (map2 (fun hi lo -> ((hi land 0xF_FFFF) lsl 32) lor lo) word word)) );
+      (* values the workloads produce *)
+      (2, map (fun i -> float_of_int i /. 1_000.0) (int_range (-1_000_000) 1_000_000));
+      (1, oneofl special_floats);
+    ]
+
+let prop_value_digest_matches_rendering =
+  QCheck.Test.make ~name:"value_digest is FNV-1a over the %h; rendering" ~count:100_000
+    (QCheck.make
+       ~print:(fun v ->
+         String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") v)))
+       QCheck.Gen.(array_size (int_bound 4) gen_float))
+    (fun v -> Int64.equal (Behavior.value_digest v) (reference_digest v))
+
+let test_value_digest_special () =
+  List.iter
+    (fun x ->
+      Alcotest.(check string)
+        (Printf.sprintf "%h (bits %016Lx)" x (Int64.bits_of_float x))
+        (Fnv.to_hex (reference_digest [| x |]))
+        (Fnv.to_hex (Behavior.value_digest [| x |])))
+    special_floats;
+  check_bool "empty array digests the empty string" true
+    (Int64.equal (Behavior.value_digest [||]) (Fnv.hash64 ""))
+
 let test_equal_value () =
   check_bool "equal" true (Behavior.equal_value [| 1.0; 2.0 |] [| 1.0; 2.0 |]);
   check_bool "tolerant to 1e-12" true (Behavior.equal_value [| 1.0 |] [| 1.0 +. 1e-12 |]);
@@ -259,4 +332,6 @@ let suite =
     ("scenario: plan only", `Quick, test_scenario_plan_only);
     ("scenario: tune applies", `Quick, test_scenario_tune_applies);
     ("behaviour: value digest reference value", `Quick, test_value_digest_pinned);
+    ("behaviour: value digest of special floats", `Quick, test_value_digest_special);
+    QCheck_alcotest.to_alcotest prop_value_digest_matches_rendering;
   ]

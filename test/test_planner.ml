@@ -530,6 +530,168 @@ let test_index_agreement () =
       check_bool (name ^ ": some degree plans") true (!built > 0))
     workloads
 
+(* Reference model of a task's inputs: the list scans the runtime ran
+   on every job before [Augment.inputs_of] existed. [present] is the set
+   of augmented flow ids with a message in the inbox. It answers which
+   lane each original flow is taken from (the lowest live one) and
+   whether a compute task abstains: no input at all although it has
+   producers, or fewer original flows received than there are original
+   flows from placed producers. *)
+let scan_gather (plan : Planner.plan) tid ~present =
+  let aug = plan.Planner.aug in
+  let best = Hashtbl.create 8 in
+  List.iter
+    (fun (fl : Graph.flow) ->
+      if List.mem fl.flow_id present then
+        match Augment.orig_flow_of aug fl.flow_id with
+        | Some (orig_flow, lane) -> (
+          match Hashtbl.find_opt best orig_flow with
+          | Some (l, _) when l <= lane -> ()
+          | _ -> Hashtbl.replace best orig_flow (lane, fl.flow_id))
+        | None -> ())
+    (Graph.producers_of aug.Augment.graph tid);
+  Table.sorted_bindings ~cmp:Int.compare best
+
+(* Each original flow into the task with its lane flows, by lane. *)
+let scan_groups (plan : Planner.plan) tid =
+  let aug = plan.Planner.aug in
+  let origins =
+    List.filter_map
+      (fun (fl : Graph.flow) ->
+        Option.map (fun (o, lane) -> (o, (lane, fl.flow_id))) (Augment.orig_flow_of aug fl.flow_id))
+      (Graph.producers_of aug.Augment.graph tid)
+  in
+  List.map
+    (fun o ->
+      ( o,
+        List.map snd
+          (List.sort
+             (fun (lane, _) (lane', _) -> Int.compare lane lane')
+             (List.filter_map (fun (o', lf) -> if o' = o then Some lf else None) origins)) ))
+    (List.sort_uniq Int.compare (List.map fst origins))
+
+let scan_abstains (plan : Planner.plan) tid ~present =
+  let aug = plan.Planner.aug in
+  let g = aug.Augment.graph in
+  let producers = Graph.producers_of g tid in
+  let required =
+    List.sort_uniq Int.compare
+      (List.filter_map
+         (fun (fl : Graph.flow) ->
+           match Planner.assignment_of plan fl.producer with
+           | Some _ -> Option.map fst (Augment.orig_flow_of aug fl.flow_id)
+           | None -> None)
+         producers)
+  in
+  let got = scan_gather plan tid ~present in
+  (Graph.task g tid).Task.kind = Task.Compute
+  && ((got = [] && producers <> []) || List.length got < List.length required)
+
+(* The same answers from the table: the first live lane of each group,
+   and "groups present < groups". *)
+let table_gather (plan : Planner.plan) tid ~present =
+  let aug = plan.Planner.aug in
+  List.filter_map
+    (fun (grp : Augment.input_group) ->
+      List.find_map
+        (fun (fl : Graph.flow) ->
+          match Augment.orig_flow_of aug fl.flow_id with
+          | Some (_, lane) when List.mem fl.flow_id present ->
+            Some (grp.orig_flow, (lane, fl.flow_id))
+          | _ -> None)
+        (Array.to_list grp.lane_flows))
+    (Array.to_list (Augment.inputs_of aug tid))
+
+let table_abstains (plan : Planner.plan) tid ~present =
+  (Graph.task plan.Planner.aug.Augment.graph tid).Task.kind = Task.Compute
+  && List.length (table_gather plan tid ~present)
+     < Array.length (Augment.inputs_of plan.Planner.aug tid)
+
+let prop_input_table_matches_scan =
+  QCheck.Test.make
+    ~name:"input table agrees with the list-scan gather and abstention rules"
+    ~count:30
+    QCheck.(pair (int_range 0 5000) (int_range 1 3))
+    (fun (seed, degree) ->
+      let rng = Rng.create seed in
+      let g =
+        Generators.random_layered ~rng ~n_nodes:5 ~layers:3 ~width:3
+          ~utilization_target:0.5 ()
+      in
+      let topo =
+        Topology.fully_connected ~n:5 ~bandwidth_bps:20_000_000 ~latency:(Time.us 20)
+      in
+      match build ~f:1 ~r:(Time.sec 1) ~tune:(fun c -> { c with Planner.degree }) g topo with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok s ->
+        List.for_all
+          (fun (p : Planner.plan) ->
+            let tasks = Graph.tasks p.aug.Augment.graph in
+            (* The rule "groups present < groups" rests on this. *)
+            List.for_all (fun (x : Task.t) -> Planner.assignment_of p x.id <> None) tasks
+            && List.for_all
+                 (fun (x : Task.t) ->
+                   let incoming =
+                     List.map (fun (fl : Graph.flow) -> fl.flow_id)
+                       (Graph.producers_of p.aug.Augment.graph x.id)
+                   in
+                   (* Every inbox subset for small fan-in, a random
+                      sample of them beyond. *)
+                   let subsets =
+                     if List.length incoming <= 6 then
+                       List.fold_left
+                         (fun acc fid -> acc @ List.map (fun l -> fid :: l) acc)
+                         [ [] ] incoming
+                     else
+                       List.init 64 (fun _ ->
+                           List.filter (fun _ -> Rng.bool rng) incoming)
+                   in
+                   List.map
+                     (fun (grp : Augment.input_group) ->
+                       ( grp.orig_flow,
+                         List.map (fun (fl : Graph.flow) -> fl.flow_id) (Array.to_list grp.lane_flows) ))
+                     (Array.to_list (Augment.inputs_of p.aug x.id))
+                   = scan_groups p x.id
+                   && List.for_all
+                     (fun present ->
+                       table_gather p x.id ~present = scan_gather p x.id ~present
+                       && table_abstains p x.id ~present = scan_abstains p x.id ~present)
+                     subsets)
+                 (* The tasks that compute from inputs; checkers compare
+                    digests and guards run nothing. *)
+                 (List.filter
+                    (fun (x : Task.t) ->
+                      match Augment.role_of p.aug x.id with
+                      | Augment.Original | Augment.Replica _ -> true
+                      | Augment.Checker _ | Augment.Guard _ -> false)
+                    tasks))
+          (Planner.all_plans s))
+
+let test_every_task_placed () =
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun degree ->
+          match build ~tune:(fun c -> { c with Planner.degree }) g (topo6 ()) with
+          | Error _ -> ()
+          | Ok s ->
+            List.iter
+              (fun (p : Planner.plan) ->
+                List.iter
+                  (fun (x : Task.t) ->
+                    check_bool
+                      (Printf.sprintf "%s degree %d: task %d placed" name degree x.id)
+                      true
+                      (Planner.assignment_of p x.id <> None))
+                  (Graph.tasks p.aug.Augment.graph))
+              (Planner.all_plans s))
+        [ 1; 2; 3 ])
+    [
+      ("avionics", Generators.avionics ~n_nodes:6);
+      ("scada", Generators.scada ~n_nodes:6);
+      ("fleet", Generators.fleet ~n_nodes:6);
+    ]
+
 let suite =
   [
     ("augment: task counts", `Quick, test_augment_counts);
@@ -554,4 +716,6 @@ let suite =
     ("scenario resolved_config applies tune", `Quick, test_resolved_config_applies_tune);
     QCheck_alcotest.to_alcotest prop_random_workloads_plan_and_validate;
     ("indexed accessors agree with list scans", `Quick, test_index_agreement);
+    QCheck_alcotest.to_alcotest prop_input_table_matches_scan;
+    ("every augmented task of every plan is placed", `Quick, test_every_task_placed);
   ]

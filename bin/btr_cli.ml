@@ -539,9 +539,10 @@ let campaign_run_cmd =
   let jobs =
     Arg.(
       value & opt int 0
-      & info [ "jobs"; "j" ]
+      & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Worker domains (0 = one less than the recommended domain count). \
+            "Domains that run trials, this process's main domain included: \
+             $(docv) - 1 are spawned (0 = the recommended domain count). \
              Verdicts are identical for every value.")
   in
   let no_shrink =

@@ -528,7 +528,7 @@ module Cache = struct
   let derived t = t.derived
 end
 
-let default_jobs () = Stdlib.max 1 (Domain.recommended_domain_count () - 1)
+let default_jobs () = Domain.recommended_domain_count ()
 
 let bp f = int_of_float ((f *. 10_000.0) +. 0.5)
 
@@ -719,36 +719,29 @@ let run_trials ?obs ?jobs spec trial_list =
     }
   in
   let slots = Array.make n None in
-  if jobs = 1 || n <= 1 then
-    for i = 0 to n - 1 do
-      slots.(i) <- Some (verdict_of i)
-    done
-  else begin
-    (* Workers claim chunks of consecutive indices with one atomic
-       fetch-and-add each and write into distinct slots; per-trial
-       determinism makes the slot contents independent of the
-       interleaving. Chunks are ~1/8 of an
-       even split so stragglers still balance: a worker stuck on a slow
-       trial forfeits at most its current chunk to the others. *)
-    let workers = Stdlib.min jobs n in
-    let chunk = Stdlib.max 1 (n / (workers * 8)) in
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let start = Atomic.fetch_and_add next chunk in
-        if start < n then begin
-          let stop = Stdlib.min n (start + chunk) in
-          for i = start to stop - 1 do
-            slots.(i) <- Some (verdict_of i)
-          done;
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let domains = draw_list workers (fun _ -> Domain.spawn worker) in
-    List.iter Domain.join domains
-  end;
+  (* [jobs] domains run trials: this one and [jobs - 1] spawned ones
+     (none at jobs 1). Each claims chunks of consecutive indices with
+     one atomic fetch-and-add and writes into distinct slots; per-trial
+     determinism makes the slot contents independent of the
+     interleaving. Chunks are ~1/8 of an even split so stragglers still
+     balance: a domain stuck on a slow trial forfeits at most its
+     current chunk to the others. This domain joins the others only
+     after its own share, so none sits idle in [Domain.join] while the
+     rest run (every minor collection stops all domains, idle or not). *)
+  let workers = Stdlib.max 1 (Stdlib.min jobs n) in
+  let chunk = Stdlib.max 1 (n / (workers * 8)) in
+  let next = Atomic.make 0 in
+  let rec claim () =
+    let start = Atomic.fetch_and_add next chunk in
+    if start < n then begin
+      for i = start to Stdlib.min n (start + chunk) - 1 do
+        slots.(i) <- Some (verdict_of i)
+      done;
+      claim ()
+    end
+  in
+  let domains = List.init (workers - 1) (fun _ -> Domain.spawn claim) in
+  Fun.protect ~finally:(fun () -> List.iter Domain.join domains) claim;
   let verdicts =
     Array.to_list
       (Array.map

@@ -223,7 +223,8 @@ module Cache : sig
 end
 
 val default_jobs : unit -> int
-(** [max 1 (Domain.recommended_domain_count () - 1)]. *)
+(** [Domain.recommended_domain_count ()]: [jobs] counts the domains that
+    run trials, the calling domain included. *)
 
 val run_script :
   ?strikes:int ->
@@ -242,18 +243,22 @@ val shrink_violation :
 
 val run : ?obs:Btr_obs.Obs.t -> ?jobs:int -> spec -> result
 (** Compile, resolve every trial's strategy through a fresh {!Cache},
-    execute on [jobs] worker domains (default {!default_jobs}; 1 runs
-    inline with no spawn), then shrink violations. [obs] (default
-    fresh) receives [Campaign_started] / [Trial_verdict] /
-    [Violation_shrunk] events and the [campaign.*] counters — all
-    emitted post-join from the calling domain, in trial order, so traces
-    are identical for every [jobs]. *)
+    execute on [jobs] domains (default {!default_jobs}): the calling
+    domain runs a share of the trials alongside [jobs - 1] spawned ones
+    (none at 1) and joins them after its share, even if it raises. Then
+    shrink violations. [obs] (default fresh) receives
+    [Campaign_started] / [Trial_verdict] / [Violation_shrunk] events
+    and the [campaign.*] counters — all emitted post-join from the
+    calling domain, in trial order, so traces are identical for every
+    [jobs]. *)
 
 val run_trials : ?obs:Btr_obs.Obs.t -> ?jobs:int -> spec -> trial list -> result
 (** {!run} on an explicit trial list instead of [compile spec]: the
     orchestrator's shard and resume paths execute subsets through this.
     Verdicts come back in list order; telemetry (including the
     [campaign.trials] counter) covers exactly the given trials.
+    [jobs] counts the domains that run trials, as in {!run}: the
+    calling domain plus [jobs - 1] spawned ones.
     [run spec = run_trials spec (compile spec)]. *)
 
 (** {1 Schedule codec}

@@ -58,20 +58,31 @@ type 'a recv = {
   hops : int;
 }
 
+(* The per-pair tables key on one packed int, so a lookup hashes a
+   machine word and allocates no tuple. [create] checks that every node
+   and link id fits in [id_bits]; [route] keeps other ids (not nodes)
+   out of its table. *)
+let id_bits = 30
+let fits id = id lsr id_bits = 0
+let pair_key hi lo = (hi lsl id_bits) lor lo
+let with_cls k cls = (k lsl 1) lor (match cls with Data -> 0 | Control -> 1)
+
 type 'a t = {
   eng : Engine.t;
   obs : Obs.t;
   topo : Topology.t;
   shares : shares;
   residual_loss : float;
-  handlers : (node_id, 'a recv -> unit) Hashtbl.t;
-  (* Per (sender, link, class): when the sender's slice frees up. *)
-  busy_until : (node_id * int * cls, Time.t) Hashtbl.t;
-  relay_policy : (node_id, src:node_id -> dst:node_id -> cls:cls -> bool) Hashtbl.t;
-  relay_delay : (node_id, Time.t) Hashtbl.t;
+  handlers : ('a recv -> unit) Inttbl.t;
+  (* Per (sender, link, class), by [with_cls (pair_key sender link)]:
+     when the sender's slice frees up. *)
+  busy_until : Time.t Inttbl.t;
+  relay_policy : (src:node_id -> dst:node_id -> cls:cls -> bool) Inttbl.t;
+  relay_delay : Time.t Inttbl.t;
   mutable route_avoid : node_id list;
-  (* (src, dst) -> route under [route_avoid]; flushed when it changes. *)
-  routes : (node_id * node_id, Topology.link list option) Hashtbl.t;
+  (* [pair_key src dst] -> route under [route_avoid]; flushed when it
+     changes. *)
+  routes : Topology.link list option Inttbl.t;
   loss_rng : Rng.t;
   (* Registry counters: always on, one field write per bump. *)
   sent : Obs.Counter.t;
@@ -80,7 +91,7 @@ type 'a t = {
   relay_dropped : Obs.Counter.t;
   data_bytes : Obs.Counter.t;
   control_bytes : Obs.Counter.t;
-  by_sender : (node_id * cls, int) Hashtbl.t;
+  by_sender : int Inttbl.t;  (* by [with_cls sender] *)
   data_lat : Stats.Acc.t;
   control_lat : Stats.Acc.t;
 }
@@ -95,6 +106,13 @@ let create eng topo ?shares ?(residual_loss = 0.0) () =
           (Printf.sprintf "Net.create: link %d reservations exceed capacity"
              l.link_id))
     (Topology.links topo);
+  let check_id what id =
+    if not (fits id) then
+      invalid_arg
+        (Printf.sprintf "Net.create: %s id %d outside 0..%d" what id ((1 lsl id_bits) - 1))
+  in
+  List.iter (check_id "node") (Topology.nodes topo);
+  List.iter (fun (l : Topology.link) -> check_id "link" l.link_id) (Topology.links topo);
   let obs = Engine.obs eng in
   let reg = Obs.registry obs in
   {
@@ -103,12 +121,12 @@ let create eng topo ?shares ?(residual_loss = 0.0) () =
     topo;
     shares;
     residual_loss;
-    handlers = Hashtbl.create 16;
-    busy_until = Hashtbl.create 64;
-    relay_policy = Hashtbl.create 8;
-    relay_delay = Hashtbl.create 8;
+    handlers = Inttbl.create 16;
+    busy_until = Inttbl.create 64;
+    relay_policy = Inttbl.create 8;
+    relay_delay = Inttbl.create 8;
     route_avoid = [];
-    routes = Hashtbl.create 64;
+    routes = Inttbl.create 64;
     loss_rng = Rng.split (Engine.rng eng);
     sent = Obs.Registry.counter reg Obs.Net "msgs-sent";
     delivered = Obs.Registry.counter reg Obs.Net "msgs-delivered";
@@ -116,14 +134,14 @@ let create eng topo ?shares ?(residual_loss = 0.0) () =
     relay_dropped = Obs.Registry.counter reg Obs.Net "relay-dropped";
     data_bytes = Obs.Registry.counter reg Obs.Net "bytes.data";
     control_bytes = Obs.Registry.counter reg Obs.Net "bytes.control";
-    by_sender = Hashtbl.create 16;
+    by_sender = Inttbl.create 16;
     data_lat = Stats.Acc.create ();
     control_lat = Stats.Acc.create ();
   }
 
 let engine t = t.eng
 let topology t = t.topo
-let set_handler t n f = Hashtbl.replace t.handlers n f
+let set_handler t n f = Inttbl.replace t.handlers n f
 
 let reserved_rate t link cls = reservation_rate t.shares link cls
 
@@ -131,31 +149,36 @@ let charge_bytes t sender cls size =
   Obs.Counter.add
     (match cls with Data -> t.data_bytes | Control -> t.control_bytes)
     size;
-  let key = (sender, cls) in
-  let prev = Option.value ~default:0 (Hashtbl.find_opt t.by_sender key) in
-  Hashtbl.replace t.by_sender key (prev + size)
+  let key = with_cls sender cls in
+  let prev = match Inttbl.find t.by_sender key with b -> b | exception Not_found -> 0 in
+  Inttbl.replace t.by_sender key (prev + size)
 
 let bytes_sent_by t n cls =
-  Option.value ~default:0 (Hashtbl.find_opt t.by_sender (n, cls))
+  match Inttbl.find t.by_sender (with_cls n cls) with b -> b | exception Not_found -> 0
 
 let route t ~src ~dst =
-  let k = (src, dst) in
-  match Hashtbl.find_opt t.routes k with
-  | Some r -> r
-  | None ->
-    let r = Topology.route_avoiding t.topo ~avoid:t.route_avoid ~src ~dst in
-    Hashtbl.replace t.routes k r;
-    r
+  if not (fits src && fits dst) then
+    Topology.route_avoiding t.topo ~avoid:t.route_avoid ~src ~dst
+  else
+    let k = pair_key src dst in
+    match Inttbl.find t.routes k with
+    | r -> r
+    | exception Not_found ->
+      let r = Topology.route_avoiding t.topo ~avoid:t.route_avoid ~src ~dst in
+      Inttbl.replace t.routes k r;
+      r
 
 (* One hop: [sender] pushes the message onto [link]; when serialization
    and propagation complete, [k] runs at the far end. *)
 let hop t ~sender ~(link : Topology.link) ~cls ~size k =
   let rate = reserved_rate t link cls in
-  let key = (sender, link.link_id, cls) in
-  let free = Option.value ~default:Time.zero (Hashtbl.find_opt t.busy_until key) in
+  let key = with_cls (pair_key sender link.link_id) cls in
+  let free =
+    match Inttbl.find t.busy_until key with f -> f | exception Not_found -> Time.zero
+  in
   let start = Time.max (Engine.now t.eng) free in
   let departure = Time.add start (serialize_time ~size ~rate) in
-  Hashtbl.replace t.busy_until key departure;
+  Inttbl.replace t.busy_until key departure;
   charge_bytes t sender cls size;
   let arrival = Time.add departure link.latency in
   ignore (Engine.schedule t.eng ~at:arrival (fun _ -> k arrival))
@@ -177,17 +200,17 @@ let deliver t msg =
            latency = Time.sub msg.delivered_at msg.sent_at;
            hops = msg.hops;
          });
-  match Hashtbl.find_opt t.handlers msg.dst with
-  | Some f -> f msg
-  | None -> ()
+  match Inttbl.find t.handlers msg.dst with
+  | f -> f msg
+  | exception Not_found -> ()
 
 let relay_allows t node ~src ~dst ~cls =
-  match Hashtbl.find_opt t.relay_policy node with
-  | None -> true
-  | Some p -> p ~src ~dst ~cls
+  match Inttbl.find t.relay_policy node with
+  | p -> p ~src ~dst ~cls
+  | exception Not_found -> true
 
 let relay_extra_delay t node =
-  Option.value ~default:Time.zero (Hashtbl.find_opt t.relay_delay node)
+  match Inttbl.find t.relay_delay node with d -> d | exception Not_found -> Time.zero
 
 let send t ~src ~dst ~cls ~size_bytes payload =
   match route t ~src ~dst with
@@ -269,12 +292,12 @@ let send t ~src ~dst ~cls ~size_bytes payload =
 let transfer_time t ~src ~dst ~cls ~size_bytes =
   Option.map (path_transfer_time t.shares ~cls ~size_bytes) (route t ~src ~dst)
 
-let set_relay_policy t n p = Hashtbl.replace t.relay_policy n p
-let set_relay_delay t n d = Hashtbl.replace t.relay_delay n d
+let set_relay_policy t n p = Inttbl.replace t.relay_policy n p
+let set_relay_delay t n d = Inttbl.replace t.relay_delay n d
 let set_route_avoid t ns =
   if ns <> t.route_avoid then begin
     t.route_avoid <- ns;
-    Hashtbl.reset t.routes
+    Inttbl.reset t.routes
   end
 
 type stats = {

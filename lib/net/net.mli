@@ -60,6 +60,8 @@ val create :
   ?residual_loss:float ->
   unit ->
   'a t
+(** Raises [Invalid_argument] when a link's reservations exceed its
+    capacity or a node or link id lies outside [0 .. 2^30 - 1]. *)
 
 val engine : 'a t -> Btr_sim.Engine.t
 val topology : 'a t -> Topology.t

@@ -218,8 +218,9 @@ let prop_jobs_invariant =
      artifacts (verdict lines, summary, fingerprint) and the plan-cache
      counters for every worker count. Trial counts vary with the seed so
      the chunking edges (n < jobs, n = jobs, chunk > 1 remainders) all
-     get exercised. *)
-  QCheck.Test.make ~name:"artifacts identical for jobs in {1,2,4,8}" ~count:50
+     get exercised; jobs 3 is the calling domain plus two spawned ones,
+     an odd split with remainders. *)
+  QCheck.Test.make ~name:"artifacts identical for jobs in {1,2,3,4,8}" ~count:50
     QCheck.(map (fun s -> abs s) small_int)
     (fun seed ->
       let spec =
@@ -236,7 +237,7 @@ let prop_jobs_invariant =
           List.assoc_opt "campaign.plan_cache_misses" counters )
       in
       let base = artifact_and_cache 1 in
-      List.for_all (fun jobs -> artifact_and_cache jobs = base) [ 2; 4; 8 ])
+      List.for_all (fun jobs -> artifact_and_cache jobs = base) [ 2; 3; 4; 8 ])
 
 let test_full_artifact_jobs_invariant () =
   (* the whole artifact must not depend on the worker count. This seed

@@ -381,6 +381,44 @@ let prop_sweeps_match_reference =
            nodes
       && List.for_all (table_matches_reference topo) [ []; avoid ])
 
+(* Net's tables key on packed ids, so the largest id [Net.create]
+   accepts must not alias a smaller one, the next id up is refused, and
+   a send to an id that is not a node finds no route even where its
+   packed key would equal a cached pair's. *)
+let test_packed_id_range () =
+  let top = (1 lsl 30) - 1 in
+  let link id a b =
+    { Topology.link_id = id; members = [ a; b ]; bandwidth_bps = 1_000_000; latency = Time.us 10 }
+  in
+  let e = Engine.create () in
+  let topo = Topology.create ~nodes:[ 0; 1; top ] ~links:[ link top 0 top; link 0 0 1 ] in
+  let net = Net.create e topo () in
+  let got = ref [] in
+  List.iter (fun n -> Net.set_handler net n (fun r -> got := (r.Net.src, n) :: !got)) [ 0; 1; top ];
+  List.iter
+    (fun (src, dst, cls, size) ->
+      check_bool "routed" true (Net.send net ~src ~dst ~cls ~size_bytes:size ()))
+    [ (1, 0, Net.Data, 10); (top, 0, Net.Control, 20); (0, top, Net.Data, 40) ];
+  check_bool "an id past the range is no node" false
+    (Net.send net ~src:0 ~dst:(1 lsl 30) ~cls:Net.Data ~size_bytes:1 ());
+  Engine.run e;
+  check_int "all delivered" 3 (List.length !got);
+  check_bool "to the right nodes" true
+    (List.for_all (fun p -> List.mem p !got) [ (1, 0); (top, 0); (0, top) ]);
+  check_int "top's control bytes" 20 (Net.bytes_sent_by net top Net.Control);
+  check_int "top's data bytes" 0 (Net.bytes_sent_by net top Net.Data);
+  check_int "0's data bytes" 40 (Net.bytes_sent_by net 0 Net.Data);
+  check_int "1's data bytes" 10 (Net.bytes_sent_by net 1 Net.Data);
+  Alcotest.check_raises "node id past 2^30 - 1"
+    (Invalid_argument "Net.create: node id 1073741824 outside 0..1073741823") (fun () ->
+      ignore
+        (Net.create e
+           (Topology.create ~nodes:[ 0; top + 1 ] ~links:[ link 0 0 (top + 1) ])
+           ()));
+  Alcotest.check_raises "negative link id"
+    (Invalid_argument "Net.create: link id -1 outside 0..1073741823") (fun () ->
+      ignore (Net.create e (Topology.create ~nodes:[ 0; 1 ] ~links:[ link (-1) 0 1 ]) ()))
+
 let suite =
   [
     ("topology validation", `Quick, test_topology_validation);
@@ -401,4 +439,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ring_route_is_shortest;
     ("route cache follows the avoid list", `Quick, test_route_cache_follows_avoid);
     QCheck_alcotest.to_alcotest prop_sweeps_match_reference;
+    ("packed ids: the range edge, and ids past it", `Quick, test_packed_id_range);
   ]

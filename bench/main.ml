@@ -12,31 +12,9 @@
      dune exec bench/main.exe -- --engine --engine-max-depth 100000  # CI smoke
      dune exec bench/main.exe -- --planner --json  # + BENCH_planner.json
      dune exec bench/main.exe -- --planner --planner-max 1000  # CI smoke
-     dune exec bench/main.exe -- --trace t.jsonl --metrics m.json
-       # trace the demo deployment instead of running experiments  *)
 
-(* Run the standard avionics demo with recording sinks attached, so the
-   E-series numbers can be recomputed offline from the JSONL trace
-   (DESIGN.md "Observability"). *)
-let trace_demo ~trace ~metrics =
-  let oc = Option.map open_out trace in
-  let obs =
-    match oc with
-    | Some oc -> Btr_obs.Obs.with_jsonl oc
-    | None -> Btr_obs.Obs.create ()
-  in
-  (match Btr.Scenario.run (Btr.Scenario.avionics_demo ~obs ()) with
-  | Error e -> Format.eprintf "error: %a@." Btr_planner.Planner.pp_error e
-  | Ok _ -> ());
-  Btr_obs.Obs.flush obs;
-  Option.iter close_out oc;
-  Option.iter
-    (fun file ->
-      let mc = open_out file in
-      output_string mc (Btr_obs.Obs.metrics_json obs);
-      output_char mc '\n';
-      close_out mc)
-    metrics
+   The demo deployment's JSONL trace and metrics come from the CLI:
+     dune exec bin/btr_cli.exe -- --trace t.jsonl --metrics m.json  *)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -47,8 +25,6 @@ let () =
   let planner_max = ref None in
   let engine_max_depth = ref None in
   let json = ref false in
-  let trace = ref None in
-  let metrics = ref None in
   let rec collect acc = function
     | [] -> List.rev acc
     | "--micro" :: rest ->
@@ -72,12 +48,6 @@ let () =
     | "--json" :: rest ->
       json := true;
       collect acc rest
-    | "--trace" :: file :: rest ->
-      trace := Some file;
-      collect acc rest
-    | "--metrics" :: file :: rest ->
-      metrics := Some file;
-      collect acc rest
     | a :: rest -> collect (a :: acc) rest
   in
   let wanted = collect [] args in
@@ -97,27 +67,22 @@ let () =
     Planner_bench.run
       ?json_file:(if !json then Some "BENCH_planner.json" else None)
       ?max_nodes:!planner_max ();
-  if !trace <> None || !metrics <> None then
-    trace_demo ~trace:!trace ~metrics:!metrics
-  else begin
-    let selected =
-      match wanted with
-      | [] ->
-        if !micro || !campaign || !engine || !planner then [] else Experiments.all
-      | names ->
-        List.filter_map
-          (fun n ->
-            match List.assoc_opt (String.lowercase_ascii n) Experiments.all with
-            | Some fn -> Some (n, fn)
-            | None ->
-              Printf.eprintf "unknown experiment %S (have: %s)\n" n
-                (String.concat ", " (List.map fst Experiments.all));
-              None)
-          names
-    in
-    List.iter
-      (fun (name, fn) ->
-        Printf.printf "running %s...\n%!" name;
-        fn ())
-      selected
-  end
+  let selected =
+    match wanted with
+    | [] -> if !micro || !campaign || !engine || !planner then [] else Experiments.all
+    | names ->
+      List.filter_map
+        (fun n ->
+          match List.assoc_opt (String.lowercase_ascii n) Experiments.all with
+          | Some fn -> Some (n, fn)
+          | None ->
+            Printf.eprintf "unknown experiment %S (have: %s)\n" n
+              (String.concat ", " (List.map fst Experiments.all));
+            None)
+        names
+  in
+  List.iter
+    (fun (name, fn) ->
+      Printf.printf "running %s...\n%!" name;
+      fn ())
+    selected

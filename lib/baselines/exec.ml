@@ -447,7 +447,8 @@ let run ?(seed = 1) ?(behaviors = []) ?obs ~workload ~topology ~style ~script
     ignore
       (Engine.schedule eng ~at:(Time.mul t.period_len p) (fun _ ->
            if p > 0 then
-             Metrics.finalize_period t.metrics ~golden:t.golden ~period:(p - 1);
+             Metrics.finalize_period t.metrics ~golden:t.golden ~period:(p - 1)
+               ~shed:[];
            if p < total then run_sources t p))
   done;
   (match style with

@@ -29,7 +29,6 @@ type t = {
   obs : Obs.t;
   verdict_counters : Obs.Counter.t array;  (* indexed like [status] *)
   deliveries : (int * int, delivery) Hashtbl.t;
-  shed : (int * int, unit) Hashtbl.t;
   statuses : (int * int, status) Hashtbl.t;
   mutable finalized : int;
   mutable rev_injections : (Time.t * int * string) list;
@@ -61,7 +60,6 @@ let create ?(obs = Obs.null) ?protected_flows graph =
         (fun s -> Obs.Registry.counter reg Obs.Runtime ("verdicts." ^ s))
         [| "correct"; "wrong"; "missing"; "late"; "shed" |];
     deliveries = Hashtbl.create 256;
-    shed = Hashtbl.create 64;
     statuses = Hashtbl.create 256;
     finalized = 0;
     rev_injections = [];
@@ -80,16 +78,8 @@ let record_delivery t ~orig_flow ~period ~value ~arrived ~lane =
         (Obs.Delivery { flow = orig_flow; period; lane })
   end
 
-let record_shed t ~orig_flow ~period =
-  if (not (Hashtbl.mem t.shed (orig_flow, period))) && Obs.enabled t.obs then
-    Obs.emit t.obs
-      ~at:(Time.mul t.period_len (period + 1))
-      Obs.Runtime
-      (Obs.Shed { flow = orig_flow; period });
-  Hashtbl.replace t.shed (orig_flow, period) ()
-
-let judge t golden (f : Graph.flow) period =
-  if Hashtbl.mem t.shed (f.flow_id, period) then Shed
+let judge t golden ~shed (f : Graph.flow) period =
+  if List.mem f.flow_id shed then Shed
   else begin
     let expected = Golden.flow_value golden ~flow:f.flow_id ~period in
     let delivered = Hashtbl.find_opt t.deliveries (f.flow_id, period) in
@@ -111,14 +101,21 @@ let judge t golden (f : Graph.flow) period =
       end
   end
 
-let finalize_period t ~golden ~period =
+let finalize_period t ~golden ~period ~shed =
   let verdict_at = Time.mul t.period_len (period + 1) in
+  (* A period is judged once; guard against double-counting if a
+     caller re-finalizes. *)
+  let fresh flow = not (Hashtbl.mem t.statuses (flow, period)) in
+  if Obs.enabled t.obs then
+    List.iter
+      (fun flow ->
+        if fresh flow then
+          Obs.emit t.obs ~at:verdict_at Obs.Runtime (Obs.Shed { flow; period }))
+      shed;
   List.iter
     (fun (f : Graph.flow) ->
-      let s = judge t golden f period in
-      (* A period is judged once; guard against double-counting if a
-         caller re-finalizes. *)
-      if not (Hashtbl.mem t.statuses (f.flow_id, period)) then begin
+      let s = judge t golden ~shed f period in
+      if fresh f.flow_id then begin
         Obs.Counter.incr t.verdict_counters.(status_index s);
         if Obs.enabled t.obs then
           Obs.emit t.obs ~at:verdict_at Obs.Runtime

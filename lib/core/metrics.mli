@@ -31,11 +31,11 @@ val record_delivery :
   t -> orig_flow:int -> period:int -> value:float array -> arrived:Time.t -> lane:int -> unit
 (** What the sink actually acted on this period. *)
 
-val record_shed : t -> orig_flow:int -> period:int -> unit
-(** The sink's current mode deliberately does not produce this output. *)
-
-val finalize_period : t -> golden:Golden.t -> period:int -> unit
-(** Judge period [period]; call once per period after it ends. *)
+val finalize_period : t -> golden:Golden.t -> period:int -> shed:int list -> unit
+(** Judge period [period]; call once per period after it ends. [shed]
+    lists the sink flows the governing mode deliberately did not carry
+    (a plan's {!Btr_planner.Planner.plan.dropped}): each is judged
+    Shed, and emits a [Shed] event before the period's verdicts. *)
 
 val periods_finalized : t -> int
 val status : t -> orig_flow:int -> period:int -> status option

@@ -700,16 +700,6 @@ let run_checker t (n : node) plan tid period =
    lane (§1: use some replicas without waiting for the others). *)
 let run_sink t (n : node) plan tid period =
   let aug = plan.Planner.aug in
-  let groups = Augment.inputs_of aug tid in
-  (* Every original sink flow of the full workload that this sink owns
-     but the current mode does not carry has been shed (or lost). *)
-  List.iter
-    (fun (fl : Graph.flow) ->
-      if
-        fl.consumer = Augment.orig_of aug tid
-        && not (Array.exists (fun (g : Augment.input_group) -> g.orig_flow = fl.flow_id) groups)
-      then Metrics.record_shed t.metrics ~orig_flow:fl.flow_id ~period)
-    (Graph.sink_flows (Planner.workload t.strategy));
   Array.iter
     (fun (g : Augment.input_group) ->
       let i = live_lane n.inbox g period in
@@ -724,7 +714,7 @@ let run_sink t (n : node) plan tid period =
         | Some act -> act ~period ~value:e.value ~at:(Engine.now t.eng)
         | None -> ()
       end)
-    groups
+    (Augment.inputs_of aug tid)
 
 let role_name = function
   | Augment.Original -> "original"
@@ -944,13 +934,12 @@ let babble t (n : node) period =
     done
   | _ -> ()
 
-(* Outputs the current mode intentionally no longer carries (shed low
-   criticality, or endpoints lost with their faulty node) must be
-   judged Shed, even when the sink itself is gone and cannot say so.
-   The reference is the most-advanced plan among correct nodes. *)
-let mark_uncarried_shed t period =
-  (* Id order: ties between equally-advanced plans must break the same
-     way every run. *)
+(* Outputs the governing mode intentionally no longer carries (shed low
+   criticality, or endpoints lost with their faulty node) are judged
+   Shed, even when the sink itself is gone and cannot say so. The
+   governing mode is the most advanced plan among running nodes; ties
+   break by node id, so every run picks the same one. *)
+let shed_outputs t =
   let reference =
     Array.fold_left
       (fun best n ->
@@ -964,22 +953,7 @@ let mark_uncarried_shed t period =
           | _ -> Some n.plan)
       None t.by_id
   in
-  match reference with
-  | None -> ()
-  | Some plan ->
-    let aug = plan.Planner.aug in
-    let carried = Hashtbl.create 16 in
-    List.iter
-      (fun (fl : Graph.flow) ->
-        match Augment.orig_flow_of aug fl.flow_id with
-        | Some (orig, _lane) -> Hashtbl.replace carried orig ()
-        | None -> ())
-      (Graph.flows aug.Augment.graph);
-    List.iter
-      (fun (fl : Graph.flow) ->
-        if not (Hashtbl.mem carried fl.flow_id) then
-          Metrics.record_shed t.metrics ~orig_flow:fl.flow_id ~period)
-      (Graph.sink_flows (Planner.workload t.strategy))
+  match reference with None -> [] | Some plan -> plan.Planner.dropped
 
 let boundary t period =
   (* Node order here fixes the order of watchdog sweeps, plan
@@ -988,8 +962,8 @@ let boundary t period =
   (* Judge the finished period under the plans that actually governed
      it, before anyone activates a pending plan for the next one. *)
   if period > 0 then begin
-    mark_uncarried_shed t (period - 1);
     Metrics.finalize_period t.metrics ~golden:t.golden ~period:(period - 1)
+      ~shed:(shed_outputs t)
   end;
   Array.iter (fun n -> if n.running then activate_pending t n) t.by_id;
   if period < t.total_periods then

@@ -98,6 +98,7 @@ type plan = {
   schedule : Schedule.t;
   shed_below : Task.criticality option;
   lost_tasks : Task.id list;
+  dropped : int list;
 }
 
 let assignment_of plan tid = Idtab.get plan.assignment tid
@@ -268,6 +269,18 @@ let place_tasks cfg aug ~alive ~parent ~xfer =
     Ok assignment
   with Stuck tid -> Error (Printf.sprintf "no feasible node for task %d" tid)
 
+(* The workload's sink flows that its restriction [kept] does not
+   carry, in workload order. [kept]'s sink flows are an ordered
+   subsequence of the workload's, so one walk finds the rest. *)
+let dropped_sinks workload kept =
+  let rec go (all : Graph.flow list) (carried : Graph.flow list) =
+    match all, carried with
+    | [], _ -> []
+    | f :: all', c :: carried' when f.flow_id = c.flow_id -> go all' carried'
+    | f :: all', _ -> f.flow_id :: go all' carried
+  in
+  go (Graph.sink_flows workload) (Graph.sink_flows kept)
+
 (* One mode: shed criticality levels from the bottom until schedulable.
    [data] is the mode's data-class transfer time. *)
 let plan_mode cfg workload topo ~faulty ~parent ~data =
@@ -306,6 +319,7 @@ let plan_mode cfg workload topo ~faulty ~parent ~data =
             schedule;
             shed_below = (if floor = Task.Best_effort then None else Some floor);
             lost_tasks;
+            dropped = dropped_sinks workload kept;
           }
       | Error failure ->
         Error (Format.asprintf "%a" Schedule.pp_failure failure))

@@ -111,6 +111,9 @@ type plan = {
       (** tasks strictly below this level were shed; [None] = nothing *)
   lost_tasks : Task.id list;
       (** original pinned tasks lost with their faulty node *)
+  dropped : int list;
+      (** the workload's sink flows this mode does not carry (shed or
+          lost), in {!Graph.sink_flows} order *)
 }
 
 val assignment_of : plan -> Task.id -> int option

@@ -41,14 +41,13 @@ type 'a cell = {
    ~88% of the time, so the typical cell is linked once and popped once
    with no cascade touch in between. Slot sentinels are allocated
    lazily, so the wide levels cost one pointer array per wheel, not
-   25k live records. *)
+   16k live records. *)
 let wbits = 13
 let wsize = 1 lsl wbits
 let wmask = wsize - 1
-let levels = 3
-let span_bits = wbits * levels (* 39: horizon of the wheels proper *)
+let levels = 2
+let span_bits = wbits * levels (* 26: horizon of the wheels proper *)
 let span_mask = (1 lsl span_bits) - 1
-let l2_mask = (1 lsl (2 * wbits)) - 1
 
 (* I6: 32 occupancy bits per word (not 63 — keeps the slot/word split a
    pair of shifts well inside OCaml's 63-bit int). *)
@@ -108,10 +107,7 @@ let append s c =
 let link t c =
   let x = c.c_at lxor t.cur in
   let lvl =
-    if x < wsize then 0
-    else if x <= l2_mask then 1
-    else if x <= span_mask then 2
-    else levels
+    if x < wsize then 0 else if x <= span_mask then 1 else levels
   in
   let idx =
     if lvl = levels then levels * wsize
@@ -289,7 +285,6 @@ let advance t horizon =
       end
     end
     else if t.counts.(1) > 0 then next_boundary cur wbits
-    else if t.counts.(2) > 0 then next_boundary cur (2 * wbits)
     else begin
       (* Only the overflow is populated: jump to its first block. If
          ov_min went stale-low (I5), step one block and rescan. *)
@@ -301,11 +296,10 @@ let advance t horizon =
   let target = if target > horizon then horizon else target in
   t.cur <- target;
   (* Process boundary crossings at the landing point, widest first, so
-     overflow cells cascade through L3..L1 within this same hop. A
+     overflow cells cascade through L1 within this same hop. A
      horizon-clamped target skips no occupied boundary: the unclamped
      target was the nearest boundary of the lowest occupied level. *)
   if target land span_mask = 0 then rescan_overflow t;
-  if target land l2_mask = 0 then cascade t 2;
   if target land wmask = 0 then cascade t 1
 
 let pop_at_most t ~horizon =

@@ -7,9 +7,10 @@
 
     Geometry: {!levels} wheels of {!wsize} slots each, level [L] slots
     spanning [wsize^L] µs, so the wheels cover [wsize^levels] µs
-    (~6 simulated days at 8192³) ahead of the cursor; anything
-    further — including [Time.infinity] — parks in an unsorted overflow
-    list that is rescanned when the cursor enters a new top-level block.
+    (~67 simulated seconds at 8192², far past a trial's ~1 s horizon)
+    ahead of the cursor; anything further — including [Time.infinity] —
+    parks in an unsorted overflow list that is rescanned when the
+    cursor enters a new top-level block.
     A cell is placed at the lowest level whose current window contains
     its deadline (highest bit-block in which [at] and the cursor
     differ), and whole slots cascade down one level when the cursor
@@ -47,7 +48,7 @@ type 'a cell = {
 type 'a t
 
 val levels : int
-(** 3 — wheel levels below the overflow list. *)
+(** 2 — wheel levels below the overflow list. *)
 
 val create : nil:'a cell -> unit -> 'a t
 (** A wheel with its cursor at time 0. [nil] is the caller's detached

@@ -210,8 +210,11 @@ let test_metrics_statuses () =
   Metrics.record_delivery m ~orig_flow:1 ~period:3 ~value:v3
     ~arrived:(Time.add (Time.ms 30) (Time.ms 9 + 1)) ~lane:1;
   let _ = expected_value gold 4 in
-  Metrics.record_shed m ~orig_flow:1 ~period:4;
-  List.iter (fun p -> Metrics.finalize_period m ~golden:gold ~period:p) [ 0; 1; 2; 3; 4 ];
+  List.iter
+    (fun p ->
+      Metrics.finalize_period m ~golden:gold ~period:p
+        ~shed:(if p = 4 then [ 1 ] else []))
+    [ 0; 1; 2; 3; 4 ];
   let st p = Option.get (Metrics.status m ~orig_flow:1 ~period:p) in
   check_bool "p0 correct" true (st 0 = Metrics.Correct);
   check_bool "p1 wrong" true (st 1 = Metrics.Wrong);
@@ -228,7 +231,7 @@ let test_metrics_statuses () =
 let test_metrics_vacuous_correct () =
   let m, gold, _ = mk_metrics () in
   (* Nothing expected (source silent) and nothing delivered: Correct. *)
-  Metrics.finalize_period m ~golden:gold ~period:0;
+  Metrics.finalize_period m ~golden:gold ~period:0 ~shed:[];
   check_bool "vacuously correct" true
     (Metrics.status m ~orig_flow:1 ~period:0 = Some Metrics.Correct)
 
@@ -236,7 +239,7 @@ let test_metrics_unexpected_delivery_is_wrong () =
   let m, gold, _ = mk_metrics () in
   Metrics.record_delivery m ~orig_flow:1 ~period:0 ~value:[| 3.0 |]
     ~arrived:(Time.ms 2) ~lane:0;
-  Metrics.finalize_period m ~golden:gold ~period:0;
+  Metrics.finalize_period m ~golden:gold ~period:0 ~shed:[];
   check_bool "acting with no golden value is wrong" true
     (Metrics.status m ~orig_flow:1 ~period:0 = Some Metrics.Wrong)
 
@@ -249,7 +252,7 @@ let test_metrics_recovery_windows () =
     let delivered = if p = 1 || p = 2 then [| -1.0 |] else v in
     Metrics.record_delivery m ~orig_flow:1 ~period:p ~value:delivered
       ~arrived:(Time.add (Time.mul (Time.ms 10) p) (Time.ms 5)) ~lane:0;
-    Metrics.finalize_period m ~golden:gold ~period:p
+    Metrics.finalize_period m ~golden:gold ~period:p ~shed:[]
   done;
   (match Metrics.recovery_times m with
   | [ r ] -> check_int "recovery ends with last bad period" (Time.ms 20) r
@@ -262,7 +265,7 @@ let test_metrics_protected_scoping () =
   let m = Metrics.create ~protected_flows:[] g in
   Metrics.record_injection m ~at:Time.zero ~node:0 ~what:"corrupt";
   let _ = expected_value gold 0 in
-  Metrics.finalize_period m ~golden:gold ~period:0;
+  Metrics.finalize_period m ~golden:gold ~period:0 ~shed:[];
   (* flow 1 is Missing, but it is not protected: no incorrect time. *)
   check_int "unprotected misses don't count" 0 (Metrics.incorrect_time m);
   check_bool "recovery zero" true (Metrics.recovery_times m = [ Time.zero ])
@@ -312,6 +315,41 @@ let test_scenario_tune_applies () =
     check_int "tuned degree stored" 3 (Btr_planner.Planner.config strategy).Btr_planner.Planner.degree
   | Error e -> Alcotest.failf "plan: %a" Btr_planner.Planner.pp_error e
 
+(* A mode that sheds outputs: the random workload of seed 3 on a
+   4-node clique, node 1 crashing at 100 ms. Shed events are stamped
+   with the end of their period, so they must be emitted at that
+   boundary, never mid-period, or the trace's clock goes backwards. *)
+let test_scenario_shed_events_in_order () =
+  let obs = Btr_obs.Obs.with_memory () in
+  let s =
+    Btr.Scenario.spec
+      ~workload:
+        (Btr_workload.Generators.random_layered ~rng:(Rng.create 3) ~n_nodes:4
+           ~layers:3 ~width:3 ())
+      ~topology:
+        (Btr_net.Topology.fully_connected ~n:4 ~bandwidth_bps:10_000_000
+           ~latency:(Time.us 50))
+      ~f:1 ~recovery_bound:(Time.ms 300)
+      ~script:(Btr_fault.Fault.single ~at:(Time.ms 100) ~node:1 Btr_fault.Fault.Crash)
+      ~horizon:(Time.ms 1000) ~seed:3 ~obs ()
+  in
+  (match Btr.Scenario.run s with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "run: %a" Btr_planner.Planner.pp_error e);
+  let events = Btr_obs.Obs.events obs in
+  check_bool "some output is shed" true
+    (List.exists
+       (fun (e : Btr_obs.Obs.event) ->
+         match e.payload with Btr_obs.Obs.Shed _ -> true | _ -> false)
+       events);
+  ignore
+    (List.fold_left
+       (fun last (e : Btr_obs.Obs.event) ->
+         if e.at < last then
+           Alcotest.failf "event %d at %d follows one at %d" e.seq e.at last;
+         e.at)
+       0 events)
+
 let suite =
   [
     ("behaviour: deterministic", `Quick, test_default_compute_deterministic);
@@ -331,6 +369,7 @@ let suite =
     ("scenario: defaults", `Quick, test_scenario_defaults);
     ("scenario: plan only", `Quick, test_scenario_plan_only);
     ("scenario: tune applies", `Quick, test_scenario_tune_applies);
+    ("scenario: shed events keep the clock monotone", `Quick, test_scenario_shed_events_in_order);
     ("behaviour: value digest reference value", `Quick, test_value_digest_pinned);
     ("behaviour: value digest of special floats", `Quick, test_value_digest_special);
     QCheck_alcotest.to_alcotest prop_value_digest_matches_rendering;

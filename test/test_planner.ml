@@ -667,6 +667,62 @@ let prop_input_table_matches_scan =
                     tasks))
           (Planner.all_plans s))
 
+(* The reference for [plan.dropped]: the runtime used to derive it at
+   every period boundary from the augmented graph — a workload sink
+   flow is carried when some lane flow of the mode maps back to it. *)
+let scan_dropped workload (plan : Planner.plan) =
+  let aug = plan.Planner.aug in
+  let carried = Hashtbl.create 16 in
+  List.iter
+    (fun (fl : Graph.flow) ->
+      match Augment.orig_flow_of aug fl.flow_id with
+      | Some (orig, _lane) -> Hashtbl.replace carried orig ()
+      | None -> ())
+    (Graph.flows aug.Augment.graph);
+  List.filter_map
+    (fun (fl : Graph.flow) ->
+      if Hashtbl.mem carried fl.flow_id then None else Some fl.flow_id)
+    (Graph.sink_flows workload)
+
+(* At the generator's default load, modes shed and lose outputs. *)
+let prop_dropped_matches_scan =
+  QCheck.Test.make ~name:"each plan's dropped outputs match the augmented-graph scan"
+    ~count:40
+    QCheck.(triple (int_range 0 5000) (int_range 4 6) (int_range 1 3))
+    (fun (seed, n, degree) ->
+      let g =
+        Generators.random_layered ~rng:(Rng.create seed) ~n_nodes:n ~layers:3 ~width:3 ()
+      in
+      let topo =
+        if seed mod 2 = 0 then
+          Topology.fully_connected ~n ~bandwidth_bps:10_000_000 ~latency:(Time.us 50)
+        else Topology.dual_bus ~n ~bandwidth_bps:10_000_000 ~latency:(Time.us 50)
+      in
+      match build ~r:(Time.ms 300) ~tune:(fun c -> { c with Planner.degree }) g topo with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok s ->
+        List.for_all
+          (fun (p : Planner.plan) -> p.Planner.dropped = scan_dropped g p)
+          (Planner.all_plans s))
+
+let test_dropped_outputs () =
+  (* Random seed 3 on a 4-node clique: the fault-free mode sheds, and
+     crashing node 1 loses more. *)
+  let g = Generators.random_layered ~rng:(Rng.create 3) ~n_nodes:4 ~layers:3 ~width:3 () in
+  let s =
+    must_build ~r:(Time.ms 300) g
+      (Topology.fully_connected ~n:4 ~bandwidth_bps:10_000_000 ~latency:(Time.us 50))
+  in
+  List.iter
+    (fun (p : Planner.plan) ->
+      check_bool "dropped = scan" true (p.Planner.dropped = scan_dropped g p))
+    (Planner.all_plans s);
+  let dropped faulty = (Option.get (Planner.plan_for s ~faulty)).Planner.dropped in
+  check_bool "fault-free mode drops outputs" true (dropped [] <> []);
+  check_bool "crash of node 1 drops more" true
+    (List.for_all (fun f -> List.mem f (dropped [ 1 ])) (dropped [])
+    && List.length (dropped [ 1 ]) > List.length (dropped []))
+
 let test_every_task_placed () =
   List.iter
     (fun (name, g) ->
@@ -718,4 +774,6 @@ let suite =
     ("indexed accessors agree with list scans", `Quick, test_index_agreement);
     QCheck_alcotest.to_alcotest prop_input_table_matches_scan;
     ("every augmented task of every plan is placed", `Quick, test_every_task_placed);
+    ("dropped outputs of the seed-3 modes", `Quick, test_dropped_outputs);
+    QCheck_alcotest.to_alcotest prop_dropped_matches_scan;
   ]

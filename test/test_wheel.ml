@@ -11,7 +11,7 @@
    pending count, clock and event count after each op, and the
    scheduled/fired/cancelled counters. Targeted scripts cover the
    adversarial corners (same-µs bursts, cancel of an already-fired
-   handle, far-future events beyond the wheels' 2^39 µs span, cursor
+   handle, far-future events beyond the wheels' 2^26 µs span, cursor
    rewind after a horizon-bounded run, a periodic cancelling itself
    from its own callback), and engine-only tests pin the allocation
    diet, the cancel path and the end-to-end campaign bytes. *)
@@ -274,7 +274,7 @@ let test_cancel_after_fired () =
     ]
 
 let test_far_future_events () =
-  (* Beyond the top wheel horizon (2^39 µs): park in overflow, pull
+  (* Beyond the top wheel horizon (2^26 µs): park in overflow, pull
      back in via the rescan, fire in insertion order. *)
   diff_check "far-future events cross the overflow level"
     [

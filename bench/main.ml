@@ -16,6 +16,28 @@
    The demo deployment's JSONL trace and metrics come from the CLI:
      dune exec bin/btr_cli.exe -- --trace t.jsonl --metrics m.json  *)
 
+let flags =
+  "--micro, --campaign, --engine [--engine-max-depth N], \
+   --planner [--planner-max N], --json"
+
+(* Bad arguments exit 2 before anything runs: a mistyped flag or
+   experiment must not pass silently or run a different sweep. *)
+let bad fmt =
+  Printf.ksprintf
+    (fun m ->
+      Printf.eprintf "bench: %s\nexperiments: %s\nflags: %s\n" m
+        (String.concat ", " (List.map fst Experiments.all))
+        flags;
+      exit 2)
+    fmt
+
+let int_arg flag = function
+  | n :: rest -> (
+    match int_of_string_opt n with
+    | Some v -> (v, rest)
+    | None -> bad "%s takes an integer, not %S" flag n)
+  | [] -> bad "%s takes an integer" flag
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let micro = ref false in
@@ -39,16 +61,22 @@ let () =
     | "--planner" :: rest ->
       planner := true;
       collect acc rest
-    | "--planner-max" :: n :: rest ->
-      planner_max := int_of_string_opt n;
+    | "--planner-max" :: rest ->
+      let n, rest = int_arg "--planner-max" rest in
+      planner_max := Some n;
       collect acc rest
-    | "--engine-max-depth" :: n :: rest ->
-      engine_max_depth := int_of_string_opt n;
+    | "--engine-max-depth" :: rest ->
+      let n, rest = int_arg "--engine-max-depth" rest in
+      engine_max_depth := Some n;
       collect acc rest
     | "--json" :: rest ->
       json := true;
       collect acc rest
-    | a :: rest -> collect (a :: acc) rest
+    | a :: rest -> (
+      match List.assoc_opt (String.lowercase_ascii a) Experiments.all with
+      | Some fn -> collect ((a, fn) :: acc) rest
+      | None when String.starts_with ~prefix:"-" a -> bad "unknown flag %S" a
+      | None -> bad "unknown experiment %S" a)
   in
   let wanted = collect [] args in
   if !micro then begin
@@ -70,16 +98,7 @@ let () =
   let selected =
     match wanted with
     | [] -> if !micro || !campaign || !engine || !planner then [] else Experiments.all
-    | names ->
-      List.filter_map
-        (fun n ->
-          match List.assoc_opt (String.lowercase_ascii n) Experiments.all with
-          | Some fn -> Some (n, fn)
-          | None ->
-            Printf.eprintf "unknown experiment %S (have: %s)\n" n
-              (String.concat ", " (List.map fst Experiments.all));
-            None)
-        names
+    | named -> named
   in
   List.iter
     (fun (name, fn) ->

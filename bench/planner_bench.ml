@@ -74,7 +74,7 @@ let measure (nodes, f) =
   let init_us = us_of (now () -. t0) in
   Incr.reset_memo_stats st;
   (* A flow retune and back: replans every mode (the workload
-     fingerprint is coarse) but the RTA and evidence memos stay warm. *)
+     fingerprint is coarse) but the evidence-bound memo stays warm. *)
   let fl = List.hd (Graph.flows w) in
   let retune size =
     Incr.Retune_flow { flow = fl.Graph.flow_id; msg_size = Some size; deadline = None }
@@ -100,13 +100,10 @@ let measure (nodes, f) =
   let set_r_us = us_of ((now () -. t0) /. 2.0) in
   let s = Incr.memo_stats st in
   let hits =
-    s.Incr.static_hits + s.Incr.reserve_hits + s.Incr.rta_hits
-    + s.Incr.sched_hits + s.Incr.routes_hits + s.Incr.evb_hits
-    + s.Incr.cuts_hits
+    s.Incr.reserve_hits + s.Incr.sched_hits + s.Incr.evb_hits + s.Incr.cuts_hits
   in
   let misses =
-    s.Incr.static_misses + s.Incr.reserve_misses + s.Incr.rta_misses
-    + s.Incr.sched_misses + s.Incr.routes_misses + s.Incr.evb_misses
+    s.Incr.reserve_misses + s.Incr.sched_misses + s.Incr.evb_misses
     + s.Incr.cuts_misses
   in
   {

@@ -278,12 +278,10 @@ let check_delta workload topology nodes f r seed json file =
           else begin
             let s = Incr.memo_stats !st in
             let hits =
-              s.Incr.static_hits + s.Incr.reserve_hits + s.Incr.rta_hits
-              + s.Incr.sched_hits + s.Incr.routes_hits + s.Incr.evb_hits
+              s.Incr.reserve_hits + s.Incr.sched_hits + s.Incr.evb_hits
               + s.Incr.cuts_hits
             and misses =
-              s.Incr.static_misses + s.Incr.reserve_misses + s.Incr.rta_misses
-              + s.Incr.sched_misses + s.Incr.routes_misses + s.Incr.evb_misses
+              s.Incr.reserve_misses + s.Incr.sched_misses + s.Incr.evb_misses
               + s.Incr.cuts_misses
             in
             Format.printf "memo: %d hits, %d misses over the script@.%a@."

@@ -279,9 +279,10 @@ let mode_routes v faulty =
 (* Each verification unit returns its diagnostics as a list, in the
    order the old push-based checks emitted them. [verify_units]
    composes the units; {!Incr} substitutes memoizing wrappers for the
-   same functions, so incremental and from-scratch verification run
-   literally the same code on a memo miss — the equivalence guarantee
-   is by construction, not by parallel implementation. *)
+   four it reuses across edits, so incremental and from-scratch
+   verification run literally the same code on a memo miss — the
+   equivalence guarantee is by construction, not by parallel
+   implementation. *)
 
 (* (a) Static reservations fit inside every link (babbling-idiot guard). *)
 let link_capacity_diags v =
@@ -389,15 +390,11 @@ let control_reserve_diags v =
       else None)
     (Topology.links v.topology)
 
-(* (b) Per-mode, per-node schedulability via classical analysis.
-   [rta_inputs] extracts, per alive node, exactly what response-time
-   analysis reads: the (task, wcet, deadline) triples in assignment
-   order. The memo layer keys on a fingerprint of those triples — a
-   flow-size retune leaves them unchanged and hits. *)
-let rta_inputs v (p : Planner.plan) =
+(* (b) Per-mode, per-node schedulability via classical analysis, over
+   each alive node's tasks in assignment order. *)
+let rta_diags v (p : Planner.plan) =
   let g = p.Planner.aug.Augment.graph in
   let period = Graph.period g in
-  let alive = alive_of v p.Planner.faulty in
   (* RTA deadline: the period, tightened by any sink flow the task
      produces (advisory — the deployed tables are time-triggered,
      and a fixed table can order around interference that
@@ -411,50 +408,48 @@ let rta_inputs v (p : Planner.plan) =
       period (Graph.consumers_of g tid)
   in
   (* Group the assignment by node in one pass, preserving assignment
-     order within each node — the same per-node lists the old
-     per-node filter produced, without the nodes × tasks scan. *)
+     order within each node, without the nodes × tasks scan. *)
   let by_node = Inttbl.create 32 in
   List.iter
     (fun (tid, n) ->
       let prev = Option.value ~default:[] (Inttbl.find_opt by_node n) in
-      Inttbl.replace by_node n ((tid, (Graph.task g tid).Task.wcet, deadline_of tid) :: prev))
+      Inttbl.replace by_node n (((Graph.task g tid).Task.wcet, deadline_of tid) :: prev))
     (Planner.assignments p);
-  List.filter_map
+  let node_diags node tasks =
+    let ts =
+      List.map (fun (wcet, deadline) -> Analysis.task ~wcet ~period ~deadline ()) tasks
+    in
+    let u = Analysis.utilization ts in
+    let locus = { no_locus with faulty = Some p.Planner.faulty; node = Some node } in
+    if u > 1.0 +. 1e-9 then
+      [
+        {
+          code = Node_overutilized;
+          message =
+            Printf.sprintf "node %d: utilization %.3f > 1 (%d tasks)" node u
+              (List.length ts);
+          locus;
+        };
+      ]
+    else if not (Analysis.fp_schedulable ts) then
+      [
+        {
+          code = Response_time_divergent;
+          message =
+            Printf.sprintf
+              "node %d: fixed-priority response times exceed deadlines (util %.3f)"
+              node u;
+          locus;
+        };
+      ]
+    else []
+  in
+  List.concat_map
     (fun node ->
       match Inttbl.find_opt by_node node with
-      | None | Some [] -> None
-      | Some rev -> Some (node, List.rev rev))
-    alive
-
-let node_rta_diags _v (p : Planner.plan) ~node ~tasks =
-  let g = p.Planner.aug.Augment.graph in
-  let period = Graph.period g in
-  let ts =
-    List.map (fun (_, wcet, deadline) -> Analysis.task ~wcet ~period ~deadline ()) tasks
-  in
-  let u = Analysis.utilization ts in
-  if u > 1.0 +. 1e-9 then
-    [
-      {
-        code = Node_overutilized;
-        message =
-          Printf.sprintf "node %d: utilization %.3f > 1 (%d tasks)" node u
-            (List.length ts);
-        locus = { no_locus with faulty = Some p.Planner.faulty; node = Some node };
-      };
-    ]
-  else if not (Analysis.fp_schedulable ts) then
-    [
-      {
-        code = Response_time_divergent;
-        message =
-          Printf.sprintf
-            "node %d: fixed-priority response times exceed deadlines (util %.3f)"
-            node u;
-        locus = { no_locus with faulty = Some p.Planner.faulty; node = Some node };
-      };
-    ]
-  else []
+      | None | Some [] -> []
+      | Some rev -> node_diags node (List.rev rev))
+    (alive_of v p.Planner.faulty)
 
 (* (b') Independent re-validation of the mode's static table. *)
 let schedule_valid_diags v (p : Planner.plan) =
@@ -991,32 +986,19 @@ let evidence_routes_diags v (p : Planner.plan) =
    exactly, so reports are byte-identical across both paths. *)
 
 type units = {
-  u_link_capacity : view -> diagnostic list;
-  u_control_reserves : view -> diagnostic list;
   u_data_reserves : view -> Planner.plan -> diagnostic list;
-  u_node_rta :
-    view ->
-    Planner.plan ->
-    node:int ->
-    tasks:(Task.id * Time.t * Time.t) list ->
-    diagnostic list;
   u_schedule_valid : view -> Planner.plan -> diagnostic list;
   u_evb : view -> int list -> Time.t;
   u_omission_cuts :
     view -> Planner.plan -> sender:int -> (int * int list) option list;
-  u_evidence_routes : view -> Planner.plan -> diagnostic list;
 }
 
 let default_units =
   {
-    u_link_capacity = link_capacity_diags;
-    u_control_reserves = control_reserve_diags;
     u_data_reserves = data_reserve_diags;
-    u_node_rta = node_rta_diags;
     u_schedule_valid = schedule_valid_diags;
     u_evb = (fun v faulty -> Planner.evidence_bound v.config v.topology ~faulty);
     u_omission_cuts = omission_cut_rows;
-    u_evidence_routes = evidence_routes_diags;
   }
 
 let verify_units ?(obs = Obs.null) ?(strikes = 1) u v =
@@ -1035,14 +1017,12 @@ let verify_units ?(obs = Obs.null) ?(strikes = 1) u v =
       Hashtbl.add evb_tbl k t;
       t
   in
-  push_all (u.u_link_capacity v);
+  push_all (link_capacity_diags v);
   List.iter (fun p -> push_all (u.u_data_reserves v p)) v.plans;
-  push_all (u.u_control_reserves v);
+  push_all (control_reserve_diags v);
   List.iter
     (fun p ->
-      List.iter
-        (fun (node, tasks) -> push_all (u.u_node_rta v p ~node ~tasks))
-        (rta_inputs v p);
+      push_all (rta_diags v p);
       push_all (u.u_schedule_valid v p))
     v.plans;
   let fault_sets = coverage_diags v ~evb push in
@@ -1054,7 +1034,7 @@ let verify_units ?(obs = Obs.null) ?(strikes = 1) u v =
   push_all (orphan_mode_diags v);
   List.iter
     (fun (p : Planner.plan) ->
-      push_all (u.u_evidence_routes v p);
+      push_all (evidence_routes_diags v p);
       let faulty = p.Planner.faulty in
       if faulty <> [] then begin
         let eb = evb faulty in

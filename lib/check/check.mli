@@ -159,25 +159,14 @@ val selective_omission_witnesses : ?strikes:int -> view -> omission_witness list
     wrappers for the {e same} functions: on a memo miss both paths run
     literally the same code, which is what makes [Incr.report]
     provably identical to {!verify_view} rather than a parallel
-    implementation that could drift. *)
+    implementation that could drift. The record holds only the units
+    [Incr] memoizes; the link checks, per-node response-time analysis
+    and survivor-route sweeps cost less to rerun than to key, so
+    {!verify_units} always runs them directly. *)
 
 type units = {
-  u_link_capacity : view -> diagnostic list;
-      (** BTR-E101 over every link (static, mode-independent). *)
-  u_control_reserves : view -> diagnostic list;
-      (** BTR-W103 over every link (static, mode-independent). *)
   u_data_reserves : view -> Planner.plan -> diagnostic list;
       (** BTR-E102 for one mode's routed per-sender demand. *)
-  u_node_rta :
-    view ->
-    Planner.plan ->
-    node:int ->
-    tasks:(Btr_workload.Task.id * Btr_util.Time.t * Btr_util.Time.t) list ->
-    diagnostic list;
-      (** BTR-E201/W202 for one node of one mode. [tasks] are the
-          [(task, wcet, deadline)] triples response-time analysis
-          reads, in assignment order — everything the result depends
-          on besides the period, so a memo may key on exactly that. *)
   u_schedule_valid : view -> Planner.plan -> diagnostic list;
       (** BTR-E203: independent re-validation of one mode's table. *)
   u_evb : view -> int list -> Btr_util.Time.t;
@@ -193,8 +182,6 @@ type units = {
           the mode structure; R and strikes enter only in the replayed
           selection, so this is the expensive memoizable core of
           BTR-E305/W306. *)
-  u_evidence_routes : view -> Planner.plan -> diagnostic list;
-      (** BTR-E403 for one mode's survivor pairs. *)
 }
 
 val default_units : units

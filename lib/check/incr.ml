@@ -2,7 +2,6 @@ open Btr_util
 module Task = Btr_workload.Task
 module Graph = Btr_workload.Graph
 module Topology = Btr_net.Topology
-module Net = Btr_net.Net
 module Planner = Btr_planner.Planner
 
 (* ------------------------------------------------------------------ *)
@@ -42,57 +41,44 @@ let fresh_counter () = { hits = 0; misses = 0 }
 
 type memo_stats = {
   static_hits : int;
-  static_misses : int;  (** link capacity + control reserves *)
+  static_misses : int;
   reserve_hits : int;
-  reserve_misses : int;  (** per-mode data-reserve ledgers *)
+  reserve_misses : int;
   rta_hits : int;
-  rta_misses : int;  (** per-(mode, node) response-time analyses *)
+  rta_misses : int;
   sched_hits : int;
-  sched_misses : int;  (** per-mode table re-validations *)
+  sched_misses : int;
   routes_hits : int;
-  routes_misses : int;  (** per-mode survivor-connectivity sweeps *)
+  routes_misses : int;
   evb_hits : int;
-  evb_misses : int;  (** per-fault-set evidence bounds *)
+  evb_misses : int;
   cuts_hits : int;
-  cuts_misses : int;  (** per-(mode, sender) omission cut rows *)
+  cuts_misses : int;
 }
 
 type memo = {
-  static_tbl : (string, Check.diagnostic list) Hashtbl.t;
   reserve_tbl : (string, Check.diagnostic list) Hashtbl.t;
-  rta_tbl : (string, Check.diagnostic list) Hashtbl.t;
   sched_tbl : (string, Check.diagnostic list) Hashtbl.t;
-  routes_tbl : (string, Check.diagnostic list) Hashtbl.t;
-  evb_tbl : (string, Time.t) Hashtbl.t;
   cuts_tbl : (string, (int * int list) option list) Hashtbl.t;
-  (* Shared with the planner's evidence-bound computations; unlike the
-     tables above its keys do not embed the network signature, so it is
-     flushed whenever topology or shares change. *)
-  evb_planner : (string, Time.t) Hashtbl.t;
-  c_static : counter;
+  (* Evidence bounds, keyed on the sorted fault pattern alone: a bound
+     reads only the topology and the shares, no edit changes the
+     shares, and a topology edit gives the edited state a fresh table.
+     The planner and the verifier fill and read the same table. *)
+  bounds : (int list, Time.t) Hashtbl.t;
   c_reserve : counter;
-  c_rta : counter;
   c_sched : counter;
-  c_routes : counter;
   c_evb : counter;
   c_cuts : counter;
 }
 
 let fresh_memo () =
   {
-    static_tbl = Hashtbl.create 16;
     reserve_tbl = Hashtbl.create 64;
-    rta_tbl = Hashtbl.create 256;
     sched_tbl = Hashtbl.create 64;
-    routes_tbl = Hashtbl.create 64;
-    evb_tbl = Hashtbl.create 64;
     cuts_tbl = Hashtbl.create 256;
-    evb_planner = Hashtbl.create 64;
-    c_static = fresh_counter ();
+    bounds = Hashtbl.create 64;
     c_reserve = fresh_counter ();
-    c_rta = fresh_counter ();
     c_sched = fresh_counter ();
-    c_routes = fresh_counter ();
     c_evb = fresh_counter ();
     c_cuts = fresh_counter ();
   }
@@ -109,22 +95,15 @@ let memo_find tbl ctr k compute =
     v
 
 (* ------------------------------------------------------------------ *)
-(* Dependency keys. Every memo key names exactly what the wrapped unit
-   reads, so a hit is sound by construction:
-
-   - mode-keyed units (data reserves, table validation, survivor
-     routes, omission cuts) read nothing outside the strategy's plan for
-     one fault pattern, and planning is deterministic in (workload,
-     topology, R-stripped config): they key on {!strategy_digest} plus
-     the fault pattern;
-   - the RTA key hashes the (task, wcet, deadline) triples and period
-     the analysis actually consumes, plus the locus fields it prints;
-   - network-keyed entries (static link checks, evidence bounds) hash
-     the topology fingerprint and shares — workload
-     edits leave them untouched.
-
-   Keys are content digests, never edit counters, so undoing an edit
-   hits the entries the original inputs filled. *)
+(* Dependency keys. The mode-keyed units (data reserves, table
+   validation, omission cuts) read nothing outside the strategy's plan
+   for one fault pattern, and planning is deterministic in (workload,
+   topology, R-stripped config): they key on {!strategy_digest} plus the
+   fault pattern, so an R-only edit hits every entry. Keys are content
+   digests, never edit counters, so undoing an edit hits the entries the
+   original inputs filled. The link checks, per-node response-time
+   analyses and survivor-route sweeps are not memoized: each costs less
+   to rerun than its key would cost to build. *)
 
 (* FNV-1a over a total serialization of everything planning reads. *)
 let fp_buf_int b n =
@@ -188,29 +167,7 @@ let strategy_digest s =
          Planner.config_build_key (Planner.config s);
        ])
 
-let shares_sig (c : Planner.config) =
-  match c.Planner.shares with
-  | None -> "auto"
-  | Some s -> Printf.sprintf "%h:%h" s.Net.data_frac s.Net.control_frac
-
-let net_sig (v : Check.view) =
-  Printf.sprintf "%s|%s"
-    (Fnv.to_hex (topology_fingerprint v.Check.topology))
-    (shares_sig v.Check.config)
-
-let rta_key (p : Planner.plan) ~period ~node ~tasks =
-  let b = Buffer.create 128 in
-  List.iter (fun n -> Buffer.add_string b (Printf.sprintf "%d," n)) p.Planner.faulty;
-  Buffer.add_string b (Printf.sprintf "|%d|%d" (period : Time.t) node);
-  List.iter
-    (fun (tid, wcet, deadline) ->
-      Buffer.add_string b
-        (Printf.sprintf "|%d:%d:%d" (tid : Task.id) (wcet : Time.t)
-           (deadline : Time.t)))
-    tasks;
-  "rta|" ^ Fnv.to_hex (Fnv.hash64 (Buffer.contents b))
-
-(* Memo-wrapping the default units: on a hit the stored diagnostics are
+(* Memo-wrapping the default units: on a hit the stored result is
    returned; on a miss the {e default} implementation runs, so the
    incremental path can never diverge from {!Check.verify_view} — at
    worst it recomputes. *)
@@ -231,29 +188,11 @@ let units_of (m : memo) (strategy : Planner.t) : Check.units =
     memo_find tbl ctr (prefix ^ digest ^ "|" ^ faulty ^ suffix) compute
   in
   {
-    Check.u_link_capacity =
-      (fun v ->
-        memo_find m.static_tbl m.c_static
-          ("lc|" ^ net_sig v)
-          (fun () -> d.Check.u_link_capacity v));
-    u_control_reserves =
-      (fun v ->
-        let k =
-          Printf.sprintf "cr|%s|%d" (net_sig v)
-            (Graph.period v.Check.workload : Time.t)
-        in
-        memo_find m.static_tbl m.c_static k (fun () -> d.Check.u_control_reserves v));
-    u_data_reserves =
+    Check.u_data_reserves =
       (fun v p ->
         mode_keyed "reserve|" m.reserve_tbl m.c_reserve
           (fun () -> d.Check.u_data_reserves v p)
           p ~suffix:"");
-    u_node_rta =
-      (fun v p ~node ~tasks ->
-        let period = Graph.period p.Planner.aug.Btr_planner.Augment.graph in
-        memo_find m.rta_tbl m.c_rta
-          (rta_key p ~period ~node ~tasks)
-          (fun () -> d.Check.u_node_rta v p ~node ~tasks));
     u_schedule_valid =
       (fun v p ->
         mode_keyed "sched|" m.sched_tbl m.c_sched
@@ -261,23 +200,22 @@ let units_of (m : memo) (strategy : Planner.t) : Check.units =
           p ~suffix:"");
     u_evb =
       (fun v faulty ->
-        let k =
-          Printf.sprintf "evb|%s|%s" (net_sig v)
-            (String.concat "," (List.map string_of_int faulty))
-        in
-        memo_find m.evb_tbl m.c_evb k (fun () -> d.Check.u_evb v faulty));
+        memo_find m.bounds m.c_evb faulty (fun () -> d.Check.u_evb v faulty));
     u_omission_cuts =
       (fun v p ~sender ->
         mode_keyed "cuts|" m.cuts_tbl m.c_cuts
           (fun () -> d.Check.u_omission_cuts v p ~sender)
           p
           ~suffix:(Printf.sprintf "|%d" sender));
-    u_evidence_routes =
-      (fun v p ->
-        mode_keyed "routes|" m.routes_tbl m.c_routes
-          (fun () -> d.Check.u_evidence_routes v p)
-          p ~suffix:"");
   }
+
+(* Planning through the shared evidence-bound table. *)
+let build (m : memo) config workload topology =
+  Planner.build
+    ~evidence_bound:(fun faulty ->
+      memo_find m.bounds m.c_evb faulty (fun () ->
+          Planner.evidence_bound config topology ~faulty))
+    config workload topology
 
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
@@ -302,19 +240,21 @@ let report st = st.st_report
 let strategy st = st.strategy
 let view st = st.view
 
+(* The static, RTA and route families are not memoized: their fields
+   read 0 (see the interface). *)
 let memo_stats st =
   let m = st.memo in
   {
-    static_hits = m.c_static.hits;
-    static_misses = m.c_static.misses;
+    static_hits = 0;
+    static_misses = 0;
     reserve_hits = m.c_reserve.hits;
     reserve_misses = m.c_reserve.misses;
-    rta_hits = m.c_rta.hits;
-    rta_misses = m.c_rta.misses;
+    rta_hits = 0;
+    rta_misses = 0;
     sched_hits = m.c_sched.hits;
     sched_misses = m.c_sched.misses;
-    routes_hits = m.c_routes.hits;
-    routes_misses = m.c_routes.misses;
+    routes_hits = 0;
+    routes_misses = 0;
     evb_hits = m.c_evb.hits;
     evb_misses = m.c_evb.misses;
     cuts_hits = m.c_cuts.hits;
@@ -326,19 +266,11 @@ let reset_memo_stats st =
     (fun c ->
       c.hits <- 0;
       c.misses <- 0)
-    [
-      st.memo.c_static;
-      st.memo.c_reserve;
-      st.memo.c_rta;
-      st.memo.c_sched;
-      st.memo.c_routes;
-      st.memo.c_evb;
-      st.memo.c_cuts;
-    ]
+    [ st.memo.c_reserve; st.memo.c_sched; st.memo.c_evb; st.memo.c_cuts ]
 
 let init ?(strikes = 1) config workload topology =
   let memo = fresh_memo () in
-  match Planner.build ~evidence_cache:memo.evb_planner config workload topology with
+  match build memo config workload topology with
   | Error e -> Error e
   | Ok strategy ->
     let view = Check.view_of_strategy strategy in
@@ -467,13 +399,18 @@ let edited_config st = function
     else Some { st.config with Planner.recovery_bound = r }
   | _ -> None
 
+(* The edited inputs and the memo the edited state plans and verifies
+   with. A topology edit gets a fresh evidence-bound table, which keeps
+   the old state's table intact should the edit fail; every other edit
+   leaves the bounds' inputs as they were. *)
 let edited_inputs st edit =
   match
     (edited_config st edit, edited_workload st edit, edited_topology st edit)
   with
-  | Some c, None, None -> (c, st.workload, st.topology)
-  | None, Some w, None -> (st.config, w, st.topology)
-  | None, None, Some t -> (st.config, st.workload, t)
+  | Some c, None, None -> (c, st.workload, st.topology, st.memo)
+  | None, Some w, None -> (st.config, w, st.topology, st.memo)
+  | None, None, Some t ->
+    (st.config, st.workload, t, { st.memo with bounds = Hashtbl.create 64 })
   | _ -> assert false (* each constructor edits exactly one input *)
 
 (* ------------------------------------------------------------------ *)
@@ -524,32 +461,34 @@ let pp_report_delta ppf rd =
 let apply st edit =
   match edited_inputs st edit with
   | exception Invalid_argument msg -> Error (Invalid_edit msg)
-  | config, workload, topology -> (
-    let old_view_sig = net_sig st.view in
-    let new_sig =
-      net_sig { st.view with Check.config; topology }
-    in
-    if old_view_sig <> new_sig then Hashtbl.reset st.memo.evb_planner;
+  | config, workload, topology, memo -> (
     let planned =
       match edit with
       | Set_recovery_bound r ->
         (* R is the one input planning never reads: reuse the whole
            strategy in O(1) instead of walking every fault pattern. *)
         Ok (Planner.with_recovery_bound st.strategy r)
-      | _ ->
-        Planner.build ~evidence_cache:st.memo.evb_planner config workload
-          topology
+      | _ -> (
+        (* Refused before planning, as a from-scratch check refuses it. *)
+        match
+          Planner.check_plan_size ~nodes:(Topology.node_count topology)
+            ~f:config.Planner.f ~tasks:(Graph.task_count workload)
+        with
+        | Error msg -> Error (Invalid_edit msg)
+        | Ok () ->
+          Result.map_error (fun e -> Plan_failed e) (build memo config workload topology))
     in
     match planned with
-    | Error e -> Error (Plan_failed e)
+    | Error e -> Error e
     | Ok strategy ->
       let view = Check.view_of_strategy strategy in
       let st_report =
-        Check.verify_units ~strikes:st.strikes (units_of st.memo strategy) view
+        Check.verify_units ~strikes:st.strikes (units_of memo strategy) view
       in
       let rd = report_delta_of st.st_report st_report in
       Ok
-        ({ st with config; workload; topology; strategy; view; st_report }, rd))
+        ( { st with config; workload; topology; strategy; view; st_report; memo },
+          rd ))
 
 (* ------------------------------------------------------------------ *)
 (* Edit scripts: a line-oriented textual form for [btr check --delta]. *)

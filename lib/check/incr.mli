@@ -3,15 +3,19 @@
     Fleet-scale configurations (10³–10⁴ nodes) make from-scratch
     {!Check.verify} runs the bottleneck of any edit-compile-check loop.
     This module keeps a persistent analysis {!state} whose memo tables
-    cache every expensive verification unit — per-(mode, node)
-    response-time analyses, per-mode bandwidth ledgers and table
-    validations, per-fault-set evidence bounds, per-(mode, sender)
-    selective-omission cuts — keyed by FNV-1a fingerprints of exactly
-    the inputs each unit reads. Applying an {!edit} replans through
-    {!Planner.build} (an R-only edit keeps the strategy) and re-verifies
-    through {!Check.verify_units} with memoizing wrappers around
-    {!Check.default_units}: only the dependency cone of the edit is
-    recomputed, and on every memo miss the {e default} unit runs, so
+    cache the verification units an edit can reuse: per-mode data-reserve
+    ledgers, table validations and per-(mode, sender) selective-omission
+    cuts, keyed by the strategy's digest plus the fault pattern, so an
+    R-only edit or an undo hits them; and per-fault-set evidence bounds,
+    keyed by the fault pattern alone in one table that the planner fills
+    and the verifier reads, so each bound is computed once per topology.
+    Link checks, per-node response-time analyses and survivor-route
+    sweeps are rerun on every pass: each costs less than the key a memo
+    would need. Applying an {!edit} replans through {!Planner.build} (an
+    R-only edit keeps the strategy) and re-verifies through
+    {!Check.verify_units} with memoizing wrappers around
+    {!Check.default_units}; on every memo miss the {e default} unit
+    runs, so
 
     {v report st = Check.verify (strategy st) v}
 
@@ -55,7 +59,8 @@ type edit =
 
 type apply_error =
   | Invalid_edit of string
-      (** The edit does not apply (unknown id, invariant violation). *)
+      (** The edit does not apply (unknown id, invariant violation, or a
+          system past {!Planner.check_plan_size}). *)
   | Plan_failed of Planner.error
       (** The edited system admits no strategy. *)
 
@@ -86,8 +91,10 @@ val init :
 val apply : state -> edit -> (state * report_delta, apply_error) result
 (** Apply one edit: rebuild the edited input, replan (keeping the
     strategy when only R changed), re-verify reusing every memoized
-    analysis whose inputs are unchanged. On [Error] the state is
-    unchanged (memo tables may have warmed). *)
+    analysis whose inputs are unchanged. An edit whose system fails
+    {!Planner.check_plan_size} is an [Invalid_edit], refused before
+    replanning. On [Error] the state is unchanged (memo tables may have
+    warmed). *)
 
 val report : state -> Check.report
 (** The current report — byte-identical (including JSON rendering and
@@ -98,20 +105,27 @@ val strategy : state -> Planner.t
 val view : state -> Check.view
 
 (** Cumulative memo hit/miss counters per analysis family, for cone
-    tests and the planner bench. *)
+    tests and the planner bench. Four families are memoized: reserves,
+    table validation, evidence bounds and cuts. The static, RTA and
+    route families are rerun on every pass instead (building an RTA key
+    cost about 4.7x the analysis it saved; the link checks and route
+    sweeps cost under 2 ms per pass); their six fields stay so that
+    readers of this record keep compiling, and always read 0. *)
 type memo_stats = {
   static_hits : int;
-  static_misses : int;  (** link capacity + control reserves *)
+  static_misses : int;  (** always 0: link checks are not memoized *)
   reserve_hits : int;
   reserve_misses : int;  (** per-mode data-reserve ledgers *)
   rta_hits : int;
-  rta_misses : int;  (** per-(mode, node) response-time analyses *)
+  rta_misses : int;  (** always 0: response-time analyses are not memoized *)
   sched_hits : int;
   sched_misses : int;  (** per-mode table re-validations *)
   routes_hits : int;
-  routes_misses : int;  (** per-mode survivor-connectivity sweeps *)
+  routes_misses : int;  (** always 0: survivor-route sweeps are not memoized *)
   evb_hits : int;
-  evb_misses : int;  (** per-fault-set evidence bounds *)
+  evb_misses : int;
+      (** per-fault-set evidence bounds, the planner's lookups and the
+          verifier's alike *)
   cuts_hits : int;
   cuts_misses : int;  (** per-(mode, sender) omission cut rows *)
 }

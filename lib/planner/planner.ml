@@ -363,8 +363,9 @@ let evidence_bound cfg topo ~faulty =
         acc alive)
     Time.zero alive
 
-(* [control] is the control-class transfer time in the new mode. *)
-let make_transition ~evb ~control ~from_plan ~to_plan ~new_fault =
+(* [control] is the control-class transfer time in the new mode,
+   [evidence] its evidence-distribution bound. *)
+let make_transition ~evidence ~control ~from_plan ~to_plan ~new_fault =
   let faulty = to_plan.faulty in
   let to_assign = assignments to_plan in
   let moved =
@@ -422,7 +423,7 @@ let make_transition ~evb ~control ~from_plan ~to_plan ~new_fault =
   let period = Graph.period g in
   let recovery_bound =
     Time.add
-      (Time.add (Time.add period detection_margin) (evb faulty))
+      (Time.add (Time.add period detection_margin) evidence)
       (Time.add migration_bound period)
   in
   {
@@ -437,7 +438,7 @@ let make_transition ~evb ~control ~from_plan ~to_plan ~new_fault =
     recovery_bound;
   }
 
-let build ?evidence_cache cfg workload topo =
+let build ?evidence_bound:supplied cfg workload topo =
   let n = Topology.node_count topo in
   if cfg.f < 0 then Error (Bad_config "f < 0")
   else if cfg.degree < 1 then Error (Bad_config "degree < 1")
@@ -452,17 +453,10 @@ let build ?evidence_cache cfg workload topo =
     let started_at = Sys.time () in
     let plans = Hashtbl.create 64 in
     let transitions = Hashtbl.create 64 in
-    let evb_cache =
-      match evidence_cache with Some h -> h | None -> Hashtbl.create 16
-    in
-    let evb faulty =
-      let k = key faulty in
-      match Hashtbl.find_opt evb_cache k with
-      | Some v -> v
-      | None ->
-        let v = evidence_bound cfg topo ~faulty in
-        Hashtbl.replace evb_cache k v;
-        v
+    let evb =
+      match supplied with
+      | Some evb -> evb
+      | None -> fun faulty -> evidence_bound cfg topo ~faulty
     in
     let shares = Net.shares_for topo cfg.shares in
     let exception Failed of error in
@@ -488,18 +482,22 @@ let build ?evidence_cache cfg workload topo =
             | Ok plan -> plan
           in
           Hashtbl.replace plans (key faulty) plan;
-          (* A transition into this mode exists from every parent. *)
-          List.iter
-            (fun y ->
-              let from_faulty = List.filter (fun x -> x <> y) faulty in
-              match Hashtbl.find_opt plans (key from_faulty) with
-              | None -> ()
-              | Some from_plan ->
-                Hashtbl.replace transitions (key from_faulty, y)
-                  (make_transition ~evb
-                     ~control:(Net.route_transfer_time routes shares ~cls:Net.Control)
-                     ~from_plan ~to_plan:plan ~new_fault:y))
-            faulty)
+          (* A transition into this mode exists from every parent; all
+             of them share the mode's evidence bound. *)
+          if faulty <> [] then begin
+            let evidence = evb faulty in
+            List.iter
+              (fun y ->
+                let from_faulty = List.filter (fun x -> x <> y) faulty in
+                match Hashtbl.find_opt plans (key from_faulty) with
+                | None -> ()
+                | Some from_plan ->
+                  Hashtbl.replace transitions (key from_faulty, y)
+                    (make_transition ~evidence
+                       ~control:(Net.route_transfer_time routes shares ~cls:Net.Control)
+                       ~from_plan ~to_plan:plan ~new_fault:y))
+              faulty
+          end)
         (fault_patterns (Topology.nodes topo) cfg.f);
       let worst_recovery =
         Table.sorted_fold ~cmp:cmp_transition_key

@@ -170,15 +170,17 @@ val evidence_bound : config -> Topology.t -> faulty:int list -> Time.t
     and the verifier's check of it. *)
 
 val build :
-  ?evidence_cache:(string, Time.t) Hashtbl.t ->
+  ?evidence_bound:(int list -> Time.t) ->
   config ->
   Graph.t ->
   Topology.t ->
   (t, error) result
-(** [evidence_cache] (keyed by the sorted, comma-separated fault
-    pattern) memoizes evidence-distribution bounds across calls.
-    Callers passing one must flush it whenever the topology or shares
-    change; results are identical either way. *)
+(** [evidence_bound faulty] supplies the evidence-distribution bound of
+    each mode, asked once per mode with a nonempty, sorted fault
+    pattern; the default is {!evidence_bound} on this config and
+    topology. A caller passing its own must return exactly that value
+    (a memo over it, flushed whenever the topology or shares change),
+    so the strategy is identical either way. *)
 
 val with_recovery_bound : t -> Time.t -> t
 (** The same strategy re-admitted against a different requested R.

@@ -42,13 +42,21 @@ let test_init_matches_scratch () =
     (Check.report_to_json (Incr.report st))
 
 let check_no_misses (s : Incr.memo_stats) =
-  check_int "static misses" 0 s.Incr.static_misses;
   check_int "reserve misses" 0 s.Incr.reserve_misses;
-  check_int "rta misses" 0 s.Incr.rta_misses;
   check_int "sched misses" 0 s.Incr.sched_misses;
-  check_int "routes misses" 0 s.Incr.routes_misses;
   check_int "evb misses" 0 s.Incr.evb_misses;
   check_int "cuts misses" 0 s.Incr.cuts_misses
+
+(* The planner and the verifier share one evidence-bound table: init
+   computes each mode's bound once, for the planner, and the verifier
+   hits it. Fleet 8 at f = 1 has 8 faulty modes. *)
+let test_init_shares_evidence_bounds () =
+  let w = Generators.fleet ~n_nodes:8 in
+  let cfg = Planner.default_config ~f:1 ~recovery_bound:(Time.ms 100) in
+  let st = init_exn cfg w (fleet_topo 8) in
+  let s = Incr.memo_stats st in
+  check_int "evb misses" 8 s.Incr.evb_misses;
+  check_int "evb hits" 8 s.Incr.evb_hits
 
 let test_set_r_cone () =
   let w = Generators.fleet ~n_nodes:8 in
@@ -59,7 +67,7 @@ let test_set_r_cone () =
   let s = Incr.memo_stats st in
   (* R touches no analysis input: every family must hit. *)
   check_no_misses s;
-  check_bool "some hits happened" true (s.Incr.rta_hits > 0);
+  check_bool "some hits happened" true (s.Incr.reserve_hits > 0);
   check_string "still = scratch" (scratch_json st)
     (Check.report_to_json (Incr.report st))
 
@@ -78,11 +86,9 @@ let test_flow_retune_cone () =
   in
   let s = Incr.memo_stats st in
   (* A message-size change replans every mode (the workload fingerprint
-     is coarse) but leaves RTA inputs, the network and evidence bounds
-     untouched: those families must hit across the rebuilt plans. *)
-  check_int "rta misses" 0 s.Incr.rta_misses;
+     is coarse) but leaves the network, and so the evidence bounds,
+     untouched: that family must hit across the rebuilt plans. *)
   check_int "evb misses" 0 s.Incr.evb_misses;
-  check_int "static misses" 0 s.Incr.static_misses;
   check_bool "reserve ledgers recomputed" true (s.Incr.reserve_misses > 0);
   check_string "still = scratch" (scratch_json st)
     (Check.report_to_json (Incr.report st))
@@ -99,8 +105,8 @@ let test_link_retune_cone () =
             { link = 0; bandwidth_bps = Some (16_000_000); latency = None }))
   in
   let s = Incr.memo_stats st in
-  (* Bandwidth enters evidence bounds and ledgers, not RTA triples. *)
-  check_int "rta misses" 0 s.Incr.rta_misses;
+  (* Bandwidth enters evidence bounds: a topology edit starts an empty
+     evidence-bound table. *)
   check_bool "evb recomputed" true (s.Incr.evb_misses > 0);
   check_string "still = scratch" (scratch_json st)
     (Check.report_to_json (Incr.report st))
@@ -171,6 +177,58 @@ let test_invalid_edit_keeps_state () =
     1 + List.fold_left (fun m (f : Graph.flow) -> Stdlib.max m f.flow_id) 0 (Graph.flows w)
   in
   check_bool "one past the largest flow id applies" true (Result.is_ok (Incr.apply st (add next)))
+
+(* A topology edit that fails to plan must leave no bound of the
+   rejected topology behind: removing node 4 from a 5-ring leaves the
+   line 0-1-2-3, which plans mode {0} and then finds mode {1}
+   disconnected. Later edits of the kept ring must plan with the ring's
+   bounds. *)
+let test_failed_topology_edit_keeps_bounds () =
+  let w = Generators.avionics ~n_nodes:5 in
+  let cfg = Planner.default_config ~f:1 ~recovery_bound:(Time.ms 300) in
+  let ring = Topology.ring ~n:5 ~bandwidth_bps:10_000_000 ~latency:(Time.us 50) in
+  let st = init_exn cfg w ring in
+  (match Incr.apply st (Incr.Remove_node 4) with
+  | Error (Incr.Plan_failed _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %a" Incr.pp_apply_error e
+  | Ok _ -> Alcotest.fail "expected the line topology to fail planning");
+  let fl = List.hd (Graph.flows w) in
+  let st, _ =
+    Result.get_ok
+      (Incr.apply st
+         (Incr.Retune_flow
+            { flow = fl.Graph.flow_id; msg_size = Some (fl.Graph.msg_size * 2);
+              deadline = None }))
+  in
+  let v = Incr.view st in
+  let scratch =
+    Result.get_ok (Planner.build v.Check.config v.Check.workload v.Check.topology)
+  in
+  let bounds s =
+    List.map (fun (tr : Planner.transition) -> tr.Planner.recovery_bound)
+      (Planner.all_transitions s)
+  in
+  check_bool "transition bounds = scratch" true
+    (bounds scratch = bounds (Incr.strategy st));
+  check_string "still = scratch" (scratch_json st)
+    (Check.report_to_json (Incr.report st))
+
+(* An edit whose system is too large to plan is refused before
+   replanning, the way a from-scratch check refuses it: 40 nodes at
+   f = 4 would place about 1.3e7 tasks. *)
+let test_plan_size_guard () =
+  let w = Generators.avionics ~n_nodes:40 in
+  let cfg = Planner.default_config ~f:1 ~recovery_bound:(Time.ms 200) in
+  let st = init_exn cfg w (clique 40) in
+  let before = Check.report_to_json (Incr.report st) in
+  (match Incr.apply st (Incr.Set_f 4) with
+  | Error (Incr.Invalid_edit msg) ->
+    check_bool "the size check's message" true
+      (Planner.check_plan_size ~nodes:40 ~f:4 ~tasks:(Graph.task_count w) = Error msg)
+  | Error e -> Alcotest.failf "wrong error: %a" Incr.pp_apply_error e
+  | Ok _ -> Alcotest.fail "expected Invalid_edit for set-f 4");
+  check_string "state unchanged" before (Check.report_to_json (Incr.report st));
+  check_bool "set-f 2 still applies" true (Result.is_ok (Incr.apply st (Incr.Set_f 2)))
 
 let test_parse_round_trip () =
   let edits =
@@ -324,11 +382,13 @@ let suite =
   [
     Alcotest.test_case "init report equals from-scratch" `Quick
       test_init_matches_scratch;
+    Alcotest.test_case "init computes each evidence bound once" `Quick
+      test_init_shares_evidence_bounds;
     Alcotest.test_case "Set_recovery_bound invalidates nothing" `Quick
       test_set_r_cone;
     Alcotest.test_case "flow retune leaves RTA and evidence memos warm" `Quick
       test_flow_retune_cone;
-    Alcotest.test_case "link retune leaves RTA memo warm" `Quick
+    Alcotest.test_case "link retune recomputes evidence bounds" `Quick
       test_link_retune_cone;
     Alcotest.test_case "undoing an edit misses in no memo family" `Quick
       test_undone_edit_hits;
@@ -336,6 +396,10 @@ let suite =
       test_no_op_retune_hits;
     Alcotest.test_case "invalid edit leaves state unchanged" `Quick
       test_invalid_edit_keeps_state;
+    Alcotest.test_case "a failed topology edit leaves no stale bound" `Quick
+      test_failed_topology_edit_keeps_bounds;
+    Alcotest.test_case "an edit past the plan-size limit is refused" `Quick
+      test_plan_size_guard;
     Alcotest.test_case "edit scripts round-trip through text" `Quick
       test_parse_round_trip;
     QCheck_alcotest.to_alcotest prop_equivalence;

@@ -188,18 +188,20 @@ let run_cmd =
     | Ok faults -> (
       match build_strategy workload topology nodes f r seed with
       | Error e -> print_error e
-      | Ok (g, topo, _) ->
+      | Ok (g, topo, strategy) ->
         with_obs ~trace ~metrics (fun obs ->
-            let s =
-              Btr.Scenario.spec ~workload:g ~topology:topo ~f
-                ~recovery_bound:(Time.ms r) ~script:faults
-                ~horizon:(Time.ms horizon_ms) ~seed ?obs ()
-            in
-            match Btr.Scenario.run s with
+            match Btr.Scenario.admit ?obs strategy with
             | Error e ->
               Format.eprintf "error: %a@." Planner.pp_error e;
               1
-            | Ok rt ->
+            | Ok strategy ->
+              let s =
+                Btr.Scenario.spec ~workload:g ~topology:topo ~f
+                  ~recovery_bound:(Time.ms r) ~script:faults
+                  ~horizon:(Time.ms horizon_ms) ~seed ?obs ()
+              in
+              let rt = Btr.Scenario.deploy s strategy in
+              Btr.Runtime.run rt ~horizon:s.Btr.Scenario.horizon;
               report rt ~r;
               0))
   in

@@ -288,9 +288,10 @@ let flood_record t (n : node) r =
   end
 
 (* Consult the strategy for the plan matching the node's fault set and
-   stage a transition to it (§4.4). State for migrating tasks is
-   requested by the old hosts (they run the same deterministic logic);
-   activation happens at a period boundary. *)
+   stage a transition to it (§4.4). Every node reads the same
+   [Planner.moves]: an old host ships the state of each migrating task
+   it hosted, the new host awaits it; activation happens at a period
+   boundary. *)
 let maybe_switch_mode t (n : node) =
   let target_faulty =
     Modeswitch.Fault_set.target n.fault_set ~f:(Planner.config t.strategy).Planner.f
@@ -303,27 +304,27 @@ let maybe_switch_mode t (n : node) =
     match Planner.plan_for t.strategy ~faulty:target_faulty with
     | None -> () (* beyond the f bound: keep the best plan we have *)
     | Some next ->
-      let actions = Modeswitch.diff ~node:n.id ~from_plan:n.plan ~to_plan:next in
-      let awaiting = ref [] in
-      List.iter
-        (fun action ->
-          match action with
-          | Modeswitch.Stop _ -> () (* implicit: next plan has no slot *)
-          | Modeswitch.Start_fresh _ -> ()
-          | Modeswitch.Start_after_state { task; from_node; bytes = _ } ->
-            if not (Hashtbl.mem n.state_received task) then begin
-              awaiting := task :: !awaiting;
-              ignore from_node
-            end
-          | Modeswitch.Send_state { task; to_node; bytes } ->
-            if n.running then
+      let moves = Planner.moves ~from_plan:n.plan ~to_plan:next in
+      let ships (m : Planner.move) = m.migrates && m.state_size > 0 in
+      if n.running then
+        List.iter
+          (fun (m : Planner.move) ->
+            if m.from_node = n.id && ships m then
               ignore
-                (Net.send t.net ~src:n.id ~dst:to_node ~cls:Net.Control
-                   ~size_bytes:bytes (State { task })))
-        actions;
+                (Net.send t.net ~src:n.id ~dst:m.to_node ~cls:Net.Control
+                   ~size_bytes:m.state_size (State { task = m.task })))
+          moves;
+      let awaiting =
+        List.filter_map
+          (fun (m : Planner.move) ->
+            if m.to_node = n.id && ships m && not (Hashtbl.mem n.state_received m.task)
+            then Some m.task
+            else None)
+          moves
+      in
       n.pending <- Some next;
       n.pending_waited <- 0;
-      n.awaiting_state <- !awaiting;
+      n.awaiting_state <- awaiting;
       n.staged_at <- Engine.now t.eng;
       if Obs.enabled t.obs then
         Obs.emit t.obs ~at:(Engine.now t.eng) ~node:n.id Obs.Modeswitch

@@ -1,8 +1,3 @@
-module Task = Btr_workload.Task
-module Graph = Btr_workload.Graph
-module Planner = Btr_planner.Planner
-module Augment = Btr_planner.Augment
-
 module Fault_set = struct
   type t = {
     mutable node_list : int list;  (* sorted *)
@@ -134,51 +129,3 @@ module Fault_set = struct
         | cover -> List.sort_uniq Int.compare (attributed @ cover)
       end
 end
-
-type action =
-  | Stop of Task.id
-  | Start_fresh of Task.id
-  | Start_after_state of { task : Task.id; from_node : int; bytes : int }
-  | Send_state of { task : Task.id; to_node : int; bytes : int }
-
-let diff ~node ~from_plan ~to_plan =
-  let open Planner in
-  let from_assign = assignments from_plan and to_assign = assignments to_plan in
-  let state_size tid =
-    match Graph.task to_plan.aug.Augment.graph tid with
-    | x -> x.Task.state_size
-    | exception Invalid_argument _ -> (
-      match Graph.task from_plan.aug.Augment.graph tid with
-      | x -> x.Task.state_size
-      | exception Invalid_argument _ -> 0)
-  in
-  let actions = ref [] in
-  let emit a = actions := a :: !actions in
-  (* Tasks leaving this node: stop; ship state if they moved to a live
-     node and carry state. *)
-  List.iter
-    (fun (tid, old_node) ->
-      if old_node = node then
-        match assignment_of to_plan tid with
-        | Some new_node when new_node = node -> ()
-        | Some new_node ->
-          emit (Stop tid);
-          let bytes = state_size tid in
-          if bytes > 0 && not (List.mem node to_plan.faulty) then
-            emit (Send_state { task = tid; to_node = new_node; bytes })
-        | None -> emit (Stop tid))
-    from_assign;
-  (* Tasks arriving at this node. *)
-  List.iter
-    (fun (tid, new_node) ->
-      if new_node = node then
-        match assignment_of from_plan tid with
-        | Some old_node when old_node = node -> ()
-        | Some old_node ->
-          let bytes = state_size tid in
-          if bytes > 0 && not (List.mem old_node to_plan.faulty) then
-            emit (Start_after_state { task = tid; from_node = old_node; bytes })
-          else emit (Start_fresh tid)
-        | None -> emit (Start_fresh tid))
-    to_assign;
-  List.rev !actions

@@ -1,18 +1,14 @@
-(** Mode changes (paper §4.4).
+(** Mode changes (paper §4.4): each node's view of who is faulty.
 
     No global agreement is needed to reconfigure: the next plan is a
     function of the set of attributed-faulty nodes, and that set is
     append-only (valid evidence can only add to it). So every correct
     node maintains a grow-only {!Fault_set}, and, as evidence reaches
     all correct nodes, their fault sets — and hence their plans —
-    converge. {!diff} computes the local actions a node must take to
-    move from one plan to the next: stop tasks that left it, migrate
-    state for tasks that moved away, start tasks that arrived (waiting
-    for their state if the old host survives). *)
-
-module Task = Btr_workload.Task
-module Planner = Btr_planner.Planner
-module Augment = Btr_planner.Augment
+    converge. What a change between two plans moves, and whose state
+    ships, is the planner's alone ({!Btr_planner.Planner.moves}): the
+    runtime ships and awaits state from the same list the transition's
+    migration bound was costed on. *)
 
 module Fault_set : sig
   type t
@@ -50,21 +46,3 @@ module Fault_set : sig
   val union : t -> t -> bool
   (** Merge the second into the first; [true] if anything was new. *)
 end
-
-(** What one node must do to move between two plans. *)
-type action =
-  | Stop of Task.id
-  | Start_fresh of Task.id
-      (** begin running at the next boundary, no state needed (either a
-          stateless task or its previous host is faulty — state lost) *)
-  | Start_after_state of { task : Task.id; from_node : int; bytes : int }
-      (** begin running once the previous host ships the state *)
-  | Send_state of { task : Task.id; to_node : int; bytes : int }
-
-val diff :
-  node:int -> from_plan:Planner.plan -> to_plan:Planner.plan -> action list
-(** Local action list for [node]. Tasks are matched by augmented id
-    across the two plans (augmentation is deterministic per mode, so
-    ids are stable for tasks that exist in both). State only moves for
-    tasks with [state_size > 0] whose old host is not faulty in the new
-    plan. *)

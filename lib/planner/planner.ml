@@ -114,13 +114,19 @@ let assignment_of_list pairs =
   List.iter (fun (tid, n) -> Idtab.set a tid (Some n)) pairs;
   a
 
+type move = {
+  task : Task.id;
+  from_node : int;
+  to_node : int;
+  state_size : int;
+  migrates : bool;
+}
+
 type transition = {
   from_faulty : int list;
   new_fault : int;
   to_faulty : int list;
-  moved : (Task.id * int * int) list;
-  started : Task.id list;
-  stopped : Task.id list;
+  moved : move list;
   state_bytes : int;
   migration_bound : Time.t;
   recovery_bound : Time.t;
@@ -363,55 +369,47 @@ let evidence_bound cfg topo ~faulty =
         acc alive)
     Time.zero alive
 
-(* [control] is the control-class transfer time in the new mode,
-   [evidence] its evidence-distribution bound. *)
-let make_transition ~evidence ~control ~from_plan ~to_plan ~new_fault =
-  let faulty = to_plan.faulty in
-  let to_assign = assignments to_plan in
-  let moved =
-    List.filter_map
-      (fun (tid, to_node) ->
-        match assignment_of from_plan tid with
-        | Some from_node when from_node <> to_node -> Some (tid, from_node, to_node)
-        | _ -> None)
-      to_assign
-  in
-  let started =
-    List.filter_map
-      (fun (tid, _) -> if assignment_of from_plan tid = None then Some tid else None)
-      to_assign
-  in
-  let stopped =
-    List.filter_map
-      (fun (tid, _) -> if assignment_of to_plan tid = None then Some tid else None)
-      (assignments from_plan)
-  in
+(* [from_plan]'s order is the order state sends leave a node, so it
+   shows in traces. State migrates only from a surviving host; a faulty
+   node's state is lost and the task restarts fresh. *)
+let moves ~from_plan ~to_plan =
   let g = to_plan.aug.Augment.graph in
-  let state_of tid =
-    match Graph.task g tid with
-    | x -> x.Task.state_size
-    | exception Invalid_argument _ -> 0
-  in
-  (* State moves only from surviving nodes; a faulty node's state is
-     lost and the task restarts fresh. Transfers from one sender
-     serialize on its control reservation, so the bound is the largest
-     per-sender total. *)
-  let migrations =
-    List.filter (fun (_, from_node, _) -> not (List.mem from_node faulty)) moved
-  in
-  let state_bytes = List.fold_left (fun acc (tid, _, _) -> acc + state_of tid) 0 migrations in
-  let senders = List.sort_uniq Int.compare (List.map (fun (_, f, _) -> f) migrations) in
+  List.filter_map
+    (fun (task, from_node) ->
+      match assignment_of to_plan task with
+      | Some to_node when to_node <> from_node ->
+        Some
+          {
+            task;
+            from_node;
+            to_node;
+            state_size = (Graph.task g task).Task.state_size;
+            migrates = not (List.mem from_node to_plan.faulty);
+          }
+      | _ -> None)
+    (assignments from_plan)
+
+(* [control] is the control-class transfer time in the new mode,
+   [evidence] its evidence-distribution bound. Transfers from one
+   sender serialize on its control reservation, so the migration bound
+   is the largest per-sender total. A stateless move is charged one
+   byte, though no state is sent for it. *)
+let make_transition ~evidence ~control ~from_plan ~to_plan ~new_fault =
+  let moved = moves ~from_plan ~to_plan in
+  let migrations = List.filter (fun m -> m.migrates) moved in
+  let state_bytes = List.fold_left (fun acc m -> acc + m.state_size) 0 migrations in
+  let senders = List.sort_uniq Int.compare (List.map (fun m -> m.from_node) migrations) in
   let migration_bound =
     List.fold_left
       (fun acc sender ->
         let total =
           List.fold_left
-            (fun acc (tid, from_node, to_node) ->
-              if from_node <> sender then acc
+            (fun acc m ->
+              if m.from_node <> sender then acc
               else
                 match
-                  control ~src:from_node ~dst:to_node
-                    ~size_bytes:(Stdlib.max 1 (state_of tid))
+                  control ~src:m.from_node ~dst:m.to_node
+                    ~size_bytes:(Stdlib.max 1 m.state_size)
                 with
                 | Some d -> Time.add acc d
                 | None -> acc)
@@ -420,7 +418,7 @@ let make_transition ~evidence ~control ~from_plan ~to_plan ~new_fault =
         Time.max acc total)
       Time.zero senders
   in
-  let period = Graph.period g in
+  let period = Graph.period to_plan.aug.Augment.graph in
   let recovery_bound =
     Time.add
       (Time.add (Time.add period detection_margin) evidence)
@@ -429,10 +427,8 @@ let make_transition ~evidence ~control ~from_plan ~to_plan ~new_fault =
   {
     from_faulty = from_plan.faulty;
     new_fault;
-    to_faulty = faulty;
+    to_faulty = to_plan.faulty;
     moved;
-    started;
-    stopped;
     state_bytes;
     migration_bound;
     recovery_bound;

@@ -20,8 +20,9 @@
     + derives the static schedule; if unschedulable, sheds the lowest
       criticality level present and retries (mixed-criticality
       degradation, §1);
-    + costs every transition into the mode (state to migrate, bounded
-      transfer time) and derives a recovery-time bound; the static
+    + costs every transition into the mode ({!moves}: the tasks that
+      move, the state that migrates and its bounded transfer time) and
+      derives a recovery-time bound; the static
       verifier ({!Btr_check.Check}) admits the strategy against the
       requested R.
 
@@ -126,15 +127,32 @@ val assignments : plan -> (Task.id * int) list
 
 val assignment_of_list : (Task.id * int) list -> assignment
 
+type move = {
+  task : Task.id;  (** augmented task, placed in both plans *)
+  from_node : int;
+  to_node : int;
+  state_size : int;  (** the task's [state_size] in the new plan *)
+  migrates : bool;
+      (** [from_node] survives the new mode, so the state ships from
+          it; otherwise the state is lost and the task restarts fresh *)
+}
+
+val moves : from_plan:plan -> to_plan:plan -> move list
+(** Every augmented task placed in both plans on different nodes, in
+    [from_plan]'s assignment order. This is the only derivation of a
+    mode change's moves: {!transition} costs them, and the runtime ships
+    ([from_node] sends the [state_size] bytes when it [migrates] and the
+    task has state) and awaits state from the same list. *)
+
 type transition = {
   from_faulty : int list;
   new_fault : int;
   to_faulty : int list;
-  moved : (Task.id * int * int) list;  (** augmented task, from, to *)
-  started : Task.id list;  (** newly running (previously shed/absent) *)
-  stopped : Task.id list;
-  state_bytes : int;  (** migrated from surviving nodes *)
+  moved : move list;  (** {!moves} from the parent plan to this one *)
+  state_bytes : int;  (** the [state_size] of every migrating move *)
   migration_bound : Time.t;
+      (** the largest per-sender total control-class transfer time of
+          the migrating moves, each charged at least one byte *)
   recovery_bound : Time.t;
       (** detection + distribution + migration + activation *)
 }

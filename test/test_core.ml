@@ -350,6 +350,49 @@ let test_scenario_shed_events_in_order () =
          e.at)
        0 events)
 
+(* Pinned traces: the FNV-1a digest of a run's JSONL trace lines (the
+   bytes `btr --trace` writes). Any change to what a deployment does or
+   reports shows here; a deliberate one re-pins the digest. *)
+let trace_digest spec_of =
+  let obs = Btr_obs.Obs.with_memory () in
+  (match Btr.Scenario.run (spec_of obs) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "run: %a" Btr_planner.Planner.pp_error e);
+  let events = Btr_obs.Obs.events obs in
+  ( events,
+    Fnv.to_hex (Fnv.hash64_lines (List.map Btr_obs.Obs.event_to_json events)) )
+
+let test_demo_trace_pinned () =
+  let events, digest =
+    trace_digest (fun obs -> Btr.Scenario.avionics_demo ~obs ())
+  in
+  check_int "demo trace events" 5323 (List.length events);
+  Alcotest.(check string) "demo trace digest" "b578a72a3d65d688" digest
+
+(* Avionics on a 6-node clique, node 2 crashing at 250 ms (`btr run
+   --script crash@2@250000`): node 4 ships task 14's state to node 1,
+   so the trace pins the state-migration path the demo never takes. *)
+let test_migration_trace_pinned () =
+  let events, digest =
+    trace_digest (fun obs ->
+        Btr.Scenario.spec
+          ~workload:(Btr_workload.Generators.avionics ~n_nodes:6)
+          ~topology:
+            (Btr_net.Topology.fully_connected ~n:6 ~bandwidth_bps:10_000_000
+               ~latency:(Time.us 50))
+          ~f:1 ~recovery_bound:(Time.ms 200)
+          ~script:(Btr_fault.Fault.single ~at:(Time.ms 250) ~node:2 Btr_fault.Fault.Crash)
+          ~horizon:(Time.sec 1) ~obs ())
+  in
+  check_bool "a 4096-byte state send" true
+    (List.exists
+       (fun (e : Btr_obs.Obs.event) ->
+         e.payload
+         = Btr_obs.Obs.Msg_sent { src = 4; dst = 1; cls = "control"; bytes = 4096 })
+       events);
+  check_int "crash trace events" 5356 (List.length events);
+  Alcotest.(check string) "crash trace digest" "2a3659385319ab78" digest
+
 let suite =
   [
     ("behaviour: deterministic", `Quick, test_default_compute_deterministic);
@@ -370,6 +413,8 @@ let suite =
     ("scenario: plan only", `Quick, test_scenario_plan_only);
     ("scenario: tune applies", `Quick, test_scenario_tune_applies);
     ("scenario: shed events keep the clock monotone", `Quick, test_scenario_shed_events_in_order);
+    ("scenario: demo trace is pinned", `Quick, test_demo_trace_pinned);
+    ("scenario: state-migration trace is pinned", `Quick, test_migration_trace_pinned);
     ("behaviour: value digest reference value", `Quick, test_value_digest_pinned);
     ("behaviour: value digest of special floats", `Quick, test_value_digest_special);
     QCheck_alcotest.to_alcotest prop_value_digest_matches_rendering;

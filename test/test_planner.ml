@@ -196,10 +196,10 @@ let test_transition_structure () =
       check_bool "recovery bound positive" true
         (Time.compare tr.Planner.recovery_bound Time.zero > 0);
       List.iter
-        (fun (_, from_node, to_node) ->
-          check_bool "moves change node" true (from_node <> to_node);
+        (fun (m : Planner.move) ->
+          check_bool "moves change node" true (m.Planner.from_node <> m.Planner.to_node);
           check_bool "moves land on surviving nodes" false
-            (List.mem to_node tr.Planner.to_faulty))
+            (List.mem m.Planner.to_node tr.Planner.to_faulty))
         tr.Planner.moved)
     (Planner.all_transitions s)
 

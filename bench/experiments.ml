@@ -505,7 +505,7 @@ let e6 () =
   in
   let controller_node rt =
     let plan = Planner.initial_plan (Btr.Runtime.strategy rt) in
-    Option.value ~default:2 (Planner.assignment_of plan 1)
+    Option.value ~default:2 (Btr_sched.Schedule.node_of plan.Planner.schedule 1)
   in
   (* Probe run to find the primary controller's node, then attack it. *)
   let probe, _ = run_pendulum ~f:1 ~script:[] ~horizon:(Time.ms 40) in

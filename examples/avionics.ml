@@ -11,6 +11,7 @@ module Graph = Btr_workload.Graph
 module Fault = Btr_fault.Fault
 module Planner = Btr_planner.Planner
 module Augment = Btr_planner.Augment
+module Schedule = Btr_sched.Schedule
 
 let () =
   let workload = Btr_workload.Generators.avionics ~n_nodes:5 in
@@ -47,7 +48,7 @@ let () =
          6 = engine-monitor, 9 = nav-fusion. Avoid node 2, which hosts
          the pinned elevator actuator and engine alarm: compromising the
          physical actuator node loses those outputs unrecoverably. *)
-      let node_of tid = Option.value ~default:0 (Planner.assignment_of p tid) in
+      let node_of tid = Option.value ~default:0 (Schedule.node_of p.Planner.schedule tid) in
       let hosts = List.sort_uniq Int.compare (List.map node_of [ 2; 3; 6; 9 ]) in
       (match List.filter (fun n -> n <> 2) hosts with
       | a :: b :: _ -> [ a; b ]

@@ -11,6 +11,7 @@ module Task = Btr_workload.Task
 module Graph = Btr_workload.Graph
 module Fault = Btr_fault.Fault
 module Planner = Btr_planner.Planner
+module Schedule = Btr_sched.Schedule
 module Plant = Btr_plant.Plant
 module Engine = Btr_sim.Engine
 
@@ -84,8 +85,8 @@ let () =
   (* Find the controller primary's node, then corrupt it at t = 1s. *)
   let probe, _ = run ~f:1 ~script:[] ~horizon:(Time.ms 40) in
   let target =
-    Option.get
-      (Planner.assignment_of (Planner.initial_plan (Btr.Runtime.strategy probe)) 1)
+    let plan = Planner.initial_plan (Btr.Runtime.strategy probe) in
+    Option.get (Schedule.node_of plan.Planner.schedule 1)
   in
   Format.printf "controller primary runs on node %d; corrupting it at t=1s@.@." target;
   let script = Fault.single ~at:(Time.sec 1) ~node:target Fault.Corrupt_outputs in

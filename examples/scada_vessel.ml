@@ -18,6 +18,7 @@ module Task = Btr_workload.Task
 module Graph = Btr_workload.Graph
 module Fault = Btr_fault.Fault
 module Planner = Btr_planner.Planner
+module Schedule = Btr_sched.Schedule
 module Plant = Btr_plant.Plant
 module Engine = Btr_sim.Engine
 
@@ -94,8 +95,8 @@ let () =
   let horizon = Time.sec 40 in
   let probe, _ = run ~f:1 ~script:[] ~horizon:(Time.ms 100) in
   let target =
-    Option.get
-      (Planner.assignment_of (Planner.initial_plan (Btr.Runtime.strategy probe)) 1)
+    let plan = Planner.initial_plan (Btr.Runtime.strategy probe) in
+    Option.get (Schedule.node_of plan.Planner.schedule 1)
   in
   Format.printf
     "PLC primary runs on node %d; corrupting it at t=1s, while the valve@.\

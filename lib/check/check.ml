@@ -4,7 +4,6 @@ module Graph = Btr_workload.Graph
 module Topology = Btr_net.Topology
 module Net = Btr_net.Net
 module Schedule = Btr_sched.Schedule
-module Analysis = Btr_sched.Analysis
 module Augment = Btr_planner.Augment
 module Planner = Btr_planner.Planner
 module Obs = Btr_obs.Obs
@@ -17,8 +16,6 @@ type code =
   | Link_oversubscribed
   | Data_reserve_exceeded
   | Control_reserve_tight
-  | Node_overutilized
-  | Response_time_divergent
   | Schedule_invalid
   | Mode_missing
   | Transition_missing
@@ -36,8 +33,6 @@ let all_codes =
     Link_oversubscribed;
     Data_reserve_exceeded;
     Control_reserve_tight;
-    Node_overutilized;
-    Response_time_divergent;
     Schedule_invalid;
     Mode_missing;
     Transition_missing;
@@ -55,8 +50,6 @@ let code_id = function
   | Link_oversubscribed -> "BTR-E101"
   | Data_reserve_exceeded -> "BTR-E102"
   | Control_reserve_tight -> "BTR-W103"
-  | Node_overutilized -> "BTR-E201"
-  | Response_time_divergent -> "BTR-W202"
   | Schedule_invalid -> "BTR-E203"
   | Mode_missing -> "BTR-E301"
   | Transition_missing -> "BTR-E302"
@@ -87,13 +80,11 @@ let () =
     all_codes
 
 let severity_of = function
-  | Link_oversubscribed | Data_reserve_exceeded | Node_overutilized
-  | Schedule_invalid | Mode_missing | Transition_missing
+  | Link_oversubscribed | Data_reserve_exceeded | Schedule_invalid | Mode_missing | Transition_missing
   | Recovery_bound_exceeded | Selective_omission_undetectable
   | Transition_target_unknown | Orphan_mode | Evidence_unroutable ->
     Error
-  | Control_reserve_tight | Response_time_divergent
-  | Recovery_bound_understated | Omission_needs_corroboration
+  | Control_reserve_tight | Recovery_bound_understated | Omission_needs_corroboration
   | Evidence_budget_dominant ->
     Warning
 
@@ -104,9 +95,6 @@ let describe = function
     "each sender's per-period data traffic must fit its reserved slice in every mode (§2.1)"
   | Control_reserve_tight ->
     "one evidence record should serialize on every control reservation within a period (§4.3)"
-  | Node_overutilized -> "per-node demand must fit in the period in every mode (§4.1)"
-  | Response_time_divergent ->
-    "fixed-priority response-time analysis should converge for every node's task set (§4.1)"
   | Schedule_invalid ->
     "every mode's static table must pass independent validation (§4.1)"
   | Mode_missing -> "every fault set of size ≤ f needs a plan (Def. 3.1)"
@@ -317,8 +305,8 @@ let data_reserve_diags v (p : Planner.plan) =
   List.iter
     (fun (fl : Graph.flow) ->
       match
-        ( Planner.assignment_of p fl.producer,
-          Planner.assignment_of p fl.consumer )
+        ( Schedule.node_of p.Planner.schedule fl.producer,
+          Schedule.node_of p.Planner.schedule fl.consumer )
       with
       | Some src, Some dst when src <> dst -> (
         match Topology.path routes ~src ~dst with
@@ -390,68 +378,7 @@ let control_reserve_diags v =
       else None)
     (Topology.links v.topology)
 
-(* (b) Per-mode, per-node schedulability via classical analysis, over
-   each alive node's tasks in assignment order. *)
-let rta_diags v (p : Planner.plan) =
-  let g = p.Planner.aug.Augment.graph in
-  let period = Graph.period g in
-  (* RTA deadline: the period, tightened by any sink flow the task
-     produces (advisory — the deployed tables are time-triggered,
-     and a fixed table can order around interference that
-     deadline-monotonic analysis must assume). *)
-  let deadline_of tid =
-    List.fold_left
-      (fun acc (fl : Graph.flow) ->
-        match fl.deadline with
-        | Some d when Time.compare d acc < 0 -> d
-        | _ -> acc)
-      period (Graph.consumers_of g tid)
-  in
-  (* Group the assignment by node in one pass, preserving assignment
-     order within each node, without the nodes × tasks scan. *)
-  let by_node = Inttbl.create 32 in
-  List.iter
-    (fun (tid, n) ->
-      let prev = Option.value ~default:[] (Inttbl.find_opt by_node n) in
-      Inttbl.replace by_node n (((Graph.task g tid).Task.wcet, deadline_of tid) :: prev))
-    (Planner.assignments p);
-  let node_diags node tasks =
-    let ts =
-      List.map (fun (wcet, deadline) -> Analysis.task ~wcet ~period ~deadline ()) tasks
-    in
-    let u = Analysis.utilization ts in
-    let locus = { no_locus with faulty = Some p.Planner.faulty; node = Some node } in
-    if u > 1.0 +. 1e-9 then
-      [
-        {
-          code = Node_overutilized;
-          message =
-            Printf.sprintf "node %d: utilization %.3f > 1 (%d tasks)" node u
-              (List.length ts);
-          locus;
-        };
-      ]
-    else if not (Analysis.fp_schedulable ts) then
-      [
-        {
-          code = Response_time_divergent;
-          message =
-            Printf.sprintf
-              "node %d: fixed-priority response times exceed deadlines (util %.3f)"
-              node u;
-          locus;
-        };
-      ]
-    else []
-  in
-  List.concat_map
-    (fun node ->
-      match Inttbl.find_opt by_node node with
-      | None | Some [] -> []
-      | Some rev -> node_diags node (List.rev rev))
-    (alive_of v p.Planner.faulty)
-
-(* (b') Independent re-validation of the mode's static table. *)
+(* (b) Independent re-validation of the mode's static table. *)
 let schedule_valid_diags v (p : Planner.plan) =
   let g = p.Planner.aug.Augment.graph in
   let xfer = Net.route_transfer_time (mode_routes v p.Planner.faulty) (shares_of v) ~cls:Net.Data in
@@ -661,7 +588,7 @@ type omission_case = {
 let omission_cut_rows v (p : Planner.plan) ~sender =
   let aug = p.Planner.aug in
   let g = aug.Augment.graph in
-  let host tid = Planner.assignment_of p tid in
+  let host tid = Schedule.node_of p.Planner.schedule tid in
   (* Live lane chains per protected original sink flow: the delivery
      hop plus the transitive producer closure behind it, all assigned
      in this mode. *)
@@ -1020,11 +947,7 @@ let verify_units ?(obs = Obs.null) ?(strikes = 1) u v =
   push_all (link_capacity_diags v);
   List.iter (fun p -> push_all (u.u_data_reserves v p)) v.plans;
   push_all (control_reserve_diags v);
-  List.iter
-    (fun p ->
-      push_all (rta_diags v p);
-      push_all (u.u_schedule_valid v p))
-    v.plans;
+  List.iter (fun p -> push_all (u.u_schedule_valid v p)) v.plans;
   let fault_sets = coverage_diags v ~evb push in
   push_all
     (omission_diags v ~strikes

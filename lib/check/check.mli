@@ -13,9 +13,9 @@
       inside every link's raw capacity (the babbling-idiot guard), and
       in every mode the data traffic each sender must push per period
       fits inside its reserved slice;
-    - {b schedulability} (§4.1): per mode and node, utilization and
-      fixed-priority response-time bounds from {!Btr_sched.Analysis},
-      plus full independent re-validation of the static tables;
+    - {b schedulability} (§4.1): full independent re-validation of
+      every mode's static table, the time-triggered schedule the
+      runtime executes;
     - {b recovery coverage} (Def. 3.1): every fault set of size ≤ f has
       a plan; every single-fault extension has a transition whose
       staged state and activation path fit inside R;
@@ -51,13 +51,10 @@ type code =
   | Control_reserve_tight
       (** BTR-W103: one evidence record cannot be serialized on some
           link's control reservation within a period *)
-  | Node_overutilized  (** BTR-E201: a node's demand exceeds the period in some mode *)
-  | Response_time_divergent
-      (** BTR-W202: fixed-priority response-time analysis diverges for a
-          node's task set (advisory — the deployed tables are
-          time-triggered, not fixed-priority) *)
   | Schedule_invalid
-      (** BTR-E203: a mode's static table fails independent validation *)
+      (** BTR-E203: a mode's static table fails independent validation
+          ({!Btr_sched.Schedule.validate}), which also leaves no task
+          unscheduled and no node's demand past the period *)
   | Mode_missing  (** BTR-E301: a fault set of size ≤ f has no plan *)
   | Transition_missing
       (** BTR-E302: a reachable mode extension has no staged transition *)
@@ -160,8 +157,8 @@ val selective_omission_witnesses : ?strikes:int -> view -> omission_witness list
     literally the same code, which is what makes [Incr.report]
     provably identical to {!verify_view} rather than a parallel
     implementation that could drift. The record holds only the units
-    [Incr] memoizes; the link checks, per-node response-time analysis
-    and survivor-route sweeps cost less to rerun than to key, so
+    [Incr] memoizes; the link checks and survivor-route sweeps cost
+    less to rerun than to key, so
     {!verify_units} always runs them directly. *)
 
 type units = {

@@ -101,9 +101,9 @@ let memo_find tbl ctr k compute =
    topology, R-stripped config): they key on {!strategy_digest} plus the
    fault pattern, so an R-only edit hits every entry. Keys are content
    digests, never edit counters, so undoing an edit hits the entries the
-   original inputs filled. The link checks, per-node response-time
-   analyses and survivor-route sweeps are not memoized: each costs less
-   to rerun than its key would cost to build. *)
+   original inputs filled. The link checks and survivor-route sweeps
+   are not memoized: each costs less to rerun than its key would cost
+   to build. *)
 
 (* FNV-1a over a total serialization of everything planning reads. *)
 let fp_buf_int b n =
@@ -240,8 +240,8 @@ let report st = st.st_report
 let strategy st = st.strategy
 let view st = st.view
 
-(* The static, RTA and route families are not memoized: their fields
-   read 0 (see the interface). *)
+(* The static and route families are not memoized, and the RTA family
+   no longer exists: their fields read 0 (see the interface). *)
 let memo_stats st =
   let m = st.memo in
   {

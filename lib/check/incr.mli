@@ -9,9 +9,8 @@
     R-only edit or an undo hits them; and per-fault-set evidence bounds,
     keyed by the fault pattern alone in one table that the planner fills
     and the verifier reads, so each bound is computed once per topology.
-    Link checks, per-node response-time analyses and survivor-route
-    sweeps are rerun on every pass: each costs less than the key a memo
-    would need. Applying an {!edit} replans through {!Planner.build} (an
+    Link checks and survivor-route sweeps are rerun on every pass: each
+    costs less than the key a memo would need. Applying an {!edit} replans through {!Planner.build} (an
     R-only edit keeps the strategy) and re-verifies through
     {!Check.verify_units} with memoizing wrappers around
     {!Check.default_units}; on every memo miss the {e default} unit
@@ -106,18 +105,19 @@ val view : state -> Check.view
 
 (** Cumulative memo hit/miss counters per analysis family, for cone
     tests and the planner bench. Four families are memoized: reserves,
-    table validation, evidence bounds and cuts. The static, RTA and
-    route families are rerun on every pass instead (building an RTA key
-    cost about 4.7x the analysis it saved; the link checks and route
-    sweeps cost under 2 ms per pass); their six fields stay so that
-    readers of this record keep compiling, and always read 0. *)
+    table validation, evidence bounds and cuts. The static and route
+    families are rerun on every pass instead (the link checks and route
+    sweeps cost under 2 ms per pass). The verifier runs no response-time
+    analysis, so [rta_hits] and [rta_misses] count nothing. These six
+    fields always read 0 and stay only because the perfbench harness
+    ([perfbench/trialbench.ml]) reads them. *)
 type memo_stats = {
   static_hits : int;
   static_misses : int;  (** always 0: link checks are not memoized *)
   reserve_hits : int;
   reserve_misses : int;  (** per-mode data-reserve ledgers *)
   rta_hits : int;
-  rta_misses : int;  (** always 0: response-time analyses are not memoized *)
+  rta_misses : int;  (** always 0: the verifier runs no response-time analysis *)
   sched_hits : int;
   sched_misses : int;  (** per-mode table re-validations *)
   routes_hits : int;

@@ -158,7 +158,8 @@ let expectations_of (plan : Planner.plan) node =
     (List.filter_map
        (fun (fl : Graph.flow) ->
          match
-           (Planner.assignment_of plan fl.consumer, Planner.assignment_of plan fl.producer)
+           ( Schedule.node_of plan.Planner.schedule fl.consumer,
+             Schedule.node_of plan.Planner.schedule fl.producer )
          with
          | Some cn, Some pn when cn = node && pn <> node ->
            Option.map
@@ -247,8 +248,6 @@ let create ?(config = default_config) ?(behaviors = []) ?(script = []) ?obs
 
 (* ------------------------------------------------------------------ *)
 (* Helpers on plans                                                     *)
-
-let assignment_node plan tid = Planner.assignment_of plan tid
 
 let flow_in_plan (plan : Planner.plan) fid =
   match Graph.flow plan.Planner.aug.Augment.graph fid with
@@ -549,7 +548,7 @@ let send_ack t (n : node) plan ~producer_aug ~period (e : entry) =
     match Augment.checker_of aug orig with
     | None -> ()
     | Some checker_tid -> (
-      match assignment_node plan checker_tid with
+      match Schedule.node_of plan.Planner.schedule checker_tid with
       | Some checker_node ->
         ignore
           (Net.send t.net ~src:n.id ~dst:checker_node ~cls:Net.Control
@@ -582,7 +581,7 @@ let run_compute_task t (n : node) plan tid period =
     if byz_outgoing n ~to_checker:false ~dst:(-1) [||] <> None then
       List.iter
         (fun (fl : Graph.flow) ->
-          match assignment_node plan fl.consumer with
+          match Schedule.node_of plan.Planner.schedule fl.consumer with
           | None -> ()
           | Some dst_node ->
             ignore
@@ -605,7 +604,7 @@ let run_compute_task t (n : node) plan tid period =
        | None -> ());
     List.iter
       (fun (fl : Graph.flow) ->
-        match assignment_node plan fl.consumer with
+        match Schedule.node_of plan.Planner.schedule fl.consumer with
         | None -> ()
         | Some dst_node ->
           let to_checker =
@@ -631,7 +630,7 @@ let run_checker t (n : node) plan tid period =
   List.iter
     (fun lane_tid ->
       let lane = Augment.lane_of aug lane_tid in
-      match assignment_node plan lane_tid with
+      match Schedule.node_of plan.Planner.schedule lane_tid with
       | None -> ()
       | Some lane_node -> (
         (* The digest flow from this lane to us. *)
@@ -753,7 +752,7 @@ let data_admissible (n : node) ~src ~flow =
   match flow_in_plan n.plan flow with
   | None -> false
   | Some fl -> (
-    match assignment_node n.plan fl.producer with
+    match Schedule.node_of n.plan.Planner.schedule fl.producer with
     | Some expected -> expected = src
     | None -> false)
 

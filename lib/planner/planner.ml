@@ -88,31 +88,22 @@ let check_plan_size ~nodes ~f ~tasks =
          "%d nodes at f = %d would plan about %.3g task placements, past the limit of %d"
          nodes f size max_plan_size)
 
-(* Task id -> node. Options are stored, so a lookup allocates nothing. *)
-type assignment = int option Idtab.t
-
 type plan = {
   faulty : int list;
   aug : Augment.t;
-  assignment : assignment;
   schedule : Schedule.t;
   shed_below : Task.criticality option;
   lost_tasks : Task.id list;
   dropped : int list;
 }
 
-let assignment_of plan tid = Idtab.get plan.assignment tid
-
 let assignments plan =
   List.filter_map
     (fun (x : Task.t) ->
-      match assignment_of plan x.id with Some n -> Some (x.id, n) | None -> None)
+      match Schedule.node_of plan.schedule x.id with
+      | Some n -> Some (x.id, n)
+      | None -> None)
     (Graph.tasks plan.aug.Augment.graph)
-
-let assignment_of_list pairs =
-  let a = Idtab.of_ids (List.map fst pairs) None in
-  List.iter (fun (tid, n) -> Idtab.set a tid (Some n)) pairs;
-  a
 
 type move = {
   task : Task.id;
@@ -188,19 +179,21 @@ let fault_patterns nodes f =
     (List.init (Stdlib.max 0 f + 1) Fun.id)
 
 (* Greedy placement of the augmented graph onto the alive nodes, in
-   topological order: each task goes to the cheapest candidate. *)
+   topological order: each task goes to the cheapest candidate. The
+   result only feeds {!Schedule.list_schedule}, whose table is the
+   plan's record of placement. *)
 let place_tasks cfg aug ~alive ~parent ~xfer =
   let g = aug.Augment.graph in
-  let assignment = Idtab.of_ids (List.map (fun (x : Task.t) -> x.id) (Graph.tasks g)) None in
+  let place = Idtab.of_ids (List.map (fun (x : Task.t) -> x.id) (Graph.tasks g)) None in
   (* Every candidate and every admissible pin is alive. *)
   let busy = Inttbl.create 16 in
   List.iter (fun n -> Inttbl.replace busy n Time.zero) alive;
-  let on_node n l = match Idtab.get assignment l with Some m -> m = n | None -> false in
+  let on_node n l = match Idtab.get place l with Some m -> m = n | None -> false in
   (* Locality cost: transfer time from every already-placed producer. *)
   let locality_cost producers n =
     List.fold_left
       (fun acc (fl : Graph.flow) ->
-        match Idtab.get assignment fl.producer with
+        match Idtab.get place fl.producer with
         | None -> acc
         | Some pn ->
           if pn = n then acc
@@ -227,7 +220,7 @@ let place_tasks cfg aug ~alive ~parent ~xfer =
     in
     let parent_node =
       match parent with
-      | Some p when cfg.reassignment = Minimal -> assignment_of p tid
+      | Some p when cfg.reassignment = Minimal -> Schedule.node_of p.schedule tid
       | _ -> None
     in
     let producers = Graph.producers_of g tid in
@@ -269,10 +262,10 @@ let place_tasks cfg aug ~alive ~parent ~xfer =
             in
             (match best with Some (n, _) -> n | None -> raise (Stuck tid))
         in
-        Idtab.set assignment tid (Some node);
+        Idtab.set place tid (Some node);
         Inttbl.replace busy node (Time.add (Inttbl.find busy node) task.Task.wcet))
       (Graph.topo_order g);
-    Ok assignment
+    Ok place
   with Stuck tid -> Error (Printf.sprintf "no feasible node for task %d" tid)
 
 (* The workload's sink flows that its restriction [kept] does not
@@ -313,15 +306,14 @@ let plan_mode cfg workload topo ~faulty ~parent ~data =
     in
     match place_tasks cfg aug ~alive ~parent ~xfer:data with
     | Error reason -> Error reason
-    | Ok assignment ->
-      let place tid = Option.get (Idtab.get assignment tid) in
+    | Ok place ->
+      let place tid = Option.get (Idtab.get place tid) in
       (match Schedule.list_schedule aug.Augment.graph ~place ~xfer:data with
       | Ok schedule ->
         Ok
           {
             faulty;
             aug;
-            assignment;
             schedule;
             shed_below = (if floor = Task.Best_effort then None else Some floor);
             lost_tasks;
@@ -376,7 +368,7 @@ let moves ~from_plan ~to_plan =
   let g = to_plan.aug.Augment.graph in
   List.filter_map
     (fun (task, from_node) ->
-      match assignment_of to_plan task with
+      match Schedule.node_of to_plan.schedule task with
       | Some to_node when to_node <> from_node ->
         Some
           {

@@ -100,14 +100,12 @@ val check_plan_size : nodes:int -> f:int -> tasks:int -> (unit, string) result
     below it. Such inputs are refused up front instead of exhausting
     memory mid-plan. *)
 
-type assignment
-(** Augmented task → node, indexed by task id. *)
-
 type plan = {
   faulty : int list;  (** this mode's fault pattern, sorted *)
   aug : Augment.t;  (** augmented workload actually running *)
-  assignment : assignment;
   schedule : Schedule.t;
+      (** the mode's static table; {!Schedule.node_of} on it is where a
+          task runs *)
   shed_below : Task.criticality option;
       (** tasks strictly below this level were shed; [None] = nothing *)
   lost_tasks : Task.id list;
@@ -117,15 +115,9 @@ type plan = {
           lost), in {!Graph.sink_flows} order *)
 }
 
-val assignment_of : plan -> Task.id -> int option
-(** The node a task runs on in this mode, in O(1); [None] when the task
-    is not placed. *)
-
 val assignments : plan -> (Task.id * int) list
 (** Every placed task with its node, in the augmented graph's task
     order. *)
-
-val assignment_of_list : (Task.id * int) list -> assignment
 
 type move = {
   task : Task.id;  (** augmented task, placed in both plans *)
@@ -139,7 +131,7 @@ type move = {
 
 val moves : from_plan:plan -> to_plan:plan -> move list
 (** Every augmented task placed in both plans on different nodes, in
-    [from_plan]'s assignment order. This is the only derivation of a
+    [from_plan]'s task order. This is the only derivation of a
     mode change's moves: {!transition} costs them, and the runtime ships
     ([from_node] sends the [state_size] bytes when it [migrates] and the
     task has state) and awaits state from the same list. *)

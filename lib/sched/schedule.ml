@@ -7,7 +7,9 @@ type slot = { task : Task.id; start : Time.t; finish : Time.t }
 type t = {
   period : Time.t;
   by_node : (int, slot list) Hashtbl.t;  (* ascending start *)
-  by_task : (int * slot) option Idtab.t;  (* task id -> node, slot *)
+  node : int option Idtab.t;
+      (* task id -> node; options are stored, so [node_of] allocates nothing *)
+  slot : slot option Idtab.t;  (* task id -> slot *)
 }
 
 type failure =
@@ -31,12 +33,13 @@ let list_schedule g ~place ~xfer =
   let exception Fail of failure in
   try
     let by_node = Hashtbl.create 8 in
-    let by_task = Idtab.of_ids (List.map (fun (x : Task.t) -> x.id) (Graph.tasks g)) None in
+    let node_tbl = Idtab.of_ids (List.map (fun (x : Task.t) -> x.id) (Graph.tasks g)) None in
+    let slot_tbl = Idtab.like node_tbl None in
     let node_free = Inttbl.create 8 in
     let free n = Option.value ~default:Time.zero (Inttbl.find_opt node_free n) in
     let finish_of tid =
-      match Idtab.get by_task tid with
-      | Some (_, s) -> s.finish
+      match Idtab.get slot_tbl tid with
+      | Some s -> s.finish
       | None -> assert false (* topo order guarantees producers done *)
     in
     List.iter
@@ -70,7 +73,8 @@ let list_schedule g ~place ~xfer =
           raise (Fail (Overload { node; demand; period = Graph.period g }))
         end;
         let slot = { task = tid; start; finish } in
-        Idtab.set by_task tid (Some (node, slot));
+        Idtab.set node_tbl tid (Some node);
+        Idtab.set slot_tbl tid (Some slot);
         Hashtbl.replace by_node node
           (slot :: Option.value ~default:[] (Hashtbl.find_opt by_node node));
         Inttbl.replace node_free node finish)
@@ -80,7 +84,7 @@ let list_schedule g ~place ~xfer =
         Hashtbl.replace by_node n
           (List.sort (fun a b -> Time.compare a.start b.start) slots))
       (Hashtbl.copy by_node);
-    let sched = { period = Graph.period g; by_node; by_task } in
+    let sched = { period = Graph.period g; by_node; node = node_tbl; slot = slot_tbl } in
     (* Sink-flow deadlines: the output reaches the physical world when
        the sink task completes. *)
     List.iter
@@ -88,7 +92,7 @@ let list_schedule g ~place ~xfer =
         match f.deadline with
         | None -> ()
         | Some d ->
-          let _, sink_slot = Option.get (Idtab.get by_task f.consumer) in
+          let sink_slot = Option.get (Idtab.get slot_tbl f.consumer) in
           if Time.compare sink_slot.finish d > 0 then
             raise
               (Fail
@@ -104,10 +108,9 @@ let nodes t = Table.sorted_keys ~cmp:Int.compare t.by_node
 
 let slots_on t n = Option.value ~default:[] (Hashtbl.find_opt t.by_node n)
 
-let window t tid =
-  Option.map (fun (_, s) -> (s.start, s.finish)) (Idtab.get t.by_task tid)
+let window t tid = Option.map (fun s -> (s.start, s.finish)) (Idtab.get t.slot tid)
 
-let node_of t tid = Option.map fst (Idtab.get t.by_task tid)
+let node_of t tid = Idtab.get t.node tid
 
 let node_utilization t n =
   let busy =
@@ -140,12 +143,19 @@ let validate t g ~xfer =
             err "task %d: slot length differs from wcet" s.task)
         slots)
     t.by_node;
+  (* Every task has a slot: the runtime's abstention rule assumes every
+     augmented task is placed. *)
+  List.iter
+    (fun (x : Task.t) ->
+      if Idtab.get t.slot x.id = None then err "task %d not scheduled" x.id)
+    (Graph.tasks g);
   (* Precedence edges. *)
   List.iter
     (fun (f : Graph.flow) ->
-      match Idtab.get t.by_task f.producer, Idtab.get t.by_task f.consumer
+      match node_of t f.producer, Idtab.get t.slot f.producer,
+            node_of t f.consumer, Idtab.get t.slot f.consumer
       with
-      | Some (pn, ps), Some (cn, cs) ->
+      | Some pn, Some ps, Some cn, Some cs ->
         let arrival =
           if pn = cn then ps.finish
           else
@@ -157,13 +167,13 @@ let validate t g ~xfer =
         in
         if Time.compare cs.start arrival < 0 then
           err "flow %d: consumer %d starts before input arrives" f.flow_id f.consumer
-      | _ -> err "flow %d: endpoint not scheduled" f.flow_id)
+      | _ -> () (* an endpoint without a slot is reported above *))
     (Graph.flows g);
   (* Deadlines. *)
   List.iter
     (fun (f : Graph.flow) ->
-      match f.deadline, Idtab.get t.by_task f.consumer with
-      | Some d, Some (_, s) when Time.compare s.finish d > 0 ->
+      match f.deadline, Idtab.get t.slot f.consumer with
+      | Some d, Some s when Time.compare s.finish d > 0 ->
         err "flow %d: deadline missed" f.flow_id
       | _ -> ())
     (Graph.sink_flows g);

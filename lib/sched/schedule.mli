@@ -44,13 +44,19 @@ val window : t -> Task.id -> (Time.t * Time.t) option
 (** [Some (start, finish)] of the task's slot; [None] if not scheduled. *)
 
 val node_of : t -> Task.id -> int option
+(** The node a task runs on, in O(1) and without allocating; [None]
+    when the task has no slot. The table is the only record of
+    placement. *)
+
 val node_utilization : t -> int -> float
 (** Busy time on the node divided by the period. *)
 
 val validate : t -> Graph.t -> xfer:xfer -> (unit, string) result
 (** Independent checker used by tests and the planner: slots within
-    [0, period], no per-node overlap, every precedence edge satisfied
-    with its transfer time, every scheduled sink flow meets its
-    deadline. *)
+    [0, period], no per-node overlap, each slot as long as its task's
+    WCET, every task of the graph scheduled, every precedence edge
+    satisfied with its transfer time, every scheduled sink flow meets
+    its deadline. The first three imply that each node's demand fits
+    the period. *)
 
 val pp : Format.formatter -> t -> unit

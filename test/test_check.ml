@@ -10,6 +10,7 @@ module Generators = Btr_workload.Generators
 module Topology = Btr_net.Topology
 module Net = Btr_net.Net
 module Planner = Btr_planner.Planner
+module Schedule = Btr_sched.Schedule
 module Augment = Btr_planner.Augment
 module Check = Btr_check.Check
 module Fault = Btr_fault.Fault
@@ -75,67 +76,89 @@ let w103 =
   fires Check.Control_reserve_tight (fun v ->
       with_shares v { Net.data_frac = 0.4; control_frac = 1e-9 })
 
-(* BTR-E201: every task of the fault-free mode piled onto node 0. *)
-let e201 =
-  fires Check.Node_overutilized (fun v ->
-      {
-        v with
-        Check.plans =
-          List.map
-            (fun (p : Planner.plan) ->
-              if p.faulty = [] then
-                {
-                  p with
-                  assignment =
-                    Planner.assignment_of_list
-                      (List.map (fun (t, _) -> (t, 0)) (Planner.assignments p));
-                }
-              else p)
-            v.Check.plans;
-      })
+(* Corrupt the view and require the one BTR-E203 diagnostic the
+   corruption names, and a failed report. *)
+let fires_e203 corrupt () =
+  let v, message = corrupt (base_view ()) in
+  let report = Check.verify_view v in
+  let e203 =
+    List.filter_map
+      (fun (d : Check.diagnostic) ->
+        if d.code = Check.Schedule_invalid then Some d.message else None)
+      report.Check.diagnostics
+  in
+  Alcotest.(check (list string)) "BTR-E203 messages" [ message ] e203;
+  check_bool "BTR-E203 fails the report" false (Check.passed report)
 
-(* BTR-W202: utilization 0.9 <= 1, but a 4ms task feeding a sink flow
-   with a 2ms deadline diverges under deadline-monotonic RTA. *)
-let w202 =
-  fires Check.Response_time_divergent (fun v ->
-      let g =
-        Graph.create_relaxed ~period:(Time.ms 10)
-          ~tasks:
-            [
-              Task.make ~id:0 ~name:"a" ~wcet:(Time.ms 4) ();
-              Task.make ~id:1 ~name:"b" ~wcet:(Time.ms 4) ();
-              Task.make ~id:2 ~name:"s" ~kind:Task.Sink ~wcet:(Time.ms 1)
-                ~pinned:0 ();
-            ]
-          ~flows:
-            [
-              {
-                Graph.flow_id = 0;
-                producer = 1;
-                consumer = 2;
-                msg_size = 8;
-                deadline = Some (Time.ms 2);
-              };
-            ]
-      in
-      let aug =
+let with_fault_free v f =
+  {
+    v with
+    Check.plans =
+      List.map
+        (fun (p : Planner.plan) -> if p.faulty = [] then f p else p)
+        v.Check.plans;
+  }
+
+let schedule_exn g ~place v =
+  let xfer =
+    Net.route_transfer_time
+      (Topology.router v.Check.topology ~usable:(fun _ -> true))
+      (Net.shares_for v.Check.topology v.Check.config.Planner.shares)
+      ~cls:Net.Data
+  in
+  match Schedule.list_schedule g ~place ~xfer with
+  | Ok t -> t
+  | Error f -> Alcotest.failf "table: %a" Schedule.pp_failure f
+
+(* BTR-E203: the fault-free table leaves its last task unscheduled.
+   Every other slot stays where the planner put it, so the one problem
+   is the task without a slot. With the slot clauses bounding each
+   node's demand by the period, a missing slot is the one way a table
+   can lose work. *)
+let e203_unscheduled_task =
+  fires_e203 (fun v ->
+      let p = List.find (fun (p : Planner.plan) -> p.faulty = []) v.Check.plans in
+      let g = p.aug.Augment.graph in
+      let last = List.nth (Graph.topo_order g) (Graph.task_count g - 1) in
+      let partial = Graph.restrict g ~keep:(fun x -> x.Task.id <> last) in
+      let place tid = Option.get (Schedule.node_of p.schedule tid) in
+      let schedule = schedule_exn partial ~place v in
+      ( with_fault_free v (fun p -> { p with schedule }),
+        Printf.sprintf "task %d not scheduled" last ))
+
+(* BTR-E203: a 4ms task feeding a sink flow with a 2ms deadline. The
+   table is built with the deadline lifted and checked against the
+   graph that has it: the sink completes at 5ms or later, past 2ms. *)
+let e203_deadline_missed =
+  fires_e203 (fun v ->
+      let graph deadline =
+        let g =
+          Graph.create_relaxed ~period:(Time.ms 10)
+            ~tasks:
+              [
+                Task.make ~id:0 ~name:"a" ~wcet:(Time.ms 4) ();
+                Task.make ~id:1 ~name:"b" ~wcet:(Time.ms 4) ();
+                Task.make ~id:2 ~name:"s" ~kind:Task.Sink ~wcet:(Time.ms 1)
+                  ~pinned:0 ();
+              ]
+            ~flows:
+              [
+                { Graph.flow_id = 0; producer = 1; consumer = 2; msg_size = 8; deadline };
+              ]
+        in
         Augment.augment g ~nodes:[ 0; 1; 2; 3; 4; 5 ] ~degree:1
           ~protect_level:Task.Safety_critical
       in
-      {
-        v with
-        Check.plans =
-          List.map
-            (fun (p : Planner.plan) ->
-              if p.faulty = [] then
-                {
-                  p with
-                  aug;
-                  assignment = Planner.assignment_of_list [ (0, 0); (1, 0); (2, 0) ];
-                }
-              else p)
-            v.Check.plans;
-      })
+      let loose = graph None in
+      let place tid =
+        match (Graph.task loose.Augment.graph tid).Task.pinned with
+        | Some n -> n
+        | None -> if tid = 0 then 1 else 0
+      in
+      let schedule = schedule_exn loose.Augment.graph ~place v in
+      let aug = graph (Some (Time.ms 2)) in
+      ( with_fault_free v (fun p -> { p with aug; schedule }),
+        "flow 0: deadline missed" ))
 
 (* BTR-E203: the fault-free mode handed a degraded mode's table. *)
 let e203 =
@@ -258,13 +281,15 @@ let w404 =
 let test_code_id_round_trip () =
   (* code_of_id is a total inverse of code_id over all_codes — stable
      ids in artifacts must resolve back to the code that produced them. *)
-  Alcotest.(check int) "sixteen codes" 16 (List.length Check.all_codes);
+  Alcotest.(check int) "fourteen codes" 14 (List.length Check.all_codes);
   List.iter
     (fun c ->
       check_bool (Check.code_id c ^ " round-trips") true
         (Check.code_of_id (Check.code_id c) = Some c))
     Check.all_codes;
   check_bool "unknown id rejected" true (Check.code_of_id "BTR-E999" = None);
+  check_bool "retired ids rejected" true
+    (Check.code_of_id "BTR-E201" = None && Check.code_of_id "BTR-W202" = None);
   check_bool "empty id rejected" true (Check.code_of_id "" = None)
 
 let test_json_order_stable () =
@@ -308,8 +333,6 @@ let test_every_code_covered () =
       Check.Link_oversubscribed;
       Check.Data_reserve_exceeded;
       Check.Control_reserve_tight;
-      Check.Node_overutilized;
-      Check.Response_time_divergent;
       Check.Schedule_invalid;
       Check.Mode_missing;
       Check.Transition_missing;
@@ -546,9 +569,9 @@ let suite =
     ("E101 link oversubscribed", `Quick, e101);
     ("E102 data reserve exceeded", `Quick, e102);
     ("W103 control reserve tight", `Quick, w103);
-    ("E201 node overutilized", `Quick, e201);
-    ("W202 response time divergent", `Quick, w202);
     ("E203 schedule invalid", `Quick, e203);
+    ("E203 unscheduled task", `Quick, e203_unscheduled_task);
+    ("E203 sink deadline missed", `Quick, e203_deadline_missed);
     ("E301 mode missing", `Quick, e301);
     ("E302 transition missing", `Quick, e302);
     ("E303 recovery bound exceeded", `Quick, e303);

@@ -386,7 +386,7 @@ let suite =
       test_init_shares_evidence_bounds;
     Alcotest.test_case "Set_recovery_bound invalidates nothing" `Quick
       test_set_r_cone;
-    Alcotest.test_case "flow retune leaves RTA and evidence memos warm" `Quick
+    Alcotest.test_case "flow retune hits evidence bounds, misses reserves" `Quick
       test_flow_retune_cone;
     Alcotest.test_case "link retune recomputes evidence bounds" `Quick
       test_link_retune_cone;

@@ -9,7 +9,6 @@ let () =
       ("net", Test_net.suite);
       ("workload", Test_workload.suite);
       ("sched", Test_sched.suite);
-      ("analysis", Test_analysis.suite);
       ("plant", Test_plant.suite);
       ("evidence", Test_evidence.suite);
       ("authlog", Test_authlog.suite);

@@ -125,7 +125,7 @@ let test_replica_separation () =
         (fun (x : Task.t) ->
           let lanes = Augment.replicas_of aug x.id in
           if List.length lanes > 1 then begin
-            let nodes = List.filter_map (Planner.assignment_of p) lanes in
+            let nodes = List.filter_map (Schedule.node_of p.schedule) lanes in
             check_int "lanes on distinct nodes" (List.length nodes)
               (List.length (List.sort_uniq Int.compare nodes))
           end)
@@ -519,12 +519,7 @@ let test_index_agreement () =
                       Option.map (fun n -> (x.id, n)) (Schedule.node_of p.schedule x.id))
                     (Graph.tasks p.aug.Augment.graph)
                 in
-                check_bool "assignments" true (Planner.assignments p = placed);
-                List.iter
-                  (fun tid ->
-                    check_bool "assignment_of" true
-                      (Planner.assignment_of p tid = List.assoc_opt tid placed))
-                  (List.map fst placed @ [ -1; 1_000_000 ]))
+                check_bool "assignments" true (Planner.assignments p = placed))
               (Planner.all_plans s))
         [ 1; 2; 3 ];
       check_bool (name ^ ": some degree plans") true (!built > 0))
@@ -578,7 +573,7 @@ let scan_abstains (plan : Planner.plan) tid ~present =
     List.sort_uniq Int.compare
       (List.filter_map
          (fun (fl : Graph.flow) ->
-           match Planner.assignment_of plan fl.producer with
+           match Schedule.node_of plan.Planner.schedule fl.producer with
            | Some _ -> Option.map fst (Augment.orig_flow_of aug fl.flow_id)
            | None -> None)
          producers)
@@ -628,7 +623,7 @@ let prop_input_table_matches_scan =
           (fun (p : Planner.plan) ->
             let tasks = Graph.tasks p.aug.Augment.graph in
             (* The rule "groups present < groups" rests on this. *)
-            List.for_all (fun (x : Task.t) -> Planner.assignment_of p x.id <> None) tasks
+            List.for_all (fun (x : Task.t) -> Schedule.node_of p.schedule x.id <> None) tasks
             && List.for_all
                  (fun (x : Task.t) ->
                    let incoming =
@@ -738,7 +733,7 @@ let test_every_task_placed () =
                     check_bool
                       (Printf.sprintf "%s degree %d: task %d placed" name degree x.id)
                       true
-                      (Planner.assignment_of p x.id <> None))
+                      (Schedule.node_of p.schedule x.id <> None))
                   (Graph.tasks p.aug.Augment.graph))
               (Planner.all_plans s))
         [ 1; 2; 3 ])

@@ -50,6 +50,19 @@ let test_schedule_chain () =
     | Ok () -> ()
     | Error msg -> Alcotest.failf "validation: %s" msg)
 
+(* A table that leaves a task of the graph without a slot fails
+   validation by naming that task, and only for it. *)
+let test_unscheduled_task_named () =
+  let g = chain_graph () in
+  let partial = Graph.restrict g ~keep:(fun x -> x.Task.id <> 3) in
+  match Schedule.list_schedule partial ~place:place_all_chain ~xfer:xfer1 with
+  | Error f -> Alcotest.failf "unexpected failure: %a" Schedule.pp_failure f
+  | Ok s ->
+    check_bool "task 3 has no node" true (Schedule.node_of s 3 = None);
+    Alcotest.(check (result unit string))
+      "validate names it" (Error "task 3 not scheduled")
+      (Schedule.validate s g ~xfer:xfer1)
+
 let test_same_node_no_transfer () =
   let g = chain_graph () in
   let place = function 3 -> 1 | _ -> 0 in
@@ -148,7 +161,10 @@ let prop_round_robin_placement_valid =
       in
       match Schedule.list_schedule g ~place ~xfer:xfer1 with
       | Error _ -> QCheck.assume_fail ()
-      | Ok s -> Schedule.validate s g ~xfer:xfer1 = Ok ())
+      | Ok s ->
+        (* A valid table bounds each node's demand by the period. *)
+        Schedule.validate s g ~xfer:xfer1 = Ok ()
+        && List.for_all (fun n -> Schedule.node_utilization s n <= 1.0) (Schedule.nodes s))
 
 let suite =
   [
@@ -160,4 +176,5 @@ let suite =
     ("utilization and makespan", `Quick, test_utilization_and_makespan);
     QCheck_alcotest.to_alcotest prop_valid_schedules_for_random_workloads;
     QCheck_alcotest.to_alcotest prop_round_robin_placement_valid;
+    ("validate names an unscheduled task", `Quick, test_unscheduled_task_named);
   ]

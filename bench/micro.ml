@@ -44,10 +44,12 @@ let bench_replay =
          | Some v -> ignore (Btr.Behavior.value_digest v)
          | None -> ()))
 
+(* A fresh router per run, so each run pays for one sweep. *)
 let bench_route =
   Test.make ~name:"topology: route across 8-clique"
     (Staged.stage (fun () ->
-         ignore (Btr_net.Topology.route (Lazy.force topo) ~src:0 ~dst:7)))
+         let routes = Btr_net.Topology.router (Lazy.force topo) ~usable:(fun _ -> true) in
+         ignore (Btr_net.Topology.path routes ~src:0 ~dst:7)))
 
 let bench_plan =
   Test.make ~name:"planner: full strategy (8 nodes, f=1)"

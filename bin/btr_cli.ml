@@ -15,37 +15,11 @@ open Btr_util
 open Cmdliner
 module Task = Btr_workload.Task
 module Graph = Btr_workload.Graph
-module Generators = Btr_workload.Generators
-module Topology = Btr_net.Topology
 module Planner = Btr_planner.Planner
 module Check = Btr_check.Check
 module Incr = Btr_check.Incr
 module Campaign = Btr_campaign.Campaign
 module Orchestrate = Btr_campaign.Orchestrate
-
-let workload_of_name name ~nodes ~seed =
-  match Generators.check_nodes name ~n_nodes:nodes with
-  | Error _ as e -> e
-  | Ok () -> (
-    match name with
-    | "avionics" -> Ok (Generators.avionics ~n_nodes:nodes)
-    | "scada" -> Ok (Generators.scada ~n_nodes:nodes)
-    | "random" ->
-      Ok
-        (Generators.random_layered ~rng:(Rng.create seed) ~n_nodes:nodes ~layers:3
-           ~width:3 ())
-    | other -> Error (Printf.sprintf "unknown workload %S" other))
-
-let topology_of_name name ~nodes =
-  match name with
-  | ("clique" | "ring" | "dual-bus") when nodes < 2 ->
-    Error (Printf.sprintf "topology %s needs >= 2 nodes, got %d" name nodes)
-  | "clique" ->
-    Ok (Topology.fully_connected ~n:nodes ~bandwidth_bps:10_000_000 ~latency:(Time.us 50))
-  | "ring" -> Ok (Topology.ring ~n:nodes ~bandwidth_bps:10_000_000 ~latency:(Time.us 50))
-  | "dual-bus" ->
-    Ok (Topology.dual_bus ~n:nodes ~bandwidth_bps:10_000_000 ~latency:(Time.us 50))
-  | other -> Error (Printf.sprintf "unknown topology %S" other)
 
 (* Observability plumbing shared by `run` and the default demo. *)
 let trace_arg =
@@ -120,12 +94,15 @@ let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed
    bad input (exit 2), not a failed check. So is a system too large to
    plan at fault bound [f]. *)
 let system_of_names workload topology ~nodes ~f ~seed =
-  match workload_of_name workload ~nodes ~seed with
+  match Campaign.workload_of_name workload ~nodes ~seed with
   | Error m -> Error m
   | Ok g -> (
     match Planner.check_plan_size ~nodes ~f ~tasks:(Graph.task_count g) with
     | Error m -> Error m
-    | Ok () -> Result.map (fun topo -> (g, topo)) (topology_of_name topology ~nodes))
+    | Ok () ->
+      Result.map
+        (fun topo -> (g, topo))
+        (Campaign.topology_of_name topology ~nodes ~bandwidth_bps:10_000_000))
 
 (* [Error (exit code, message)]: 2 for bad input, 1 when the planner
    finds no strategy. *)
@@ -347,10 +324,10 @@ let workloads_cmd =
   let run nodes seed =
     List.iter
       (fun name ->
-        match workload_of_name name ~nodes ~seed with
+        match Campaign.workload_of_name name ~nodes ~seed with
         | Ok g -> Format.printf "-- %s --@.%a@." name Graph.pp g
         | Error m -> Format.printf "-- %s --@.(%s)@." name m)
-      [ "avionics"; "scada"; "random" ];
+      Campaign.known_workloads;
     0
   in
   Cmd.v (Cmd.info "workloads" ~doc) Term.(const run $ nodes_arg $ seed_arg)

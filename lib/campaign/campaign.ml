@@ -214,30 +214,30 @@ let ( let* ) = Result.bind
    for the plan cache to be sound. *)
 let workload_seed seed = (seed * 7919) + 17
 
-let workload_of ~seed p =
-  match Generators.check_nodes p.workload ~n_nodes:p.nodes with
+let workload_of_name name ~nodes ~seed =
+  match Generators.check_nodes name ~n_nodes:nodes with
   | Error _ as e -> e
   | Ok () -> (
-    match p.workload with
-    | "avionics" -> Ok (Generators.avionics ~n_nodes:p.nodes)
-    | "scada" -> Ok (Generators.scada ~n_nodes:p.nodes)
+    match name with
+    | "avionics" -> Ok (Generators.avionics ~n_nodes:nodes)
+    | "scada" -> Ok (Generators.scada ~n_nodes:nodes)
     | "random" ->
       Ok
-        (Generators.random_layered
-           ~rng:(Rng.create (workload_seed seed))
-           ~n_nodes:p.nodes ~layers:random_layers ~width:random_width ())
+        (Generators.random_layered ~rng:(Rng.create seed) ~n_nodes:nodes
+           ~layers:random_layers ~width:random_width ())
     | other -> Error (Printf.sprintf "unknown workload %S" other))
 
-let topology_of p =
+let topology_of_name name ~nodes ~bandwidth_bps =
   let latency = Time.us 50 in
-  match p.topology with
-  | _ when p.nodes < 2 -> Error "nodes < 2"
-  | "clique" ->
-    Ok (Topology.fully_connected ~n:p.nodes ~bandwidth_bps:p.bandwidth_bps ~latency)
-  | "ring" -> Ok (Topology.ring ~n:p.nodes ~bandwidth_bps:p.bandwidth_bps ~latency)
-  | "dual-bus" ->
-    Ok (Topology.dual_bus ~n:p.nodes ~bandwidth_bps:p.bandwidth_bps ~latency)
+  match name with
+  | ("clique" | "ring" | "dual-bus") when nodes < 2 ->
+    Error (Printf.sprintf "topology %s needs >= 2 nodes, got %d" name nodes)
+  | "clique" -> Ok (Topology.fully_connected ~n:nodes ~bandwidth_bps ~latency)
+  | "ring" -> Ok (Topology.ring ~n:nodes ~bandwidth_bps ~latency)
+  | "dual-bus" -> Ok (Topology.dual_bus ~n:nodes ~bandwidth_bps ~latency)
   | other -> Error (Printf.sprintf "unknown topology %S" other)
+
+let workload_of ~seed p = workload_of_name p.workload ~nodes:p.nodes ~seed:(workload_seed seed)
 
 let tune_of p c =
   let c = { c with Planner.protect_level = p.protect } in
@@ -488,7 +488,9 @@ module Cache = struct
      verifier rejects is cached as an error, exactly once. *)
   let build ?strikes ~seed p =
     let* workload = workload_of ~seed p in
-    let* topology = topology_of p in
+    let* topology =
+      topology_of_name p.topology ~nodes:p.nodes ~bandwidth_bps:p.bandwidth_bps
+    in
     let s =
       Btr.Scenario.spec ~workload ~topology ~f:p.f ~recovery_bound:p.r
         ~tune:(tune_of p) ()

@@ -98,6 +98,28 @@ val point_grid : params -> grid
 (** The one-point grid holding [p], with every fault class; its
     {!validate_grid} says whether [campaign run] accepts [p]. *)
 
+(** {1 Generators by name}
+
+    The one table from the names a grid or the command line uses to
+    the generators. A campaign seeds its random workload with a seed
+    derived from the campaign seed; the command line passes its own. *)
+
+val known_workloads : string list
+(** [["avionics"; "scada"; "random"]]. *)
+
+val workload_of_name :
+  string -> nodes:int -> seed:int -> (Btr_workload.Graph.t, string) Stdlib.result
+(** The named workload on [nodes] nodes; [seed] seeds the random
+    generator's stream. [Error] names a node count below the
+    workload's {!Btr_workload.Generators.min_nodes} entry, or an
+    unknown name. *)
+
+val topology_of_name :
+  string -> nodes:int -> bandwidth_bps:int -> (Btr_net.Topology.t, string) Stdlib.result
+(** [clique], [ring] or [dual-bus] on [nodes] nodes, every link of
+    [bandwidth_bps] with 50µs latency. [Error] names a node count below
+    2 or an unknown name. *)
+
 (** {1 Campaign specs and trials} *)
 
 type spec = {

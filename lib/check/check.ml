@@ -259,8 +259,8 @@ let shares_of v = Net.shares_for v.topology v.config.Planner.shares
 let alive_of v faulty =
   List.filter (fun n -> not (List.mem n faulty)) (Topology.nodes v.topology)
 
-(* The verifier's own route table for a mode: it never reads the
-   planner's. *)
+(* The verifier's own route table for a mode, built once per mode per
+   pass: it never reads the planner's. *)
 let mode_routes v faulty =
   Topology.router v.topology ~usable:(fun n -> not (List.mem n faulty))
 
@@ -294,14 +294,15 @@ let link_capacity_diags v =
     (Topology.links v.topology)
 
 (* (a') Per mode: the data bytes each sender pushes per period fit its
-   reserved slice on every link its routes traverse. *)
-let data_reserve_diags v (p : Planner.plan) =
+   reserved slice on every link its routes traverse. Each hop is
+   charged to the node that sends it: the source, then each relay the
+   route names. *)
+let data_reserve_diags v (p : Planner.plan) ~routes =
   let shares = shares_of v in
   let g = p.Planner.aug.Augment.graph in
   let period = Graph.period g in
   (* (sender, link_id) -> bytes per period, plus one witness flow *)
   let demand = Hashtbl.create 64 in
-  let routes = mode_routes v p.Planner.faulty in
   List.iter
     (fun (fl : Graph.flow) ->
       match
@@ -312,16 +313,16 @@ let data_reserve_diags v (p : Planner.plan) =
         match Topology.path routes ~src ~dst with
         | None -> ()
         | Some path ->
-          let here = ref src in
-          List.iter
-            (fun (link : Topology.link) ->
-              let k = (!here, link.link_id) in
-              let bytes, _ =
-                Option.value ~default:(0, fl.flow_id) (Hashtbl.find_opt demand k)
-              in
-              Hashtbl.replace demand k (bytes + fl.msg_size, fl.flow_id);
-              here := Topology.next_hop_node v.topology ~here:!here ~link ~dst)
-            path)
+          ignore
+            (List.fold_left
+               (fun here (h : Topology.hop) ->
+                 let k = (here, h.link.link_id) in
+                 let bytes, _ =
+                   Option.value ~default:(0, fl.flow_id) (Hashtbl.find_opt demand k)
+                 in
+                 Hashtbl.replace demand k (bytes + fl.msg_size, fl.flow_id);
+                 h.next)
+               src path))
       | _ -> ())
     (Graph.flows g);
   let out = ref [] in
@@ -379,9 +380,9 @@ let control_reserve_diags v =
     (Topology.links v.topology)
 
 (* (b) Independent re-validation of the mode's static table. *)
-let schedule_valid_diags v (p : Planner.plan) =
+let schedule_valid_diags v (p : Planner.plan) ~routes =
   let g = p.Planner.aug.Augment.graph in
-  let xfer = Net.route_transfer_time (mode_routes v p.Planner.faulty) (shares_of v) ~cls:Net.Data in
+  let xfer = Net.route_transfer_time routes (shares_of v) ~cls:Net.Data in
   match Schedule.validate p.Planner.schedule g ~xfer with
   | exception Invalid_argument msg ->
     (* A table referencing tasks the mode's graph does not declare
@@ -861,28 +862,15 @@ let orphan_mode_diags v =
   end
 
 (* (d') Per mode: evidence routable between every pair of survivors.
-   Fast path: one BFS from the first survivor — link connectivity is an
-   equivalence relation over usable nodes, so "first reaches all" is
-   exactly "every pair is routable" and the all-clear costs
+   Fast path: {!Topology.connected_without}, the question the planner
+   asks of every mode, in one sweep, so the all-clear costs
    O(memberships) instead of O(n³). Any failure falls back to the
    pairwise probe to report the identical per-pair diagnostics. *)
-let evidence_routes_diags v (p : Planner.plan) =
+let evidence_routes_diags v (p : Planner.plan) ~routes =
   let faulty = p.Planner.faulty in
-  let alive = alive_of v faulty in
-  let all_connected =
-    match alive with
-    | [] -> true
-    | first :: rest ->
-      let sweep =
-        Topology.paths_from v.topology
-          ~usable:(fun n -> not (List.mem n faulty))
-          ~src:first
-      in
-      List.for_all (fun n -> Topology.reached sweep n) rest
-  in
-  if all_connected then []
+  if Topology.connected_without v.topology faulty then []
   else begin
-    let routes = mode_routes v faulty in
+    let alive = alive_of v faulty in
     let out = ref [] in
     List.iter
       (fun a ->
@@ -913,8 +901,8 @@ let evidence_routes_diags v (p : Planner.plan) =
    exactly, so reports are byte-identical across both paths. *)
 
 type units = {
-  u_data_reserves : view -> Planner.plan -> diagnostic list;
-  u_schedule_valid : view -> Planner.plan -> diagnostic list;
+  u_data_reserves : view -> Planner.plan -> routes:Topology.router -> diagnostic list;
+  u_schedule_valid : view -> Planner.plan -> routes:Topology.router -> diagnostic list;
   u_evb : view -> int list -> Time.t;
   u_omission_cuts :
     view -> Planner.plan -> sender:int -> (int * int list) option list;
@@ -944,10 +932,11 @@ let verify_units ?(obs = Obs.null) ?(strikes = 1) u v =
       Hashtbl.add evb_tbl k t;
       t
   in
+  let moded = List.map (fun p -> (p, mode_routes v p.Planner.faulty)) v.plans in
   push_all (link_capacity_diags v);
-  List.iter (fun p -> push_all (u.u_data_reserves v p)) v.plans;
+  List.iter (fun (p, routes) -> push_all (u.u_data_reserves v p ~routes)) moded;
   push_all (control_reserve_diags v);
-  List.iter (fun p -> push_all (u.u_schedule_valid v p)) v.plans;
+  List.iter (fun (p, routes) -> push_all (u.u_schedule_valid v p ~routes)) moded;
   let fault_sets = coverage_diags v ~evb push in
   push_all
     (omission_diags v ~strikes
@@ -956,8 +945,8 @@ let verify_units ?(obs = Obs.null) ?(strikes = 1) u v =
   push_all (transition_sanity_diags v);
   push_all (orphan_mode_diags v);
   List.iter
-    (fun (p : Planner.plan) ->
-      push_all (evidence_routes_diags v p);
+    (fun ((p : Planner.plan), routes) ->
+      push_all (evidence_routes_diags v p ~routes);
       let faulty = p.Planner.faulty in
       if faulty <> [] then begin
         let eb = evb faulty in
@@ -972,7 +961,7 @@ let verify_units ?(obs = Obs.null) ?(strikes = 1) u v =
               locus = { no_locus with faulty = Some faulty };
             }
       end)
-    v.plans;
+    moded;
   let diagnostics =
     let all = List.rev !rev in
     List.filter (fun d -> severity_of d.code = Error) all

@@ -159,12 +159,18 @@ val selective_omission_witnesses : ?strikes:int -> view -> omission_witness list
     implementation that could drift. The record holds only the units
     [Incr] memoizes; the link checks and survivor-route sweeps cost
     less to rerun than to key, so
-    {!verify_units} always runs them directly. *)
+    {!verify_units} always runs them directly. {!verify_units} builds
+    the verifier's own route table for each mode once per pass and
+    hands it to every unit that routes ([routes]); it never reads the
+    planner's table. *)
 
 type units = {
-  u_data_reserves : view -> Planner.plan -> diagnostic list;
-      (** BTR-E102 for one mode's routed per-sender demand. *)
-  u_schedule_valid : view -> Planner.plan -> diagnostic list;
+  u_data_reserves :
+    view -> Planner.plan -> routes:Btr_net.Topology.router -> diagnostic list;
+      (** BTR-E102 for one mode's routed per-sender demand, each hop
+          charged to the node its route hands it to. *)
+  u_schedule_valid :
+    view -> Planner.plan -> routes:Btr_net.Topology.router -> diagnostic list;
       (** BTR-E203: independent re-validation of one mode's table. *)
   u_evb : view -> int list -> Btr_util.Time.t;
       (** Worst-case pairwise evidence-distribution bound for one

@@ -189,14 +189,14 @@ let units_of (m : memo) (strategy : Planner.t) : Check.units =
   in
   {
     Check.u_data_reserves =
-      (fun v p ->
+      (fun v p ~routes ->
         mode_keyed "reserve|" m.reserve_tbl m.c_reserve
-          (fun () -> d.Check.u_data_reserves v p)
+          (fun () -> d.Check.u_data_reserves v p ~routes)
           p ~suffix:"");
     u_schedule_valid =
-      (fun v p ->
+      (fun v p ~routes ->
         mode_keyed "sched|" m.sched_tbl m.c_sched
-          (fun () -> d.Check.u_schedule_valid v p)
+          (fun () -> d.Check.u_schedule_valid v p ~routes)
           p ~suffix:"");
     u_evb =
       (fun v faulty ->

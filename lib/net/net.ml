@@ -34,16 +34,6 @@ let link_transfer_time shares ~cls ~size_bytes (link : Topology.link) =
   let rate = reservation_rate shares link cls in
   Time.add (serialize_time ~size:size_bytes ~rate) link.latency
 
-let path_transfer_time shares ~cls ~size_bytes path =
-  List.fold_left
-    (fun acc link -> Time.add acc (link_transfer_time shares ~cls ~size_bytes link))
-    Time.zero path
-
-let plan_transfer_time topo ?shares ?(avoid = []) ~cls ~src ~dst ~size_bytes () =
-  Option.map
-    (path_transfer_time (shares_for topo shares) ~cls ~size_bytes)
-    (Topology.route_avoiding topo ~avoid ~src ~dst)
-
 let route_transfer_time routes shares ~cls ~src ~dst ~size_bytes =
   Topology.path_cost routes ~link_cost:(link_transfer_time shares ~cls ~size_bytes) ~src ~dst
 
@@ -80,9 +70,10 @@ type 'a t = {
   relay_policy : (src:node_id -> dst:node_id -> cls:cls -> bool) Inttbl.t;
   relay_delay : Time.t Inttbl.t;
   mutable route_avoid : node_id list;
-  (* [pair_key src dst] -> route under [route_avoid]; flushed when it
-     changes. *)
-  routes : Topology.link list option Inttbl.t;
+  mutable router : Topology.router;  (* routes around [route_avoid] *)
+  (* [pair_key src dst] -> the route [router] holds; flushed when it is
+     replaced. *)
+  routes : Topology.hop list option Inttbl.t;
   loss_rng : Rng.t;
   (* Registry counters: always on, one field write per bump. *)
   sent : Obs.Counter.t;
@@ -95,6 +86,9 @@ type 'a t = {
   data_lat : Stats.Acc.t;
   control_lat : Stats.Acc.t;
 }
+
+let router_avoiding topo avoid =
+  Topology.router topo ~usable:(fun n -> not (List.mem n avoid))
 
 let create eng topo ?shares ?(residual_loss = 0.0) () =
   let shares = shares_for topo shares in
@@ -126,6 +120,7 @@ let create eng topo ?shares ?(residual_loss = 0.0) () =
     relay_policy = Inttbl.create 8;
     relay_delay = Inttbl.create 8;
     route_avoid = [];
+    router = router_avoiding topo [];
     routes = Inttbl.create 64;
     loss_rng = Rng.split (Engine.rng eng);
     sent = Obs.Registry.counter reg Obs.Net "msgs-sent";
@@ -157,14 +152,13 @@ let bytes_sent_by t n cls =
   match Inttbl.find t.by_sender (with_cls n cls) with b -> b | exception Not_found -> 0
 
 let route t ~src ~dst =
-  if not (fits src && fits dst) then
-    Topology.route_avoiding t.topo ~avoid:t.route_avoid ~src ~dst
+  if not (fits src && fits dst) then Topology.path t.router ~src ~dst
   else
     let k = pair_key src dst in
     match Inttbl.find t.routes k with
     | r -> r
     | exception Not_found ->
-      let r = Topology.route_avoiding t.topo ~avoid:t.route_avoid ~src ~dst in
+      let r = Topology.path t.router ~src ~dst in
       Inttbl.replace t.routes k r;
       r
 
@@ -221,26 +215,21 @@ let send t ~src ~dst ~cls ~size_bytes payload =
     if Obs.enabled t.obs then
       Obs.emit t.obs ~at:sent_at ~node:src Obs.Net
         (Obs.Msg_sent { src; dst; cls = cls_name cls; bytes = size_bytes });
-    let rec traverse here remaining hops =
-      match remaining with
-      | [] ->
-        let finish at =
-          deliver t
-            { src; dst; payload; size_bytes; cls; sent_at; delivered_at = at; hops }
-        in
-        if here = dst then finish (Engine.now t.eng)
-        else () (* unreachable: path exhausted away from dst *)
-      | link :: rest ->
-        let nxt = Topology.next_hop_node t.topo ~here ~link ~dst in
-        hop t ~sender:here ~link ~cls ~size:size_bytes (fun _arrival ->
-            if t.residual_loss > 0.0 && Rng.float t.loss_rng 1.0 < t.residual_loss
-            then begin
-              Obs.Counter.incr t.lost;
-              if Obs.enabled t.obs then
-                Obs.emit t.obs ~at:(Engine.now t.eng) ~node:nxt Obs.Net
-                  (Obs.Msg_lost { src; dst; cls = cls_name cls })
-            end
-            else if nxt = dst && rest = [] then
+    (* [here] pushes the message over the link of [h], to [h.next];
+       [rest] are the hops after it. *)
+    let rec traverse here (h : Topology.hop) rest hops =
+      let nxt = h.next in
+      hop t ~sender:here ~link:h.link ~cls ~size:size_bytes (fun _arrival ->
+          if t.residual_loss > 0.0 && Rng.float t.loss_rng 1.0 < t.residual_loss
+          then begin
+            Obs.Counter.incr t.lost;
+            if Obs.enabled t.obs then
+              Obs.emit t.obs ~at:(Engine.now t.eng) ~node:nxt Obs.Net
+                (Obs.Msg_lost { src; dst; cls = cls_name cls })
+          end
+          else
+            match rest with
+            | [] ->
               deliver t
                 {
                   src;
@@ -252,22 +241,24 @@ let send t ~src ~dst ~cls ~size_bytes payload =
                   delivered_at = Engine.now t.eng;
                   hops = hops + 1;
                 }
-            else if not (relay_allows t nxt ~src ~dst ~cls) then begin
-              Obs.Counter.incr t.relay_dropped;
-              if Obs.enabled t.obs then
-                Obs.emit t.obs ~at:(Engine.now t.eng) ~node:nxt Obs.Net
-                  (Obs.Relay_dropped { relay = nxt; src; dst; cls = cls_name cls })
-            end
-            else begin
-              let extra = relay_extra_delay t nxt in
-              if Time.equal extra Time.zero then traverse nxt rest (hops + 1)
-              else
-                ignore
-                  (Engine.schedule_in t.eng ~delay:extra (fun _ ->
-                       traverse nxt rest (hops + 1)))
-            end)
+            | h' :: rest' ->
+              if not (relay_allows t nxt ~src ~dst ~cls) then begin
+                Obs.Counter.incr t.relay_dropped;
+                if Obs.enabled t.obs then
+                  Obs.emit t.obs ~at:(Engine.now t.eng) ~node:nxt Obs.Net
+                    (Obs.Relay_dropped { relay = nxt; src; dst; cls = cls_name cls })
+              end
+              else begin
+                let extra = relay_extra_delay t nxt in
+                if Time.equal extra Time.zero then traverse nxt h' rest' (hops + 1)
+                else
+                  ignore
+                    (Engine.schedule_in t.eng ~delay:extra (fun _ ->
+                         traverse nxt h' rest' (hops + 1)))
+              end)
     in
-    if path = [] then begin
+    (match path with
+    | [] ->
       (* Local delivery still goes through the event queue for ordering. *)
       ignore
         (Engine.schedule_in t.eng ~delay:Time.zero (fun _ ->
@@ -281,22 +272,16 @@ let send t ~src ~dst ~cls ~size_bytes payload =
                  sent_at;
                  delivered_at = Engine.now t.eng;
                  hops = 0;
-               }));
-      true
-    end
-    else begin
-      traverse src path 0;
-      true
-    end
-
-let transfer_time t ~src ~dst ~cls ~size_bytes =
-  Option.map (path_transfer_time t.shares ~cls ~size_bytes) (route t ~src ~dst)
+               }))
+    | h :: rest -> traverse src h rest 0);
+    true
 
 let set_relay_policy t n p = Inttbl.replace t.relay_policy n p
 let set_relay_delay t n d = Inttbl.replace t.relay_delay n d
 let set_route_avoid t ns =
   if ns <> t.route_avoid then begin
     t.route_avoid <- ns;
+    t.router <- router_avoiding t.topo ns;
     Inttbl.reset t.routes
   end
 

@@ -13,9 +13,10 @@
     [b / reserved_rate(link, class)] of queueing-free time;
     back-to-back sends queue behind one another (per sender, link and
     class), then the link's propagation latency applies. Multi-hop
-    messages are store-and-forward relayed by intermediate nodes, each
-    relay charging its own reservation; Byzantine relays can drop or
-    delay them via the relay-policy hooks (fault injection uses this).
+    messages are store-and-forward relayed by the nodes their route
+    names ({!Topology.hop}), each relay charging its own reservation;
+    Byzantine relays can drop or delay them via the relay-policy hooks
+    (fault injection uses this).
 
     Losses are assumed masked by FEC (§2.1); an optional residual-loss
     probability exercises that assumption's boundary. *)
@@ -79,32 +80,11 @@ val reserved_rate : 'a t -> Topology.link -> cls -> int
 (** Bytes/second each member owns on that link for that class:
     {!reservation_rate} at the network's shares. *)
 
-val transfer_time :
-  'a t -> src:node_id -> dst:node_id -> cls:cls -> size_bytes:int -> Time.t option
-(** Queueing-free end-to-end time for a message along the current route:
-    {!link_transfer_time} at the network's shares, summed over its links. *)
-
-val plan_transfer_time :
-  Topology.t ->
-  ?shares:shares ->
-  ?avoid:node_id list ->
-  cls:cls ->
-  src:node_id ->
-  dst:node_id ->
-  size_bytes:int ->
-  unit ->
-  Time.t option
-(** Offline variant of {!transfer_time} for the planner: computes the
-    queueing-free bound from the topology and reservation shares alone,
-    routing around [avoid] (default []), without a live network.
-    [shares] defaults as in {!create}. *)
-
 val link_transfer_time :
   shares -> cls:cls -> size_bytes:int -> Topology.link -> Time.t
-(** One hop of {!plan_transfer_time}: serialization at the reserved rate
-    plus the link's propagation latency. {!plan_transfer_time} is its
-    sum over the route. Feed it to {!Topology.cost_from} for
-    all-destinations bounds in one sweep. *)
+(** One hop of a queueing-free transfer: serialization at the reserved
+    rate plus the link's propagation latency. {!route_transfer_time} is
+    its sum over a route. *)
 
 val route_transfer_time :
   Topology.router ->
@@ -114,8 +94,10 @@ val route_transfer_time :
   dst:node_id ->
   size_bytes:int ->
   Time.t option
-(** What {!plan_transfer_time} returns for the route the table holds,
-    summed by {!Topology.path_cost} without building the route. *)
+(** Queueing-free end-to-end time of a message along the route the
+    table holds: {!link_transfer_time} summed by {!Topology.path_cost}
+    without building the route. The planner and the verifier bound
+    every transfer with it, each over its own table for the mode. *)
 
 (** {1 Fault-injection hooks} *)
 
@@ -129,9 +111,10 @@ val set_relay_delay : 'a t -> node_id -> Time.t -> unit
 
 val set_route_avoid : 'a t -> node_id list -> unit
 (** Nodes that routing must no longer relay through (known-faulty set
-    after mode changes). Endpoints may still be faulty nodes. Routes are
-    cached per (src, dst); a list different from the current one flushes
-    the cache. *)
+    after mode changes). Endpoints may still be faulty nodes. Routes
+    come from one {!Topology.router} around this list and are cached per
+    (src, dst); a list different from the current one replaces the
+    router and flushes the cache. *)
 
 (** {1 Statistics} *)
 

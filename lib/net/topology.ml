@@ -112,44 +112,46 @@ let neighbors t n =
 
 (* {2 Breadth-first sweeps}
 
-   Every route query is one sweep from its source: links in ascending
-   id, members in declared order, first encounter wins. A sweep expands
-   each link at most once. The first expansion of a link reaches every
-   member that any later expansion could reach (all of them, except
-   unusable ones, which no expansion relays through), so later
-   expansions would find nothing new: skipping them leaves every
-   predecessor, cost and route unchanged, and makes a sweep
-   O(nodes + memberships) instead of O(n²) on a bus.
+   Every route is recorded by one sweep from its source: links in
+   ascending id, members in declared order, first encounter wins. A
+   sweep expands each link at most once. The first expansion of a link
+   reaches every member that any later expansion could reach (all of
+   them, except unusable ones, which no expansion relays through), so
+   later expansions would find nothing new: skipping them leaves every
+   predecessor unchanged, and makes a sweep O(nodes + memberships)
+   instead of O(n²) on a bus.
 
-   Each sweep marks nodes and links in byte maps and queues node
-   indices in one array, since every node is queued at most once.
-   [reach here j m] is called once per node [m] first reached, through
-   link [j] expanded from node [here]: it records [m] and returns
-   [false] to stop the sweep. Unusable nodes are reached as endpoints
-   but never relay. *)
-let sweep t ~usable ~src ~reach =
+   [prev.(i)] is the node index [i] was first reached from (-1 while
+   unreached; the source is its own predecessor) and [via.(i)] the
+   link index it was reached through, so the route to [i] is the chain
+   of predecessors back to the source, and each hop of it delivers to
+   the node the sweep reached through it. Nodes are queued in one
+   array, since each is queued at most once. Unusable nodes are reached
+   as endpoints but never relay. *)
+type sweep = { prev : int array; via : int array }
+
+let sweep t ~usable ~src =
   let n = Array.length t.ids in
-  let seen = Bytes.make n '\000' in
+  let prev = Array.make n (-1) and via = Array.make n (-1) in
   let spent = Bytes.make (Array.length t.links_at) '\000' in
   let queue = Array.make n src in
   let head = ref 0 and tail = ref 1 in
-  Bytes.set seen src '\001';
-  let go = ref true in
-  while !go && !head < !tail do
+  prev.(src) <- src;
+  while !head < !tail do
     let here = queue.(!head) in
     incr head;
     let links = t.adj.(here) in
     for k = 0 to Array.length links - 1 do
       let j = links.(k) in
-      if !go && Bytes.get spent j = '\000' then begin
+      if Bytes.get spent j = '\000' then begin
         Bytes.set spent j '\001';
         let members = t.members_at.(j) in
         for i = 0 to Array.length members - 1 do
           let m = members.(i) in
-          if !go && Bytes.get seen m = '\000' then begin
-            Bytes.set seen m '\001';
-            if not (reach here j m) then go := false
-            else if usable t.ids.(m) then begin
+          if prev.(m) < 0 then begin
+            prev.(m) <- here;
+            via.(m) <- j;
+            if usable t.ids.(m) then begin
               queue.(!tail) <- m;
               incr tail
             end
@@ -157,160 +159,82 @@ let sweep t ~usable ~src ~reach =
         done
       end
     done
-  done
+  done;
+  { prev; via }
 
-(* One sweep from [src] yields, for every destination, the route a
-   sweep stopped at that destination would record: stopping early
-   cannot change predecessors already recorded. [prev.(i)] is the node
-   index [i] was reached from (-1 if unreached, and for the source) and
-   [via.(i)] the link index it was reached through. *)
-type paths = {
-  p_topo : t;
-  p_src : node_id;
-  prev : int array;
-  via : int array;
-}
-
-let reached p n =
-  n = p.p_src
-  ||
-  match Inttbl.find_opt p.p_topo.pos n with
-  | Some i -> p.prev.(i) >= 0
-  | None -> false
-
-let path_to p ~dst =
-  if dst = p.p_src then Some []
-  else if not (reached p dst) then None
-  else begin
-    let rec rebuild acc i =
-      if p.prev.(i) < 0 then acc
-      else rebuild (p.p_topo.links_at.(p.via.(i)) :: acc) p.prev.(i)
-    in
-    Some (rebuild [] (Inttbl.find p.p_topo.pos dst))
-  end
-
-(* A sweep recording predecessors, stopped once [stop_at] (a node
-   index, or -1 for never) is reached. *)
-let sweep_paths t ~usable ~src ~stop_at =
-  let n = Array.length t.ids in
-  let p = { p_topo = t; p_src = src; prev = Array.make n (-1); via = Array.make n (-1) } in
-  (match Inttbl.find_opt t.pos src with
-  | None -> ()
-  | Some s ->
-    sweep t ~usable ~src:s ~reach:(fun here j m ->
-        p.prev.(m) <- here;
-        p.via.(m) <- j;
-        m <> stop_at));
-  p
-
-let paths_from t ~usable ~src = sweep_paths t ~usable ~src ~stop_at:(-1)
+type hop = { link : link; next : node_id }
 
 (* The route table: one sweep per source node index, run on the
    source's first query and kept. *)
-type router = { r_topo : t; r_usable : node_id -> bool; sweeps : paths option array }
+type router = { r_topo : t; r_usable : node_id -> bool; sweeps : sweep option array }
 
 let router t ~usable =
   { r_topo = t; r_usable = usable; sweeps = Array.make (Array.length t.ids) None }
 
-(* The sweep from [src], or [None] when [src] is not a node. *)
-let sweep_of r src =
-  match Inttbl.find_opt r.r_topo.pos src with
-  | None -> None
-  | Some s -> (
-    match r.sweeps.(s) with
-    | Some _ as p -> p
-    | None ->
-      let p = Some (paths_from r.r_topo ~usable:r.r_usable ~src) in
-      r.sweeps.(s) <- p;
-      p)
+(* The index of node [n], or -1 when [n] is not a node. Generators
+   declare nodes 0..n-1 in order, so an id is usually its own index:
+   that is checked first, without hashing. *)
+let index t n =
+  if n >= 0 && n < Array.length t.ids && t.ids.(n) = n then n
+  else match Inttbl.find t.pos n with i -> i | exception Not_found -> -1
+
+let sweep_from r s =
+  match r.sweeps.(s) with
+  | Some p -> p
+  | None ->
+    let p = sweep r.r_topo ~usable:r.r_usable ~src:s in
+    r.sweeps.(s) <- Some p;
+    p
 
 let path r ~src ~dst =
   if src = dst then Some []
-  else match sweep_of r src with Some p -> path_to p ~dst | None -> None
+  else
+    let s = index r.r_topo src and d = index r.r_topo dst in
+    if s < 0 || d < 0 then None
+    else
+      let p = sweep_from r s in
+      if p.prev.(d) < 0 then None
+      else
+        let rec rebuild acc i =
+          if i = s then acc
+          else
+            rebuild
+              ({ link = r.r_topo.links_at.(p.via.(i)); next = r.r_topo.ids.(i) } :: acc)
+              p.prev.(i)
+        in
+        Some (rebuild [] d)
 
 (* Sums [link_cost] back along the predecessors, so no path list is
    built. *)
 let path_cost r ~link_cost ~src ~dst =
   if src = dst then Some Btr_util.Time.zero
   else
-    match sweep_of r src with
-    | None -> None
-    | Some p -> (
-      match Inttbl.find_opt r.r_topo.pos dst with
-      | Some d when p.prev.(d) >= 0 ->
-        let rec sum acc i =
-          if p.prev.(i) < 0 then acc
-          else sum (Btr_util.Time.add acc (link_cost r.r_topo.links_at.(p.via.(i)))) p.prev.(i)
-        in
-        Some (sum Btr_util.Time.zero d)
-      | _ -> None)
+    let s = index r.r_topo src and d = index r.r_topo dst in
+    if s < 0 || d < 0 then None
+    else
+      let p = sweep_from r s in
+      if p.prev.(d) < 0 then None
+      else begin
+        let cost = ref Btr_util.Time.zero and i = ref d in
+        while !i <> s do
+          cost := Btr_util.Time.add !cost (link_cost r.r_topo.links_at.(p.via.(!i)));
+          i := p.prev.(!i)
+        done;
+        Some !cost
+      end
 
-let route_gen t ~usable ~src ~dst =
-  if src = dst then Some []
-  else
-    match Inttbl.find_opt t.pos dst with
-    | None -> None
-    | Some d -> path_to (sweep_paths t ~usable ~src ~stop_at:d) ~dst
-
-let route t ~src ~dst = route_gen t ~usable:(fun _ -> true) ~src ~dst
-
-let route_avoiding t ~avoid ~src ~dst =
-  route_gen t ~usable:(fun n -> not (List.mem n avoid)) ~src ~dst
-
-let next_hop_node t ~here ~link ~dst =
-  if List.mem dst link.members then dst
-  else begin
-    (* Pick the member (other than [here]) that is nearest to [dst];
-       deterministic because members are listed in a fixed order. *)
-    let candidates = List.filter (fun m -> m <> here) link.members in
-    let dist n =
-      match route t ~src:n ~dst with
-      | Some path -> List.length path
-      | None -> max_int
-    in
-    match candidates with
-    | [] -> invalid_arg "Topology.next_hop_node: degenerate link"
-    | c :: cs -> List.fold_left (fun best m -> if dist m < dist best then m else best) c cs
-  end
-
-(* The cost of a destination is [link_cost] summed along its route,
-   accumulated during the sweep rather than rebuilt per destination;
-   [min_int] marks unreached nodes. *)
-type costs = { c_topo : t; cost : Btr_util.Time.t array }
-
-let cost_from t ~usable ~src ~link_cost =
-  let c = { c_topo = t; cost = Array.make (Array.length t.ids) min_int } in
-  (match Inttbl.find_opt t.pos src with
-  | None -> ()
-  | Some s ->
-    c.cost.(s) <- Btr_util.Time.zero;
-    sweep t ~usable ~src:s ~reach:(fun here j m ->
-        c.cost.(m) <- Btr_util.Time.add c.cost.(here) (link_cost t.links_at.(j));
-        true));
-  c
-
-let cost_to c n =
-  match Inttbl.find_opt c.c_topo.pos n with
-  | Some i when c.cost.(i) <> min_int -> Some c.cost.(i)
-  | _ -> None
-
+(* Link connectivity is an equivalence relation over usable nodes, so
+   one sweep from the first survivor reaching every other survivor is
+   exactly "every pair is routable". *)
 let connected_without t broken =
   let broken_set = Inttbl.create 8 in
   List.iter (fun n -> Inttbl.replace broken_set n ()) broken;
-  let alive =
-    List.filter (fun n -> not (Inttbl.mem broken_set n)) t.node_list
-  in
-  match alive with
+  let usable n = not (Inttbl.mem broken_set n) in
+  match List.filter usable t.node_list with
   | [] -> true
   | first :: rest ->
-    (* One BFS reaches exactly the set the old per-destination
-       [route_gen] probes reached: every alive destination is usable,
-       so "reachable as an endpoint" and "reachable as a relay"
-       coincide for the nodes we query. *)
-    let p =
-      paths_from t ~usable:(fun m -> not (Inttbl.mem broken_set m)) ~src:first
-    in
-    List.for_all (fun n -> reached p n) rest
+    let p = sweep t ~usable ~src:(index t first) in
+    List.for_all (fun n -> p.prev.(index t n) >= 0) rest
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>topology: %d nodes, %d links@," (node_count t)

@@ -334,32 +334,34 @@ let plan_mode cfg workload topo ~faulty ~parent ~data =
   in
   try_floors None Task.all_criticalities
 
+(* The route table of the mode that [faulty] leaves: routes relay only
+   through its survivors. *)
+let mode_routes topo faulty = Topology.router topo ~usable:(fun n -> not (List.mem n faulty))
+
 (* Bounded evidence-distribution latency in the new mode: worst-case
-   pairwise control-class transfer among surviving nodes. One
-   cost-accumulating BFS per source replaces the per-pair route+fold —
-   same routes, same per-pair sums, same max — taking the bound from
-   O(n³) to O(n·memberships) per fault set. *)
-let evidence_bound cfg topo ~faulty =
+   pairwise control-class transfer among surviving nodes, over the
+   mode's route table [routes]. Each source is swept once, on its first
+   pair, so the bound costs O(n·memberships) per fault set. *)
+let mode_evidence_bound cfg topo routes ~faulty =
   let shares = Net.shares_for topo cfg.shares in
   let alive =
     List.filter (fun n -> not (List.mem n faulty)) (Topology.nodes topo)
   in
-  let usable n = not (List.mem n faulty) in
   let link_cost =
     Net.link_transfer_time shares ~cls:Net.Control ~size_bytes:evidence_size
   in
   List.fold_left
-    (fun acc a ->
-      let costs = Topology.cost_from topo ~usable ~src:a ~link_cost in
+    (fun acc src ->
       List.fold_left
-        (fun acc b ->
-          if a = b then acc
-          else
-            match Topology.cost_to costs b with
-            | Some d -> Time.max acc d
-            | None -> acc)
+        (fun acc dst ->
+          match Topology.path_cost routes ~link_cost ~src ~dst with
+          | Some d -> Time.max acc d
+          | None -> acc)
         acc alive)
     Time.zero alive
+
+let evidence_bound cfg topo ~faulty =
+  mode_evidence_bound cfg topo (mode_routes topo faulty) ~faulty
 
 (* [from_plan]'s order is the order state sends leave a node, so it
    shows in traces. State migrates only from a surviving host; a faulty
@@ -441,11 +443,6 @@ let build ?evidence_bound:supplied cfg workload topo =
     let started_at = Sys.time () in
     let plans = Hashtbl.create 64 in
     let transitions = Hashtbl.create 64 in
-    let evb =
-      match supplied with
-      | Some evb -> evb
-      | None -> fun faulty -> evidence_bound cfg topo ~faulty
-    in
     let shares = Net.shares_for topo cfg.shares in
     let exception Failed of error in
     try
@@ -453,9 +450,10 @@ let build ?evidence_bound:supplied cfg workload topo =
         (fun faulty ->
           if not (Topology.connected_without topo faulty) then
             raise (Failed (Disconnected { faulty }));
-          (* The mode's route table: placement, list scheduling and the
-             migration bounds read every route from it. *)
-          let routes = Topology.router topo ~usable:(fun n -> not (List.mem n faulty)) in
+          (* The mode's route table: placement, list scheduling, the
+             migration bounds and the evidence bound read every route
+             from it. *)
+          let routes = mode_routes topo faulty in
           let parent =
             match List.rev faulty with
             | [] -> None
@@ -473,7 +471,11 @@ let build ?evidence_bound:supplied cfg workload topo =
           (* A transition into this mode exists from every parent; all
              of them share the mode's evidence bound. *)
           if faulty <> [] then begin
-            let evidence = evb faulty in
+            let evidence =
+              match supplied with
+              | Some evb -> evb faulty
+              | None -> mode_evidence_bound cfg topo routes ~faulty
+            in
             List.iter
               (fun y ->
                 let from_faulty = List.filter (fun x -> x <> y) faulty in

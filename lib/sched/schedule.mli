@@ -27,7 +27,8 @@ val pp_failure : Format.formatter -> failure -> unit
 
 type xfer = src:int -> dst:int -> size_bytes:int -> Time.t option
 (** Queueing-free network transfer-time oracle (see
-    {!Btr_net.Net.transfer_time}); [src = dst] must give [Some 0]. *)
+    {!Btr_net.Net.route_transfer_time}); [src = dst] must give
+    [Some 0]. *)
 
 val list_schedule :
   Graph.t -> place:(Task.id -> int) -> xfer:xfer -> (t, failure) result

@@ -739,6 +739,23 @@ let test_report_rejects_garbage () =
   check_bool "malformed line" true
     (Result.is_error (Orchestrate.render_report [ "{\"trial\":" ]))
 
+(* Byte-identity pin for relayed traffic: ring and dual-bus configs
+   whose routes are multi-hop, run end to end. *)
+let test_multihop_fingerprint () =
+  let grid =
+    {
+      Campaign.default_grid with
+      Campaign.workloads = [ "scada"; "random" ];
+      topologies = [ "ring"; "dual-bus" ];
+      node_counts = [ 5; 7 ];
+      fault_bounds = [ 1; 2 ];
+      recovery_bounds = [ Time.ms 150; Time.ms 300 ];
+    }
+  in
+  let spec = Campaign.spec ~grid ~trials:40 ~seed:5 () in
+  check_string "multi-hop campaign fingerprint" "8b8b15d160f2a851"
+    (Campaign.fingerprint (Campaign.run ~jobs:1 spec))
+
 let suite =
   [
     Alcotest.test_case "grid cross product" `Quick test_grid_cross_product;
@@ -786,4 +803,6 @@ let suite =
       test_pool_r_derived_verdicts;
     Alcotest.test_case "oversized planning inputs are refused" `Quick
       test_oversized_inputs_refused;
+    Alcotest.test_case "multi-hop campaign is pinned" `Quick
+      test_multihop_fingerprint;
   ]

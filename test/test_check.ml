@@ -562,6 +562,58 @@ let prop_e305_reject_implies_violating_schedule =
                  (Btr.Metrics.recovery_times (Btr.Runtime.metrics rt)))
            wits)
 
+(* Byte-identity pin over the 216-config grid [check --json] covers:
+   avionics/scada/random x workload seeds 1, 2 x clique/ring/dual-bus
+   x n 6/9/12 x f 1/2 x R 150/300 ms, built as the CLI builds them.
+   Each config contributes the planner's error text or the verifier's
+   JSON report; ring and dual-bus configs route over relays, so a
+   change in which node relays a hop shows here. *)
+let grid_digest () =
+  let line workload seed topology n f r =
+    let g =
+      match workload with
+      | "avionics" -> Generators.avionics ~n_nodes:n
+      | "scada" -> Generators.scada ~n_nodes:n
+      | _ ->
+        Generators.random_layered ~rng:(Rng.create seed) ~n_nodes:n ~layers:3
+          ~width:3 ()
+    in
+    let topo =
+      let bandwidth_bps = 10_000_000 and latency = Time.us 50 in
+      match topology with
+      | "clique" -> Topology.fully_connected ~n ~bandwidth_bps ~latency
+      | "ring" -> Topology.ring ~n ~bandwidth_bps ~latency
+      | _ -> Topology.dual_bus ~n ~bandwidth_bps ~latency
+    in
+    let cfg = Planner.default_config ~f ~recovery_bound:(Time.ms r) in
+    let result =
+      match Planner.build cfg g topo with
+      | Error e -> Format.asprintf "error: %a" Planner.pp_error e
+      | Ok s -> Check.report_to_json (Check.verify s)
+    in
+    Printf.sprintf "%s/%d/%s/%d/%d/%d %s" workload seed topology n f r result
+  in
+  let lines =
+    List.concat_map
+      (fun w ->
+        List.concat_map
+          (fun seed ->
+            List.concat_map
+              (fun t ->
+                List.concat_map
+                  (fun n ->
+                    List.concat_map
+                      (fun f -> List.map (fun r -> line w seed t n f r) [ 150; 300 ])
+                      [ 1; 2 ])
+                  [ 6; 9; 12 ])
+              [ "clique"; "ring"; "dual-bus" ])
+          [ 1; 2 ])
+      [ "avionics"; "scada"; "random" ]
+  in
+  Alcotest.(check int) "configs" 216 (List.length lines);
+  Alcotest.(check string) "grid digest" "edb68853afc03e93"
+    (Fnv.to_hex (Fnv.hash64_lines lines))
+
 let suite =
   [
     ("pristine avionics strategy passes", `Quick, test_pristine_passes);
@@ -592,4 +644,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_accept_implies_bounded_recovery;
     QCheck_alcotest.to_alcotest prop_accept_implies_bounded_recovery_omitto;
     QCheck_alcotest.to_alcotest prop_e305_reject_implies_violating_schedule;
+    ("216-config grid reports are pinned", `Quick, grid_digest);
   ]

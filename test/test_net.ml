@@ -34,15 +34,20 @@ let test_generators () =
   check_int "dual bus links" 2 (List.length (Topology.links db));
   check_int "dual bus everyone adjacent" 5 (List.length (Topology.neighbors db 2))
 
+let routes ?(avoid = []) topo = Topology.router topo ~usable:(fun n -> not (List.mem n avoid))
+
 let test_routing () =
   let ring = Topology.ring ~n:6 ~bandwidth_bps:1000 ~latency:(Time.us 1) in
-  (match Topology.route ring ~src:0 ~dst:3 with
-  | Some path -> check_int "ring 0->3 hops" 3 (List.length path)
+  (match Topology.path (routes ring) ~src:0 ~dst:3 with
+  | Some path ->
+    check_int "ring 0->3 hops" 3 (List.length path);
+    Alcotest.(check (list int)) "ring 0->3 relays" [ 1; 2; 3 ]
+      (List.map (fun (h : Topology.hop) -> h.next) path)
   | None -> Alcotest.fail "route expected");
-  (match Topology.route ring ~src:2 ~dst:2 with
+  (match Topology.path (routes ring) ~src:2 ~dst:2 with
   | Some [] -> ()
   | _ -> Alcotest.fail "self route should be empty");
-  match Topology.route_avoiding ring ~avoid:[ 1; 5 ] ~src:0 ~dst:3 with
+  match Topology.path (routes ~avoid:[ 1; 5 ] ring) ~src:0 ~dst:3 with
   | None -> ()
   | Some _ -> Alcotest.fail "0->3 must be cut when 1 and 5 cannot relay"
 
@@ -161,6 +166,39 @@ let test_route_avoid () =
   check_bool "no route left" false
     (Net.send net ~src:0 ~dst:2 ~cls:Net.Data ~size_bytes:100 ())
 
+(* A route names its relays: the sender hands each hop to the node the
+   route recorded, never to another member of the link. On bus {0,1,2}
+   with links {2,3} and {1,3}, the route 0->3 around node 1 relays
+   through 2, although 1 is as near to 3; a policy on 1 that drops
+   everything must never see the message. *)
+let test_route_names_its_relays () =
+  let e = Engine.create () in
+  let link link_id members =
+    { Topology.link_id; members; bandwidth_bps = 1_000_000; latency = Time.us 50 }
+  in
+  let topo =
+    Topology.create ~nodes:[ 0; 1; 2; 3 ]
+      ~links:[ link 0 [ 0; 1; 2 ]; link 1 [ 2; 3 ]; link 2 [ 1; 3 ] ]
+  in
+  let net = Net.create e topo () in
+  let asked = ref 0 and got = ref None and seen_by_1 = ref false in
+  Net.set_relay_policy net 1 (fun ~src:_ ~dst:_ ~cls:_ ->
+      incr asked;
+      false);
+  Net.set_handler net 1 (fun _ -> seen_by_1 := true);
+  Net.set_handler net 3 (fun r -> got := Some r);
+  Net.set_route_avoid net [ 1 ];
+  check_bool "routed" true (Net.send net ~src:0 ~dst:3 ~cls:Net.Data ~size_bytes:100 ());
+  Engine.run e;
+  (match !got with
+  | Some r -> check_int "delivered in two hops" 2 r.Net.hops
+  | None -> Alcotest.fail "not delivered");
+  check_int "no relay drop" 0 (Net.stats net).Net.messages_dropped_by_relay;
+  check_int "relay 2 charged the data bytes" 100 (Net.bytes_sent_by net 2 Net.Data);
+  check_int "node 1 charged nothing" 0 (Net.bytes_sent_by net 1 Net.Data);
+  check_int "node 1's policy never asked" 0 !asked;
+  check_bool "node 1 never handed the message" false !seen_by_1
+
 (* Routes are cached per (src, dst): changing the avoid list must flush
    them, both when a relay becomes avoided and when it is cleared. *)
 let test_route_cache_follows_avoid () =
@@ -182,8 +220,12 @@ let test_route_cache_follows_avoid () =
 
 let test_transfer_time_matches_delivery () =
   let e, net = mk_net ~n:4 () in
+  let topo = Net.topology net in
   let predicted =
-    match Net.transfer_time net ~src:0 ~dst:3 ~cls:Net.Data ~size_bytes:2500 with
+    match
+      Net.route_transfer_time (routes topo) (Net.shares_for topo None) ~cls:Net.Data
+        ~src:0 ~dst:3 ~size_bytes:2500
+    with
     | Some t -> t
     | None -> Alcotest.fail "route expected"
   in
@@ -223,7 +265,7 @@ let prop_clique_routes_exist =
     (fun (n, (a, b)) ->
       let a = a mod n and b = b mod n in
       let topo = Topology.fully_connected ~n ~bandwidth_bps:1000 ~latency:1 in
-      match Topology.route topo ~src:a ~dst:b with
+      match Topology.path (routes topo) ~src:a ~dst:b with
       | Some path -> List.length path = if a = b then 0 else 1
       | None -> false)
 
@@ -235,7 +277,7 @@ let prop_ring_route_is_shortest =
       let topo = Topology.ring ~n ~bandwidth_bps:1000 ~latency:1 in
       let dist = (b - a + n) mod n in
       let expect = Stdlib.min dist (n - dist) in
-      match Topology.route topo ~src:a ~dst:b with
+      match Topology.path (routes topo) ~src:a ~dst:b with
       | Some path -> List.length path = expect
       | None -> false)
 
@@ -243,7 +285,7 @@ let prop_ring_route_is_shortest =
    query used before sweeps expanded each link at most once. Each
    dequeued node re-reads every member of each of its links, which is
    O(n²) on a bus, and a node other than [dst] is entered only if it
-   may relay. *)
+   may relay. Each hop is the link taken and the node it reaches. *)
 let ref_route topo ~usable ~src ~dst =
   if src = dst then Some []
   else begin
@@ -271,7 +313,7 @@ let ref_route topo ~usable ~src ~dst =
       if n = src then acc
       else
         let p, l = Hashtbl.find prev n in
-        rebuild (l :: acc) p
+        rebuild ((l, n) :: acc) p
     in
     if !found then Some (rebuild [] dst) else None
   end
@@ -323,62 +365,60 @@ let arb_topology =
       Format.asprintf "%a@.avoid=[%s]" Topology.pp topo
         (String.concat "," (List.map string_of_int avoid)))
 
-(* A route table's [path] and [path_cost] against the reference route
-   and the forward sum of [Net.link_transfer_time] over it, for both
-   classes: every pair of nodes, a node with itself, and ids that are
-   not nodes. *)
+(* A route table's [path] and [path_cost] against the reference route,
+   for every pair of nodes, a node with itself, and ids that are not
+   nodes. Every relay a route names is usable and sits on both links
+   next to it. Costs are the forward sums over the reference route of
+   [Net.link_transfer_time] for both classes and of a cost that tells
+   links apart. *)
 let table_matches_reference topo avoid =
   let usable n = not (List.mem n avoid) in
   let table = Topology.router topo ~usable in
   let shares = Net.shares_for topo None in
-  let nodes = Topology.nodes topo in
-  let ids = -1 :: 99 :: nodes in
+  let link_costs =
+    (fun (l : Topology.link) -> (7 * l.link_id) + List.length l.members)
+    :: List.map
+         (fun cls -> Net.link_transfer_time shares ~cls ~size_bytes:96)
+         [ Net.Data; Net.Control ]
+  in
+  let ids = -1 :: 99 :: Topology.nodes topo in
+  let rec relays_valid = function
+    | (h : Topology.hop) :: (h' :: _ as rest) ->
+      usable h.next
+      && List.mem h.next h.link.members
+      && List.mem h.next h'.link.members
+      && relays_valid rest
+    | [ _ ] | [] -> true
+  in
   List.for_all
     (fun src ->
       List.for_all
         (fun dst ->
           let expect = ref_route topo ~usable ~src ~dst in
-          Topology.path table ~src ~dst = expect
+          let path = Topology.path table ~src ~dst in
+          Option.map (List.map (fun (h : Topology.hop) -> (h.link, h.next))) path = expect
+          && (match path with Some p -> relays_valid p | None -> true)
           && List.for_all
-               (fun cls ->
-                 let link_cost = Net.link_transfer_time shares ~cls ~size_bytes:96 in
+               (fun link_cost ->
                  Topology.path_cost table ~link_cost ~src ~dst
                  = Option.map
-                     (List.fold_left (fun acc l -> Time.add acc (link_cost l)) Time.zero)
+                     (List.fold_left (fun acc (l, _) -> Time.add acc (link_cost l)) Time.zero)
                      expect)
-               [ Net.Data; Net.Control ])
+               link_costs)
         ids)
     ids
 
 let prop_sweeps_match_reference =
   QCheck.Test.make ~name:"link-once sweeps match the reference BFS" ~count:300
     arb_topology (fun (topo, avoid) ->
-      let nodes = Topology.nodes topo in
       let usable n = not (List.mem n avoid) in
-      let link_cost (l : Topology.link) = (7 * l.link_id) + List.length l.members in
-      let cost_of path = List.fold_left (fun acc l -> acc + link_cost l) 0 path in
       let ref_connected =
-        match List.filter usable nodes with
+        match List.filter usable (Topology.nodes topo) with
         | [] -> true
         | first :: rest ->
           List.for_all (fun n -> ref_route topo ~usable ~src:first ~dst:n <> None) rest
       in
       Topology.connected_without topo avoid = ref_connected
-      && List.for_all
-           (fun src ->
-             let paths = Topology.paths_from topo ~usable ~src in
-             let costs = Topology.cost_from topo ~usable ~src ~link_cost in
-             List.for_all
-               (fun dst ->
-                 let expect = ref_route topo ~usable ~src ~dst in
-                 Topology.route_avoiding topo ~avoid ~src ~dst = expect
-                 && Topology.route topo ~src ~dst
-                    = ref_route topo ~usable:(fun _ -> true) ~src ~dst
-                 && Topology.path_to paths ~dst = expect
-                 && Topology.reached paths dst = (expect <> None)
-                 && Topology.cost_to costs dst = Option.map cost_of expect)
-               nodes)
-           nodes
       && List.for_all (table_matches_reference topo) [ []; avoid ])
 
 (* Net's tables key on packed ids, so the largest id [Net.create]
@@ -440,4 +480,5 @@ let suite =
     ("route cache follows the avoid list", `Quick, test_route_cache_follows_avoid);
     QCheck_alcotest.to_alcotest prop_sweeps_match_reference;
     ("packed ids: the range edge, and ids past it", `Quick, test_packed_id_range);
+    ("routes name their relays", `Quick, test_route_names_its_relays);
   ]

@@ -148,11 +148,12 @@ let test_schedules_validate () =
   let cfg = Planner.config s in
   List.iter
     (fun (p : Planner.plan) ->
-      let xfer ~src ~dst ~size_bytes =
-        if src = dst then Some Time.zero
-        else
-          Btr_net.Net.plan_transfer_time (topo6 ()) ?shares:cfg.Planner.shares
-            ~avoid:p.Planner.faulty ~cls:Btr_net.Net.Data ~src ~dst ~size_bytes ()
+      let topo = topo6 () in
+      let xfer =
+        Btr_net.Net.route_transfer_time
+          (Topology.router topo ~usable:(fun n -> not (List.mem n p.Planner.faulty)))
+          (Btr_net.Net.shares_for topo cfg.Planner.shares)
+          ~cls:Btr_net.Net.Data
       in
       match Schedule.validate p.Planner.schedule p.Planner.aug.Augment.graph ~xfer with
       | Ok () -> ()
@@ -299,12 +300,11 @@ let prop_random_workloads_plan_and_validate =
         let cfg = Planner.config s in
         List.for_all
           (fun (p : Planner.plan) ->
-            let xfer ~src ~dst ~size_bytes =
-              if src = dst then Some Time.zero
-              else
-                Btr_net.Net.plan_transfer_time topo ?shares:cfg.Planner.shares
-                  ~avoid:p.Planner.faulty ~cls:Btr_net.Net.Data ~src ~dst
-                  ~size_bytes ()
+            let xfer =
+              Btr_net.Net.route_transfer_time
+                (Topology.router topo ~usable:(fun n -> not (List.mem n p.Planner.faulty)))
+                (Btr_net.Net.shares_for topo cfg.Planner.shares)
+                ~cls:Btr_net.Net.Data
             in
             Schedule.validate p.Planner.schedule p.Planner.aug.Augment.graph ~xfer
             = Ok ())

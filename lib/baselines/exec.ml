@@ -63,7 +63,6 @@ type t = {
 }
 
 let metrics t = t.metrics
-let net_stats t = Net.stats t.net
 let bytes_sent t = (Net.stats t.net).Net.bytes_sent
 
 let cpu_utilization t =

@@ -57,7 +57,6 @@ val run :
   t
 
 val metrics : t -> Btr.Metrics.t
-val net_stats : t -> Btr_net.Net.stats
 
 val replication_factor : t -> float
 (** Mean executions per protected compute task per period. *)

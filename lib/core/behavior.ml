@@ -1,5 +1,6 @@
 module Task = Btr_workload.Task
 module Graph = Btr_workload.Graph
+module Inttbl = Btr_util.Inttbl
 
 type input = { orig_flow : int; value : float array }
 type fn = period:int -> inputs:input list -> float array option
@@ -101,21 +102,21 @@ let equal_value a b =
   Array.iteri (fun i x -> if Float.abs (x -. b.(i)) > 1e-9 then ok := false) a;
   !ok
 
-type table = (Task.id, fn) Hashtbl.t
+type table = fn Inttbl.t
 
 let table g ~overrides =
-  let t = Hashtbl.create 32 in
+  let t = Inttbl.create 32 in
   List.iter
     (fun (x : Task.t) ->
       match x.kind with
-      | Task.Source -> Hashtbl.replace t x.id (counter_source x.id)
-      | Task.Compute -> Hashtbl.replace t x.id (default_compute x.id)
+      | Task.Source -> Inttbl.replace t x.id (counter_source x.id)
+      | Task.Compute -> Inttbl.replace t x.id (default_compute x.id)
       | Task.Sink -> ())
     (Graph.tasks g);
-  List.iter (fun (tid, fn) -> Hashtbl.replace t tid fn) overrides;
+  List.iter (fun (tid, fn) -> Inttbl.replace t tid fn) overrides;
   t
 
 let find t tid =
-  match Hashtbl.find_opt t tid with
-  | Some fn -> fn
-  | None -> default_compute tid
+  match Inttbl.find t tid with
+  | fn -> fn
+  | exception Not_found -> default_compute tid

@@ -1,28 +1,32 @@
 module Task = Btr_workload.Task
 module Graph = Btr_workload.Graph
 
+open Btr_util
+
+(* Both tables key on [Inttbl.pack task period]. *)
 type t = {
   graph : Graph.t;
   behaviors : Behavior.table;
-  sources : (Task.id * int, float array) Hashtbl.t;
-  memo : (Task.id * int, float array option) Hashtbl.t;
+  sources : float array Inttbl.t;
+  memo : float array option Inttbl.t;  (* [Some] results only *)
 }
 
 let create graph behaviors =
-  { graph; behaviors; sources = Hashtbl.create 64; memo = Hashtbl.create 256 }
+  { graph; behaviors; sources = Inttbl.create 64; memo = Inttbl.create 256 }
 
 let note_source t ~task ~period value =
-  if not (Hashtbl.mem t.sources (task, period)) then
-    Hashtbl.replace t.sources (task, period) value
+  let k = Inttbl.pack task period in
+  if not (Inttbl.mem t.sources k) then Inttbl.replace t.sources k value
 
 let rec value t ~task ~period =
-  match Hashtbl.find_opt t.memo (task, period) with
-  | Some v -> v
-  | None ->
+  let k = Inttbl.pack task period in
+  match Inttbl.find t.memo k with
+  | v -> v
+  | exception Not_found ->
     let x = Graph.task t.graph task in
     let v =
       match x.Task.kind with
-      | Task.Source -> Hashtbl.find_opt t.sources (task, period)
+      | Task.Source -> Inttbl.find_opt t.sources k
       | Task.Sink -> None
       | Task.Compute ->
         let inputs =
@@ -38,7 +42,7 @@ let rec value t ~task ~period =
     (* Only cache positive results: a [None] may merely mean "queried
        before the source for this period was recorded", and must not
        stick once the recording arrives. *)
-    if v <> None then Hashtbl.replace t.memo (task, period) v;
+    if Option.is_some v then Inttbl.replace t.memo k v;
     v
 
 let digest t ~task ~period =

@@ -20,7 +20,9 @@ module Graph = Btr_workload.Graph
 type t
 
 val create : Graph.t -> Behavior.table -> t
-(** [Graph.t] is the {e original} workload (not augmented). *)
+(** [Graph.t] is the {e original} workload (not augmented). Task ids and
+    periods are table keys packed by {!Btr_util.Inttbl.pack}: a
+    negative one, or one of 2{^31} or more, raises [Invalid_argument]. *)
 
 val note_source : t -> task:Task.id -> period:int -> float array -> unit
 (** Record what a source emitted. At most once per (task, period);

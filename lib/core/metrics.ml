@@ -28,8 +28,9 @@ type t = {
   protected_ids : int list;
   obs : Obs.t;
   verdict_counters : Obs.Counter.t array;  (* indexed like [status] *)
-  deliveries : (int * int, delivery) Hashtbl.t;
-  statuses : (int * int, status) Hashtbl.t;
+  (* Both by [Inttbl.pack orig_flow period]. *)
+  deliveries : delivery Inttbl.t;
+  statuses : status Inttbl.t;
   mutable finalized : int;
   mutable rev_injections : (Time.t * int * string) list;
 }
@@ -59,8 +60,8 @@ let create ?(obs = Obs.null) ?protected_flows graph =
       Array.map
         (fun s -> Obs.Registry.counter reg Obs.Runtime ("verdicts." ^ s))
         [| "correct"; "wrong"; "missing"; "late"; "shed" |];
-    deliveries = Hashtbl.create 256;
-    statuses = Hashtbl.create 256;
+    deliveries = Inttbl.create 256;
+    statuses = Inttbl.create 256;
     finalized = 0;
     rev_injections = [];
   }
@@ -71,8 +72,9 @@ let record_injection t ~at ~node ~what =
     Obs.emit t.obs ~at ~node Obs.Fault (Obs.Fault_injected { behavior = what })
 
 let record_delivery t ~orig_flow ~period ~value ~arrived ~lane =
-  if not (Hashtbl.mem t.deliveries (orig_flow, period)) then begin
-    Hashtbl.replace t.deliveries (orig_flow, period) { value; arrived; lane };
+  let k = Inttbl.pack orig_flow period in
+  if not (Inttbl.mem t.deliveries k) then begin
+    Inttbl.replace t.deliveries k { value; arrived; lane };
     if Obs.enabled t.obs then
       Obs.emit t.obs ~at:arrived Obs.Runtime
         (Obs.Delivery { flow = orig_flow; period; lane })
@@ -82,7 +84,7 @@ let judge t golden ~shed (f : Graph.flow) period =
   if List.mem f.flow_id shed then Shed
   else begin
     let expected = Golden.flow_value golden ~flow:f.flow_id ~period in
-    let delivered = Hashtbl.find_opt t.deliveries (f.flow_id, period) in
+    let delivered = Inttbl.find_opt t.deliveries (Inttbl.pack f.flow_id period) in
     match expected, delivered with
     | None, None -> Correct (* nothing was due, nothing was acted on *)
     | None, Some _ -> Wrong (* acted on a value no correct system produces *)
@@ -105,7 +107,7 @@ let finalize_period t ~golden ~period ~shed =
   let verdict_at = Time.mul t.period_len (period + 1) in
   (* A period is judged once; guard against double-counting if a
      caller re-finalizes. *)
-  let fresh flow = not (Hashtbl.mem t.statuses (flow, period)) in
+  let fresh flow = not (Inttbl.mem t.statuses (Inttbl.pack flow period)) in
   if Obs.enabled t.obs then
     List.iter
       (fun flow ->
@@ -122,28 +124,26 @@ let finalize_period t ~golden ~period ~shed =
             (Obs.Verdict
                { flow = f.flow_id; period; status = status_name s })
       end;
-      Hashtbl.replace t.statuses (f.flow_id, period) s)
+      Inttbl.replace t.statuses (Inttbl.pack f.flow_id period) s)
     t.sink_flows;
   if period >= t.finalized then t.finalized <- period + 1
 
 let periods_finalized t = t.finalized
-let status t ~orig_flow ~period = Hashtbl.find_opt t.statuses (orig_flow, period)
+let status t ~orig_flow ~period = Inttbl.find_opt t.statuses (Inttbl.pack orig_flow period)
 
 let timeline t ~orig_flow =
   List.init t.finalized (fun p ->
       Option.value ~default:Missing (status t ~orig_flow ~period:p))
 
-let cmp_flow_period (f1, p1) (f2, p2) =
-  match Int.compare f1 f2 with 0 -> Int.compare p1 p2 | c -> c
-
 let lanes_used t ~orig_flow =
   let acc = Hashtbl.create 4 in
-  Table.sorted_iter ~cmp:cmp_flow_period
-    (fun (fl, _) d ->
-      if fl = orig_flow then
+  List.iter
+    (fun k ->
+      if Inttbl.hi k = orig_flow then
+        let d = Inttbl.find t.deliveries k in
         Hashtbl.replace acc d.lane
           (1 + Option.value ~default:0 (Hashtbl.find_opt acc d.lane)))
-    t.deliveries;
+    (Inttbl.sorted_keys t.deliveries);
   Table.sorted_bindings ~cmp:Int.compare acc
 
 let injections t = List.rev t.rev_injections
@@ -163,9 +163,9 @@ let fold_statuses t fn init =
     (fun acc (f : Graph.flow) ->
       List.fold_left
         (fun acc p ->
-          match status t ~orig_flow:f.flow_id ~period:p with
-          | Some s -> fn acc s
-          | None -> acc)
+          match Inttbl.find t.statuses (Inttbl.pack f.flow_id p) with
+          | s -> fn acc s
+          | exception Not_found -> acc)
         acc
         (List.init t.finalized Fun.id))
     init t.sink_flows
@@ -204,9 +204,9 @@ let bad_period t p =
     (fun (f : Graph.flow) ->
       List.mem f.flow_id t.protected_ids
       &&
-      match status t ~orig_flow:f.flow_id ~period:p with
-      | Some (Wrong | Missing | Late) -> true
-      | Some (Correct | Shed) | None -> false)
+      match Inttbl.find t.statuses (Inttbl.pack f.flow_id p) with
+      | Wrong | Missing | Late -> true
+      | Correct | Shed | (exception Not_found) -> false)
     t.sink_flows
 
 let incorrect_time t =

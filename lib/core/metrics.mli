@@ -23,7 +23,9 @@ val create : ?obs:Btr_obs.Obs.t -> ?protected_flows:int list -> Graph.t -> t
     those, while per-flow timelines cover everything. [obs] (default
     null) receives [Fault_injected]/[Delivery]/[Shed]/[Verdict] events
     and the per-status [runtime.verdicts.*] counters, incremented once
-    per (flow, period) on first judgment. *)
+    per (flow, period) on first judgment. Flow ids and periods are
+    table keys packed by {!Btr_util.Inttbl.pack}: a negative one, or
+    one of 2{^31} or more, raises [Invalid_argument]. *)
 
 val record_injection : t -> at:Time.t -> node:int -> what:string -> unit
 

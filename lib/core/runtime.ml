@@ -52,10 +52,9 @@ type msg =
 type entry = { value : float array; digest : int64; arrived : Time.t; from : int }
 
 (* The inbox and the ack table key on one packed int, so a lookup
-   hashes a machine word and allocates no tuple. Both halves stay below
-   2^31: periods, flow ids, and task ids times the lane count. *)
-let pack hi lo = (hi lsl 31) lor lo
-let inbox_key ~flow ~period = pack flow period
+   hashes a machine word and allocates no tuple: flow and period, and
+   task times the lane count plus the lane, and period. *)
+let inbox_key ~flow ~period = Inttbl.pack flow period
 
 (* A flow the node consumes from another node: the watchdog expects it
    every period by [start], the consumer's window start. *)
@@ -72,6 +71,8 @@ type node = {
   inbox : entry Inttbl.t;  (* by [inbox_key] *)
   acks : int64 list ref Inttbl.t;  (* by [ack_key] *)
   mutable expectations : expectation array;  (* of [plan], in flow order *)
+  mutable slot_runs : (Time.t * (Engine.t -> unit)) array;
+      (* of [plan]: each slot's finish offset and the event that runs it *)
   watchdog : Detect.Watchdog.t;
   attribution : Detect.Attribution.t;
   fault_set : Modeswitch.Fault_set.t;
@@ -104,13 +105,12 @@ type t = {
   behaviors : Behavior.table;
   golden : Golden.t;
   metrics : Metrics.t;
-  nodes : (int, node) Hashtbl.t;
+  nodes : node Inttbl.t;
   by_id : node array;
       (* the same nodes in ascending id order, the order of every
          traversal (trace-visible) *)
   script : Fault.script;
-  actuators :
-    (int, period:int -> value:float array -> at:Time.t -> unit) Hashtbl.t;
+  actuators : (period:int -> value:float array -> at:Time.t -> unit) Inttbl.t;
   mutable rev_mode_changes : (Time.t * int * int list) list;
   mutable total_periods : int;
   mutable started : bool;
@@ -124,9 +124,9 @@ let net_stats t = Net.stats t.net
 let strategy t = t.strategy
 
 let node_of t id =
-  match Hashtbl.find_opt t.nodes id with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Runtime: unknown node %d" id)
+  match Inttbl.find t.nodes id with
+  | n -> n
+  | exception Not_found -> invalid_arg (Printf.sprintf "Runtime: unknown node %d" id)
 
 let node_fault_nodes t id = Modeswitch.Fault_set.nodes (node_of t id).fault_set
 let node_mode t id = (node_of t id).plan.Planner.faulty
@@ -145,10 +145,10 @@ let control_bytes t =
     0
     (Topology.nodes t.topo)
 
-let on_actuate t ~orig_flow fn = Hashtbl.replace t.actuators orig_flow fn
+let on_actuate t ~orig_flow fn = Inttbl.replace t.actuators orig_flow fn
 
 let ack_key t ~orig ~lane ~period =
-  pack ((orig * (Planner.config t.strategy).Planner.degree) + lane) period
+  Inttbl.pack ((orig * (Planner.config t.strategy).Planner.degree) + lane) period
 
 (* ------------------------------------------------------------------ *)
 (* Creation                                                             *)
@@ -181,10 +181,10 @@ let create ?(config = default_config) ?(behaviors = []) ?(script = []) ?obs
   let initial = Planner.initial_plan strategy in
   let f = (Planner.config strategy).Planner.f in
   let margin = Planner.watchdog_margin ~period:(Graph.period workload) in
-  let nodes = Hashtbl.create 16 in
+  let nodes = Inttbl.create 16 in
   List.iter
     (fun id ->
-      Hashtbl.replace nodes id
+      Inttbl.replace nodes id
         {
           id;
           secret = Auth.gen_key auth ~owner:id;
@@ -196,6 +196,7 @@ let create ?(config = default_config) ?(behaviors = []) ?(script = []) ?obs
           inbox = Inttbl.create 256;
           acks = Inttbl.create 64;
           expectations = expectations_of initial id;
+          slot_runs = [||];
           watchdog =
             Detect.Watchdog.create ~node:id ~margin
               ~strikes:config.omission_strikes ~obs ();
@@ -216,9 +217,7 @@ let create ?(config = default_config) ?(behaviors = []) ?(script = []) ?obs
           grace_until = Time.zero;
         })
     (Topology.nodes topo);
-  let by_id =
-    Array.of_list (List.map snd (Table.sorted_bindings ~cmp:Int.compare nodes))
-  in
+  let by_id = Array.of_list (List.map (Inttbl.find nodes) (Inttbl.sorted_keys nodes)) in
   {
     config;
     eng;
@@ -240,19 +239,14 @@ let create ?(config = default_config) ?(behaviors = []) ?(script = []) ?obs
     nodes;
     by_id;
     script;
-    actuators = Hashtbl.create 8;
+    actuators = Inttbl.create 8;
     rev_mode_changes = [];
     total_periods = 0;
     started = false;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Helpers on plans                                                     *)
-
-let flow_in_plan (plan : Planner.plan) fid =
-  match Graph.flow plan.Planner.aug.Augment.graph fid with
-  | f -> Some f
-  | exception Invalid_argument _ -> None
+(* Routing                                                              *)
 
 (* The correct nodes' union of attributed faults; routing steers around
    them once evidence has spread (§4.4: the new plan avoids them). *)
@@ -462,22 +456,26 @@ let receive_evidence t (n : node) ~src r =
 let mutate_value v = Array.map (fun x -> x +. 1009.0) v
 
 (* What actually leaves the node on a given flow, given its Byzantine
-   behaviour: [None] = suppressed, otherwise (value, extra delay). The
-   digest flow to the checker is special-cased for equivocation. *)
-let byz_outgoing (n : node) ~to_checker ~dst value =
+   behaviour, in three questions a correct node answers without
+   allocating: is the output to [dst] suppressed, which value goes out,
+   and after what extra delay. The digest flow to the checker is
+   special-cased for equivocation. *)
+let suppresses (n : node) ~dst =
   match n.byz with
-  | None -> Some (value, Time.zero)
-  | Some Fault.Crash -> None
-  | Some Fault.Omit_outputs -> None
-  | Some (Fault.Omit_to targets) ->
-    if List.mem dst targets then None else Some (value, Time.zero)
-  | Some (Fault.Delay_outputs d) -> Some (value, d)
-  | Some Fault.Corrupt_outputs -> Some (mutate_value value, Time.zero)
-  | Some Fault.Equivocate ->
+  | Some (Fault.Crash | Fault.Omit_outputs) -> true
+  | Some (Fault.Omit_to targets) -> List.mem dst targets
+  | _ -> false
+
+let outgoing_value (n : node) ~to_checker value =
+  match n.byz with
+  | Some Fault.Corrupt_outputs -> mutate_value value
+  | Some Fault.Equivocate when not to_checker ->
     (* Clean story for the checker, garbage for the consumers. *)
-    if to_checker then Some (value, Time.zero)
-    else Some (mutate_value value, Time.zero)
-  | Some (Fault.Babble _) -> Some (value, Time.zero)
+    mutate_value value
+  | _ -> value
+
+let output_delay (n : node) =
+  match n.byz with Some (Fault.Delay_outputs d) -> d | _ -> Time.zero
 
 (* The lowest lane of an input group whose message for the period is in
    [inbox], or -1: a behaviour sees exactly one input per original flow,
@@ -524,19 +522,21 @@ let abstains (task : Task.t) groups inputs =
    cross-validate without re-sending full values. *)
 let send_data t (n : node) ~flow ~period ~dst_node ~size ~to_checker value
     ~digest =
-  match byz_outgoing n ~to_checker ~dst:dst_node value with
-  | None -> ()
-  | Some (v, extra) ->
+  if not (suppresses n ~dst:dst_node) then begin
+    let v = outgoing_value n ~to_checker value in
     (* [digest] is [value]'s; only a Byzantine mutation needs a new one. *)
     let digest = if v == value then digest else Behavior.value_digest v in
     Authlog.append n.authlog (Authlog.Sent { flow; period; digest });
-    let send _ =
+    let msg = Data { flow; period; value = v; digest } in
+    let extra = output_delay n in
+    if Time.equal extra Time.zero then
+      ignore (Net.send t.net ~src:n.id ~dst:dst_node ~cls:Net.Data ~size_bytes:size msg)
+    else
       ignore
-        (Net.send t.net ~src:n.id ~dst:dst_node ~cls:Net.Data ~size_bytes:size
-           (Data { flow; period; value = v; digest }))
-    in
-    if Time.equal extra Time.zero then send t.eng
-    else ignore (Engine.schedule_in t.eng ~delay:extra send)
+        (Engine.schedule_in t.eng ~delay:extra (fun _ ->
+             ignore
+               (Net.send t.net ~src:n.id ~dst:dst_node ~cls:Net.Data ~size_bytes:size msg)))
+  end
 
 (* Acknowledge a received input to the producer's checker so that
    equivocation (clean digest to the checker, garbage to consumers)
@@ -562,6 +562,18 @@ let send_ack t (n : node) plan ~producer_aug ~period (e : entry) =
                 }))
       | None -> ())
 
+let send_nacks t (n : node) plan tid period =
+  if not (suppresses n ~dst:(-1)) then
+    List.iter
+      (fun (fl : Graph.flow) ->
+        match Schedule.node_of plan.Planner.schedule fl.consumer with
+        | None -> ()
+        | Some dst_node ->
+          ignore
+            (Net.send t.net ~src:n.id ~dst:dst_node ~cls:Net.Data ~size_bytes:16
+               (Nack { flow = fl.flow_id; period })))
+      (Graph.consumers_of plan.Planner.aug.Augment.graph tid)
+
 let run_compute_task t (n : node) plan tid period =
   let aug = plan.Planner.aug in
   let g = aug.Augment.graph in
@@ -577,31 +589,17 @@ let run_compute_task t (n : node) plan tid period =
   let output =
     if abstains task groups inputs then None else behavior ~period ~inputs
   in
-  let send_nacks () =
-    if byz_outgoing n ~to_checker:false ~dst:(-1) [||] <> None then
-      List.iter
-        (fun (fl : Graph.flow) ->
-          match Schedule.node_of plan.Planner.schedule fl.consumer with
-          | None -> ()
-          | Some dst_node ->
-            ignore
-              (Net.send t.net ~src:n.id ~dst:dst_node ~cls:Net.Data
-                 ~size_bytes:16
-                 (Nack { flow = fl.flow_id; period })))
-        (Graph.consumers_of g tid)
-  in
   match output with
-  | None -> send_nacks ()
+  | None -> send_nacks t n plan tid period
   | Some value ->
     let digest = Behavior.value_digest value in
     Authlog.append n.authlog
       (Authlog.Executed { task = tid; period; output_digest = digest });
     (* Physical sources define the reference inputs: record what was
        actually emitted (after any Byzantine mutation of this node). *)
-    (if task.Task.kind = Task.Source then
-       match byz_outgoing n ~to_checker:false ~dst:(-1) value with
-       | Some (v, _) -> Golden.note_source t.golden ~task:orig ~period v
-       | None -> ());
+    if task.Task.kind = Task.Source && not (suppresses n ~dst:(-1)) then
+      Golden.note_source t.golden ~task:orig ~period
+        (outgoing_value n ~to_checker:false value);
     List.iter
       (fun (fl : Graph.flow) ->
         match Schedule.node_of plan.Planner.schedule fl.consumer with
@@ -645,9 +643,9 @@ let run_checker t (n : node) plan tid period =
           (match Inttbl.find_opt n.inbox (inbox_key ~flow:fl.flow_id ~period) with
           | None -> () (* the watchdog reports the omission *)
           | Some claimed -> (
-            match Hashtbl.find_opt t.nodes lane_node with
-            | None -> ()
-            | Some lane_host ->
+            match Inttbl.find t.nodes lane_node with
+            | exception Not_found -> ()
+            | lane_host ->
               let lane_groups = Augment.inputs_of aug lane_tid in
               let lane_inputs =
                 gather_inputs lane_host.inbox lane_groups period ~on_input:(fun _ _ -> ())
@@ -710,9 +708,9 @@ let run_sink t (n : node) plan tid period =
         send_ack t n plan ~producer_aug:fl.producer ~period e;
         Metrics.record_delivery t.metrics ~orig_flow:g.orig_flow ~period ~value:e.value
           ~arrived:e.arrived ~lane;
-        match Hashtbl.find_opt t.actuators g.orig_flow with
-        | Some act -> act ~period ~value:e.value ~at:(Engine.now t.eng)
-        | None -> ()
+        match Inttbl.find t.actuators g.orig_flow with
+        | act -> act ~period ~value:e.value ~at:(Engine.now t.eng)
+        | exception Not_found -> ()
       end)
     (Augment.inputs_of aug tid)
 
@@ -749,9 +747,9 @@ let exec_task t (n : node) plan tid period =
    one to send that flow; during a transition senders briefly disagree,
    which is the §4.4 "confusion" BTR tolerates. *)
 let data_admissible (n : node) ~src ~flow =
-  match flow_in_plan n.plan flow with
-  | None -> false
-  | Some fl -> (
+  match Graph.flow n.plan.Planner.aug.Augment.graph flow with
+  | exception Invalid_argument _ -> false (* not a flow of this plan *)
+  | fl -> (
     match Schedule.node_of n.plan.Planner.schedule fl.producer with
     | Some expected -> expected = src
     | None -> false)
@@ -797,9 +795,9 @@ let on_receive t (n : node) (r : msg Net.recv) =
     | Ack { orig_task; lane; period; digest } ->
       let key = ack_key t ~orig:orig_task ~lane ~period in
       let l =
-        match Inttbl.find_opt n.acks key with
-        | Some l -> l
-        | None ->
+        match Inttbl.find n.acks key with
+        | l -> l
+        | exception Not_found ->
           let l = ref [] in
           Inttbl.replace n.acks key l;
           l
@@ -824,62 +822,71 @@ let install_expectations t (n : node) period =
         ~deadline:(Time.add base x.start))
     n.expectations
 
+(* One event per slot of the node under [plan], built when the node
+   takes the plan and scheduled again every period. A slot of period p
+   fires at p * period_len + finish, so the event reads its period off
+   the clock. *)
+let slot_runs_of t (n : node) plan =
+  Array.of_list
+    (List.map
+       (fun (s : Schedule.slot) ->
+         ( s.finish,
+           fun eng ->
+             exec_task t n plan s.task (Time.sub (Engine.now eng) s.finish / t.period_len) ))
+       (Schedule.slots_on plan.Planner.schedule n.id))
+
 let install_slots t (n : node) period =
-  let plan = n.plan in
   let base = Time.mul t.period_len period in
-  List.iter
-    (fun (s : Schedule.slot) ->
-      ignore
-        (Engine.schedule t.eng ~at:(Time.add base s.finish) (fun _ ->
-             exec_task t n plan s.task period)))
-    (Schedule.slots_on plan.Planner.schedule n.id)
+  Array.iter
+    (fun (finish, run) -> ignore (Engine.schedule t.eng ~at:(Time.add base finish) run))
+    n.slot_runs
 
 let sweep_watchdog t (n : node) =
   let misses = Detect.Watchdog.sweep n.watchdog ~now:(Engine.now t.eng) in
-  let suspected_this_sweep = Hashtbl.create 4 in
-  List.iter
-    (fun (m : Detect.Watchdog.miss) ->
-      let from_node = m.Detect.Watchdog.miss_from in
-      if
-        Time.compare (Engine.now t.eng) n.grace_until >= 0
-        && not (Modeswitch.Fault_set.mem_path n.fault_set (from_node, n.id))
-      then
-        if m.Detect.Watchdog.declared then
-          emit_evidence t n
-            (statement t n
-               ~accused:(Evidence.path from_node n.id)
-               ~fault_class:Evidence.Omission ~period:m.Detect.Watchdog.miss_period
-               ~detail:
-                 (Printf.sprintf "flow %d never arrived"
-                    m.Detect.Watchdog.miss_flow))
-        else if not (Hashtbl.mem suspected_this_sweep from_node) then begin
-          (* Sub-threshold account: not enough for a declaration on this
-             watcher alone, but f other watchers may be seeing the same
-             silence — publish a suspicion for corroboration, once per
-             sender per sweep. *)
-          Hashtbl.replace suspected_this_sweep from_node ();
-          Obs.Counter.incr
-            (Obs.Registry.counter (Obs.registry t.obs) Obs.Detect
-               "watchdog-suspect");
-          if Obs.enabled t.obs then
-            Obs.emit t.obs ~at:(Engine.now t.eng) ~node:n.id Obs.Detect
-              (Obs.Watchdog_suspect
-                 {
-                   flow = m.Detect.Watchdog.miss_flow;
-                   period = m.Detect.Watchdog.miss_period;
-                   from_node;
-                   account = m.Detect.Watchdog.account;
-                 });
-          emit_evidence t n
-            (statement t n
-               ~accused:(Evidence.path from_node n.id)
-               ~fault_class:Evidence.Omission_suspected
-               ~period:m.Detect.Watchdog.miss_period
-               ~detail:
-                 (Printf.sprintf "flow %d missing, strike %d"
-                    m.Detect.Watchdog.miss_flow m.Detect.Watchdog.account))
-        end)
-    misses
+  (* [suspected]: the senders this sweep has published a suspicion of. *)
+  let step suspected (m : Detect.Watchdog.miss) =
+    let from_node = m.Detect.Watchdog.miss_from in
+    if
+      Time.compare (Engine.now t.eng) n.grace_until < 0
+      || Modeswitch.Fault_set.mem_path n.fault_set (from_node, n.id)
+    then suspected
+    else if m.Detect.Watchdog.declared then begin
+      emit_evidence t n
+        (statement t n
+           ~accused:(Evidence.path from_node n.id)
+           ~fault_class:Evidence.Omission ~period:m.Detect.Watchdog.miss_period
+           ~detail:(Printf.sprintf "flow %d never arrived" m.Detect.Watchdog.miss_flow));
+      suspected
+    end
+    else if List.mem from_node suspected then suspected
+    else begin
+      (* Sub-threshold account: not enough for a declaration on this
+         watcher alone, but f other watchers may be seeing the same
+         silence — publish a suspicion for corroboration, once per
+         sender per sweep. *)
+      Obs.Counter.incr
+        (Obs.Registry.counter (Obs.registry t.obs) Obs.Detect "watchdog-suspect");
+      if Obs.enabled t.obs then
+        Obs.emit t.obs ~at:(Engine.now t.eng) ~node:n.id Obs.Detect
+          (Obs.Watchdog_suspect
+             {
+               flow = m.Detect.Watchdog.miss_flow;
+               period = m.Detect.Watchdog.miss_period;
+               from_node;
+               account = m.Detect.Watchdog.account;
+             });
+      emit_evidence t n
+        (statement t n
+           ~accused:(Evidence.path from_node n.id)
+           ~fault_class:Evidence.Omission_suspected
+           ~period:m.Detect.Watchdog.miss_period
+           ~detail:
+             (Printf.sprintf "flow %d missing, strike %d" m.Detect.Watchdog.miss_flow
+                m.Detect.Watchdog.account));
+      from_node :: suspected
+    end
+  in
+  ignore (List.fold_left step [] misses : int list)
 
 let activate_pending t (n : node) =
   match n.pending with
@@ -892,6 +899,7 @@ let activate_pending t (n : node) =
     if ready then begin
       n.plan <- next;
       n.expectations <- expectations_of next n.id;
+      n.slot_runs <- slot_runs_of t n next;
       n.pending <- None;
       n.pending_waited <- 0;
       n.awaiting_state <- [];
@@ -1003,7 +1011,11 @@ let run t ~horizon =
   if t.started then invalid_arg "Runtime.run: already ran";
   t.started <- true;
   t.total_periods <- horizon / t.period_len;
-  Array.iter (fun n -> Net.set_handler t.net n.id (on_receive t n)) t.by_id;
+  Array.iter
+    (fun n ->
+      Net.set_handler t.net n.id (on_receive t n);
+      n.slot_runs <- slot_runs_of t n n.plan)
+    t.by_id;
   List.iter
     (fun (ev : Fault.event) ->
       ignore (Engine.schedule t.eng ~at:ev.Fault.at (fun _ -> apply_script_event t ev)))

@@ -62,5 +62,6 @@ module Chain = struct
   type link = int64
 
   let genesis = fnv_offset
-  let mix link x = Int64.mul (Int64.logxor link x) fnv_prime
+  let prime = fnv_prime
+  let mix link x = Int64.mul (Int64.logxor link x) prime
 end

@@ -66,10 +66,15 @@ module Chain : sig
 
   val genesis : link
 
+  val prime : int64
+  (** The FNV-1a 64-bit prime, the multiplier of {!mix}. *)
+
   val mix : link -> int64 -> link
   (** One FNV-style word step, [(link lxor x) * prime]. The prime is odd,
       so for a fixed word the step is a bijection of the link, and for a
       fixed link a bijection of the word: changing any one word of a
       record changes the link after it, and every later step carries
-      the difference through to the head. *)
+      the difference through to the head. A caller folding many words
+      in a hot loop writes the steps out with {!prime}: without
+      cross-module inlining, each call returns its link boxed. *)
 end

@@ -27,17 +27,18 @@ module Watchdog = struct
     late_count : Obs.Counter.t;
     missing_count : Obs.Counter.t;
     reset_count : Obs.Counter.t;
-    (* Every expectation ever registered, keyed by (flow, period); never
-       shrinks, so late and repeated arrivals still find theirs. *)
-    table : (int * int, expectation) Hashtbl.t;
+    (* Every expectation ever registered, keyed by [Inttbl.pack flow
+       period]; never shrinks, so late and repeated arrivals still find
+       theirs. *)
+    table : expectation Inttbl.t;
     (* The part of [table] neither arrived nor reported yet: all that
        [sweep] has to look at. *)
-    unmet : (int * int, expectation) Hashtbl.t;
+    unmet : expectation Inttbl.t;
     (* Per-sender strike account, shared across every watcher path from
        that sender to this node. Bumped at most once per sweep, reset on
        a timely arrival — so only a sustained per-sender outage (not
        accumulated unrelated losses) ever reaches [strikes]. *)
-    accounts : (int, int) Hashtbl.t;
+    accounts : int Inttbl.t;
   }
 
   let create ~node ~margin ?(strikes = 1) ?(obs = Obs.null) () =
@@ -51,28 +52,28 @@ module Watchdog = struct
       late_count = Obs.Registry.counter reg Obs.Detect "watchdog-late";
       missing_count = Obs.Registry.counter reg Obs.Detect "watchdog-missing";
       reset_count = Obs.Registry.counter reg Obs.Detect "strike-resets";
-      table = Hashtbl.create 64;
-      unmet = Hashtbl.create 16;
-      accounts = Hashtbl.create 16;
+      table = Inttbl.create 64;
+      unmet = Inttbl.create 16;
+      accounts = Inttbl.create 16;
     }
 
   let account t ~from_node =
-    Option.value ~default:0 (Hashtbl.find_opt t.accounts from_node)
+    match Inttbl.find t.accounts from_node with n -> n | exception Not_found -> 0
 
   let expect t ~flow ~period ~from_node ~deadline =
-    let k = (flow, period) in
-    if not (Hashtbl.mem t.table k) then begin
+    let k = Inttbl.pack flow period in
+    if not (Inttbl.mem t.table k) then begin
       let e = { from_node; deadline } in
-      Hashtbl.replace t.table k e;
-      Hashtbl.replace t.unmet k e
+      Inttbl.replace t.table k e;
+      Inttbl.replace t.unmet k e
     end
 
   let note_arrival t ~flow ~period ~at =
-    let k = (flow, period) in
-    match Hashtbl.find_opt t.table k with
-    | None -> None
-    | Some e ->
-      Hashtbl.remove t.unmet k;
+    let k = Inttbl.pack flow period in
+    match Inttbl.find t.table k with
+    | exception Not_found -> None
+    | e ->
+      Inttbl.remove t.unmet k;
       let limit = Time.add e.deadline t.margin in
       if Time.compare at limit > 0 then begin
         let lateness = Time.sub at limit in
@@ -87,39 +88,43 @@ module Watchdog = struct
            now: clear its strike account so sporadic, spread-out link
            loss can never accumulate into a false declaration. *)
         if account t ~from_node:e.from_node > 0 then begin
-          Hashtbl.replace t.accounts e.from_node 0;
+          Inttbl.replace t.accounts e.from_node 0;
           Obs.Counter.incr t.reset_count
         end;
         None
       end
 
-  let cmp_flow_period (f1, p1) (f2, p2) =
-    match Int.compare f1 f2 with 0 -> Int.compare p1 p2 | c -> c
-
   let sweep t ~now =
     (* Sorted traversal: the report order feeds evidence emission and
-       the telemetry trace, so it must not depend on insertion order. *)
+       the telemetry trace, so it must not depend on insertion order.
+       Packed keys sort like (flow, period). *)
     let due =
-      List.filter
-        (fun ((_ : int * int), (e : expectation)) ->
-          Time.compare now (Time.add e.deadline t.margin) > 0)
-        (Table.sorted_bindings ~cmp:cmp_flow_period t.unmet)
+      if Inttbl.length t.unmet = 0 then []
+      else
+        List.filter_map
+          (fun k ->
+            let e = Inttbl.find t.unmet k in
+            if Time.compare now (Time.add e.deadline t.margin) > 0 then Some (k, e)
+            else None)
+          (Inttbl.sorted_keys t.unmet)
     in
-    List.iter (fun (k, _) -> Hashtbl.remove t.unmet k) due;
+    List.iter (fun (k, _) -> Inttbl.remove t.unmet k) due;
     (* Bump each sender's account at most once per sweep, no matter how
        many of its flows are overdue: detection latency then depends on
        sustained periods of silence, not on watcher fan-in. *)
-    let bumped = Hashtbl.create 4 in
-    List.iter
-      (fun (_, (e : expectation)) ->
-        if not (Hashtbl.mem bumped e.from_node) then begin
-          Hashtbl.replace bumped e.from_node ();
-          Hashtbl.replace t.accounts e.from_node
-            (1 + account t ~from_node:e.from_node)
-        end)
-      due;
+    ignore
+      (List.fold_left
+         (fun bumped (_, (e : expectation)) ->
+           if List.mem e.from_node bumped then bumped
+           else begin
+             Inttbl.replace t.accounts e.from_node (1 + account t ~from_node:e.from_node);
+             e.from_node :: bumped
+           end)
+         [] due
+        : int list);
     List.map
-      (fun ((flow, period), (e : expectation)) ->
+      (fun (k, (e : expectation)) ->
+        let flow = Inttbl.hi k and period = Inttbl.lo k in
         let n = account t ~from_node:e.from_node in
         let declared = n >= t.strikes in
         if declared then begin
@@ -144,7 +149,7 @@ module Watchdog = struct
         else None)
       (sweep t ~now)
 
-  let pending t = Hashtbl.length t.unmet
+  let pending t = Inttbl.length t.unmet
 end
 
 module Attribution = struct

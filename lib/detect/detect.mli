@@ -68,7 +68,10 @@ module Watchdog : sig
   val expect :
     t -> flow:int -> period:int -> from_node:int -> deadline:Time.t -> unit
   (** Registers that a message on [flow] for [period] should arrive by
-      [deadline] (absolute). Idempotent per (flow, period). *)
+      [deadline] (absolute). Idempotent per (flow, period). Both are
+      packed into one key ({!Btr_util.Inttbl.pack}): a negative one, or
+      one of 2{^31} or more, raises [Invalid_argument], here and in
+      {!note_arrival}. *)
 
   val note_arrival : t -> flow:int -> period:int -> at:Time.t -> late option
   (** Marks the expectation satisfied. Returns the timing violation if

@@ -40,6 +40,11 @@ type checkpoint = {
   cp_tag : Auth.tag;
 }
 
+val checkpoint_message : owner:int -> length:int -> head:Auth.Chain.link -> string
+(** The bytes a checkpoint's tag covers:
+    ["checkpoint|<owner>|<length>|<head in lowercase hex>"], integers
+    in decimal. *)
+
 val checkpoint : t -> Auth.t -> Auth.secret -> checkpoint
 (** Sign the current head. Raises [Invalid_argument] if the secret does
     not belong to the log owner. *)

@@ -26,8 +26,9 @@ let rule_id = function
 
 let describe = function
   | Hashtbl_order ->
-    "Hashtbl iteration order depends on insertion history; use \
-     Btr_util.Table.sorted_iter/sorted_fold/sorted_keys/sorted_bindings"
+    "Hashtbl and Inttbl iteration order depends on insertion history; use \
+     Btr_util.Table.sorted_iter/sorted_fold/sorted_keys/sorted_bindings or \
+     Inttbl.sorted_keys"
   | Poly_compare ->
     "polymorphic comparison silently changes meaning as types evolve; use a \
      typed compare (Int.compare, String.compare, a domain cmp)"
@@ -216,15 +217,15 @@ let fnv_entry path =
   | _ -> false
 
 let classify path =
-  let stripped = match path with "Stdlib" :: rest -> rest | p -> p in
+  let stripped = match path with ("Stdlib" | "Btr_util") :: rest -> rest | p -> p in
   match stripped with
-  | [ "Hashtbl"; fn ] when List.mem fn hashtbl_iterators ->
+  | [ (("Hashtbl" | "Inttbl") as tbl); fn ] when List.mem fn hashtbl_iterators ->
     Some
       ( Hashtbl_order,
         Printf.sprintf
-          "Hashtbl.%s observes nondeterministic order; use Table.sorted_* \
-           (or annotate: btr-lint: allow hashtbl-order)"
-          fn )
+          "%s.%s observes nondeterministic order; use Table.sorted_* or \
+           Inttbl.sorted_keys (or annotate: btr-lint: allow hashtbl-order)"
+          tbl fn )
   | [ "compare" ] ->
     Some
       ( Poly_compare,

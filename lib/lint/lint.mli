@@ -21,8 +21,9 @@
 
 type rule =
   | Hashtbl_order
-      (** BTR-L001: [Hashtbl.iter]/[fold]/[to_seq*] observe
-          nondeterministic order; route through [Table.sorted_*]. *)
+      (** BTR-L001: [Hashtbl.iter]/[fold]/[to_seq*], and the same
+          iterators of [Btr_util.Inttbl], observe nondeterministic
+          order; route through [Table.sorted_*] or [Inttbl.sorted_keys]. *)
   | Poly_compare
       (** BTR-L002: bare [compare], or [=]/[<>] passed first-class —
           structural comparison that silently changes meaning as types

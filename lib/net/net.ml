@@ -48,13 +48,13 @@ type 'a recv = {
   hops : int;
 }
 
-(* The per-pair tables key on one packed int, so a lookup hashes a
-   machine word and allocates no tuple. [create] checks that every node
-   and link id fits in [id_bits]; [route] keeps other ids (not nodes)
-   out of its table. *)
+(* The per-pair tables key on one {!Inttbl.pack}ed int, so a lookup
+   hashes a machine word and allocates no tuple. [create] checks that
+   every node and link id fits in [id_bits], one bit short of a packed
+   half, so the class bit [with_cls] appends cannot overflow; [route]
+   keeps other ids (not nodes) out of its table. *)
 let id_bits = 30
 let fits id = id lsr id_bits = 0
-let pair_key hi lo = (hi lsl id_bits) lor lo
 let with_cls k cls = (k lsl 1) lor (match cls with Data -> 0 | Control -> 1)
 
 type 'a t = {
@@ -64,14 +64,14 @@ type 'a t = {
   shares : shares;
   residual_loss : float;
   handlers : ('a recv -> unit) Inttbl.t;
-  (* Per (sender, link, class), by [with_cls (pair_key sender link)]:
+  (* Per (sender, link, class), by [with_cls (Inttbl.pack sender link)]:
      when the sender's slice frees up. *)
   busy_until : Time.t Inttbl.t;
   relay_policy : (src:node_id -> dst:node_id -> cls:cls -> bool) Inttbl.t;
   relay_delay : Time.t Inttbl.t;
   mutable route_avoid : node_id list;
   mutable router : Topology.router;  (* routes around [route_avoid] *)
-  (* [pair_key src dst] -> the route [router] holds; flushed when it is
+  (* [Inttbl.pack src dst] -> the route [router] holds; flushed when it is
      replaced. *)
   routes : Topology.hop list option Inttbl.t;
   loss_rng : Rng.t;
@@ -83,8 +83,6 @@ type 'a t = {
   data_bytes : Obs.Counter.t;
   control_bytes : Obs.Counter.t;
   by_sender : int Inttbl.t;  (* by [with_cls sender] *)
-  data_lat : Stats.Acc.t;
-  control_lat : Stats.Acc.t;
 }
 
 let router_avoiding topo avoid =
@@ -130,8 +128,6 @@ let create eng topo ?shares ?(residual_loss = 0.0) () =
     data_bytes = Obs.Registry.counter reg Obs.Net "bytes.data";
     control_bytes = Obs.Registry.counter reg Obs.Net "bytes.control";
     by_sender = Inttbl.create 16;
-    data_lat = Stats.Acc.create ();
-    control_lat = Stats.Acc.create ();
   }
 
 let engine t = t.eng
@@ -154,7 +150,7 @@ let bytes_sent_by t n cls =
 let route t ~src ~dst =
   if not (fits src && fits dst) then Topology.path t.router ~src ~dst
   else
-    let k = pair_key src dst in
+    let k = Inttbl.pack src dst in
     match Inttbl.find t.routes k with
     | r -> r
     | exception Not_found ->
@@ -162,27 +158,8 @@ let route t ~src ~dst =
       Inttbl.replace t.routes k r;
       r
 
-(* One hop: [sender] pushes the message onto [link]; when serialization
-   and propagation complete, [k] runs at the far end. *)
-let hop t ~sender ~(link : Topology.link) ~cls ~size k =
-  let rate = reserved_rate t link cls in
-  let key = with_cls (pair_key sender link.link_id) cls in
-  let free =
-    match Inttbl.find t.busy_until key with f -> f | exception Not_found -> Time.zero
-  in
-  let start = Time.max (Engine.now t.eng) free in
-  let departure = Time.add start (serialize_time ~size ~rate) in
-  Inttbl.replace t.busy_until key departure;
-  charge_bytes t sender cls size;
-  let arrival = Time.add departure link.latency in
-  ignore (Engine.schedule t.eng ~at:arrival (fun _ -> k arrival))
-
 let deliver t msg =
   Obs.Counter.incr t.delivered;
-  let lat = Time.to_sec_f (Time.sub msg.delivered_at msg.sent_at) in
-  (match msg.cls with
-  | Data -> Stats.Acc.add t.data_lat lat
-  | Control -> Stats.Acc.add t.control_lat lat);
   if Obs.enabled t.obs then
     Obs.emit t.obs ~at:msg.delivered_at ~node:msg.dst Obs.Net
       (Obs.Msg_delivered
@@ -206,6 +183,98 @@ let relay_allows t node ~src ~dst ~cls =
 let relay_extra_delay t node =
   match Inttbl.find t.relay_delay node with d -> d | exception Not_found -> Time.zero
 
+(* A message in flight: one record per message, scheduled hop by hop.
+   [wake] is its only callback, built once; [phase] says what the next
+   firing does. *)
+type phase =
+  | Arriving  (* the current hop's far end, [next], receives it *)
+  | Relaying  (* a relay's extra delay is over: [here] pushes the next hop *)
+  | Local  (* src = dst: delivered without touching a link *)
+
+type 'a flight = {
+  f_src : node_id;
+  f_dst : node_id;
+  f_payload : 'a;
+  f_size : int;
+  f_cls : cls;
+  f_sent_at : Time.t;
+  mutable phase : phase;
+  mutable here : node_id;  (* the node pushing the current hop *)
+  mutable next : node_id;  (* the node the current hop delivers to *)
+  mutable rest : Topology.hop list;  (* the hops after the current one *)
+  mutable hops : int;  (* hops completed *)
+  mutable wake : Engine.t -> unit;
+}
+
+let deliver_flight t fl =
+  deliver t
+    {
+      src = fl.f_src;
+      dst = fl.f_dst;
+      payload = fl.f_payload;
+      size_bytes = fl.f_size;
+      cls = fl.f_cls;
+      sent_at = fl.f_sent_at;
+      delivered_at = Engine.now t.eng;
+      hops = fl.hops;
+    }
+
+(* [fl.here] pushes the message onto the link of [h]: it queues behind
+   the sender's earlier messages on that (link, class) slice, and
+   arrives at [h.next] after serialization and propagation. *)
+let push_hop t fl (h : Topology.hop) rest =
+  let link = h.link in
+  let rate = reserved_rate t link fl.f_cls in
+  let key = with_cls (Inttbl.pack fl.here link.link_id) fl.f_cls in
+  let free =
+    match Inttbl.find t.busy_until key with f -> f | exception Not_found -> Time.zero
+  in
+  let start = Time.max (Engine.now t.eng) free in
+  let departure = Time.add start (serialize_time ~size:fl.f_size ~rate) in
+  Inttbl.replace t.busy_until key departure;
+  charge_bytes t fl.here fl.f_cls fl.f_size;
+  fl.phase <- Arriving;
+  fl.next <- h.next;
+  fl.rest <- rest;
+  ignore (Engine.schedule t.eng ~at:(Time.add departure link.latency) fl.wake)
+
+let arrive t fl =
+  fl.hops <- fl.hops + 1;
+  let nxt = fl.next in
+  if t.residual_loss > 0.0 && Rng.float t.loss_rng 1.0 < t.residual_loss then begin
+    Obs.Counter.incr t.lost;
+    if Obs.enabled t.obs then
+      Obs.emit t.obs ~at:(Engine.now t.eng) ~node:nxt Obs.Net
+        (Obs.Msg_lost { src = fl.f_src; dst = fl.f_dst; cls = cls_name fl.f_cls })
+  end
+  else
+    match fl.rest with
+    | [] -> deliver_flight t fl
+    | h :: rest ->
+      if not (relay_allows t nxt ~src:fl.f_src ~dst:fl.f_dst ~cls:fl.f_cls) then begin
+        Obs.Counter.incr t.relay_dropped;
+        if Obs.enabled t.obs then
+          Obs.emit t.obs ~at:(Engine.now t.eng) ~node:nxt Obs.Net
+            (Obs.Relay_dropped
+               { relay = nxt; src = fl.f_src; dst = fl.f_dst; cls = cls_name fl.f_cls })
+      end
+      else begin
+        fl.here <- nxt;
+        let extra = relay_extra_delay t nxt in
+        if Time.equal extra Time.zero then push_hop t fl h rest
+        else begin
+          fl.phase <- Relaying;
+          ignore (Engine.schedule_in t.eng ~delay:extra fl.wake)
+        end
+      end
+
+let wake t fl =
+  match fl.phase with
+  | Arriving -> arrive t fl
+  | Relaying -> (
+    match fl.rest with h :: rest -> push_hop t fl h rest | [] -> assert false)
+  | Local -> deliver_flight t fl
+
 let send t ~src ~dst ~cls ~size_bytes payload =
   match route t ~src ~dst with
   | None -> false
@@ -215,65 +284,28 @@ let send t ~src ~dst ~cls ~size_bytes payload =
     if Obs.enabled t.obs then
       Obs.emit t.obs ~at:sent_at ~node:src Obs.Net
         (Obs.Msg_sent { src; dst; cls = cls_name cls; bytes = size_bytes });
-    (* [here] pushes the message over the link of [h], to [h.next];
-       [rest] are the hops after it. *)
-    let rec traverse here (h : Topology.hop) rest hops =
-      let nxt = h.next in
-      hop t ~sender:here ~link:h.link ~cls ~size:size_bytes (fun _arrival ->
-          if t.residual_loss > 0.0 && Rng.float t.loss_rng 1.0 < t.residual_loss
-          then begin
-            Obs.Counter.incr t.lost;
-            if Obs.enabled t.obs then
-              Obs.emit t.obs ~at:(Engine.now t.eng) ~node:nxt Obs.Net
-                (Obs.Msg_lost { src; dst; cls = cls_name cls })
-          end
-          else
-            match rest with
-            | [] ->
-              deliver t
-                {
-                  src;
-                  dst;
-                  payload;
-                  size_bytes;
-                  cls;
-                  sent_at;
-                  delivered_at = Engine.now t.eng;
-                  hops = hops + 1;
-                }
-            | h' :: rest' ->
-              if not (relay_allows t nxt ~src ~dst ~cls) then begin
-                Obs.Counter.incr t.relay_dropped;
-                if Obs.enabled t.obs then
-                  Obs.emit t.obs ~at:(Engine.now t.eng) ~node:nxt Obs.Net
-                    (Obs.Relay_dropped { relay = nxt; src; dst; cls = cls_name cls })
-              end
-              else begin
-                let extra = relay_extra_delay t nxt in
-                if Time.equal extra Time.zero then traverse nxt h' rest' (hops + 1)
-                else
-                  ignore
-                    (Engine.schedule_in t.eng ~delay:extra (fun _ ->
-                         traverse nxt h' rest' (hops + 1)))
-              end)
+    let fl =
+      {
+        f_src = src;
+        f_dst = dst;
+        f_payload = payload;
+        f_size = size_bytes;
+        f_cls = cls;
+        f_sent_at = sent_at;
+        phase = Local;
+        here = src;
+        next = dst;
+        rest = path;
+        hops = 0;
+        wake = ignore;
+      }
     in
+    fl.wake <- (fun _ -> wake t fl);
     (match path with
     | [] ->
       (* Local delivery still goes through the event queue for ordering. *)
-      ignore
-        (Engine.schedule_in t.eng ~delay:Time.zero (fun _ ->
-             deliver t
-               {
-                 src;
-                 dst;
-                 payload;
-                 size_bytes;
-                 cls;
-                 sent_at;
-                 delivered_at = Engine.now t.eng;
-                 hops = 0;
-               }))
-    | h :: rest -> traverse src h rest 0);
+      ignore (Engine.schedule_in t.eng ~delay:Time.zero fl.wake)
+    | h :: rest -> push_hop t fl h rest);
     true
 
 let set_relay_policy t n p = Inttbl.replace t.relay_policy n p
@@ -293,8 +325,6 @@ type stats = {
   bytes_sent : int;
   data_bytes_sent : int;
   control_bytes_sent : int;
-  data_latencies : float list;
-  control_latencies : float list;
 }
 
 let stats t =
@@ -306,6 +336,4 @@ let stats t =
     bytes_sent = Obs.Counter.value t.data_bytes + Obs.Counter.value t.control_bytes;
     data_bytes_sent = Obs.Counter.value t.data_bytes;
     control_bytes_sent = Obs.Counter.value t.control_bytes;
-    data_latencies = Stats.Acc.values t.data_lat;
-    control_latencies = Stats.Acc.values t.control_lat;
   }

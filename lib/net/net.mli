@@ -126,8 +126,6 @@ type stats = {
   bytes_sent : int;  (** data + control *)
   data_bytes_sent : int;
   control_bytes_sent : int;
-  data_latencies : float list;  (** seconds, delivered [Data] messages *)
-  control_latencies : float list;  (** seconds, delivered [Control] *)
 }
 
 val stats : 'a t -> stats

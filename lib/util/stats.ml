@@ -62,17 +62,3 @@ let pp_summary ppf s =
   Format.fprintf ppf
     "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f"
     s.count s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max
-
-module Acc = struct
-  type t = { mutable rev_values : float list; mutable count : int }
-
-  let create () = { rev_values = []; count = 0 }
-
-  let add t x =
-    t.rev_values <- x :: t.rev_values;
-    t.count <- t.count + 1
-
-  let count t = t.count
-  let values t = List.rev t.rev_values
-  let summary t = summarize_opt (values t)
-end

@@ -23,16 +23,3 @@ val percentile : float list -> float -> float
     order statistics. Raises [Invalid_argument] on []. *)
 
 val pp_summary : Format.formatter -> summary -> unit
-
-(** Counters and accumulators used by simulation metrics. *)
-module Acc : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val values : t -> float list
-  (** In insertion order. *)
-
-  val summary : t -> summary option
-end

@@ -205,6 +205,78 @@ let prop_single_field_edit_tampered =
       | Authlog.Tampered _ -> true
       | Authlog.Consistent | Authlog.Truncated -> false)
 
+(* Reference model of the chain: the documented fold, one
+   [Auth.Chain.mix] per word, tag first. *)
+let reference_head entries =
+  let word link n = Auth.Chain.mix link (Int64.of_int n) in
+  List.fold_left
+    (fun link e ->
+      match e with
+      | Authlog.Sent { flow; period; digest } ->
+        Auth.Chain.mix (word (word (word link 1) flow) period) digest
+      | Authlog.Received { flow; period; digest; from_node } ->
+        word (Auth.Chain.mix (word (word (word link 2) flow) period) digest) from_node
+      | Authlog.Executed { task; period; output_digest } ->
+        Auth.Chain.mix (word (word (word link 3) task) period) output_digest)
+    Auth.Chain.genesis entries
+
+let gen_wide_entry =
+  (* Any int, negative ones included, and digests with the top bit set. *)
+  let n = QCheck.Gen.(oneof [ small_nat; int; map (fun x -> -x) small_nat ]) in
+  QCheck.Gen.(
+    oneof
+      [
+        map3 (fun flow period digest -> Authlog.Sent { flow; period; digest }) n n ui64;
+        map4
+          (fun flow period digest from_node ->
+            Authlog.Received { flow; period; digest; from_node })
+          n n ui64 n;
+        map3
+          (fun task period output_digest -> Authlog.Executed { task; period; output_digest })
+          n n ui64;
+      ])
+
+let prop_head_matches_reference =
+  QCheck.Test.make ~name:"head equals the reference fold of Auth.Chain.mix" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (0 -- 40) gen_wide_entry))
+    (fun entries -> Int64.equal (head_of entries) (reference_head entries))
+
+(* The checkpoint message as it was first written, with [Printf]. *)
+let reference_checkpoint_message ~owner ~length ~head =
+  Printf.sprintf "checkpoint|%d|%d|%Lx" owner length head
+
+let prop_checkpoint_message_bytes =
+  QCheck.Test.make ~name:"checkpoint message matches its Printf reference" ~count:1000
+    QCheck.(
+      triple
+        (oneof [ small_nat; int; make Gen.(return min_int); make Gen.(return max_int) ])
+        int
+        (oneof
+           [
+             int64;
+             make Gen.(map Int64.of_int (0 -- 300));
+             make Gen.(oneofl [ 0L; -1L; Int64.min_int; Int64.max_int; 0x1_0000_0000L ]);
+           ]))
+    (fun (owner, length, head) ->
+      String.equal
+        (Authlog.checkpoint_message ~owner ~length ~head)
+        (reference_checkpoint_message ~owner ~length ~head))
+
+(* The chain step must stay one unboxed expression and the head
+   unboxed: a [Sent] entry and its append allocate the entry (4 words)
+   and its list cell (3), and nothing per word. Boxing the head again
+   costs 3 more words, a boxed chain step 15. *)
+let test_append_allocation () =
+  let log = Authlog.create ~owner:0 in
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    Authlog.append log (Authlog.Sent { flow = i; period = i; digest = Sys.opaque_identity 7L })
+  done;
+  let per_append = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_append > 7.0 then
+    Alcotest.failf "Authlog.append of a Sent entry allocates %.1f words (> 7)" per_append
+
 let suite =
   [
     ("append and head", `Quick, test_append_and_head);
@@ -217,4 +289,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_audit_roundtrip;
     ("head of the sample log is pinned", `Quick, test_head_pinned);
     QCheck_alcotest.to_alcotest prop_single_field_edit_tampered;
+    QCheck_alcotest.to_alcotest prop_head_matches_reference;
+    QCheck_alcotest.to_alcotest prop_checkpoint_message_bytes;
+    ("append of a Sent entry allocates <= 7 words", `Quick, test_append_allocation);
   ]

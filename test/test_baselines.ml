@@ -119,16 +119,7 @@ let test_selfstab_has_no_bound () =
   check_bool "recovery time spread > one audit interval" true (hi -. lo > 0.1)
 
 let test_pbft_latency_exceeds_unreplicated () =
-  let p50 style =
-    let t = run ~style () in
-    match (Exec.net_stats t).Btr_net.Net.data_latencies with
-    | [] -> 0.0
-    | l -> Btr_util.Stats.percentile l 50.0
-  in
-  ignore (p50 Exec.Unreplicated);
-  (* End-to-end sink arrival is the meaningful number: compare last
-     delivery arrival per period via deadline misses under a tightened
-     deadline instead — here simply check the agreement traffic exists. *)
+  (* PBFT's price is its agreement traffic: check that it exists. *)
   let t_pbft = run ~style:(Exec.Pbft { f = 1 }) () in
   let t_bare = run ~style:Exec.Unreplicated () in
   check_bool "pbft sends much more traffic" true

@@ -393,6 +393,26 @@ let test_migration_trace_pinned () =
   check_int "crash trace events" 5356 (List.length events);
   Alcotest.(check string) "crash trace digest" "2a3659385319ab78" digest
 
+(* Minor words allocated per engine event by the avionics demo trial
+   (deploy and simulate, null sink). Minor words are counted exactly at
+   each allocation, so the figure repeats run to run; the few tables
+   large enough to go straight to the major heap are left out. The
+   ceiling is the measured value (86.0; 149.0 before the runtime's
+   allocation diet) plus 10%: a change that brings back per-event
+   garbage fails here before it shows in the campaign benchmark. *)
+let test_demo_words_per_event () =
+  let s = Btr.Scenario.avionics_demo () in
+  match Btr.Scenario.plan s with
+  | Error e -> Alcotest.failf "plan: %a" Btr_planner.Planner.pp_error e
+  | Ok strategy ->
+    let before = Gc.minor_words () in
+    let rt = Btr.Scenario.deploy s strategy in
+    Btr.Runtime.run rt ~horizon:s.Btr.Scenario.horizon;
+    let events = Btr_sim.Engine.events_processed (Btr.Runtime.engine rt) in
+    let w = (Gc.minor_words () -. before) /. float_of_int events in
+    if w > 94.6 then
+      Alcotest.failf "demo trial allocates %.1f words per engine event (ceiling 94.6)" w
+
 let suite =
   [
     ("behaviour: deterministic", `Quick, test_default_compute_deterministic);
@@ -418,4 +438,5 @@ let suite =
     ("behaviour: value digest reference value", `Quick, test_value_digest_pinned);
     ("behaviour: value digest of special floats", `Quick, test_value_digest_special);
     QCheck_alcotest.to_alcotest prop_value_digest_matches_rendering;
+    ("scenario: demo trial words per engine event", `Quick, test_demo_words_per_event);
   ]

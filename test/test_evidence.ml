@@ -143,6 +143,51 @@ let prop_roundtrip =
       in
       Evidence.validate auth (Evidence.sign auth k s))
 
+(* [Evidence.encode] as it was first written, with [Printf]: the
+   reference the allocation-free encoder must match byte for byte. *)
+let reference_encode (s : Evidence.statement) =
+  let accused =
+    match s.accused with
+    | Evidence.Node n -> Printf.sprintf "node:%d" n
+    | Evidence.Path (a, b) -> Printf.sprintf "path:%d-%d" a b
+  in
+  Printf.sprintf "%s|%s|det:%d|p:%d|t:%d|%s" accused
+    (Evidence.fault_class_name s.fault_class)
+    s.detector s.period s.detected_at s.detail
+
+let gen_statement =
+  let open QCheck.Gen in
+  (* Every int, negative ones and the extremes included. *)
+  let n = oneof [ small_nat; int; map (fun x -> -x) small_nat; oneofl [ min_int; max_int ] ] in
+  let accused =
+    oneof [ map (fun x -> Evidence.Node x) n; map2 (fun a b -> Evidence.Path (a, b)) n n ]
+  in
+  let fault_class =
+    oneofl
+      [
+        Evidence.Wrong_value;
+        Evidence.Omission;
+        Evidence.Omission_suspected;
+        Evidence.Timing;
+        Evidence.Equivocation;
+        Evidence.Forged_evidence;
+      ]
+  in
+  map3
+    (fun (accused, fault_class) (detector, period) (detected_at, detail) ->
+      { Evidence.accused; fault_class; detector; period; detected_at; detail })
+    (pair accused fault_class) (pair n n)
+    (pair n (string_size ~gen:printable (0 -- 24)))
+
+let prop_encode_matches_reference =
+  QCheck.Test.make ~name:"encode matches its Printf reference byte for byte" ~count:1000
+    (QCheck.make ~print:reference_encode gen_statement)
+    (fun s ->
+      let r = { Evidence.statement = s; tag = Auth.forge_tag () } in
+      String.equal (Evidence.encode s) (reference_encode s)
+      && Evidence.size_bytes r = String.length (reference_encode s) + 16
+      && String.equal (Evidence.dedup_key r) (reference_encode s))
+
 let suite =
   [
     ("sign then validate", `Quick, test_sign_validate);
@@ -156,4 +201,5 @@ let suite =
     ("distributor: forward-once bookkeeping", `Quick, test_already_sent);
     ("records have a wire size", `Quick, test_size_positive);
     QCheck_alcotest.to_alcotest prop_roundtrip;
+    QCheck_alcotest.to_alcotest prop_encode_matches_reference;
   ]

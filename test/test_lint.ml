@@ -169,6 +169,29 @@ let test_rule_ids_stable () =
        (fun r -> Lint.rule_of_name (Lint.rule_name r) = Some r)
        Lint.all_rules)
 
+(* Trial state lives in [Inttbl]s too: their iterators are flagged like
+   [Hashtbl]'s, qualified or not, and the sorted traversal is quiet. *)
+let test_inttbl_variants () =
+  List.iter
+    (fun src -> check_bool src true (rules src = [ Lint.Hashtbl_order ]))
+    [
+      "let f h g = Inttbl.iter g h";
+      "let n h = Inttbl.fold (fun _ _ a -> a + 1) h 0";
+      "let s h = Inttbl.to_seq h";
+      "let s h = Inttbl.to_seq_keys h";
+      "let s h = Inttbl.to_seq_values h";
+      "let f h g = Btr_util.Inttbl.iter g h";
+    ];
+  check_bool "Inttbl fold inside Fnv is L005 too" true
+    (rules "let fp h = Fnv.hash64_lines (Inttbl.fold (fun _ v a -> v :: a) h [])"
+    = [ Lint.Hashtbl_order; Lint.Fingerprint_order ]);
+  check_bool "suppressed like Hashtbl" true
+    (rules "let f h g = Inttbl.iter g h (* btr-lint: allow hashtbl-order *)\n" = []);
+  check_bool "sorted_keys is quiet" true
+    (rules "let ks h = List.map (Inttbl.find h) (Inttbl.sorted_keys h)" = []);
+  check_bool "find and replace are quiet" true
+    (rules "let f h = Inttbl.replace h 1 (Inttbl.find h 0)" = [])
+
 let suite =
   [
     ("unsorted Hashtbl.iter feeding a trace fails", `Quick, test_hashtbl_iter_feeding_trace);
@@ -188,4 +211,5 @@ let suite =
     ("L005 suppression is independent of L001", `Quick, test_fingerprint_order_suppression);
     ("parse errors are reported", `Quick, test_parse_error_reported);
     ("rule ids are stable", `Quick, test_rule_ids_stable);
+    ("Inttbl iteration forms flagged like Hashtbl", `Quick, test_inttbl_variants);
   ]

@@ -82,13 +82,6 @@ let test_stats_percentile () =
   Alcotest.(check (float 1e-9)) "p100" 3.0 (Stats.percentile [ 3.0; 1.0; 2.0 ] 100.0);
   Alcotest.(check (float 1e-9)) "singleton" 5.0 (Stats.percentile [ 5.0 ] 90.0)
 
-let test_stats_acc () =
-  let acc = Stats.Acc.create () in
-  Stats.Acc.add acc 1.0;
-  Stats.Acc.add acc 3.0;
-  check_int "count" 2 (Stats.Acc.count acc);
-  Alcotest.(check (list (float 1e-9))) "order" [ 1.0; 3.0 ] (Stats.Acc.values acc)
-
 let prop_percentile_within_range =
   QCheck.Test.make ~name:"percentile stays within data range" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 50) (float_bound_exclusive 100.0)) (float_bound_inclusive 100.0))
@@ -122,7 +115,6 @@ let suite =
     ("rng sample", `Quick, test_rng_sample);
     ("stats summary", `Quick, test_stats_summary);
     ("stats percentile", `Quick, test_stats_percentile);
-    ("stats acc", `Quick, test_stats_acc);
     ("table render", `Quick, test_table_render);
     QCheck_alcotest.to_alcotest prop_percentile_within_range;
   ]

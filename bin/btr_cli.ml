@@ -165,6 +165,12 @@ let run_cmd =
     | Ok faults -> (
       match build_strategy workload topology nodes f r seed with
       | Error e -> print_error e
+      | Ok (g, _, _) when Time.ms horizon_ms < Graph.period g ->
+        print_error
+          ( 2,
+            Printf.sprintf "--horizon %dms is shorter than one workload period (%s)"
+              horizon_ms
+              (Time.to_string (Graph.period g)) )
       | Ok (g, topo, strategy) ->
         with_obs ~trace ~metrics (fun obs ->
             match Btr.Scenario.admit ?obs strategy with
@@ -191,7 +197,9 @@ let run_cmd =
              joined with ';', e.g. 'corrupt@3@250000;delay.8000@1@400000'.")
   in
   let horizon =
-    Arg.(value & opt int 1000 & info [ "horizon" ] ~doc:"Simulated run length in ms.")
+    Arg.(
+      value & opt int 1000
+      & info [ "horizon" ] ~doc:"Simulated run length in ms, at least one workload period.")
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -454,6 +462,7 @@ let campaign_run_cmd =
     | Ok grid -> (
       if trials <= 0 then usage_error "trials must be positive"
       else if jobs < 0 then usage_error "jobs must be >= 1"
+      else if shrink_budget < 0 then usage_error "shrink-budget must be >= 0"
       else if max_trials <> None && Option.get max_trials <= 0 then
         usage_error "max-trials must be positive"
       else
@@ -718,8 +727,7 @@ let campaign_frontier_cmd =
     "Locate the Def-3.1 admit/violate boundary along one axis by per-slice \
      bisection instead of an exhaustive grid."
   in
-  let run grid_r axis_s lo hi tol probes seed scan json_file trace
-      metrics =
+  let run grid_r axis_s lo hi tol probes seed json_file trace metrics =
     match grid_r with
     | Error m -> usage_error m
     | Ok grid -> (
@@ -742,10 +750,7 @@ let campaign_frontier_cmd =
           }
         in
         with_obs ~trace ~metrics (fun obs ->
-            let search =
-              if scan then Orchestrate.grid_scan else Orchestrate.frontier
-            in
-            match search ?obs fs with
+            match Orchestrate.frontier ?obs fs with
             | Error m -> usage_error m
             | Ok fr ->
               let lines = Orchestrate.frontier_lines fr in
@@ -794,18 +799,10 @@ let campaign_frontier_cmd =
       & info [ "probes" ] ~docv:"N"
           ~doc:"Randomized fault schedules drawn per evaluated point.")
   in
-  let scan =
-    Arg.(
-      value & flag
-      & info [ "scan" ]
-          ~doc:
-            "Exhaustively evaluate every lattice point instead of bisecting \
-             (the reference the bisection is audited against).")
-  in
   Cmd.v (Cmd.info "frontier" ~doc)
     Term.(
       const run $ grid_args $ axis $ lo $ hi $ tol $ probes
-      $ seed_arg $ scan $ json_file_arg $ trace_arg $ metrics_arg)
+      $ seed_arg $ json_file_arg $ trace_arg $ metrics_arg)
 
 let campaign_report_cmd =
   let doc =
@@ -859,9 +856,12 @@ let demo_term =
 let () =
   let doc = "bounded-time recovery for cyber-physical systems" in
   let info = Cmd.info "btr" ~version:"1.0.0" ~doc in
-  (* term_err = 2: unknown subcommands or flags exit 2 (usage error),
-     so scripts can tell misuse from a failed check/run (1). *)
-  exit
-    (Cmd.eval' ~term_err:2
-       (Cmd.group ~default:demo_term info
-          [ plan_cmd; check_cmd; run_cmd; campaign_cmd; workloads_cmd ]))
+  (* Misuse exits 2, so scripts can tell it from a failed check/run (1):
+     term_err covers unknown subcommands and flags, and a malformed
+     option value (cmdliner's cli_error, 124) is mapped to 2 too. *)
+  let code =
+    Cmd.eval' ~term_err:2
+      (Cmd.group ~default:demo_term info
+         [ plan_cmd; check_cmd; run_cmd; campaign_cmd; workloads_cmd ])
+  in
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

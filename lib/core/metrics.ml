@@ -148,16 +148,6 @@ let lanes_used t ~orig_flow =
 
 let injections t = List.rev t.rev_injections
 
-let counts t ~orig_flow =
-  let tally = Hashtbl.create 8 in
-  List.iter
-    (fun s ->
-      Hashtbl.replace tally s (1 + Option.value ~default:0 (Hashtbl.find_opt tally s)))
-    (timeline t ~orig_flow);
-  Table.sorted_bindings
-    ~cmp:(fun a b -> Int.compare (status_index a) (status_index b))
-    tally
-
 let fold_statuses t fn init =
   List.fold_left
     (fun acc (f : Graph.flow) ->

@@ -47,8 +47,6 @@ val lanes_used : t -> orig_flow:int -> (int * int) list
 
 val injections : t -> (Time.t * int * string) list
 
-val counts : t -> orig_flow:int -> (status * int) list
-
 val correct_fraction : t -> float
 (** Correct / (all non-shed) across all sink flows. *)
 

@@ -117,9 +117,7 @@ type t = {
 }
 
 let metrics t = t.metrics
-let golden t = t.golden
 let engine t = t.eng
-let obs t = t.obs
 let net_stats t = Net.stats t.net
 let strategy t = t.strategy
 

@@ -63,9 +63,6 @@ val create :
     and receives the full event stream when a recording sink is
     attached; its registry carries the counters either way. *)
 
-val obs : t -> Btr_obs.Obs.t
-(** The observability context every layer of this runtime reports to. *)
-
 val on_actuate :
   t -> orig_flow:int -> (period:int -> value:float array -> at:Time.t -> unit) -> unit
 (** Called when the sink acts on a value for the given original sink
@@ -76,7 +73,6 @@ val run : t -> horizon:Time.t -> unit
     finalizes metrics. Can be called once. *)
 
 val metrics : t -> Metrics.t
-val golden : t -> Golden.t
 val engine : t -> Btr_sim.Engine.t
 val net_stats : t -> Net.stats
 val strategy : t -> Planner.t

@@ -35,8 +35,6 @@ let create ~owner =
   Bytes.set_int64_ne chain 0 Auth.Chain.genesis;
   { log_owner = owner; rev_entries = []; chain; count = 0 }
 
-let owner t = t.log_owner
-
 let append t e =
   t.rev_entries <- e :: t.rev_entries;
   Bytes.set_int64_ne t.chain 0 (extend (Bytes.get_int64_ne t.chain 0) e);

@@ -21,7 +21,6 @@ type entry =
 type t
 
 val create : owner:int -> t
-val owner : t -> int
 val append : t -> entry -> unit
 val length : t -> int
 val head : t -> Auth.Chain.link

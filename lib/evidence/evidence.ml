@@ -18,8 +18,6 @@ let fault_class_name = function
   | Equivocation -> "equivocation"
   | Forged_evidence -> "forged-evidence"
 
-let pp_fault_class ppf c = Format.pp_print_string ppf (fault_class_name c)
-
 type accused = Node of int | Path of int * int
 
 let path a b = if a <= b then Path (a, b) else Path (b, a)
@@ -83,14 +81,6 @@ let size_bytes r = encoded_length r.statement + 16
 
 let dedup_key r = encode r.statement
 
-let pp ppf r =
-  let s = r.statement in
-  Format.fprintf ppf "[%a by node %d @ %a, period %d: %s]" pp_fault_class
-    s.fault_class s.detector Time.pp s.detected_at s.period
-    (match s.accused with
-    | Node n -> Printf.sprintf "node %d" n
-    | Path (a, b) -> Printf.sprintf "path %d-%d" a b)
-
 module Distributor = struct
   type verdict = Fresh | Duplicate | Invalid
 
@@ -122,8 +112,6 @@ module Distributor = struct
       rev_seen = [];
       invalid_by = Hashtbl.create 8;
     }
-
-  let node t = t.node
 
   (* The statement is encoded once: the signature covers the encoding,
      and it is also the dedup key. *)

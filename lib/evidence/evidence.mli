@@ -68,8 +68,6 @@ val size_bytes : record -> int
 val dedup_key : record -> string
 (** Two records with the same key describe the same observation. *)
 
-val pp : Format.formatter -> record -> unit
-
 module Distributor : sig
   type t
 
@@ -83,8 +81,6 @@ module Distributor : sig
       {!admit} called with [~now], and the [evidence.records-admitted],
       [evidence.dedup-hits] and [evidence.validation-failures]
       counters. *)
-
-  val node : t -> int
 
   val admit : ?now:Time.t -> t -> Auth.t -> record -> verdict
   (** [now] timestamps the telemetry event; admission logic does not

@@ -56,7 +56,6 @@ module Fault_set = struct
     path_new || suspect_new
 
   let nodes t = t.node_list
-  let paths t = t.path_list
   let mem_node t n = List.mem n t.node_list
   let mem_path t p = List.mem (norm p) t.path_list
 

@@ -28,7 +28,6 @@ module Fault_set : sig
   val nodes : t -> int list
   (** Sorted; this is the strategy lookup key. *)
 
-  val paths : t -> (int * int) list
   val mem_node : t -> int -> bool
   val mem_path : t -> int * int -> bool
 

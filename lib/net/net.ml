@@ -130,7 +130,6 @@ let create eng topo ?shares ?(residual_loss = 0.0) () =
     by_sender = Inttbl.create 16;
   }
 
-let engine t = t.eng
 let topology t = t.topo
 let set_handler t n f = Inttbl.replace t.handlers n f
 
@@ -323,7 +322,6 @@ type stats = {
   messages_lost : int;
   messages_dropped_by_relay : int;
   bytes_sent : int;
-  data_bytes_sent : int;
   control_bytes_sent : int;
 }
 
@@ -334,6 +332,5 @@ let stats t =
     messages_lost = Obs.Counter.value t.lost;
     messages_dropped_by_relay = Obs.Counter.value t.relay_dropped;
     bytes_sent = Obs.Counter.value t.data_bytes + Obs.Counter.value t.control_bytes;
-    data_bytes_sent = Obs.Counter.value t.data_bytes;
     control_bytes_sent = Obs.Counter.value t.control_bytes;
   }

@@ -64,7 +64,6 @@ val create :
 (** Raises [Invalid_argument] when a link's reservations exceed its
     capacity or a node or link id lies outside [0 .. 2^30 - 1]. *)
 
-val engine : 'a t -> Btr_sim.Engine.t
 val topology : 'a t -> Topology.t
 
 val set_handler : 'a t -> node_id -> ('a recv -> unit) -> unit
@@ -124,7 +123,6 @@ type stats = {
   messages_lost : int;
   messages_dropped_by_relay : int;
   bytes_sent : int;  (** data + control *)
-  data_bytes_sent : int;
   control_bytes_sent : int;
 }
 

@@ -3,13 +3,11 @@ open Btr_util
 type subsystem =
   | Sim
   | Net
-  | Sched
   | Runtime
   | Detect
   | Evidence
   | Modeswitch
   | Fault
-  | Plant
   | Baseline
   | Check
   | Campaign
@@ -17,13 +15,11 @@ type subsystem =
 let subsystem_name = function
   | Sim -> "sim"
   | Net -> "net"
-  | Sched -> "sched"
   | Runtime -> "runtime"
   | Detect -> "detect"
   | Evidence -> "evidence"
   | Modeswitch -> "modeswitch"
   | Fault -> "fault"
-  | Plant -> "plant"
   | Baseline -> "baseline"
   | Check -> "check"
   | Campaign -> "campaign"
@@ -88,7 +84,6 @@ type payload =
       boundary : int;
       probes : int;
     }
-  | Note of { what : string; detail : string }
 
 type event = {
   at : Time.t;
@@ -111,9 +106,8 @@ module Counter = struct
 end
 
 module Gauge = struct
-  type t = { name : string; mutable value : int }
+  type t = { mutable value : int }
 
-  let name g = g.name
   let value g = g.value
   let set g v = g.value <- v
 end
@@ -142,7 +136,7 @@ module Registry = struct
     match Hashtbl.find_opt t.gauges q with
     | Some g -> g
     | None ->
-      let g = { Gauge.name = q; value = 0 } in
+      let g = { Gauge.value = 0 } in
       Hashtbl.replace t.gauges q g;
       g
 
@@ -213,7 +207,6 @@ let payload_tag = function
   | Campaign_sharded _ -> "campaign-sharded"
   | Campaign_resumed _ -> "campaign-resumed"
   | Frontier_located _ -> "frontier-located"
-  | Note _ -> "note"
 
 let add_int b key v =
   Buffer.add_string b ",\"";
@@ -350,9 +343,6 @@ let add_payload b = function
     add_str b "axis" axis;
     add_int b "boundary" boundary;
     add_int b "probes" probes
-  | Note { what; detail } ->
-    add_str b "what" what;
-    add_str b "detail" detail
 
 let encode_event b e =
   Buffer.add_string b "{\"t\":";

@@ -29,13 +29,11 @@ open Btr_util
 type subsystem =
   | Sim
   | Net
-  | Sched
   | Runtime
   | Detect
   | Evidence
   | Modeswitch
   | Fault
-  | Plant
   | Baseline
   | Check  (** the static plan verifier ({!Btr_check}) *)
   | Campaign  (** the fault-injection campaign engine ({!Btr_campaign}) *)
@@ -137,8 +135,6 @@ type payload =
                            has no admit/violate crossing in range *)
       probes : int;
     }  (** adaptive frontier search finished one config slice *)
-  | Note of { what : string; detail : string }
-      (** escape hatch for one-off annotations; keep rare *)
 
 type event = {
   at : Time.t;
@@ -162,7 +158,6 @@ end
 module Gauge : sig
   type t
 
-  val name : t -> string
   val value : t -> int
   val set : t -> int -> unit
 end
@@ -179,8 +174,6 @@ module Registry : sig
 
   val counters : t -> (string * int) list
   (** Sorted by qualified name. *)
-
-  val gauges : t -> (string * int) list
 
   val to_json : t -> string
   (** [{"counters":{...},"gauges":{...}}], keys sorted. *)

@@ -533,9 +533,6 @@ let initial_plan t =
   | Some p -> p
   | None -> invalid_arg "Planner.initial_plan: strategy has no fault-free plan"
 
-let transition_for t ~from_faulty ~new_fault =
-  Hashtbl.find_opt t.transitions (key from_faulty, new_fault)
-
 (* Sorted by mode key, so callers see plans and transitions in a
    stable order regardless of planning insertion history. *)
 let all_plans t =

@@ -211,7 +211,5 @@ val plan_for : t -> faulty:int list -> plan option
 val initial_plan : t -> plan
 (** The fault-free mode. *)
 
-val transition_for : t -> from_faulty:int list -> new_fault:int -> transition option
-
 val all_plans : t -> plan list
 val all_transitions : t -> transition list

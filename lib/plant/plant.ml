@@ -33,10 +33,8 @@ let create m ~dt =
     dead = false;
   }
 
-let model t = t.m
 let state t = Array.copy t.x
 let output t = t.m.output t.x
-let now t = t.clock
 let set_input t u = t.u <- u
 let input t = t.u
 
@@ -111,7 +109,10 @@ let pressure_vessel ?(inflow = 0.4) () =
     envelope_distance = (fun x -> Float.max (x.(0) /. p_max) 0.0);
   }
 
-let cruise_control ?(v_set = 30.0) () =
+(* The set speed, m/s; the default controller holds it. *)
+let v_set = 30.0
+
+let cruise_control () =
   let mass = 1000.0 and drag = 50.0 and margin = 5.0 in
   {
     name = "cruise-control";
@@ -168,14 +169,10 @@ module Controller = struct
       c.prev_error <- Some e;
       (kp *. e) +. (ki *. c.integral) +. (kd *. de)
 
-  let reset c =
-    c.integral <- 0.0;
-    c.prev_error <- None
-
   let default_for m =
     match m.name with
     | "inverted-pendulum" -> state_feedback ~gains:[| 25.0; 8.0 |]
     | "pressure-vessel" -> bang_bang ~threshold:6.0 ~low:0.0 ~high:1.0
-    | "cruise-control" -> pid ~kp:400.0 ~ki:150.0 ~kd:0.0 ~setpoint:30.0
+    | "cruise-control" -> pid ~kp:400.0 ~ki:150.0 ~kd:0.0 ~setpoint:v_set
     | name -> invalid_arg ("Controller.default_for: unknown model " ^ name)
 end

@@ -31,12 +31,10 @@ type t
 val create : model -> dt:Time.t -> t
 (** [dt] is the integration step (must divide the control period). *)
 
-val model : t -> model
 val state : t -> float array
 (** A copy; mutating it does not affect the plant. *)
 
 val output : t -> float
-val now : t -> Time.t
 
 val set_input : t -> float -> unit
 (** Zero-order hold: the value applies until changed. Faulty control is
@@ -72,9 +70,9 @@ val pressure_vessel : ?inflow:float -> unit -> model
     pressure <= 10 bar. Slow dynamics — the plant that tolerates
     "five seconds". *)
 
-val cruise_control : ?v_set:float -> unit -> model
+val cruise_control : unit -> model
 (** First-order vehicle speed under drag; input is engine force.
-    Envelope |v − v_set| <= 5 m/s. *)
+    Starts at the 30 m/s set speed; envelope |v − 30| <= 5 m/s. *)
 
 (** {1 Controllers} *)
 
@@ -84,8 +82,6 @@ module Controller : sig
   val compute : ctl -> dt_s:float -> measurement:float array -> float
   (** One control-period update. [measurement] is the full state for
       state feedback, or [[|y|]] for pid/bang-bang. *)
-
-  val reset : ctl -> unit
 
   val default_for : model -> ctl
   (** A stabilizing controller for each built-in model. *)

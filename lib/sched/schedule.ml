@@ -102,8 +102,6 @@ let list_schedule g ~place ~xfer =
     Ok sched
   with Fail f -> Error f
 
-let period t = t.period
-
 let nodes t = Table.sorted_keys ~cmp:Int.compare t.by_node
 
 let slots_on t n = Option.value ~default:[] (Hashtbl.find_opt t.by_node n)

@@ -36,7 +36,6 @@ val list_schedule :
     all its inputs have arrived and its node is free. Fails with the
     first constraint violation found. *)
 
-val period : t -> Time.t
 val nodes : t -> int list
 val slots_on : t -> int -> slot list
 (** In increasing start order. *)

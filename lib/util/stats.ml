@@ -57,8 +57,3 @@ let summarize xs =
     }
 
 let summarize_opt = function [] -> None | xs -> Some (summarize xs)
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f"
-    s.count s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max

@@ -16,10 +16,6 @@ val summarize : float list -> summary
 
 val summarize_opt : float list -> summary option
 
-val mean : float list -> float
-
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [0,100], linear interpolation between
     order statistics. Raises [Invalid_argument] on []. *)
-
-val pp_summary : Format.formatter -> summary -> unit

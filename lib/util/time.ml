@@ -15,7 +15,6 @@ let add a b = if a = infinity || b = infinity then infinity else a + b
 let sub a b = a - b
 let mul t k = if t = infinity then infinity else t * k
 let div t k = t / k
-let min = Stdlib.min
 let max = Stdlib.max
 let compare = Int.compare
 let equal = Int.equal

@@ -25,7 +25,6 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> int -> t
 val div : t -> int -> t
-val min : t -> t -> t
 val max : t -> t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool

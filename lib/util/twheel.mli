@@ -5,8 +5,8 @@
     simulator actually produces, where a comparison heap's O(log n)
     cost makes throughput collapse with queue depth.
 
-    Geometry: {!levels} wheels of {!wsize} slots each, level [L] slots
-    spanning [wsize^L] µs, so the wheels cover [wsize^levels] µs
+    Geometry: two wheels of [wsize] slots each, level [L] slots
+    spanning [wsize^L] µs, so the wheels cover [wsize^2] µs
     (~67 simulated seconds at 8192², far past a trial's ~1 s horizon)
     ahead of the cursor; anything further — including [Time.infinity] —
     parks in an unsorted overflow list that is rescanned when the
@@ -14,8 +14,8 @@
     A cell is placed at the lowest level whose current window contains
     its deadline (highest bit-block in which [at] and the cursor
     differ), and whole slots cascade down one level when the cursor
-    enters their window, so every cell is relinked at most [levels]
-    times on its way to level 0.
+    enters their window, so every cell is relinked at most twice
+    on its way to level 0.
 
     Order: level-0 slots span exactly 1 µs, and every placement path
     (direct insert, cascade, overflow rescan, cursor rewind) appends in
@@ -37,7 +37,7 @@ type 'a cell = {
   mutable c_prev : 'a cell;
   mutable c_next : 'a cell;
   mutable c_lvl : int;
-      (** internal: wheel level, [levels] for overflow, -1 when
+      (** internal: wheel level, 2 for overflow, -1 when
           unlinked. Treat every field except [c_at] and [c_payload]
           as private to the wheel. *)
 }
@@ -46,9 +46,6 @@ type 'a cell = {
     constructor (see the engine's [nil_cell]/[nil_handle] pair). *)
 
 type 'a t
-
-val levels : int
-(** 2 — wheel levels below the overflow list. *)
 
 val create : nil:'a cell -> unit -> 'a t
 (** A wheel with its cursor at time 0. [nil] is the caller's detached

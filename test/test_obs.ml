@@ -43,15 +43,14 @@ let test_null_disabled () =
   check_bool "null disabled" false (Obs.enabled Obs.null);
   let fresh = Obs.create () in
   check_bool "fresh null-sink disabled" false (Obs.enabled fresh);
-  Obs.emit fresh ~at:Time.zero Obs.Sim (Obs.Note { what = "x"; detail = "y" });
+  Obs.emit fresh ~at:Time.zero Obs.Sim (Obs.Run_finished { events = 0 });
   check_int "nothing retained" 0 (List.length (Obs.events fresh))
 
 let test_memory_ring () =
   let obs = Obs.with_memory ~capacity:4 () in
   check_bool "memory sink enabled" true (Obs.enabled obs);
   for i = 0 to 5 do
-    Obs.emit obs ~at:(Time.us i) Obs.Sim
-      (Obs.Note { what = "n"; detail = string_of_int i })
+    Obs.emit obs ~at:(Time.us i) Obs.Sim (Obs.Run_finished { events = i })
   done;
   let evs = Obs.events obs in
   check_int "keeps last capacity" 4 (List.length evs);

@@ -70,15 +70,18 @@ let e1 () =
     (fun f ->
       (* BTR: f+1 lanes plus one replay checker per protected task. *)
       let rt = run_exn (spec ~n ~f ~horizon ()) in
-      let plan = Planner.initial_plan (Btr.Runtime.strategy rt) in
+      let strategy = Btr.Runtime.strategy rt in
+      let plan = Planner.initial_plan strategy in
       let aug = plan.Planner.aug in
-      let computes = List.length (Graph.compute_tasks aug.Augment.original) in
+      let kept_computes =
+        List.filter (fun (x : Task.t) -> x.kind = Task.Compute) (Planner.kept strategy plan)
+      in
+      let computes = List.length kept_computes in
       let lanes =
         List.fold_left
           (fun acc (x : Task.t) ->
             acc + List.length (Augment.replicas_of aug x.id))
-          0
-          (Graph.compute_tasks aug.Augment.original)
+          0 kept_computes
       in
       let checkers = List.length (Augment.checkers aug) in
       let repl = float_of_int (lanes + checkers) /. float_of_int computes in
@@ -135,14 +138,17 @@ let e1b () =
     (fun level ->
       let tune c = { c with Planner.protect_level = level } in
       let rt = run_exn (spec ~n:8 ~tune ()) in
-      let plan = Planner.initial_plan (Btr.Runtime.strategy rt) in
+      let strategy = Btr.Runtime.strategy rt in
+      let plan = Planner.initial_plan strategy in
       let aug = plan.Planner.aug in
-      let computes = List.length (Graph.compute_tasks aug.Augment.original) in
+      let kept_computes =
+        List.filter (fun (x : Task.t) -> x.kind = Task.Compute) (Planner.kept strategy plan)
+      in
+      let computes = List.length kept_computes in
       let lanes =
         List.fold_left
           (fun acc (x : Task.t) -> acc + List.length (Augment.replicas_of aug x.id))
-          0
-          (Graph.compute_tasks aug.Augment.original)
+          0 kept_computes
       in
       let repl =
         float_of_int (lanes + List.length (Augment.checkers aug))
@@ -349,7 +355,7 @@ let e5 () =
       match Planner.plan_for strategy ~faulty with
       | None -> ()
       | Some p ->
-        let kept = Graph.tasks p.Planner.aug.Augment.original in
+        let kept = Planner.kept strategy p in
         let count level =
           string_of_int
             (List.length

@@ -48,7 +48,9 @@ let bench_replay =
 let bench_route =
   Test.make ~name:"topology: route across 8-clique"
     (Staged.stage (fun () ->
-         let routes = Btr_net.Topology.router (Lazy.force topo) ~usable:(fun _ -> true) in
+         let routes =
+           Btr_net.Topology.router (Btr_net.Topology.sweeps (Lazy.force topo)) ~avoid:[]
+         in
          ignore (Btr_net.Topology.path routes ~src:0 ~dst:7)))
 
 let bench_plan =

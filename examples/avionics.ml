@@ -75,7 +75,7 @@ let () =
         match Planner.plan_for strategy ~faulty with
         | None -> ()
         | Some p ->
-          let kept = Graph.tasks p.Planner.aug.Augment.original in
+          let kept = Planner.kept strategy p in
           let names level =
             kept
             |> List.filter (fun (x : Task.t) -> x.criticality = level)

@@ -256,13 +256,12 @@ let key faulty = List.sort_uniq Int.compare faulty
 
 let shares_of v = Net.shares_for v.topology v.config.Planner.shares
 
-let alive_of v faulty =
-  List.filter (fun n -> not (List.mem n faulty)) (Topology.nodes v.topology)
+(* Fault patterns and watcher cuts are short int lists: membership is
+   a scan with integer compare. *)
+let rec mem_int (x : int) = function [] -> false | y :: rest -> x = y || mem_int x rest
 
-(* The verifier's own route table for a mode, built once per mode per
-   pass: it never reads the planner's. *)
-let mode_routes v faulty =
-  Topology.router v.topology ~usable:(fun n -> not (List.mem n faulty))
+let alive_of v faulty =
+  List.filter (fun n -> not (mem_int n faulty)) (Topology.nodes v.topology)
 
 (* Each verification unit returns its diagnostics as a list, in the
    order the old push-based checks emitted them. [verify_units]
@@ -382,7 +381,7 @@ let control_reserve_diags v =
 (* (b) Independent re-validation of the mode's static table. *)
 let schedule_valid_diags v (p : Planner.plan) ~routes =
   let g = p.Planner.aug.Augment.graph in
-  let xfer = Net.route_transfer_time routes (shares_of v) ~cls:Net.Data in
+  let xfer = Net.transfer_time routes (shares_of v) ~cls:Net.Data in
   match Schedule.validate p.Planner.schedule g ~xfer with
   | exception Invalid_argument msg ->
     (* A table referencing tasks the mode's graph does not declare
@@ -552,7 +551,7 @@ let min_hitting_set sets =
       | [] -> []
       | x :: rest -> List.map (fun c -> x :: c) (combos (k - 1) rest) @ combos k rest
   in
-  let hits w set = List.exists (fun x -> List.mem x w) set in
+  let hits w set = List.exists (fun x -> mem_int x w) set in
   let rec try_k k =
     if k > List.length candidates then None
     else
@@ -727,8 +726,9 @@ let omission_cases v ~strikes ~evb ~cuts =
   List.rev !cases
 
 let selective_omission_cases v ~strikes =
+  let ev = Planner.evidence v.config (Topology.sweeps v.topology) in
   omission_cases v ~strikes
-    ~evb:(fun faulty -> Planner.evidence_bound v.config v.topology ~faulty)
+    ~evb:(fun faulty -> Planner.evidence_bound ev ~faulty)
     ~cuts:(fun p ~sender -> omission_cut_rows v p ~sender)
 
 let omission_diags v ~strikes cases =
@@ -826,7 +826,7 @@ let transition_sanity_diags v =
    edges rather than modes × transitions. *)
 let orphan_mode_diags v =
   let known = List.map (fun (p : Planner.plan) -> p.Planner.faulty) v.plans in
-  if not (List.mem [] known) then []
+  if not (List.exists (function [] -> true | _ :: _ -> false) known) then []
   else begin
     let by_from : (int list, Planner.transition list) Hashtbl.t =
       Hashtbl.create 64
@@ -862,13 +862,13 @@ let orphan_mode_diags v =
   end
 
 (* (d') Per mode: evidence routable between every pair of survivors.
-   Fast path: {!Topology.connected_without}, the question the planner
-   asks of every mode, in one sweep, so the all-clear costs
-   O(memberships) instead of O(n³). Any failure falls back to the
-   pairwise probe to report the identical per-pair diagnostics. *)
+   Fast path: {!Topology.connected}, the question the planner asks of
+   every mode, in one sweep, so the all-clear costs O(memberships)
+   instead of O(n³). Any failure falls back to the pairwise probe to
+   report the identical per-pair diagnostics. *)
 let evidence_routes_diags v (p : Planner.plan) ~routes =
   let faulty = p.Planner.faulty in
-  if Topology.connected_without v.topology faulty then []
+  if Topology.connected routes then []
   else begin
     let alive = alive_of v faulty in
     let out = ref [] in
@@ -903,7 +903,7 @@ let evidence_routes_diags v (p : Planner.plan) ~routes =
 type units = {
   u_data_reserves : view -> Planner.plan -> routes:Topology.router -> diagnostic list;
   u_schedule_valid : view -> Planner.plan -> routes:Topology.router -> diagnostic list;
-  u_evb : view -> int list -> Time.t;
+  u_evb : Planner.evidence -> int list -> Time.t;
   u_omission_cuts :
     view -> Planner.plan -> sender:int -> (int * int list) option list;
 }
@@ -912,7 +912,7 @@ let default_units =
   {
     u_data_reserves = data_reserve_diags;
     u_schedule_valid = schedule_valid_diags;
-    u_evb = (fun v faulty -> Planner.evidence_bound v.config v.topology ~faulty);
+    u_evb = (fun ev faulty -> Planner.evidence_bound ev ~faulty);
     u_omission_cuts = omission_cut_rows;
   }
 
@@ -920,6 +920,10 @@ let verify_units ?(obs = Obs.null) ?(strikes = 1) u v =
   let rev = ref [] in
   let push d = rev := d :: !rev in
   let push_all ds = List.iter push ds in
+  (* The pass's own fault-free sweeps, which every mode's route table
+     and the evidence bounds share; it never reads the planner's. *)
+  let sweeps = Topology.sweeps v.topology in
+  let ev = Planner.evidence v.config sweeps in
   (* One evidence-bound memo per pass: coverage, omission and the
      budget check ask for overlapping fault sets. *)
   let evb_tbl : (int list, Time.t) Hashtbl.t = Hashtbl.create 64 in
@@ -928,11 +932,13 @@ let verify_units ?(obs = Obs.null) ?(strikes = 1) u v =
     match Hashtbl.find_opt evb_tbl k with
     | Some t -> t
     | None ->
-      let t = u.u_evb v k in
+      let t = u.u_evb ev k in
       Hashtbl.add evb_tbl k t;
       t
   in
-  let moded = List.map (fun p -> (p, mode_routes v p.Planner.faulty)) v.plans in
+  let moded =
+    List.map (fun p -> (p, Topology.router sweeps ~avoid:p.Planner.faulty)) v.plans
+  in
   push_all (link_capacity_diags v);
   List.iter (fun (p, routes) -> push_all (u.u_data_reserves v p ~routes)) moded;
   push_all (control_reserve_diags v);

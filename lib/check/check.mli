@@ -160,9 +160,10 @@ val selective_omission_witnesses : ?strikes:int -> view -> omission_witness list
     [Incr] memoizes; the link checks and survivor-route sweeps cost
     less to rerun than to key, so
     {!verify_units} always runs them directly. {!verify_units} builds
-    the verifier's own route table for each mode once per pass and
-    hands it to every unit that routes ([routes]); it never reads the
-    planner's table. *)
+    the verifier's own fault-free sweeps once per pass, and on them a
+    route table for each mode, which it hands to every unit that routes
+    ([routes]), and one {!Planner.evidence}; it never reads the
+    planner's. *)
 
 type units = {
   u_data_reserves :
@@ -172,11 +173,12 @@ type units = {
   u_schedule_valid :
     view -> Planner.plan -> routes:Btr_net.Topology.router -> diagnostic list;
       (** BTR-E203: independent re-validation of one mode's table. *)
-  u_evb : view -> int list -> Btr_util.Time.t;
+  u_evb : Planner.evidence -> int list -> Btr_util.Time.t;
       (** Worst-case pairwise evidence-distribution bound for one
-          (sorted) fault set — the §4.3 term of every recovery bound.
-          The default is {!Planner.evidence_bound}, the very function
-          the planner admits transitions with. *)
+          (sorted) fault set — the §4.3 term of every recovery bound —
+          over the pass's own {!Planner.evidence}, built on the pass's
+          sweeps. The default is {!Planner.evidence_bound}, the very
+          function the planner admits transitions with. *)
   u_omission_cuts :
     view -> Planner.plan -> sender:int -> (int * int list) option list;
       (** Per protected sink flow (in declaration order): the minimal

@@ -171,9 +171,8 @@ let strategy_digest s =
    returned; on a miss the {e default} implementation runs, so the
    incremental path can never diverge from {!Check.verify_view} — at
    worst it recomputes. *)
-let units_of (m : memo) (strategy : Planner.t) : Check.units =
+let units_of (m : memo) ~digest : Check.units =
   let d = Check.default_units in
-  let digest = strategy_digest strategy in
   let mode_keyed :
       'a.
       string ->
@@ -199,8 +198,7 @@ let units_of (m : memo) (strategy : Planner.t) : Check.units =
           (fun () -> d.Check.u_schedule_valid v p ~routes)
           p ~suffix:"");
     u_evb =
-      (fun v faulty ->
-        memo_find m.bounds m.c_evb faulty (fun () -> d.Check.u_evb v faulty));
+      (fun ev faulty -> memo_find m.bounds m.c_evb faulty (fun () -> d.Check.u_evb ev faulty));
     u_omission_cuts =
       (fun v p ~sender ->
         mode_keyed "cuts|" m.cuts_tbl m.c_cuts
@@ -212,9 +210,8 @@ let units_of (m : memo) (strategy : Planner.t) : Check.units =
 (* Planning through the shared evidence-bound table. *)
 let build (m : memo) config workload topology =
   Planner.build
-    ~evidence_bound:(fun faulty ->
-      memo_find m.bounds m.c_evb faulty (fun () ->
-          Planner.evidence_bound config topology ~faulty))
+    ~evidence_bound:(fun ev faulty ->
+      memo_find m.bounds m.c_evb faulty (fun () -> Planner.evidence_bound ev ~faulty))
     config workload topology
 
 (* ------------------------------------------------------------------ *)
@@ -225,6 +222,7 @@ type state = {
   workload : Graph.t;
   topology : Topology.t;
   strategy : Planner.t;
+  digest : string;  (* [strategy_digest strategy] *)
   view : Check.view;
   st_report : Check.report;
   strikes : int;
@@ -274,13 +272,15 @@ let init ?(strikes = 1) config workload topology =
   | Error e -> Error e
   | Ok strategy ->
     let view = Check.view_of_strategy strategy in
-    let st_report = Check.verify_units ~strikes (units_of memo strategy) view in
+    let digest = strategy_digest strategy in
+    let st_report = Check.verify_units ~strikes (units_of memo ~digest) view in
     Ok
       {
         config;
         workload;
         topology;
         strategy;
+        digest;
         view;
         st_report;
         strikes;
@@ -482,12 +482,15 @@ let apply st edit =
     | Error e -> Error e
     | Ok strategy ->
       let view = Check.view_of_strategy strategy in
-      let st_report =
-        Check.verify_units ~strikes:st.strikes (units_of memo strategy) view
+      (* The digest omits R, so an R edit keeps it; fingerprinting a
+         10³-node fleet costs four times the pass it would key. *)
+      let digest =
+        match edit with Set_recovery_bound _ -> st.digest | _ -> strategy_digest strategy
       in
+      let st_report = Check.verify_units ~strikes:st.strikes (units_of memo ~digest) view in
       let rd = report_delta_of st.st_report st_report in
       Ok
-        ( { st with config; workload; topology; strategy; view; st_report; memo },
+        ( { st with config; workload; topology; strategy; digest; view; st_report; memo },
           rd ))
 
 (* ------------------------------------------------------------------ *)

@@ -34,8 +34,14 @@ let link_transfer_time shares ~cls ~size_bytes (link : Topology.link) =
   let rate = reservation_rate shares link cls in
   Time.add (serialize_time ~size:size_bytes ~rate) link.latency
 
-let route_transfer_time routes shares ~cls ~src ~dst ~size_bytes =
-  Topology.path_cost routes ~link_cost:(link_transfer_time shares ~cls ~size_bytes) ~src ~dst
+(* One link-cost closure serves every query, reading the size of the
+   message at hand from a cell, so a query allocates nothing. *)
+let transfer_time routes shares ~cls =
+  let size = ref 0 in
+  let link_cost l = link_transfer_time shares ~cls ~size_bytes:!size l in
+  fun ~src ~dst ~size_bytes ->
+    size := size_bytes;
+    Topology.path_cost routes ~link_cost ~src ~dst
 
 type 'a recv = {
   src : node_id;
@@ -70,6 +76,7 @@ type 'a t = {
   relay_policy : (src:node_id -> dst:node_id -> cls:cls -> bool) Inttbl.t;
   relay_delay : Time.t Inttbl.t;
   mutable route_avoid : node_id list;
+  sweeps : Topology.sweeps;  (* shared by every [router] this network builds *)
   mutable router : Topology.router;  (* routes around [route_avoid] *)
   (* [Inttbl.pack src dst] -> the route [router] holds; flushed when it is
      replaced. *)
@@ -84,9 +91,6 @@ type 'a t = {
   control_bytes : Obs.Counter.t;
   by_sender : int Inttbl.t;  (* by [with_cls sender] *)
 }
-
-let router_avoiding topo avoid =
-  Topology.router topo ~usable:(fun n -> not (List.mem n avoid))
 
 let create eng topo ?shares ?(residual_loss = 0.0) () =
   let shares = shares_for topo shares in
@@ -107,6 +111,7 @@ let create eng topo ?shares ?(residual_loss = 0.0) () =
   List.iter (fun (l : Topology.link) -> check_id "link" l.link_id) (Topology.links topo);
   let obs = Engine.obs eng in
   let reg = Obs.registry obs in
+  let sweeps = Topology.sweeps topo in
   {
     eng;
     obs;
@@ -118,7 +123,8 @@ let create eng topo ?shares ?(residual_loss = 0.0) () =
     relay_policy = Inttbl.create 8;
     relay_delay = Inttbl.create 8;
     route_avoid = [];
-    router = router_avoiding topo [];
+    sweeps;
+    router = Topology.router sweeps ~avoid:[];
     routes = Inttbl.create 64;
     loss_rng = Rng.split (Engine.rng eng);
     sent = Obs.Registry.counter reg Obs.Net "msgs-sent";
@@ -312,7 +318,7 @@ let set_relay_delay t n d = Inttbl.replace t.relay_delay n d
 let set_route_avoid t ns =
   if ns <> t.route_avoid then begin
     t.route_avoid <- ns;
-    t.router <- router_avoiding t.topo ns;
+    t.router <- Topology.router t.sweeps ~avoid:ns;
     Inttbl.reset t.routes
   end
 

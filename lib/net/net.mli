@@ -82,21 +82,24 @@ val reserved_rate : 'a t -> Topology.link -> cls -> int
 val link_transfer_time :
   shares -> cls:cls -> size_bytes:int -> Topology.link -> Time.t
 (** One hop of a queueing-free transfer: serialization at the reserved
-    rate plus the link's propagation latency. {!route_transfer_time} is
+    rate plus the link's propagation latency. {!transfer_time} is
     its sum over a route. *)
 
-val route_transfer_time :
+val transfer_time :
   Topology.router ->
   shares ->
   cls:cls ->
   src:node_id ->
   dst:node_id ->
   size_bytes:int ->
-  Time.t option
+  Time.t
 (** Queueing-free end-to-end time of a message along the route the
     table holds: {!link_transfer_time} summed by {!Topology.path_cost}
-    without building the route. The planner and the verifier bound
-    every transfer with it, each over its own table for the mode. *)
+    without building the route; [Time.infinity] when there is none.
+    Applied to a table, shares and class, it returns one function that
+    answers every query without allocating. The planner and the
+    verifier bound every transfer with it, each over its own table for
+    the mode. *)
 
 (** {1 Fault-injection hooks} *)
 

@@ -116,7 +116,7 @@ let neighbors t n =
    ascending id, members in declared order, first encounter wins. A
    sweep expands each link at most once. The first expansion of a link
    reaches every member that any later expansion could reach (all of
-   them, except unusable ones, which no expansion relays through), so
+   them, except avoided ones, which no expansion relays through), so
    later expansions would find nothing new: skipping them leaves every
    predecessor unchanged, and makes a sweep O(nodes + memberships)
    instead of O(n²) on a bus.
@@ -126,16 +126,44 @@ let neighbors t n =
    link index it was reached through, so the route to [i] is the chain
    of predecessors back to the source, and each hop of it delivers to
    the node the sweep reached through it. Nodes are queued in one
-   array, since each is queued at most once. Unusable nodes are reached
-   as endpoints but never relay. *)
-type sweep = { prev : int array; via : int array }
+   array, since each is queued at most once. Avoided nodes are reached
+   as endpoints but never relay; the source always expands. [relays]
+   marks every node some other node was first reached from, the source
+   excepted, and [order.(0 .. queued - 1)] are the queued nodes in the
+   order they were queued, each after its predecessor. *)
+type sweep = {
+  prev : int array;
+  via : int array;
+  relays : Bytes.t;
+  order : int array;
+  queued : int;
+}
 
-let sweep t ~usable ~src =
-  let n = Array.length t.ids in
-  let prev = Array.make n (-1) and via = Array.make n (-1) in
-  let spent = Bytes.make (Array.length t.links_at) '\000' in
-  let queue = Array.make n src in
+(* The index of node [n], or -1 when [n] is not a node. Generators
+   declare nodes 0..n-1 in order, so an id is usually its own index:
+   that is checked first, without hashing. *)
+let index t n =
+  if n >= 0 && n < Array.length t.ids && t.ids.(n) = n then n
+  else match Inttbl.find t.pos n with i -> i | exception Not_found -> -1
+
+(* The node indices of [avoid] that are nodes. *)
+let index_all t avoid =
+  Array.of_list (List.filter (fun i -> i >= 0) (List.map (index t) avoid))
+
+(* Avoid sets hold at most f nodes, so membership is a scan. These
+   loops take every value they read as an argument: a local recursive
+   function would allocate its closure on every call. *)
+let rec avoided_from avoid m k =
+  k < Array.length avoid && (Array.unsafe_get avoid k = m || avoided_from avoid m (k + 1))
+
+let avoided avoid m = avoided_from avoid m 0
+
+(* The sweep loop over caller-supplied arrays: [prev] and [via] filled
+   with -1, [spent] and [relays] with zeros. Returns how many nodes it
+   queued, [queue.(0)] being [src]. *)
+let run t ~avoid ~src ~prev ~via ~spent ~relays ~queue =
   let head = ref 0 and tail = ref 1 in
+  queue.(0) <- src;
   prev.(src) <- src;
   while !head < !tail do
     let here = queue.(!head) in
@@ -151,7 +179,8 @@ let sweep t ~usable ~src =
           if prev.(m) < 0 then begin
             prev.(m) <- here;
             via.(m) <- j;
-            if usable t.ids.(m) then begin
+            if here <> src then Bytes.set relays here '\001';
+            if not (avoided avoid m) then begin
               queue.(!tail) <- m;
               incr tail
             end
@@ -160,36 +189,81 @@ let sweep t ~usable ~src =
       end
     done
   done;
-  { prev; via }
+  !tail
+
+let sweep t ~avoid ~src =
+  let n = Array.length t.ids in
+  let prev = Array.make n (-1) and via = Array.make n (-1) in
+  let relays = Bytes.make n '\000' and order = Array.make n src in
+  let queued =
+    run t ~avoid ~src ~prev ~via ~spent:(Bytes.make (Array.length t.links_at) '\000') ~relays
+      ~queue:order
+  in
+  { prev; via; relays; order; queued }
+
+(* Stands for a sweep not run yet, so tables of sweeps hold no options. *)
+let unswept = { prev = [||]; via = [||]; relays = Bytes.empty; order = [||]; queued = 0 }
+
+(* The fault-free sweep from each source, run on first use. A sweep
+   that avoids a set A is the fault-free one whenever no node of A
+   relays in it: its queue is the fault-free queue without A, and every
+   link a node of A spent there had no unreached member left. So a
+   router reuses the fault-free sweep of every source whose relays its
+   avoid set misses, and sweeps again only the others. *)
+type sweeps = { s_topo : t; free : sweep array }
+
+let sweeps t = { s_topo = t; free = Array.make (Array.length t.ids) unswept }
+let sweeps_topology s = s.s_topo
+
+let free_sweep s i =
+  let p = s.free.(i) in
+  if p != unswept then p
+  else begin
+    let p = sweep s.s_topo ~avoid:[||] ~src:i in
+    s.free.(i) <- p;
+    p
+  end
+
+let rec relays_from (p : sweep) avoid k =
+  k < Array.length avoid
+  && (Bytes.get p.relays (Array.unsafe_get avoid k) <> '\000' || relays_from p avoid (k + 1))
+
+let relays_any p avoid = relays_from p avoid 0
 
 type hop = { link : link; next : node_id }
 
-(* The route table: one sweep per source node index, run on the
-   source's first query and kept. *)
-type router = { r_topo : t; r_usable : node_id -> bool; sweeps : sweep option array }
+(* The route table: one sweep per source node index, the shared
+   fault-free one where it serves, found on the source's first query
+   and kept. *)
+type router = { r_sweeps : sweeps; avoid : int array; own : sweep array }
 
-let router t ~usable =
-  { r_topo = t; r_usable = usable; sweeps = Array.make (Array.length t.ids) None }
+(* A router that avoids nothing reads and fills the fault-free table
+   itself. *)
+let router s ~avoid =
+  let avoid = index_all s.s_topo avoid in
+  {
+    r_sweeps = s;
+    avoid;
+    own = (if Array.length avoid = 0 then s.free else Array.make (Array.length s.free) unswept);
+  }
 
-(* The index of node [n], or -1 when [n] is not a node. Generators
-   declare nodes 0..n-1 in order, so an id is usually its own index:
-   that is checked first, without hashing. *)
-let index t n =
-  if n >= 0 && n < Array.length t.ids && t.ids.(n) = n then n
-  else match Inttbl.find t.pos n with i -> i | exception Not_found -> -1
-
-let sweep_from r s =
-  match r.sweeps.(s) with
-  | Some p -> p
-  | None ->
-    let p = sweep r.r_topo ~usable:r.r_usable ~src:s in
-    r.sweeps.(s) <- Some p;
+let sweep_from r i =
+  let p = r.own.(i) in
+  if p != unswept then p
+  else begin
+    let free = free_sweep r.r_sweeps i in
+    let p =
+      if relays_any free r.avoid then sweep r.r_sweeps.s_topo ~avoid:r.avoid ~src:i else free
+    in
+    r.own.(i) <- p;
     p
+  end
 
 let path r ~src ~dst =
   if src = dst then Some []
   else
-    let s = index r.r_topo src and d = index r.r_topo dst in
+    let t = r.r_sweeps.s_topo in
+    let s = index t src and d = index t dst in
     if s < 0 || d < 0 then None
     else
       let p = sweep_from r s in
@@ -197,44 +271,160 @@ let path r ~src ~dst =
       else
         let rec rebuild acc i =
           if i = s then acc
-          else
-            rebuild
-              ({ link = r.r_topo.links_at.(p.via.(i)); next = r.r_topo.ids.(i) } :: acc)
-              p.prev.(i)
+          else rebuild ({ link = t.links_at.(p.via.(i)); next = t.ids.(i) } :: acc) p.prev.(i)
         in
         Some (rebuild [] d)
 
 (* Sums [link_cost] back along the predecessors, so no path list is
    built. *)
 let path_cost r ~link_cost ~src ~dst =
-  if src = dst then Some Btr_util.Time.zero
+  if src = dst then Btr_util.Time.zero
   else
-    let s = index r.r_topo src and d = index r.r_topo dst in
-    if s < 0 || d < 0 then None
+    let t = r.r_sweeps.s_topo in
+    let s = index t src and d = index t dst in
+    if s < 0 || d < 0 then Btr_util.Time.infinity
     else
       let p = sweep_from r s in
-      if p.prev.(d) < 0 then None
+      if p.prev.(d) < 0 then Btr_util.Time.infinity
       else begin
         let cost = ref Btr_util.Time.zero and i = ref d in
         while !i <> s do
-          cost := Btr_util.Time.add !cost (link_cost r.r_topo.links_at.(p.via.(!i)));
+          cost := Btr_util.Time.add !cost (link_cost t.links_at.(p.via.(!i)));
           i := p.prev.(!i)
         done;
-        Some !cost
+        !cost
       end
 
-(* Link connectivity is an equivalence relation over usable nodes, so
-   one sweep from the first survivor reaching every other survivor is
-   exactly "every pair is routable". *)
-let connected_without t broken =
-  let broken_set = Inttbl.create 8 in
-  List.iter (fun n -> Inttbl.replace broken_set n ()) broken;
-  let usable n = not (Inttbl.mem broken_set n) in
-  match List.filter usable t.node_list with
-  | [] -> true
-  | first :: rest ->
-    let p = sweep t ~usable ~src:(index t first) in
-    List.for_all (fun n -> p.prev.(index t n) >= 0) rest
+(* Link connectivity is an equivalence relation over the nodes a
+   router does not avoid, so one sweep from the first of them reaching
+   every other is exactly "every pair is routable". *)
+let rec first_kept avoid n i = if i < n && avoided avoid i then first_kept avoid n (i + 1) else i
+
+let rec all_reached avoid (p : sweep) i =
+  i >= Array.length p.prev || ((avoided avoid i || p.prev.(i) >= 0) && all_reached avoid p (i + 1))
+
+let connected r =
+  let s = first_kept r.avoid (Array.length r.own) 0 in
+  s >= Array.length r.own || all_reached r.avoid (sweep_from r s) 0
+
+(* {2 The largest route cost among survivors}
+
+   For every source, its fault-free sweep's [k] costliest destinations
+   (cost then node index, descending cost), [len] of them when fewer
+   are reachable. When an avoid set of fewer than [k] nodes misses a
+   source's relays, the source's sweep is the fault-free one, and its
+   costliest destination outside the set is among those [k]: the first
+   listed one not avoided. Every other source is swept again, into
+   scratch arrays kept here, so a query allocates only its avoid
+   array. *)
+type spread = {
+  sp_sweeps : sweeps;
+  k : int;
+  lcost : Btr_util.Time.t array;  (* link index -> cost *)
+  top_cost : Btr_util.Time.t array;  (* source * k + rank *)
+  top_dst : int array;
+  len : int array;
+  cost : Btr_util.Time.t array;  (* scratch, node index -> cost *)
+  s_prev : int array;
+  s_via : int array;
+  s_spent : Bytes.t;
+  s_relays : Bytes.t;
+  s_queue : int array;
+}
+
+(* Costs along [order], where each node's predecessor comes first. *)
+let costs_along sp ~prev ~via ~order ~queued =
+  sp.cost.(order.(0)) <- Btr_util.Time.zero;
+  for q = 1 to queued - 1 do
+    let m = order.(q) in
+    sp.cost.(m) <- Btr_util.Time.add sp.cost.(prev.(m)) sp.lcost.(via.(m))
+  done
+
+let spread s ~link_cost ~k =
+  if k < 1 then invalid_arg "Topology.spread: k < 1";
+  let t = s.s_topo in
+  let n = Array.length t.ids and links = Array.length t.links_at in
+  let sp =
+    {
+      sp_sweeps = s;
+      k;
+      lcost = Array.map link_cost t.links_at;
+      top_cost = Array.make (n * k) Btr_util.Time.zero;
+      top_dst = Array.make (n * k) (-1);
+      len = Array.make n 0;
+      cost = Array.make n Btr_util.Time.zero;
+      s_prev = Array.make n (-1);
+      s_via = Array.make n (-1);
+      s_spent = Bytes.make links '\000';
+      s_relays = Bytes.make n '\000';
+      s_queue = Array.make n 0;
+    }
+  in
+  for src = 0 to n - 1 do
+    let p = free_sweep s src in
+    costs_along sp ~prev:p.prev ~via:p.via ~order:p.order ~queued:p.queued;
+    let base = src * k in
+    for q = 1 to p.queued - 1 do
+      let m = p.order.(q) in
+      let c = sp.cost.(m) in
+      (* Insertion into the descending top list; a later destination
+         never displaces an equal cost. *)
+      let l = sp.len.(src) in
+      if l < k || c > sp.top_cost.(base + l - 1) then begin
+        let r = ref (if l < k then l else k - 1) in
+        while !r > 0 && c > sp.top_cost.(base + !r - 1) do
+          sp.top_cost.(base + !r) <- sp.top_cost.(base + !r - 1);
+          sp.top_dst.(base + !r) <- sp.top_dst.(base + !r - 1);
+          decr r
+        done;
+        sp.top_cost.(base + !r) <- c;
+        sp.top_dst.(base + !r) <- m;
+        if l < k then sp.len.(src) <- l + 1
+      end
+    done
+  done;
+  sp
+
+(* The costliest route from [src] to a node outside [avoid], swept
+   again into the scratch arrays. *)
+let resweep_max sp ~avoid ~src =
+  let t = sp.sp_sweeps.s_topo in
+  let queued =
+    run t ~avoid ~src ~prev:sp.s_prev ~via:sp.s_via ~spent:sp.s_spent ~relays:sp.s_relays
+      ~queue:sp.s_queue
+  in
+  costs_along sp ~prev:sp.s_prev ~via:sp.s_via ~order:sp.s_queue ~queued;
+  let worst = ref Btr_util.Time.zero in
+  for q = 1 to queued - 1 do
+    worst := Btr_util.Time.max !worst sp.cost.(sp.s_queue.(q))
+  done;
+  Array.fill sp.s_prev 0 (Array.length sp.s_prev) (-1);
+  Array.fill sp.s_via 0 (Array.length sp.s_via) (-1);
+  Bytes.fill sp.s_spent 0 (Bytes.length sp.s_spent) '\000';
+  Bytes.fill sp.s_relays 0 (Bytes.length sp.s_relays) '\000';
+  !worst
+
+(* The first of [src]'s listed destinations outside [avoid]. *)
+let rec listed_max sp avoid src r =
+  if r >= sp.len.(src) then Btr_util.Time.zero
+  else if avoided avoid sp.top_dst.((src * sp.k) + r) then listed_max sp avoid src (r + 1)
+  else sp.top_cost.((src * sp.k) + r)
+
+let max_path_cost sp ~avoid =
+  let avoid = index_all sp.sp_sweeps.s_topo avoid in
+  let few = Array.length avoid < sp.k in
+  let worst = ref Btr_util.Time.zero in
+  for src = 0 to Array.length sp.len - 1 do
+    if not (avoided avoid src) then begin
+      let c =
+        if (few || sp.len.(src) < sp.k) && not (relays_any (free_sweep sp.sp_sweeps src) avoid)
+        then listed_max sp avoid src 0
+        else resweep_max sp ~avoid ~src
+      in
+      worst := Btr_util.Time.max !worst c
+    end
+  done;
+  !worst
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>topology: %d nodes, %d links@," (node_count t)

@@ -31,10 +31,11 @@ val node_count : t -> int
 val find_link : t -> int -> link
 val links_of_node : t -> node_id -> link list
 val neighbors : t -> node_id -> node_id list
-val connected_without : t -> node_id list -> bool
-(** Are the remaining nodes still mutually reachable if the given nodes
-    stop relaying? Endpoint connectivity for planner feasibility; one
-    sweep, as {!router} runs it. *)
+
+val index : t -> node_id -> int
+(** The node's position in {!nodes}, or -1 when it is not a node: O(1),
+    without hashing when the id is its own position (as generators
+    number nodes). *)
 
 (** {1 Routes}
 
@@ -55,13 +56,27 @@ type hop = {
           or the destination on the last hop *)
 }
 
-type router
-(** A route table under one [usable] predicate: the sweep from each
-    source runs on its first query and is kept. Nodes failing [usable]
-    are still reached as endpoints but never relay. The planner builds
-    one per mode, and so do the verifier and the live network. *)
+type sweeps
+(** The topology's fault-free sweeps, one per source, each run on its
+    first use and kept. A sweep that avoids a set of nodes equals the
+    fault-free one whenever no node of the set relays in it (the source
+    itself always expands), so every {!router} built on one [sweeps]
+    reuses those and sweeps again only the sources whose fault-free
+    sweep a node it avoids relays in. The planner builds one per
+    strategy and the verifier one per pass; the live network keeps one
+    for its lifetime. *)
 
-val router : t -> usable:(node_id -> bool) -> router
+val sweeps : t -> sweeps
+val sweeps_topology : sweeps -> t
+
+type router
+(** A route table that avoids a set of nodes: they are still reached
+    as endpoints but never relay. The sweep from each source is found
+    on its first query and kept. The planner builds one per mode, and
+    so do the verifier and the live network. *)
+
+val router : sweeps -> avoid:node_id list -> router
+(** Ids in [avoid] that are not nodes are ignored. *)
 
 val path : router -> src:node_id -> dst:node_id -> hop list option
 (** The minimum-hop route as the hops to traverse; [Some []] when
@@ -73,12 +88,33 @@ val path_cost :
   link_cost:(link -> Btr_util.Time.t) ->
   src:node_id ->
   dst:node_id ->
-  Btr_util.Time.t option
+  Btr_util.Time.t
 (** [link_cost] summed over the links of {!path}, folded back along the
-    recorded predecessors without building the path: [Some Time.zero]
-    when [src = dst], [None] when {!path} is. The sum is taken from the
-    destination back, which {!Btr_util.Time.add} does not distinguish
-    from the forward sum. *)
+    recorded predecessors without building the path or allocating:
+    [Time.zero] when [src = dst], [Time.infinity] when {!path} is
+    [None]. The sum is taken from the destination back, which
+    {!Btr_util.Time.add} does not distinguish from the forward sum. *)
+
+val connected : router -> bool
+(** Does every node the router does not avoid reach every other? One
+    sweep, from the first of them in declared order. *)
+
+type spread
+(** Every source's [k] costliest destinations under one link cost, read
+    off its fault-free sweep. *)
+
+val spread : sweeps -> link_cost:(link -> Btr_util.Time.t) -> k:int -> spread
+(** Runs every fault-free sweep of [sweeps]: O(n · (nodes +
+    memberships)) once. Raises [Invalid_argument] when [k < 1]. *)
+
+val max_path_cost : spread -> avoid:node_id list -> Btr_util.Time.t
+(** The largest {!path_cost} between two nodes outside [avoid], over
+    [router sweeps ~avoid]; unreachable pairs are skipped, and
+    [Time.zero] when there are none. A source whose fault-free sweep
+    [avoid] does not relay in reads its answer off its list when
+    [avoid] holds fewer than [k] nodes (or it lists every reachable
+    node), so the query costs O(n · (|avoid| + k)) plus a sweep per
+    other source. It allocates only an array of [avoid]'s indices. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -23,7 +23,7 @@ type index = {
       (* augmented task id -> its data inputs, grouped by original flow *)
 }
 
-type t = { graph : Graph.t; original : Graph.t; degree : int; index : index }
+type t = { graph : Graph.t; degree : int; index : index }
 
 let role_of t id =
   match Idtab.get t.index.roles id with
@@ -77,32 +77,6 @@ let digest_flow_ids t =
 (* Shared by every unreplicated task's index entry. *)
 let some_original = Some Original
 
-let build_index ~tasks ~roles ~flows ~flow_origin ~inputs =
-  let roles_tbl = Idtab.of_ids (List.map (fun (x : Task.t) -> x.Task.id) tasks) None in
-  let index =
-    {
-      roles = roles_tbl;
-      lanes = Idtab.like roles_tbl [];
-      checker = Idtab.like roles_tbl None;
-      flow_origin = Idtab.of_ids (List.map (fun (f : Graph.flow) -> f.flow_id) flows) None;
-      inputs;
-    }
-  in
-  (* [roles] is newest first, so consing lanes yields lane order. *)
-  List.iter
-    (fun (id, role) ->
-      Idtab.set index.roles id
-        (match role with
-        | Original -> some_original
-        | Replica _ | Checker _ | Guard _ -> Some role);
-      match role with
-      | Replica { orig; _ } -> Idtab.set index.lanes orig (id :: Idtab.get index.lanes orig)
-      | Checker { orig } -> Idtab.set index.checker orig (Some id)
-      | Original | Guard _ -> ())
-    roles;
-  List.iter (fun (fid, origin) -> Idtab.set index.flow_origin fid (Some origin)) flow_origin;
-  index
-
 (* Fixed costs of the added tasks: a checker's WCET is one replay of
    the checked task plus [checker_overhead], a guard reserves
    [guard_wcet] per node, and each lane sends its checker a
@@ -111,11 +85,58 @@ let checker_overhead = Time.us 100
 let guard_wcet = Time.us 200
 let digest_size = 32
 
-let augment g ~nodes ~degree ~protect_level =
+(* [lane_id] maps a replicated original to its lane ids; an
+   unreplicated task is every lane of itself. *)
+let no_lanes : Task.id array = [||]
+
+let lane_task lane_id id lane =
+  let ids = Idtab.get lane_id id in
+  if Array.length ids = 0 then id else ids.(lane)
+
+let augment workload ~keep ~nodes ~degree ~protect_level =
   if degree < 1 then invalid_arg "Augment.augment: degree < 1";
-  let next_task = ref (1 + List.fold_left (fun m (x : Task.t) -> Stdlib.max m x.id) 0 (Graph.tasks g)) in
-  let next_flow =
-    ref (1 + List.fold_left (fun m (f : Graph.flow) -> Stdlib.max m f.flow_id) 0 (Graph.flows g))
+  let protect (x : Task.t) =
+    x.kind = Task.Compute && Task.compare_criticality x.criticality protect_level >= 0
+  in
+  (* First pass: which tasks and flows are kept, and how many ids the
+     augmentation adds above the largest kept ones, so every index
+     table is sized once and filled in place. *)
+  let kept = Graph.task_table workload false in
+  let protected = ref 0 and lo_task = ref max_int and hi_task = ref 0 in
+  List.iter
+    (fun (x : Task.t) ->
+      if keep x then begin
+        Idtab.set kept x.id true;
+        if protect x then incr protected;
+        lo_task := Stdlib.min !lo_task x.id;
+        hi_task := Stdlib.max !hi_task x.id
+      end)
+    (Graph.tasks workload);
+  let kept_flow (f : Graph.flow) = Idtab.get kept f.producer && Idtab.get kept f.consumer in
+  let wired (f : Graph.flow) =
+    protect (Graph.task workload f.producer) || protect (Graph.task workload f.consumer)
+  in
+  let lo_flow = ref max_int and hi_flow = ref 0 and lane_flows = ref 0 in
+  List.iter
+    (fun (f : Graph.flow) ->
+      if kept_flow f then begin
+        lo_flow := Stdlib.min !lo_flow f.flow_id;
+        hi_flow := Stdlib.max !hi_flow f.flow_id;
+        if wired f then lane_flows := !lane_flows + degree - 1
+      end)
+    (Graph.flows workload);
+  let next_task = ref (1 + !hi_task) and next_flow = ref (1 + !hi_flow) in
+  let last_task = !hi_task + (!protected * degree) + List.length nodes in
+  let last_flow = !hi_flow + !lane_flows + (!protected * degree) in
+  let roles = Idtab.span ~lo:(Stdlib.min !lo_task !next_task) ~hi:last_task None in
+  let index =
+    {
+      roles;
+      lanes = Idtab.like roles [];
+      checker = Idtab.like roles None;
+      flow_origin = Idtab.span ~lo:(Stdlib.min !lo_flow !next_flow) ~hi:last_flow None;
+      inputs = Idtab.like roles [||];
+    }
   in
   let fresh_task () =
     let id = !next_task in
@@ -127,110 +148,85 @@ let augment g ~nodes ~degree ~protect_level =
     incr next_flow;
     id
   in
-  let protect (x : Task.t) =
-    x.kind = Task.Compute
-    && Task.compare_criticality x.criticality protect_level >= 0
-  in
-  (* Original id -> augmented id per lane; unprotected tasks map every
-     lane to themselves. *)
-  let lane_id = Idtab.of_ids (List.map (fun (x : Task.t) -> x.id) (Graph.tasks g)) [||] in
-  let roles = ref [] in
+  let suffix = Array.init degree (fun lane -> "#" ^ string_of_int lane) in
+  let lane_id = Graph.task_table workload no_lanes in
   let tasks = ref [] in
-  let add_task x role =
+  let add_task (x : Task.t) role =
     tasks := x :: !tasks;
-    roles := (x.Task.id, role) :: !roles
+    Idtab.set index.roles x.id role
   in
   List.iter
     (fun (x : Task.t) ->
-      if protect x then begin
-        let ids = Array.make degree x.id in
-        for lane = 0 to degree - 1 do
-          let id = if lane = 0 then x.id else fresh_task () in
-          let name = Printf.sprintf "%s#%d" x.name lane in
-          add_task { x with Task.id; name } (Replica { orig = x.id; lane });
-          ids.(lane) <- id
-        done;
-        Idtab.set lane_id x.id ids
-      end
-      else begin
-        add_task x Original;
-        Idtab.set lane_id x.id (Array.make degree x.id)
-      end)
-    (Graph.tasks g);
+      if Idtab.get kept x.id then
+        if protect x then begin
+          let ids = Array.make degree x.id in
+          for lane = 0 to degree - 1 do
+            let id = if lane = 0 then x.id else fresh_task () in
+            add_task { x with Task.id; name = x.name ^ suffix.(lane) }
+              (Some (Replica { orig = x.id; lane }));
+            ids.(lane) <- id
+          done;
+          Idtab.set lane_id x.id ids;
+          Idtab.set index.lanes x.id (Array.to_list ids)
+        end
+        else add_task x some_original)
+    (Graph.tasks workload);
   (* Flows: lane-wise wiring. A flow between two tasks becomes one flow
      per lane between the corresponding lane instances; where an
-     endpoint is unreplicated all lanes share it, and duplicate edges
-     (unreplicated -> unreplicated) collapse back to one flow. Sinks
-     thus receive every lane's copy and can fall back to a backup lane
-     within the same period. Duplicates only arise within one flow, so
-     each flow keeps its own list of the (at most [degree]) endpoint
-     pairs it has wired. *)
+     endpoint is unreplicated all lanes share it, and a flow between
+     two unreplicated tasks stays one flow. Sinks thus receive every
+     lane's copy and can fall back to a backup lane within the same
+     period. *)
   let flows = ref [] in
-  let flow_origin = ref [] in
   (* Each consumer's input groups, newest first: the lane flows of one
      original flow into it. An unreplicated consumer (every lane maps
      to it) gets every lane's flow in one group, a lane its own. *)
-  let groups = Idtab.of_ids (List.map (fun (x : Task.t) -> x.id) !tasks) [] in
-  let add_group c lane_flows =
-    Idtab.set groups c (lane_flows :: Idtab.get groups c)
-  in
+  let groups = Idtab.like roles [] in
+  let add_group c group = Idtab.set groups c (group :: Idtab.get groups c) in
   List.iter
     (fun (f : Graph.flow) ->
-      let producers = Idtab.get lane_id f.producer
-      and consumers = Idtab.get lane_id f.consumer in
-      let seen_pairs = ref [] in
-      let made = ref [] in
-      for lane = 0 to degree - 1 do
-        let p = producers.(lane) in
-        (* Sinks are unreplicated, so every lane's copy converges on
-           the one sink task; other consumers stay lane-local. *)
-        let c = consumers.(lane) in
-        if not (List.exists (fun (p', c') -> p' = p && c' = c) !seen_pairs) then begin
-          seen_pairs := (p, c) :: !seen_pairs;
+      if kept_flow f then begin
+        let lanes = if wired f then degree else 1 in
+        let made = Array.make lanes f in
+        for lane = 0 to lanes - 1 do
           let flow_id = if lane = 0 then f.flow_id else fresh_flow () in
-          let fl = { f with Graph.flow_id; producer = p; consumer = c } in
+          let fl =
+            {
+              f with
+              Graph.flow_id;
+              producer = lane_task lane_id f.producer lane;
+              consumer = lane_task lane_id f.consumer lane;
+            }
+          in
           flows := fl :: !flows;
-          made := fl :: !made;
-          flow_origin := (flow_id, (f.flow_id, lane)) :: !flow_origin
-        end
-      done;
-      if consumers.(0) = consumers.(degree - 1) then
-        add_group consumers.(0)
-          { orig_flow = f.flow_id; lane_flows = Array.of_list (List.rev !made) }
-      else
-        List.iter
-          (fun (fl : Graph.flow) ->
-            add_group fl.consumer { orig_flow = f.flow_id; lane_flows = [| fl |] })
-          !made)
-    (Graph.flows g);
-  let inputs = Idtab.like groups [||] in
-  List.iter
-    (fun (x : Task.t) ->
-      match Idtab.get groups x.id with
-      | [] -> ()
-      | l ->
-        let sorted = Array.of_list l in
-        Array.sort (fun g g' -> Int.compare g.orig_flow g'.orig_flow) sorted;
-        Idtab.set inputs x.id sorted)
-    !tasks;
+          made.(lane) <- fl;
+          Idtab.set index.flow_origin flow_id (Some (f.flow_id, lane))
+        done;
+        if Array.length (Idtab.get lane_id f.consumer) = 0 then
+          add_group f.consumer { orig_flow = f.flow_id; lane_flows = made }
+        else
+          Array.iter
+            (fun (fl : Graph.flow) ->
+              add_group fl.consumer { orig_flow = f.flow_id; lane_flows = [| fl |] })
+            made
+      end)
+    (Graph.flows workload);
   (* Checkers: one per protected task, fed a digest from every lane. *)
   List.iter
     (fun (x : Task.t) ->
-      if protect x then begin
+      if Idtab.get kept x.id && protect x then begin
         let cid = fresh_task () in
         add_task
-          (Task.make ~id:cid
-             ~name:(Printf.sprintf "check:%s" x.name)
-             ~wcet:(Time.add x.wcet checker_overhead) ~criticality:x.criticality
-             ())
-          (Checker { orig = x.id });
+          (Task.make ~id:cid ~name:("check:" ^ x.name)
+             ~wcet:(Time.add x.wcet checker_overhead) ~criticality:x.criticality ())
+          (Some (Checker { orig = x.id }));
+        Idtab.set index.checker x.id (Some cid);
         let lanes = Idtab.get lane_id x.id in
         for lane = 0 to degree - 1 do
-          let p = lanes.(lane) in
           flows :=
             {
               Graph.flow_id = fresh_flow ();
-              producer = p;
+              producer = lanes.(lane);
               consumer = cid;
               msg_size = digest_size;
               deadline = None;
@@ -238,22 +234,27 @@ let augment g ~nodes ~degree ~protect_level =
             :: !flows
         done
       end)
-    (Graph.tasks g);
+    (Graph.tasks workload);
   (* Guards: per-node evidence-verification CPU reserve, pinned. *)
   List.iter
     (fun node ->
-      let gid = fresh_task () in
       add_task
-        (Task.make ~id:gid
-           ~name:(Printf.sprintf "guard:n%d" node)
-           ~wcet:guard_wcet ~criticality:Task.Safety_critical ~pinned:node ())
-        (Guard { node }))
+        (Task.make ~id:(fresh_task ()) ~name:("guard:n" ^ string_of_int node) ~wcet:guard_wcet
+           ~criticality:Task.Safety_critical ~pinned:node ())
+        (Some (Guard { node })))
     nodes;
-  let tasks = List.rev !tasks and flows = List.rev !flows in
-  let graph = Graph.create_relaxed ~period:(Graph.period g) ~tasks ~flows in
-  {
-    graph;
-    original = g;
-    degree;
-    index = build_index ~tasks ~roles:!roles ~flows ~flow_origin:!flow_origin ~inputs;
-  }
+  (* A consumer's groups, one per original flow, in ascending order. *)
+  List.iter
+    (fun (x : Task.t) ->
+      match Idtab.get groups x.id with
+      | [] -> ()
+      | l ->
+        let sorted = Array.of_list l in
+        Array.sort (fun g g' -> Int.compare g.orig_flow g'.orig_flow) sorted;
+        Idtab.set index.inputs x.id sorted)
+    !tasks;
+  let graph =
+    Graph.create_relaxed ~period:(Graph.period workload) ~tasks:(List.rev !tasks)
+      ~flows:(List.rev !flows)
+  in
+  { graph; degree; index }

@@ -46,7 +46,6 @@ type index
 
 type t = {
   graph : Graph.t;  (** the augmented dataflow graph *)
-  original : Graph.t;
   degree : int;  (** number of lanes *)
   index : index;
 }
@@ -92,13 +91,17 @@ val inputs_of : t -> Task.id -> input_group array
 
 val augment :
   Graph.t ->
+  keep:(Task.t -> bool) ->
   nodes:int list ->
   degree:int ->
   protect_level:Task.criticality ->
   t
-(** Builds the augmented workload. [degree] >= 1 lanes for compute
-    tasks with criticality >= [protect_level]; one checker per
-    protected task (WCET = task WCET + 100µs, modelling replay-based
-    diagnosis), fed a 32-byte digest by every lane; one guard per node
-    in [nodes] with WCET 200µs. Raises [Invalid_argument] for
-    degree < 1. *)
+(** Builds the augmented workload of the tasks [keep] holds, and of the
+    flows between two of them, in the workload's order: exactly the
+    augmentation of [Graph.restrict workload ~keep], without building
+    that graph. [degree] >= 1 lanes for compute tasks with criticality
+    >= [protect_level]; one checker per protected task (WCET = task
+    WCET + 100µs, modelling replay-based diagnosis), fed a 32-byte
+    digest by every lane; one guard per node in [nodes] with WCET
+    200µs. Fresh ids start just above the largest kept task and flow
+    ids. Raises [Invalid_argument] for degree < 1. *)

@@ -105,6 +105,13 @@ let assignments plan =
       | None -> None)
     (Graph.tasks plan.aug.Augment.graph)
 
+(* Fault patterns hold at most f nodes: membership is a scan, with
+   integer compare. *)
+let rec mem_int (x : int) = function [] -> false | y :: rest -> x = y || mem_int x rest
+
+let keeps ~floor ~lost_tasks (x : Task.t) =
+  Task.compare_criticality x.criticality floor >= 0 && not (mem_int x.id lost_tasks)
+
 type move = {
   task : Task.id;
   from_node : int;
@@ -178,136 +185,126 @@ let fault_patterns nodes f =
   List.concat_map (fun k -> List.map (List.sort Int.compare) (subsets k nodes))
     (List.init (Stdlib.max 0 f + 1) Fun.id)
 
-(* Greedy placement of the augmented graph onto the alive nodes, in
-   topological order: each task goes to the cheapest candidate. The
-   result only feeds {!Schedule.list_schedule}, whose table is the
-   plan's record of placement. *)
-let place_tasks cfg aug ~alive ~parent ~xfer =
+(* {2 Placement}
+
+   Greedy placement of the augmented graph onto the alive nodes, in
+   topological order: each task goes to the cheapest candidate, the
+   first in declared order on a tie. The result only feeds
+   {!Schedule.list_schedule}, whose table is the plan's record of
+   placement. [place] holds each placed task's node as its position in
+   [ids], the topology's nodes in declared order ({!Topology.index}),
+   and [busy] each position's placed WCET. Every helper takes
+   what it reads as arguments, so a probe or a candidate allocates
+   nothing. *)
+
+let unplaced = -1
+
+(* Is some task of [lanes] already at position [at]? *)
+let rec lane_at place at = function
+  | [] -> false
+  | l :: rest -> Idtab.get place l = at || lane_at place at rest
+
+(* Transfer time to [ids.(at)] from every already-placed producer. *)
+let rec locality place ids (xfer : Schedule.xfer) at acc = function
+  | [] -> acc
+  | (fl : Graph.flow) :: rest ->
+    let pat = Idtab.get place fl.producer in
+    let acc =
+      if pat = unplaced || pat = at then acc
+      else
+        let d = xfer ~src:ids.(pat) ~dst:ids.(at) ~size_bytes:fl.msg_size in
+        acc + if d = Time.infinity then 1_000_000 else d
+    in
+    locality place ids xfer at acc rest
+
+let place_tasks cfg aug ~topo ~ids ~faulty ~parent ~xfer =
   let g = aug.Augment.graph in
-  let place = Idtab.of_ids (List.map (fun (x : Task.t) -> x.id) (Graph.tasks g)) None in
-  (* Every candidate and every admissible pin is alive. *)
-  let busy = Inttbl.create 16 in
-  List.iter (fun n -> Inttbl.replace busy n Time.zero) alive;
-  let on_node n l = match Idtab.get place l with Some m -> m = n | None -> false in
-  (* Locality cost: transfer time from every already-placed producer. *)
-  let locality_cost producers n =
-    List.fold_left
-      (fun acc (fl : Graph.flow) ->
-        match Idtab.get place fl.producer with
-        | None -> acc
-        | Some pn ->
-          if pn = n then acc
-          else
-            acc
-            + Option.value ~default:1_000_000
-                (xfer ~src:pn ~dst:n ~size_bytes:fl.msg_size))
-      0 producers
-  in
-  (* Everything about a task that does not depend on the candidate node:
-     its lane group and separation rule, its parent-mode node, and its
-     producers. *)
-  let cost_for tid =
-    let separation =
-      match Augment.role_of aug tid with
-      | Augment.Replica { orig; _ } ->
-        (* Hard: two lanes of one task must not share a node. *)
-        Some (`Forbidden, Augment.replicas_of aug orig)
-      | Augment.Checker { orig } ->
-        (* Soft but heavy: the checker should not sit with a lane it
-           checks, or a faulty node could silence its own accuser. *)
-        Some (`Heavy, Augment.replicas_of aug orig)
-      | Augment.Original | Augment.Guard _ -> None
-    in
-    let parent_node =
-      match parent with
-      | Some p when cfg.reassignment = Minimal -> Schedule.node_of p.schedule tid
-      | _ -> None
-    in
-    let producers = Graph.producers_of g tid in
-    fun n ->
-      let pen =
-        match separation with
-        | Some (kind, lanes) when List.exists (on_node n) lanes -> Some kind
-        | _ -> None
-      in
-      match pen with
-      | Some `Forbidden -> None
-      | pen ->
-        Some
-          (locality_cost producers n
-          + (Inttbl.find busy n / 2)
-          + (match parent_node with Some p when p = n -> -50_000 | _ -> 0)
-          + (match pen with Some `Heavy -> 500_000 | _ -> 0))
-  in
+  let place = Graph.task_table g unplaced in
+  let busy = Array.make (Array.length ids) Time.zero in
   let exception Stuck of Task.id in
   try
     List.iter
       (fun tid ->
         let task = Graph.task g tid in
-        let node =
+        let at =
           match task.Task.pinned with
-          | Some n -> if List.mem n alive then n else raise (Stuck tid)
+          | Some n ->
+            let i = Topology.index topo n in
+            if i >= 0 && not (mem_int n faulty) then i else raise (Stuck tid)
           | None ->
-            let cost = cost_for tid in
-            let best =
-              List.fold_left
-                (fun best n ->
-                  match cost n with
-                  | None -> best
-                  | Some c -> (
-                    match best with
-                    | Some (_, bc) when bc <= c -> best
-                    | _ -> Some (n, c)))
-                None alive
+            (* Two lanes of one task must not share a node (hard); a
+               checker should not sit with a lane it checks, or a faulty
+               node could silence its own accuser (soft but heavy). *)
+            let role = Augment.role_of aug tid in
+            let lanes =
+              match role with
+              | Augment.Replica { orig; _ } | Augment.Checker { orig } ->
+                Augment.replicas_of aug orig
+              | Augment.Original | Augment.Guard _ -> []
             in
-            (match best with Some (n, _) -> n | None -> raise (Stuck tid))
+            let forbid = match role with Augment.Replica _ -> true | _ -> false in
+            let parent_node =
+              match parent with
+              | Some p when cfg.reassignment = Minimal -> Schedule.node_of p.schedule tid
+              | _ -> None
+            in
+            let producers = Graph.producers_of g tid in
+            let best = ref unplaced and best_cost = ref 0 in
+            for at = 0 to Array.length ids - 1 do
+              if not (mem_int ids.(at) faulty) then begin
+                let shared = lane_at place at lanes in
+                if not (forbid && shared) then begin
+                  let c =
+                    locality place ids xfer at 0 producers
+                    + (busy.(at) / 2)
+                    + (match parent_node with Some p when p = ids.(at) -> -50_000 | _ -> 0)
+                    + if shared then 500_000 else 0
+                  in
+                  if !best = unplaced || c < !best_cost then begin
+                    best := at;
+                    best_cost := c
+                  end
+                end
+              end
+            done;
+            if !best = unplaced then raise (Stuck tid) else !best
         in
-        Idtab.set place tid (Some node);
-        Inttbl.replace busy node (Time.add (Inttbl.find busy node) task.Task.wcet))
+        Idtab.set place tid at;
+        busy.(at) <- Time.add busy.(at) task.Task.wcet)
       (Graph.topo_order g);
     Ok place
-  with Stuck tid -> Error (Printf.sprintf "no feasible node for task %d" tid)
+  with Stuck tid -> Error ("no feasible node for task " ^ string_of_int tid)
 
-(* The workload's sink flows that its restriction [kept] does not
-   carry, in workload order. [kept]'s sink flows are an ordered
-   subsequence of the workload's, so one walk finds the rest. *)
-let dropped_sinks workload kept =
-  let rec go (all : Graph.flow list) (carried : Graph.flow list) =
-    match all, carried with
-    | [], _ -> []
-    | f :: all', c :: carried' when f.flow_id = c.flow_id -> go all' carried'
-    | f :: all', _ -> f.flow_id :: go all' carried
-  in
-  go (Graph.sink_flows workload) (Graph.sink_flows kept)
+(* The workload's sink flows that the tasks [keep] holds do not carry,
+   in workload order. *)
+let dropped_sinks workload ~keep =
+  List.filter_map
+    (fun (f : Graph.flow) ->
+      if keep (Graph.task workload f.producer) && keep (Graph.task workload f.consumer) then None
+      else Some f.flow_id)
+    (Graph.sink_flows workload)
 
 (* One mode: shed criticality levels from the bottom until schedulable.
    [data] is the mode's data-class transfer time. *)
-let plan_mode cfg workload topo ~faulty ~parent ~data =
-  let alive =
-    List.filter (fun n -> not (List.mem n faulty)) (Topology.nodes topo)
-  in
+let plan_mode cfg workload ~topo ~ids ~alive ~faulty ~parent ~data =
   let lost_tasks =
     List.filter_map
       (fun (x : Task.t) ->
         match x.pinned with
-        | Some n when List.mem n faulty -> Some x.id
+        | Some n when mem_int n faulty -> Some x.id
         | _ -> None)
       (Graph.tasks workload)
   in
   let attempt floor =
-    let keep (x : Task.t) =
-      Task.compare_criticality x.criticality floor >= 0
-      && not (List.mem x.id lost_tasks)
-    in
-    let kept = Graph.restrict workload ~keep in
+    let keep = keeps ~floor ~lost_tasks in
     let aug =
-      Augment.augment kept ~nodes:alive ~degree:cfg.degree
+      Augment.augment workload ~keep ~nodes:alive ~degree:cfg.degree
         ~protect_level:cfg.protect_level
     in
-    match place_tasks cfg aug ~alive ~parent ~xfer:data with
+    match place_tasks cfg aug ~topo ~ids ~faulty ~parent ~xfer:data with
     | Error reason -> Error reason
     | Ok place ->
-      let place tid = Option.get (Idtab.get place tid) in
+      let place tid = ids.(Idtab.get place tid) in
       (match Schedule.list_schedule aug.Augment.graph ~place ~xfer:data with
       | Ok schedule ->
         Ok
@@ -317,7 +314,7 @@ let plan_mode cfg workload topo ~faulty ~parent ~data =
             schedule;
             shed_below = (if floor = Task.Best_effort then None else Some floor);
             lost_tasks;
-            dropped = dropped_sinks workload kept;
+            dropped = dropped_sinks workload ~keep;
           }
       | Error failure ->
         Error (Format.asprintf "%a" Schedule.pp_failure failure))
@@ -334,34 +331,24 @@ let plan_mode cfg workload topo ~faulty ~parent ~data =
   in
   try_floors None Task.all_criticalities
 
-(* The route table of the mode that [faulty] leaves: routes relay only
-   through its survivors. *)
-let mode_routes topo faulty = Topology.router topo ~usable:(fun n -> not (List.mem n faulty))
+(* {2 The evidence bound}
 
-(* Bounded evidence-distribution latency in the new mode: worst-case
-   pairwise control-class transfer among surviving nodes, over the
-   mode's route table [routes]. Each source is swept once, on its first
-   pair, so the bound costs O(n·memberships) per fault set. *)
-let mode_evidence_bound cfg topo routes ~faulty =
-  let shares = Net.shares_for topo cfg.shares in
-  let alive =
-    List.filter (fun n -> not (List.mem n faulty)) (Topology.nodes topo)
-  in
-  let link_cost =
-    Net.link_transfer_time shares ~cls:Net.Control ~size_bytes:evidence_size
-  in
-  List.fold_left
-    (fun acc src ->
-      List.fold_left
-        (fun acc dst ->
-          match Topology.path_cost routes ~link_cost ~src ~dst with
-          | Some d -> Time.max acc d
-          | None -> acc)
-        acc alive)
-    Time.zero alive
+   Bounded evidence-distribution latency in a mode: the worst-case
+   control-class transfer of one evidence record between two survivors
+   of the mode's fault pattern. The fault-free sweep of every source,
+   with its f + 1 costliest destinations, is computed once per
+   topology; a mode re-sweeps only the sources whose fault-free sweep
+   one of its faulty nodes relays in ({!Topology.max_path_cost}). *)
 
-let evidence_bound cfg topo ~faulty =
-  mode_evidence_bound cfg topo (mode_routes topo faulty) ~faulty
+type evidence = Topology.spread Lazy.t
+
+let evidence cfg sweeps =
+  lazy
+    (let shares = Net.shares_for (Topology.sweeps_topology sweeps) cfg.shares in
+     Topology.spread sweeps ~k:(Stdlib.max 0 cfg.f + 1)
+       ~link_cost:(Net.link_transfer_time shares ~cls:Net.Control ~size_bytes:evidence_size))
+
+let evidence_bound ev ~faulty = Topology.max_path_cost (Lazy.force ev) ~avoid:faulty
 
 (* [from_plan]'s order is the order state sends leave a node, so it
    shows in traces. State migrates only from a surviving host; a faulty
@@ -369,19 +356,22 @@ let evidence_bound cfg topo ~faulty =
 let moves ~from_plan ~to_plan =
   let g = to_plan.aug.Augment.graph in
   List.filter_map
-    (fun (task, from_node) ->
-      match Schedule.node_of to_plan.schedule task with
-      | Some to_node when to_node <> from_node ->
-        Some
-          {
-            task;
-            from_node;
-            to_node;
-            state_size = (Graph.task g task).Task.state_size;
-            migrates = not (List.mem from_node to_plan.faulty);
-          }
-      | _ -> None)
-    (assignments from_plan)
+    (fun (x : Task.t) ->
+      match Schedule.node_of from_plan.schedule x.id with
+      | None -> None
+      | Some from_node -> (
+        match Schedule.node_of to_plan.schedule x.id with
+        | Some to_node when to_node <> from_node ->
+          Some
+            {
+              task = x.id;
+              from_node;
+              to_node;
+              state_size = (Graph.task g x.id).Task.state_size;
+              migrates = not (mem_int from_node to_plan.faulty);
+            }
+        | _ -> None))
+    (Graph.tasks from_plan.aug.Augment.graph)
 
 (* [control] is the control-class transfer time in the new mode,
    [evidence] its evidence-distribution bound. Transfers from one
@@ -401,12 +391,10 @@ let make_transition ~evidence ~control ~from_plan ~to_plan ~new_fault =
             (fun acc m ->
               if m.from_node <> sender then acc
               else
-                match
-                  control ~src:m.from_node ~dst:m.to_node
-                    ~size_bytes:(Stdlib.max 1 m.state_size)
-                with
-                | Some d -> Time.add acc d
-                | None -> acc)
+                let d =
+                  control ~src:m.from_node ~dst:m.to_node ~size_bytes:(Stdlib.max 1 m.state_size)
+                in
+                if d = Time.infinity then acc else Time.add acc d)
             Time.zero migrations
         in
         Time.max acc total)
@@ -435,8 +423,8 @@ let build ?evidence_bound:supplied cfg workload topo =
   else if cfg.degree > n - cfg.f then
     Error
       (Bad_config
-         (Printf.sprintf "degree %d > surviving nodes %d: lanes cannot be separated"
-            cfg.degree (n - cfg.f)))
+         ("degree " ^ string_of_int cfg.degree ^ " > surviving nodes "
+         ^ string_of_int (n - cfg.f) ^ ": lanes cannot be separated"))
   else begin
     (* btr-lint: allow wall-clock — planning_seconds is wall-clock
        telemetry about the planner itself; it never enters a trace. *)
@@ -444,25 +432,30 @@ let build ?evidence_bound:supplied cfg workload topo =
     let plans = Hashtbl.create 64 in
     let transitions = Hashtbl.create 64 in
     let shares = Net.shares_for topo cfg.shares in
+    (* Every mode's route table reuses these fault-free sweeps wherever
+       its faulty nodes relay in none of them. *)
+    let sweeps = Topology.sweeps topo in
+    let ev = evidence cfg sweeps in
+    let ids = Array.of_list (Topology.nodes topo) in
     let exception Failed of error in
     try
       List.iter
         (fun faulty ->
-          if not (Topology.connected_without topo faulty) then
-            raise (Failed (Disconnected { faulty }));
           (* The mode's route table: placement, list scheduling, the
              migration bounds and the evidence bound read every route
              from it. *)
-          let routes = mode_routes topo faulty in
+          let routes = Topology.router sweeps ~avoid:faulty in
+          if not (Topology.connected routes) then raise (Failed (Disconnected { faulty }));
           let parent =
             match List.rev faulty with
             | [] -> None
             | _ :: rest_rev -> Hashtbl.find_opt plans (key (List.rev rest_rev))
           in
+          let alive = List.filter (fun n -> not (mem_int n faulty)) (Topology.nodes topo) in
           let plan =
             match
-              plan_mode cfg workload topo ~faulty ~parent
-                ~data:(Net.route_transfer_time routes shares ~cls:Net.Data)
+              plan_mode cfg workload ~topo ~ids ~alive ~faulty ~parent
+                ~data:(Net.transfer_time routes shares ~cls:Net.Data)
             with
             | Error e -> raise (Failed e)
             | Ok plan -> plan
@@ -473,9 +466,10 @@ let build ?evidence_bound:supplied cfg workload topo =
           if faulty <> [] then begin
             let evidence =
               match supplied with
-              | Some evb -> evb faulty
-              | None -> mode_evidence_bound cfg topo routes ~faulty
+              | Some evb -> evb ev faulty
+              | None -> evidence_bound ev ~faulty
             in
+            let control = Net.transfer_time routes shares ~cls:Net.Control in
             List.iter
               (fun y ->
                 let from_faulty = List.filter (fun x -> x <> y) faulty in
@@ -483,9 +477,7 @@ let build ?evidence_bound:supplied cfg workload topo =
                 | None -> ()
                 | Some from_plan ->
                   Hashtbl.replace transitions (key from_faulty, y)
-                    (make_transition ~evidence
-                       ~control:(Net.route_transfer_time routes shares ~cls:Net.Control)
-                       ~from_plan ~to_plan:plan ~new_fault:y))
+                    (make_transition ~evidence ~control ~from_plan ~to_plan:plan ~new_fault:y))
               faulty
           end)
         (fault_patterns (Topology.nodes topo) cfg.f);
@@ -521,6 +513,10 @@ let build ?evidence_bound:supplied cfg workload topo =
 
 let with_recovery_bound t r =
   { t with config = { t.config with recovery_bound = r } }
+
+let kept t plan =
+  let floor = Option.value ~default:Task.Best_effort plan.shed_below in
+  List.filter (keeps ~floor ~lost_tasks:plan.lost_tasks) (Graph.tasks t.workload)
 
 let config t = t.config
 let workload t = t.workload

@@ -172,25 +172,37 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-val evidence_bound : config -> Topology.t -> faulty:int list -> Time.t
+type evidence
+(** The evidence-bound structure of one topology under one config: the
+    fault-free sweep of every source with its [f + 1] costliest
+    control-class destinations ({!Topology.spread}), computed on the
+    first bound asked of it. *)
+
+val evidence : config -> Topology.sweeps -> evidence
+
+val evidence_bound : evidence -> faulty:int list -> Time.t
 (** Worst-case control-class transfer time of one evidence record
-    between any two survivors of [faulty] over the config's reserved
-    shares (the topology's defaults when [shares] is [None]) — the
+    between any two survivors of [faulty], over the routes of
+    [Topology.router sweeps ~avoid:faulty] and the config's reserved
+    shares (the topology's defaults when [shares] is [None]): the
     evidence-distribution term of every transition's recovery bound,
-    and the verifier's check of it. *)
+    and the verifier's check of it. O(n · (f + 1)) per fault pattern,
+    plus a sweep for each survivor whose fault-free sweep a faulty node
+    relays in. *)
 
 val build :
-  ?evidence_bound:(int list -> Time.t) ->
+  ?evidence_bound:(evidence -> int list -> Time.t) ->
   config ->
   Graph.t ->
   Topology.t ->
   (t, error) result
-(** [evidence_bound faulty] supplies the evidence-distribution bound of
-    each mode, asked once per mode with a nonempty, sorted fault
-    pattern; the default is {!evidence_bound} on this config and
-    topology. A caller passing its own must return exactly that value
-    (a memo over it, flushed whenever the topology or shares change),
-    so the strategy is identical either way. *)
+(** [evidence_bound ev faulty] supplies the evidence-distribution bound
+    of each mode, asked once per mode with a nonempty, sorted fault
+    pattern and the build's own {!evidence}; the default is
+    {!evidence_bound}. A caller passing its own must return exactly
+    that value (a memo over it, flushed whenever the topology or shares
+    change), so the strategy is identical either way. A build allocates
+    nothing per placement candidate or transfer probe. *)
 
 val with_recovery_bound : t -> Time.t -> t
 (** The same strategy re-admitted against a different requested R.
@@ -198,6 +210,11 @@ val with_recovery_bound : t -> Time.t -> t
     plans, schedules and transition bounds are all R-independent. The
     campaign plan cache uses this to derive R-grid neighbors without
     replanning. *)
+
+val kept : t -> plan -> Task.t list
+(** The workload tasks the plan runs, in workload order: those at or
+    above [shed_below] and not lost with a faulty node. Augmentation
+    wires exactly these and the flows between them. *)
 
 val config : t -> config
 val workload : t -> Graph.t

@@ -17,6 +17,8 @@ type failure =
   | Deadline_miss of { flow_id : int; completion : Time.t; deadline : Time.t }
   | No_route of { src_node : int; dst_node : int }
 
+exception Fail of failure
+
 let pp_failure ppf = function
   | Overload { node; demand; period } ->
     Format.fprintf ppf "node %d overloaded: demand %a > period %a" node Time.pp
@@ -27,79 +29,86 @@ let pp_failure ppf = function
   | No_route { src_node; dst_node } ->
     Format.fprintf ppf "no route from node %d to node %d" src_node dst_node
 
-type xfer = src:int -> dst:int -> size_bytes:int -> Time.t option
+type xfer = src:int -> dst:int -> size_bytes:int -> Time.t
 
-let list_schedule g ~place ~xfer =
-  let exception Fail of failure in
-  try
-    let by_node = Hashtbl.create 8 in
-    let node_tbl = Idtab.of_ids (List.map (fun (x : Task.t) -> x.id) (Graph.tasks g)) None in
-    let slot_tbl = Idtab.like node_tbl None in
-    let node_free = Inttbl.create 8 in
-    let free n = Option.value ~default:Time.zero (Inttbl.find_opt node_free n) in
-    let finish_of tid =
-      match Idtab.get slot_tbl tid with
+let rec demand_on place node acc = function
+  | [] -> acc
+  | (x : Task.t) :: rest ->
+    demand_on place node (if place x.id = node then Time.add acc x.wcet else acc) rest
+
+(* When every input of [node]'s task has arrived: the latest producer
+   finish plus its transfer. *)
+let rec ready_at slot_tbl ~place ~xfer node acc = function
+  | [] -> acc
+  | (f : Graph.flow) :: rest ->
+    let pnode = place f.producer in
+    let finish =
+      match Idtab.get slot_tbl f.producer with
       | Some s -> s.finish
       | None -> assert false (* topo order guarantees producers done *)
     in
+    let arrival =
+      if pnode = node then finish
+      else
+        let d = xfer ~src:pnode ~dst:node ~size_bytes:f.msg_size in
+        if d = Time.infinity then raise_notrace (Fail (No_route { src_node = pnode; dst_node = node }))
+        else Time.add finish d
+    in
+    ready_at slot_tbl ~place ~xfer node (Time.max acc arrival) rest
+
+let slots_of by_node n = match Hashtbl.find by_node n with l -> l | exception Not_found -> []
+
+let list_schedule g ~place ~xfer =
+  try
+    let by_node = Hashtbl.create 8 in
+    let node_tbl = Graph.task_table g None in
+    let slot_tbl = Idtab.like node_tbl None in
     List.iter
       (fun tid ->
         let task = Graph.task g tid in
         let node = place tid in
-        let ready =
-          List.fold_left
-            (fun acc (f : Graph.flow) ->
-              let pnode = place f.producer in
-              let arrival =
-                if pnode = node then finish_of f.producer
-                else
-                  match xfer ~src:pnode ~dst:node ~size_bytes:f.msg_size with
-                  | Some d -> Time.add (finish_of f.producer) d
-                  | None -> raise (Fail (No_route { src_node = pnode; dst_node = node }))
-              in
-              Time.max acc arrival)
-            Time.zero (Graph.producers_of g tid)
-        in
-        let start = Time.max ready (free node) in
+        let ready = ready_at slot_tbl ~place ~xfer node Time.zero (Graph.producers_of g tid) in
+        (* Slots go onto a node in ascending start, so the newest one
+           ends last. *)
+        let on_node = slots_of by_node node in
+        let free = match on_node with [] -> Time.zero | s :: _ -> s.finish in
+        let start = Time.max ready free in
         let finish = Time.add start task.Task.wcet in
-        if Time.compare finish (Graph.period g) > 0 then begin
+        if Time.compare finish (Graph.period g) > 0 then
           (* Distinguish raw overload from precedence-induced overrun by
              reporting the node's total demand. *)
-          let demand =
-            List.fold_left
-              (fun acc (x : Task.t) -> if place x.id = node then Time.add acc x.wcet else acc)
-              Time.zero (Graph.tasks g)
-          in
-          raise (Fail (Overload { node; demand; period = Graph.period g }))
-        end;
+          raise_notrace
+            (Fail
+               (Overload
+                  {
+                    node;
+                    demand = demand_on place node Time.zero (Graph.tasks g);
+                    period = Graph.period g;
+                  }));
         let slot = { task = tid; start; finish } in
         Idtab.set node_tbl tid (Some node);
         Idtab.set slot_tbl tid (Some slot);
-        Hashtbl.replace by_node node
-          (slot :: Option.value ~default:[] (Hashtbl.find_opt by_node node));
-        Inttbl.replace node_free node finish)
+        Hashtbl.replace by_node node (slot :: on_node))
       (Graph.topo_order g);
-    Table.sorted_iter ~cmp:Int.compare
-      (fun n slots ->
-        Hashtbl.replace by_node n
-          (List.sort (fun a b -> Time.compare a.start b.start) slots))
-      (Hashtbl.copy by_node);
-    let sched = { period = Graph.period g; by_node; node = node_tbl; slot = slot_tbl } in
+    (* Every node's start times strictly increase (each slot starts at
+       or after the previous one's finish, and a WCET is positive), so
+       reversing gives ascending start. *)
+    Hashtbl.filter_map_inplace (fun _ slots -> Some (List.rev slots)) by_node;
     (* Sink-flow deadlines: the output reaches the physical world when
        the sink task completes. *)
     List.iter
       (fun (f : Graph.flow) ->
         match f.deadline with
-        | None -> ()
-        | Some d ->
-          let sink_slot = Option.get (Idtab.get slot_tbl f.consumer) in
-          if Time.compare sink_slot.finish d > 0 then
-            raise
-              (Fail
-                 (Deadline_miss
-                    { flow_id = f.flow_id; completion = sink_slot.finish; deadline = d })))
-      (Graph.sink_flows g);
-    Ok sched
+        | Some d when (Graph.task g f.consumer).Task.kind = Task.Sink -> (
+          match Idtab.get slot_tbl f.consumer with
+          | Some sink_slot when Time.compare sink_slot.finish d > 0 ->
+            raise_notrace
+              (Fail (Deadline_miss { flow_id = f.flow_id; completion = sink_slot.finish; deadline = d }))
+          | Some _ -> ()
+          | None -> assert false (* every task has a slot *))
+        | _ -> ())
+      (Graph.flows g);
+    Ok { period = Graph.period g; by_node; node = node_tbl; slot = slot_tbl }
   with Fail f -> Error f
 
 let nodes t = Table.sorted_keys ~cmp:Int.compare t.by_node
@@ -157,11 +166,12 @@ let validate t g ~xfer =
         let arrival =
           if pn = cn then ps.finish
           else
-            match xfer ~src:pn ~dst:cn ~size_bytes:f.msg_size with
-            | Some d -> Time.add ps.finish d
-            | None ->
+            let d = xfer ~src:pn ~dst:cn ~size_bytes:f.msg_size in
+            if d = Time.infinity then begin
               err "flow %d: no route %d -> %d" f.flow_id pn cn;
               ps.finish
+            end
+            else Time.add ps.finish d
         in
         if Time.compare cs.start arrival < 0 then
           err "flow %d: consumer %d starts before input arrives" f.flow_id f.consumer

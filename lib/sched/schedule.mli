@@ -25,16 +25,17 @@ type failure =
 
 val pp_failure : Format.formatter -> failure -> unit
 
-type xfer = src:int -> dst:int -> size_bytes:int -> Time.t option
+type xfer = src:int -> dst:int -> size_bytes:int -> Time.t
 (** Queueing-free network transfer-time oracle (see
-    {!Btr_net.Net.route_transfer_time}); [src = dst] must give
-    [Some 0]. *)
+    {!Btr_net.Net.transfer_time}): [Time.infinity] when there is no
+    route, and [src = dst] must give 0. *)
 
 val list_schedule :
   Graph.t -> place:(Task.id -> int) -> xfer:xfer -> (t, failure) result
 (** Greedy list scheduling in topological order: each task starts when
     all its inputs have arrived and its node is free. Fails with the
-    first constraint violation found. *)
+    first constraint violation found. A task costs its slot, two table
+    entries and a list cell; [xfer] is asked only across nodes. *)
 
 val nodes : t -> int list
 val slots_on : t -> int -> slot list

@@ -1,11 +1,8 @@
 type 'a t = { lo : int; slots : 'a array; absent : 'a }
 
-let of_ids ids absent =
-  match ids with
-  | [] -> { lo = 0; slots = [||]; absent }
-  | id :: rest ->
-    let lo = List.fold_left Stdlib.min id rest and hi = List.fold_left Stdlib.max id rest in
-    { lo; slots = Array.make (hi - lo + 1) absent; absent }
+let span ~lo ~hi absent =
+  if hi < lo then { lo = 0; slots = [||]; absent }
+  else { lo; slots = Array.make (hi - lo + 1) absent; absent }
 
 let like t absent = { lo = t.lo; slots = Array.make (Array.length t.slots) absent; absent }
 

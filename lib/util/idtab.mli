@@ -10,9 +10,9 @@
 
 type 'a t
 
-val of_ids : int list -> 'a -> 'a t
-(** A table whose range spans the given ids, every id mapped to the
-    given default. *)
+val span : lo:int -> hi:int -> 'a -> 'a t
+(** A table whose range is [lo .. hi], every id mapped to the given
+    default; empty when [hi < lo]. *)
 
 val like : 'a t -> 'b -> 'b t
 (** A table over the same range, every id mapped to the given default. *)

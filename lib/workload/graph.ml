@@ -22,18 +22,35 @@ type t = {
   order : Task.id list;
 }
 
+(* The table spanning every id [id_of] gives the list's elements. *)
+let spanning id_of xs absent =
+  match xs with
+  | [] -> Idtab.span ~lo:0 ~hi:(-1) absent
+  | x :: _ ->
+    let lo = ref (id_of x) and hi = ref (id_of x) in
+    List.iter
+      (fun x ->
+        let id = id_of x in
+        if id < !lo then lo := id;
+        if id > !hi then hi := id)
+      xs;
+    Idtab.span ~lo:!lo ~hi:!hi absent
+
+let task_id (t : Task.t) = t.id
+let flow_id f = f.flow_id
+
 let build ~relaxed ~period ~tasks ~flows =
   if period <= 0 then invalid_arg "Graph.create: period <= 0";
   (* A table spans every id it is filled with, so [set] cannot fail and
      a duplicate finds its slot already taken. *)
-  let by_id = Idtab.of_ids (List.map (fun (t : Task.t) -> t.id) tasks) None in
+  let by_id = spanning task_id tasks None in
   List.iter
     (fun (t : Task.t) ->
       if Option.is_some (Idtab.get by_id t.id) then
         invalid_arg "Graph.create: duplicate task ids";
       Idtab.set by_id t.id (Some t))
     tasks;
-  let flow_by_id = Idtab.of_ids (List.map (fun f -> f.flow_id) flows) None in
+  let flow_by_id = spanning flow_id flows None in
   List.iter
     (fun f ->
       if Option.is_some (Idtab.get flow_by_id f.flow_id) then
@@ -88,24 +105,27 @@ let build ~relaxed ~period ~tasks ~flows =
   List.iter
     (fun (t : Task.t) -> Idtab.set indeg t.id (List.length (Idtab.get incoming t.id)))
     tasks;
-  (* FIFO over newly-ready tasks — a Queue gives the exact order the
-     old list-append formulation produced, without its O(n²) appends. *)
-  let q = Queue.create () in
-  List.iter (fun (t : Task.t) -> if Idtab.get indeg t.id = 0 then Queue.push t.id q) tasks;
-  let acc = ref [] and sorted = ref 0 in
-  while not (Queue.is_empty q) do
-    let id = Queue.pop q in
-    acc := id :: !acc;
-    incr sorted;
+  (* FIFO over newly-ready tasks, in one array since each task is
+     queued once; the order tasks leave it is the topological order. *)
+  let count = List.length tasks in
+  let q = Array.make count 0 and tail = ref 0 in
+  let push id =
+    q.(!tail) <- id;
+    incr tail
+  in
+  List.iter (fun (t : Task.t) -> if Idtab.get indeg t.id = 0 then push t.id) tasks;
+  let head = ref 0 in
+  while !head < !tail do
+    let id = q.(!head) in
+    incr head;
     List.iter
       (fun f ->
         let d = Idtab.get indeg f.consumer - 1 in
         Idtab.set indeg f.consumer d;
-        if d = 0 then Queue.push f.consumer q)
+        if d = 0 then push f.consumer)
       (Idtab.get outgoing id)
   done;
-  if !sorted <> List.length tasks then
-    invalid_arg "Graph.create: dataflow graph has a cycle";
+  if !tail <> count then invalid_arg "Graph.create: dataflow graph has a cycle";
   {
     period;
     task_list = tasks;
@@ -114,7 +134,7 @@ let build ~relaxed ~period ~tasks ~flows =
     flow_by_id;
     incoming;
     outgoing;
-    order = List.rev !acc;
+    order = Array.to_list q;
   }
 
 let create ~period ~tasks ~flows = build ~relaxed:false ~period ~tasks ~flows
@@ -135,6 +155,7 @@ let flow t id =
   | None -> invalid_arg (Printf.sprintf "Graph.flow: unknown flow %d" id)
 
 let task_count t = List.length t.task_list
+let task_table t absent = Idtab.like t.by_id absent
 let producers_of t id = Idtab.get t.incoming id
 let consumers_of t id = Idtab.get t.outgoing id
 let sources t = List.filter (fun (x : Task.t) -> x.kind = Task.Source) t.task_list

@@ -38,6 +38,10 @@ val task : t -> Task.id -> Task.t
 val flow : t -> int -> flow
 val task_count : t -> int
 
+val task_table : t -> 'a -> 'a Btr_util.Idtab.t
+(** A table spanning the graph's task ids, every id mapped to the given
+    default. *)
+
 val producers_of : t -> Task.id -> flow list
 (** Incoming flows of a task. *)
 

@@ -101,8 +101,8 @@ let with_fault_free v f =
 
 let schedule_exn g ~place v =
   let xfer =
-    Net.route_transfer_time
-      (Topology.router v.Check.topology ~usable:(fun _ -> true))
+    Net.transfer_time
+      (Topology.router (Topology.sweeps v.Check.topology) ~avoid:[])
       (Net.shares_for v.Check.topology v.Check.config.Planner.shares)
       ~cls:Net.Data
   in
@@ -146,7 +146,7 @@ let e203_deadline_missed =
                 { Graph.flow_id = 0; producer = 1; consumer = 2; msg_size = 8; deadline };
               ]
         in
-        Augment.augment g ~nodes:[ 0; 1; 2; 3; 4; 5 ] ~degree:1
+        Augment.augment g ~keep:(fun _ -> true) ~nodes:[ 0; 1; 2; 3; 4; 5 ] ~degree:1
           ~protect_level:Task.Safety_critical
       in
       let loose = graph None in

@@ -34,7 +34,7 @@ let test_generators () =
   check_int "dual bus links" 2 (List.length (Topology.links db));
   check_int "dual bus everyone adjacent" 5 (List.length (Topology.neighbors db 2))
 
-let routes ?(avoid = []) topo = Topology.router topo ~usable:(fun n -> not (List.mem n avoid))
+let routes ?(avoid = []) topo = Topology.router (Topology.sweeps topo) ~avoid
 
 let test_routing () =
   let ring = Topology.ring ~n:6 ~bandwidth_bps:1000 ~latency:(Time.us 1) in
@@ -53,11 +53,11 @@ let test_routing () =
 
 let test_connected_without () =
   let star = Topology.star ~n:5 ~hub:0 ~bandwidth_bps:1000 ~latency:(Time.us 1) in
-  check_bool "star loses hub" false (Topology.connected_without star [ 0 ]);
-  check_bool "star loses spoke ok" true (Topology.connected_without star [ 3 ]);
+  check_bool "star loses hub" false (Topology.connected (routes ~avoid:[ 0 ] star));
+  check_bool "star loses spoke ok" true (Topology.connected (routes ~avoid:[ 3 ] star));
   let fc = Topology.fully_connected ~n:4 ~bandwidth_bps:1000 ~latency:(Time.us 1) in
   check_bool "clique survives any single failure" true
-    (Topology.connected_without fc [ 2 ])
+    (Topology.connected (routes ~avoid:[ 2 ] fc))
 
 (* Net *)
 
@@ -222,13 +222,10 @@ let test_transfer_time_matches_delivery () =
   let e, net = mk_net ~n:4 () in
   let topo = Net.topology net in
   let predicted =
-    match
-      Net.route_transfer_time (routes topo) (Net.shares_for topo None) ~cls:Net.Data
-        ~src:0 ~dst:3 ~size_bytes:2500
-    with
-    | Some t -> t
-    | None -> Alcotest.fail "route expected"
+    Net.transfer_time (routes topo) (Net.shares_for topo None) ~cls:Net.Data ~src:0 ~dst:3
+      ~size_bytes:2500
   in
+  if predicted = Time.infinity then Alcotest.fail "route expected";
   let measured = ref Time.zero in
   Net.set_handler net 3 (fun r -> measured := r.Net.delivered_at);
   ignore (Net.send net ~src:0 ~dst:3 ~cls:Net.Data ~size_bytes:2500 ());
@@ -370,10 +367,9 @@ let arb_topology =
    nodes. Every relay a route names is usable and sits on both links
    next to it. Costs are the forward sums over the reference route of
    [Net.link_transfer_time] for both classes and of a cost that tells
-   links apart. *)
-let table_matches_reference topo avoid =
+   links apart, and [Time.infinity] where there is no route. *)
+let table_matches_reference topo table avoid =
   let usable n = not (List.mem n avoid) in
-  let table = Topology.router topo ~usable in
   let shares = Net.shares_for topo None in
   let link_costs =
     (fun (l : Topology.link) -> (7 * l.link_id) + List.length l.members)
@@ -401,25 +397,42 @@ let table_matches_reference topo avoid =
           && List.for_all
                (fun link_cost ->
                  Topology.path_cost table ~link_cost ~src ~dst
-                 = Option.map
-                     (List.fold_left (fun acc (l, _) -> Time.add acc (link_cost l)) Time.zero)
-                     expect)
+                 = match expect with
+                   | None -> Time.infinity
+                   | Some route ->
+                     List.fold_left (fun acc (l, _) -> Time.add acc (link_cost l)) Time.zero route)
                link_costs)
         ids)
     ids
 
+let ref_connected topo avoid =
+  let usable n = not (List.mem n avoid) in
+  match List.filter usable (Topology.nodes topo) with
+  | [] -> true
+  | first :: rest -> List.for_all (fun n -> ref_route topo ~usable ~src:first ~dst:n <> None) rest
+
+(* Routers on fresh sweeps, and routers on one shared set of sweeps
+   whose every fault-free sweep has already run, so they reuse each one
+   their avoid set does not relay in. The shared ones answer the
+   generated avoid set and every single node, which covers a relay of
+   each ring route and each source avoiding itself. *)
 let prop_sweeps_match_reference =
   QCheck.Test.make ~name:"link-once sweeps match the reference BFS" ~count:300
     arb_topology (fun (topo, avoid) ->
-      let usable n = not (List.mem n avoid) in
-      let ref_connected =
-        match List.filter usable (Topology.nodes topo) with
-        | [] -> true
-        | first :: rest ->
-          List.for_all (fun n -> ref_route topo ~usable ~src:first ~dst:n <> None) rest
-      in
-      Topology.connected_without topo avoid = ref_connected
-      && List.for_all (table_matches_reference topo) [ []; avoid ])
+      let fresh a = Topology.router (Topology.sweeps topo) ~avoid:a in
+      let shared = Topology.sweeps topo in
+      let on_shared a = Topology.router shared ~avoid:a in
+      let avoid_sets = avoid :: List.map (fun n -> [ n ]) (Topology.nodes topo) in
+      List.for_all
+        (fun a -> Topology.connected (fresh a) = ref_connected topo a)
+        [ []; avoid ]
+      && List.for_all (fun a -> table_matches_reference topo (fresh a) a) [ []; avoid ]
+      && table_matches_reference topo (on_shared []) []
+      && List.for_all
+           (fun a ->
+             table_matches_reference topo (on_shared a) a
+             && Topology.connected (on_shared a) = ref_connected topo a)
+           avoid_sets)
 
 (* Net's tables key on packed ids, so the largest id [Net.create]
    accepts must not alias a smaller one, the next id up is refused, and

@@ -21,12 +21,24 @@ let must_build ?f ?r ?tune g topo =
   | Ok s -> s
   | Error e -> Alcotest.failf "planner failed: %a" Planner.pp_error e
 
+(* The workload a plan augments, derived from the plan's own record:
+   every task at or above its shedding floor and not lost with a faulty
+   node. *)
+let restricted workload (p : Planner.plan) =
+  Graph.restrict workload ~keep:(fun (x : Task.t) ->
+      (match p.shed_below with
+      | None -> true
+      | Some floor -> Task.compare_criticality x.criticality floor >= 0)
+      && not (List.mem x.id p.lost_tasks))
+
+let keep_all _ = true
+
 (* Augment *)
 
 let aug_avionics degree =
   Augment.augment
     (Generators.avionics ~n_nodes:6)
-    ~nodes:[ 0; 1; 2; 3; 4; 5 ] ~degree ~protect_level:Task.Medium
+    ~keep:keep_all ~nodes:[ 0; 1; 2; 3; 4; 5 ] ~degree ~protect_level:Task.Medium
 
 let test_augment_counts () =
   let g = Generators.avionics ~n_nodes:6 in
@@ -117,7 +129,8 @@ let test_build_avionics () =
   check_bool "admitted within 200ms" true (Check.passed (Check.verify s))
 
 let test_replica_separation () =
-  let s = must_build ~f:2 (Generators.avionics ~n_nodes:6) (topo6 ()) in
+  let g = Generators.avionics ~n_nodes:6 in
+  let s = must_build ~f:2 g (topo6 ()) in
   List.iter
     (fun (p : Planner.plan) ->
       let aug = p.Planner.aug in
@@ -129,7 +142,7 @@ let test_replica_separation () =
             check_int "lanes on distinct nodes" (List.length nodes)
               (List.length (List.sort_uniq Int.compare nodes))
           end)
-        (Graph.tasks aug.Augment.original))
+        (Graph.tasks (restricted g p)))
     (Planner.all_plans s)
 
 let test_no_tasks_on_faulty_nodes () =
@@ -150,8 +163,8 @@ let test_schedules_validate () =
     (fun (p : Planner.plan) ->
       let topo = topo6 () in
       let xfer =
-        Btr_net.Net.route_transfer_time
-          (Topology.router topo ~usable:(fun n -> not (List.mem n p.Planner.faulty)))
+        Btr_net.Net.transfer_time
+          (Topology.router (Topology.sweeps topo) ~avoid:p.Planner.faulty)
           (Btr_net.Net.shares_for topo cfg.Planner.shares)
           ~cls:Btr_net.Net.Data
       in
@@ -224,7 +237,7 @@ let test_shedding_under_pressure () =
           (fun (x : Task.t) ->
             check_bool "no kept task below the floor" true
               (Task.compare_criticality x.criticality floor >= 0))
-          (Graph.tasks p.Planner.aug.Augment.original))
+          (Graph.tasks (restricted g p)))
     (Planner.all_plans s);
   ignore degraded
 
@@ -301,8 +314,8 @@ let prop_random_workloads_plan_and_validate =
         List.for_all
           (fun (p : Planner.plan) ->
             let xfer =
-              Btr_net.Net.route_transfer_time
-                (Topology.router topo ~usable:(fun n -> not (List.mem n p.Planner.faulty)))
+              Btr_net.Net.transfer_time
+                (Topology.router (Topology.sweeps topo) ~avoid:p.Planner.faulty)
                 (Btr_net.Net.shares_for topo cfg.Planner.shares)
                 ~cls:Btr_net.Net.Data
             in
@@ -388,8 +401,8 @@ let test_with_recovery_bound () =
    accessors' list-scan definitions run over those lists, and every
    indexed accessor must agree with them on every id in the graph and on
    ids outside it. *)
-let ref_roles aug ~protect_level ~nodes =
-  let orig = aug.Augment.original and d = aug.Augment.degree in
+let ref_roles aug ~orig ~protect_level ~nodes =
+  let d = aug.Augment.degree in
   let protected (x : Task.t) =
     x.kind = Task.Compute && Task.compare_criticality x.criticality protect_level >= 0
   in
@@ -423,7 +436,7 @@ let scan_checker roles orig =
     (function id, Augment.Checker { orig = o } when o = orig -> Some id | _ -> None)
     roles
 
-let ref_flow_origin aug roles =
+let ref_flow_origin aug ~orig roles =
   let lane_task orig lane =
     match scan_replicas roles orig with [ x ] -> x | lanes -> List.nth lanes lane
   in
@@ -440,7 +453,7 @@ let ref_flow_origin aug roles =
               Some (p, c, (f.flow_id, lane))
             end)
           (List.init aug.Augment.degree Fun.id))
-      (Graph.flows aug.Augment.original)
+      (Graph.flows orig)
   in
   let data =
     List.filter
@@ -455,8 +468,8 @@ let ref_flow_origin aug roles =
       (fl.flow_id, origin))
     data wired
 
-let check_index_agreement ~protect_level ~nodes aug =
-  let roles = ref_roles aug ~protect_level ~nodes in
+let check_index_agreement ~orig ~protect_level ~nodes aug =
+  let roles = ref_roles aug ~orig ~protect_level ~nodes in
   let ids = List.map fst roles in
   let outside = [ -1; 1 + List.fold_left max 0 ids; 1_000_000 ] in
   let result f x = match f x with v -> Ok v | exception Invalid_argument m -> Error m in
@@ -478,7 +491,7 @@ let check_index_agreement ~protect_level ~nodes aug =
       check_bool "replicas_of" true (Augment.replicas_of aug id = scan_replicas roles id);
       check_bool "checker_of" true (Augment.checker_of aug id = scan_checker roles id))
     (ids @ outside);
-  let origins = ref_flow_origin aug roles in
+  let origins = ref_flow_origin aug ~orig roles in
   let fids = List.map (fun (fl : Graph.flow) -> fl.flow_id) (Graph.flows aug.Augment.graph) in
   List.iter
     (fun fid ->
@@ -501,8 +514,8 @@ let test_index_agreement () =
       List.iter
         (fun degree ->
           let nodes = [ 0; 1; 2; 3; 4; 5 ] in
-          check_index_agreement ~protect_level:Task.Medium ~nodes
-            (Augment.augment g ~nodes ~degree ~protect_level:Task.Medium);
+          check_index_agreement ~orig:g ~protect_level:Task.Medium ~nodes
+            (Augment.augment g ~keep:keep_all ~nodes ~degree ~protect_level:Task.Medium);
           let topo = Topology.dual_bus ~n:6 ~bandwidth_bps:10_000_000 ~latency:(Time.us 50) in
           match build ~tune:(fun c -> { c with Planner.degree }) g topo with
           | Error _ -> ()
@@ -511,7 +524,8 @@ let test_index_agreement () =
             List.iter
               (fun (p : Planner.plan) ->
                 let alive = List.filter (fun n -> not (List.mem n p.faulty)) nodes in
-                check_index_agreement ~protect_level:Task.Medium ~nodes:alive p.aug;
+                check_index_agreement ~orig:(restricted g p) ~protect_level:Task.Medium
+                  ~nodes:alive p.aug;
                 (* The schedule records where list scheduling put each task. *)
                 let placed =
                   List.filter_map
@@ -743,6 +757,101 @@ let test_every_task_placed () =
       ("fleet", Generators.fleet ~n_nodes:6);
     ]
 
+(* The evidence bound's reference model: the pairwise bound the planner
+   computed before modes shared fault-free sweeps. For every ordered
+   pair of survivors, the control-class time of one evidence record
+   over the reference route (test_net's breadth-first search); the
+   largest, skipping unreachable pairs. *)
+let ref_evidence_bound cfg topo ~faulty =
+  let shares = Btr_net.Net.shares_for topo cfg.Planner.shares in
+  let link_cost =
+    Btr_net.Net.link_transfer_time shares ~cls:Btr_net.Net.Control
+      ~size_bytes:Planner.evidence_size
+  in
+  let usable n = not (List.mem n faulty) in
+  let alive = List.filter usable (Topology.nodes topo) in
+  List.fold_left
+    (fun acc src ->
+      List.fold_left
+        (fun acc dst ->
+          match Test_net.ref_route topo ~usable ~src ~dst with
+          | Some route ->
+            Time.max acc
+              (List.fold_left (fun a (l, _) -> Time.add a (link_cost l)) Time.zero route)
+          | None -> acc)
+        acc alive)
+    Time.zero alive
+
+(* test_net's topologies (ring, star, dual bus, clique, random
+   overlapping buses with shuffled link ids), relabelled to sparse node
+   ids declared in shuffled order, with a bandwidth per link, so link
+   costs differ and ids are not their own indices. *)
+let gen_evidence_topology =
+  let open QCheck.Gen in
+  let shuffled xs =
+    map
+      (fun keys ->
+        List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) (List.combine keys xs)))
+      (list_repeat (List.length xs) nat)
+  in
+  Test_net.gen_topology >>= fun (topo, _) ->
+  let nodes = Topology.nodes topo and links = Topology.links topo in
+  triple
+    (shuffled (List.map (fun i -> (3 * i) + 7) nodes))
+    (shuffled nodes)
+    (list_repeat (List.length links) (int_range 1 6))
+  >|= fun (labels, order, bandwidths) ->
+  let label i = List.nth labels i in
+  Topology.create ~nodes:(List.map label order)
+    ~links:
+      (List.map2
+         (fun (l : Topology.link) b ->
+           { l with members = List.map label l.members; bandwidth_bps = 1000 * b })
+         links bandwidths)
+
+(* For every fault set of at most two nodes, disconnecting ones
+   included, both the planner's bound and the verifier's unit equal the
+   reference, with one structure per config answering every set in
+   turn. A config at f = 1 keeps two costs per source, so its two-node
+   sets take the re-sweep path. *)
+let prop_evidence_bound_matches_reference =
+  QCheck.Test.make ~name:"evidence bound matches the pairwise reference" ~count:100
+    (QCheck.make gen_evidence_topology ~print:(Format.asprintf "%a" Topology.pp))
+    (fun topo ->
+      let sets = Planner.fault_patterns (Topology.nodes topo) 2 in
+      List.for_all
+        (fun f ->
+          let cfg = Planner.default_config ~f ~recovery_bound:(Time.ms 200) in
+          let ev = Planner.evidence cfg (Topology.sweeps topo) in
+          let check_ev = Planner.evidence cfg (Topology.sweeps topo) in
+          List.for_all
+            (fun faulty ->
+              let expect = ref_evidence_bound cfg topo ~faulty in
+              Planner.evidence_bound ev ~faulty = expect
+              && Check.default_units.Check.u_evb check_ev faulty = expect)
+            sets)
+        [ 1; 2 ])
+
+(* Minor words per planned mode of a fleet build on a dual bus, counted
+   exactly at each allocation, so the figure repeats run to run; tables
+   large enough to go straight to the major heap are left out. Each
+   ceiling is the measured value plus 10%: 16 nodes at f = 1 measure
+   6821.2 words per mode (21603.9 before the planner's allocation diet,
+   where this test fails), and 8 nodes at f = 2 measure 5501.2 (14807
+   before). *)
+let test_build_words_per_mode () =
+  List.iter
+    (fun (n, f, ceiling) ->
+      let g = Generators.fleet ~n_nodes:n in
+      let topo = Topology.dual_bus ~n ~bandwidth_bps:(10_000_000 * n) ~latency:(Time.us 50) in
+      let before = Gc.minor_words () in
+      let s = must_build ~f ~r:(Time.ms 150) g topo in
+      let per_mode = (Gc.minor_words () -. before) /. float_of_int (Planner.stats s).modes in
+      if per_mode > ceiling then
+        Alcotest.failf "fleet n=%d f=%d: a build allocates %.1f words per mode (ceiling %.1f)"
+          n f per_mode ceiling)
+    [ (16, 1, 7503.3); (8, 2, 6051.3) ]
+
 let suite =
   [
     ("augment: task counts", `Quick, test_augment_counts);
@@ -771,4 +880,6 @@ let suite =
     ("every augmented task of every plan is placed", `Quick, test_every_task_placed);
     ("dropped outputs of the seed-3 modes", `Quick, test_dropped_outputs);
     QCheck_alcotest.to_alcotest prop_dropped_matches_scan;
+    QCheck_alcotest.to_alcotest prop_evidence_bound_matches_reference;
+    ("a fleet build's words per planned mode", `Quick, test_build_words_per_mode);
   ]

@@ -7,7 +7,7 @@ let check_bool = Alcotest.(check bool)
 
 (* A transfer oracle: fixed cost per byte between distinct nodes. *)
 let xfer_uniform ~us_per_byte ~src ~dst ~size_bytes =
-  if src = dst then Some Time.zero else Some (Time.us (us_per_byte * size_bytes))
+  if src = dst then Time.zero else Time.us (us_per_byte * size_bytes)
 
 let xfer1 = xfer_uniform ~us_per_byte:1
 
@@ -98,7 +98,7 @@ let test_deadline_miss_detected () =
   (* A 7ms transfer for the one inter-node hop puts the sink at 9.2ms:
      past its 9ms deadline but still inside the 10ms period. *)
   let slow ~src ~dst ~size_bytes =
-    if src = dst then Some Time.zero else Some (Time.us (size_bytes * 70))
+    if src = dst then Time.zero else Time.us (size_bytes * 70)
   in
   match Schedule.list_schedule g ~place:place_all_chain ~xfer:slow with
   | Error (Schedule.Deadline_miss { flow_id = 2; _ }) -> ()
@@ -108,7 +108,7 @@ let test_deadline_miss_detected () =
 let test_no_route_detected () =
   let g = chain_graph () in
   let disconnected ~src ~dst ~size_bytes:_ =
-    if src = dst then Some Time.zero else None
+    if src = dst then Time.zero else Time.infinity
   in
   match Schedule.list_schedule g ~place:place_all_chain ~xfer:disconnected with
   | Error (Schedule.No_route _) -> ()

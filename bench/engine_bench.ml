@@ -1,11 +1,13 @@
 (* Sim-engine hot-path throughput: every campaign trial spins on
    push/step, so regressions here multiply across thousands of trials.
-   Three axes: raw schedule+drain throughput, steady-state throughput at
+   Four axes: raw schedule+drain throughput, steady-state throughput at
    increasing queue depths (periodic tasks re-arming themselves, the
-   runtime's actual shape), and drain time under increasing cancelled
-   fractions. Each row also reports the allocation diet — cells
-   allocated fresh vs served from the wheel's pool. Writes
-   BENCH_engine.json with --json. *)
+   runtime's actual shape), a steady one-shot load (each event
+   schedules its successor, the shape of message hops and slot runs),
+   and drain time under increasing cancelled fractions. Each row also
+   reports the allocation diet: cells allocated fresh vs served from
+   the wheel's pool, and minor words allocated per event fired over
+   the timed window. Writes BENCH_engine.json with --json. *)
 
 open Btr_util
 module Engine = Btr_sim.Engine
@@ -25,21 +27,49 @@ let engine_counter e name =
   | Some v -> v
   | None -> 0
 
-(* allocation columns: fresh cells vs pool reuses over the bench run *)
-let alloc_stats e = (engine_counter e "cells", engine_counter e "pool-reuse")
+(* A row's measurements: events fired, seconds, fresh cells, pooled
+   cells, minor words per event fired. *)
+type row = { events : int; dt : float; cells : int; pooled : int; words : float }
+
+(* Time [f], which runs engine [e] from creation, and count its minor
+   words per event fired; the cell counters cover the engine's whole
+   life. Every row
+   starts from a settled heap: a steady-state run allocates nothing, so
+   the collector stays in whatever phase the row's setup left it, and
+   while a major cycle marks, each pointer write in the wheel pays the
+   marking write barrier. Without this, a deep row (whose setup starts
+   a cycle) and a shallow one (whose setup does not) would differ by
+   the collector's phase, not by the queue's depth. *)
+let measure e f =
+  Gc.full_major ();
+  let w0 = Gc.minor_words () in
+  let t0 = now () in
+  f ();
+  let dt = now () -. t0 in
+  let n = Engine.events_processed e in
+  {
+    events = n;
+    dt;
+    cells = engine_counter e "cells";
+    pooled = engine_counter e "pool-reuse";
+    words = (Gc.minor_words () -. w0) /. float_of_int (Stdlib.max 1 n);
+  }
+
+let nop _ = ()
 
 (* One-shot events at scattered times, drained once: the push/step
    baseline with no re-arming and no cancellations. *)
 let bench_drain n =
   let e = Engine.create () in
-  let t0 = now () in
-  for i = 1 to n do
-    ignore (Engine.schedule e ~at:(i * 7919 mod 1_000_003) (fun _ -> ()))
-  done;
-  Engine.run e;
-  let dt = now () -. t0 in
-  assert (Engine.events_processed e = n);
-  (dt, alloc_stats e)
+  let r =
+    measure e (fun () ->
+        for i = 1 to n do
+          Engine.schedule e ~at:(i * 7919 mod 1_000_003) nop
+        done;
+        Engine.run e)
+  in
+  assert (r.events = n);
+  r
 
 (* [depth] periodic tasks re-arm themselves until ~[total] events have
    fired: sustained throughput with the queue pinned at [depth]. *)
@@ -55,28 +85,46 @@ let bench_depth ~depth ~total =
            incr fired))
   done;
   let horizon = Time.mul period (total / depth) in
-  let t0 = now () in
-  Engine.run ~until:horizon e;
-  let dt = now () -. t0 in
-  (!fired, dt, alloc_stats e)
+  let r = measure e (fun () -> Engine.run ~until:horizon e) in
+  assert (r.events = !fired);
+  r
 
-(* Schedule [n] events, cancel [pct]% of them up front, drain. The
-   wheel unlinks cancelled cells eagerly, so drain cost must scale
-   with the live events only. *)
+(* [chains] one-shot chains, each event scheduling its successor
+   [delay] µs on, until [total] events have fired: the queue holds
+   [chains] events throughout and every cell comes from the pool. *)
+let bench_oneshot ~chains ~total =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let rec hop e =
+    incr fired;
+    if !fired <= total - chains then Engine.schedule_in e ~delay:997 hop
+  in
+  for i = 0 to chains - 1 do
+    Engine.schedule e ~at:i hop
+  done;
+  let r = measure e (fun () -> Engine.run e) in
+  assert (r.events = total);
+  r
+
+(* Arm [n] periodic events at scattered first firings, cancel [pct]% of
+   them up front, and run through every first firing. The wheel
+   unlinks cancelled cells eagerly, so the run's cost must scale with
+   the live events only. The period outlasts the run, so each live
+   event fires once and re-arms once. *)
 let bench_cancelled ~n ~pct =
   let e = Engine.create () in
   let live = ref 0 in
+  let last = 1_000_002 in
   let handles =
     Array.init n (fun i ->
-        Engine.schedule e ~at:(i * 7919 mod 1_000_003) (fun _ -> incr live))
+        Engine.every e ~period:(2 * last) ~start:(i * 7919 mod (last + 1)) (fun _ ->
+            incr live))
   in
   Array.iteri (fun i h -> if i mod 100 < pct then Engine.cancel h) handles;
   let expected = Engine.pending e in
-  let t0 = now () in
-  Engine.run e;
-  let dt = now () -. t0 in
-  assert (Engine.events_processed e = expected && !live = expected);
-  (expected, dt, alloc_stats e)
+  let r = measure e (fun () -> Engine.run ~until:last e) in
+  assert (r.events = expected && !live = expected);
+  r
 
 let run ?json_file ?max_depth () =
   let drain_n = 200_000 in
@@ -90,6 +138,7 @@ let run ?json_file ?max_depth () =
      (shallower rows just re-arm more often), and enough events that
      every row runs long enough to measure above scheduler noise *)
   let depth_total depth = max 1_000_000 (2 * depth) in
+  let oneshot_chains = 1_000 and oneshot_total = 1_000_000 in
   let cancel_n = 100_000 in
   let cancel_pcts = [ 0; 25; 50; 90 ] in
   let table =
@@ -97,35 +146,38 @@ let run ?json_file ?max_depth () =
       ~title:
         (Printf.sprintf "EB  Engine throughput (%d-event workloads)" drain_n)
       ~header:
-        [ "workload"; "events"; "seconds"; "events/sec"; "cells"; "pooled" ]
+        [ "workload"; "events"; "seconds"; "events/sec"; "cells"; "pooled"; "words/event" ]
   in
-  let row name events dt (cells, pooled) =
+  let row name r =
     Table.add_row table
       [
         name;
-        string_of_int events;
-        Printf.sprintf "%.3f" dt;
-        string_of_int (events_per_sec events dt);
-        string_of_int cells;
-        string_of_int pooled;
+        string_of_int r.events;
+        Printf.sprintf "%.3f" r.dt;
+        string_of_int (events_per_sec r.events r.dt);
+        string_of_int r.cells;
+        string_of_int r.pooled;
+        Printf.sprintf "%.2f" r.words;
       ]
   in
-  let drain_dt, drain_alloc = bench_drain drain_n in
-  row "schedule+drain" drain_n drain_dt drain_alloc;
+  let drain = bench_drain drain_n in
+  row "schedule+drain" drain;
   let depth_rows =
     List.map
       (fun depth ->
-        let fired, dt, alloc = bench_depth ~depth ~total:(depth_total depth) in
-        row (Printf.sprintf "steady depth %d" depth) fired dt alloc;
-        (depth, fired, dt, alloc))
+        let r = bench_depth ~depth ~total:(depth_total depth) in
+        row (Printf.sprintf "steady depth %d" depth) r;
+        (depth, r))
       depths
   in
+  let oneshot = bench_oneshot ~chains:oneshot_chains ~total:oneshot_total in
+  row (Printf.sprintf "steady one-shot, %d chains" oneshot_chains) oneshot;
   let cancel_rows =
     List.map
       (fun pct ->
-        let fired, dt, alloc = bench_cancelled ~n:cancel_n ~pct in
-        row (Printf.sprintf "cancelled %d%%" pct) fired dt alloc;
-        (pct, fired, dt, alloc))
+        let r = bench_cancelled ~n:cancel_n ~pct in
+        row (Printf.sprintf "cancelled %d%%" pct) r;
+        (pct, r))
       cancel_pcts
   in
   Table.print table;
@@ -133,28 +185,31 @@ let run ?json_file ?max_depth () =
   | None -> ()
   | Some file ->
     let oc = open_out file in
-    let drain_cells, drain_pooled = drain_alloc in
+    let millis r = int_of_float ((r.dt *. 1000.0) +. 0.5) in
+    let tail r =
+      Printf.sprintf
+        "\"millis\":%d,\"events_per_sec\":%d,\"cells_allocated\":%d,\"cells_reused\":%d,\"words_per_event\":%.2f}"
+        (millis r)
+        (events_per_sec r.events r.dt)
+        r.cells r.pooled r.words
+    in
     Printf.fprintf oc
-      "{\"bench\":\"engine\",\"drain_events\":%d,\"drain_millis\":%d,\"drain_events_per_sec\":%d,\"cells_allocated\":%d,\"cells_reused\":%d}\n"
-      drain_n
-      (int_of_float ((drain_dt *. 1000.0) +. 0.5))
-      (events_per_sec drain_n drain_dt)
-      drain_cells drain_pooled;
+      "{\"bench\":\"engine\",\"drain_events\":%d,\"drain_millis\":%d,\"drain_events_per_sec\":%d,\"cells_allocated\":%d,\"cells_reused\":%d,\"words_per_event\":%.2f}\n"
+      drain_n (millis drain)
+      (events_per_sec drain_n drain.dt)
+      drain.cells drain.pooled drain.words;
     List.iter
-      (fun (depth, fired, dt, (cells, pooled)) ->
-        Printf.fprintf oc
-          "{\"mode\":\"depth\",\"depth\":%d,\"events\":%d,\"millis\":%d,\"events_per_sec\":%d,\"cells_allocated\":%d,\"cells_reused\":%d}\n"
-          depth fired
-          (int_of_float ((dt *. 1000.0) +. 0.5))
-          (events_per_sec fired dt) cells pooled)
+      (fun (depth, r) ->
+        Printf.fprintf oc "{\"mode\":\"depth\",\"depth\":%d,\"events\":%d,%s\n" depth
+          r.events (tail r))
       depth_rows;
+    Printf.fprintf oc "{\"mode\":\"oneshot\",\"chains\":%d,\"events\":%d,%s\n"
+      oneshot_chains oneshot.events (tail oneshot);
     List.iter
-      (fun (pct, fired, dt, (cells, pooled)) ->
+      (fun (pct, r) ->
         Printf.fprintf oc
-          "{\"mode\":\"cancelled\",\"cancelled_pct\":%d,\"live_events\":%d,\"millis\":%d,\"events_per_sec\":%d,\"cells_allocated\":%d,\"cells_reused\":%d}\n"
-          pct fired
-          (int_of_float ((dt *. 1000.0) +. 0.5))
-          (events_per_sec fired dt) cells pooled)
+          "{\"mode\":\"cancelled\",\"cancelled_pct\":%d,\"live_events\":%d,%s\n" pct
+          r.events (tail r))
       cancel_rows;
     close_out oc;
     Printf.printf "wrote %s\n" file

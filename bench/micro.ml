@@ -14,7 +14,7 @@ let bench_event_queue =
     (Staged.stage (fun () ->
          let e = Btr_sim.Engine.create () in
          for i = 1 to 1000 do
-           ignore (Btr_sim.Engine.schedule e ~at:(i * 7 mod 997) (fun _ -> ()))
+           Btr_sim.Engine.schedule e ~at:(i * 7 mod 997) (fun _ -> ())
          done;
          Btr_sim.Engine.run e))
 

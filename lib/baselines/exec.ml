@@ -142,7 +142,7 @@ let charge_cpu t node wcet k =
   let finish = Time.add start wcet in
   Hashtbl.replace t.busy node finish;
   t.busy_total <- Time.add t.busy_total wcet;
-  ignore (Engine.schedule t.eng ~at:finish (fun _ -> k ()))
+  Engine.schedule t.eng ~at:finish (fun _ -> k ())
 
 let distinct_vote_count entries d =
   List.length
@@ -229,7 +229,7 @@ let rec try_execute t node tid period =
                         else send t ~src:node ~dst:member ~size:48 (Agree { task = tid; period; digest })
                       in
                       if Time.equal extra Time.zero then fire ()
-                      else ignore (Engine.schedule_in t.eng ~delay:extra fire))
+                      else Engine.schedule_in t.eng ~delay:extra fire)
                   g
               | Unreplicated | Zz _ | Selfstab _ | Pbft _ ->
                 release_output t node tid period value)
@@ -278,9 +278,8 @@ and release_output t node tid period value =
             in
             if Time.equal extra Time.zero then send t ~src:node ~dst ~size:fl.msg_size m
             else
-              ignore
-                (Engine.schedule_in t.eng ~delay:extra (fun _ ->
-                     send t ~src:node ~dst ~size:fl.msg_size m)))
+              Engine.schedule_in t.eng ~delay:extra (fun _ ->
+                send t ~src:node ~dst ~size:fl.msg_size m))
         receivers)
     (Graph.consumers_of t.workload tid)
 
@@ -335,11 +334,10 @@ let on_receive t node (r : msg Net.recv) =
       (* ZZ: arm the disagreement timeout on first copy. *)
       (match t.style with
       | Zz { timeout; _ } when List.length !l = 1 ->
-        ignore
-          (Engine.schedule_in t.eng ~delay:timeout (fun _ ->
-               if not (Hashtbl.mem t.accepted (node, flow, period)) then
-                 activate_standbys t (Graph.flow t.workload flow).Graph.producer
-                   period))
+        Engine.schedule_in t.eng ~delay:timeout (fun _ ->
+          if not (Hashtbl.mem t.accepted (node, flow, period)) then
+            activate_standbys t (Graph.flow t.workload flow).Graph.producer
+              period)
       | _ -> ())
     | Agree { task; period; digest } -> on_agree t node task period digest r.Net.src
     | Activate { task; period } -> try_execute t node task period
@@ -371,7 +369,7 @@ let audit t =
     let newly =
       Table.sorted_fold ~cmp:Int.compare
         (fun node _ acc ->
-          if (not (List.mem node t.exposed)) && Rng.float rng 1.0 < expose_prob
+          if (not (List.mem node t.exposed)) && Rng.chance rng expose_prob
           then node :: acc
           else acc)
         t.byz []
@@ -434,21 +432,19 @@ let run ?(seed = 1) ?(behaviors = []) ?obs ~workload ~topology ~style ~script
     (Topology.nodes topology);
   List.iter
     (fun (ev : Fault.event) ->
-      ignore
-        (Engine.schedule eng ~at:ev.Fault.at (fun _ ->
-             Hashtbl.replace t.byz ev.Fault.node ev.Fault.behavior;
-             Metrics.record_injection t.metrics ~at:(Engine.now eng)
-               ~node:ev.Fault.node
-               ~what:(Fault.behavior_name ev.Fault.behavior))))
+      Engine.schedule eng ~at:ev.Fault.at (fun _ ->
+        Hashtbl.replace t.byz ev.Fault.node ev.Fault.behavior;
+        Metrics.record_injection t.metrics ~at:(Engine.now eng)
+          ~node:ev.Fault.node
+          ~what:(Fault.behavior_name ev.Fault.behavior)))
     script;
   let total = horizon / t.period_len in
   for p = 0 to total do
-    ignore
-      (Engine.schedule eng ~at:(Time.mul t.period_len p) (fun _ ->
-           if p > 0 then
-             Metrics.finalize_period t.metrics ~golden:t.golden ~period:(p - 1)
-               ~shed:[];
-           if p < total then run_sources t p))
+    Engine.schedule eng ~at:(Time.mul t.period_len p) (fun _ ->
+      if p > 0 then
+        Metrics.finalize_period t.metrics ~golden:t.golden ~period:(p - 1)
+          ~shed:[];
+      if p < total then run_sources t p)
   done;
   (match style with
   | Selfstab { audit_interval; _ } ->

@@ -105,67 +105,44 @@ let memo_find tbl ctr k compute =
    are not memoized: each costs less to rerun than its key would cost
    to build. *)
 
-(* FNV-1a over a total serialization of everything planning reads. *)
-let fp_buf_int b n =
-  Buffer.add_string b (string_of_int n);
-  Buffer.add_char b ';'
+(* FNV-1a over a total serialization of everything planning reads,
+   folded field by field as ints: every list is prefixed with its
+   length, every option with a tag, every string with its length. *)
+let fold_list f h xs = List.fold_left f (Fnv.fold_int h (List.length xs)) xs
 
-let fp_buf_str b s =
-  Buffer.add_string b s;
-  Buffer.add_char b ';'
+let fold_opt h = function
+  | None -> Fnv.fold_int h 0
+  | Some n -> Fnv.fold_int (Fnv.fold_int h 1) n
 
 let workload_fingerprint (g : Graph.t) =
-  let b = Buffer.create 1024 in
-  fp_buf_int b (Graph.period g);
-  List.iter
-    (fun (x : Task.t) ->
-      fp_buf_int b x.id;
-      fp_buf_str b x.name;
-      fp_buf_str b
-        (match x.kind with
-        | Task.Source -> "src"
-        | Task.Compute -> "comp"
-        | Task.Sink -> "sink");
-      fp_buf_int b x.wcet;
-      fp_buf_int b (Task.criticality_rank x.criticality);
-      fp_buf_int b x.state_size;
-      fp_buf_int b (match x.pinned with None -> -1 | Some n -> n))
-    (Graph.tasks g);
-  Buffer.add_char b '|';
-  List.iter
-    (fun (fl : Graph.flow) ->
-      fp_buf_int b fl.flow_id;
-      fp_buf_int b fl.producer;
-      fp_buf_int b fl.consumer;
-      fp_buf_int b fl.msg_size;
-      fp_buf_int b (match fl.deadline with None -> -1 | Some d -> d))
-    (Graph.flows g);
-  Fnv.hash64 (Buffer.contents b)
+  let task h (x : Task.t) =
+    let h = Fnv.fold_string (Fnv.fold_int h x.id) x.name in
+    let kind = match x.kind with Task.Source -> 0 | Task.Compute -> 1 | Task.Sink -> 2 in
+    let h = Fnv.fold_int (Fnv.fold_int (Fnv.fold_int h kind) x.wcet) (Task.criticality_rank x.criticality) in
+    fold_opt (Fnv.fold_int h x.state_size) x.pinned
+  in
+  let flow h (fl : Graph.flow) =
+    let h = Fnv.fold_int (Fnv.fold_int h fl.flow_id) fl.producer in
+    fold_opt (Fnv.fold_int (Fnv.fold_int h fl.consumer) fl.msg_size) fl.deadline
+  in
+  let h = fold_list task (Fnv.fold_int Fnv.offset (Graph.period g)) (Graph.tasks g) in
+  fold_list flow h (Graph.flows g)
 
 let topology_fingerprint topo =
-  let b = Buffer.create 1024 in
-  List.iter (fp_buf_int b) (Topology.nodes topo);
-  Buffer.add_char b '|';
-  List.iter
-    (fun (l : Topology.link) ->
-      fp_buf_int b l.link_id;
-      List.iter (fp_buf_int b) l.members;
-      Buffer.add_char b ':';
-      fp_buf_int b l.bandwidth_bps;
-      fp_buf_int b l.latency)
-    (Topology.links topo);
-  Fnv.hash64 (Buffer.contents b)
+  let link h (l : Topology.link) =
+    let h = fold_list Fnv.fold_int (Fnv.fold_int h l.link_id) l.members in
+    Fnv.fold_int (Fnv.fold_int h l.bandwidth_bps) l.latency
+  in
+  fold_list link (fold_list Fnv.fold_int Fnv.offset (Topology.nodes topo)) (Topology.links topo)
 
 (* Everything a strategy's plans depend on: strategies with equal
-   digests have equal plans for every fault pattern. *)
-let strategy_digest s =
+   digests have equal plans for every fault pattern. The state keeps
+   each input's fingerprint, so an edit refolds only the input it
+   changed. *)
+let strategy_digest ~workload_fp ~topology_fp config =
   Fnv.to_hex
     (Fnv.hash64_lines
-       [
-         Fnv.to_hex (workload_fingerprint (Planner.workload s));
-         Fnv.to_hex (topology_fingerprint (Planner.topology s));
-         Planner.config_build_key (Planner.config s);
-       ])
+       [ Fnv.to_hex workload_fp; Fnv.to_hex topology_fp; Planner.config_build_key config ])
 
 (* Memo-wrapping the default units: on a hit the stored result is
    returned; on a miss the {e default} implementation runs, so the
@@ -222,7 +199,9 @@ type state = {
   workload : Graph.t;
   topology : Topology.t;
   strategy : Planner.t;
-  digest : string;  (* [strategy_digest strategy] *)
+  workload_fp : int64;  (* [workload_fingerprint workload] *)
+  topology_fp : int64;  (* [topology_fingerprint topology] *)
+  digest : string;  (* [strategy_digest] of the two and [config] *)
   view : Check.view;
   st_report : Check.report;
   strikes : int;
@@ -272,7 +251,9 @@ let init ?(strikes = 1) config workload topology =
   | Error e -> Error e
   | Ok strategy ->
     let view = Check.view_of_strategy strategy in
-    let digest = strategy_digest strategy in
+    let workload_fp = workload_fingerprint workload in
+    let topology_fp = topology_fingerprint topology in
+    let digest = strategy_digest ~workload_fp ~topology_fp config in
     let st_report = Check.verify_units ~strikes (units_of memo ~digest) view in
     Ok
       {
@@ -280,6 +261,8 @@ let init ?(strikes = 1) config workload topology =
         workload;
         topology;
         strategy;
+        workload_fp;
+        topology_fp;
         digest;
         view;
         st_report;
@@ -482,15 +465,35 @@ let apply st edit =
     | Error e -> Error e
     | Ok strategy ->
       let view = Check.view_of_strategy strategy in
-      (* The digest omits R, so an R edit keeps it; fingerprinting a
-         10³-node fleet costs four times the pass it would key. *)
+      (* An edit changes one input ([edited_inputs]), so only that
+         input is refolded; the digest omits R, so an R edit keeps it. *)
+      let workload_fp =
+        if workload == st.workload then st.workload_fp else workload_fingerprint workload
+      in
+      let topology_fp =
+        if topology == st.topology then st.topology_fp else topology_fingerprint topology
+      in
       let digest =
-        match edit with Set_recovery_bound _ -> st.digest | _ -> strategy_digest strategy
+        match edit with
+        | Set_recovery_bound _ -> st.digest
+        | _ -> strategy_digest ~workload_fp ~topology_fp config
       in
       let st_report = Check.verify_units ~strikes:st.strikes (units_of memo ~digest) view in
       let rd = report_delta_of st.st_report st_report in
       Ok
-        ( { st with config; workload; topology; strategy; digest; view; st_report; memo },
+        ( {
+            st with
+            config;
+            workload;
+            topology;
+            strategy;
+            workload_fp;
+            topology_fp;
+            digest;
+            view;
+            st_report;
+            memo;
+          },
           rd ))
 
 (* ------------------------------------------------------------------ *)

@@ -399,15 +399,14 @@ let emit_evidence t (n : node) (s : Evidence.statement) =
              fault_class = Evidence.fault_class_name s.Evidence.fault_class;
              period = s.Evidence.period;
            });
-    ignore
-      (Engine.schedule_in t.eng ~delay:(Auth.sign_cost t.auth) (fun _ ->
-           match
-             Evidence.Distributor.admit ~now:(Engine.now t.eng) n.dist t.auth r
-           with
-           | Evidence.Distributor.Fresh ->
-             apply_statement t n s;
-             flood_record t n r
-           | Evidence.Distributor.Duplicate | Evidence.Distributor.Invalid -> ()))
+    Engine.schedule_in t.eng ~delay:(Auth.sign_cost t.auth) (fun _ ->
+      match
+        Evidence.Distributor.admit ~now:(Engine.now t.eng) n.dist t.auth r
+      with
+      | Evidence.Distributor.Fresh ->
+        apply_statement t n s;
+        flood_record t n r
+      | Evidence.Distributor.Duplicate | Evidence.Distributor.Invalid -> ())
   end
 
 let statement t (n : node) ~accused ~fault_class ~period ~detail =
@@ -530,10 +529,9 @@ let send_data t (n : node) ~flow ~period ~dst_node ~size ~to_checker value
     if Time.equal extra Time.zero then
       ignore (Net.send t.net ~src:n.id ~dst:dst_node ~cls:Net.Data ~size_bytes:size msg)
     else
-      ignore
-        (Engine.schedule_in t.eng ~delay:extra (fun _ ->
-             ignore
-               (Net.send t.net ~src:n.id ~dst:dst_node ~cls:Net.Data ~size_bytes:size msg)))
+      Engine.schedule_in t.eng ~delay:extra (fun _ ->
+        ignore
+          (Net.send t.net ~src:n.id ~dst:dst_node ~cls:Net.Data ~size_bytes:size msg))
   end
 
 (* Acknowledge a received input to the producer's checker so that
@@ -804,9 +802,8 @@ let on_receive t (n : node) (r : msg Net.recv) =
     | Ev record ->
       (* Validation costs CPU; the guard task's reservation covers it,
          and the latency is modelled here. *)
-      ignore
-        (Engine.schedule_in t.eng ~delay:(Auth.verify_cost t.auth) (fun _ ->
-             if n.running then receive_evidence t n ~src:r.Net.src record))
+      Engine.schedule_in t.eng ~delay:(Auth.verify_cost t.auth) (fun _ ->
+        if n.running then receive_evidence t n ~src:r.Net.src record)
     | State { task } -> Hashtbl.replace n.state_received task ()
 
 (* ------------------------------------------------------------------ *)
@@ -836,7 +833,7 @@ let slot_runs_of t (n : node) plan =
 let install_slots t (n : node) period =
   let base = Time.mul t.period_len period in
   Array.iter
-    (fun (finish, run) -> ignore (Engine.schedule t.eng ~at:(Time.add base finish) run))
+    (fun (finish, run) -> Engine.schedule t.eng ~at:(Time.add base finish) run)
     n.slot_runs
 
 let sweep_watchdog t (n : node) =
@@ -1016,10 +1013,9 @@ let run t ~horizon =
     t.by_id;
   List.iter
     (fun (ev : Fault.event) ->
-      ignore (Engine.schedule t.eng ~at:ev.Fault.at (fun _ -> apply_script_event t ev)))
+      Engine.schedule t.eng ~at:ev.Fault.at (fun _ -> apply_script_event t ev))
     t.script;
   for p = 0 to t.total_periods do
-    ignore
-      (Engine.schedule t.eng ~at:(Time.mul t.period_len p) (fun _ -> boundary t p))
+    Engine.schedule t.eng ~at:(Time.mul t.period_len p) (fun _ -> boundary t p)
   done;
   Engine.run ~until:horizon t.eng

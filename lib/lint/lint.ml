@@ -213,7 +213,7 @@ let fnv_entry path =
     | p -> p
   in
   match stripped with
-  | [ "Fnv"; ("hash" | "hash64" | "hash64_lines") ] -> true
+  | [ "Fnv"; ("hash" | "hash64" | "hash64_lines" | "fold_int" | "fold_string") ] -> true
   | _ -> false
 
 let classify path =

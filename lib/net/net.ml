@@ -54,6 +54,32 @@ type 'a recv = {
   hops : int;
 }
 
+(* A message in flight, scheduled hop by hop. [wake] is its only
+   callback; [phase] says what the next firing does. Flights are pooled
+   per network (see [take]), so a record and its [wake] are built once
+   and serve message after message; every field a send sets is
+   mutable. *)
+type phase =
+  | Arriving  (* the current hop's far end, [next], receives it *)
+  | Relaying  (* a relay's extra delay is over: [here] pushes the next hop *)
+  | Local  (* src = dst: delivered without touching a link *)
+
+type 'a flight = {
+  mutable f_src : node_id;
+  mutable f_dst : node_id;
+  mutable f_payload : 'a;
+      (* the last message's payload stays until the flight is reused *)
+  mutable f_size : int;
+  mutable f_cls : cls;
+  mutable f_sent_at : Time.t;
+  mutable phase : phase;
+  mutable here : node_id;  (* the node pushing the current hop *)
+  mutable next : node_id;  (* the node the current hop delivers to *)
+  mutable rest : Topology.hop list;  (* the hops after the current one *)
+  mutable hops : int;  (* hops completed *)
+  mutable wake : Engine.t -> unit;
+}
+
 (* The per-pair tables key on one {!Inttbl.pack}ed int, so a lookup
    hashes a machine word and allocates no tuple. [create] checks that
    every node and link id fits in [id_bits], one bit short of a packed
@@ -90,6 +116,9 @@ type 'a t = {
   data_bytes : Obs.Counter.t;
   control_bytes : Obs.Counter.t;
   by_sender : int Inttbl.t;  (* by [with_cls sender] *)
+  (* Free flights: [pool.(0 .. pooled - 1)]. *)
+  mutable pool : 'a flight array;
+  mutable pooled : int;
 }
 
 let create eng topo ?shares ?(residual_loss = 0.0) () =
@@ -134,6 +163,8 @@ let create eng topo ?shares ?(residual_loss = 0.0) () =
     data_bytes = Obs.Registry.counter reg Obs.Net "bytes.data";
     control_bytes = Obs.Registry.counter reg Obs.Net "bytes.control";
     by_sender = Inttbl.create 16;
+    pool = [||];
+    pooled = 0;
   }
 
 let topology t = t.topo
@@ -188,31 +219,24 @@ let relay_allows t node ~src ~dst ~cls =
 let relay_extra_delay t node =
   match Inttbl.find t.relay_delay node with d -> d | exception Not_found -> Time.zero
 
-(* A message in flight: one record per message, scheduled hop by hop.
-   [wake] is its only callback, built once; [phase] says what the next
-   firing does. *)
-type phase =
-  | Arriving  (* the current hop's far end, [next], receives it *)
-  | Relaying  (* a relay's extra delay is over: [here] pushes the next hop *)
-  | Local  (* src = dst: delivered without touching a link *)
+(* A flight has at most one event queued at a time, so once it is
+   delivered, lost or dropped nothing refers to it and it goes back to
+   the pool. *)
+let release t fl =
+  let n = t.pooled in
+  if n = Array.length t.pool then begin
+    let grown = Array.make (Stdlib.max 8 (2 * n)) fl in
+    Array.blit t.pool 0 grown 0 n;
+    t.pool <- grown
+  end;
+  t.pool.(n) <- fl;
+  t.pooled <- n + 1
 
-type 'a flight = {
-  f_src : node_id;
-  f_dst : node_id;
-  f_payload : 'a;
-  f_size : int;
-  f_cls : cls;
-  f_sent_at : Time.t;
-  mutable phase : phase;
-  mutable here : node_id;  (* the node pushing the current hop *)
-  mutable next : node_id;  (* the node the current hop delivers to *)
-  mutable rest : Topology.hop list;  (* the hops after the current one *)
-  mutable hops : int;  (* hops completed *)
-  mutable wake : Engine.t -> unit;
-}
-
+(* The recv is built before the flight is released, and the flight is
+   released before the handler runs, so a handler that sends reuses
+   it. *)
 let deliver_flight t fl =
-  deliver t
+  let msg =
     {
       src = fl.f_src;
       dst = fl.f_dst;
@@ -223,6 +247,9 @@ let deliver_flight t fl =
       delivered_at = Engine.now t.eng;
       hops = fl.hops;
     }
+  in
+  release t fl;
+  deliver t msg
 
 (* [fl.here] pushes the message onto the link of [h]: it queues behind
    the sender's earlier messages on that (link, class) slice, and
@@ -241,16 +268,17 @@ let push_hop t fl (h : Topology.hop) rest =
   fl.phase <- Arriving;
   fl.next <- h.next;
   fl.rest <- rest;
-  ignore (Engine.schedule t.eng ~at:(Time.add departure link.latency) fl.wake)
+  Engine.schedule t.eng ~at:(Time.add departure link.latency) fl.wake
 
 let arrive t fl =
   fl.hops <- fl.hops + 1;
   let nxt = fl.next in
-  if t.residual_loss > 0.0 && Rng.float t.loss_rng 1.0 < t.residual_loss then begin
+  if t.residual_loss > 0.0 && Rng.chance t.loss_rng t.residual_loss then begin
     Obs.Counter.incr t.lost;
     if Obs.enabled t.obs then
       Obs.emit t.obs ~at:(Engine.now t.eng) ~node:nxt Obs.Net
-        (Obs.Msg_lost { src = fl.f_src; dst = fl.f_dst; cls = cls_name fl.f_cls })
+        (Obs.Msg_lost { src = fl.f_src; dst = fl.f_dst; cls = cls_name fl.f_cls });
+    release t fl
   end
   else
     match fl.rest with
@@ -261,7 +289,8 @@ let arrive t fl =
         if Obs.enabled t.obs then
           Obs.emit t.obs ~at:(Engine.now t.eng) ~node:nxt Obs.Net
             (Obs.Relay_dropped
-               { relay = nxt; src = fl.f_src; dst = fl.f_dst; cls = cls_name fl.f_cls })
+               { relay = nxt; src = fl.f_src; dst = fl.f_dst; cls = cls_name fl.f_cls });
+        release t fl
       end
       else begin
         fl.here <- nxt;
@@ -269,7 +298,7 @@ let arrive t fl =
         if Time.equal extra Time.zero then push_hop t fl h rest
         else begin
           fl.phase <- Relaying;
-          ignore (Engine.schedule_in t.eng ~delay:extra fl.wake)
+          Engine.schedule_in t.eng ~delay:extra fl.wake
         end
       end
 
@@ -280,15 +309,9 @@ let wake t fl =
     match fl.rest with h :: rest -> push_hop t fl h rest | [] -> assert false)
   | Local -> deliver_flight t fl
 
-let send t ~src ~dst ~cls ~size_bytes payload =
-  match route t ~src ~dst with
-  | None -> false
-  | Some path ->
-    Obs.Counter.incr t.sent;
-    let sent_at = Engine.now t.eng in
-    if Obs.enabled t.obs then
-      Obs.emit t.obs ~at:sent_at ~node:src Obs.Net
-        (Obs.Msg_sent { src; dst; cls = cls_name cls; bytes = size_bytes });
+(* A pooled flight, or a new one with its [wake] closure. *)
+let take t ~src ~dst ~cls ~size_bytes ~sent_at payload path =
+  if t.pooled = 0 then begin
     let fl =
       {
         f_src = src;
@@ -306,10 +329,39 @@ let send t ~src ~dst ~cls ~size_bytes payload =
       }
     in
     fl.wake <- (fun _ -> wake t fl);
+    fl
+  end
+  else begin
+    t.pooled <- t.pooled - 1;
+    let fl = t.pool.(t.pooled) in
+    fl.f_src <- src;
+    fl.f_dst <- dst;
+    fl.f_payload <- payload;
+    fl.f_size <- size_bytes;
+    fl.f_cls <- cls;
+    fl.f_sent_at <- sent_at;
+    fl.phase <- Local;
+    fl.here <- src;
+    fl.next <- dst;
+    fl.rest <- path;
+    fl.hops <- 0;
+    fl
+  end
+
+let send t ~src ~dst ~cls ~size_bytes payload =
+  match route t ~src ~dst with
+  | None -> false
+  | Some path ->
+    Obs.Counter.incr t.sent;
+    let sent_at = Engine.now t.eng in
+    if Obs.enabled t.obs then
+      Obs.emit t.obs ~at:sent_at ~node:src Obs.Net
+        (Obs.Msg_sent { src; dst; cls = cls_name cls; bytes = size_bytes });
+    let fl = take t ~src ~dst ~cls ~size_bytes ~sent_at payload path in
     (match path with
     | [] ->
       (* Local delivery still goes through the event queue for ordering. *)
-      ignore (Engine.schedule_in t.eng ~delay:Time.zero fl.wake)
+      Engine.schedule_in t.eng ~delay:Time.zero fl.wake
     | h :: rest -> push_hop t fl h rest);
     true
 

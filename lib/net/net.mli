@@ -73,7 +73,12 @@ val send :
   'a t -> src:node_id -> dst:node_id -> cls:cls -> size_bytes:int -> 'a -> bool
 (** Queues a message; [false] when no route exists (after
     {!set_route_avoid}) or when src = dst handler is absent. Delivery is
-    asynchronous via the destination handler. *)
+    asynchronous via the destination handler.
+
+    A message in flight is a record from a per-network pool, recycled
+    once the message is delivered, lost or dropped by a relay, so a
+    warm send allocates only the {!recv} its handler is given. The
+    handler may keep that [recv], and may send from inside itself. *)
 
 val reserved_rate : 'a t -> Topology.link -> cls -> int
 (** Bytes/second each member owns on that link for that class:

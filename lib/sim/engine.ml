@@ -1,84 +1,54 @@
 open Btr_util
 module Obs = Btr_obs.Obs
 
-(* A handle carries the shared per-engine [counters] record rather than
-   the engine itself: [cancel] takes only a handle, and the static nil
-   values below must stay constructible, so [counters.env] smuggles in
-   the two things cancellation needs from the engine — the wheel (for
-   the O(1) unlink) and the obs counter — behind a constant
-   constructor. *)
-type handle = {
-  mutable alive : bool;
-  mutable fire : t -> unit;
-      (* the user's callback, stored directly — no wrapper closure, so
-         firing reads one fewer cache line and scheduling allocates
-         only the handle *)
-  mutable period : int;
-      (* -1 one-shot; else the engine re-arms every [period] µs. Native
-         rather than closed over: the re-arm state rides the handle
-         record the firing path has already loaded. *)
-  mutable cell : handle Twheel.cell;
-      (* the armed wheel cell; [nil_cell] when nothing is queued *)
-  ctrs : counters;
-}
-
-and counters = { mutable live : int; env : env }
-
-and env =
-  | Nil_env
-  | Env of { wheel : handle Twheel.t; c_cancelled : Obs.Counter.t }
-
-and t = {
+(* A queued event is one wheel cell whose payload is the callback
+   itself: a one-shot event has no record of its own, and its cell
+   comes from (and returns to) the wheel's pool, so scheduling one
+   allocates nothing once the pool is warm. Only a periodic event has
+   a handle: it carries the re-arm state and the armed cell, so that
+   [cancel] can unlink the cell in O(1). *)
+type t = {
   mutable clock : Time.t;
-  wheel : handle Twheel.t;
+  wheel : (t -> unit) Twheel.t;
   mutable processed : int;
-  ectrs : counters;
+  mutable live : int;
   rng : Rng.t;
   obs : Obs.t;
   c_scheduled : Obs.Counter.t;
   c_fired : Obs.Counter.t;
+  c_cancelled : Obs.Counter.t;
   c_pool : Obs.Counter.t;
   c_cells : Obs.Counter.t;
 }
 
-let nop _ = ()
+type handle = {
+  eng : t;
+  mutable alive : bool;
+  mutable cell : (t -> unit) Twheel.cell;
+      (* the armed wheel cell; [nil_cell] while the callback runs and
+         once the handle is cancelled *)
+}
 
-(* The knot the wheel's intrusive cells require: a detached sentinel
-   cell whose payload is a dead handle whose cell is the sentinel.
-   Shared by every engine — the wheel never mutates its nil, so this is
-   safe across campaign domains. *)
-let rec nil_handle =
-  {
-    alive = false;
-    fire = nop;
-    period = -1;
-    cell = nil_cell;
-    ctrs = { live = 0; env = Nil_env };
-  }
+let nop (_ : t) = ()
 
-and nil_cell =
-  {
-    Twheel.c_at = 0;
-    c_payload = nil_handle;
-    c_prev = nil_cell;
-    c_next = nil_cell;
-    c_lvl = -1;
-  }
+(* The wheel's detached sentinel. Shared by every engine: the wheel
+   never writes its nil, so this is safe across campaign domains. *)
+let rec nil_cell : (t -> unit) Twheel.cell =
+  { Twheel.c_at = 0; c_payload = nop; c_prev = nil_cell; c_next = nil_cell; c_lvl = -1 }
 
 let create ?(seed = 1) ?obs () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let counter name = Obs.Registry.counter (Obs.registry obs) Obs.Sim name in
-  let c_cancelled = counter "engine.cancelled" in
-  let wheel = Twheel.create ~nil:nil_cell () in
   {
     clock = Time.zero;
-    wheel;
+    wheel = Twheel.create ~nil:nil_cell ();
     processed = 0;
-    ectrs = { live = 0; env = Env { wheel; c_cancelled } };
+    live = 0;
     rng = Rng.create seed;
     obs;
     c_scheduled = counter "engine.scheduled";
     c_fired = counter "engine.fired";
+    c_cancelled = counter "engine.cancelled";
     c_pool = counter "engine.pool-reuse";
     c_cells = counter "engine.cells";
   }
@@ -87,31 +57,19 @@ let now t = t.clock
 let rng t = t.rng
 let obs t = t.obs
 
-let new_handle t =
-  {
-    alive = true;
-    fire = nop;
-    period = -1;
-    cell = nil_cell;
-    ctrs = t.ectrs;
-  }
-
-let push t ~at h =
+let push t ~at f =
   if Twheel.pool_ready t.wheel then Obs.Counter.incr t.c_pool
   else Obs.Counter.incr t.c_cells;
-  h.cell <- Twheel.add t.wheel ~at h;
-  t.ectrs.live <- t.ectrs.live + 1;
-  Obs.Counter.incr t.c_scheduled
+  t.live <- t.live + 1;
+  Obs.Counter.incr t.c_scheduled;
+  Twheel.add t.wheel ~at f
 
 let schedule t ~at f =
   if Time.compare at t.clock < 0 then
     invalid_arg
       (Printf.sprintf "Engine.schedule: at=%s is before now=%s"
          (Time.to_string at) (Time.to_string t.clock));
-  let h = new_handle t in
-  h.fire <- f;
-  push t ~at h;
-  h
+  ignore (push t ~at f : (t -> unit) Twheel.cell)
 
 let schedule_in t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule_in: negative delay";
@@ -122,50 +80,45 @@ let every t ~period ?start f =
   let start =
     match start with Some s -> s | None -> Time.add t.clock period
   in
+  let h = { eng = t; alive = true; cell = nil_cell } in
   (* One handle guards every firing, so cancelling it also voids the
-     firing already sitting in the queue. Re-arming is native (see
-     [rearm]): it allocates nothing — the freshly recycled cell is
-     reused — and touches no state off the handle record. *)
-  let h = new_handle t in
-  h.fire <- f;
-  h.period <- period;
-  push t ~at:start h;
+     firing already sitting in the queue. The re-arm comes one period
+     after this firing, once [f] has returned, so events [f] scheduled
+     for the same instant fire first; a handle cancelled from inside
+     [f] stays unarmed. Re-arming reuses the cell this firing just
+     recycled, so a steady periodic load allocates nothing. *)
+  let rec tick t =
+    let at = t.clock in
+    h.cell <- nil_cell;
+    f t;
+    if h.alive then h.cell <- push t ~at:(Time.add at period) tick
+  in
+  h.cell <- push t ~at:start tick;
   h
 
 let cancel h =
   if h.alive then begin
     h.alive <- false;
-    if h.cell != nil_cell then
-      match h.ctrs.env with
-      | Nil_env -> ()
-      | Env e ->
-        h.ctrs.live <- h.ctrs.live - 1;
-        Obs.Counter.incr e.c_cancelled;
-        ignore (Twheel.unlink e.wheel h.cell : bool);
-        h.cell <- nil_cell
+    if h.cell != nil_cell then begin
+      let t = h.eng in
+      t.live <- t.live - 1;
+      Obs.Counter.incr t.c_cancelled;
+      ignore (Twheel.unlink t.wheel h.cell : bool);
+      h.cell <- nil_cell
+    end
   end
 
-(* Periodic re-arm one period after the firing at [at], once the
-   callback has returned, so events the callback scheduled for the same
-   instant fire first. A handle cancelled from inside its own callback
-   stays unarmed. *)
-let rearm t h at =
-  if h.period >= 0 && h.alive then push t ~at:(Time.add at h.period) h
-
-(* Cancel unlinks cells eagerly, so a popped cell is always live.
-   Recycle before firing: a re-arm inside [h.fire] then reuses this
-   very cell. *)
-let fire_cell t (c : handle Twheel.cell) =
-  let h = c.Twheel.c_payload in
-  let at = c.Twheel.c_at in
-  h.cell <- nil_cell;
+(* Cancel unlinks cells eagerly, so a popped cell is always live. The
+   cell is recycled as soon as its fields are read: a callback that
+   schedules, or a periodic re-arm, then reuses this very cell. *)
+let fire_cell t (c : (t -> unit) Twheel.cell) =
+  let f = c.Twheel.c_payload in
+  t.clock <- c.Twheel.c_at;
   Twheel.recycle t.wheel c;
-  t.clock <- at;
-  t.ectrs.live <- t.ectrs.live - 1;
+  t.live <- t.live - 1;
   t.processed <- t.processed + 1;
   Obs.Counter.incr t.c_fired;
-  h.fire t;
-  rearm t h at
+  f t
 
 (* Fire the next event at or before [horizon]. *)
 let step_until t ~horizon =
@@ -181,11 +134,12 @@ let step t = step_until t ~horizon:Time.infinity
 let run ?(until = Time.infinity) t =
   if Obs.enabled t.obs then
     Obs.emit t.obs ~at:t.clock Obs.Sim (Obs.Run_started { until });
-  let rec loop () = if step_until t ~horizon:until then loop () in
-  loop ();
+  while step_until t ~horizon:until do
+    ()
+  done;
   if Obs.enabled t.obs then
     Obs.emit t.obs ~at:t.clock Obs.Sim
       (Obs.Run_finished { events = t.processed })
 
 let events_processed t = t.processed
-let pending t = t.ectrs.live
+let pending t = t.live

@@ -24,7 +24,9 @@ module Obs = Btr_obs.Obs
 type t
 
 type handle
-(** A scheduled event that can be cancelled before it fires. *)
+(** A periodic event ({!every}), which can be cancelled. One-shot events
+    have no handle and cannot be cancelled: a callback that may become
+    moot checks its own state when it fires. *)
 
 val create : ?seed:int -> ?obs:Obs.t -> unit -> t
 (** [create ~seed ()] makes an engine at time 0. Default seed is 1;
@@ -37,19 +39,21 @@ val obs : t -> Obs.t
 (** The engine's observability context (shared by all layers built on
     this engine). *)
 
-val schedule : t -> at:Time.t -> (t -> unit) -> handle
+val schedule : t -> at:Time.t -> (t -> unit) -> unit
 (** [schedule t ~at f] runs [f t] when simulated time reaches [at].
-    Raises [Invalid_argument] if [at] is in the past. *)
+    Raises [Invalid_argument] if [at] is in the past. The event is one
+    pooled wheel cell, recycled as soon as it fires, so once the pool
+    is warm scheduling allocates nothing beyond the closure [f]. *)
 
-val schedule_in : t -> delay:Time.t -> (t -> unit) -> handle
+val schedule_in : t -> delay:Time.t -> (t -> unit) -> unit
 (** [schedule_in t ~delay f] is [schedule t ~at:(now t + delay) f].
     Requires [delay >= 0]. *)
 
 val every : t -> period:Time.t -> ?start:Time.t -> (t -> unit) -> handle
 (** Periodic event, first firing at [start] (default: next period
-    boundary from now). Cancelling the handle stops future firings and
-    also voids the already-queued next firing ({!pending} reflects it
-    immediately). *)
+    boundary from now). The only event with a handle: cancelling it
+    stops future firings and also voids the already-queued next firing
+    ({!pending} reflects it immediately). *)
 
 val cancel : handle -> unit
 (** Idempotent; the cancelled event leaves the queue at once. *)

@@ -15,6 +15,18 @@ val hash64_lines : string list -> int64
     campaign artifact fingerprint ({!Btr_campaign.Campaign.fingerprint}
     renders it with {!to_hex}). *)
 
+val offset : int64
+(** The FNV-1a offset basis: the state before anything is folded in. *)
+
+val fold_int : int64 -> int -> int64
+(** [fold_int h n] continues FNV-1a state [h] over the 8 bytes of [n],
+    least significant first, with no decimal rendering in between. *)
+
+val fold_string : int64 -> string -> int64
+(** [fold_string h s] folds [String.length s] with {!fold_int}, then
+    the bytes of [s]: the length prefix keeps a sequence of folds
+    injective. *)
+
 val hash : string -> int
 (** {!hash64} truncated to a non-negative OCaml [int]; use for shard
     and bucket selection. *)

@@ -1,19 +1,28 @@
-type t = { mutable state : int64 }
+(* The state lives in 8 bytes rather than an [int64] field: a store to
+   a mutable [int64] field boxes the value, so every draw would
+   allocate; a bytes store takes the unboxed value. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state z =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 z;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = bits64 t }
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let split t = of_state (bits64 t)
 
 let int t n =
   assert (n > 0);
@@ -23,9 +32,11 @@ let int t n =
 
 let int_in t lo hi = lo + int t (hi - lo + 1)
 
-let float t x =
+let[@inline] float t x =
   let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   x *. (v /. 9007199254740992.0)
+
+let chance t p = float t 1.0 < p
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 

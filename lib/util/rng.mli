@@ -27,6 +27,11 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float rng x] is uniform in [0, x). *)
 
+val chance : t -> float -> bool
+(** [chance rng p] is [float rng 1.0 < p]: true with probability [p].
+    Unlike a comparison against {!float}'s result, it allocates no
+    boxed float. *)
+
 val bool : t -> bool
 
 val pick : t -> 'a array -> 'a

@@ -179,6 +179,16 @@ let take t ~at payload =
     }
   end
 
+(* Take a level-0 slot's cells from the tail so consing preserves
+   per-slot FIFO (I3). *)
+let rec grab t s acc =
+  let c = s.c_prev in
+  if c == s then acc
+  else begin
+    splice_out t c;
+    grab t s (c :: acc)
+  end
+
 (* An insert landed behind the cursor: move the cursor back to [at].
    Only level-0 cells can be popped without a boundary crossing, so
    only they must be re-placed exactly; higher-level cells may now sit
@@ -190,17 +200,7 @@ let take t ~at payload =
 let rewind t at =
   let moved = ref [] in
   for i = wsize - 1 downto 0 do
-    let s = t.slots.(i) in
-    (* Take from the tail so consing preserves per-slot FIFO (I3). *)
-    let rec grab acc =
-      let c = s.c_prev in
-      if c == s then acc
-      else begin
-        splice_out t c;
-        grab (c :: acc)
-      end
-    in
-    moved := grab !moved
+    moved := grab t t.slots.(i) !moved
   done;
   t.cur <- at;
   List.iter (fun c -> link t c) !moved
@@ -223,37 +223,47 @@ let next_boundary cur k =
    cells, so each re-link lands strictly below [lvl]; stale
    (post-rewind) cells may re-link upward instead. Either way never
    into the same slot, so the head-walk terminates. *)
+let rec cascade_slot t s =
+  let c = s.c_next in
+  if c != s then begin
+    splice_out t c;
+    link t c;
+    cascade_slot t s
+  end
+
 let cascade t lvl =
-  let s = t.slots.((lvl * wsize) + ((t.cur lsr (lvl * wbits)) land wmask)) in
-  let rec go () =
-    let c = s.c_next in
-    if c != s then begin
-      splice_out t c;
-      link t c;
-      go ()
-    end
-  in
-  go ()
+  cascade_slot t t.slots.((lvl * wsize) + ((t.cur lsr (lvl * wbits)) land wmask))
 
 (* The cursor entered a new top-level block: pull every overflow cell
    now within the wheels' span down into them, and recompute ov_min
-   exactly from what remains (I5). *)
+   exactly from what remains (I5); [m] is the least deadline left so
+   far. *)
+let rec rescan t s c m =
+  if c == s then m
+  else begin
+    let nxt = c.c_next in
+    if c.c_at lxor t.cur <= span_mask then begin
+      splice_out t c;
+      link t c;
+      rescan t s nxt m
+    end
+    else rescan t s nxt (if c.c_at < m then c.c_at else m)
+  end
+
 let rescan_overflow t =
   let s = t.slots.(levels * wsize) in
-  let m = ref max_int in
-  let rec go c =
-    if c != s then begin
-      let nxt = c.c_next in
-      if c.c_at lxor t.cur <= span_mask then begin
-        splice_out t c;
-        link t c
-      end
-      else if c.c_at < !m then m := c.c_at;
-      go nxt
-    end
-  in
-  go s.c_next;
-  t.ov_min <- !m
+  t.ov_min <- rescan t s s.c_next max_int
+
+(* Index of the lowest set bit of [b] <> 0, counting from [k]. *)
+let rec ctz b k = if b land 1 = 1 then k else ctz (b lsr 1) (k + 1)
+
+(* The first occupied level-0 slot at or after bitmap word [w], as a
+   time in the window starting at [base]; the next window's start when
+   there is none. *)
+let rec first_occupied t base w =
+  if w >= l0_words then next_boundary base wbits
+  else if t.l0_bits.(w) <> 0 then base lor ((w lsl 5) + ctz t.l0_bits.(w) 0)
+  else first_occupied t base (w + 1)
 
 (* One cursor hop toward the next cell, never past [horizon].
    Preconditions: total > 0, cur < horizon, current level-0 slot empty.
@@ -268,20 +278,11 @@ let advance t horizon =
          scan (I6). *)
       let base = cur land lnot wmask in
       let i = (cur land wmask) + 1 in
-      let ctz b =
-        let rec go b k = if b land 1 = 1 then k else go (b lsr 1) (k + 1) in
-        go b 0
-      in
-      let rec words w =
-        if w >= l0_words then next_boundary cur wbits
-        else if t.l0_bits.(w) <> 0 then
-          base lor ((w lsl 5) + ctz t.l0_bits.(w))
-        else words (w + 1)
-      in
       if i >= wsize then next_boundary cur wbits
       else begin
         let first = t.l0_bits.(i lsr 5) lsr (i land 31) in
-        if first <> 0 then base lor (i + ctz first) else words ((i lsr 5) + 1)
+        if first <> 0 then base lor (i + ctz first 0)
+        else first_occupied t base ((i lsr 5) + 1)
       end
     end
     else if t.counts.(1) > 0 then next_boundary cur wbits
@@ -302,23 +303,20 @@ let advance t horizon =
   if target land span_mask = 0 then rescan_overflow t;
   if target land wmask = 0 then cascade t 1
 
-let pop_at_most t ~horizon =
-  let rec seek () =
-    if t.total = 0 then t.nil
-    else begin
-      let s = t.slots.(t.cur land wmask) in
-      let c = s.c_next in
-      if c != s then
-        if t.cur <= horizon then begin
-          splice_out t c;
-          c
-        end
-        else t.nil
-      else if t.cur >= horizon then t.nil
-      else begin
-        advance t horizon;
-        seek ()
+let rec pop_at_most t ~horizon =
+  if t.total = 0 then t.nil
+  else begin
+    let s = t.slots.(t.cur land wmask) in
+    let c = s.c_next in
+    if c != s then
+      if t.cur <= horizon then begin
+        splice_out t c;
+        c
       end
+      else t.nil
+    else if t.cur >= horizon then t.nil
+    else begin
+      advance t horizon;
+      pop_at_most t ~horizon
     end
-  in
-  seek ()
+  end

@@ -41,9 +41,9 @@ type 'a cell = {
           unlinked. Treat every field except [c_at] and [c_payload]
           as private to the wheel. *)
 }
-(** Exposed concretely so callers can tie the knot: a recursive
-    [let rec] between a nil cell and a nil payload needs the record
-    constructor (see the engine's [nil_cell]/[nil_handle] pair). *)
+(** Exposed concretely so callers can build the nil cell: a [let rec]
+    cell that links to itself needs the record constructor (see the
+    engine's [nil_cell]). *)
 
 type 'a t
 

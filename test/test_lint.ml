@@ -185,6 +185,9 @@ let test_inttbl_variants () =
   check_bool "Inttbl fold inside Fnv is L005 too" true
     (rules "let fp h = Fnv.hash64_lines (Inttbl.fold (fun _ v a -> v :: a) h [])"
     = [ Lint.Hashtbl_order; Lint.Fingerprint_order ]);
+  check_bool "Inttbl fold inside an Fnv fold is L005 too" true
+    (rules "let fp h = Fnv.fold_int Fnv.offset (Inttbl.fold (fun _ v a -> v + a) h 0)"
+    = [ Lint.Hashtbl_order; Lint.Fingerprint_order ]);
   check_bool "suppressed like Hashtbl" true
     (rules "let f h g = Inttbl.iter g h (* btr-lint: allow hashtbl-order *)\n" = []);
   check_bool "sorted_keys is quiet" true

@@ -256,6 +256,61 @@ let test_residual_loss () =
   check_bool "lossy link drops" false !got;
   check_int "loss counted" 1 (Net.stats net).Net.messages_lost
 
+(* Minor words per message of a warm network: [once] sends one message
+   and runs the engine until it is delivered, lost or dropped. Every
+   event lands on a multiple of 32 µs (a hop is 20 µs of serialization
+   plus 12 of latency), so after the first 8192-µs window the wheel's
+   level-0 slots all exist, and the 50 measured messages stay inside
+   the next window, so they need no new level-1 slot either. *)
+let words_per_message ?residual_loss ?(setup = ignore) topo ~src ~dst =
+  let e = Engine.create () in
+  let net = Net.create e topo ?residual_loss () in
+  setup net;
+  let got = ref 0 in
+  Net.set_handler net dst (fun _ -> incr got);
+  let once () =
+    ignore (Net.send net ~src ~dst ~cls:Net.Data ~size_bytes:8 ());
+    Engine.run e
+  in
+  while Engine.now e < Time.us 8192 do
+    once ()
+  done;
+  let n = 50 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    once ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* A flight and its [wake] are pooled and the engine's one-shot events
+   allocate nothing, so a message costs at most the recv record its
+   handler is given (8 fields, 9 words), on every path: one hop, a lossy
+   link, a relay that drops and a relay that delays. The loss draw
+   allocates nothing either ({!Rng.chance}). *)
+let test_send_allocation () =
+  let hop = Time.us 12 and bandwidth_bps = 1_000_000 in
+  let clique = Topology.fully_connected ~n:2 ~bandwidth_bps ~latency:hop in
+  let ring = Topology.ring ~n:4 ~bandwidth_bps ~latency:hop in
+  let drop net =
+    Net.set_relay_policy net 1 (fun ~src:_ ~dst:_ ~cls:_ -> false);
+    Net.set_relay_policy net 3 (fun ~src:_ ~dst:_ ~cls:_ -> false)
+  in
+  let delay net =
+    Net.set_relay_delay net 1 (Time.us 32);
+    Net.set_relay_delay net 3 (Time.us 32)
+  in
+  List.iter
+    (fun (what, w) ->
+      if w > 9.0 then
+        Alcotest.failf "%s: a warm send allocates %.2f words per message (> 9)" what w)
+    [
+      ("one hop", words_per_message clique ~src:0 ~dst:1);
+      ("half lost", words_per_message ~residual_loss:0.5 clique ~src:0 ~dst:1);
+      ("all lost", words_per_message ~residual_loss:1.0 clique ~src:0 ~dst:1);
+      ("relay drop", words_per_message ~setup:drop ring ~src:0 ~dst:2);
+      ("relay delay", words_per_message ~setup:delay ring ~src:0 ~dst:2);
+    ]
+
 let prop_clique_routes_exist =
   QCheck.Test.make ~name:"every pair routes in a clique with <= 1 hop" ~count:50
     QCheck.(pair (int_range 2 10) (pair (int_bound 9) (int_bound 9)))
@@ -488,6 +543,7 @@ let suite =
     ("transfer_time predicts delivery", `Quick, test_transfer_time_matches_delivery);
     ("statistics and bandwidth accounting", `Quick, test_stats_and_accounting);
     ("residual loss drops messages", `Quick, test_residual_loss);
+    ("a warm send allocates at most its recv", `Quick, test_send_allocation);
     QCheck_alcotest.to_alcotest prop_clique_routes_exist;
     QCheck_alcotest.to_alcotest prop_ring_route_is_shortest;
     ("route cache follows the avoid list", `Quick, test_route_cache_follows_avoid);

@@ -8,9 +8,9 @@ let test_schedule_order () =
   let e = Engine.create () in
   let order = ref [] in
   let note tag _ = order := tag :: !order in
-  ignore (Engine.schedule e ~at:(Time.ms 5) (note "b"));
-  ignore (Engine.schedule e ~at:(Time.ms 1) (note "a"));
-  ignore (Engine.schedule e ~at:(Time.ms 9) (note "c"));
+  Engine.schedule e ~at:(Time.ms 5) (note "b");
+  Engine.schedule e ~at:(Time.ms 1) (note "a");
+  Engine.schedule e ~at:(Time.ms 9) (note "c");
   Engine.run e;
   Alcotest.(check (list string)) "fires in time order" [ "a"; "b"; "c" ]
     (List.rev !order)
@@ -19,9 +19,9 @@ let test_fifo_at_same_time () =
   let e = Engine.create () in
   let order = ref [] in
   let note tag _ = order := tag :: !order in
-  ignore (Engine.schedule e ~at:(Time.ms 1) (note "first"));
-  ignore (Engine.schedule e ~at:(Time.ms 1) (note "second"));
-  ignore (Engine.schedule e ~at:(Time.ms 1) (note "third"));
+  Engine.schedule e ~at:(Time.ms 1) (note "first");
+  Engine.schedule e ~at:(Time.ms 1) (note "second");
+  Engine.schedule e ~at:(Time.ms 1) (note "third");
   Engine.run e;
   Alcotest.(check (list string)) "insertion order breaks ties"
     [ "first"; "second"; "third" ] (List.rev !order)
@@ -29,23 +29,25 @@ let test_fifo_at_same_time () =
 let test_clock_advances () =
   let e = Engine.create () in
   let seen = ref Time.zero in
-  ignore (Engine.schedule e ~at:(Time.ms 3) (fun e -> seen := Engine.now e));
+  Engine.schedule e ~at:(Time.ms 3) (fun e -> seen := Engine.now e);
   Engine.run e;
   check_int "clock at event time" (Time.ms 3) !seen;
   check_int "clock stays" (Time.ms 3) (Engine.now e)
 
 let test_schedule_in_past_rejected () =
   let e = Engine.create () in
-  ignore (Engine.schedule e ~at:(Time.ms 5) (fun _ -> ()));
+  Engine.schedule e ~at:(Time.ms 5) (fun _ -> ());
   Engine.run e;
   Alcotest.check_raises "past schedule"
     (Invalid_argument "Engine.schedule: at=1ms is before now=5ms") (fun () ->
-      ignore (Engine.schedule e ~at:(Time.ms 1) (fun _ -> ())))
+      Engine.schedule e ~at:(Time.ms 1) (fun _ -> ()))
 
+(* Only periodic events have handles: one cancelled before its first
+   firing never fires. *)
 let test_cancel () =
   let e = Engine.create () in
   let fired = ref false in
-  let h = Engine.schedule e ~at:(Time.ms 2) (fun _ -> fired := true) in
+  let h = Engine.every e ~period:(Time.ms 2) (fun _ -> fired := true) in
   Engine.cancel h;
   Engine.run e;
   check_bool "cancelled event skipped" false !fired;
@@ -55,7 +57,7 @@ let test_run_until () =
   let e = Engine.create () in
   let count = ref 0 in
   List.iter
-    (fun t -> ignore (Engine.schedule e ~at:t (fun _ -> incr count)))
+    (fun t -> Engine.schedule e ~at:t (fun _ -> incr count))
     [ Time.ms 1; Time.ms 2; Time.ms 3 ];
   Engine.run ~until:(Time.ms 2) e;
   check_int "only events <= until" 2 !count;
@@ -67,7 +69,7 @@ let test_periodic () =
   let e = Engine.create () in
   let times = ref [] in
   let h = Engine.every e ~period:(Time.ms 10) (fun e -> times := Engine.now e :: !times) in
-  ignore (Engine.schedule e ~at:(Time.ms 35) (fun _ -> Engine.cancel h));
+  Engine.schedule e ~at:(Time.ms 35) (fun _ -> Engine.cancel h);
   Engine.run ~until:(Time.ms 100) e;
   Alcotest.(check (list int)) "fires each period until cancelled"
     [ Time.ms 10; Time.ms 20; Time.ms 30 ] (List.rev !times)
@@ -85,11 +87,8 @@ let test_periodic_start () =
 let test_nested_scheduling () =
   let e = Engine.create () in
   let hits = ref [] in
-  ignore
-    (Engine.schedule e ~at:(Time.ms 1) (fun e ->
-         ignore
-           (Engine.schedule_in e ~delay:(Time.ms 4) (fun e ->
-                hits := Engine.now e :: !hits))));
+  Engine.schedule e ~at:(Time.ms 1) (fun e ->
+      Engine.schedule_in e ~delay:(Time.ms 4) (fun e -> hits := Engine.now e :: !hits));
   Engine.run e;
   Alcotest.(check (list int)) "event scheduled from event" [ Time.ms 5 ] !hits
 
@@ -99,9 +98,7 @@ let test_determinism () =
     let log = ref [] in
     for i = 1 to 50 do
       let delay = Time.us (Rng.int (Engine.rng e) 10_000) in
-      ignore
-        (Engine.schedule e ~at:delay (fun e ->
-             log := (i, Engine.now e) :: !log))
+      Engine.schedule e ~at:delay (fun e -> log := (i, Engine.now e) :: !log)
     done;
     Engine.run e;
     !log
@@ -111,7 +108,7 @@ let test_determinism () =
 let test_obs_run_events () =
   let obs = Btr_obs.Obs.with_memory () in
   let e = Engine.create ~obs () in
-  ignore (Engine.schedule e ~at:(Time.ms 1) (fun _ -> ()));
+  Engine.schedule e ~at:(Time.ms 1) (fun _ -> ());
   Engine.run ~until:(Time.ms 2) e;
   match Btr_obs.Obs.events obs with
   | [ started; finished ] ->
@@ -127,7 +124,7 @@ let test_obs_default_disabled () =
   let e = Engine.create () in
   check_bool "default context records nothing" false
     (Btr_obs.Obs.enabled (Engine.obs e));
-  ignore (Engine.schedule e ~at:(Time.ms 1) (fun _ -> ()));
+  Engine.schedule e ~at:(Time.ms 1) (fun _ -> ());
   Engine.run e;
   check_int "no events retained" 0
     (List.length (Btr_obs.Obs.events (Engine.obs e)))
@@ -137,7 +134,7 @@ let test_obs_default_disabled () =
 let test_periodic_cancel_drops_pending () =
   let e = Engine.create () in
   let h = Engine.every e ~period:(Time.ms 10) (fun _ -> ()) in
-  ignore (Engine.schedule e ~at:(Time.ms 15) (fun _ -> Engine.cancel h));
+  Engine.schedule e ~at:(Time.ms 15) (fun _ -> Engine.cancel h);
   Engine.run ~until:(Time.ms 15) e;
   check_int "armed firing no longer pending" 0 (Engine.pending e)
 
@@ -164,11 +161,35 @@ let test_pending_exact_under_cancel_storm () =
   check_int "cancel is idempotent" (n / 4) (Engine.pending e);
   Engine.run ~until:(Time.ms 50) e;
   check_int "survivors re-arm exactly one firing each" (n / 4) (Engine.pending e);
-  ignore
-    (Engine.schedule e ~at:(Time.ms 60) (fun _ -> Array.iter Engine.cancel hs));
+  Engine.schedule e ~at:(Time.ms 60) (fun _ -> Array.iter Engine.cancel hs);
   Engine.run ~until:(Time.ms 70) e;
   check_int "mid-run mass cancel drains pending to zero" 0 (Engine.pending e);
   check_bool "cancelled backlog never fires" true (Engine.events_processed e > 0)
+
+(* A one-shot event is one pooled wheel cell and nothing else: once the
+   pool and the wheel's slot sentinels are warm (a full 8192-µs level-0
+   window), scheduling one and firing it allocates nothing. The
+   callback is allocated once, outside the measured loop. *)
+let test_oneshot_allocates_nothing () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let cb _ = incr fired in
+  let once () =
+    Engine.schedule_in e ~delay:1 cb;
+    Engine.run e
+  in
+  for _ = 1 to 8192 do
+    once ()
+  done;
+  let n = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    once ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "every event fired" (8192 + n) !fired;
+  if words > 0.0 then
+    Alcotest.failf "%d warm one-shot events allocated %.0f minor words (> 0)" n words
 
 let prop_events_fire_in_order =
   QCheck.Test.make ~name:"random events always fire in nondecreasing time order"
@@ -179,7 +200,7 @@ let prop_events_fire_in_order =
       let fired = ref [] in
       List.iter
         (fun d ->
-          ignore (Engine.schedule e ~at:d (fun e -> fired := Engine.now e :: !fired)))
+          Engine.schedule e ~at:d (fun e -> fired := Engine.now e :: !fired))
         delays;
       Engine.run e;
       let ts = List.rev !fired in
@@ -204,5 +225,6 @@ let suite =
     ( "pending exact under cancel storm (wheel)",
       `Quick,
       test_pending_exact_under_cancel_storm );
+    ("a warm one-shot event allocates nothing", `Quick, test_oneshot_allocates_nothing);
     QCheck_alcotest.to_alcotest prop_events_fire_in_order;
   ]

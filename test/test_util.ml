@@ -60,6 +60,15 @@ let test_rng_bounds () =
     check_bool "float in [0,2)" true (f >= 0.0 && f < 2.0)
   done
 
+let test_rng_chance () =
+  let a = Rng.create 5 and b = Rng.create 5 in
+  List.iter
+    (fun p ->
+      for _ = 1 to 200 do
+        check_bool "chance p = float 1.0 < p" (Rng.float a 1.0 < p) (Rng.chance b p)
+      done)
+    [ 0.0; 0.25; 0.5; 1.0 ]
+
 let test_rng_sample () =
   let r = Rng.create 11 in
   let s = Rng.sample r 3 [ 1; 2; 3; 4; 5 ] in
@@ -113,6 +122,7 @@ let suite =
     ("rng split independent", `Quick, test_rng_split_independent);
     ("rng bounds", `Quick, test_rng_bounds);
     ("rng sample", `Quick, test_rng_sample);
+    ("rng chance draws as float does", `Quick, test_rng_chance);
     ("stats summary", `Quick, test_stats_summary);
     ("stats percentile", `Quick, test_stats_percentile);
     ("table render", `Quick, test_table_render);

@@ -41,7 +41,7 @@ module type ENGINE = sig
 
   val create : unit -> t
   val now : t -> Time.t
-  val schedule : t -> at:Time.t -> (t -> unit) -> handle
+  val schedule : t -> at:Time.t -> (t -> unit) -> unit
   val every : t -> period:Time.t -> ?start:Time.t -> (t -> unit) -> handle
   val cancel : handle -> unit
   val step : t -> bool
@@ -106,7 +106,7 @@ module Model : ENGINE = struct
 
   let schedule m ~at f =
     if at < m.clock then invalid_arg "Model.schedule: in the past";
-    arm m ~period:(-1) ~at f
+    ignore (arm m ~period:(-1) ~at f : handle)
 
   let every m ~period ?start f =
     arm m ~period ~at:(Option.value start ~default:(Time.add m.clock period)) f
@@ -149,7 +149,7 @@ type op =
   | Burst of int * int  (* k one-shots at the same now + offset *)
   | Far of int  (* one-shot at now + 2^40 + offset: overflow level *)
   | Periodic of int * int  (* period, start = now + offset *)
-  | Cancel of int  (* cancel the (i mod created)-th handle *)
+  | Cancel of int  (* cancel the (i mod created)-th periodic handle *)
   | Drain of int  (* run ~until:(now + d) *)
   | Step
   | Drain_all  (* run ~until:(now + 50ms): drains every one-shot *)
@@ -174,6 +174,8 @@ type ev =
 let run_script (module E : ENGINE) ops =
   let e = E.create () in
   let trace = ref [] in
+  (* the handles of every [Periodic] so far, newest first: the only
+     events [Cancel] can reach *)
   let hs = ref [] in
   let nhs = ref 0 in
   let fresh = ref 0 in
@@ -190,15 +192,15 @@ let run_script (module E : ENGINE) ops =
   let apply = function
     | Schedule off ->
       let at = Time.add (E.now e) off in
-      note (E.schedule e ~at (cb (next_id ())))
+      E.schedule e ~at (cb (next_id ()))
     | Burst (k, off) ->
       let at = Time.add (E.now e) off in
       for _ = 1 to k do
-        note (E.schedule e ~at (cb (next_id ())))
+        E.schedule e ~at (cb (next_id ()))
       done
     | Far off ->
       let at = Time.add (E.now e) ((1 lsl 40) + off) in
-      note (E.schedule e ~at (cb (next_id ())))
+      E.schedule e ~at (cb (next_id ()))
     | Periodic (period, s) ->
       let start = Time.add (E.now e) s in
       note (E.every e ~period ~start (cb (next_id ())))
@@ -260,16 +262,24 @@ let test_same_us_bursts () =
       Drain_all;
     ]
 
+(* Only periodic events have handles. The first handle fires, then is
+   cancelled three times: the first cancel voids its re-armed firing,
+   the other two are inert. The third handle is cancelled before its
+   first firing; the second keeps firing. *)
 let test_cancel_after_fired () =
   diff_check "cancelling an already-fired handle is inert"
     [
-      Schedule 10;
+      Periodic (10_000, 10);
       Drain 100;
       Cancel 0;
       Cancel 0;
+      Periodic (10_000, 5);
       Schedule 5;
       Drain 100;
       Cancel 1;
+      Periodic (10_000, 50);
+      Cancel 0;
+      Schedule 50;
       Drain_all;
     ]
 
@@ -300,28 +310,33 @@ let test_rewind_after_horizon () =
       Drain_all;
     ]
 
+(* Thirteen periodic handles, four of them cancelled before their
+   first firing (Cancel 13 wraps to handle 0), two more once the
+   survivors have fired, among one-shot bursts at the same instants. *)
 let test_cancel_storm_differential () =
+  let periodics k = List.init k (fun _ -> Periodic (400, 500)) in
   diff_check "mass cancellation"
-    [
-      Burst (7, 500);
-      Periodic (250, 100);
-      Burst (7, 500);
-      Cancel 3;
-      Cancel 5;
-      Cancel 8;
-      Cancel 13;
-      Drain 2_000;
-      Cancel 0;
-      Cancel 1;
-      Drain_all;
-    ]
+    ([ Burst (7, 500); Periodic (250, 100) ]
+    @ periodics 6
+    @ [ Burst (7, 500) ]
+    @ periodics 6
+    @ [
+        Cancel 3;
+        Cancel 5;
+        Cancel 8;
+        Cancel 13;
+        Drain 2_000;
+        Cancel 0;
+        Cancel 1;
+        Drain_all;
+      ])
 
 let test_schedule_at_infinity () =
   let run (module E : ENGINE) =
     let e = E.create () in
     let fired = ref [] in
-    ignore (E.schedule e ~at:Time.infinity (fun e -> fired := E.now e :: !fired));
-    ignore (E.schedule e ~at:(Time.ms 1) (fun e -> fired := E.now e :: !fired));
+    E.schedule e ~at:Time.infinity (fun e -> fired := E.now e :: !fired);
+    E.schedule e ~at:(Time.ms 1) (fun e -> fired := E.now e :: !fired);
     E.run e;
     (List.rev !fired, E.now e, E.pending e)
   in
@@ -366,13 +381,12 @@ let test_million_event_drain () =
   let last = ref (-1) in
   let mono = ref true in
   for i = 1 to n do
-    ignore
-      (Engine.schedule e
+    Engine.schedule e
          ~at:(i * 7919 mod 1_000_003)
          (fun e ->
            incr fired;
            if Engine.now e < !last then mono := false;
-           last := Engine.now e))
+           last := Engine.now e)
   done;
   check_int "1M pending" n (Engine.pending e);
   Engine.run e;
@@ -388,10 +402,9 @@ let test_deep_differential_drain () =
     let e = E.create () in
     let acc = ref 0 in
     for i = 1 to n do
-      ignore
-        (E.schedule e
+      E.schedule e
            ~at:(i * 7919 mod 100_003)
-           (fun e -> acc := (!acc * 31) + E.now e))
+           (fun e -> acc := (!acc * 31) + E.now e)
     done;
     E.run e;
     (!acc, E.events_processed e, E.now e)
@@ -421,7 +434,10 @@ let test_periodic_steady_state_allocates_nothing () =
 let test_cancelled_fraction_leaves_no_residue () =
   let n = 10_000 in
   let e = Engine.create () in
-  let hs = Array.init n (fun i -> Engine.schedule e ~at:(i + 1) (fun _ -> ())) in
+  (* periodic handles, cancelled before their first firing; the period
+     outlasts the run, so a survivor fires once and re-arms once *)
+  let period = 1 lsl 40 in
+  let hs = Array.init n (fun i -> Engine.every e ~period ~start:(i + 1) (fun _ -> ())) in
   check_int "one fresh cell per event" n (engine_counter e "cells");
   for i = 0 to n - 1 do
     if i mod 10 <> 0 then Engine.cancel hs.(i)
@@ -430,16 +446,48 @@ let test_cancelled_fraction_leaves_no_residue () =
   check_int "live count drops" (n / 10) (Engine.pending e);
   check_int "voided firings counted" cancelled (engine_counter e "cancelled");
   for i = 1 to cancelled do
-    ignore (Engine.schedule e ~at:(n + i) (fun _ -> ()))
+    Engine.schedule e ~at:(n + i) (fun _ -> ())
   done;
   check_int "cancelled cells went straight back to the pool" n
     (engine_counter e "cells");
   check_int "every reschedule reused a cancelled cell" cancelled
     (engine_counter e "pool-reuse");
-  Engine.run e;
+  Engine.run ~until:(n + cancelled) e;
   check_int "only live events fired" (n / 10 + cancelled)
     (Engine.events_processed e);
+  check_int "survivors re-armed" (n / 10) (Engine.pending e);
+  Array.iter Engine.cancel hs;
   check_int "drained" 0 (Engine.pending e)
+
+(* The cell of a firing event is recycled before its callback runs, so
+   a callback that schedules at its own instant takes that very cell
+   back. Such events must fire after every event already queued for
+   the instant (including the other callbacks' re-schedules, in the
+   order those were made), and chained re-schedules at one instant run
+   to completion before time moves on. *)
+let test_reschedule_at_own_instant () =
+  let run (module E : ENGINE) =
+    let e = E.create () in
+    let log = ref [] in
+    let rec chain id k eng =
+      log := (id, k, E.now eng) :: !log;
+      if k > 0 then E.schedule eng ~at:(E.now eng) (chain id (k - 1))
+    in
+    for id = 0 to 3 do
+      E.schedule e ~at:(Time.us 10) (chain id 2)
+    done;
+    E.schedule e ~at:(Time.us 11) (chain 4 1);
+    ignore (E.every e ~period:(Time.us 5) ~start:(Time.us 10) (chain 5 1) : E.handle);
+    E.run ~until:(Time.us 20) e;
+    (List.rev !log, E.pending e, E.counters e)
+  in
+  let w = run (module Wheel) in
+  check_bool "same-instant re-schedules match the model" true (w = run (module Model));
+  let log, _, _ = w in
+  Alcotest.(check (list (triple int int int)))
+    "first round in insertion order, then the re-schedules"
+    [ (0, 2, 10); (1, 2, 10); (2, 2, 10); (3, 2, 10); (5, 1, 10) ]
+    (List.filteri (fun i _ -> i < 5) log)
 
 (* {1 End-to-end bytes} *)
 
@@ -485,6 +533,7 @@ let suite =
     ( "cancelled events leave no residue",
       `Quick,
       test_cancelled_fraction_leaves_no_residue );
+    ("re-schedule at the firing instant", `Quick, test_reschedule_at_own_instant);
     ("campaign fingerprint pinned", `Quick, test_campaign_fingerprint_pinned);
     ( "scenario engine counters reconcile",
       `Quick,

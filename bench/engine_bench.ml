@@ -33,15 +33,8 @@ type row = { events : int; dt : float; cells : int; pooled : int; words : float 
 
 (* Time [f], which runs engine [e] from creation, and count its minor
    words per event fired; the cell counters cover the engine's whole
-   life. Every row
-   starts from a settled heap: a steady-state run allocates nothing, so
-   the collector stays in whatever phase the row's setup left it, and
-   while a major cycle marks, each pointer write in the wheel pays the
-   marking write barrier. Without this, a deep row (whose setup starts
-   a cycle) and a shallow one (whose setup does not) would differ by
-   the collector's phase, not by the queue's depth. *)
+   life. *)
 let measure e f =
-  Gc.full_major ();
   let w0 = Gc.minor_words () in
   let t0 = now () in
   f ();

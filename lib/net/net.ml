@@ -309,44 +309,47 @@ let wake t fl =
     match fl.rest with h :: rest -> push_hop t fl h rest | [] -> assert false)
   | Local -> deliver_flight t fl
 
-(* A pooled flight, or a new one with its [wake] closure. *)
+(* A flight for one send: a pooled one, or a new one with its [wake]
+   closure, whose placeholder fields the reset below overwrites. *)
 let take t ~src ~dst ~cls ~size_bytes ~sent_at payload path =
-  if t.pooled = 0 then begin
-    let fl =
-      {
-        f_src = src;
-        f_dst = dst;
-        f_payload = payload;
-        f_size = size_bytes;
-        f_cls = cls;
-        f_sent_at = sent_at;
-        phase = Local;
-        here = src;
-        next = dst;
-        rest = path;
-        hops = 0;
-        wake = ignore;
-      }
-    in
-    fl.wake <- (fun _ -> wake t fl);
-    fl
-  end
-  else begin
-    t.pooled <- t.pooled - 1;
-    let fl = t.pool.(t.pooled) in
-    fl.f_src <- src;
-    fl.f_dst <- dst;
-    fl.f_payload <- payload;
-    fl.f_size <- size_bytes;
-    fl.f_cls <- cls;
-    fl.f_sent_at <- sent_at;
-    fl.phase <- Local;
-    fl.here <- src;
-    fl.next <- dst;
-    fl.rest <- path;
-    fl.hops <- 0;
-    fl
-  end
+  let fl =
+    if t.pooled > 0 then begin
+      t.pooled <- t.pooled - 1;
+      t.pool.(t.pooled)
+    end
+    else begin
+      let fl =
+        {
+          f_src = src;
+          f_dst = dst;
+          f_payload = payload;
+          f_size = 0;
+          f_cls = cls;
+          f_sent_at = sent_at;
+          phase = Local;
+          here = src;
+          next = dst;
+          rest = [];
+          hops = 0;
+          wake = ignore;
+        }
+      in
+      fl.wake <- (fun _ -> wake t fl);
+      fl
+    end
+  in
+  fl.f_src <- src;
+  fl.f_dst <- dst;
+  fl.f_payload <- payload;
+  fl.f_size <- size_bytes;
+  fl.f_cls <- cls;
+  fl.f_sent_at <- sent_at;
+  fl.phase <- Local;
+  fl.here <- src;
+  fl.next <- dst;
+  fl.rest <- path;
+  fl.hops <- 0;
+  fl
 
 let send t ~src ~dst ~cls ~size_bytes payload =
   match route t ~src ~dst with

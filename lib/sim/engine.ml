@@ -24,9 +24,8 @@ type t = {
 type handle = {
   eng : t;
   mutable alive : bool;
+  mutable armed : bool; (* [cell] is linked: false while the callback runs *)
   mutable cell : (t -> unit) Twheel.cell;
-      (* the armed wheel cell; [nil_cell] while the callback runs and
-         once the handle is cancelled *)
 }
 
 let nop (_ : t) = ()
@@ -80,18 +79,25 @@ let every t ~period ?start f =
   let start =
     match start with Some s -> s | None -> Time.add t.clock period
   in
-  let h = { eng = t; alive = true; cell = nil_cell } in
+  let h = { eng = t; alive = true; armed = true; cell = nil_cell } in
   (* One handle guards every firing, so cancelling it also voids the
      firing already sitting in the queue. The re-arm comes one period
      after this firing, once [f] has returned, so events [f] scheduled
      for the same instant fire first; a handle cancelled from inside
      [f] stays unarmed. Re-arming reuses the cell this firing just
-     recycled, so a steady periodic load allocates nothing. *)
+     recycled, so a steady periodic load allocates nothing. A pointer
+     store into a promoted record pays the write barrier, so [armed],
+     an int, marks the handle disarmed while [f] runs, and [h.cell] is
+     stored only when the re-arm took a different cell. *)
   let rec tick t =
     let at = t.clock in
-    h.cell <- nil_cell;
+    h.armed <- false;
     f t;
-    if h.alive then h.cell <- push t ~at:(Time.add at period) tick
+    if h.alive then begin
+      let c = push t ~at:(Time.add at period) tick in
+      if c != h.cell then h.cell <- c;
+      h.armed <- true
+    end
   in
   h.cell <- push t ~at:start tick;
   h
@@ -99,12 +105,12 @@ let every t ~period ?start f =
 let cancel h =
   if h.alive then begin
     h.alive <- false;
-    if h.cell != nil_cell then begin
+    if h.armed then begin
       let t = h.eng in
+      h.armed <- false;
       t.live <- t.live - 1;
       Obs.Counter.incr t.c_cancelled;
-      ignore (Twheel.unlink t.wheel h.cell : bool);
-      h.cell <- nil_cell
+      ignore (Twheel.unlink t.wheel h.cell : bool)
     end
   end
 

@@ -145,9 +145,10 @@ let splice_out t c =
   t.total <- t.total - 1;
   c.c_lvl <- -1
 
+(* A pooled cell keeps a stale [c_prev]: nothing reads it before
+   [append] sets it, and skipping the store spares a write barrier. *)
 let to_pool t c =
   c.c_payload <- t.nil.c_payload;
-  c.c_prev <- t.nil;
   c.c_next <- t.free;
   t.free <- c
 
